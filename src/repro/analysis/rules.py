@@ -26,7 +26,7 @@ SIM004    No ``==`` / ``!=`` on simulated-time floats.  Event times are
           Use the epsilon helpers ``time_eq`` / ``time_ne`` from
           :mod:`repro.sim.fluid`.
 DEV001    In ``core/`` and ``baselines/``, raw byte moves
-          (``SimFile.peek`` / ``SimFile.poke`` / touching ``._data``)
+          (``SimFile.peek`` / ``peek_view`` / ``poke`` / ``adopt`` / touching ``._data``)
           bypass the charged storage APIs; every byte an algorithm
           moves must be charged to the BRAID device model.  Untimed
           access is for fixtures and validation only.
@@ -513,7 +513,7 @@ class _FileChecker(ast.NodeVisitor):
         if not self.dev001_active:
             return
         func = node.func
-        if isinstance(func, ast.Attribute) and func.attr in ("peek", "poke"):
+        if isinstance(func, ast.Attribute) and func.attr in ("peek", "peek_view", "poke", "adopt"):
             self._report(
                 node,
                 "DEV001",

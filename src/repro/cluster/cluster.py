@@ -486,7 +486,8 @@ class ShardedFile:
         return sum(p.size for p in self.parts)
 
     def merged(self) -> np.ndarray:
-        chunks = [p.peek() for p in self.parts if p.size]
+        # concatenate copies, so the per-part reads need not
+        chunks = [p.peek_view() for p in self.parts if p.size]
         if not chunks:
             return np.zeros(0, dtype=np.uint8)
         return np.concatenate(chunks)
@@ -516,8 +517,6 @@ def generate_cluster_dataset(
     parts = []
     for i, shard in enumerate(cluster.shards):
         part = shard.fs.create(f"{name}.shard{i}")
-        block = records[bounds[i] : bounds[i + 1]]
-        if block.size:
-            part.poke(0, block.reshape(-1))
+        part.adopt(records[bounds[i] : bounds[i + 1]].reshape(-1))
         parts.append(part)
     return ShardedFile(name, parts)

@@ -26,7 +26,7 @@ from repro.core.kway import RunCursor
 from repro.core.wiscsort import WiscSort
 from repro.device.profile import Pattern
 from repro.errors import SimulationError
-from repro.records.format import keys_ascending
+from repro.records.format import adjacent_order, key_columns, keys_ascending
 from repro.registry import register_system
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -41,15 +41,7 @@ def find_natural_runs(keys: np.ndarray) -> List[Tuple[int, int]]:
     n = keys.shape[0]
     if n == 0:
         return []
-    from repro.records.format import key_columns
-
-    cols = key_columns(keys)
-    descents = np.zeros(n - 1, dtype=bool)
-    undecided = np.ones(n - 1, dtype=bool)
-    for col in cols:
-        left, right = col[:-1], col[1:]
-        descents |= undecided & (left > right)
-        undecided &= left == right
+    descents, _tied = adjacent_order(key_columns(keys))
     boundaries = np.flatnonzero(descents) + 1
     edges = [0, *boundaries.tolist(), n]
     return [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]

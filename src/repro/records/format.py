@@ -2,15 +2,15 @@
 
 Keys are arbitrary binary strings compared lexicographically as unsigned
 bytes (gensort semantics).  To sort them exactly and fast we convert the
-key bytes to big-endian uint64 columns and use :func:`numpy.lexsort`,
-which is stable and handles embedded zero bytes correctly (numpy's ``S``
-dtype would not).
+key bytes to big-endian uint64 columns (:func:`key_columns`), which
+handle embedded zero bytes correctly (numpy's ``S`` dtype would not),
+and order rows by those words (:func:`key_sort_indices`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
@@ -67,20 +67,15 @@ def key_columns(keys: np.ndarray) -> List[np.ndarray]:
 
     The returned columns are most-significant first: comparing rows by
     these columns in order is exactly unsigned lexicographic comparison
-    of the original byte strings.
+    of the original byte strings.  They are the contiguous rows of one
+    word-major buffer (zero-padded on the right to whole words).
     """
     if keys.ndim != 2:
         raise RecordFormatError(f"keys must be 2-D, got shape {keys.shape}")
     n, k = keys.shape
-    width = ceil_div(max(k, 1), 8) * 8
-    padded = np.zeros((n, width), dtype=np.uint8)
-    if k:
-        padded[:, :k] = keys
-    cols = []
-    for j in range(width // 8):
-        chunk = np.ascontiguousarray(padded[:, j * 8 : (j + 1) * 8])
-        cols.append(chunk.view(">u8").reshape(n))
-    return cols
+    padded = np.zeros((n, ceil_div(max(k, 1), 8) * 8), dtype=np.uint8)
+    padded[:, :k] = keys
+    return list(np.ascontiguousarray(padded.view(">u8").T))
 
 
 def key_words(key) -> tuple:
@@ -99,11 +94,54 @@ def key_words(key) -> tuple:
     )
 
 
+def adjacent_order(cols: List[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """Compare each row of :func:`key_columns` output with the next.
+
+    Returns two ``(n - 1,)`` boolean masks: ``descends[i]`` where row
+    ``i`` sorts after row ``i + 1``, ``tied[i]`` where they are equal.
+    """
+    pairs = max(cols[0].shape[0] - 1, 0)
+    descends = np.zeros(pairs, dtype=bool)
+    tied = np.ones(pairs, dtype=bool)
+    for col in cols:
+        left, right = col[:-1], col[1:]
+        descends |= tied & (left > right)
+        tied &= left == right
+        if not tied.any():
+            break
+    return descends, tied
+
+
+def tie_rows(tied: np.ndarray) -> np.ndarray:
+    """Row numbers belonging to a run of >= 2 equal rows, given the
+    ``tied`` mask of :func:`adjacent_order`."""
+    member = np.zeros(tied.size + 1, dtype=bool)
+    member[:-1] = tied
+    member[1:] |= tied
+    return np.flatnonzero(member)
+
+
 def key_sort_indices(keys: np.ndarray) -> np.ndarray:
-    """Stable argsort of binary keys (rows of an ``(n, k)`` uint8 matrix)."""
+    """Stable argsort of binary keys (rows of an ``(n, k)`` uint8 matrix).
+
+    Bit for bit the permutation ``np.lexsort`` gives over all the key
+    columns, at the cost of one single-word sort when (as for random
+    keys) the most-significant word rarely ties: argsort that word, then
+    put only the rows whose word ties into (remaining words, original
+    position) order.  That order is total, so the first sort need not be
+    stable.
+    """
     cols = key_columns(keys)
-    # lexsort treats the LAST key as primary, so feed columns reversed.
-    return np.lexsort(tuple(reversed(cols)))
+    order = np.argsort(cols[0])
+    word = cols[0][order]
+    ties = word[1:] == word[:-1]
+    if ties.any():
+        tied = tie_rows(ties)
+        rows = order[tied]
+        # lexsort treats the LAST key as primary.
+        refine = (rows, *(c[rows] for c in reversed(cols[1:])), word[tied])
+        order[tied] = rows[np.lexsort(refine)]
+    return order
 
 
 def record_sort_indices(records: np.ndarray, key_size: int) -> np.ndarray:
@@ -117,20 +155,7 @@ def record_sort_indices(records: np.ndarray, key_size: int) -> np.ndarray:
 
 def keys_ascending(keys: np.ndarray) -> bool:
     """True iff consecutive rows are in non-decreasing key order."""
-    if keys.shape[0] <= 1:
-        return True
-    cols = key_columns(keys)
-    n = keys.shape[0]
-    # undecided[i] True while rows i and i+1 compare equal so far.
-    undecided = np.ones(n - 1, dtype=bool)
-    for col in cols:
-        left, right = col[:-1], col[1:]
-        if np.any(undecided & (left > right)):
-            return False
-        undecided &= left == right
-        if not undecided.any():
-            return True
-    return True
+    return not adjacent_order(key_columns(keys))[0].any()
 
 
 def leq_mask(keys: np.ndarray, bound: np.ndarray) -> np.ndarray:

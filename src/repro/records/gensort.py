@@ -35,31 +35,27 @@ def make_records(
     if n_records < 0:
         raise RecordFormatError("n_records must be >= 0")
     rng = np.random.default_rng(seed)
-    records = np.zeros((n_records, fmt.record_size), dtype=np.uint8)
-    if n_records == 0:
-        return records
-    if ascii_keys:
-        keys = rng.integers(32, 127, size=(n_records, fmt.key_size), dtype=np.uint8)
-    else:
-        keys = rng.integers(0, 256, size=(n_records, fmt.key_size), dtype=np.uint8)
-    records[:, : fmt.key_size] = keys
-    if fmt.value_size > 0:
-        values = _value_payload(n_records, fmt.value_size)
-        records[:, fmt.key_size :] = values
+    # No zero-fill: keys and values between them overwrite every byte.
+    records = np.empty((n_records, fmt.record_size), dtype=np.uint8)
+    low, high = (32, 127) if ascii_keys else (0, 256)
+    records[:, : fmt.key_size] = rng.integers(
+        low, high, size=(n_records, fmt.key_size), dtype=np.uint8
+    )
+    _fill_values(records[:, fmt.key_size :])
     return records
 
 
-def _value_payload(n_records: int, value_size: int) -> np.ndarray:
-    """Deterministic value bytes: little-endian id prefix + rolling fill.
+def _fill_values(values: np.ndarray) -> None:
+    """Deterministic value bytes, written in place into an ``(n, v)`` view:
+    little-endian id prefix + rolling fill.
 
     The id prefix makes each (id, position) byte recoverable, so a
     corrupted or duplicated record is detectable without hashing.
     """
+    n_records, value_size = values.shape
     ids = np.arange(n_records, dtype=np.uint64)
-    values = np.empty((n_records, value_size), dtype=np.uint8)
     id_bytes = min(8, value_size)
-    id_view = ids.reshape(-1, 1).view(np.uint8).reshape(n_records, 8)
-    values[:, :id_bytes] = id_view[:, :id_bytes]
+    values[:, :id_bytes] = ids.view(np.uint8).reshape(n_records, 8)[:, :id_bytes]
     if value_size > id_bytes:
         # uint8 arithmetic wraps mod 256 naturally, so the outer "add"
         # stays tiny in memory (no 64-bit intermediates).
@@ -69,8 +65,7 @@ def _value_payload(n_records: int, value_size: int) -> np.ndarray:
         per_record = ((ids * np.uint64(131) + np.uint64(7)) % np.uint64(256)).astype(
             np.uint8
         )
-        values[:, id_bytes:] = per_record[:, None] + row[None, :]
-    return values
+        np.add(per_record[:, None], row[None, :], out=values[:, id_bytes:])
 
 
 def generate_dataset(
@@ -89,5 +84,5 @@ def generate_dataset(
     fmt = fmt if fmt is not None else RecordFormat()
     records = make_records(n_records, fmt, seed=seed, ascii_keys=ascii_keys)
     f = machine.fs.create(name)
-    f.poke(0, records.reshape(-1))
+    f.adopt(records.reshape(-1))
     return f

@@ -5,8 +5,11 @@ input file, sorted in key ascending order" (Sec 4.1).  We check both
 properties byte-exactly:
 
 * sortedness: consecutive keys compare non-decreasing;
-* permutation: the multisets of whole records in input and output match
-  (via a canonical sort of each side's full record bytes).
+* permutation: the multisets of whole records in input and output match.
+  The output is already in key order, so the input is put in key order
+  too and, on both sides, each run of equal keys into full-record byte
+  order.  The key is a prefix of the record, so both sides then sit in
+  full-record order and array equality is multiset equality.
 """
 
 from __future__ import annotations
@@ -16,7 +19,13 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.records.format import RecordFormat, key_columns, keys_ascending
+from repro.records.format import (
+    RecordFormat,
+    adjacent_order,
+    key_columns,
+    key_sort_indices,
+    tie_rows,
+)
 from repro.records.klv import KLVFormat, decode_klv
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -31,12 +40,6 @@ def _as_record_matrix(data: np.ndarray, record_size: int) -> np.ndarray:
     return data.reshape(-1, record_size)
 
 
-def _canonical_order(records: np.ndarray) -> np.ndarray:
-    """Indices that sort records by their entire byte content."""
-    cols = key_columns(records)
-    return np.lexsort(tuple(reversed(cols)))
-
-
 def validate_sorted_records(
     input_records: np.ndarray, output_records: np.ndarray, key_size: int
 ) -> None:
@@ -46,10 +49,20 @@ def validate_sorted_records(
             f"record counts differ: input {input_records.shape} vs "
             f"output {output_records.shape}"
         )
-    if not keys_ascending(output_records[:, :key_size]):
+    descends, tied = adjacent_order(key_columns(output_records[:, :key_size]))
+    if descends.any():
         raise ValidationError("output keys are not in ascending order")
-    left = input_records[_canonical_order(input_records)]
-    right = output_records[_canonical_order(output_records)]
+    left = input_records[key_sort_indices(input_records[:, :key_size])]
+    right = output_records
+    if tied.any():
+        # Equal keys may come out in any relative order: only these rows
+        # are ever sorted on their whole content.  If the input's ties
+        # sit elsewhere the sides differ, which is the right verdict.
+        rows = tie_rows(tied)
+        right = right.copy()
+        for side in (left, right):
+            group = side[rows]
+            side[rows] = group[key_sort_indices(group)]
     if not np.array_equal(left, right):
         raise ValidationError("output is not a permutation of the input records")
 
@@ -58,10 +71,8 @@ def validate_sorted_file(
     input_file: "SimFile", output_file: "SimFile", fmt: RecordFormat
 ) -> int:
     """Validate fixed-size-record output; returns the record count."""
-    input_data = input_file.peek()
-    output_data = output_file.peek()
-    input_records = _as_record_matrix(input_data, fmt.record_size)
-    output_records = _as_record_matrix(output_data, fmt.record_size)
+    input_records = _as_record_matrix(input_file.peek_view(), fmt.record_size)
+    output_records = _as_record_matrix(output_file.peek_view(), fmt.record_size)
     validate_sorted_records(input_records, output_records, fmt.key_size)
     return input_records.shape[0]
 

@@ -39,18 +39,6 @@ if TYPE_CHECKING:  # pragma: no cover
 #: reentrant and stateless, so one instance serves every unaudited op.
 _NO_AUDIT = nullcontext()
 
-_ARANGE_MEMO: dict = {}
-
-
-def _arange(n: int) -> np.ndarray:
-    """Shared ``np.arange(n)`` for the fixed access sizes gathers use."""
-    a = _ARANGE_MEMO.get(n)
-    if a is None:
-        a = np.arange(n, dtype=np.int64)
-        a.setflags(write=False)
-        _ARANGE_MEMO[n] = a
-    return a
-
 
 class SimFile:
     """A growable byte file stored on a simulated device."""
@@ -66,13 +54,20 @@ class SimFile:
     # ------------------------------------------------------------------
     def peek(self, offset: int = 0, nbytes: int | None = None) -> np.ndarray:
         """Untimed read of file contents (no device cost charged)."""
+        return self.peek_view(offset, nbytes).copy()
+
+    def peek_view(self, offset: int = 0, nbytes: int | None = None) -> np.ndarray:
+        """:meth:`peek` without the copy: a read-only view of the bytes,
+        valid until the file is next written (validation reads it once)."""
         if nbytes is None:
             nbytes = self.size - offset
         self._check_extent(offset, nbytes)
         aud = self._fs.audit
         if aud is not None:
             aud.note_raw(self.name, "peek", nbytes)
-        return self._data[offset : offset + nbytes].copy()
+        view = self._data[offset : offset + nbytes]
+        view.flags.writeable = False
+        return view
 
     def poke(self, offset: int, data: np.ndarray | bytes) -> None:
         """Untimed write (workload generation / fixtures)."""
@@ -86,6 +81,27 @@ class SimFile:
         self._ensure_capacity(new_size)
         self._data[offset : offset + arr.size] = arr
         self.size = new_size
+
+    def adopt(self, data: np.ndarray) -> None:
+        """Untimed: make ``data`` this (empty) file's contents, no copy.
+
+        For dataset generators, which build the whole file in one array
+        only to store it: the caller hands the array over and must not
+        touch it again.
+        """
+        if self.size or data.dtype != np.uint8 or data.ndim != 1 or not (
+            data.flags.c_contiguous and data.flags.writeable
+        ):
+            raise StorageError(
+                f"{self.name!r} can only adopt a writeable contiguous 1-D uint8 "
+                f"array while empty"
+            )
+        aud = self._fs.audit
+        if aud is not None:
+            aud.note_raw(self.name, "poke", data.size)
+        self._fs.charge_growth(data.size, name=self.name)
+        self._data = data
+        self.size = data.size
 
     def truncate(self, new_size: int) -> None:
         """Discard bytes past ``new_size`` (torn-write rollback, recovery).
@@ -183,12 +199,12 @@ class SimFile:
         self._check_extent(offset, last - offset)
         det = self._fs.race
         if det is not None:
-            det.note_batch(self, "r", offset + _arange(count) * stride, access_size)
+            starts = offset + np.arange(count, dtype=np.int64) * stride
+            det.note_batch(self, "r", starts, access_size)
 
         def build() -> FluidOp:
             with self._audit("read", count * access_size):
-                starts = offset + _arange(count) * stride
-                payload = self._data[starts[:, None] + _arange(access_size)]
+                payload = self._rows(offset, count, stride, access_size).copy()
                 op = self._machine_io(
                     "read",
                     Pattern.STRIDED,
@@ -235,7 +251,11 @@ class SimFile:
 
         def build() -> FluidOp:
             with self._audit("read", int(starts.size) * access_size):
-                payload = self._data[starts[:, None] + _arange(access_size)]
+                # Row take on the view of every access_size-byte window.
+                # Only the bounds check above rejects negative offsets:
+                # as row indices numpy would wrap them silently.
+                windows = self._rows(0, self.size - access_size + 1, 1, access_size)
+                payload = windows[starts]
                 op = self._machine_io(
                     "read",
                     Pattern.RAND,
@@ -282,8 +302,11 @@ class SimFile:
 
         def build() -> FluidOp:
             with self._audit("read", int(sizes.sum())):
-                pieces = [self._data[s:e] for s, e in zip(starts, ends)]
-                payload = np.concatenate(pieces) if pieces else np.zeros(0, dtype=np.uint8)
+                # One contiguous slice per span (no per-byte index);
+                # plain ints keep the per-span cost to the slice itself.
+                payload = np.concatenate(
+                    [self._data[s:e] for s, e in zip(starts.tolist(), ends.tolist())]
+                )
                 work = machine.profile.random_batch_work(sizes)
                 op = machine.io_raw(
                     work, "read", Pattern.RAND, int(sizes.sum()), tag, threads=threads
@@ -297,6 +320,12 @@ class SimFile:
         return build()
 
     # ------------------------------------------------------------------
+    def _rows(self, offset: int, count: int, stride: int, access_size: int) -> np.ndarray:
+        """``(count, access_size)`` view of the file, row ``i`` being the
+        bytes at ``offset + i * stride``: gathers copy from it without
+        building an index (numpy checks the extent against the buffer)."""
+        return np.ndarray((count, access_size), np.uint8, self._data, offset, (stride, 1))
+
     def _audit(self, direction: str, nbytes: int):
         """Charge-audit scope for one timed op (no-op unless auditing)."""
         aud = self._fs.audit

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,25 @@ class TestMakeRecords:
         fmt = RecordFormat(key_size=8, value_size=0)
         records = make_records(10, fmt, seed=1)
         assert records.shape == (10, 8)
+
+    @pytest.mark.parametrize(
+        "fmt, n, seed, ascii_keys, digest",
+        [
+            (RecordFormat(), 1000, 0, False,
+             "d6d82e817bd582516ecab7b0b120f4b2df06b7ed1c3b8286400f1f837240b197"),
+            (RecordFormat(), 1000, 0, True,
+             "7aa4022f5688fa5e970cb9e5ee82cca85c1d89aa5ccd79638c5bbbfb7d1d69a6"),
+            # value shorter than the 8-byte id prefix
+            (RecordFormat(key_size=4, value_size=3), 257, 3, False,
+             "b3a27666a258a9f64dc333095bfc89860a691c311fc48c5e0094016eed2c04f3"),
+        ],
+    )
+    def test_dataset_bytes_are_frozen(self, fmt, n, seed, ascii_keys, digest):
+        """Digests taken before ``make_records`` stopped zero-filling:
+        every committed fingerprint depends on these exact bytes."""
+        records = make_records(n, fmt, seed=seed, ascii_keys=ascii_keys)
+        assert records.flags.c_contiguous and records.flags.writeable
+        assert hashlib.sha256(records.tobytes()).hexdigest() == digest
 
 
 class TestGenerateDataset:

@@ -58,6 +58,56 @@ class TestReadWrite:
         assert bytes(f.peek(0, 3)) == b"abc"
 
 
+class TestAdopt:
+    def test_adopts_without_copy_and_charges_capacity(self, machine):
+        f = machine.fs.create("f")
+        data = np.arange(1000, dtype=np.uint8) % 251
+        f.adopt(data)
+        assert f.size == 1000 and machine.fs.used == 1000
+        assert np.shares_memory(f.peek_view(), data)
+        assert np.array_equal(run_op(machine, f.read(0, 1000, tag="r")), data)
+
+    def test_adopted_file_grows_and_truncates_like_any_other(self, machine):
+        f = machine.fs.create("f")
+        f.adopt(np.full(100, 7, dtype=np.uint8))
+        run_op(machine, f.append(b"abc", tag="w"))
+        assert f.size == 103 and bytes(f.peek(98, 5)) == b"\x07\x07abc"
+        f.truncate(50)
+        assert f.size == 50 and machine.fs.used == 50
+
+    def test_audited_as_a_raw_poke(self, machine):
+        notes = []
+
+        class Audit:
+            def note_raw(self, name, kind, nbytes):
+                notes.append((name, kind, nbytes))
+
+        machine.fs.audit = Audit()
+        machine.fs.create("f").adopt(np.zeros(64, dtype=np.uint8))
+        assert notes == [("f", "poke", 64)]
+
+    def test_rejects_non_empty_file_and_foreign_layouts(self, machine):
+        f = machine.fs.create("f")
+        for bad in (
+            np.zeros(8, dtype=np.int32),
+            np.zeros((2, 4), dtype=np.uint8),
+            np.zeros(16, dtype=np.uint8)[::2],
+            np.frombuffer(b"read-only", dtype=np.uint8),
+        ):
+            with pytest.raises(StorageError):
+                f.adopt(bad)
+        f.poke(0, b"x")
+        with pytest.raises(StorageError):
+            f.adopt(np.zeros(4, dtype=np.uint8))
+
+    def test_out_of_space_leaves_the_file_empty(self):
+        machine = Machine(profile=pmem_profile(capacity=1000))
+        f = machine.fs.create("f")
+        with pytest.raises(OutOfSpaceError):
+            f.adopt(np.zeros(2000, dtype=np.uint8))
+        assert f.size == 0 and machine.fs.used == 0
+
+
 class TestStrided:
     def test_strided_gathers_fields(self, machine):
         f = machine.fs.create("f")
