@@ -23,10 +23,10 @@ speculation and cancellation):
   the FIFO-stable run-twice determinism harness can never see) into a
   CI-checkable property.
 
-Both follow the tracer/sanitizer contract: ``engine.race`` and
-``engine.schedule_fuzz`` default to ``None`` and every hook site guards
-on it, so the fast path costs one attribute load; installed, the
-detector is observe-only -- simulated results are bit-identical.
+Both are probes on the bus (:mod:`repro.sim.probe`), so they cost
+nothing when not installed; installed, the detector is observe-only --
+simulated results are bit-identical -- while the permuter holds the
+bus's one *active* capability, reordering same-instant ties.
 
 Happens-before edges tracked (see DESIGN.md "Concurrency analysis"):
 
@@ -55,9 +55,9 @@ import numpy as np
 from repro.errors import RaceError, ScheduleDivergenceError
 from repro.sim.engine import Join
 from repro.sim.primitives import Barrier, Semaphore, SimQueue
+from repro.sim.probe import Probe, ProbeSet
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.machine import Machine
     from repro.sim.engine import Engine, Process
     from repro.storage.file import SimFile
 
@@ -79,9 +79,9 @@ def _merge(into: Dict[int, int], other: Dict[int, int]) -> None:
 class _Access:
     """One logged byte-range access within the current instant."""
 
-    __slots__ = ("proc_name", "pid", "epoch", "kind", "starts", "ends", "spans")
+    __slots__ = ("proc_name", "pid", "epoch", "kind", "starts", "ends")
 
-    def __init__(self, proc_name, pid, epoch, kind, starts, ends, spans):
+    def __init__(self, proc_name, pid, epoch, kind, starts, ends):
         self.proc_name = proc_name
         self.pid = pid
         #: The accessor's own clock component at access time; a later
@@ -91,7 +91,6 @@ class _Access:
         self.kind = kind  # "r" | "w"
         self.starts = starts  # int64 array, sorted ascending
         self.ends = ends
-        self.spans = spans
 
 
 class RaceReport:
@@ -109,7 +108,6 @@ class RaceReport:
         self.file_name = file_name
         self.a_name, self.a_pid, self.a_kind = a.proc_name, a.pid, a.kind
         self.b_name, self.b_pid, self.b_kind = b.proc_name, b.pid, b.kind
-        self.a_spans, self.b_spans = a.spans, b.spans
         self.overlaps = overlaps
         #: How many further conflicts between the same pair on the same
         #: file were suppressed by deduplication.
@@ -121,15 +119,13 @@ class RaceReport:
     def render(self) -> str:
         conflict = f"{self.a_kind}{self.b_kind}".upper()
         ranges = ", ".join(f"[{s}, {e})" for s, e in self.overlaps)
-        a_spans = ">".join(self.a_spans) if self.a_spans else "-"
-        b_spans = ">".join(self.b_spans) if self.b_spans else "-"
         lines = [
             f"race: {conflict} conflict on {self.file_name!r} at "
             f"t={self.instant:.9g} (overlap {ranges})",
             f"  {self._kind_word(self.a_kind)} by {self.a_name!r} "
-            f"(pid {self.a_pid}) in span {a_spans}",
+            f"(pid {self.a_pid})",
             f"  {self._kind_word(self.b_kind)} by {self.b_name!r} "
-            f"(pid {self.b_pid}) in span {b_spans}",
+            f"(pid {self.b_pid})",
             "  no happens-before edge orders these accesses: a legal "
             "same-instant schedule permutation can swap them",
         ]
@@ -139,14 +135,17 @@ class RaceReport:
         return "\n".join(lines)
 
 
-class RaceDetector:
+class RaceDetector(Probe):
     """Vector-clock race detector for one engine (machine or cluster).
 
     Observe-only: it never mutates engine, scheduler or storage state,
     so simulated results are bit-identical with or without it.  Install
-    with :meth:`repro.machine.Machine.install_race_detector` (CLI:
-    ``--race-detect``) or :meth:`install_cluster`; call :meth:`check`
-    after the run to raise :class:`~repro.errors.RaceError` on findings.
+    with ``install_race_detector()`` on a machine or cluster (CLI:
+    ``--race-detect``); on a cluster one detector watches the shared
+    engine and every shard's storage layer (files are compared by
+    identity, so same-named files on different shards never alias).
+    Call :meth:`check` after the run to raise
+    :class:`~repro.errors.RaceError` on findings.
     """
 
     def __init__(self):
@@ -158,9 +157,8 @@ class RaceDetector:
         #: id(resource) -> (resource, clock).  The strong reference
         #: keeps the id stable for the detector's lifetime.
         self._res_clocks: Dict[int, Tuple[Any, Dict[int, int]]] = {}
-        #: The coroutine whose generator is currently executing
-        #: (maintained by Engine._step, exactly like tracer._current).
-        self._current: Optional["Process"] = None
+        #: The live engine; its ``current`` is the coroutine whose
+        #: generator is executing, which accesses and edges belong to.
         self._engine: Optional["Engine"] = None
         #: Same-instant access buffer: id(file) -> (file, [_Access...]).
         self._buffer: Dict[int, Tuple["SimFile", List[_Access]]] = {}
@@ -172,32 +170,14 @@ class RaceDetector:
         self.pairs_checked = 0
 
     # -- installation ---------------------------------------------------
-    def install(self, machine: "Machine") -> "RaceDetector":
-        self.attach_engine(machine.engine)
-        machine.fs.race = self
-        machine.race = self
-        return self
-
-    def install_cluster(self, cluster) -> "RaceDetector":
-        """One detector watches the shared engine and every shard's
-        storage layer (files are compared by identity, so same-named
-        files on different shards never alias)."""
-        self.attach_engine(cluster.engine)
-        for shard in cluster.shards:
-            shard.fs.race = self
-            shard.race = self
-        cluster.race = self
-        return self
-
-    def attach_engine(self, engine: "Engine") -> None:
-        """Hook one engine; re-run by reboot on the replacement engine.
+    def bind(self, probes: ProbeSet) -> None:
+        """Follow the live engine (at install and after every reboot).
 
         Volatile per-run state (live clocks, the current-instant buffer)
         is reset -- pre-crash coroutines died with the old engine --
         while recorded races survive, mirroring the sanitizer.
         """
-        engine.race = self
-        self._engine = engine
+        self._engine = probes.engine
         self._clocks.clear()
         self._final_clocks.clear()
         self._res_clocks.clear()
@@ -207,7 +187,21 @@ class RaceDetector:
         # hide behind a pre-reboot report from unrelated coroutines.
         self._seen_pairs.clear()
         self._instant_stamp = None
-        self._current = None
+
+    def subscriptions(self):
+        return [
+            ("spawn", self.on_spawn),
+            # Built-in io/sleep/join blocks create no edge of their own.
+            ("block_parallel", self.on_block),
+            ("block_primitive", self.on_block),
+            ("wake", self.on_resume),
+            ("finish", self.on_finish),
+            ("cancelled", self.on_cancel),
+            ("acquire", self.on_acquire),
+            ("release", self.on_release),
+            ("file_span", self.note_span),
+            ("file_batch", self.note_batch),
+        ]
 
     # -- clock plumbing -------------------------------------------------
     def _clock_of(self, proc: "Process") -> Dict[int, int]:
@@ -226,7 +220,7 @@ class RaceDetector:
 
     # -- engine hooks ----------------------------------------------------
     def on_spawn(self, proc: "Process") -> None:
-        parent = self._current
+        parent = self._engine.current
         if parent is not None:
             child = dict(self._tick(parent))
         else:
@@ -246,7 +240,7 @@ class RaceDetector:
 
     def on_resume(self, proc: "Process", resource: Any) -> None:
         c = self._clock_of(proc)
-        waker = self._current
+        waker = self._engine.current
         if waker is not None and waker is not proc:
             _merge(c, self._tick(waker))
         if isinstance(resource, _PRIMITIVE_TYPES):
@@ -287,7 +281,7 @@ class RaceDetector:
         c[proc.pid] = c.get(proc.pid, 0) + 1
 
     def on_release(self, resource: Any) -> None:
-        proc = self._current
+        proc = self._engine.current
         if proc is None:
             return  # release from a completion callback: no coroutine edge
         self._res_merge(resource, self._tick(proc))
@@ -319,9 +313,9 @@ class RaceDetector:
         self._note(file, kind, s, e)
 
     def _note(self, file, kind, starts, ends) -> None:
-        proc = self._current
         engine = self._engine
-        if proc is None or engine is None or not engine.running:
+        proc = engine.current
+        if proc is None or not engine.running:
             # Fixture/validation access, or data movement re-issued from
             # a retry/timer callback: not attributable to a coroutine
             # step, and (for the latter) already logged at issue time.
@@ -334,14 +328,8 @@ class RaceDetector:
             self._instant_stamp = t
         self.accesses_seen += 1
         c = self._clock_of(proc)
-        spans: Tuple[str, ...] = ()
-        tracer = engine.tracer
-        if tracer is not None:
-            stack = tracer._stacks.get(proc.pid)
-            if stack:
-                spans = tuple(s.name for s in stack)
         access = _Access(proc.name, proc.pid, c.get(proc.pid, 0), kind,
-                         starts, ends, spans)
+                         starts, ends)
         entry = self._buffer.get(id(file))
         if entry is None:
             self._buffer[id(file)] = (file, [access])
@@ -432,16 +420,19 @@ def _overlap_ranges(
 # ----------------------------------------------------------------------
 
 
-class SchedulePermuter:
+class SchedulePermuter(Probe):
     """Deterministic same-instant schedule permutation, from one seed.
 
-    Installed as ``engine.schedule_fuzz``; the engine consults it at its
-    two tie-break points -- which ready process to step next, and the
-    order in which same-instant op completions are delivered.  Both are
-    *legal* schedules (every permuted choice was runnable at that
-    instant), so a correct workload must produce byte-identical output
-    under every seed.
+    The one *active* probe: the engine consults it at its two tie-break
+    points -- which ready process to step next, and the order in which
+    same-instant op completions are delivered.  Both are *legal*
+    schedules (every permuted choice was runnable at that instant), so a
+    correct workload must produce byte-identical output under every
+    seed.  Nothing is reset on rebind: the RNG stream continues across a
+    reboot, so one seed covers a whole crash-recovery schedule.
     """
+
+    reorders_ties = True
 
     def __init__(self, seed: int):
         self.seed = seed

@@ -3,25 +3,26 @@
 ``SimSanitizer`` is the dynamic half of :mod:`repro.analysis` (the
 static half is ``reprolint``).  It is strictly opt-in -- install it with
 :meth:`repro.machine.Machine.install_sanitizer` or the CLI ``--sanitize``
-flag -- and costs one ``is None`` check per hook site when off, so
-fault-free hot paths and BENCH fingerprints are untouched.
+flag -- and rides the probe bus (:mod:`repro.sim.probe`), so it costs
+nothing when off and fault-free hot paths and BENCH fingerprints are
+untouched.
 
 Three checkers:
 
 * **Waits-for deadlock diagnostics.**  The engine tracks which process
   is parked on which resource (Barrier / Semaphore / SimQueue / fluid
-  op / sleep / join) whenever a sanitizer is installed.  When the event
+  op / sleep / join) from the bus's block and wake events.  When the event
   loop runs dry with blocked processes, the resulting
   :class:`~repro.errors.DeadlockError` names every stuck coroutine and
   the resource (with state: arrived-count, semaphore value, queue
   depth) it waits on, instead of reporting a bare count.
 
 * **Charge accounting audit.**  Every byte a timed ``SimFile``
-  operation moves must be charged to the device model via
-  ``DeviceStats.credit_submission``.  The auditor cross-checks the two
-  layers synchronously (the storage layer announces the move, the stats
-  layer must immediately charge the same byte count in the same
-  direction) and tallies *raw* moves -- ``peek`` / ``poke`` while the
+  operation moves must be charged to the device model (the bus's
+  ``charge`` event, fired by ``Machine.io`` / ``io_raw``).  The auditor
+  cross-checks the two layers synchronously (the storage layer announces
+  the move, the machine must immediately charge the same byte count in
+  the same direction) and tallies *raw* moves -- ``peek`` / ``poke`` while the
   engine has live processes and no ``SimFS.unaudited`` justification --
   as drift.  :meth:`SimSanitizer.check` raises
   :class:`~repro.errors.ChargeDriftError` on any discrepancy.
@@ -35,12 +36,13 @@ Three checkers:
 from __future__ import annotations
 
 import hashlib
+from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ChargeDriftError, DeterminismError
+from repro.sim.probe import Probe, ProbeSet
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.machine import Machine
     from repro.sim.engine import Engine, Process
 
 
@@ -116,22 +118,8 @@ class ChargeAuditor:
         self._pending: Optional[Tuple[str, int]] = None
         self._timed_depth = 0
         self._exempt_reasons: List[str] = []
-        self._machine: Optional["Machine"] = None
-
-    # -- installation ---------------------------------------------------
-    def install(self, machine: "Machine") -> None:
-        self._machine = machine
-        machine.fs.audit = self
-        stats = machine.stats
-        orig = stats.credit_submission
-
-        def audited_credit(
-            tag: str, user_bytes: float, direction: str = "", pattern: str = ""
-        ):
-            self.note_charge(direction, user_bytes, tag)
-            return orig(tag, user_bytes, direction, pattern)
-
-        stats.credit_submission = audited_credit  # type: ignore[method-assign]
+        #: The live engine (set by :meth:`SimSanitizer.bind`).
+        self.engine: Optional["Engine"] = None
 
     # -- storage-layer hooks (see repro.storage.file) -------------------
     def timed(self, direction: str, nbytes: int) -> "_TimedMove":
@@ -143,8 +131,7 @@ class ChargeAuditor:
         """A peek/poke outside any timed operation."""
         if self._timed_depth > 0:
             return  # data movement of the enclosing timed op, already audited
-        machine = self._machine
-        if machine is None or not machine.engine.running:
+        if self.engine is None or not self.engine.running:
             return  # fixture / validation access outside the event loop
         if self._exempt_reasons:
             reason = self._exempt_reasons[-1]
@@ -152,13 +139,16 @@ class ChargeAuditor:
             return
         self.raw_moves.append((file_name, kind, int(nbytes)))
 
-    def begin_exempt(self, reason: str) -> None:
+    @contextmanager
+    def exempt(self, reason: str):
+        """Scope of one ``SimFS.unaudited`` justification."""
         self._exempt_reasons.append(reason or "unspecified")
+        try:
+            yield
+        finally:
+            self._exempt_reasons.pop()
 
-    def end_exempt(self) -> None:
-        self._exempt_reasons.pop()
-
-    # -- stats-layer hook ------------------------------------------------
+    # -- machine-layer hook ----------------------------------------------
     def note_charge(self, direction: str, user_bytes: float, tag: str) -> None:
         if direction not in ("read", "write"):
             return
@@ -264,8 +254,13 @@ class _TimedMove:
 # ----------------------------------------------------------------------
 
 
-class SimSanitizer:
-    """Opt-in runtime checker for a :class:`~repro.machine.Machine`.
+class SimSanitizer(Probe):
+    """Opt-in runtime checker for a :class:`~repro.machine.Machine` or a
+    whole :class:`~repro.cluster.Cluster` (one sanitizer watches the
+    shared engine and audits every shard's storage layer: charge pairing
+    is synchronous -- a timed op opens and closes its audit scope while
+    being built -- so one auditor serves all shard filesystems without
+    interleaving hazards).
 
     Parameters
     ----------
@@ -279,39 +274,33 @@ class SimSanitizer:
         self.waits: Dict[int, Tuple["Process", Any, str]] = {}
         self.trace: Optional[List[tuple]] = [] if trace else None
         self.auditor = ChargeAuditor()
-        self.machine: Optional["Machine"] = None
 
     # -- installation ---------------------------------------------------
-    def install(self, machine: "Machine") -> None:
-        self.machine = machine
-        self.attach_engine(machine.engine)
-        self.auditor.install(machine)
-
-    def install_cluster(self, cluster) -> None:
-        """Hook a :class:`repro.cluster.Cluster`: one sanitizer watches
-        the shared engine and audits every shard's storage layer.
-
-        Charge pairing is synchronous (a timed op opens and closes its
-        audit scope while being built), so one auditor serves all shard
-        filesystems without interleaving hazards.
-        """
-        self.machine = cluster.shards[0]
-        self.attach_engine(cluster.engine)
-        for shard in cluster.shards:
-            self.auditor.install(shard)
-        cluster.sanitizer = self
-
-    def attach_engine(self, engine: "Engine") -> None:
-        """Hook one engine (re-run by ``Machine.reboot`` on the
-        replacement engine; pre-crash waiters died with the old one)."""
-        engine.sanitizer = self
+    def bind(self, probes: ProbeSet) -> None:
+        """Follow the live engine; parked processes died with the old one."""
+        self.auditor.engine = probes.engine
         self.waits.clear()
+
+    def subscriptions(self):
+        aud = self.auditor
+        return [
+            ("block", self.on_wait),
+            ("wake", self.on_wake),
+            ("op_done", self.on_op_complete),
+            ("finish", self.on_proc_finish),
+            ("cancelled", self.on_proc_cancel),
+            ("deadlock_detail", self.deadlock_detail),
+            ("raw_move", aud.note_raw),
+            ("charge", aud.note_charge),
+            ("move_scope", aud.timed),
+            ("exempt_scope", aud.exempt),
+        ]
 
     # -- engine hooks ----------------------------------------------------
     def on_wait(self, proc: "Process", resource: Any, verb: str = "wait") -> None:
         self.waits[proc.pid] = (proc, resource, verb)
 
-    def on_wake(self, proc: "Process") -> None:
+    def on_wake(self, proc: "Process", _resource: Any = None) -> None:
         self.waits.pop(proc.pid, None)
 
     def on_op_complete(self, op, now: float) -> None:

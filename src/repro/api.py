@@ -18,10 +18,6 @@ fifteen loose keyword arguments through every layer::
     )
     print(report.render())
 
-The old loose-keyword signature ``api.sort(records=..., system=...)``
-still works through a thin shim that emits a ``DeprecationWarning`` and
-builds the same ``RunOptions``.
-
 The returned :class:`~repro.core.base.SortResult` carries the machine in
 ``result.extras["machine"]`` for timeline/stats inspection, and the
 fault report (when ``faults`` was given) in
@@ -31,7 +27,6 @@ fault report (when ``faults`` was given) in
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence, Union
 
@@ -122,35 +117,13 @@ class RunOptions:
         return self.config if self.config is not None else SortConfig()
 
 
-def _coerce_options(where: str, options, legacy: dict) -> RunOptions:
-    """Resolve the ``(options, **legacy)`` surface to one RunOptions.
-
-    The legacy loose-keyword path (and the ancient ``records`` first
-    positional) still works but warns: it is scheduled to go the way of
-    the SampleSort positional shim.
-    """
-    if isinstance(options, int):
-        # Ancient surface: api.sort(200_000, system=...).
-        legacy = {"records": options, **legacy}
-        options = None
-    if legacy:
-        if options is not None:
-            raise ConfigError(
-                f"api.{where}() takes a RunOptions or legacy keywords, "
-                f"not both"
-            )
-        warnings.warn(
-            f"calling api.{where}() with loose keyword arguments is "
-            f"deprecated; build a repro.api.RunOptions and pass it as "
-            f"the single positional argument (shim scheduled for "
-            f"removal in 2.0)",
-            DeprecationWarning,
-            stacklevel=3,
+def _coerce_options(where: str, options, loose: dict) -> RunOptions:
+    """Resolve the single positional argument to one RunOptions."""
+    if loose:
+        raise ConfigError(
+            f"api.{where}() takes one repro.api.RunOptions, not loose "
+            f"keyword arguments ({', '.join(sorted(loose))})"
         )
-        try:
-            return RunOptions(**legacy)
-        except TypeError as exc:
-            raise ConfigError(f"api.{where}(): {exc}") from None
     if options is None:
         return RunOptions()
     if not isinstance(options, RunOptions):
@@ -161,37 +134,54 @@ def _coerce_options(where: str, options, legacy: dict) -> RunOptions:
     return options
 
 
-def _resolve_tracer(o: RunOptions):
-    """Resolve ``(o.trace, o.analyze)`` to ``(tracer, export_path)``.
+def arm_probes(o: RunOptions, owner):
+    """Install every probe the options ask for on ``owner``'s bus.
 
-    ``analyze=True`` arms the analyze-mode record streams on whatever
-    tracer the run uses -- creating one if the options carry no
+    ``owner`` is the run's machine or cluster.  Returns ``(extras,
+    trace_path)``: the installed observers keyed as the result's
+    ``extras`` carries them, and where to export the trace (if
+    anywhere).  ``analyze=True`` arms the analyze-mode record streams on
+    whatever tracer the run uses -- creating one if the options carry no
     ``trace`` at all (the records live on the Tracer object; nothing is
     exported unless a path was given).
     """
-    tracer = None
+    extras = {}
     trace_path = None
-    if o.trace is not None:
+    if o.race_detect:
+        extras["race_detector"] = owner.install_race_detector()
+    if o.schedule_seed is not None:
+        owner.install_schedule_fuzz(o.schedule_seed)
+    if o.sanitizer is not None:
+        extras["sanitizer"] = o.sanitizer.install(owner)
+    elif o.sanitize:
+        extras["sanitizer"] = owner.install_sanitizer()
+    if o.trace is not None or o.analyze:
         from repro.trace import Tracer
 
-        if isinstance(o.trace, str):
+        if isinstance(o.trace, Tracer):
+            tracer = o.trace
+        elif o.trace is None or isinstance(o.trace, str):
             trace_path = o.trace
             tracer = Tracer()
-        elif isinstance(o.trace, Tracer):
-            tracer = o.trace
         else:
             raise ConfigError(
                 f"trace must be a path string or a repro.trace.Tracer, "
                 f"not {type(o.trace).__name__}"
             )
-    if o.analyze:
-        if tracer is None:
-            from repro.trace import Tracer
-
-            tracer = Tracer(analyze=True)
-        else:
+        if o.analyze:
             tracer.analyze = True
-    return tracer, trace_path
+        extras["tracer"] = tracer.install(owner)
+    return extras, trace_path
+
+
+def _harvest_probes(o: RunOptions, extras: dict, trace_path) -> None:
+    """Post-run half of :func:`arm_probes`: gate on drift, export."""
+    if o.sanitize:
+        extras["sanitizer"].check()
+    if trace_path is not None:
+        from repro.trace import write_chrome_trace
+
+        write_chrome_trace(extras["tracer"], trace_path)
 
 
 def _build_machine(o: RunOptions) -> Machine:
@@ -223,7 +213,7 @@ def _probe_op_count(o: RunOptions, checkpoint: bool) -> int:
     return injector.op_index
 
 
-def sort(options: "RunOptions | int | None" = None, /, **legacy) -> SortResult:
+def sort(options: Optional[RunOptions] = None, /, **loose) -> SortResult:
     """Sort a generated gensort dataset with a registered system.
 
     Pass one :class:`RunOptions`; its fields mirror the CLI flags
@@ -255,25 +245,11 @@ def sort(options: "RunOptions | int | None" = None, /, **legacy) -> SortResult:
     tracing), ``race_detector`` (when ``race_detect``) and
     ``fault_report`` (when faults were injected).
     """
-    o = _coerce_options("sort", options, legacy)
+    o = _coerce_options("sort", options, loose)
     fmt = o.record_format
     config = o.sort_config
     machine = _build_machine(o)
-    race_detector = None
-    if o.race_detect:
-        race_detector = machine.install_race_detector()
-    if o.schedule_seed is not None:
-        machine.install_schedule_fuzz(o.schedule_seed)
-    sanitizer = o.sanitizer
-    if o.sanitize and sanitizer is None:
-        from repro.analysis.sanitizer import SimSanitizer
-
-        sanitizer = SimSanitizer()
-    if sanitizer is not None:
-        sanitizer.install(machine)
-    tracer, trace_path = _resolve_tracer(o)
-    if tracer is not None:
-        tracer.install(machine)
+    observers, trace_path = arm_probes(o, machine)
     data = generate_dataset(machine, "input", o.records, fmt, seed=o.seed)
     sort_system = create_system(o.system, fmt, config=config)
     fault_report = None
@@ -297,20 +273,10 @@ def sort(options: "RunOptions | int | None" = None, /, **legacy) -> SortResult:
     else:
         result = sort_system.run(machine, data, validate=o.validate)
     result.extras["machine"] = machine
-    if race_detector is not None:
-        result.extras["race_detector"] = race_detector
+    result.extras.update(observers)
     if fault_report is not None:
         result.extras["fault_report"] = fault_report
-    if sanitizer is not None:
-        result.extras["sanitizer"] = sanitizer
-        if o.sanitize:
-            sanitizer.check()
-    if tracer is not None:
-        result.extras["tracer"] = tracer
-        if trace_path is not None:
-            from repro.trace import write_chrome_trace
-
-            write_chrome_trace(tracer, trace_path)
+    _harvest_probes(o, observers, trace_path)
     return result
 
 
@@ -336,7 +302,7 @@ def serve(
     slos: Sequence = (),
     link_bw: Optional[float] = None,
     monitor: Optional[Any] = None,
-    **legacy,
+    **loose,
 ):
     """Run the cluster as an open-loop sort *service* and report SLOs.
 
@@ -364,7 +330,7 @@ def serve(
     Returns the :class:`~repro.cluster.service.ServiceReport`; its
     ``extras`` carries ``cluster``, ``jobs`` and any armed observers.
     """
-    o = _coerce_options("serve", options, legacy)
+    o = _coerce_options("serve", options, loose)
     if o.faults is not None:
         raise ConfigError(
             "api.serve() does not support fault injection yet; use "
@@ -427,19 +393,7 @@ def serve(
             profile=get_profile(o.device)(),
             **cluster_kwargs,
         )
-    sanitizer = o.sanitizer
-    if o.sanitize and sanitizer is None:
-        from repro.analysis.sanitizer import SimSanitizer
-
-        sanitizer = SimSanitizer()
-    if sanitizer is not None:
-        sanitizer.install_cluster(cluster)
-    race_detector = None
-    if o.race_detect:
-        race_detector = cluster.install_race_detector()
-    tracer, trace_path = _resolve_tracer(o)
-    if tracer is not None:
-        tracer.install_cluster(cluster)
+    observers, trace_path = arm_probes(o, cluster)
     service = SortService(
         cluster,
         policy=policy,
@@ -452,16 +406,6 @@ def serve(
     )
     report = service.serve(process, horizon=horizon, max_jobs=max_jobs)
     report.extras["cluster"] = cluster
-    if sanitizer is not None:
-        report.extras["sanitizer"] = sanitizer
-        if o.sanitize:
-            sanitizer.check()
-    if race_detector is not None:
-        report.extras["race_detector"] = race_detector
-    if tracer is not None:
-        report.extras["tracer"] = tracer
-        if trace_path is not None:
-            from repro.trace import write_chrome_trace
-
-            write_chrome_trace(tracer, trace_path)
+    report.extras.update(observers)
+    _harvest_probes(o, observers, trace_path)
     return report

@@ -336,15 +336,9 @@ def cmd_sort(args: argparse.Namespace) -> int:
         memoize_rates=not args.no_memoize,
     )
 
-    def run_once(sanitizer=None, trace=None, schedule_seed=None,
-                 race_detect=False):
+    def run_once(**observers):
         with prof.phase("sort"):
-            return api.sort(base.replace(
-                sanitizer=sanitizer,
-                trace=trace,
-                schedule_seed=schedule_seed,
-                race_detect=race_detect,
-            ))
+            return api.sort(base.replace(**observers))
 
     if args.schedule_fuzz is not None:
         if args.schedule_fuzz < 1:
@@ -449,18 +443,46 @@ def _build_cluster(args: argparse.Namespace):
     )
 
 
-def _run_cluster(args: argparse.Namespace, sanitizer=None, tracer=None,
-                 race_detect=False):
-    """Build a fresh cluster, submit and run the jobs; returns both."""
+def _observer_options(args: argparse.Namespace, **overrides) -> api.RunOptions:
+    """``--sanitize`` / ``--trace`` / ``--race-detect`` as the options
+    :func:`repro.api.arm_probes` installs on a cluster."""
+    return api.RunOptions(
+        sanitize=args.sanitize, trace=args.trace, race_detect=args.race_detect
+    ).replace(**overrides)
+
+
+def _report_cluster_probes(args: argparse.Namespace, observers: dict) -> int:
+    """Export / print what the armed observers found; exit status."""
+    if "tracer" in observers:
+        from repro.trace import write_chrome_trace
+
+        tracer = observers["tracer"]
+        write_chrome_trace(tracer, args.trace)
+        print(f"trace  : {args.trace} "
+              f"({len(tracer.spans)} spans, {len(tracer.ops)} ops)")
+    if "sanitizer" in observers:
+        from repro.errors import ChargeDriftError
+
+        try:
+            observers["sanitizer"].check()
+        except ChargeDriftError as exc:
+            print(f"sanitize: {exc}")
+            return 1
+        print("sanitize: zero drift across all shards")
+    if "race_detector" in observers:
+        print(observers["race_detector"].render())
+        if observers["race_detector"].races:
+            return 1
+    return 0
+
+
+def _run_cluster(args: argparse.Namespace, options: api.RunOptions):
+    """Build a fresh cluster, arm ``options``' observers, submit and
+    run the jobs; returns ``(cluster, jobs, observers)``."""
     from repro.cluster import JobScheduler
 
     cluster = _build_cluster(args)
-    if sanitizer is not None:
-        sanitizer.install_cluster(cluster)
-    if tracer is not None:
-        tracer.install_cluster(cluster)
-    if race_detect:
-        cluster.install_race_detector()
+    observers, _trace_path = api.arm_probes(options, cluster)
     scheduler = JobScheduler(cluster, policy=args.policy)
     tenants = max(1, args.tenants)
     for j in range(args.jobs):
@@ -472,7 +494,7 @@ def _run_cluster(args: argparse.Namespace, sanitizer=None, tracer=None,
             tenant=f"tenant{j % tenants}",
         )
     jobs = scheduler.run()
-    return cluster, jobs
+    return cluster, jobs, observers
 
 
 def _cmd_cluster_faulted(args: argparse.Namespace) -> int:
@@ -508,21 +530,17 @@ def _cmd_cluster_faulted(args: argparse.Namespace) -> int:
         )
         counts = probe_state.ops_seen()
 
-    def run_once(schedule_seed=None, race_detect=False, tracer=None):
+    def run_once(options):
         """Fresh cluster + dataset + injectors, one fault-tolerant run."""
         cluster = _build_cluster(args)
-        detector = cluster.install_race_detector() if race_detect else None
-        if schedule_seed is not None:
-            cluster.install_schedule_fuzz(schedule_seed)
-        if tracer is not None:
-            tracer.install_cluster(cluster)
+        observers, _trace_path = api.arm_probes(options, cluster)
         data = generate_cluster_dataset(cluster, "input", n, fmt,
                                         seed=args.seed)
         cluster.install_faults(plan, counts=counts)
         system = ShardedWiscSort(fmt, system=args.system,
                                  checkpoint=checkpoint)
         result, report = run_cluster_with_faults(system, cluster, data)
-        return cluster, data, system, result, report, detector
+        return cluster, data, system, result, report, observers
 
     if args.schedule_fuzz is not None:
         if args.schedule_fuzz < 1:
@@ -535,8 +553,9 @@ def _cmd_cluster_faulted(args: argparse.Namespace) -> int:
         )
 
         def fuzz_fingerprint(seed):
-            cluster, data, _system, result, _report, _det = run_once(
-                schedule_seed=seed, race_detect=args.race_detect
+            # No tracer: nothing is exported per seed.
+            cluster, data, _system, result, _report, _observers = run_once(
+                _observer_options(args, trace=None, schedule_seed=seed)
             )
             return cluster_output_fingerprint(
                 cluster, result.output_name, len(data.parts)
@@ -553,14 +572,9 @@ def _cmd_cluster_faulted(args: argparse.Namespace) -> int:
         print(fuzz_report.render())
         return 0 if fuzz_report.ok else 1
 
-    tracer = None
-    if args.trace:
-        from repro.trace import Tracer
-
-        tracer = Tracer()
     try:
-        cluster, data, system, result, report, detector = run_once(
-            race_detect=args.race_detect, tracer=tracer
+        cluster, data, system, result, report, observers = run_once(
+            _observer_options(args)
         )
     except RecoveryError as exc:
         print(f"cluster: {exc}", file=sys.stderr)
@@ -586,16 +600,8 @@ def _cmd_cluster_faulted(args: argparse.Namespace) -> int:
         print(f"network: {fmt_bytes(cluster.net_stats.bytes_total)} "
               f"shuffled across the interconnect")
     print("output : validated (sorted permutation of the input)")
-    if tracer is not None:
-        from repro.trace import write_chrome_trace
-
-        write_chrome_trace(tracer, args.trace)
-        print(f"trace  : {args.trace} "
-              f"({len(tracer.spans)} spans, {len(tracer.ops)} ops)")
-    if detector is not None:
-        print(detector.render())
-        if detector.races:
-            return 1
+    if _report_cluster_probes(args, observers):
+        return 1
     if args.selfperf:
         print()
         print(_render_cluster_counters(cluster))
@@ -635,22 +641,12 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         from repro.analysis.sanitizer import verify_determinism
 
         report = verify_determinism(
-            lambda san: _run_cluster(args, sanitizer=san), runs=2
+            lambda san: _run_cluster(args, api.RunOptions(sanitizer=san)),
+            runs=2,
         )
         print(report.render())
         return 0 if report.ok else 1
-    sanitizer = None
-    if args.sanitize:
-        from repro.analysis.sanitizer import SimSanitizer
-
-        sanitizer = SimSanitizer()
-    tracer = None
-    if args.trace:
-        from repro.trace import Tracer
-
-        tracer = Tracer()
-    cluster, jobs = _run_cluster(args, sanitizer=sanitizer, tracer=tracer,
-                                 race_detect=args.race_detect)
+    cluster, jobs, observers = _run_cluster(args, _observer_options(args))
     print(cluster.describe())
     print(f"policy : {args.policy}, {args.jobs} jobs, "
           f"{args.records_per_job} records/job")
@@ -661,25 +657,8 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     print(render_job_table(jobs))
     print()
     print(render_shard_table(cluster))
-    if tracer is not None:
-        from repro.trace import write_chrome_trace
-
-        write_chrome_trace(tracer, args.trace)
-        print(f"trace  : {args.trace} "
-              f"({len(tracer.spans)} spans, {len(tracer.ops)} ops)")
-    if sanitizer is not None:
-        from repro.errors import ChargeDriftError
-
-        try:
-            sanitizer.check()
-        except ChargeDriftError as exc:
-            print(f"sanitize: {exc}")
-            return 1
-        print("sanitize: zero drift across all shards")
-    if args.race_detect:
-        print(cluster.race.render())
-        if cluster.race.races:
-            return 1
+    if _report_cluster_probes(args, observers):
+        return 1
     if args.selfperf:
         print()
         print(_render_cluster_counters(cluster))

@@ -23,7 +23,7 @@ from repro.device.host import HostModel
 from repro.device.profile import DeviceProfile
 from repro.device.stats import InterconnectStats, TagStats
 from repro.errors import ConfigError
-from repro.machine import Machine
+from repro.machine import Machine, ProbeHost
 from repro.records.format import RecordFormat
 from repro.records.gensort import make_records
 from repro.registry import get_profile
@@ -31,6 +31,7 @@ from repro.sim.domains import DomainRouter
 from repro.sim.engine import Engine, SimGenerator
 from repro.sim.fluid import FluidOp, NetLinkRateModel
 from repro.sim.primitives import Semaphore
+from repro.sim.probe import ProbeSet
 from repro.storage.dram import DramTracker
 from repro.storage.file import SimFile
 
@@ -147,7 +148,7 @@ class ClusterFaultState:
                 out[f"{prefix}{k}"] = v
 
 
-class Cluster:
+class Cluster(ProbeHost):
     """N device shards behind one engine, one clock and one DRAM pool.
 
     ``profiles`` takes one entry per shard -- a profile name from the
@@ -159,6 +160,8 @@ class Cluster:
     :class:`~repro.cluster.sharded.ShardedWiscSort` runs on it through
     the ordinary :meth:`~repro.core.base.SortSystem.run` entry point.
     """
+
+    _span_track = "cluster"
 
     def __init__(
         self,
@@ -183,9 +186,12 @@ class Cluster:
         if not resolved:
             raise ConfigError("a cluster needs at least one shard")
         self.router = DomainRouter()
-        self.engine = Engine(self.router)
+        #: One probe bus for the whole cluster; every shard (including
+        #: ones admitted later) rides it through the shared engine.
+        self.probes = ProbeSet(self)
+        self.engine = Engine(self.router, probes=self.probes)
         self.host = host if host is not None else HostModel()
-        self.dram = DramTracker(dram_budget)
+        self.dram = DramTracker(dram_budget, self.probes)
         self.config = config if config is not None else SortConfig()
         self._memoize_rates = memoize_rates
         self.shards: List[Machine] = [
@@ -216,14 +222,6 @@ class Cluster:
         #: :meth:`install_faults`); None matches the machine surface
         #: result harvesting expects.
         self.faults: Optional[ClusterFaultState] = None
-        #: Installed :class:`repro.analysis.sanitizer.SimSanitizer`, if any.
-        self.sanitizer = None
-        #: Installed :class:`repro.trace.Tracer`, if any.
-        self.tracer = None
-        #: Installed :class:`repro.analysis.race.RaceDetector`, if any.
-        self.race = None
-        #: Installed :class:`repro.analysis.race.SchedulePermuter`, if any.
-        self.schedule_fuzz = None
 
     # ------------------------------------------------------------------
     def run(self, gen: SimGenerator, name: str = "cluster-main"):
@@ -313,9 +311,9 @@ class Cluster:
         the injector).  Mirroring :meth:`repro.machine.Machine.reboot`,
         this replaces the engine (clock carried forward), rebuilds the
         shared DRAM pool, clears degradation, re-registers every
-        shard's rate model and observers (plus the interconnect), and
-        re-attaches injectors (re-arming unfired timed events), the
-        sanitizer and the tracer.  Durable storage -- every shard's
+        shard's rate model and observers (plus the interconnect),
+        re-attaches injectors (re-arming unfired timed events) and
+        rebinds every installed probe.  Durable storage -- every shard's
         filesystem -- survives untouched.  Returns the victim shard
         (rebooted in place, ready for re-execution), or None when the
         crash carried no domain.
@@ -328,7 +326,7 @@ class Cluster:
             )
         now = self.engine.now
         self.router = DomainRouter()
-        engine = Engine(self.router, start_time=now)
+        engine = Engine(self.router, start_time=now, probes=self.probes)
         for m in self.shards:
             m.rate_model.degrade = 1.0
             self.router.add_domain(m.domain, m.rate_model)
@@ -339,7 +337,7 @@ class Cluster:
         self.engine = engine
         for m in self.shards:
             engine.fluid.interval_observers.append(m._domain_observe)
-        self.dram = DramTracker(self.dram.budget)
+        self.dram = DramTracker(self.dram.budget, self.probes)
         for m in self.shards:
             m.dram = self.dram
         for m in self.shards:
@@ -351,19 +349,9 @@ class Cluster:
                 # lost the engine).
                 m.faults.clear_inflight()
                 m.faults.attach(m)
-        if self.sanitizer is not None:
-            self.sanitizer.attach_engine(engine)
-        if self.race is not None:
-            # Pre-crash coroutines are gone with the old engine: their
-            # live clocks are dropped, recorded races survive.
-            self.race.attach_engine(engine)
-        if self.schedule_fuzz is not None:
-            # Same permuter, continuing RNG stream: one seed covers the
-            # whole crash-recovery schedule deterministically.
-            engine.schedule_fuzz = self.schedule_fuzz
-        if self.tracer is not None:
-            self.tracer.reattach_cluster(self)
-            self.tracer.instant(
+        self.probes.rebind()
+        for emit in self.probes.instant:
+            emit(
                 "cluster-reboot",
                 cat="fault",
                 track="cluster",
@@ -404,65 +392,13 @@ class Cluster:
             self.faults.injectors[shard.domain] = shard.install_faults(
                 sub, count_only=self.faults.count_only
             )
-        if self.tracer is not None:
-            self.tracer.watch_shard(shard)
-            self.tracer.instant(
+        self.probes.add_shard(shard)
+        for emit in self.probes.instant:
+            emit(
                 "shard-admitted", cat="elastic", track="cluster",
                 domain=shard.domain,
             )
-        if self.race is not None:
-            shard.fs.race = self.race
-            shard.race = self.race
         return shard
-
-    def install_sanitizer(self, trace: bool = False):
-        """Install one :class:`~repro.analysis.sanitizer.SimSanitizer`
-        across the shared engine and every shard's storage layer."""
-        from repro.analysis.sanitizer import SimSanitizer
-
-        sanitizer = SimSanitizer(trace=trace)
-        sanitizer.install_cluster(self)
-        return sanitizer
-
-    def install_race_detector(self):
-        """Install one :class:`~repro.analysis.race.RaceDetector` across
-        the shared engine and every shard's filesystem.  Observe-only;
-        cross-shard conflicts are visible because all shards share one
-        engine (and thus one set of vector clocks)."""
-        from repro.analysis.race import RaceDetector
-
-        detector = RaceDetector()
-        detector.install_cluster(self)
-        return detector
-
-    def install_schedule_fuzz(self, seed: int):
-        """Permute same-instant scheduling ties on the shared engine
-        from ``seed``; survives :meth:`reboot`.  Returns the
-        :class:`~repro.analysis.race.SchedulePermuter`."""
-        from repro.analysis.race import SchedulePermuter
-
-        permuter = SchedulePermuter(seed)
-        self.schedule_fuzz = permuter
-        self.engine.schedule_fuzz = permuter
-        return permuter
-
-    def install_tracer(self, detail: bool = False):
-        """Install one :class:`repro.trace.Tracer` across the shared
-        engine: per-shard counter tracks and op attribution, plus a
-        cluster-level DRAM-pool track.  Observe-only."""
-        from repro.trace import Tracer
-
-        tracer = Tracer(detail=detail)
-        tracer.install_cluster(self)
-        return tracer
-
-    def trace_span(self, name: str, cat: str = "phase", **args):
-        """Cluster-level sim-time span, or a no-op when untraced."""
-        if self.tracer is None:
-            from contextlib import nullcontext
-
-            return nullcontext()
-        return self.tracer.span(name, cat=cat, track="cluster", **args)
 
     def describe(self) -> str:
         kinds = ", ".join(m.profile.describe() for m in self.shards)

@@ -209,20 +209,19 @@ class JobScheduler:
         if not self.jobs:
             return []
         self.cluster.run(self._admission(), name=f"scheduler[{self.policy}]")
-        tracer = self.cluster.engine.tracer
-        if tracer is not None:
+        for emit in self.cluster.probes.complete_span:
             # Retrospective queue/service spans: endpoints are only all
             # known once every job has finished.
             for job in self.jobs:
                 if job.start_time is None or job.finish_time is None:
                     continue
                 if job.start_time > job.submit_time:
-                    tracer.add_complete_span(
+                    emit(
                         f"queued:{job.name}", job.submit_time, job.start_time,
                         cat="queue", track="scheduler", proc=job.name,
                         tenant=job.tenant,
                     )
-                tracer.add_complete_span(
+                emit(
                     f"service:{job.name}", job.start_time, job.finish_time,
                     cat="service", track="scheduler", proc=job.name,
                     tenant=job.tenant, shard=job.shard.domain,
@@ -260,9 +259,9 @@ class JobScheduler:
             service.setdefault(job.tenant, 0.0)
             in_service.setdefault(job.tenant, 0)
         running = 0
-        tracer = self.cluster.engine.tracer
-        if tracer is not None:
-            tracer.counter_sample("scheduler", "queue_depth", float(len(pending)))
+        probes = self.cluster.probes
+        for emit in probes.counter:
+            emit("scheduler", "queue_depth", float(len(pending)))
         while pending or running:
             while pending:
                 ctx = self._context(service, in_service, running)
@@ -280,11 +279,10 @@ class JobScheduler:
                 self.cluster.dram.allocate(job.dram_bytes)
                 in_service[job.tenant] += 1
                 job.start_time = yield Now()
-                if tracer is not None:
-                    tracer.counter_sample(
-                        "scheduler", "queue_depth", float(len(pending))
-                    )
-                    tracer.instant(
+                for emit in probes.counter:
+                    emit("scheduler", "queue_depth", float(len(pending)))
+                for emit in probes.instant:
+                    emit(
                         "admit", cat="scheduler", track="scheduler",
                         job=job.name, tenant=job.tenant, shard=job.shard.domain,
                     )

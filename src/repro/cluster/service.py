@@ -42,6 +42,7 @@ from repro.records.validate import validate_sorted_file
 from repro.registry import create_system, get_policy
 from repro.sim.engine import Now, Sleep, Spawn
 from repro.sim.primitives import Semaphore
+from repro.sim.probe import ProbeSet
 from repro.trace.metrics import MetricsRegistry
 
 from repro.cluster.cluster import Cluster
@@ -158,7 +159,7 @@ class SLOMonitor:
     by the budget fraction -- per SLO.  A burn rate of 1.0 consumes the
     budget exactly as fast as the SLO allows; ``burn_threshold`` (a
     multiple of that) raises a deterministic alert, recorded in
-    :attr:`alerts` and, when a tracer is attached, as an ``slo_alert``
+    :attr:`alerts` and, when a tracer listens, as an ``slo_alert``
     instant in the trace.
 
     Everything is a pure function of the observation stream: same jobs,
@@ -179,8 +180,9 @@ class SLOMonitor:
         self.slos = [parse_slo(s) for s in slos]
         self.window = window
         self.burn_threshold = burn_threshold
-        #: Optional tracer; alerts also become ``slo_alert`` instants.
-        self.tracer = None
+        #: Probe bus alerts are also emitted on, as ``slo_alert``
+        #: instants (the serving cluster's, once :meth:`serve` starts).
+        self.probes = ProbeSet()
         #: Closed windows: ``{"window", "t0", "t1", "slos": {spec:
         #: {"total", "violations", "burn"}}}`` in time order.
         self.windows: List[dict] = []
@@ -252,8 +254,8 @@ class SLOMonitor:
                     "total": total,
                 }
                 self.alerts.append(alert)
-                if self.tracer is not None:
-                    self.tracer.instant(
+                for emit in self.probes.instant:
+                    emit(
                         "slo_alert", cat="service", track="service",
                         slo=spec, burn=burn, window=idx,
                         violations=violations, total=total,
@@ -443,7 +445,7 @@ class SortService:
             self.cluster.engine, 0, name="service-kick", reason="dram"
         )
         if self.monitor is not None:
-            self.monitor.tracer = self.cluster.engine.tracer
+            self.monitor.probes = self.cluster.probes
         self.cluster.run(
             self._service_proc(
                 arrivals, horizon, max_jobs, pending, state,
@@ -519,7 +521,7 @@ class SortService:
         service, in_service, kick,
     ):
         budget = self.cluster.dram.budget
-        tracer = self.cluster.engine.tracer
+        probes = self.cluster.probes
         count = 0
         for spec in arrivals.stream():
             if max_jobs is not None and count >= max_jobs:
@@ -542,8 +544,8 @@ class SortService:
                 job.shed = True
                 state["shed"] += 1
                 self.jobs.append(job)
-                if tracer is not None:
-                    tracer.instant(
+                for emit in probes.instant:
+                    emit(
                         "shed", cat="service", track="service",
                         job=job.name, tenant=job.tenant,
                     )
@@ -557,10 +559,8 @@ class SortService:
             )
             pending.append(job)
             self.jobs.append(job)
-            if tracer is not None:
-                tracer.counter_sample(
-                    "service", "queue_depth", float(len(pending))
-                )
+            for emit in probes.counter:
+                emit("service", "queue_depth", float(len(pending)))
             kick.release()
         state["arrivals_done"] = True
         kick.release()
@@ -568,7 +568,7 @@ class SortService:
     def _admission_proc(self, pending, state, service, in_service, kick):
         # Arrivals and completions both funnel through `kick`, so one
         # wait point covers "new work" and "freed DRAM" alike.
-        tracer = self.cluster.engine.tracer
+        probes = self.cluster.probes
         while True:
             while pending:
                 ctx = self._context(service, in_service, state)
@@ -586,11 +586,10 @@ class SortService:
                 self.cluster.dram.allocate(job.dram_bytes)
                 in_service[job.tenant] += 1
                 job.start_time = yield Now()
-                if tracer is not None:
-                    tracer.counter_sample(
-                        "service", "queue_depth", float(len(pending))
-                    )
-                    tracer.instant(
+                for emit in probes.counter:
+                    emit("service", "queue_depth", float(len(pending)))
+                for emit in probes.instant:
+                    emit(
                         "admit", cat="service", track="service",
                         job=job.name, tenant=job.tenant,
                         shard=job.shard.domain,

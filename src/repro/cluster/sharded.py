@@ -540,8 +540,8 @@ class ShardedWiscSort(SortSystem):
             if shard.fs.exists(spec_stage_name):
                 shard.fs.delete(spec_stage_name)
             shard.fs.rename(output.name, part_name)
-            if cluster.tracer is not None:
-                cluster.tracer.instant(
+            for emit in cluster.probes.instant:
+                emit(
                     "speculation-win", cat="spec", track="cluster",
                     dest=d, domain=shard.domain,
                 )
@@ -582,8 +582,8 @@ class ShardedWiscSort(SortSystem):
                     continue
                 state["busy"].add(spare.domain)
                 cluster.faults.speculative_issues += 1
-                if cluster.tracer is not None:
-                    cluster.tracer.instant(
+                for emit in cluster.probes.instant:
+                    emit(
                         "speculation-issue", cat="spec", track="cluster",
                         dest=d, domain=spare.domain,
                     )

@@ -363,10 +363,8 @@ class FaultInjector:
         engine.fluid.settle(engine.now)
         self._tear_inflight()
         self.stats.crashes += 1
-        if engine.tracer is not None:
-            engine.tracer.instant(
-                "crash", cat="fault", track="faults", at_op=idx
-            )
+        for emit in engine.probes.instant:
+            emit("crash", cat="fault", track="faults", at_op=idx)
         domain = getattr(self.machine, "domain", None)
         raise SimulatedCrash(
             f"simulated crash at t={engine.now:.6f}s"
@@ -437,9 +435,8 @@ class FaultInjector:
         machine = self.machine
         machine.rate_model.degrade = factor
         machine.engine.fluid.invalidate_rates()
-        tracer = machine.engine.tracer
-        if tracer is not None:
-            tracer.instant(
+        for emit in machine.probes.instant:
+            emit(
                 "slow-window" if factor < 1.0 else "slow-window-end",
                 cat="fault", track="faults", factor=factor,
             )

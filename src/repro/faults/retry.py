@@ -133,9 +133,9 @@ class _RetryingIO:
             self._deliver(value)
             return
         self._stats.note_fault(fault)
-        tracer = self._engine.tracer
-        if tracer is not None:
-            tracer.instant(
+        emitters = self._engine.probes.instant
+        for emit in emitters:
+            emit(
                 "fault", cat="fault", track="faults",
                 kind=type(fault).__name__, tag=self._tag,
                 attempt=self._attempts, transient=fault.transient,
@@ -144,8 +144,8 @@ class _RetryingIO:
             delay = self._policy.delay(self._attempts, self._rng)
             self._stats.retries += 1
             self._stats.backoff_seconds += delay
-            if tracer is not None:
-                tracer.instant(
+            for emit in emitters:
+                emit(
                     "retry", cat="fault", track="faults",
                     tag=self._tag, attempt=self._attempts, backoff=delay,
                 )

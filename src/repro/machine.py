@@ -30,11 +30,91 @@ from repro.errors import ConfigError
 from repro.sim.engine import Engine, SimGenerator
 from repro.sim.fluid import FluidOp
 from repro.sim.primitives import Barrier, Semaphore, SimQueue
+from repro.sim.probe import ProbeSet, scope
 from repro.storage.dram import DramTracker
 from repro.storage.filesystem import SimFS
 
 
-class Machine:
+class ProbeHost:
+    """What a :class:`Machine` and a :class:`repro.cluster.Cluster` share:
+    a :class:`~repro.sim.probe.ProbeSet` in ``self.probes`` and the
+    convenience installers for the four stock probes.  Every installer
+    returns the probe; all but the schedule permuter are observe-only
+    (simulated results are bit-identical with or without them), and all
+    follow the owner through ``reboot``.
+    """
+
+    probes: ProbeSet
+    #: Track that :meth:`trace_span` spans land on (None = the tracer's
+    #: main track).
+    _span_track: Optional[str] = None
+
+    def install_sanitizer(self, trace: bool = False):
+        """Install a :class:`~repro.analysis.sanitizer.SimSanitizer`.
+
+        Opt-in runtime checking: deadlock diagnostics that name stuck
+        coroutines, a charge-accounting audit cross-checking storage
+        byte moves against device charges (every shard's, on a cluster),
+        and (with ``trace=True``) an event trace for determinism
+        diffing.  Call its
+        :meth:`~repro.analysis.sanitizer.SimSanitizer.check` after the
+        run to raise on accounting drift.
+        """
+        from repro.analysis.sanitizer import SimSanitizer
+
+        return self.probes.install(SimSanitizer(trace=trace))
+
+    def install_tracer(self, detail: bool = False):
+        """Install a :class:`repro.trace.Tracer`.
+
+        Opt-in observability: sim-time spans, per-op device events with
+        byte/class/amplification/interference attribution, and
+        bandwidth/DRAM counter tracks (per shard on a cluster, plus the
+        interconnect and the shared DRAM pool), exportable to Perfetto
+        (see :mod:`repro.trace`).
+        """
+        from repro.trace import Tracer
+
+        return self.probes.install(Tracer(detail=detail))
+
+    def install_race_detector(self):
+        """Install a :class:`~repro.analysis.race.RaceDetector`.
+
+        Opt-in dynamic race detection: vector clocks over the engine's
+        spawn/block/resume edges plus a per-file byte-range access log,
+        flagging conflicting same-instant accesses with no
+        happens-before ordering (cross-shard conflicts included: all
+        shards share one engine).  Call its
+        :meth:`~repro.analysis.race.RaceDetector.check` after the run to
+        raise on findings.
+        """
+        from repro.analysis.race import RaceDetector
+
+        return self.probes.install(RaceDetector())
+
+    def install_schedule_fuzz(self, seed: int):
+        """Permute same-instant scheduling ties from ``seed``.
+
+        Every permuted schedule is legal, so a correct workload must
+        produce byte-identical output under any seed (see
+        :func:`repro.analysis.race.schedule_fuzz` for the sweep
+        harness).  The permuter's RNG stream continues across reboots,
+        so one seed covers a whole crash-recovery schedule.  Returns the
+        :class:`~repro.analysis.race.SchedulePermuter`.
+        """
+        from repro.analysis.race import SchedulePermuter
+
+        return self.probes.install(SchedulePermuter(seed))
+
+    def trace_span(self, name: str, cat: str = "phase", **args):
+        """A sim-time span context manager; a shared no-op context when
+        no probe records spans, so untraced runs pay nothing."""
+        return scope(
+            self.probes.span_scope, name, cat=cat, track=self._span_track, **args
+        )
+
+
+class Machine(ProbeHost):
     """A simulated single-socket host with one byte-addressable device.
 
     Standalone by default: the machine owns its engine and rate model.
@@ -79,27 +159,28 @@ class Machine:
                 )
             router.add_domain(domain, self.rate_model)
             self.engine = engine
+            #: A shard rides the cluster's bus: probes installed on
+            #: either cover the whole shared engine.
+            self.probes = engine.probes
+            self._span_track = domain
         else:
             if domain is not None:
                 raise ConfigError("domain= requires a shared engine=")
-            self.engine = Engine(self.rate_model, batch_ops=batch_ops)
+            self.probes = ProbeSet(self)
+            self.engine = Engine(
+                self.rate_model, batch_ops=batch_ops, probes=self.probes
+            )
         self.stats = DeviceStats(self.host)
         if domain is None:
             self.engine.fluid.interval_observers.append(self.stats.observe)
         else:
             self.engine.fluid.interval_observers.append(self._domain_observe)
         self.fs = SimFS(self)
-        self.dram = dram if dram is not None else DramTracker(dram_budget)
+        self.dram = (
+            dram if dram is not None else DramTracker(dram_budget, self.probes)
+        )
         #: Installed :class:`repro.faults.injector.FaultInjector`, if any.
         self.faults = None
-        #: Installed :class:`repro.analysis.sanitizer.SimSanitizer`, if any.
-        self.sanitizer = None
-        #: Installed :class:`repro.trace.Tracer`, if any.
-        self.tracer = None
-        #: Installed :class:`repro.analysis.race.RaceDetector`, if any.
-        self.race = None
-        #: Installed :class:`repro.analysis.race.SchedulePermuter`, if any.
-        self.schedule_fuzz = None
 
     # ------------------------------------------------------------------
     # Fault injection and crash recovery
@@ -119,85 +200,6 @@ class Machine:
         self.faults = injector
         return injector
 
-    def install_sanitizer(self, trace: bool = False):
-        """Install a :class:`~repro.analysis.sanitizer.SimSanitizer`.
-
-        Opt-in runtime checking: deadlock diagnostics that name stuck
-        coroutines, a charge-accounting audit cross-checking storage
-        byte moves against device charges, and (with ``trace=True``) an
-        event trace for determinism diffing.  Returns the sanitizer;
-        call its :meth:`~repro.analysis.sanitizer.SimSanitizer.check`
-        after the run to raise on accounting drift.
-        """
-        from repro.analysis.sanitizer import SimSanitizer
-
-        sanitizer = SimSanitizer(trace=trace)
-        sanitizer.install(self)
-        self.sanitizer = sanitizer
-        return sanitizer
-
-    def install_tracer(self, detail: bool = False):
-        """Install a :class:`repro.trace.Tracer` on this machine.
-
-        Opt-in observability: sim-time spans, per-op device events with
-        byte/class/amplification/interference attribution, and
-        bandwidth/DRAM counter tracks, exportable to Perfetto (see
-        :mod:`repro.trace`).  Observe-only -- simulated results are
-        bit-identical with or without it.  Returns the tracer.
-        """
-        from repro.trace import Tracer
-
-        tracer = Tracer(detail=detail)
-        tracer.install(self)
-        return tracer
-
-    def install_race_detector(self):
-        """Install a :class:`~repro.analysis.race.RaceDetector`.
-
-        Opt-in dynamic race detection: vector clocks over the engine's
-        spawn/block/resume edges plus a per-file byte-range access log,
-        flagging conflicting same-instant accesses with no
-        happens-before ordering.  Observe-only -- simulated results are
-        bit-identical with or without it.  Returns the detector; call
-        its :meth:`~repro.analysis.race.RaceDetector.check` after the
-        run to raise on findings.
-        """
-        from repro.analysis.race import RaceDetector
-
-        detector = RaceDetector()
-        detector.install(self)
-        return detector
-
-    def install_schedule_fuzz(self, seed: int):
-        """Permute same-instant scheduling ties from ``seed``.
-
-        Every permuted schedule is legal, so a correct workload must
-        produce byte-identical output under any seed (see
-        :func:`repro.analysis.race.schedule_fuzz` for the sweep
-        harness).  Returns the
-        :class:`~repro.analysis.race.SchedulePermuter`.
-        """
-        from repro.analysis.race import SchedulePermuter
-
-        permuter = SchedulePermuter(seed)
-        self.schedule_fuzz = permuter
-        self.engine.schedule_fuzz = permuter
-        return permuter
-
-    def trace_span(self, name: str, cat: str = "phase", **args):
-        """A sim-time span context manager, or a no-op when untraced.
-
-        Sorting systems call this around their phases; the ``nullcontext``
-        fast path keeps untraced runs free of tracer imports and
-        overhead.
-        """
-        if self.tracer is None:
-            from contextlib import nullcontext
-
-            return nullcontext()
-        track = self.domain if self.domain is not None else self.tracer.MAIN_TRACK
-        return self.tracer.span(name, cat=cat, track=track, **args)
-
     def reboot(self) -> None:
         """Crash recovery: replace the engine, carrying the clock forward.
 
@@ -208,7 +210,7 @@ class Machine:
         continues from the crash time, so recovery cost is visible in the
         total simulated duration.  An installed fault injector is
         re-attached and keeps its global op counter and fired-event
-        state.
+        state; installed probes are rebound to the replacement engine.
         """
         if self.domain is not None:
             raise ConfigError(
@@ -218,27 +220,14 @@ class Machine:
         now = self.engine.now
         batch_ops = self.engine.batch_ops
         self.rate_model.degrade = 1.0
-        self.engine = Engine(self.rate_model, batch_ops=batch_ops, start_time=now)
+        self.engine = Engine(
+            self.rate_model, batch_ops=batch_ops, start_time=now, probes=self.probes
+        )
         self.engine.fluid.interval_observers.append(self.stats.observe)
-        self.dram = DramTracker(self.dram.budget)
+        self.dram = DramTracker(self.dram.budget, self.probes)
         if self.faults is not None:
             self.faults.attach(self)
-        if self.sanitizer is not None:
-            # Waits-for state was volatile; fs.audit and the stats
-            # wrapper live on persistent objects and survive as-is.
-            self.sanitizer.attach_engine(self.engine)
-        if self.race is not None:
-            # Live clocks were volatile (pre-crash coroutines are gone);
-            # recorded races survive.  fs.race lives on the filesystem.
-            self.race.attach_engine(self.engine)
-        if self.schedule_fuzz is not None:
-            # The permuter's RNG stream continues across the reboot, so
-            # one seed covers the whole crash-recovery schedule.
-            self.engine.schedule_fuzz = self.schedule_fuzz
-        if self.tracer is not None:
-            # The replacement engine, fluid scheduler and DRAM tracker
-            # all need fresh hooks; recorded spans/events survive.
-            self.tracer.reattach(self)
+        self.probes.rebind()
 
     # ------------------------------------------------------------------
     # Op builders
@@ -284,6 +273,8 @@ class Machine:
         )
         if self.domain is not None:
             op.attrs["domain"] = self.domain
+        for fn in self.probes.charge:
+            fn(direction, nbytes, tag)
         self.stats.credit_submission(tag, nbytes, direction, pattern.value)
         return op
 
@@ -310,6 +301,8 @@ class Machine:
         )
         if self.domain is not None:
             op.attrs["domain"] = self.domain
+        for fn in self.probes.charge:
+            fn(direction, user_bytes, tag)
         self.stats.credit_submission(tag, user_bytes, direction, pattern.value)
         return op
 

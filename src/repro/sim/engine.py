@@ -31,6 +31,7 @@ from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.errors import DeadlockError, SimulationError
 from repro.sim.fluid import FluidOp, FluidScheduler, RateModel
+from repro.sim.probe import ProbeSet
 
 SimGenerator = Generator[Any, Any, Any]
 
@@ -165,12 +166,28 @@ class Engine:
     """The event loop: owns the clock, ready queue and fluid scheduler."""
 
     def __init__(
-        self, rate_model: RateModel, batch_ops: bool = False, start_time: float = 0.0
+        self,
+        rate_model: RateModel,
+        batch_ops: bool = False,
+        start_time: float = 0.0,
+        probes: Optional[ProbeSet] = None,
     ):
         #: ``start_time`` supports post-crash reboots: the replacement
         #: engine continues the simulated clock of its predecessor.
         self.now = start_time
-        self.fluid = FluidScheduler(rate_model, start_time=start_time)
+        #: The probe bus (see :mod:`repro.sim.probe`): every hook site
+        #: below loops over one of its per-event callback tuples, empty
+        #: when nobody listens.  A reboot passes the owner's set on so
+        #: installed probes follow the replacement engine.
+        self.probes = probes if probes is not None else ProbeSet()
+        self.probes.engine = self
+        #: The process whose generator is executing right now (None
+        #: between steps): probes attribute spans, op issues, storage
+        #: accesses and primitive releases to it.
+        self.current: Optional[Process] = None
+        self.fluid = FluidScheduler(
+            rate_model, start_time=start_time, probes=self.probes
+        )
         #: Aggregate homogeneous ops issued in one ParallelOps command
         #: into a single carrier op.  Off by default: batching changes
         #: float summation order, so results are equivalent only to
@@ -186,22 +203,6 @@ class Engine:
         #: access outside the loop (fixtures, post-run validation) is
         #: legitimate and the charge auditor ignores it.
         self.running = False
-        #: Optional :class:`repro.analysis.sanitizer.SimSanitizer`.  All
-        #: hook sites guard on ``is None`` so the fast path costs one
-        #: attribute load when no sanitizer is installed.
-        self.sanitizer = None
-        #: Optional :class:`repro.trace.Tracer`.  Same contract as the
-        #: sanitizer: observe-only, every hook guards on ``is None``.
-        self.tracer = None
-        #: Optional :class:`repro.analysis.race.RaceDetector`.  Same
-        #: contract again: observe-only, hooks guard on ``is None``.
-        self.race = None
-        #: Optional :class:`repro.analysis.race.SchedulePermuter`.  When
-        #: set, same-instant ready-queue order and completion-tie order
-        #: are deterministically permuted from its seed; every permuted
-        #: schedule is legal, so correct workloads must produce
-        #: byte-identical output.  ``None`` keeps the stable FIFO order.
-        self.schedule_fuzz = None
         # Self-performance counters (read by repro.perf).
         self.steps = 0
         self.advances = 0
@@ -216,16 +217,8 @@ class Engine:
         proc = Process(gen, name or f"proc-{next(self._pids)}", next(self._pids))
         self._live_processes += 1
         self._ready.append(proc)
-        if self.race is not None:
-            # Spawn edge: the child inherits the spawner's clock (the
-            # detector reads its own _current to find the spawner).
-            self.race.on_spawn(proc)
-        tracer = self.tracer
-        if tracer is not None:
-            if tracer.analyze:
-                tracer.analyze_spawn(proc)
-            if tracer.detail:
-                tracer.sched_event("spawn", proc)
+        for fn in self.probes.spawn:
+            fn(proc)  # the spawner, if any, is self.current
         return proc
 
     def resume(
@@ -246,22 +239,12 @@ class Engine:
             # accounting was settled at cancellation time, and late
             # wakeups from in-flight callbacks must not revive it.
             return
-        if self.race is not None:
-            # Resume edge, before blocked_on clears: the waker's clock
-            # (and, for primitives/joins, the resource's) merges in.
-            self.race.on_resume(proc, proc.blocked_on)
-        tracer = self.tracer
-        if tracer is not None:
-            if tracer.analyze:
-                # Before blocked_on clears: the wait record snapshots
-                # what the process was parked on.
-                tracer.wait_end(proc)
-            if tracer.detail:
-                tracer.sched_event("resume", proc)
+        for fn in self.probes.resume:
+            # Before blocked_on clears: listeners snapshot what the
+            # process was parked on (the waker is self.current).
+            fn(proc, proc.blocked_on)
         proc.blocked_on = None
         self._blocked -= 1
-        if self.sanitizer is not None:
-            self.sanitizer.on_wake(proc)
         proc._resume_value = value
         proc._resume_exc = exc
         self._ready.append(proc)
@@ -284,27 +267,14 @@ class Engine:
         """Account for a process that a primitive has parked.
 
         Callers pass the parked process and the resource it waits on so
-        an installed sanitizer can maintain the waits-for graph used in
-        deadlock diagnostics; both are optional and unused otherwise.
+        probes can maintain waits-for graphs, wait records and clocks;
+        both are optional and unused otherwise.
         """
         self._blocked += 1
         if proc is not None:
             proc.blocked_on = resource if resource is not None else verb
-        if self.race is not None and proc is not None:
-            self.race.on_block(proc, resource, verb)
-        if self.sanitizer is not None and proc is not None:
-            self.sanitizer.on_wait(proc, resource, verb)
-        tracer = self.tracer
-        if tracer is not None and proc is not None:
-            if tracer.analyze:
-                tracer.wait_begin(
-                    proc,
-                    "primitive",
-                    reason=getattr(resource, "reason", None) or verb,
-                    resource=resource,
-                )
-            if tracer.detail:
-                tracer.sched_event(f"block:{verb}", proc)
+            for fn in self.probes.block_primitive:
+                fn(proc, resource, verb)
 
     def call_at(self, t: float, fn: Callable[[], None]) -> None:
         """Run ``fn()`` at absolute simulated time ``t``."""
@@ -344,11 +314,8 @@ class Engine:
             if proc.done:
                 continue
             proc.cancelled = True
-            if self.tracer is not None and self.tracer.analyze:
-                # Close any open wait record while blocked_on is still
-                # set, then stamp the process's end time.
-                self.tracer.wait_end(proc)
-                self.tracer.analyze_finish(proc)
+            for fn in self.probes.cancel:
+                fn(proc, self.now)  # while blocked_on is still set
             blocked = proc.blocked_on
             proc.blocked_on = None
             if blocked is not None:
@@ -369,16 +336,11 @@ class Engine:
             except Exception:
                 pass  # a finally block misbehaving must not stop teardown
             proc._finish(None)
-            # Cancellation is a final event like StopIteration: the
-            # sanitizer drops the proc from the waits-for graph and the
-            # race detector retires its vector clock, so neither leaks
-            # entries for coroutines that will never resume.
-            if self.sanitizer is not None:
-                self.sanitizer.on_proc_cancel(proc, self.now)
-            if self.race is not None:
-                self.race.on_cancel(proc, self.now)
-            if self.tracer is not None and self.tracer.detail:
-                self.tracer.sched_event("cancel", proc)
+            # Cancellation is a final event like StopIteration, so
+            # probes can retire per-process state (waits-for entries,
+            # vector clocks) for coroutines that will never resume.
+            for fn in self.probes.cancelled:
+                fn(proc, self.now)
             cancelled += 1
         return cancelled
 
@@ -394,10 +356,6 @@ class Engine:
                     break
         finally:
             self.running = False
-            if self.tracer is not None:
-                self.tracer._current = None
-            if self.race is not None:
-                self.race._current = None
         if self._blocked:
             raise DeadlockError(
                 f"simulation ended with {self._blocked} blocked process(es)"
@@ -428,10 +386,6 @@ class Engine:
                     )
         finally:
             self.running = False
-            if self.tracer is not None:
-                self.tracer._current = None
-            if self.race is not None:
-                self.race._current = None
         return proc.result
 
     def run_process(self, gen: SimGenerator, name: str = "") -> Any:
@@ -443,31 +397,32 @@ class Engine:
         return proc.result
 
     def _deadlock_detail(self) -> str:
-        """Sanitizer waits-for graph as an error-message suffix.
+        """Probe-supplied waits-for graph as an error-message suffix.
 
-        Without a sanitizer, points at the ``--sanitize`` flag instead.
+        With no listener, points at the ``--sanitize`` flag instead.
         """
-        if self.sanitizer is None:
+        details = [fn() for fn in self.probes.deadlock_detail]
+        if not details:
             return " (run with --sanitize for a waits-for graph)"
-        return "\n" + self.sanitizer.deadlock_detail()
+        return "\n" + "\n".join(details)
 
     # ------------------------------------------------------------------
     # Event loop internals
     # ------------------------------------------------------------------
     def _drain_ready(self) -> None:
-        fuzz = self.schedule_fuzz
-        if fuzz is None:
+        pick = self.probes.pick_ready
+        if pick is None:
             while self._ready:
                 self._step(self._ready.popleft())
             return
-        # Schedule fuzzing: step an arbitrary (seed-determined) ready
-        # process instead of the FIFO head.  The rotate dance pops index
-        # i and restores the relative order of the rest, so one pick
-        # permutes without reshuffling the whole deque.
+        # An active probe reorders ties: step the ready process it picks
+        # instead of the FIFO head (any choice is a legal schedule).  The
+        # rotate dance pops index i and restores the relative order of
+        # the rest, so one pick permutes without reshuffling the deque.
         ready = self._ready
         while ready:
             n = len(ready)
-            i = fuzz.pick(n) if n > 1 else 0
+            i = pick(n) if n > 1 else 0
             if i:
                 ready.rotate(-i)
             proc = ready.popleft()
@@ -491,10 +446,11 @@ class Engine:
         # keeps waiter wakeups deterministic under both kernel paths.
         done = fluid.pop_completed(now)
         if done:
-            if self.schedule_fuzz is not None and len(done) > 1:
-                # Completion tie-break fuzzing: any delivery order of
-                # ops finishing at the same instant is a legal schedule.
-                self.schedule_fuzz.shuffle(done)
+            shuffle = self.probes.shuffle_ties
+            if shuffle is not None and len(done) > 1:
+                # Any delivery order of ops finishing at the same
+                # instant is a legal schedule.
+                shuffle(done)
             for op in done:
                 self._complete_op(op)
             return True
@@ -521,8 +477,9 @@ class Engine:
         self.advances += 1
         fluid.settle(target)
         done = fluid.pop_completed(target)
-        if self.schedule_fuzz is not None and len(done) > 1:
-            self.schedule_fuzz.shuffle(done)
+        shuffle = self.probes.shuffle_ties
+        if shuffle is not None and len(done) > 1:
+            shuffle(done)
         for op in done:
             self._complete_op(op)
         while self._heap and self._heap[0][0] <= self.now + 1e-15:
@@ -533,24 +490,18 @@ class Engine:
                     # Cancelled while sleeping; accounting already
                     # settled by cancel_tree.
                     continue
-                if self.race is not None:
-                    self.race.on_resume(item, item.blocked_on)
-                if self.tracer is not None and self.tracer.analyze:
-                    self.tracer.wait_end(item)
+                for fn in self.probes.timer:
+                    fn(item, item.blocked_on)
                 item.blocked_on = None
                 self._blocked -= 1
-                if self.sanitizer is not None:
-                    self.sanitizer.on_wake(item)
                 self._ready.append(item)
             else:
                 item()
         return True
 
     def _complete_op(self, op: FluidOp) -> None:
-        if self.sanitizer is not None:
-            self.sanitizer.on_op_complete(op, self.now)
-        if self.tracer is not None:
-            self.tracer.on_op_complete(op, self.now)
+        for fn in self.probes.op_done:
+            fn(op, self.now)
         collector = op._collector
         if collector is not None:
             op._collector = None
@@ -584,14 +535,10 @@ class Engine:
         else:
             groups = [(op, ((i, op),)) for i, op in fluid_items]
         self._blocked += 1
-        if self.race is not None:
-            self.race.on_block(proc, ops, "parallel")
-        if self.sanitizer is not None:
-            self.sanitizer.on_wait(proc, ops, "parallel")
-        if self.tracer is not None and self.tracer.analyze:
-            # Begun before carriers issue: a zero-work carrier can
-            # resume the process from inside the issue loop below.
-            self.tracer.wait_begin(proc, "parallel")
+        for fn in self.probes.block_parallel:
+            # Before carriers issue: a zero-work carrier can resume the
+            # process from inside the issue loop below.
+            fn(proc, ops, "parallel")
         results: list[Any] = [None] * len(ops)
         pending = [len(groups) + len(other_items)]
         state = {"failed": False}
@@ -687,19 +634,11 @@ class Engine:
         if proc.done:
             return  # cancelled while sitting in the ready queue
         self.steps += 1
-        tracer = self.tracer
-        if tracer is not None:
-            # Span begin/end and op-issue hooks fire synchronously while
-            # the generator executes; _current tells the tracer which
-            # process (and hence which span stack) they belong to.  It
-            # is cleared again below so callbacks running between steps
-            # (timers, retry re-issues) are never misattributed.
-            tracer._current = proc
-        race = self.race
-        if race is not None:
-            # Same attribution contract: storage accesses and primitive
-            # releases during this step belong to proc's vector clock.
-            race._current = proc
+        # Span, op-issue, storage-access and release hooks fire
+        # synchronously while the generator executes and belong to this
+        # process; cleared again below so callbacks running between
+        # steps (timers, retry re-issues) are never misattributed.
+        self.current = proc
         try:
             value, proc._resume_value = proc._resume_value, None
             exc, proc._resume_exc = proc._resume_exc, None
@@ -710,30 +649,21 @@ class Engine:
                     command = proc.gen.send(value)
             except StopIteration as stop:
                 self._live_processes -= 1
-                if self.sanitizer is not None:
-                    self.sanitizer.on_proc_finish(proc, self.now)
-                if race is not None:
-                    race.on_finish(proc, self.now)
-                if tracer is not None and tracer.analyze:
-                    tracer.analyze_finish(proc)
+                for fn in self.probes.finish:
+                    fn(proc, self.now)
                 proc._finish(stop.value)
                 return
             self._dispatch(command, proc)
         finally:
-            if tracer is not None:
-                tracer._current = None
-            if race is not None:
-                race._current = None
+            self.current = None
 
     def _dispatch(self, command: Any, proc: Process) -> None:
         if isinstance(command, FluidOp):
             command._waiter = proc
             proc.blocked_on = command
             self._blocked += 1
-            if self.sanitizer is not None:
-                self.sanitizer.on_wait(proc, command, "io")
-            if self.tracer is not None and self.tracer.analyze:
-                self.tracer.wait_begin(proc, "io")
+            for fn in self.probes.block_io:
+                fn(proc, command, "io")
             self.fluid.add(command, self.now)
             if command.finished_at is not None:
                 # Zero-work op completed instantly.
@@ -741,10 +671,8 @@ class Engine:
         elif isinstance(command, Sleep):
             proc.blocked_on = command
             self._blocked += 1
-            if self.sanitizer is not None:
-                self.sanitizer.on_wait(proc, command, "sleep")
-            if self.tracer is not None and self.tracer.analyze:
-                self.tracer.wait_begin(proc, "sleep")
+            for fn in self.probes.block_sleep:
+                fn(proc, command, "sleep")
             heapq.heappush(self._heap, (self.now + command.dt, next(self._seq), proc))
         elif isinstance(command, Spawn):
             child = self.spawn(command.gen, command.name)
@@ -772,10 +700,8 @@ class Engine:
             return
         proc.blocked_on = command
         self._blocked += 1
-        if self.sanitizer is not None:
-            self.sanitizer.on_wait(proc, command, "join")
-        if self.tracer is not None and self.tracer.analyze:
-            self.tracer.wait_begin(proc, "join")
+        for fn in self.probes.block_join:
+            fn(proc, command, "join")
         remaining = {"n": len(pending)}
 
         def on_done(_finished: Process) -> None:

@@ -72,6 +72,7 @@ from operator import attrgetter
 from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.errors import SimulationError
+from repro.sim.probe import ProbeSet
 
 try:  # numpy is a hard dependency of the storage layer, but the kernel
     import numpy as _np  # degrades to the scalar path without it.
@@ -575,8 +576,12 @@ class FluidScheduler:
         model: RateModel,
         start_time: float = 0.0,
         vector: Optional[bool] = None,
+        probes: Optional[ProbeSet] = None,
     ):
         self.model = model
+        #: The owning engine's probe bus (a private empty one on a bare
+        #: scheduler); see :mod:`repro.sim.probe`.
+        self.probes = probes if probes is not None else ProbeSet()
         self.active: set[FluidOp] = set()
         self._last_settled = start_time
         self.dirty = False
@@ -599,9 +604,6 @@ class FluidScheduler:
         #: Lazy-deletion completion heap for scalar groups:
         #: (finish_time, seq, version, op).
         self._heap: list = []
-        #: Optional :class:`repro.trace.Tracer`; every hook site guards
-        #: on ``is not None`` so tracing costs nothing when off.
-        self.tracer = None
         #: Vector-path configuration (see module docstring).
         self.vector = vector_enabled() if vector is None else (
             bool(vector) and _np is not None
@@ -630,12 +632,12 @@ class FluidScheduler:
 
     # ------------------------------------------------------------------
     def add(self, op: FluidOp, now: float) -> None:
-        if self.tracer is not None:
+        for fn in self.probes.op_issue:
             # Single choke point: direct yields, ParallelOps carriers
             # and fault-retry re-issues all pass through here, and the
             # hook runs before the zero-work fast path so even 0-byte
-            # ops get records.  Observe-only.
-            self.tracer.on_op_issue(op, now)
+            # ops get records.
+            fn(op, now)
         if op.remaining <= 0:
             # Zero-work op: mark complete instantly; caller handles wakeup.
             op.started_at = now
@@ -770,8 +772,8 @@ class FluidScheduler:
                 n += self._scalar_solve(affected, now)
             if n:
                 self.ops_rerated += n
-                if self.tracer is not None and self.tracer.detail:
-                    self.tracer.on_rerate(n)
+                for fn in self.probes.rerate:
+                    fn(n)
         self.dirty = False
 
     def _scalar_solve(self, affected: Iterable[FluidOp], now: float) -> int:
@@ -1038,7 +1040,7 @@ class FluidScheduler:
         or group order -- so simultaneous completions resume their
         waiters deterministically under either kernel path.
 
-        Schedule fuzzing (``engine.schedule_fuzz``) deliberately permutes
+        A tie-reordering probe (schedule fuzzing) deliberately permutes
         this same-instant completion batch *after* it leaves here: the
         engine shuffles the returned list before waking waiters, so
         correct workloads must not depend on the ``seq`` tie order.  The

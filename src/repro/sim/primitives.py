@@ -32,10 +32,10 @@ class _AcquireCommand:
     def _sim_execute(self, engine, proc) -> None:
         if self.sem._count > 0:
             self.sem._count -= 1
-            if engine.race is not None:
+            for fn in engine.probes.acquire:
                 # Fast-path acquire never passes through block/resume;
                 # the prior releaser's edge lives in the resource clock.
-                engine.race.on_acquire(proc, self.sem)
+                fn(proc, self.sem)
             proc._resume_value = None
             engine._ready.append(proc)
         else:
@@ -75,10 +75,10 @@ class Semaphore:
         return _AcquireCommand(self)
 
     def release(self) -> None:
-        if self._engine.race is not None:
+        for fn in self._engine.probes.release:
             # Release edge: the releaser's clock flows into the
             # semaphore so any later acquirer is ordered after it.
-            self._engine.race.on_release(self)
+            fn(self)
         # Skip waiters cancelled while parked (Engine.cancel_tree leaves
         # them in the deque); handing the slot to one would lose it.
         while self._waiters:
@@ -103,12 +103,12 @@ class _BarrierCommand:
             # Last arrival releases everyone; the barrier is cyclic.
             bar._arrived = 0
             bar.generation += 1
-            if engine.race is not None:
+            for fn in engine.probes.acquire:
                 # The last arriver inherits every earlier arrival's
                 # clock (merged into the barrier at block time); the
                 # resumes below then propagate it to all waiters,
                 # giving the all-to-all rendezvous ordering.
-                engine.race.on_acquire(proc, bar)
+                fn(proc, bar)
             waiters, bar._waiters = bar._waiters, []
             for waiter in waiters:
                 engine.resume(waiter, None)
@@ -154,16 +154,16 @@ class _PutCommand:
     def _sim_execute(self, engine, proc) -> None:
         q = self.queue
         if q.maxsize is not None and len(q._items) >= q.maxsize:
-            # block() merges the putter into the queue's resource clock
-            # (verb "put"), so the item keeps its producer edge even
-            # though delivery happens later from another step.
+            # block() tells probes the verb ("put"), so the item keeps
+            # its producer edge even though delivery happens later from
+            # another step.
             engine.block(proc, q, "put")
             q._put_waiters.append((proc, self.item))
             return
-        if engine.race is not None:
+        for fn in engine.probes.release:
             # Put edge: the producer's clock flows into the queue so
             # whoever gets the item is ordered after the put.
-            engine.race.on_release(q)
+            fn(q)
         q._deliver(engine, self.item)
         proc._resume_value = None
         engine._ready.append(proc)
@@ -179,10 +179,10 @@ class _GetCommand:
         q = self.queue
         if q._items:
             item = q._items.popleft()
-            if engine.race is not None:
+            for fn in engine.probes.acquire:
                 # Fast-path get: inherit the producers' edges from the
                 # queue's resource clock (no block/resume happened).
-                engine.race.on_acquire(proc, q)
+                fn(proc, q)
             q._refill(engine)
             proc._resume_value = item
             engine._ready.append(proc)
@@ -230,9 +230,8 @@ class SimQueue:
         if not self._items:
             raise SimulationError("try_get on empty SimQueue")
         item = self._items.popleft()
-        race = self._engine.race
-        if race is not None:
-            race.on_acquire(race._current, self)
+        for fn in self._engine.probes.acquire:
+            fn(self._engine.current, self)
         self._refill(self._engine)
         return item
 

@@ -11,26 +11,24 @@ from contextlib import contextmanager
 from typing import Iterator, Optional
 
 from repro.errors import DramBudgetError
+from repro.sim.probe import ProbeSet
 
 
 class DramTracker:
     """Tracks DRAM allocations against an optional budget (bytes)."""
 
-    def __init__(self, budget: Optional[int] = None):
+    def __init__(
+        self, budget: Optional[int] = None, probes: Optional[ProbeSet] = None
+    ):
         if budget is not None and budget <= 0:
             raise DramBudgetError("DRAM budget must be positive")
         self.budget = budget
         self.used = 0
         self.peak = 0
-        #: Optional observer called as ``on_change(used)`` after every
-        #: allocate/free; the tracing layer uses it for a DRAM counter
-        #: track.  Observe-only.
-        self.on_change = None
-        #: Optional observer called as ``on_pressure(requested, used)``
-        #: whenever :meth:`would_fit` rejects a reservation -- the
-        #: signal behind the trace analyzer's DRAM-stall attribution.
-        #: Observe-only.
-        self.on_pressure = None
+        #: The owner's probe bus: ``dram_change(used)`` fires after
+        #: every allocate/free, ``dram_pressure(requested, used)``
+        #: whenever :meth:`would_fit` rejects a reservation.
+        self.probes = probes if probes is not None else ProbeSet()
 
     @property
     def available(self) -> Optional[int]:
@@ -43,8 +41,9 @@ class DramTracker:
         if self.budget is None:
             return True
         fits = self.used + nbytes <= self.budget
-        if not fits and self.on_pressure is not None:
-            self.on_pressure(nbytes, self.used)
+        if not fits:
+            for fn in self.probes.dram_pressure:
+                fn(nbytes, self.used)
         return fits
 
     def allocate(self, nbytes: int) -> None:
@@ -56,15 +55,15 @@ class DramTracker:
             )
         self.used += nbytes
         self.peak = max(self.peak, self.used)
-        if self.on_change is not None:
-            self.on_change(self.used)
+        for fn in self.probes.dram_change:
+            fn(self.used)
 
     def free(self, nbytes: int) -> None:
         if nbytes < 0 or nbytes > self.used:
             raise DramBudgetError(f"invalid free of {nbytes} (used {self.used})")
         self.used -= nbytes
-        if self.on_change is not None:
-            self.on_change(self.used)
+        for fn in self.probes.dram_change:
+            fn(self.used)
 
     @contextmanager
     def reserve(self, nbytes: int) -> Iterator[None]:

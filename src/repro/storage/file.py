@@ -23,7 +23,6 @@ bit-identical to a fault-free build.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -31,13 +30,10 @@ import numpy as np
 from repro.device.profile import Pattern
 from repro.errors import StorageError
 from repro.sim.fluid import FluidOp
+from repro.sim.probe import scope
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.storage.filesystem import SimFS
-
-#: Shared no-op context for the audit hooks below: ``nullcontext`` is
-#: reentrant and stateless, so one instance serves every unaudited op.
-_NO_AUDIT = nullcontext()
 
 
 class SimFile:
@@ -62,9 +58,8 @@ class SimFile:
         if nbytes is None:
             nbytes = self.size - offset
         self._check_extent(offset, nbytes)
-        aud = self._fs.audit
-        if aud is not None:
-            aud.note_raw(self.name, "peek", nbytes)
+        for fn in self._fs.probes.raw_move:
+            fn(self.name, "peek", nbytes)
         view = self._data[offset : offset + nbytes]
         view.flags.writeable = False
         return view
@@ -72,9 +67,8 @@ class SimFile:
     def poke(self, offset: int, data: np.ndarray | bytes) -> None:
         """Untimed write (workload generation / fixtures)."""
         arr = _as_u8(data)
-        aud = self._fs.audit
-        if aud is not None:
-            aud.note_raw(self.name, "poke", arr.size)
+        for fn in self._fs.probes.raw_move:
+            fn(self.name, "poke", arr.size)
         new_size = max(self.size, offset + arr.size)
         if new_size > self.size:
             self._fs.charge_growth(new_size - self.size, name=self.name)
@@ -96,9 +90,8 @@ class SimFile:
                 f"{self.name!r} can only adopt a writeable contiguous 1-D uint8 "
                 f"array while empty"
             )
-        aud = self._fs.audit
-        if aud is not None:
-            aud.note_raw(self.name, "poke", data.size)
+        for fn in self._fs.probes.raw_move:
+            fn(self.name, "poke", data.size)
         self._fs.charge_growth(data.size, name=self.name)
         self._data = data
         self.size = data.size
@@ -128,9 +121,8 @@ class SimFile:
     ) -> FluidOp:
         """Sequential read; resumes with a copy of the bytes."""
         self._check_extent(offset, nbytes)
-        det = self._fs.race
-        if det is not None:
-            det.note_span(self, "r", offset, nbytes)
+        for fn in self._fs.probes.file_span:
+            fn(self, "r", offset, nbytes)
         inj = self._fs.injector
         if inj is not None and inj.armed:
             return inj.issue_read(
@@ -153,11 +145,10 @@ class SimFile:
     ) -> FluidOp:
         """Sequential write at ``offset`` (extends the file if needed)."""
         arr = _as_u8(data)
-        det = self._fs.race
-        if det is not None:
+        for fn in self._fs.probes.file_span:
             # Logged at issue time (eager data movement): retries by an
             # armed injector re-move the same bytes, not a new access.
-            det.note_span(self, "w", offset, arr.size)
+            fn(self, "w", offset, arr.size)
         inj = self._fs.injector
         if inj is not None and inj.armed:
             return inj.issue_write(self, offset, arr, tag, threads)
@@ -197,10 +188,11 @@ class SimFile:
             raise StorageError("stride smaller than access size")
         last = offset + (count - 1) * stride + access_size
         self._check_extent(offset, last - offset)
-        det = self._fs.race
-        if det is not None:
+        listeners = self._fs.probes.file_batch
+        if listeners:
             starts = offset + np.arange(count, dtype=np.int64) * stride
-            det.note_batch(self, "r", starts, access_size)
+            for fn in listeners:
+                fn(self, "r", starts, access_size)
 
         def build() -> FluidOp:
             with self._audit("read", count * access_size):
@@ -245,9 +237,8 @@ class SimFile:
             raise StorageError(
                 f"gather outside file {self.name!r} (size {self.size})"
             )
-        det = self._fs.race
-        if det is not None:
-            det.note_batch(self, "r", starts, access_size)
+        for fn in self._fs.probes.file_batch:
+            fn(self, "r", starts, access_size)
 
         def build() -> FluidOp:
             with self._audit("read", int(starts.size) * access_size):
@@ -296,9 +287,8 @@ class SimFile:
         ends = starts + sizes
         if starts.min() < 0 or int(ends.max()) > self.size:
             raise StorageError(f"variable gather outside file {self.name!r}")
-        det = self._fs.race
-        if det is not None:
-            det.note_batch(self, "r", starts, sizes)
+        for fn in self._fs.probes.file_batch:
+            fn(self, "r", starts, sizes)
 
         def build() -> FluidOp:
             with self._audit("read", int(sizes.sum())):
@@ -327,9 +317,9 @@ class SimFile:
         return np.ndarray((count, access_size), np.uint8, self._data, offset, (stride, 1))
 
     def _audit(self, direction: str, nbytes: int):
-        """Charge-audit scope for one timed op (no-op unless auditing)."""
-        aud = self._fs.audit
-        return _NO_AUDIT if aud is None else aud.timed(direction, nbytes)
+        """Probe scope around one timed op's byte move and its charge
+        (a shared no-op context when nobody listens)."""
+        return scope(self._fs.probes.move_scope, direction, nbytes)
 
     def _machine_io(
         self,

@@ -7,7 +7,6 @@ files and output all fit on the BRAID device (Sec 2.5).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import TYPE_CHECKING, Dict, List
 
 from repro.errors import (
@@ -15,6 +14,7 @@ from repro.errors import (
     FileNotFoundInSimError,
     OutOfSpaceError,
 )
+from repro.sim.probe import scope
 from repro.storage.file import SimFile
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -33,37 +33,21 @@ class SimFS:
         #: it; ``None`` (or an unarmed injector) is the zero-overhead
         #: fast path.
         self.injector = None
-        #: Optional :class:`repro.analysis.sanitizer.ChargeAuditor`
-        #: (installed by :meth:`repro.machine.Machine.install_sanitizer`).
-        #: ``None`` is the zero-overhead fast path: SimFile consults it
-        #: with a single attribute load per operation.
-        self.audit = None
-        #: Optional :class:`repro.analysis.race.RaceDetector` (installed
-        #: by :meth:`repro.machine.Machine.install_race_detector`).  Same
-        #: contract as ``audit``: every timed SimFile operation reports
-        #: its byte ranges through one attribute load, ``None`` is free.
-        self.race = None
+        #: The machine's probe bus (shared cluster-wide on shards):
+        #: SimFile reports byte ranges, raw moves and timed-move scopes
+        #: to it, one empty-tuple loop per operation when nobody listens.
+        self.probes = machine.probes
 
-    @contextmanager
     def unaudited(self, reason: str = ""):
         """Declare a raw (peek/poke) byte move as analytically charged.
 
-        The charge auditor treats untimed access during a run as a
+        A charge-auditing probe treats untimed access during a run as a
         charge-accounting violation; code that moves bytes raw *and*
         charges the device through an explicit analytic op (the
         sample-sort / PMSort / KLV-scan idiom) wraps the raw access in
-        this context to vouch for it.  No-op when no auditor is
-        installed.
+        this context to vouch for it.  No-op when nobody audits.
         """
-        aud = self.audit
-        if aud is None:
-            yield
-            return
-        aud.begin_exempt(reason)
-        try:
-            yield
-        finally:
-            aud.end_exempt()
+        return scope(self.probes.exempt_scope, reason)
 
     @property
     def capacity(self) -> int:

@@ -1,9 +1,9 @@
 """``repro.trace``: sim-time tracing, metrics registry, trace export.
 
 The observability layer for the simulator.  A :class:`Tracer` installs
-into a machine or cluster through the same zero-overhead hook pattern
-as the runtime sanitizer -- observe-only, so traced runs produce
-bit-identical simulated results -- and records sim-time spans, per-op
+on a machine or cluster as a probe on the bus (:mod:`repro.sim.probe`)
+-- observe-only, so traced runs produce bit-identical simulated
+results -- and records sim-time spans, per-op
 device events with byte/class/amplification/interference attribution,
 fault/scheduler instants and bandwidth/DRAM/queue-depth counters.
 
@@ -19,7 +19,7 @@ Programmatic::
     from repro.trace import Tracer, dumps_chrome_trace
 
     tracer = Tracer()
-    tracer.install(machine)      # or tracer.install_cluster(cluster)
+    tracer.install(machine)      # or a whole cluster
     ... run the workload ...
     json_text = dumps_chrome_trace(tracer)
 

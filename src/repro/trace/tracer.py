@@ -1,11 +1,11 @@
 """Sim-time structured tracing: spans, events, op attribution, counters.
 
-A :class:`Tracer` is the observe-only twin of the runtime sanitizer: it
-installs into a :class:`~repro.machine.Machine` (or a whole
-:class:`~repro.cluster.Cluster`) through the same zero-overhead hook
-pattern -- every hook site in the engine and fluid scheduler guards on
-``tracer is None``, so an uninstalled tracer costs one attribute load
-and an installed one never changes simulated results.
+A :class:`Tracer` is a :class:`~repro.sim.probe.Probe`: it installs on
+a :class:`~repro.machine.Machine` (or a whole
+:class:`~repro.cluster.Cluster`) through the probe bus, subscribing to
+exactly the events its ``detail`` / ``analyze`` flags call for, so an
+uninstalled tracer costs nothing and an installed one never changes
+simulated results.
 
 What gets recorded (all timestamps are *simulated* seconds):
 
@@ -21,9 +21,8 @@ What gets recorded (all timestamps are *simulated* seconds):
   windows, scheduler admissions; plus (``detail=True``) engine
   spawn/block/resume and fluid re-rate events.
 * **Counter samples** -- read/write bandwidth and CPU cores per
-  machine track (from a private interval observer), DRAM usage (from
-  the :class:`~repro.storage.dram.DramTracker` change hook) and
-  scheduler queue depth.
+  machine track (from a private interval observer), DRAM usage (the
+  bus's ``dram_change`` event) and scheduler queue depth.
 
 Export formats live in :mod:`repro.trace.export`; the typed metrics
 registry in :mod:`repro.trace.metrics`.
@@ -33,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 from contextlib import contextmanager
+from functools import partial
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.sim.fluid import (
@@ -44,6 +44,7 @@ from repro.sim.fluid import (
     FluidOp,
     observer_code,
 )
+from repro.sim.probe import Probe, ProbeSet
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.machine import Machine
@@ -108,7 +109,12 @@ class Span:
         return f"Span({self.name!r}, {state})"
 
 
-class Tracer:
+#: Block verbs of the engine's own commands; any other verb is a
+#: primitive's (``acquire`` / ``wait`` / ``put`` / ``get``).
+_ENGINE_WAITS = frozenset(("io", "sleep", "join", "parallel"))
+
+
+class Tracer(Probe):
     """Collects spans, op records, instants and counter samples.
 
     All identifiers (span/op ids) are allocated from per-tracer
@@ -124,9 +130,9 @@ class Tracer:
     :mod:`repro.trace.analyze`: one *wait record* per blocking engine
     command (why each coroutine waited, and on what) and one *process
     record* per spawned coroutine.  Like every other hook these are
-    observe-only -- simulated results are bit-identical either way --
-    and cost nothing when off (one extra attribute test per block
-    site).
+    observe-only -- simulated results are bit-identical either way.
+    Both flags are read when the tracer is installed (they decide which
+    bus events it subscribes to), so set them before :meth:`install`.
     """
 
     #: Track key used for a standalone machine (cluster shards use
@@ -153,9 +159,9 @@ class Tracer:
         self._oid = itertools.count(1)
         #: Per-process span stacks; key 0 is "outside the engine".
         self._stacks: Dict[int, List[Span]] = {}
-        #: Process currently being stepped (set by the engine).
-        self._current: Optional["Process"] = None
         self._engine: Optional["Engine"] = None
+        #: Track the owner's DRAM tracker reports on.
+        self._dram_track = self.MAIN_TRACK
         #: Track key -> machine, for profile/host lookups at op issue.
         self._machines: Dict[str, "Machine"] = {}
         self._last_counter: Dict[Tuple[str, str], float] = {}
@@ -173,98 +179,91 @@ class Tracer:
         """Current simulated time (0.0 before any engine is attached)."""
         return self._engine.now if self._engine is not None else 0.0
 
-    def install(self, machine: "Machine") -> "Tracer":
-        """Hook one standalone machine (or one pre-built shard)."""
-        key = machine.domain if machine.domain is not None else self.MAIN_TRACK
-        self._machines[key] = machine
-        machine.tracer = self
-        self.attach_engine(machine.engine)
-        self._register_machine_hooks(machine, key)
-        return self
+    @property
+    def _current(self) -> Optional["Process"]:
+        """The process being stepped right now (the engine owns it)."""
+        return self._engine.current if self._engine is not None else None
 
-    def install_cluster(self, cluster) -> "Tracer":
-        """Hook a cluster: one tracer watches the shared engine, every
-        shard gets its own counter tracks, the interconnect reports
-        aggregate bandwidth on a ``"net"`` track, and the cluster-wide
-        DRAM pool reports on the ``"cluster"`` track."""
-        cluster.tracer = self
-        self.attach_engine(cluster.engine)
-        for shard in cluster.shards:
-            self.watch_shard(shard)
-        if cluster.net_stats is not None:
-            cluster.engine.fluid.interval_observers.append(
-                self._make_net_observer()
-            )
-        self._hook_dram(cluster.dram, "cluster")
-        return self
+    def bind(self, probes: ProbeSet) -> None:
+        """Attach to the owner's live engine.  After a reboot the engine,
+        fluid scheduler and DRAM tracker are all fresh, so the counter
+        samplers are registered again; recorded data survives."""
+        self._engine = probes.engine
+        owner = probes.owner
+        if owner is None:
+            return  # a bare engine: spans and ops, no counter tracks
+        shards = getattr(owner, "shards", None)
+        if shards is None:
+            self.watch_shard(owner)
+        else:
+            # One tracer watches the shared engine: a counter track per
+            # shard, aggregate interconnect bandwidth on "net", and the
+            # cluster-wide DRAM pool on "cluster".
+            self._dram_track = "cluster"
+            for shard in shards:
+                self.watch_shard(shard)
+            if owner.net_stats is not None:
+                probes.engine.fluid.interval_observers.append(
+                    self._make_net_observer()
+                )
+        # Emit the initial level so the DRAM track exists even for runs
+        # that never allocate (OnePass consults would_fit only).
+        self._last_counter.pop((self._dram_track, "dram_used"), None)
+        self._dram_change(owner.dram.used)
 
     def watch_shard(self, shard: "Machine") -> None:
-        """Register one cluster shard's counter track (also used when a
-        shard is admitted mid-run via :meth:`Cluster.add_shard`)."""
-        key = shard.domain
+        """Register one machine's counter track (a standalone machine,
+        or a cluster shard -- including one admitted mid-run)."""
+        key = shard.domain if shard.domain is not None else self.MAIN_TRACK
         self._machines[key] = shard
-        shard.tracer = self
         shard.engine.fluid.interval_observers.append(
             self._make_interval_observer(shard, key)
         )
 
-    def reattach_cluster(self, cluster) -> None:
-        """Post-:meth:`Cluster.reboot` re-install: the shared engine,
-        fluid scheduler and DRAM pool were replaced; recorded spans,
-        ops and counters survive.  Mirrors :meth:`reattach` for the
-        cluster topology."""
-        self.attach_engine(cluster.engine)
-        for shard in cluster.shards:
-            cluster.engine.fluid.interval_observers.append(
-                self._make_interval_observer(shard, shard.domain)
-            )
-        if cluster.net_stats is not None:
-            cluster.engine.fluid.interval_observers.append(
-                self._make_net_observer()
-            )
-        self._hook_dram(cluster.dram, "cluster")
-
-    def attach_engine(self, engine: "Engine") -> None:
-        """Hook one engine (re-run by :meth:`Machine.reboot` on the
-        replacement engine; the old engine's processes died with it)."""
-        engine.tracer = self
-        engine.fluid.tracer = self
-        self._engine = engine
-        self._current = None
-
-    def reattach(self, machine: "Machine") -> None:
-        """Post-reboot re-install: the machine's engine, fluid scheduler
-        and DRAM tracker were all replaced; recorded data survives."""
-        key = machine.domain if machine.domain is not None else self.MAIN_TRACK
-        self.attach_engine(machine.engine)
-        self._register_machine_hooks(machine, key)
-
-    def _register_machine_hooks(self, machine: "Machine", key: str) -> None:
-        machine.engine.fluid.interval_observers.append(
-            self._make_interval_observer(machine, key)
-        )
-        self._hook_dram(machine.dram, key)
-
-    def _hook_dram(self, dram, key: str) -> None:
-        def on_change(used: int, _key: str = key) -> None:
-            self.counter_sample(_key, "dram_used", float(used))
-
-        dram.on_change = on_change
+    def subscriptions(self):
+        subs = [
+            ("op_issue", self.on_op_issue),
+            ("op_done", self.on_op_complete),
+            ("dram_change", self._dram_change),
+            ("instant", self.instant),
+            ("counter", self.counter_sample),
+            ("complete_span", self.add_complete_span),
+            ("span_scope", self.span),
+        ]
         if self.analyze:
-            def on_pressure(requested: int, used: int, _key: str = key) -> None:
-                self.instant(
-                    "dram_pressure",
-                    cat="analyze",
-                    track=_key,
-                    requested=requested,
-                    used=used,
-                )
+            subs += [
+                ("spawn", self.analyze_spawn),
+                ("block", self.wait_begin),
+                ("wake", self.wait_end),
+                ("finish", self.analyze_finish),
+                # Close any open wait record while blocked_on is still
+                # set, then stamp the process's end time.
+                ("cancel", self.wait_end),
+                ("cancel", self.analyze_finish),
+                ("dram_pressure", self._dram_pressure),
+            ]
+        if self.detail:
+            sched = self.sched_event
+            subs += [
+                ("spawn", partial(sched, "spawn")),
+                ("block_primitive", self._sched_block),
+                ("resume", partial(sched, "resume")),
+                ("cancelled", partial(sched, "cancel")),
+                ("rerate", self.on_rerate),
+            ]
+        return subs
 
-            dram.on_pressure = on_pressure
-        # Emit the initial level so the DRAM track exists even for runs
-        # that never allocate (OnePass consults would_fit only).
-        self._last_counter.pop((key, "dram_used"), None)
-        self.counter_sample(key, "dram_used", float(dram.used))
+    def _dram_change(self, used: int) -> None:
+        self.counter_sample(self._dram_track, "dram_used", float(used))
+
+    def _dram_pressure(self, requested: int, used: int) -> None:
+        self.instant(
+            "dram_pressure",
+            cat="analyze",
+            track=self._dram_track,
+            requested=requested,
+            used=used,
+        )
 
     def _make_interval_observer(self, machine: "Machine", key: str):
         """A private bandwidth/cores sampler for one machine track.
@@ -471,7 +470,7 @@ class Tracer:
         self.counters.append((t_sample, track, series, value))
 
     # ------------------------------------------------------------------
-    # Engine / fluid hooks (called only when installed)
+    # Engine / fluid hooks (bus callbacks; see subscriptions)
     # ------------------------------------------------------------------
     def on_op_issue(self, op: "FluidOp", t_issue: float) -> None:
         """Fluid-scheduler hook: every op passes through exactly once."""
@@ -545,7 +544,7 @@ class Tracer:
             rec["t1"] = t_done
 
     def on_rerate(self, n_ops: int) -> None:
-        """Fluid re-rate event (``detail`` mode only; see caller gate)."""
+        """Fluid re-rate event (subscribed in ``detail`` mode only)."""
         self.instants.append(
             {
                 "name": "rerate",
@@ -557,8 +556,8 @@ class Tracer:
             }
         )
 
-    def sched_event(self, verb: str, proc: "Process") -> None:
-        """Engine spawn/block/resume event (``detail`` mode only)."""
+    def sched_event(self, verb: str, proc: "Process", _detail: Any = None) -> None:
+        """Engine spawn/block/resume/cancel event (``detail`` mode only)."""
         self.instants.append(
             {
                 "name": verb,
@@ -570,8 +569,11 @@ class Tracer:
             }
         )
 
+    def _sched_block(self, proc: "Process", _resource: Any, verb: str) -> None:
+        self.sched_event(f"block:{verb}", proc)
+
     # ------------------------------------------------------------------
-    # Blocked-reason hooks (``analyze`` mode only; see caller gates)
+    # Blocked-reason hooks (subscribed in ``analyze`` mode only)
     # ------------------------------------------------------------------
     def analyze_spawn(self, proc: "Process") -> None:
         """Record a process's birth; parent is the spawning coroutine
@@ -587,35 +589,35 @@ class Tracer:
         self._proc_index[proc.pid] = rec
         self.procs.append(rec)
 
-    def analyze_finish(self, proc: "Process") -> None:
+    def analyze_finish(self, proc: "Process", _now: Optional[float] = None) -> None:
         rec = self._proc_index.get(proc.pid)
         if rec is not None and rec["t1"] is None:
             rec["t1"] = self.now
 
-    def wait_begin(
-        self,
-        proc: "Process",
-        kind: str,
-        reason: Optional[str] = None,
-        resource: Any = None,
-    ) -> None:
+    def wait_begin(self, proc: "Process", resource: Any, verb: str) -> None:
         """Open a wait record for ``proc`` at the current instant.
 
-        ``kind`` is one of ``io`` / ``parallel`` / ``sleep`` / ``join``
-        / ``primitive``; for primitives ``reason`` carries the
-        resource's blocked-reason tag (or the verb) and ``resource``
-        the primitive itself (its name is recorded).
+        The record's ``kind`` is the verb for the engine's own commands
+        (``io`` / ``parallel`` / ``sleep`` / ``join``) and ``primitive``
+        otherwise; for primitives ``reason`` carries the resource's
+        blocked-reason tag (or the verb) and the resource's name is
+        recorded.
         """
+        primitive = verb not in _ENGINE_WAITS
         self._open_waits[proc.pid] = {
             "pid": proc.pid,
             "t0": self.now,
             "t1": None,
-            "kind": kind,
-            "reason": reason,
-            "resource": getattr(resource, "name", None) or None,
+            "kind": "primitive" if primitive else verb,
+            "reason": (
+                getattr(resource, "reason", None) or verb if primitive else None
+            ),
+            "resource": (
+                getattr(resource, "name", None) or None if primitive else None
+            ),
         }
 
-    def wait_end(self, proc: "Process") -> None:
+    def wait_end(self, proc: "Process", _detail: Any = None) -> None:
         """Close ``proc``'s open wait record (no-op without one).
 
         Must run while ``proc.blocked_on`` is still set: the record

@@ -293,8 +293,8 @@ class TestLifecycle:
         _spawn_pair(m, writer(0), writer(128))
         assert len(det.races) == 1
         m.reboot()
-        assert m.engine.race is det  # re-attached to the fresh engine
-        assert m.fs.race is det  # storage hook survives (durable layer)
+        assert det._engine is m.engine  # rebound to the fresh engine
+        assert det.note_span in m.fs.probes.file_span  # storage hook survives
         assert len(det.races) == 1  # findings survive the crash
 
         # And the detector still works after the reboot.

@@ -297,7 +297,7 @@ class TestRebootIntegration:
 
         machine.run(job(), name="boot-1")
         machine.reboot()
-        assert machine.engine.sanitizer is san
+        assert san.on_wait in machine.engine.probes.block_io
         machine.run(job(), name="boot-2")
         san.check()
         assert san.audit_report()["moved_read"] == 256

@@ -92,7 +92,8 @@ class TestEngineIntegration:
         m = Machine()
         perm = m.install_schedule_fuzz(4)
         m.reboot()
-        assert m.engine.schedule_fuzz is perm
+        assert m.engine.probes.pick_ready == perm.pick
+        assert m.engine.probes.shuffle_ties == perm.shuffle
 
 
 class TestHarness:

@@ -207,6 +207,56 @@ class TestElasticScaleOut:
         assert np.array_equal(merged2, reference)
 
 
+class TestSanitizedScaleOut:
+    def test_shard_admitted_mid_run_is_charge_audited(self, pmem, fmt):
+        """Regression: ``add_shard`` used to re-wire the tracer and the
+        race detector by hand and forget the sanitizer, so the
+        newcomer's moves and charges never reached the audit."""
+        from repro.errors import ChargeDriftError
+        from repro.sim.engine import Sleep
+
+        seed = SEEDS[0]
+        total = _no_fault_duration(pmem, N_RECORDS, fmt, seed, shards=3)
+        cluster = Cluster(shards=3, profile=pmem)
+        sanitizer = cluster.install_sanitizer()
+        data = generate_cluster_dataset(cluster, "input", N_RECORDS, fmt,
+                                        seed=seed)
+        cluster.engine.call_at(0.3 * total, cluster.add_shard)
+        ShardedWiscSort(fmt).run(cluster, data)
+        newcomer = cluster.shards[3]
+        # Route work to the newcomer: the next run plans over 4 shards.
+        data2 = generate_cluster_dataset(cluster, "input2", N_RECORDS, fmt,
+                                         seed=seed)
+        ShardedWiscSort(fmt, output_name="run2.out").run(cluster, data2)
+        sanitizer.check()
+        audit = sanitizer.audit_report()
+        for direction in ("read", "write"):
+            submitted = {
+                shard.domain: sum(
+                    t.user_bytes for t in shard.stats.tags.values()
+                    if t.direction == direction
+                )
+                for shard in cluster.shards
+            }
+            assert submitted[newcomer.domain] > 0
+            # Every shard's charges reached the auditor, and every timed
+            # byte moved was charged -- the newcomer's included.
+            assert (
+                audit[f"charged_{direction}"]
+                + audit[f"non_storage_charged_{direction}"]
+            ) == sum(submitted.values())
+            assert audit[f"moved_{direction}"] == audit[f"charged_{direction}"]
+
+        def rogue():
+            newcomer.fs.open("input2.shard3").peek(0, 16)  # raw, uncharged
+            yield Sleep(0.0)
+
+        cluster.run(rogue(), name="rogue")
+        assert sanitizer.audit_report()["raw_uncharged_moves"] == 1
+        with pytest.raises(ChargeDriftError, match="input2.shard3"):
+            sanitizer.check()
+
+
 class TestCombinedChaos:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_crash_plus_straggler(self, pmem, fmt, seed):

@@ -17,6 +17,7 @@ from repro.records.validate import (
     validate_sorted_klv,
     validate_sorted_records,
 )
+from repro.sim.probe import Probe
 from tests.records.test_format import _lexsort_oracle
 
 
@@ -233,11 +234,14 @@ class TestTiesAndAdversaries:
         fout.poke(0, self._sorted_output(records, 8).reshape(-1))
         raw = []
 
-        class Audit:
+        class Audit(Probe):
+            def subscriptions(self):
+                return [("raw_move", self.note_raw)]
+
             def note_raw(self, name, kind, nbytes):
                 raw.append((name, kind, nbytes))
 
-        machine.fs.audit = Audit()
+        Audit().install(machine)
         assert validate_sorted_file(fin, fout, fmt) == 12
         assert raw == [("in", "peek", 192), ("out", "peek", 192)]
         assert bytes(fin.peek()) == records.tobytes()

@@ -137,7 +137,7 @@ class TestCancelHookEvents:
 
         engine = make_engine()
         sanitizer = SimSanitizer(trace=True)
-        sanitizer.attach_engine(engine)
+        engine.probes.install(sanitizer)
         return engine, sanitizer
 
     def test_sanitizer_waits_entry_dropped_on_cancel(self):
@@ -179,7 +179,7 @@ class TestCancelHookEvents:
 
         engine = make_engine()
         det = RaceDetector()
-        det.attach_engine(engine)
+        engine.probes.install(det)
 
         def worker():
             yield FluidOp(100.0, kind="cpu")
@@ -200,7 +200,7 @@ class TestCancelHookEvents:
 
         engine, sanitizer = self._engine_with_sanitizer()
         det = RaceDetector()
-        det.attach_engine(engine)
+        engine.probes.install(det)
         q = SimQueue(engine, name="empty")
 
         def getter():
@@ -225,7 +225,7 @@ class TestCancelHookEvents:
 
         engine = make_engine()
         det = RaceDetector()
-        det.attach_engine(engine)
+        engine.probes.install(det)
 
         def worker():
             yield FluidOp(100.0, kind="cpu")

@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import FileExistsInSimError, FileNotFoundInSimError, OutOfSpaceError, StorageError
 from repro.machine import Machine
+from repro.sim.probe import Probe
 from repro.device.profiles import pmem_profile
 
 
@@ -78,11 +79,14 @@ class TestAdopt:
     def test_audited_as_a_raw_poke(self, machine):
         notes = []
 
-        class Audit:
+        class Audit(Probe):
+            def subscriptions(self):
+                return [("raw_move", self.note_raw)]
+
             def note_raw(self, name, kind, nbytes):
                 notes.append((name, kind, nbytes))
 
-        machine.fs.audit = Audit()
+        Audit().install(machine)
         machine.fs.create("f").adopt(np.zeros(64, dtype=np.uint8))
         assert notes == [("f", "poke", 64)]
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
 from repro import api
@@ -109,30 +107,17 @@ class TestFacade:
         with pytest.raises(ConfigError):
             api.sort({"records": 100})
 
-
-class TestLegacyShim:
-    def test_loose_keywords_warn_and_match(self):
-        with pytest.warns(DeprecationWarning, match="RunOptions"):
-            legacy = api.sort(records=2_000, seed=9)
-        modern = api.sort(RunOptions(records=2_000, seed=9))
-        assert legacy.total_time == modern.total_time
-        assert legacy.phases == modern.phases
-
-    def test_records_positional_still_works(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            result = api.sort(1_000)
-        assert result.validated
-
-    def test_options_plus_keywords_rejected(self):
-        with pytest.raises(ConfigError):
-            api.sort(RunOptions(records=100), seed=1)
-
-    def test_unknown_keyword_rejected(self):
-        with pytest.raises(ConfigError):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                api.sort(recordz=100)
+    def test_loose_keywords_rejected(self):
+        """The pre-RunOptions surface (loose keywords, ``records`` as a
+        positional int) is gone: typed error, no deprecation shim."""
+        for call in (
+            lambda: api.sort(records=2_000, seed=9),
+            lambda: api.sort(RunOptions(records=100), seed=1),
+            lambda: api.sort(1_000),
+            lambda: api.serve(records=2_000),
+        ):
+            with pytest.raises(ConfigError):
+                call()
 
 
 class TestFacadeFaults:

@@ -124,7 +124,7 @@ class TestClusterDeterminism:
 
         def run(sanitizer):
             cluster = Cluster(shards=4, profile=pmem)
-            sanitizer.install_cluster(cluster)
+            sanitizer.install(cluster)
             sharded_input = generate_cluster_dataset(
                 cluster, "input", 2_000, fmt, seed=42
             )

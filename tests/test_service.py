@@ -350,10 +350,10 @@ class TestSLOMonitor:
         from repro.trace import Tracer
 
         mon = self._monitor()
-        mon.tracer = Tracer()
+        tracer = mon.probes.install(Tracer())
         mon.observe(0.1, {"latency": 5.0})
         mon.finalize()
-        events = [ev for ev in mon.tracer.instants if ev["name"] == "slo_alert"]
+        events = [ev for ev in tracer.instants if ev["name"] == "slo_alert"]
         assert len(events) == 1
         assert events[0]["args"]["slo"] == "latency:p50<1"
 

@@ -18,10 +18,10 @@ class TestInstall:
         machine = Machine(profile=pmem)
         tracer = machine.install_tracer()
         assert isinstance(tracer, Tracer)
-        assert machine.tracer is tracer
-        assert machine.engine.tracer is tracer
-        assert machine.engine.fluid.tracer is tracer
-        assert machine.dram.on_change is not None
+        assert machine.probes.probes == [tracer]
+        assert machine.engine.probes is machine.probes
+        assert machine.engine.fluid.probes.op_issue == (tracer.on_op_issue,)
+        assert machine.dram.probes.dram_change == (tracer._dram_change,)
 
     def test_trace_span_without_tracer_is_noop(self, pmem):
         machine = Machine(profile=pmem)
@@ -31,7 +31,7 @@ class TestInstall:
                 yield machine.io("read", Pattern.SEQ, 4096, tag="r")
 
         machine.run(job())
-        assert machine.tracer is None
+        assert machine.probes.span_scope == ()
 
     def test_reboot_reattaches(self, pmem):
         machine = Machine(profile=pmem)
@@ -39,7 +39,7 @@ class TestInstall:
         machine.run(_read_write_job(machine))
         n_ops = len(tracer.ops)
         machine.reboot()
-        assert machine.engine.tracer is tracer
+        assert tracer._engine is machine.engine
         machine.run(_read_write_job(machine))
         assert len(tracer.ops) > n_ops
 
