@@ -19,20 +19,18 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional
 
-import numpy as np
-
-from repro.core.base import ConcurrencyModel, SortConfig, SortSystem
+from repro.core.base import ConcurrencyModel, SortConfig
 from repro.core.controller import ThreadPoolController
 from repro.core.kway import (
+    PendingRows,
     RunCursor,
-    merge_step,
-    redistribute_on_drain,
+    drive_merge,
     window_bytes_per_run,
 )
-from repro.core.recovery import CheckpointLog, pack_entries, unpack_entries
-from repro.core.scheduler import _op_runner, run_ops_parallel
+from repro.core.recovery import CheckpointedRunMergeSort, unpack_entries
+from repro.core.scheduler import _op_runner
 from repro.device.profile import Pattern
-from repro.errors import ConfigError, RecoveryError
+from repro.errors import ConfigError
 from repro.records.format import RecordFormat, record_sort_indices
 from repro.records.validate import validate_sorted_file
 from repro.registry import register_system
@@ -44,8 +42,14 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 @register_system("ems")
-class ExternalMergeSort(SortSystem):
-    """Record-moving external merge sort with configurable concurrency."""
+class ExternalMergeSort(CheckpointedRunMergeSort):
+    """Record-moving external merge sort with configurable concurrency.
+
+    Checkpointing (``checkpoint=True``) makes it the comparison baseline
+    of the fault-injection experiments; see repro.core.recovery.
+    """
+
+    _proc_name = "ems"
 
     def __init__(
         self,
@@ -54,19 +58,13 @@ class ExternalMergeSort(SortSystem):
         output_name: str = "ems.out",
         checkpoint: bool = False,
     ):
+        # ``merge_passes`` is the M of Sec 2.4.1's traffic formula,
+        # (1+M) x dataset; M = 1 in dominant cases.
+        super().__init__(checkpoint)
         self.fmt = fmt if fmt is not None else RecordFormat()
         self.config = config if config is not None else SortConfig()
         self.output_name = output_name
         self.name = f"ems[{self.config.concurrency}]"
-        #: Number of merge phases M of the last run (Sec 2.4.1 traffic
-        #: formula: (1+M) x dataset; M = 1 in dominant cases).
-        self.merge_passes: int = 0
-        #: Crash-consistent checkpointing (comparison baseline for the
-        #: fault-injection experiments); see repro.core.recovery.
-        self.checkpoint = checkpoint
-        self._ckpt: Optional[CheckpointLog] = None
-        self._inter_seq = 0
-        self.last_recovery: dict = {}
 
     # ------------------------------------------------------------------
     def _validate(self, machine, input_file, output_file) -> int:
@@ -78,396 +76,120 @@ class ExternalMergeSort(SortSystem):
         self._check_checkpoint_config()
         controller = ThreadPoolController(machine, self.config)
         output = machine.fs.create(self.output_name)
-        self._ckpt = (
-            CheckpointLog(machine.fs, self._manifest_name())
-            if self.checkpoint
-            else None
-        )
-        self._inter_seq = 0
+        self._arm_checkpoint(machine.fs)
         machine.run(
-            self._drive(machine, input_file, output, controller), name="ems"
+            self._run_then_merge(machine, input_file, output, controller),
+            name=self._proc_name,
         )
         return output
 
-    def _manifest_name(self) -> str:
-        return f"{self.output_name}.manifest"
-
-    def _check_checkpoint_config(self) -> None:
-        if self.checkpoint and (
-            self.config.concurrency is not ConcurrencyModel.NO_IO_OVERLAP
-        ):
-            raise ConfigError(
-                "checkpointing requires the no-io-overlap concurrency "
-                "model: a checkpoint must only commit after the writes it "
-                "describes are durable"
-            )
-
-    def _drive(self, machine, input_file, output, controller):
-        run_names = yield from self._run_phase(machine, input_file, controller)
-        yield from self._merge_tail(machine, output, controller, run_names)
-
-    def _merge_tail(self, machine, output, controller, run_names):
-        """Intermediate merge rounds + the final merge to the output."""
-        from repro.core.multipass import grouped, max_fanin, merge_rounds
-
-        fanin = max_fanin(self.config.read_buffer, self.fmt.record_size)
-        self.merge_passes = merge_rounds(len(run_names), fanin)
-        # Multiple merge phases (Sec 2.1) when the run count exceeds the
-        # read buffer's fan-in: merge groups into intermediate runs.
-        while len(run_names) > fanin:
-            next_names: List[str] = []
-            groups = list(grouped(run_names, fanin))
-            for gi, group in enumerate(groups):
-                if len(group) == 1:
-                    next_names.append(group[0])
-                    continue
-                inter_name = self._next_inter_name(machine.fs)
-                machine.fs.create(inter_name)
-                yield from self._merge_phase(
-                    machine, machine.fs.open(inter_name), controller, group
-                )
-                next_names.append(inter_name)
-                if self._ckpt is not None:
-                    # Commit the new live set before deleting its inputs.
-                    live = next_names + [
-                        nm for g in groups[gi + 1 :] for nm in g
-                    ]
-                    yield from self._ckpt.save(
-                        {"phase": "intermediate", "run_names": live}
-                    )
-                for name in group:
-                    machine.fs.delete(name)
-            run_names = next_names
-        if self._ckpt is not None:
-            yield from self._ckpt.save(
-                {
-                    "phase": "merge",
-                    "run_names": list(run_names),
-                    "out_records": 0,
-                    "consumed": [0] * len(run_names),
-                    "residual": "",
-                }
-            )
-        yield from self._merge_phase(
-            machine, output, controller, run_names, names_for_ckpt=run_names
-        )
-        for name in run_names:
-            machine.fs.delete(name)
-        if self._ckpt is not None:
-            yield from self._ckpt.save({"phase": "done"})
-
-    def _next_inter_name(self, fs) -> str:
-        self._inter_seq += 1
-        name = f"{self.output_name}.merge.{self._inter_seq}"
-        while fs.exists(name):
-            self._inter_seq += 1
-            name = f"{self.output_name}.merge.{self._inter_seq}"
-        return name
-
     # ------------------------------------------------------------------
-    def _run_phase(self, machine, input_file, controller):
-        """Read record chunks, sort them, write sorted run files."""
-        fmt = self.fmt
-        rec = fmt.record_size
-        chunk_records = max(1, self.config.read_buffer // rec)
-        chunk_bytes = chunk_records * rec
-        read_pool = controller.read_threads(Pattern.SEQ)
-        write_pool = controller.write_threads()
-        model = self.config.concurrency
-        run_names: List[str] = []
-        pending = None
-        offsets = list(range(0, input_file.size, chunk_bytes))
-        for i, offset in enumerate(offsets):
+    @property
+    def _merge_entry_size(self) -> int:
+        return self.fmt.record_size
+
+    def _plan_runs(self, machine, input_file):
+        """One record run per read-buffer-sized chunk of the input."""
+        rec = self.fmt.record_size
+        chunk_bytes = max(1, self.config.read_buffer // rec) * rec
+        plan = []
+        for i, offset in enumerate(range(0, input_file.size, chunk_bytes)):
             nbytes = min(chunk_bytes, input_file.size - offset)
-            data = yield input_file.read(
-                offset, nbytes, tag="RUN read", threads=read_pool
-            )
-            records = data.reshape(-1, rec)
-            n = records.shape[0]
-            # Build the key array (key + read-buffer pointer).
-            yield machine.copy(
-                n * fmt.key_size, tag="RUN other",
-                cores=controller.sort_cores(),
-            )
-            yield machine.sort_compute(
-                n, tag="RUN sort", cores=controller.sort_cores()
-            )
-            order = record_sort_indices(records, fmt.key_size)
-            # Copy full records from read buffer to the output buffer.
-            yield machine.copy(
-                nbytes, tag="RUN other", cores=controller.sort_cores()
-            )
-            run_name = f"{self.output_name}.run.{i}"
-            run_file = machine.fs.create(run_name)
-            run_names.append(run_name)
-            write_op = run_file.write(
-                0, records[order].reshape(-1), tag="RUN write",
-                threads=write_pool,
-            )
-            if model is ConcurrencyModel.NO_IO_OVERLAP:
-                yield write_op
-                if self._ckpt is not None:
-                    yield from self._ckpt.save(
-                        {
-                            "phase": "run",
-                            "runs_done": len(run_names),
-                            "n_runs": len(offsets),
-                        }
-                    )
-            else:
-                # Overlap the run write with the next chunk's read
-                # (IO_OVERLAP deliberately, NO_SYNC by lack of
-                # coordination between worker threads).
-                if pending is not None:
-                    yield Join(pending)
-                pending = yield Spawn(_op_runner(write_op), "run-write")
-        if pending is not None:
-            yield Join(pending)
-        return run_names
+            plan.append((f"{self.output_name}.run.{i}", nbytes, (offset, nbytes)))
+        return plan
+
+    def _build_run(self, machine, input_file, controller, name, spec):
+        """Read a record chunk and sort it; returns its run-file write."""
+        fmt = self.fmt
+        offset, nbytes = spec
+        data = yield input_file.read(
+            offset, nbytes, tag="RUN read",
+            threads=controller.read_threads(Pattern.SEQ),
+        )
+        records = data.reshape(-1, fmt.record_size)
+        n = records.shape[0]
+        # Build the key array (key + read-buffer pointer).
+        yield machine.copy(
+            n * fmt.key_size, tag="RUN other", cores=controller.sort_cores()
+        )
+        yield machine.sort_compute(n, tag="RUN sort", cores=controller.sort_cores())
+        order = record_sort_indices(records, fmt.key_size)
+        # Copy full records from read buffer to the output buffer.
+        yield machine.copy(nbytes, tag="RUN other", cores=controller.sort_cores())
+        return machine.fs.create(name).write(
+            0, records[order].reshape(-1), tag="RUN write",
+            threads=controller.write_threads(),
+        )
 
     # ------------------------------------------------------------------
-    def _merge_phase(self, machine, output, controller, run_names,
-                     names_for_ckpt=None, resume=None):
+    def _merge_group(self, machine, input_file, controller, group, out_file):
+        yield from self._merge_to(machine, out_file, controller, group)
+
+    def _final_merge(self, machine, input_file, output, controller, run_names,
+                     resume=None):
+        yield from self._merge_to(
+            machine, output, controller, run_names, final=True, resume=resume
+        )
+
+    def _merge_to(self, machine, output, controller, run_names, final=False,
+                  resume=None):
         """Single merge pass: windowed cursors, single-threaded merging.
 
-        ``names_for_ckpt`` enables per-flush manifest commits (the final
-        merge of a checkpointed run); ``resume`` re-enters such a merge
-        from its last committed state after a crash.
+        ``final`` enables per-flush manifest commits (the final merge of
+        a checkpointed run); ``resume`` re-enters such a merge from its
+        last committed state after a crash.
         """
         fmt = self.fmt
         rec = fmt.record_size
-        k = len(run_names)
-        if k == 0:
+        if not run_names:
             return
-        window = window_bytes_per_run(self.config.read_buffer, k, rec)
+        window = window_bytes_per_run(self.config.read_buffer, len(run_names), rec)
         cursors = [
             RunCursor(machine.fs.open(name), rec, fmt.key_size, window)
             for name in run_names
         ]
-        read_pool = controller.read_threads(Pattern.SEQ)
         write_pool = controller.write_threads()
-        model = self.config.concurrency
         flush_records = max(1, self.config.write_buffer // rec)
-        pending_chunks: List[np.ndarray] = []
-        pending_count = 0
-        out_offset = 0
+        pending = PendingRows(rec)
+        out_records = 0
         if resume is not None:
             for cursor, consumed in zip(cursors, resume["consumed"]):
                 cursor.skip_entries(consumed)
-            residual = unpack_entries(resume["residual"], rec)
-            if residual.shape[0]:
-                pending_chunks = [residual]
-                pending_count = residual.shape[0]
-            out_offset = resume["out_records"] * rec
+            pending.push(unpack_entries(resume.get("residual", ""), rec))
+            out_records = resume["out_records"]
         overlap_writes: List = []
 
-        def flush(final: bool):
-            nonlocal pending_chunks, pending_count, out_offset
-            while pending_count >= flush_records or (final and pending_count):
-                take = min(flush_records, pending_count)
-                flat = np.concatenate(pending_chunks, axis=0)
-                batch, rest = flat[:take], flat[take:]
-                pending_chunks = [rest] if rest.shape[0] else []
-                pending_count = rest.shape[0]
+        def flush(last: bool = False):
+            nonlocal out_records
+            for batch in pending.batches(flush_records, last):
                 write_op = output.write(
-                    out_offset, batch.reshape(-1), tag="MERGE write",
+                    out_records * rec, batch.reshape(-1), tag="MERGE write",
                     threads=write_pool,
                 )
-                out_offset += take * rec
-                if model is ConcurrencyModel.NO_IO_OVERLAP:
+                out_records += batch.shape[0]
+                if self.config.concurrency is ConcurrencyModel.NO_IO_OVERLAP:
                     yield write_op
-                    if self._ckpt is not None and names_for_ckpt is not None:
-                        rest_flat = (
-                            np.concatenate(pending_chunks, axis=0)
-                            if pending_chunks
-                            else np.zeros((0, rec), dtype=np.uint8)
-                        )
+                    if final and self._ckpt is not None:
                         yield from self._ckpt.save(
-                            {
-                                "phase": "merge",
-                                "run_names": list(names_for_ckpt),
-                                "out_records": out_offset // rec,
-                                "consumed": [c.taken for c in cursors],
-                                "residual": pack_entries(rest_flat),
-                            }
+                            self._merge_checkpoint(
+                                run_names, out_records, cursors, pending
+                            )
                         )
                 else:
-                    proc = yield Spawn(_op_runner(write_op), "merge-write")
-                    overlap_writes.append(proc)
+                    overlap_writes.append(
+                        (yield Spawn(_op_runner(write_op), "merge-write"))
+                    )
 
-        while any(not c.done for c in cursors):
-            refills = [c for c in cursors if c.needs_refill]
-            if refills:
-                per_op = max(1, read_pool // len(refills))
-                ops = [
-                    c.refill_op(tag="MERGE read", threads=per_op)
-                    for c in refills
-                ]
-                datas = yield from run_ops_parallel(machine, ops)
-                for cursor, data in zip(refills, datas):
-                    cursor.accept(data)
-            emitted, ways = merge_step(cursors)
-            n = emitted.shape[0]
-            if n:
-                # Single-threaded min-finding AND single-threaded
-                # record copy to the write buffer (Sec 4.1).
-                yield machine.compute(
-                    machine.host.merge_compare_seconds(n, ways),
-                    tag="MERGE other", cores=1,
-                )
-                yield machine.copy(n * rec, tag="MERGE other", cores=1)
-                pending_chunks.append(emitted)
-                pending_count += n
-                yield from flush(final=False)
-            redistribute_on_drain(cursors)
-        yield from flush(final=True)
+        def sink(emitted):
+            # Single-threaded record copy to the write buffer, on top of
+            # the driver's single-threaded min-finding (Sec 4.1).
+            yield machine.copy(emitted.size, tag="MERGE other", cores=1)
+            pending.push(emitted)
+            yield from flush()
+
+        yield from drive_merge(
+            machine, cursors, controller.read_threads(Pattern.SEQ), sink
+        )
+        yield from flush(last=True)
         if overlap_writes:
             yield Join(overlap_writes)
-
-    # ------------------------------------------------------------------
-    # Crash recovery
-    # ------------------------------------------------------------------
-    def _execute_recover(self, machine: "Machine", input_file: "SimFile"):
-        """Resume after a :class:`~repro.errors.SimulatedCrash`.
-
-        Same manifest protocol as WiscSort's recovery (see DESIGN.md):
-        salvage record runs whose on-device size matches their expected
-        exact size, discard torn artifacts, and re-enter the sort at the
-        last committed phase.
-        """
-        if not self.checkpoint:
-            raise RecoveryError(
-                f"{self.name}: recovery requires checkpoint=True"
-            )
-        self._check_checkpoint_config()
-        fs = machine.fs
-        controller = ThreadPoolController(machine, self.config)
-        output = (
-            fs.open(self.output_name)
-            if fs.exists(self.output_name)
-            else fs.create(self.output_name)
-        )
-        self._ckpt = CheckpointLog(fs, self._manifest_name())
-        state = self._ckpt.load()
-        self.last_recovery = metrics = {
-            "salvaged_bytes": 0,
-            "redone_bytes": 0,
-            "salvaged_runs": 0,
-            "redone_runs": 0,
-        }
-        machine.run(
-            self._recover_driver(
-                machine, input_file, output, controller, state, metrics
-            ),
-            name="ems-recover",
-        )
-        return output
-
-    def _recover_driver(self, machine, input_file, output, controller,
-                        state, metrics):
-        fmt = self.fmt
-        rec = fmt.record_size
-        fs = machine.fs
-        phase = state.get("phase") if state else None
-        if phase == "done":
-            metrics["salvaged_bytes"] += output.size
-            return
-        if phase == "merge":
-            run_names = state["run_names"]
-            metrics["redone_bytes"] += self._drop_strays(fs, run_names)
-            keep = state["out_records"] * rec
-            if output.size > keep:
-                metrics["redone_bytes"] += output.size - keep
-                output.truncate(keep)
-            metrics["salvaged_bytes"] += keep
-            for name in run_names:
-                metrics["salvaged_bytes"] += fs.open(name).size
-            metrics["salvaged_runs"] += len(run_names)
-            resume = {
-                "consumed": state["consumed"],
-                "out_records": state["out_records"],
-                "residual": state.get("residual", ""),
-            }
-            yield from self._merge_phase(
-                machine, output, controller, run_names,
-                names_for_ckpt=run_names, resume=resume,
-            )
-            for name in run_names:
-                fs.delete(name)
-            yield from self._ckpt.save({"phase": "done"})
-            return
-        if phase == "intermediate":
-            run_names = state["run_names"]
-            metrics["redone_bytes"] += self._drop_strays(fs, run_names)
-            if output.size:
-                metrics["redone_bytes"] += output.size
-                output.truncate(0)
-            for name in run_names:
-                metrics["salvaged_bytes"] += fs.open(name).size
-            metrics["salvaged_runs"] += len(run_names)
-            yield from self._merge_tail(machine, output, controller, run_names)
-            return
-        # phase is "run" or None: salvage complete record runs by exact
-        # expected size (torn writes are strict prefixes) and redo the
-        # rest chunk by chunk.
-        if output.size:
-            metrics["redone_bytes"] += output.size
-            output.truncate(0)
-        chunk_records = max(1, self.config.read_buffer // rec)
-        chunk_bytes = chunk_records * rec
-        read_pool = controller.read_threads(Pattern.SEQ)
-        write_pool = controller.write_threads()
-        offsets = list(range(0, input_file.size, chunk_bytes))
-        run_names: List[str] = []
-        for i, offset in enumerate(offsets):
-            nbytes = min(chunk_bytes, input_file.size - offset)
-            name = f"{self.output_name}.run.{i}"
-            run_names.append(name)
-            if fs.exists(name) and fs.open(name).size == nbytes:
-                metrics["salvaged_bytes"] += nbytes
-                metrics["salvaged_runs"] += 1
-                continue
-            if fs.exists(name):
-                metrics["redone_bytes"] += fs.open(name).size
-                fs.delete(name)
-            metrics["redone_bytes"] += nbytes
-            metrics["redone_runs"] += 1
-            data = yield input_file.read(
-                offset, nbytes, tag="RUN read", threads=read_pool
-            )
-            records = data.reshape(-1, rec)
-            n = records.shape[0]
-            yield machine.copy(
-                n * fmt.key_size, tag="RUN other",
-                cores=controller.sort_cores(),
-            )
-            yield machine.sort_compute(
-                n, tag="RUN sort", cores=controller.sort_cores()
-            )
-            order = record_sort_indices(records, fmt.key_size)
-            yield machine.copy(
-                nbytes, tag="RUN other", cores=controller.sort_cores()
-            )
-            run_file = fs.create(name)
-            yield run_file.write(
-                0, records[order].reshape(-1), tag="RUN write",
-                threads=write_pool,
-            )
-            yield from self._ckpt.save(
-                {"phase": "run", "runs_done": i + 1, "n_runs": len(offsets)}
-            )
-        yield from self._merge_tail(machine, output, controller, run_names)
-
-    def _drop_strays(self, fs, live) -> int:
-        """Delete artifacts the manifest disowns; returns bytes dropped."""
-        keep = set(live)
-        keep.update(
-            (self.output_name, self._manifest_name(), self._ckpt.tmp_name)
-        )
-        prefix = self.output_name + "."
-        dropped = 0
-        for name in list(fs.list()):
-            if name.startswith(prefix) and name not in keep:
-                dropped += fs.open(name).size
-                fs.delete(name)
-        return dropped

@@ -26,12 +26,12 @@ from repro.core.base import ConcurrencyModel, SortConfig, SortSystem
 from repro.core.controller import ThreadPoolController
 from repro.core.indexmap import IndexMap
 from repro.core.kway import (
+    PendingRows,
     RunCursor,
-    merge_step,
-    redistribute_on_drain,
+    drive_merge,
     window_bytes_per_run,
 )
-from repro.core.scheduler import _op_runner, run_ops_parallel
+from repro.core.scheduler import _op_runner, transfer_batch
 from repro.device.profile import Pattern
 from repro.errors import ConfigError
 from repro.records.format import RecordFormat
@@ -122,18 +122,13 @@ class PMSort(SortSystem):
             for name in run_names
         ]
         queue_records = max(1, self.config.write_buffer // fmt.record_size)
-        pending: List[np.ndarray] = []
-        pending_count = 0
+        pending = PendingRows(entry)
         out_offset = 0
 
-        def flush(final: bool):
-            nonlocal pending, pending_count, out_offset
-            while pending_count >= queue_records or (final and pending_count):
-                take = min(queue_records, pending_count)
-                flat = np.concatenate(pending, axis=0)
-                batch, rest = flat[:take], flat[take:]
-                pending = [rest] if rest.shape[0] else []
-                pending_count = rest.shape[0]
+        def flush(final: bool = False):
+            nonlocal out_offset
+            for batch in pending.batches(queue_records, final):
+                take = batch.shape[0]
                 imap = IndexMap.from_bytes(
                     batch.reshape(-1), fmt.key_size, fmt.pointer_size
                 )
@@ -170,21 +165,13 @@ class PMSort(SortSystem):
                 )
                 out_offset += take * fmt.record_size
 
-        while any(not c.done for c in cursors):
-            refills = [c for c in cursors if c.needs_refill]
-            for cursor in refills:
-                data = yield cursor.refill_op(tag="MERGE read", threads=1)
-                cursor.accept(data)
-            emitted, ways = merge_step(cursors)
-            if emitted.shape[0]:
-                yield machine.compute(
-                    machine.host.merge_compare_seconds(emitted.shape[0], ways),
-                    tag="MERGE other", cores=1,
-                )
-                pending.append(emitted)
-                pending_count += emitted.shape[0]
-                yield from flush(final=False)
-            redistribute_on_drain(cursors)
+        def sink(emitted):
+            pending.push(emitted)
+            return flush()
+
+        # Faithful to the published system: window refills are serial,
+        # one single-threaded read after another.
+        yield from drive_merge(machine, cursors, 1, sink, serial_refills=True)
         yield from flush(final=True)
 
 
@@ -288,68 +275,43 @@ class PMSortPlus(SortSystem):
             RunCursor(machine.fs.open(name), entry, fmt.key_size, window)
             for name in run_names
         ]
-        read_pool = controller.read_threads(Pattern.SEQ)
         gather_pool = controller.read_threads(Pattern.RAND)
         write_pool = controller.write_threads()
-        model = self.config.concurrency
         queue_records = max(1, self.config.write_buffer // fmt.record_size)
-        pending_entries: List[np.ndarray] = []
-        pending_count = 0
+        pending = PendingRows(entry)
         out_offset = 0
         overlap_writes: List = []
 
-        def flush(final: bool):
-            nonlocal pending_entries, pending_count, out_offset
-            while pending_count >= queue_records or (final and pending_count):
-                take = min(queue_records, pending_count)
-                flat = np.concatenate(pending_entries, axis=0)
-                batch, rest = flat[:take], flat[take:]
-                pending_entries = [rest] if rest.shape[0] else []
-                pending_count = rest.shape[0]
+        def flush(final: bool = False):
+            nonlocal out_offset
+            for batch in pending.batches(queue_records, final):
                 imap = IndexMap.from_bytes(
                     batch.reshape(-1), fmt.key_size, fmt.pointer_size
                 )
-                gather_op = input_file.read_gather(
-                    imap.pointers, fmt.record_size, tag="RECORD read",
-                    threads=gather_pool,
-                )
                 write_at = out_offset
-                out_offset += take * fmt.record_size
-                if model is ConcurrencyModel.NO_SYNC:
-                    data = gather_op.on_complete(gather_op)
-                    gather_op.on_complete = None
-                    write_op = output.write(
+                out_offset += batch.shape[0] * fmt.record_size
+                yield from transfer_batch(
+                    machine,
+                    self.config.concurrency,
+                    input_file.read_gather(
+                        imap.pointers, fmt.record_size, tag="RECORD read",
+                        threads=gather_pool,
+                    ),
+                    lambda data: output.write(
                         write_at, data.reshape(-1), tag="MERGE write",
                         threads=write_pool,
-                    )
-                    yield from run_ops_parallel(machine, [gather_op, write_op])
-                else:  # IO_OVERLAP
-                    data = yield gather_op
-                    write_op = output.write(
-                        write_at, data.reshape(-1), tag="MERGE write",
-                        threads=write_pool,
-                    )
-                    proc = yield Spawn(_op_runner(write_op), "pmsort-merge-write")
-                    overlap_writes.append(proc)
-
-        while any(not c.done for c in cursors):
-            refills = [c for c in cursors if c.needs_refill]
-            if refills:
-                per_op = max(1, read_pool // len(refills))
-                ops = [c.refill_op(tag="MERGE read", threads=per_op) for c in refills]
-                datas = yield from run_ops_parallel(machine, ops)
-                for cursor, data in zip(refills, datas):
-                    cursor.accept(data)
-            emitted, ways = merge_step(cursors)
-            if emitted.shape[0]:
-                yield machine.compute(
-                    machine.host.merge_compare_seconds(emitted.shape[0], ways),
-                    tag="MERGE other", cores=1,
+                    ),
+                    overlap_writes,
+                    "pmsort-merge-write",
                 )
-                pending_entries.append(emitted)
-                pending_count += emitted.shape[0]
-                yield from flush(final=False)
-            redistribute_on_drain(cursors)
+
+        def sink(emitted):
+            pending.push(emitted)
+            return flush()
+
+        yield from drive_merge(
+            machine, cursors, controller.read_threads(Pattern.SEQ), sink
+        )
         yield from flush(final=True)
         if overlap_writes:
             yield Join(overlap_writes)

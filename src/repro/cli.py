@@ -56,15 +56,8 @@ from repro.metrics.cluster_report import render_job_table, render_shard_table
 from repro.metrics.timeline import render_timeline
 from repro.perf import SelfPerfProfiler, render_report
 from repro.records.format import RecordFormat
-from repro.registry import RegistryView, get_experiment, get_profile
+from repro.registry import available, get_experiment, get_profile
 from repro.units import fmt_bytes, fmt_seconds
-
-#: Read-only mapping views over the registry; kept under the historical
-#: names so ``from repro.cli import SYSTEMS, EXPERIMENTS`` keeps working.
-SYSTEMS = RegistryView("system")
-EXPERIMENTS = RegistryView("experiment")
-PROFILES = RegistryView("profile")
-POLICIES = RegistryView("policy")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,8 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sort.add_argument("--records", type=int, default=100_000)
     p_sort.add_argument("--key-size", type=int, default=10)
     p_sort.add_argument("--value-size", type=int, default=90)
-    p_sort.add_argument("--system", choices=sorted(SYSTEMS), default="wiscsort")
-    p_sort.add_argument("--device", choices=sorted(PROFILES), default="pmem")
+    p_sort.add_argument("--system", choices=available("system"), default="wiscsort")
+    p_sort.add_argument("--device", choices=available("profile"), default="pmem")
     p_sort.add_argument(
         "--concurrency",
         choices=[m.value for m in ConcurrencyModel],
@@ -139,9 +132,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--records", type=int, default=100_000)
     p_analyze.add_argument("--key-size", type=int, default=10)
     p_analyze.add_argument("--value-size", type=int, default=90)
-    p_analyze.add_argument("--system", choices=sorted(SYSTEMS),
+    p_analyze.add_argument("--system", choices=available("system"),
                            default="wiscsort")
-    p_analyze.add_argument("--device", choices=sorted(PROFILES),
+    p_analyze.add_argument("--device", choices=available("profile"),
                            default="pmem")
     p_analyze.add_argument(
         "--concurrency",
@@ -187,15 +180,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--devices", default=None, metavar="NAME[,NAME...]",
         help="heterogeneous cluster: one profile name per shard, "
              "comma-separated (overrides --shards/--device)")
-    p_cluster.add_argument("--device", choices=sorted(PROFILES), default="pmem")
+    p_cluster.add_argument("--device", choices=available("profile"), default="pmem")
     p_cluster.add_argument("--jobs", type=int, default=8,
                            help="number of sort jobs to submit")
-    p_cluster.add_argument("--policy", choices=sorted(POLICIES),
+    p_cluster.add_argument("--policy", choices=available("policy"),
                            default="fifo")
     p_cluster.add_argument("--tenants", type=int, default=2,
                            help="jobs are assigned round-robin to this many "
                                 "tenants (fair-share accounting unit)")
-    p_cluster.add_argument("--system", choices=sorted(SYSTEMS),
+    p_cluster.add_argument("--system", choices=available("system"),
                            default="wiscsort")
     p_cluster.add_argument("--records-per-job", type=int, default=50_000)
     p_cluster.add_argument("--seed", type=int, default=42)
@@ -250,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--max-jobs", type=int, default=None,
                          help="stop after this many arrivals (alternative "
                               "or additional bound to --horizon)")
-    p_serve.add_argument("--policy", choices=sorted(POLICIES),
+    p_serve.add_argument("--policy", choices=available("policy"),
                          default="fifo")
     p_serve.add_argument("--shards", type=int, default=2,
                          help="number of homogeneous device shards")
@@ -258,8 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--devices", default=None, metavar="NAME[,NAME...]",
         help="heterogeneous cluster: one profile name per shard, "
              "comma-separated (overrides --shards/--device)")
-    p_serve.add_argument("--device", choices=sorted(PROFILES), default="pmem")
-    p_serve.add_argument("--system", choices=sorted(SYSTEMS),
+    p_serve.add_argument("--device", choices=available("profile"), default="pmem")
+    p_serve.add_argument("--system", choices=available("system"),
                          default="wiscsort")
     p_serve.add_argument("--records", type=int, default=5_000,
                          help="records per job")
@@ -303,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--no-validate", action="store_true")
 
     p_cal = sub.add_parser("calibrate", help="probe a device profile")
-    p_cal.add_argument("--device", choices=sorted(PROFILES), default="pmem")
+    p_cal.add_argument("--device", choices=available("profile"), default="pmem")
 
     p_trace = sub.add_parser(
         "trace-report", help="summarize an exported trace JSON file"
@@ -311,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("trace_file", help="path to a --trace output file")
 
     p_bench = sub.add_parser("bench", help="run one paper experiment")
-    p_bench.add_argument("experiment", choices=sorted(EXPERIMENTS))
+    p_bench.add_argument("experiment", choices=available("experiment"))
     p_bench.add_argument("--scale", type=int, default=1_000,
                          help="divide the paper's record counts by this")
 
@@ -818,7 +811,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_profiles(_args: argparse.Namespace) -> int:
-    for name in sorted(PROFILES):
+    for name in available("profile"):
         print(get_profile(name)().describe())
     return 0
 

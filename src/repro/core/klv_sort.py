@@ -23,12 +23,12 @@ from repro.core.base import SortConfig, SortSystem
 from repro.core.controller import ThreadPoolController
 from repro.core.indexmap import IndexMap
 from repro.core.kway import (
+    PendingRows,
     RunCursor,
-    merge_step,
-    redistribute_on_drain,
+    drive_merge,
     window_bytes_per_run,
 )
-from repro.core.scheduler import pipelined_batches, run_ops_parallel
+from repro.core.scheduler import pipelined_batches
 from repro.device.profile import Pattern
 from repro.errors import RecordFormatError
 from repro.records.klv import KLVFormat
@@ -260,45 +260,30 @@ class WiscSortKLV(SortSystem):
             RunCursor(machine.fs.open(name), entry, fmt.key_size, window)
             for name in run_names
         ]
-        read_pool = controller.read_threads(Pattern.SEQ)
-        pending: List[IndexMap] = []
+        pending = PendingRows(entry)
         pending_bytes = 0
 
-        while any(not c.done for c in cursors):
-            refills = [c for c in cursors if c.needs_refill]
-            if refills:
-                per_op = max(1, read_pool // len(refills))
-                ops = [c.refill_op(tag="MERGE read", threads=per_op) for c in refills]
-                datas = yield from run_ops_parallel(machine, ops)
-                for cursor, data in zip(refills, datas):
-                    cursor.accept(data)
-            emitted, ways = merge_step(cursors)
-            if emitted.shape[0]:
-                yield machine.compute(
-                    machine.host.merge_compare_seconds(emitted.shape[0], ways),
-                    tag="MERGE other",
-                    cores=1,
+        def flush():
+            nonlocal pending_bytes
+            if pending.count:
+                merged = IndexMap.from_bytes(
+                    pending.pop(pending.count).reshape(-1),
+                    fmt.key_size, fmt.pointer_size, fmt.len_size,
                 )
-                part = IndexMap.from_bytes(
-                    emitted.reshape(-1), fmt.key_size, fmt.pointer_size, fmt.len_size
-                )
-                pending.append(part)
-                pending_bytes += int(part.vlens.sum()) + len(part) * fmt.header_size
-                if pending_bytes >= self.config.write_buffer:
-                    merged = _concat_indexmaps(pending, fmt)
-                    pending, pending_bytes = [], 0
-                    yield from self._emit(machine, input_file, output, controller, merged)
-            redistribute_on_drain(cursors)
-        if pending:
-            merged = _concat_indexmaps(pending, fmt)
-            yield from self._emit(machine, input_file, output, controller, merged)
+                pending_bytes = 0
+                yield from self._emit(machine, input_file, output, controller, merged)
 
+        def sink(emitted):
+            nonlocal pending_bytes
+            part = IndexMap.from_bytes(
+                emitted.reshape(-1), fmt.key_size, fmt.pointer_size, fmt.len_size
+            )
+            pending.push(emitted)
+            pending_bytes += int(part.vlens.sum()) + len(part) * fmt.header_size
+            if pending_bytes >= self.config.write_buffer:
+                yield from flush()
 
-def _concat_indexmaps(parts: List[IndexMap], fmt: KLVFormat) -> IndexMap:
-    return IndexMap(
-        keys=np.concatenate([p.keys for p in parts]),
-        pointers=np.concatenate([p.pointers for p in parts]),
-        pointer_size=fmt.pointer_size,
-        vlens=np.concatenate([p.vlens for p in parts]),
-        len_size=fmt.len_size,
-    )
+        yield from drive_merge(
+            machine, cursors, controller.read_threads(Pattern.SEQ), sink
+        )
+        yield from flush()

@@ -5,6 +5,10 @@ WiscSort/PMSort over IndexMap runs) follows the paper's cursor protocol
 (Sec 3.7, steps 6-9): the read buffer is split evenly among the run
 files, cursors track the current window of each run, exhausted windows
 are refilled, and when a run drains its buffer share is redistributed.
+:func:`drive_merge` *is* that protocol, written once on top of
+:class:`MergeFrontier`; a sorting system supplies only cursors and a
+sink (what an emitted batch costs and where it goes), usually staged
+through a :class:`PendingRows` buffer.
 
 For simulation efficiency the merge is executed in *batches* rather than
 record-at-a-time: all windowed entries whose key is <= the smallest
@@ -12,20 +16,30 @@ record-at-a-time: all windowed entries whose key is <= the smallest
 (any unread entry of run *j* is >= the last key currently windowed from
 run *j*).  Batching changes nothing about the output or the I/O pattern
 -- it only aggregates the per-record CPU cost into one op.
+
+:func:`merge_step` and :func:`redistribute_on_drain` at the bottom of
+the file are the original full-scan formulation of the same protocol.
+Nothing under ``src/`` calls them; they are kept as the test oracle
+``tests/core/test_merge_frontier.py`` and ``tests/core/test_kway.py``
+compare the driver against.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import SimulationError
 from repro.records.format import key_columns as _key_columns
 from repro.records.format import key_sort_indices, key_words
+from repro.sim.engine import ParallelOps
 from repro.sim.fluid import vector_enabled
 from repro.storage.file import SimFile
 from repro.units import ceil_div
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.machine import Machine
 
 
 class RunCursor:
@@ -253,29 +267,15 @@ def _frontier_step(
     return merged[order], len(live), emptied
 
 
-def merge_step(cursors: List[RunCursor]) -> Tuple[np.ndarray, int]:
-    """Emit one batch of globally-safe entries from the cursor set.
-
-    Preconditions: every non-done cursor has a non-empty window.
-    Returns ``(entries, ways)`` where ``entries`` is a key-sorted matrix
-    of emitted rows and ``ways`` the number of runs still participating
-    (for merge-cost accounting).  Raises if nothing can be emitted
-    (which the protocol makes impossible).
-    """
-    live = [c for c in cursors if c.remaining]
-    if not live:
-        return np.zeros((0, cursors[0].entry_size if cursors else 0), dtype=np.uint8), 0
-    emitted, ways, _emptied = _frontier_step(live)
-    return emitted, ways
-
-
 class _FrontierIndex:
     """Columnar mirror of every live window for batched frontier steps.
 
     One row per cursor: ``S`` is a ``(k, W)`` matrix of fixed-width
-    ``S<key_size>`` byte strings (the window keys), ``E`` mirrors the
-    raw window entries ``(k, W, entry_size)``, and k-vectors ``L`` /
-    ``F`` track each row's last and current-head key.  numpy's bytes
+    ``S<key_size>`` byte strings (the window keys) and k-vectors ``L`` /
+    ``F`` track each row's last and current-head key.  Only *keys* are
+    mirrored: the entries themselves stay in the cursors' own windows
+    (a second copy of the read buffer would double its footprint once
+    whole 100-byte records flow through the frontier).  numpy's bytes
     comparison (trailing-NUL-stripped lexicographic) is order- and
     equality-isomorphic to fixed-width unsigned lexicographic
     comparison: at the first differing byte position either both
@@ -285,9 +285,9 @@ class _FrontierIndex:
     whole-array bytes compares -- threshold = min over ``L`` of the
     still-readable rows (cached between steps; it only changes on
     refill or drain), ``F <= threshold`` picks the contributing rows,
-    ``S[rows] <= threshold`` gives the emit counts, and one
-    segment-gather pulls every emitted entry (plus its sort key) out of
-    the mirrors without a per-cursor Python loop.
+    ``S[rows] <= threshold`` gives the emit counts, and the emitted
+    entries are the matching slices of the contributing cursors'
+    windows, concatenated in row order.
 
     Bit-identity with :func:`_frontier_step` (asserted by the
     equivalence suite): per-row emit counts equal ``_count_leq_words``
@@ -313,10 +313,8 @@ class _FrontierIndex:
         "k",
         "key_size",
         "sdtype",
-        "entry_size",
         "width",
         "S",
-        "E",
         "L",
         "F",
         "starts",
@@ -333,14 +331,12 @@ class _FrontierIndex:
         first = self.row_cursors[0]
         self.key_size = first.key_size
         self.sdtype = np.dtype("S%d" % self.key_size)
-        self.entry_size = first.entry_size
         width = 1
         for c in self.row_cursors:
             width = max(width, c._n)
         self.width = width
         k = self.k
         self.S = np.zeros((k, width), dtype=self.sdtype)
-        self.E = np.zeros((k, width, self.entry_size), dtype=np.uint8)
         self.L = np.zeros(k, dtype=self.sdtype)
         self.F = np.zeros(k, dtype=self.sdtype)
         self.starts = np.zeros(k, dtype=np.int64)
@@ -381,9 +377,6 @@ class _FrontierIndex:
         fresh_s = np.zeros((self.k, new_width), dtype=self.sdtype)
         fresh_s[:, : self.width] = self.S
         self.S = fresh_s
-        fresh_e = np.zeros((self.k, new_width, self.entry_size), dtype=np.uint8)
-        fresh_e[:, : self.width] = self.E
-        self.E = fresh_e
         self.width = new_width
 
     def load_row(self, c: RunCursor) -> None:
@@ -398,7 +391,6 @@ class _FrontierIndex:
         self.S[i, :n] = skeys
         self.L[i] = skeys[n - 1]
         self.F[i] = skeys[start]
-        self.E[i, :n] = c._window
         self.starts[i] = start
         self.ns[i] = n
         self.ready[i] = True
@@ -462,17 +454,20 @@ class _FrontierIndex:
             if not rows.size:
                 raise SimulationError("merge_step emitted nothing")
             lens = (ns - starts)[rows]
-        s_arr = starts[rows]
-        new_starts = s_arr + lens
+        new_starts = starts[rows] + lens
         ns_r = ns[rows]
-        # Cursor bookkeeping (replaces per-piece ``take`` calls).
+        # Cursor bookkeeping (replaces per-piece ``take`` calls); the
+        # emitted pieces are slices of the cursors' own windows, rows
+        # ascending -- the scalar path's piece concatenation order.
         emptied: List[RunCursor] = []
+        pieces: List[np.ndarray] = []
         row_cursors = self.row_cursors
         ready = self.ready
         for r, s_new, n_row, cnt in zip(
             rows.tolist(), new_starts.tolist(), ns_r.tolist(), lens.tolist()
         ):
             c = row_cursors[r]
+            pieces.append(c._window[s_new - cnt : s_new])
             c._start = s_new
             c.taken += cnt
             if s_new == n_row:
@@ -485,21 +480,16 @@ class _FrontierIndex:
             # Single contributing window: the slice is already sorted
             # (a stable sort would be the identity permutation).
             i = int(rows[0])
-            s = int(s_arr[0])
             e = int(new_starts[0])
             if e < ns[i]:
                 self.F[i] = self.S[i, e]
-            return self.E[i, s:e].copy(), emptied
-        # Segment-gather every emitted entry (and its sort key) out of
-        # the mirrors in one shot: rows ascending, then window order --
-        # identical to the scalar path's piece concatenation order.
-        total = int(lens.sum())
-        rep_rows = np.repeat(rows, lens)
-        csum = np.cumsum(lens)
-        within = np.arange(total, dtype=np.int64) - np.repeat(csum - lens, lens)
-        pos = np.repeat(s_arr, lens) + within
-        merged = self.E[rep_rows, pos]
-        skeys = self.S[rep_rows, pos]
+            return pieces[0], emptied
+        merged = np.concatenate(pieces, axis=0)
+        skeys = (
+            np.ascontiguousarray(merged[:, : self.key_size])
+            .reshape(-1)
+            .view(self.sdtype)
+        )
         # Refresh head keys of rows that still have entries windowed.
         open_mask = new_starts < ns_r
         alive = rows[open_mask]
@@ -512,9 +502,10 @@ class _FrontierIndex:
 class MergeFrontier:
     """Incremental cursor bookkeeping for a k-way merge loop.
 
-    The naive loop re-derives everything from the full cursor list every
-    step -- ``any(not c.done)``, ``[c for c in cursors if
-    c.needs_refill]``, the live filter inside :func:`merge_step` and two
+    The naive loop (the test oracle at the bottom of this file)
+    re-derives everything from the full cursor list every step --
+    ``any(not c.done)``, ``[c for c in cursors if c.needs_refill]``,
+    the live filter inside :func:`merge_step` and two
     more filters inside :func:`redistribute_on_drain` -- which is O(k)
     property evaluations per emitted batch and dominates wide merges.
     The frontier tracks the same state transitions incrementally: a
@@ -598,6 +589,122 @@ class MergeFrontier:
                     c.window_entries += share
         return emitted, ways
 
+class PendingRows:
+    """Emitted-but-unflushed merge output: the write buffer of a record
+    merge, or the offset queue of a key-pointer merge.
+
+    Rows go in as the frontier emits them and come out in exact-size
+    batches; whatever is left is the *residual* a merge checkpoint
+    persists alongside the per-run consumed counts.
+    """
+
+    def __init__(self, entry_size: int):
+        self._empty = np.zeros((0, entry_size), dtype=np.uint8)
+        self._chunks: List[np.ndarray] = []
+        self.count = 0
+
+    def push(self, rows: np.ndarray) -> None:
+        if rows.shape[0]:
+            self._chunks.append(rows)
+            self.count += rows.shape[0]
+
+    def residual(self) -> np.ndarray:
+        """Every buffered row as one matrix (the rows stay buffered)."""
+        if len(self._chunks) > 1:
+            self._chunks = [np.concatenate(self._chunks, axis=0)]
+        return self._chunks[0] if self._chunks else self._empty
+
+    def pop(self, n: int) -> np.ndarray:
+        """Remove and return exactly the first ``n`` rows."""
+        flat = self.residual()
+        self._chunks = [flat[n:]] if n < self.count else []
+        self.count -= n
+        return flat[:n]
+
+    def batches(self, capacity: int, final: bool = False) -> Iterator[np.ndarray]:
+        """Pop full ``capacity``-row batches; ``final`` adds the short tail."""
+        while self.count >= capacity or (final and self.count):
+            yield self.pop(min(capacity, self.count))
+
+
+def drive_merge(
+    machine: "Machine",
+    cursors: List[RunCursor],
+    read_threads: int,
+    on_batch: Callable[[np.ndarray], Iterator],
+    serial_refills: bool = False,
+):
+    """The cursor protocol of Sec 3.7 steps 6-9 (generator; yield from).
+
+    Refills every exhausted window -- concurrently, the read pool split
+    evenly among them, or one ``read_threads``-wide read after another
+    when ``serial_refills`` (PMSort's single-threaded merge) -- installs
+    the windows (compressed cursors answer with a decompress op, charged
+    before the step), emits the globally safe prefix, charges its
+    single-core min-finding as ``MERGE other`` and hands the key-sorted
+    rows to ``on_batch`` (a generator function: the system's sink).
+    Drained runs hand their buffer share to the survivors inside
+    :meth:`MergeFrontier.step`.
+    """
+    frontier = MergeFrontier(cursors)
+    while not frontier.done:
+        refills = frontier.take_refills()
+        if refills:
+            if serial_refills:
+                datas = []
+                for cursor in refills:
+                    datas.append(
+                        (yield cursor.refill_op(tag="MERGE read", threads=read_threads))
+                    )
+            else:
+                per_op = max(1, read_threads // len(refills))
+                datas = yield ParallelOps(
+                    [c.refill_op(tag="MERGE read", threads=per_op) for c in refills]
+                )
+            cpu_ops = [
+                op
+                for op in (c.accept(d) for c, d in zip(refills, datas))
+                if op is not None
+            ]
+            if cpu_ops:
+                # Frame decompression (compressed IndexMap runs only).
+                yield ParallelOps(cpu_ops)
+            frontier.note_refilled(refills)
+        emitted, ways = frontier.step()
+        yield machine.compute(
+            machine.host.merge_compare_seconds(emitted.shape[0], ways),
+            tag="MERGE other",
+            cores=1,
+        )
+        yield from on_batch(emitted)
+
+
+def window_bytes_per_run(read_buffer: int, n_runs: int, entry_size: int) -> int:
+    """Split the read buffer evenly among runs, aligned to entries."""
+    if n_runs < 1:
+        raise SimulationError("need at least one run")
+    per_run = read_buffer // n_runs
+    return max(entry_size, (per_run // entry_size) * entry_size)
+
+
+# ----------------------------------------------------------------------
+# Test oracle: the original full-scan formulation of the protocol.
+# ----------------------------------------------------------------------
+def merge_step(cursors: List[RunCursor]) -> Tuple[np.ndarray, int]:
+    """Emit one batch of globally-safe entries from the cursor set.
+
+    Preconditions: every non-done cursor has a non-empty window.
+    Returns ``(entries, ways)`` where ``entries`` is a key-sorted matrix
+    of emitted rows and ``ways`` the number of runs still participating
+    (for merge-cost accounting).  Raises if nothing can be emitted
+    (which the protocol makes impossible).
+    """
+    live = [c for c in cursors if c.remaining]
+    if not live:
+        return np.zeros((0, cursors[0].entry_size if cursors else 0), dtype=np.uint8), 0
+    emitted, ways, _emptied = _frontier_step(live)
+    return emitted, ways
+
 
 def redistribute_on_drain(cursors: List[RunCursor]) -> None:
     """Hand a freshly-drained cursor's buffer share to live neighbours.
@@ -615,11 +722,3 @@ def redistribute_on_drain(cursors: List[RunCursor]) -> None:
     share = ceil_div(freed_entries, len(live))
     for c in live:
         c.window_entries += share
-
-
-def window_bytes_per_run(read_buffer: int, n_runs: int, entry_size: int) -> int:
-    """Split the read buffer evenly among runs, aligned to entries."""
-    if n_runs < 1:
-        raise SimulationError("need at least one run")
-    per_run = read_buffer // n_runs
-    return max(entry_size, (per_run // entry_size) * entry_size)

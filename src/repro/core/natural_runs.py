@@ -22,10 +22,10 @@ from typing import TYPE_CHECKING, List, Tuple
 import numpy as np
 
 from repro.core.indexmap import IndexMap
-from repro.core.kway import RunCursor
+from repro.core.kway import RunCursor, window_bytes_per_run
 from repro.core.wiscsort import WiscSort
 from repro.device.profile import Pattern
-from repro.errors import SimulationError
+from repro.errors import ConfigError, SimulationError
 from repro.records.format import adjacent_order, key_columns, keys_ascending
 from repro.registry import register_system
 
@@ -130,15 +130,22 @@ class NaturalRunWiscSort(WiscSort):
         self.sorted_chunks = 0
         self._natural_regions: List[Tuple[int, int]] = []
 
+    def _check_checkpoint_config(self) -> None:
+        if self.checkpoint:
+            raise ConfigError(
+                "checkpointing is incompatible with natural-run elision "
+                "(which chunks were elided is state the manifest does not "
+                "describe, so recovery would merge them in twice)"
+            )
+
     # -- run phase ------------------------------------------------------
-    def _run_phase(self, machine, input_file, controller, n, chunk):
+    def _run_phase(self, machine, input_file, controller):
         fmt = self.fmt
         write_pool = controller.write_threads()
         read_pool = controller.read_threads(Pattern.RAND)
         run_names: List[str] = []
         self._natural_regions = []
-        for i, first in enumerate(range(0, n, chunk)):
-            count = min(chunk, n - first)
+        for run_name, _size, (first, count) in self._plan_runs(machine, input_file):
             keys = yield input_file.read_strided(
                 offset=first * fmt.record_size,
                 count=count,
@@ -163,61 +170,26 @@ class NaturalRunWiscSort(WiscSort):
             yield machine.sort_compute(
                 count, tag="RUN sort", cores=controller.sort_cores()
             )
-            run_name = f"{self.output_name}.indexmap.{i}"
-            run_file = machine.fs.create(run_name)
             run_names.append(run_name)
-            yield run_file.write(
+            yield machine.fs.create(run_name).write(
                 0, imap.sorted().to_bytes(), tag="RUN write", threads=write_pool
             )
         return run_names
 
     # -- merge phase ----------------------------------------------------
-    def _merge_cursors(self, machine, run_names, window):
+    def _final_cursors(self, machine, input_file, run_names):
+        """IndexMap runs plus one input-windowing cursor per natural
+        region, the read buffer split evenly among all of them."""
         fmt = self.fmt
-        cursors: List[RunCursor] = [
-            RunCursor(
-                machine.fs.open(name), fmt.index_entry_size, fmt.key_size, window
-            )
-            for name in run_names
-        ]
-        for first, count in self._natural_regions:
-            cursors.append(
-                NaturalRunCursor(
-                    self._input_file,
-                    first,
-                    count,
-                    fmt.record_size,
-                    fmt.key_size,
-                    fmt.pointer_size,
-                    window,
-                )
-            )
-        return cursors
-
-    def _merge_pass(self, machine, input_file, output, controller, n, chunk):
-        self._input_file = input_file
-        run_names = yield from self._run_phase(
-            machine, input_file, controller, n, chunk
-        )
-        if not run_names and not self._natural_regions:
-            return
-        yield from self._merge_phase(
-            machine, input_file, output, controller, run_names
-        )
-        for name in run_names:
-            machine.fs.delete(name)
-
-    def _merge_phase(self, machine, input_file, output, controller, run_names):
-        # Reuse the parent merge loop but with mixed cursor types: patch
-        # by temporarily overriding cursor construction.
-        from repro.core.kway import window_bytes_per_run
-
-        fmt = self.fmt
-        k = len(run_names) + len(self._natural_regions)
-        if k == 0:
-            return
         window = window_bytes_per_run(
-            self.config.read_buffer, k, fmt.index_entry_size
+            self.config.read_buffer,
+            len(run_names) + len(self._natural_regions),
+            fmt.index_entry_size,
         )
-        cursors = self._merge_cursors(machine, run_names, window)
-        yield from self._merge_loop(machine, input_file, output, controller, cursors)
+        return self._run_cursors(machine, run_names, window) + [
+            NaturalRunCursor(
+                input_file, first, count, fmt.record_size, fmt.key_size,
+                fmt.pointer_size, window,
+            )
+            for first, count in self._natural_regions
+        ]

@@ -49,6 +49,35 @@ def run_ops_parallel(machine: "Machine", ops: List[FluidOp]):
     return results
 
 
+def transfer_batch(
+    machine: "Machine",
+    model: ConcurrencyModel,
+    read_op: FluidOp,
+    make_write: Callable[[object], FluidOp],
+    overlapped: List,
+    name: str,
+):
+    """One produce/consume batch of a merge sink (yield from).
+
+    Like one iteration of :func:`pipelined_batches`, except that an
+    ``IO_OVERLAP`` write is left running -- its process is appended to
+    ``overlapped`` for the caller to ``Join`` when the merge ends --
+    because the producer between two batches is the merge loop itself,
+    not the next batch's read.
+    """
+    if model is ConcurrencyModel.NO_SYNC:
+        data = read_op.on_complete(read_op)
+        read_op.on_complete = None
+        yield from run_ops_parallel(machine, [read_op, make_write(data)])
+        return
+    data = yield read_op
+    write_op = make_write(data)
+    if model is ConcurrencyModel.IO_OVERLAP:
+        overlapped.append((yield Spawn(_op_runner(write_op), name)))
+    else:
+        yield write_op
+
+
 def pipelined_batches(
     machine: "Machine",
     model: ConcurrencyModel,

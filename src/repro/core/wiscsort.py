@@ -24,29 +24,23 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional
 
-import numpy as np
-
-from repro.core.base import ConcurrencyModel, SortConfig, SortSystem
+from repro.core.base import SortConfig
 from repro.core.controller import ThreadPoolController
 from repro.core.indexmap import IndexMap
 from repro.core.kway import (
-    MergeFrontier,
+    PendingRows,
     RunCursor,
-    merge_step,
-    redistribute_on_drain,
+    drive_merge,
     window_bytes_per_run,
 )
-from repro.core.recovery import (
-    CheckpointLog,
-    pack_entries,
-    unpack_entries,
-)
-from repro.core.scheduler import pipelined_batches, run_ops_parallel
+from repro.core.recovery import CheckpointedRunMergeSort, unpack_entries
+from repro.core.scheduler import pipelined_batches, transfer_batch
 from repro.device.profile import Pattern
-from repro.errors import ConfigError, RecoveryError
+from repro.errors import ConfigError
 from repro.records.format import RecordFormat
 from repro.records.validate import validate_sorted_file
 from repro.registry import register_system
+from repro.sim.engine import Join
 from repro.units import ceil_div
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -55,8 +49,13 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 @register_system("wiscsort")
-class WiscSort(SortSystem):
+class WiscSort(CheckpointedRunMergeSort):
     """The paper's sorting system for fixed-size records."""
+
+    _proc_name = "wiscsort"
+    _run_write_proc = "imap-write"
+    _inter_tag = "indexmerge"
+    _trace_phases = True
 
     def __init__(
         self,
@@ -68,6 +67,7 @@ class WiscSort(SortSystem):
         compression: Optional["CompressionModel"] = None,
         checkpoint: bool = False,
     ):
+        super().__init__(checkpoint)
         self.fmt = fmt if fmt is not None else RecordFormat()
         self.config = config if config is not None else SortConfig()
         self.force_merge_pass = force_merge_pass
@@ -75,21 +75,11 @@ class WiscSort(SortSystem):
         self.output_name = output_name
         #: Optional Sec 5 extension: compress IndexMap run files.
         self.compression = compression
-        #: Crash-consistent checkpointing (see repro.core.recovery): the
-        #: sort persists a manifest after every durable milestone and can
-        #: resume via :meth:`recover` after a simulated crash.  Off by
-        #: default -- with it off the op stream is identical to earlier
-        #: builds.
-        self.checkpoint = checkpoint
-        self._ckpt: Optional[CheckpointLog] = None
-        self._inter_seq = 0
-        #: Salvaged-vs-redone accounting of the last ``recover()`` call.
-        self.last_recovery: dict = {}
         self._run_frames: dict = {}
         self.achieved_compression_ratio: Optional[float] = None
         self.used_merge_pass: Optional[bool] = None
-        #: Number of merge phases M of the last run (0 for OnePass).
-        self.merge_passes: int = 0
+        #: Entries per IndexMap run, planned per sort (== n: OnePass).
+        self._chunk = 0
         mode = "merge" if force_merge_pass else "auto"
         self.name = f"wiscsort[{self.config.concurrency}:{mode}]"
 
@@ -124,19 +114,12 @@ class WiscSort(SortSystem):
         self._check_checkpoint_config()
         controller = ThreadPoolController(machine, self.config)
         output = machine.fs.create(self.output_name)
-        self._ckpt = (
-            CheckpointLog(machine.fs, self._manifest_name())
-            if self.checkpoint
-            else None
-        )
-        self._inter_seq = 0
-        chunk = self._plan_chunk(machine, n)
-        self.used_merge_pass = chunk < n
-        if not self.used_merge_pass:
+        self._arm_checkpoint(machine.fs)
+        if not self._plan_pass(machine, n):
             gen = self._one_pass(machine, input_file, output, controller, n)
             name = "wiscsort-onepass"
         else:
-            gen = self._merge_pass(machine, input_file, output, controller, n, chunk)
+            gen = self._run_then_merge(machine, input_file, output, controller)
             name = "wiscsort-mergepass"
         return gen, output, name
 
@@ -151,24 +134,20 @@ class WiscSort(SortSystem):
         yield from gen
         return output
 
-    def _manifest_name(self) -> str:
-        return f"{self.output_name}.manifest"
-
     def _check_checkpoint_config(self) -> None:
-        if not self.checkpoint:
-            return
-        if self.compression is not None:
+        if self.checkpoint and self.compression is not None:
             raise ConfigError(
                 "checkpointing is incompatible with IndexMap compression "
                 "(run-file sizes are no longer predictable, so torn runs "
                 "cannot be told apart from complete ones)"
             )
-        if self.config.concurrency is not ConcurrencyModel.NO_IO_OVERLAP:
-            raise ConfigError(
-                "checkpointing requires the no-io-overlap concurrency "
-                "model: a checkpoint must only commit after the writes it "
-                "describes are durable"
-            )
+        super()._check_checkpoint_config()
+
+    def _plan_pass(self, machine: "Machine", n: int) -> bool:
+        """Fix the chunking of this sort; True selects MergePass."""
+        self._chunk = self._plan_chunk(machine, n)
+        self.used_merge_pass = self._chunk < n
+        return self.used_merge_pass
 
     def _plan_chunk(self, machine: "Machine", n: int) -> int:
         """Entries per IndexMap chunk; == n selects OnePass."""
@@ -198,7 +177,6 @@ class WiscSort(SortSystem):
     # ------------------------------------------------------------------
     def _one_pass(self, machine, input_file, output, controller, n: int,
                   start_records: int = 0):
-        fmt = self.fmt
         if n == 0:
             return
         with machine.trace_span("phase:onepass", records=n):
@@ -209,8 +187,7 @@ class WiscSort(SortSystem):
                 machine, input_file, output, controller, imap,
                 skip_records=start_records,
             )
-            if self._ckpt is not None:
-                yield from self._ckpt.save({"phase": "done"})
+            yield from self._commit({"phase": "done"})
 
     def _load_sorted_chunk(self, machine, input_file, controller, first_record, count):
         """Steps 1-2: strided key gather + concurrent in-place sort."""
@@ -279,7 +256,7 @@ class WiscSort(SortSystem):
                 for start in starts:
                     data = yield produce(start)
                     yield consume(start, data)
-                    yield from self._ckpt.save(
+                    yield from self._commit(
                         {
                             "phase": "onepass",
                             "out_records": min(n, start + batch_records),
@@ -292,219 +269,107 @@ class WiscSort(SortSystem):
     # ------------------------------------------------------------------
     # MergePass
     # ------------------------------------------------------------------
-    def _merge_pass(self, machine, input_file, output, controller, n, chunk):
-        run_names = yield from self._run_phase(
-            machine, input_file, controller, n, chunk
-        )
-        yield from self._merge_tail(
-            machine, input_file, output, controller, run_names
-        )
+    @property
+    def _merge_entry_size(self) -> int:
+        return self.fmt.index_entry_size
 
-    def _merge_tail(self, machine, input_file, output, controller, run_names):
-        """Intermediate merge rounds + the final value-gathering merge.
-
-        Entered both by a normal MergePass run (after the run phase) and
-        by crash recovery (with the manifest's surviving run set).
-        """
-        from repro.core.multipass import grouped, max_fanin, merge_rounds
-
-        # Multiple merge phases (Sec 2.1) when the IndexMap run count
-        # exceeds the read buffer's fan-in.  Intermediate phases merge
-        # *entries only* -- values are gathered exactly once, in the
-        # final phase, which is key-value separation's second dividend.
-        fanin = max_fanin(self.config.read_buffer, self.fmt.index_entry_size)
-        self.merge_passes = merge_rounds(len(run_names), fanin)
-        if len(run_names) > fanin:
-            with machine.trace_span(
-                "phase:intermediate-merge", runs=len(run_names), fanin=fanin
-            ):
-                while len(run_names) > fanin:
-                    next_names: List[str] = []
-                    groups = list(grouped(run_names, fanin))
-                    for gi, group in enumerate(groups):
-                        if len(group) == 1:
-                            next_names.append(group[0])
-                            continue
-                        inter_name = self._next_inter_name(machine.fs)
-                        machine.fs.create(inter_name)
-                        yield from self._merge_entries_to(
-                            machine, machine.fs.open(inter_name), controller,
-                            group,
-                        )
-                        next_names.append(inter_name)
-                        if self._ckpt is not None:
-                            # Commit the new live set *before* deleting
-                            # the merged inputs: a crash in between
-                            # leaves both, and recovery discards
-                            # whatever the manifest disowns.
-                            live = next_names + [
-                                nm for g in groups[gi + 1 :] for nm in g
-                            ]
-                            yield from self._ckpt.save(
-                                {"phase": "intermediate", "run_names": live}
-                            )
-                        for name in group:
-                            machine.fs.delete(name)
-                    run_names = next_names
-        if self._ckpt is not None:
-            yield from self._ckpt.save(
-                {
-                    "phase": "merge",
-                    "run_names": list(run_names),
-                    "out_records": 0,
-                    "consumed": [0] * len(run_names),
-                    "residual": "",
-                }
+    def _plan_runs(self, machine, input_file):
+        """One IndexMap run per ``_chunk`` records of the input."""
+        n = input_file.size // self.fmt.record_size
+        entry = self.fmt.index_entry_size
+        plan = []
+        for i, first in enumerate(range(0, n, self._chunk)):
+            count = min(self._chunk, n - first)
+            plan.append(
+                (f"{self.output_name}.indexmap.{i}", count * entry, (first, count))
             )
-        yield from self._merge_phase(
-            machine, input_file, output, controller, run_names
+        return plan
+
+    def _build_run(self, machine, input_file, controller, name, spec):
+        """Steps 1, 2 and 5 for one chunk."""
+        imap = yield from self._load_sorted_chunk(
+            machine, input_file, controller, *spec
         )
+        run_file = machine.fs.create(name)
+        payload = imap.to_bytes()
+        if self.compression is not None:
+            from repro.core.compression import CompressedRunWriter
+
+            raw_bytes = payload.size
+            payload, frames, ratio = CompressedRunWriter(
+                self.compression
+            ).build_frames(payload, self.fmt.index_entry_size)
+            self._run_frames[name] = frames
+            self.achieved_compression_ratio = ratio
+            yield machine.compute(
+                self.compression.compress_seconds(raw_bytes),
+                tag="RUN compress",
+                cores=controller.sort_cores(),
+            )
+        return run_file.write(
+            0, payload, tag="RUN write", threads=controller.write_threads()
+        )
+
+    def _run_cursors(self, machine, run_names, window) -> List[RunCursor]:
+        """A cursor per IndexMap run, compressed or plain."""
+        fmt = self.fmt
+        entry = fmt.index_entry_size
+        cursors: List[RunCursor] = []
         for name in run_names:
-            machine.fs.delete(name)
-        if self._ckpt is not None:
-            yield from self._ckpt.save({"phase": "done"})
+            if name in self._run_frames:  # written compressed
+                from repro.core.compression import CompressedRunCursor
 
-    def _next_inter_name(self, fs) -> str:
-        """A fresh intermediate-run name (never reused across recoveries,
-        so a torn intermediate file can't collide with a survivor)."""
-        self._inter_seq += 1
-        name = f"{self.output_name}.indexmerge.{self._inter_seq}"
-        while fs.exists(name):
-            self._inter_seq += 1
-            name = f"{self.output_name}.indexmerge.{self._inter_seq}"
-        return name
+                cursors.append(
+                    CompressedRunCursor(
+                        machine.fs.open(name), self._run_frames[name], entry,
+                        fmt.key_size, machine, self.compression,
+                    )
+                )
+            else:
+                cursors.append(
+                    RunCursor(machine.fs.open(name), entry, fmt.key_size, window)
+                )
+        return cursors
 
-    def _merge_entries_to(self, machine, out_file, controller, run_names):
+    def _final_cursors(self, machine, input_file, run_names) -> List[RunCursor]:
+        """The final merge's cursor fleet, read buffer split evenly."""
+        window = window_bytes_per_run(
+            self.config.read_buffer, len(run_names), self.fmt.index_entry_size
+        )
+        return self._run_cursors(machine, run_names, window)
+
+    def _merge_group(self, machine, input_file, controller, group, out_file):
         """Intermediate merge phase: merge IndexMap runs entry-wise.
 
         No value gathering happens here -- only key-pointer entries
-        stream through the read buffer and out to the intermediate run.
+        stream through the read buffer and out to the intermediate run;
+        values are gathered exactly once, in the final phase, which is
+        key-value separation's second dividend.
         """
-        fmt = self.fmt
-        entry = fmt.index_entry_size
-        window = window_bytes_per_run(self.config.read_buffer, len(run_names), entry)
-        cursors = [self._make_cursor(machine, name, window) for name in run_names]
-        read_pool = controller.read_threads(Pattern.SEQ)
+        entry = self.fmt.index_entry_size
+        window = window_bytes_per_run(self.config.read_buffer, len(group), entry)
         write_pool = controller.write_threads()
-        flush_bytes = self.config.write_buffer
-        pending: List[np.ndarray] = []
-        pending_bytes = 0
-        while any(not c.done for c in cursors):
-            refills = [c for c in cursors if c.needs_refill]
-            if refills:
-                per_op = max(1, read_pool // len(refills))
-                ops = [c.refill_op(tag="MERGE read", threads=per_op) for c in refills]
-                datas = yield from run_ops_parallel(machine, ops)
-                cpu_ops = []
-                for cursor, data in zip(refills, datas):
-                    cpu_op = cursor.accept(data)
-                    if cpu_op is not None:
-                        cpu_ops.append(cpu_op)
-                if cpu_ops:
-                    yield from run_ops_parallel(machine, cpu_ops)
-            emitted, ways = merge_step(cursors)
-            if emitted.shape[0]:
-                yield machine.compute(
-                    machine.host.merge_compare_seconds(emitted.shape[0], ways),
-                    tag="MERGE other",
-                    cores=1,
+        pending = PendingRows(entry)
+
+        def flush():
+            if pending.count:
+                yield out_file.append(
+                    pending.pop(pending.count).reshape(-1), tag="MERGE write",
+                    threads=write_pool,
                 )
-                pending.append(emitted)
-                pending_bytes += emitted.size
-                if pending_bytes >= flush_bytes:
-                    flat = np.concatenate(pending, axis=0)
-                    pending, pending_bytes = [], 0
-                    yield out_file.append(
-                        flat.reshape(-1), tag="MERGE write", threads=write_pool
-                    )
-            redistribute_on_drain(cursors)
-        if pending:
-            flat = np.concatenate(pending, axis=0)
-            yield out_file.append(
-                flat.reshape(-1), tag="MERGE write", threads=write_pool
-            )
 
-    def _make_cursor(self, machine, name, window):
-        """A cursor for one IndexMap run, compressed or plain."""
-        fmt = self.fmt
-        entry = fmt.index_entry_size
-        if self.compression is not None and name in self._run_frames:
-            from repro.core.compression import CompressedRunCursor
+        def sink(emitted):
+            pending.push(emitted)
+            if pending.count * entry >= self.config.write_buffer:
+                yield from flush()
 
-            return CompressedRunCursor(
-                machine.fs.open(name),
-                self._run_frames[name],
-                entry,
-                fmt.key_size,
-                machine,
-                self.compression,
-            )
-        return RunCursor(machine.fs.open(name), entry, fmt.key_size, window)
+        yield from drive_merge(
+            machine, self._run_cursors(machine, group, window),
+            controller.read_threads(Pattern.SEQ), sink,
+        )
+        yield from flush()
 
-    def _run_phase(self, machine, input_file, controller, n, chunk):
-        """Steps 1, 2 and 5 repeated per chunk."""
-        fmt = self.fmt
-        write_pool = controller.write_threads()
-        run_names: List[str] = []
-        firsts = list(range(0, n, chunk))
-        model = self.config.concurrency
-        pending_write = None
-        with machine.trace_span("phase:run-generation", chunks=len(firsts)):
-            for i, first in enumerate(firsts):
-                count = min(chunk, n - first)
-                imap = yield from self._load_sorted_chunk(
-                    machine, input_file, controller, first, count
-                )
-                run_name = f"{self.output_name}.indexmap.{i}"
-                run_file = machine.fs.create(run_name)
-                run_names.append(run_name)
-                payload = imap.to_bytes()
-                if self.compression is not None:
-                    from repro.core.compression import CompressedRunWriter
-
-                    writer = CompressedRunWriter(self.compression)
-                    raw_bytes = payload.size
-                    payload, frames, ratio = writer.build_frames(
-                        payload, fmt.index_entry_size
-                    )
-                    self._run_frames[run_name] = frames
-                    self.achieved_compression_ratio = ratio
-                    yield machine.compute(
-                        self.compression.compress_seconds(raw_bytes),
-                        tag="RUN compress",
-                        cores=controller.sort_cores(),
-                    )
-                write_op = run_file.write(
-                    0, payload, tag="RUN write", threads=write_pool
-                )
-                if model is not ConcurrencyModel.NO_IO_OVERLAP:
-                    # IO_OVERLAP: deliberately overlap this chunk's
-                    # IndexMap write with the next chunk's key gather.
-                    # NO_SYNC: uncoordinated workers overlap phases the
-                    # same way (straggler writes under neighbour reads).
-                    from repro.sim.engine import Join, Spawn
-                    from repro.core.scheduler import _op_runner
-
-                    if pending_write is not None:
-                        yield Join(pending_write)
-                    pending_write = yield Spawn(_op_runner(write_op), "imap-write")
-                else:
-                    yield write_op
-                    if self._ckpt is not None:
-                        yield from self._ckpt.save(
-                            {
-                                "phase": "run",
-                                "runs_done": len(run_names),
-                                "n_runs": len(firsts),
-                            }
-                        )
-            if pending_write is not None:
-                from repro.sim.engine import Join
-
-                yield Join(pending_write)
-        return run_names
-
-    def _merge_phase(self, machine, input_file, output, controller, run_names,
+    def _final_merge(self, machine, input_file, output, controller, run_names,
                      resume=None):
         """Steps 6-9: cursor merge + offset queue + batched gathers.
 
@@ -513,313 +378,83 @@ class WiscSort(SortSystem):
         count and the taken-but-unflushed residual entries.
         """
         fmt = self.fmt
-        entry = fmt.index_entry_size
-        k = len(run_names)
-        window = window_bytes_per_run(self.config.read_buffer, k, entry)
-        cursors = [self._make_cursor(machine, name, window) for name in run_names]
+        rec = fmt.record_size
+        cursors = self._final_cursors(machine, input_file, run_names)
+        pending = PendingRows(fmt.index_entry_size)
+        out_records = 0
         if resume is not None:
             for cursor, consumed in zip(cursors, resume["consumed"]):
                 cursor.skip_entries(consumed)
-        with machine.trace_span("phase:final-merge", fanin=k):
-            yield from self._merge_loop(
-                machine, input_file, output, controller, cursors,
-                run_names=run_names, resume=resume,
+            pending.push(
+                unpack_entries(resume.get("residual", ""), fmt.index_entry_size)
             )
-
-    def _merge_loop(self, machine, input_file, output, controller, cursors,
-                    run_names=None, resume=None):
-        """The cursor-driven merge over any mix of run cursors."""
-        fmt = self.fmt
-        entry = fmt.index_entry_size
-        read_pool = controller.read_threads(Pattern.SEQ)
+            out_records = resume["out_records"]
         gather_pool = controller.read_threads(Pattern.RAND)
         write_pool = controller.write_threads()
-        model = self.config.concurrency
-        queue_capacity = max(1, self.config.write_buffer // fmt.record_size)
-        pending_entries: List[np.ndarray] = []
-        pending_count = 0
-        out_offset = 0
-        if resume is not None:
-            residual = unpack_entries(resume["residual"], entry)
-            if residual.shape[0]:
-                pending_entries = [residual]
-                pending_count = residual.shape[0]
-            out_offset = resume["out_records"] * fmt.record_size
+        queue_capacity = max(1, self.config.write_buffer // rec)
+        overlap_writes: List = []
 
-        def flush_batches(final: bool):
-            """Generator: drain full offset-queue batches to the output."""
-            nonlocal pending_entries, pending_count, out_offset
-            while pending_count >= queue_capacity or (final and pending_count):
-                take = queue_capacity if pending_count >= queue_capacity else pending_count
-                flat = np.concatenate(pending_entries, axis=0)
-                batch, rest = flat[:take], flat[take:]
-                pending_entries = [rest] if rest.shape[0] else []
-                pending_count = rest.shape[0]
+        def flush(final: bool = False):
+            """Drain full offset-queue batches to the output."""
+            nonlocal out_records
+            for batch in pending.batches(queue_capacity, final):
                 imap = IndexMap.from_bytes(
                     batch.reshape(-1), fmt.key_size, fmt.pointer_size
                 )
-                gather_op = input_file.read_gather(
-                    imap.pointers, fmt.record_size, tag="RECORD read",
-                    threads=gather_pool,
+                write_at = out_records * rec
+                out_records += batch.shape[0]
+                yield from transfer_batch(
+                    machine,
+                    self.config.concurrency,
+                    input_file.read_gather(
+                        imap.pointers, rec, tag="RECORD read", threads=gather_pool
+                    ),
+                    lambda data: output.write(
+                        write_at, data.reshape(-1), tag="MERGE write",
+                        threads=write_pool,
+                    ),
+                    overlap_writes,
+                    "merge-write",
                 )
-                write_at = out_offset
-                out_offset += take * fmt.record_size
-
-                if model is ConcurrencyModel.NO_IO_OVERLAP:
-                    data = yield gather_op
-                    yield output.write(
-                        write_at, data.reshape(-1), tag="MERGE write",
-                        threads=write_pool,
-                    )
-                    if self._ckpt is not None and run_names is not None:
-                        # Consistent snapshot: per-cursor consumption
-                        # covers both the durable output and the residual
-                        # (taken-but-unflushed) entries saved alongside.
-                        rest_flat = (
-                            np.concatenate(pending_entries, axis=0)
-                            if pending_entries
-                            else np.zeros((0, entry), dtype=np.uint8)
+                if self._ckpt is not None:
+                    yield from self._ckpt.save(
+                        self._merge_checkpoint(
+                            run_names, out_records, cursors, pending
                         )
-                        yield from self._ckpt.save(
-                            {
-                                "phase": "merge",
-                                "run_names": list(run_names),
-                                "out_records": out_offset // fmt.record_size,
-                                "consumed": [c.taken for c in cursors],
-                                "residual": pack_entries(rest_flat),
-                            }
-                        )
-                elif model is ConcurrencyModel.IO_OVERLAP:
-                    data = yield gather_op
-                    write_op = output.write(
-                        write_at, data.reshape(-1), tag="MERGE write",
-                        threads=write_pool,
                     )
-                    # Write proceeds while the loop returns to produce
-                    # the next batch; collected by the caller.
-                    from repro.core.scheduler import _op_runner
-                    from repro.sim.engine import Spawn
 
-                    proc = yield Spawn(_op_runner(write_op), "merge-write")
-                    overlap_writes.append(proc)
-                else:  # NO_SYNC: gather and write the same batch overlap
-                    data = gather_op.on_complete(gather_op)
-                    gather_op.on_complete = None
-                    write_op = output.write(
-                        write_at, data.reshape(-1), tag="MERGE write",
-                        threads=write_pool,
-                    )
-                    yield from run_ops_parallel(machine, [gather_op, write_op])
+        def sink(emitted):
+            # Step 7's min-finding is charged by the driver; enqueue the
+            # pointers and gather once the offset queue fills (step 8).
+            pending.push(emitted)
+            return flush()
 
-        overlap_writes: List = []
-        # The frontier replaces the per-iteration O(k) cursor scans
-        # (done/needs_refill/redistribute filters) with incremental
-        # bookkeeping; the op sequence it produces is identical.
-        frontier = MergeFrontier(cursors)
-        while not frontier.done:
-            refills = frontier.take_refills()
-            if refills:
-                per_op_threads = max(1, read_pool // len(refills))
-                ops = [
-                    c.refill_op(tag="MERGE read", threads=per_op_threads)
-                    for c in refills
-                ]
-                datas = yield from run_ops_parallel(machine, ops)
-                cpu_ops = []
-                for cursor, data in zip(refills, datas):
-                    cpu_op = cursor.accept(data)
-                    if cpu_op is not None:
-                        cpu_ops.append(cpu_op)
-                if cpu_ops:
-                    # Frame decompression (compressed IndexMap runs only).
-                    yield from run_ops_parallel(machine, cpu_ops)
-                frontier.note_refilled(refills)
-            emitted, ways = frontier.step()
-            if emitted.shape[0] == 0:
-                continue
-            # Step 7: single-threaded min-finding / enqueueing cost.
-            yield machine.compute(
-                machine.host.merge_compare_seconds(emitted.shape[0], ways),
-                tag="MERGE other",
-                cores=1,
+        with machine.trace_span("phase:final-merge", fanin=len(cursors)):
+            yield from drive_merge(
+                machine, cursors, controller.read_threads(Pattern.SEQ), sink
             )
-            pending_entries.append(emitted)
-            pending_count += emitted.shape[0]
-            yield from flush_batches(final=False)
-        yield from flush_batches(final=True)
-        if overlap_writes:
-            from repro.sim.engine import Join
-
-            yield Join(overlap_writes)
+            yield from flush(final=True)
+            if overlap_writes:
+                yield Join(overlap_writes)
 
     # ------------------------------------------------------------------
-    # Crash recovery
+    # Crash recovery (the state machine lives in CheckpointedRunMergeSort)
     # ------------------------------------------------------------------
-    def _execute_recover(self, machine: "Machine", input_file: "SimFile"):
-        """Resume after a :class:`~repro.errors.SimulatedCrash`.
-
-        Loads the last committed manifest, classifies every on-device
-        artifact as salvageable (complete per the durability rules in
-        DESIGN.md) or torn (discarded and redone), and re-enters the sort
-        at the furthest checkpointed point.  Repeated crashes during
-        recovery are safe: every path below is itself checkpointed.
-        """
-        if not self.checkpoint:
-            raise RecoveryError(
-                f"{self.name}: recovery requires checkpoint=True"
-            )
-        self._check_checkpoint_config()
-        fmt = self.fmt
-        fs = machine.fs
-        n = input_file.size // fmt.record_size
-        controller = ThreadPoolController(machine, self.config)
-        output = (
-            fs.open(self.output_name)
-            if fs.exists(self.output_name)
-            else fs.create(self.output_name)
-        )
-        self._ckpt = CheckpointLog(fs, self._manifest_name())
-        state = self._ckpt.load()
+    def _recover_without_runs(self, machine, input_file, output, controller,
+                              state, metrics):
+        """OnePass wrote no runs: redo the cheap key gather and sort,
+        resume the output after its last durable batch."""
+        rec = self.fmt.record_size
+        n = input_file.size // rec
         # Same machine configuration => same OnePass/MergePass decision
         # and chunking as the crashed run.
-        chunk = self._plan_chunk(machine, n)
-        self.used_merge_pass = chunk < n
-        self.last_recovery = metrics = {
-            "salvaged_bytes": 0,
-            "redone_bytes": 0,
-            "salvaged_runs": 0,
-            "redone_runs": 0,
-        }
-        machine.run(
-            self._recover_driver(
-                machine, input_file, output, controller, n, chunk, state, metrics
-            ),
-            name="wiscsort-recover",
+        if self._plan_pass(machine, n):
+            return None
+        out_records = state["out_records"] if state.get("phase") == "onepass" else 0
+        self._keep_prefix(output, out_records * rec, metrics)
+        return self._one_pass(
+            machine, input_file, output, controller, n, start_records=out_records
         )
-        return output
-
-    def _recover_driver(self, machine, input_file, output, controller, n,
-                        chunk, state, metrics):
-        with machine.trace_span(
-            "phase:recover", checkpoint=state.get("phase") if state else None
-        ):
-            yield from self._recover_body(
-                machine, input_file, output, controller, n, chunk, state,
-                metrics,
-            )
-
-    def _recover_body(self, machine, input_file, output, controller, n,
-                      chunk, state, metrics):
-        fmt = self.fmt
-        fs = machine.fs
-        phase = state.get("phase") if state else None
-        if phase == "done":
-            # Crashed after the sort completed (e.g. during validation):
-            # the whole output is durable.
-            metrics["salvaged_bytes"] += output.size
-            return
-        if not self.used_merge_pass:
-            out_records = state["out_records"] if phase == "onepass" else 0
-            keep = out_records * fmt.record_size
-            if output.size > keep:
-                metrics["redone_bytes"] += output.size - keep
-                output.truncate(keep)
-            metrics["salvaged_bytes"] += keep
-            yield from self._one_pass(
-                machine, input_file, output, controller, n,
-                start_records=out_records,
-            )
-            return
-        if phase == "merge":
-            run_names = state["run_names"]
-            metrics["redone_bytes"] += self._drop_strays(fs, run_names)
-            keep = state["out_records"] * fmt.record_size
-            if output.size > keep:
-                metrics["redone_bytes"] += output.size - keep
-                output.truncate(keep)
-            metrics["salvaged_bytes"] += keep
-            for name in run_names:
-                metrics["salvaged_bytes"] += fs.open(name).size
-            metrics["salvaged_runs"] += len(run_names)
-            resume = {
-                "consumed": state["consumed"],
-                "out_records": state["out_records"],
-                "residual": state.get("residual", ""),
-            }
-            yield from self._merge_phase(
-                machine, input_file, output, controller, run_names,
-                resume=resume,
-            )
-            for name in run_names:
-                fs.delete(name)
-            yield from self._ckpt.save({"phase": "done"})
-            return
-        if phase == "intermediate":
-            run_names = state["run_names"]
-            metrics["redone_bytes"] += self._drop_strays(fs, run_names)
-            if output.size:
-                metrics["redone_bytes"] += output.size
-                output.truncate(0)
-            for name in run_names:
-                metrics["salvaged_bytes"] += fs.open(name).size
-            metrics["salvaged_runs"] += len(run_names)
-            yield from self._merge_tail(
-                machine, input_file, output, controller, run_names
-            )
-            return
-        # phase is "run" or None: salvage complete IndexMap runs by their
-        # expected exact size (torn writes are strict prefixes, so a
-        # full-size run file is known complete) and rebuild the rest.
-        entry = fmt.index_entry_size
-        if output.size:
-            metrics["redone_bytes"] += output.size
-            output.truncate(0)
-        firsts = list(range(0, n, chunk))
-        run_names: List[str] = []
-        write_pool = controller.write_threads()
-        for i, first in enumerate(firsts):
-            count = min(chunk, n - first)
-            name = f"{self.output_name}.indexmap.{i}"
-            expected = count * entry
-            run_names.append(name)
-            if fs.exists(name) and fs.open(name).size == expected:
-                metrics["salvaged_bytes"] += expected
-                metrics["salvaged_runs"] += 1
-                continue
-            if fs.exists(name):
-                metrics["redone_bytes"] += fs.open(name).size
-                fs.delete(name)
-            metrics["redone_bytes"] += expected
-            metrics["redone_runs"] += 1
-            imap = yield from self._load_sorted_chunk(
-                machine, input_file, controller, first, count
-            )
-            run_file = fs.create(name)
-            yield run_file.write(
-                0, imap.to_bytes(), tag="RUN write", threads=write_pool
-            )
-            yield from self._ckpt.save(
-                {"phase": "run", "runs_done": i + 1, "n_runs": len(firsts)}
-            )
-        yield from self._merge_tail(
-            machine, input_file, output, controller, run_names
-        )
-
-    def _drop_strays(self, fs, live) -> int:
-        """Delete artifacts the manifest disowns (torn intermediates,
-        already-merged inputs whose delete didn't happen before the
-        crash).  Returns the byte total dropped."""
-        keep = set(live)
-        keep.update(
-            (self.output_name, self._manifest_name(), self._ckpt.tmp_name)
-        )
-        prefix = self.output_name + "."
-        dropped = 0
-        for name in list(fs.list()):
-            if name.startswith(prefix) and name not in keep:
-                dropped += fs.open(name).size
-                fs.delete(name)
-        return dropped
 
 
 @register_system("wiscsort-merge")

@@ -21,7 +21,7 @@ lazily so lookups work regardless of what the caller imported first.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, Mapping, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 from repro.errors import ConfigError, UnknownSystemError
 
@@ -151,39 +151,10 @@ def create_system(name: str, fmt=None, config=None):
 
 
 def available(kind: str = "system") -> Tuple[str, ...]:
-    """Sorted names registered under ``kind`` (system/experiment/profile)."""
+    """Sorted names registered under ``kind`` (system/experiment/profile/
+    policy) -- what the CLI offers as ``choices=``."""
     if kind not in _KINDS:
         raise ConfigError(f"unknown registry kind {kind!r}; use {sorted(_KINDS)}")
     _ensure_builtins()
     return tuple(sorted(_KINDS[kind]))
 
-
-class RegistryView(Mapping):
-    """Read-only mapping view over one registry kind.
-
-    Keeps the historical ``SYSTEMS`` / ``EXPERIMENTS`` dict-style names
-    importable from :mod:`repro.cli` while the registry stays the single
-    source of truth.
-    """
-
-    def __init__(self, kind: str):
-        if kind not in _KINDS:
-            raise ConfigError(f"unknown registry kind {kind!r}")
-        self._kind = kind
-
-    def __getitem__(self, name: str) -> Callable:
-        return _lookup(self._kind, name)
-
-    def __contains__(self, name: object) -> bool:
-        # Mapping's default __contains__ expects KeyError from
-        # __getitem__, but lookups raise UnknownSystemError.
-        return name in available(self._kind)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(available(self._kind))
-
-    def __len__(self) -> int:
-        return len(available(self._kind))
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"RegistryView({self._kind}: {', '.join(available(self._kind))})"

@@ -33,7 +33,7 @@ def build_runs(machine, runs_data, entry_size):
     return files
 
 
-def drive_merge(machine, files, entry_size, key_size, window_bytes):
+def drive_oracle(machine, files, entry_size, key_size, window_bytes):
     """Run the full cursor protocol; return the merged entry matrix."""
     cursors = [
         RunCursor(f, entry_size, key_size, window_bytes) for f in files
@@ -89,7 +89,7 @@ class TestMergeCorrectness:
         machine = Machine(profile=pmem)
         files = build_runs(machine, runs, entry_size)
         window_bytes = max(entry_size, window)
-        merged = drive_merge(machine, files, entry_size, key_size, window_bytes)
+        merged = drive_oracle(machine, files, entry_size, key_size, window_bytes)
         everything = (
             np.concatenate([r for r in runs], axis=0)
             if any(r.size for r in runs)
@@ -106,7 +106,7 @@ class TestMergeCorrectness:
         machine = Machine(profile=pmem)
         run = np.array([[1, 10], [2, 20], [3, 30]], dtype=np.uint8)
         files = build_runs(machine, [run], 2)
-        merged = drive_merge(machine, files, 2, 1, window_bytes=4)
+        merged = drive_oracle(machine, files, 2, 1, window_bytes=4)
         assert np.array_equal(merged, run)
 
     def test_tiny_windows_still_correct(self, pmem):
@@ -117,7 +117,7 @@ class TestMergeCorrectness:
             mat = rng.integers(0, 256, size=(40, 5), dtype=np.uint8)
             runs.append(mat[key_sort_indices(mat[:, :2])])
         files = build_runs(machine, runs, 5)
-        merged = drive_merge(machine, files, 5, 2, window_bytes=5)  # 1 entry!
+        merged = drive_oracle(machine, files, 5, 2, window_bytes=5)  # 1 entry!
         keys = [bytes(r[:2]) for r in merged]
         assert keys == sorted(keys)
         assert merged.shape[0] == 120

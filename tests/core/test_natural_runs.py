@@ -12,11 +12,15 @@ from repro.core.natural_runs import (
     find_natural_runs,
     sortedness,
 )
+from repro.core.base import SortConfig
 from repro.core.wiscsort import WiscSort
 from repro.device.profiles import bard_device_profile
+from repro.errors import ConfigError
+from repro.faults import parse_fault_spec, run_with_faults
 from repro.machine import Machine
 from repro.records.format import RecordFormat, record_sort_indices
 from repro.records.gensort import generate_dataset
+from repro.units import KiB
 
 
 def presorted_dataset(machine, n, fraction, fmt, seed=3):
@@ -152,3 +156,46 @@ class TestNaturalRunWiscSort:
         assert system.natural_chunks >= 1
         assert system.sorted_chunks >= 1
         assert system.natural_chunks + system.sorted_chunks == 4
+
+
+class TestCheckpointRejected:
+    """Natural-run elision keeps state (which chunks were elided) the
+    checkpoint manifest does not describe.  Before this was rejected, a
+    crash on partly presorted input recovered by rebuilding *every*
+    chunk as an IndexMap run and then merging the surviving natural
+    regions in again: 29,000 output records for 20,000 input."""
+
+    @staticmethod
+    def system():
+        return NaturalRunWiscSort(
+            RecordFormat(),
+            config=SortConfig(read_buffer=96 * KiB, write_buffer=8 * KiB),
+            force_merge_pass=True,
+            merge_chunk_entries=1_500,
+            checkpoint=True,
+        )
+
+    @pytest.mark.parametrize("at_op", [40, 80, 120])
+    def test_crash_on_presorted_prefix_is_a_config_error(self, pmem, at_op):
+        machine = Machine(profile=pmem)
+        data = presorted_dataset(machine, 20_000, 0.5, RecordFormat())
+        with pytest.raises(ConfigError, match="natural-run elision"):
+            run_with_faults(
+                self.system(), machine, data,
+                plan=parse_fault_spec(f"crash@op:{at_op}"),
+            )
+        assert not machine.fs.exists("wiscsort.out")
+
+    def test_recover_is_rejected_too(self, pmem):
+        machine = Machine(profile=pmem)
+        data = presorted_dataset(machine, 2_000, 0.5, RecordFormat())
+        with pytest.raises(ConfigError, match="natural-run elision"):
+            self.system().recover(machine, data)
+
+    def test_plain_runs_unaffected(self, pmem):
+        machine = Machine(profile=pmem)
+        data = presorted_dataset(machine, 20_000, 0.5, RecordFormat())
+        system = self.system()
+        system.checkpoint = False
+        assert system.run(machine, data).n_records == 20_000
+        assert system.natural_chunks >= 6

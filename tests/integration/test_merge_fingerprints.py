@@ -1,0 +1,189 @@
+"""Frozen fingerprints of every merge-based system's merge path.
+
+ISSUE 14 routes six formerly hand-copied k-way merge loops through
+``repro.core.kway.drive_merge`` and two crash-recovery state machines
+through ``repro.core.recovery``.  The simulated results must not move:
+this table pins ``repr(total_time)``, internal byte counters, per-tag
+busy times and the output SHA-256 of each path that
+``BENCH_selfperf.json`` (WiscSort only) does not already freeze, plus
+the ``last_recovery`` accounting of checkpointed sorts crashed at fixed
+fractions of their op stream.
+
+The frozen values live in ``merge_fingerprints.json`` next to this
+file; they were captured at the commit *before* the refactor.  Re-capture
+(only when a simulated-result change is intended and explained)::
+
+    PYTHONPATH=src python tests/integration/test_merge_fingerprints.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.baselines.external_merge_sort import ExternalMergeSort
+from repro.baselines.pmsort import PMSort, PMSortPlus
+from repro.core.base import ConcurrencyModel, SortConfig
+from repro.core.compression import CompressionModel
+from repro.core.klv_sort import WiscSortKLV
+from repro.core.natural_runs import NaturalRunWiscSort
+from repro.core.wiscsort import WiscSort
+from repro.faults import FaultPlan, parse_fault_spec, run_with_faults
+from repro.machine import Machine
+from repro.records.format import RecordFormat, record_sort_indices
+from repro.records.gensort import generate_dataset
+from repro.records.klv import KLVFormat, generate_klv_dataset
+from repro.units import KiB
+
+FROZEN_PATH = Path(__file__).with_name("merge_fingerprints.json")
+FMT = RecordFormat()
+N_RECORDS = 30_000
+N_KLV = 8_000
+SEED = 5
+MODELS = {m.value: m for m in ConcurrencyModel}
+
+
+def _config(read_kib, write_kib, model="no-io-overlap"):
+    return SortConfig(
+        read_buffer=read_kib * KiB,
+        write_buffer=write_kib * KiB,
+        concurrency=MODELS[model],
+    )
+
+
+def _wisc_multiround(model="no-io-overlap", **kw):
+    return WiscSort(
+        FMT, _config(4, 4, model), force_merge_pass=True,
+        merge_chunk_entries=500, **kw,
+    )
+
+
+#: name -> zero-argument system factory (30,000 gensort records, seed 5).
+CASES = {
+    **{
+        f"ems[{m}]@96/8": (lambda m=m: ExternalMergeSort(FMT, _config(96, 8, m)))
+        for m in ("no-sync", "io-overlap", "no-io-overlap")
+    },
+    **{
+        f"pmsort+[{m}]@96/8": (lambda m=m: PMSortPlus(FMT, _config(96, 8, m)))
+        for m in ("no-sync", "io-overlap")
+    },
+    "pmsort@96/8": lambda: PMSort(FMT, _config(96, 8)),
+    "ems@8/4-multiround": lambda: ExternalMergeSort(FMT, _config(8, 4)),
+    **{
+        f"wiscsort[{m}]@4/4-multiround": (lambda m=m: _wisc_multiround(m))
+        for m in MODELS
+    },
+    "wiscsort-compressed@4/4-multiround": lambda: _wisc_multiround(
+        compression=CompressionModel()
+    ),
+}
+
+#: Checkpointed systems crashed at fixed fractions of their op stream;
+#: 2 % lands in run generation (the salvage-by-exact-size path), the
+#: rest in intermediate rounds and the final merge.
+CRASH_CASES = {
+    "wiscsort": lambda: _wisc_multiround(checkpoint=True),
+    "ems": lambda: ExternalMergeSort(FMT, _config(8, 4), checkpoint=True),
+}
+CRASH_PERCENTS = (2, 10, 30, 50, 70, 90)
+
+
+def _fingerprint(machine, result):
+    output = machine.fs.open(result.output_name).peek()
+    return {
+        "total_time": repr(result.total_time),
+        "internal_read": result.internal_read,
+        "internal_written": result.internal_written,
+        "phases": {tag: repr(t) for tag, t in sorted(result.phases.items())},
+        "sha256": hashlib.sha256(output.tobytes()).hexdigest(),
+    }
+
+
+def _gensort_machine():
+    machine = Machine()
+    return machine, generate_dataset(machine, "input", N_RECORDS, FMT, seed=SEED)
+
+
+def run_case(name):
+    machine, data = _gensort_machine()
+    result = CASES[name]().run(machine, data)
+    return _fingerprint(machine, result)
+
+
+def run_klv():
+    fmt = KLVFormat()
+    machine = Machine()
+    data = generate_klv_dataset(machine, "input", N_KLV, fmt, seed=SEED)
+    system = WiscSortKLV(fmt, force_merge_pass=True, merge_chunk_entries=700)
+    return _fingerprint(machine, system.run(machine, data))
+
+
+def run_natural():
+    """Mixed cursor fleet: the first half of the input is presorted, so
+    half the merge's cursors window the input file directly."""
+    machine, data = _gensort_machine()
+    records = data.peek().reshape(-1, FMT.record_size)
+    head = records[: N_RECORDS // 2]
+    records[: N_RECORDS // 2] = head[record_sort_indices(head, FMT.key_size)]
+    data.poke(0, records.reshape(-1))
+    system = NaturalRunWiscSort(
+        FMT, _config(96, 8), force_merge_pass=True, merge_chunk_entries=1_500
+    )
+    return _fingerprint(machine, system.run(machine, data))
+
+
+def run_crash(name, percent):
+    machine, data = _gensort_machine()
+    injector = machine.install_faults(FaultPlan(), count_only=True)
+    CRASH_CASES[name]().run(machine, data, validate=False)
+    plan = parse_fault_spec(f"crash@{percent}%", seed=SEED).resolve_fractions(
+        injector.op_index
+    )
+    machine, data = _gensort_machine()
+    system = CRASH_CASES[name]()
+    result, report = run_with_faults(system, machine, data, plan=plan)
+    assert report.crashes == report.recoveries == 1
+    fingerprint = _fingerprint(machine, result)
+    fingerprint["last_recovery"] = dict(system.last_recovery)
+    return fingerprint
+
+
+def capture():
+    frozen = {name: run_case(name) for name in CASES}
+    frozen["wiscsort-klv"] = run_klv()
+    frozen["wiscsort-natural"] = run_natural()
+    for name in CRASH_CASES:
+        for percent in CRASH_PERCENTS:
+            frozen[f"{name}:crash@{percent}%"] = run_crash(name, percent)
+    return frozen
+
+
+FROZEN = json.loads(FROZEN_PATH.read_text()) if FROZEN_PATH.exists() else {}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_merge_path_fingerprint(name):
+    assert run_case(name) == FROZEN[name]
+
+
+def test_klv_merge_fingerprint():
+    assert run_klv() == FROZEN["wiscsort-klv"]
+
+
+def test_natural_run_merge_fingerprint():
+    assert run_natural() == FROZEN["wiscsort-natural"]
+
+
+@pytest.mark.parametrize("percent", CRASH_PERCENTS)
+@pytest.mark.parametrize("name", sorted(CRASH_CASES))
+def test_crash_recovery_fingerprint(name, percent):
+    assert run_crash(name, percent) == FROZEN[f"{name}:crash@{percent}%"]
+
+
+if __name__ == "__main__":
+    FROZEN_PATH.write_text(json.dumps(capture(), indent=1, sort_keys=True) + "\n")
+    print(f"wrote {FROZEN_PATH}")

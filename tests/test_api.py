@@ -132,3 +132,14 @@ class TestFacadeFaults:
             api.sort(RunOptions(
                 records=1_000, system="sample-sort", faults="crash@op:1"
             ))
+
+    def test_crash_on_natural_run_elision_rejected(self):
+        # api.sort arms any system that has a ``checkpoint`` attribute;
+        # natural-run elision cannot honour it (its elided chunks are
+        # not in the manifest) and must say so rather than recover to a
+        # wrong file.
+        for spec in ("crash@50%", "crash@op:3"):
+            with pytest.raises(ConfigError, match="natural-run elision"):
+                api.sort(RunOptions(
+                    records=5_000, system="wiscsort-natural", faults=spec
+                ))

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cli import EXPERIMENTS, SYSTEMS, build_parser, main
+from repro.cli import build_parser, main
+from repro.registry import available
 
 
 class TestParser:
@@ -23,7 +24,7 @@ class TestParser:
             build_parser().parse_args(["sort", "--system", "bogosort"])
 
     def test_every_system_has_a_constructor(self):
-        assert set(SYSTEMS) >= {
+        assert set(available("system")) >= {
             "wiscsort", "ems", "pmsort", "pmsort+", "sample-sort",
             "modified-key-sort",
         }
@@ -31,7 +32,7 @@ class TestParser:
     def test_every_figure_has_an_experiment(self):
         for fig in ("fig01", "fig04", "fig05", "fig06", "fig07",
                     "fig08", "fig09", "fig10", "fig11", "tab01"):
-            assert fig in EXPERIMENTS
+            assert fig in available("experiment")
 
 
 class TestCommands:
@@ -118,6 +119,15 @@ class TestFaultsFlag:
             main([
                 "sort", "--records", "2000", "--system", "sample-sort",
                 "--faults", "crash@op:1",
+            ])
+
+    def test_crash_on_natural_run_elision_rejected(self):
+        from repro.errors import ConfigError
+
+        with pytest.raises(ConfigError, match="natural-run elision"):
+            main([
+                "sort", "--records", "20000", "--system", "wiscsort-natural",
+                "--faults", "crash@50%",
             ])
 
     def test_ems_crash_recovers(self, capsys):

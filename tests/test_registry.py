@@ -10,7 +10,6 @@ from repro.machine import Machine
 from repro.records.format import RecordFormat
 from repro.records.gensort import generate_dataset
 from repro.registry import (
-    RegistryView,
     available,
     create_system,
     get_experiment,
@@ -71,20 +70,6 @@ class TestLookup:
         assert register_system("wiscsort")(obj) is obj
 
 
-class TestRegistryView:
-    def test_mapping_surface(self):
-        view = RegistryView("system")
-        assert "wiscsort" in view
-        assert "bogosort" not in view
-        assert len(view) == len(available("system"))
-        assert set(view) == set(available("system"))
-        assert view["ems"] is get_system("ems")
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigError):
-            RegistryView("dessert")
-
-
 class TestRoundTrip:
     """Every registered system sorts 1k records and validates."""
 
@@ -137,10 +122,15 @@ class TestPolicies:
             assert isinstance(policy, AdmissionPolicy)
             assert policy.name == name
 
-    def test_policy_view_backs_the_cli_choices(self):
-        view = RegistryView("policy")
-        assert "edf" in view
-        assert len(view) == len(available("policy"))
+    def test_cli_choices_are_the_registry(self):
+        from repro.cli import build_parser
+
+        args = build_parser().parse_args(["serve", "--policy", "edf"])
+        assert args.policy == "edf"
+        for name in available("policy"):
+            build_parser().parse_args(["cluster", "--policy", name])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--policy", "round-robin"])
 
 
 class TestRemovedShims:
