@@ -213,7 +213,7 @@ class Cluster(ProbeHost):
             self.network: Optional[NetLinkRateModel] = NetLinkRateModel(link_bw)
             self.router.add_domain(NET_DOMAIN, self.network)
             self.net_stats: Optional[InterconnectStats] = InterconnectStats()
-            self.engine.fluid.interval_observers.append(self.net_stats.observe)
+            self.engine.fluid.observe_group(NET_DOMAIN, self.net_stats.observe)
         else:
             self.network = None
             self.net_stats = None
@@ -333,10 +333,10 @@ class Cluster(ProbeHost):
             m.engine = engine
         if self.network is not None:
             self.router.add_domain(NET_DOMAIN, self.network)
-            engine.fluid.interval_observers.append(self.net_stats.observe)
+            engine.fluid.observe_group(NET_DOMAIN, self.net_stats.observe)
         self.engine = engine
         for m in self.shards:
-            engine.fluid.interval_observers.append(m._domain_observe)
+            m.observe_engine()
         self.dram = DramTracker(self.dram.budget, self.probes)
         for m in self.shards:
             m.dram = self.dram

@@ -406,8 +406,8 @@ class FaultInjector:
         """Roll an in-flight write back to an aligned durable prefix."""
         op, f, n = rec.op, rec.file, rec.nbytes
         if op.work > 0:
-            # remaining_work, not op.remaining: vector-scheduled ops
-            # keep their settled remainder in the group array.
+            # An in-flight op's settled remainder lives in its group's
+            # column; remaining_work reads it from there.
             progress = max(0.0, min(1.0, 1.0 - remaining_work(op) / op.work))
         else:
             progress = 0.0

@@ -28,7 +28,7 @@ from repro.device.profiles import pmem_profile
 from repro.device.stats import DeviceStats
 from repro.errors import ConfigError
 from repro.sim.engine import Engine, SimGenerator
-from repro.sim.fluid import FluidOp
+from repro.sim.fluid import SHARED_GROUP, FluidOp
 from repro.sim.primitives import Barrier, Semaphore, SimQueue
 from repro.sim.probe import ProbeSet, scope
 from repro.storage.dram import DramTracker
@@ -171,16 +171,25 @@ class Machine(ProbeHost):
                 self.rate_model, batch_ops=batch_ops, probes=self.probes
             )
         self.stats = DeviceStats(self.host)
-        if domain is None:
-            self.engine.fluid.interval_observers.append(self.stats.observe)
-        else:
-            self.engine.fluid.interval_observers.append(self._domain_observe)
+        self.observe_engine()
         self.fs = SimFS(self)
         self.dram = (
             dram if dram is not None else DramTracker(dram_budget, self.probes)
         )
         #: Installed :class:`repro.faults.injector.FaultInjector`, if any.
         self.faults = None
+
+    def observe_engine(self) -> None:
+        """Subscribe this machine's statistics to its engine's scheduler.
+
+        A machine's ops are exactly one resource group of the rate model
+        -- the shared group standalone, the domain's group as a cluster
+        shard -- so the statistics observer receives that group's own
+        issue-ordered op list: per-shard float accumulation order is
+        issue order, as on a standalone machine, with no filtering.
+        """
+        key = self.domain if self.domain is not None else SHARED_GROUP
+        self.engine.fluid.observe_group(key, self.stats.observe)
 
     # ------------------------------------------------------------------
     # Fault injection and crash recovery
@@ -223,7 +232,7 @@ class Machine(ProbeHost):
         self.engine = Engine(
             self.rate_model, batch_ops=batch_ops, start_time=now, probes=self.probes
         )
-        self.engine.fluid.interval_observers.append(self.stats.observe)
+        self.observe_engine()
         self.dram = DramTracker(self.dram.budget, self.probes)
         if self.faults is not None:
             self.faults.attach(self)
@@ -232,22 +241,6 @@ class Machine(ProbeHost):
     # ------------------------------------------------------------------
     # Op builders
     # ------------------------------------------------------------------
-    def _domain_observe(self, t0: float, t1: float, ops: list) -> None:
-        """Interval observer for cluster shards: this domain's ops only.
-
-        The shared scheduler passes *all* active ops in issue order; the
-        filtered subset keeps that order, so per-shard statistics stay
-        run-to-run deterministic exactly like the standalone path.
-        """
-        domain = self.domain
-        mine = [
-            op
-            for op in ops
-            if op.attrs is not None and op.attrs.get("domain") == domain
-        ]
-        if mine:
-            self.stats.observe(t0, t1, mine)
-
     def io(
         self,
         direction: str,

@@ -7,9 +7,21 @@ cheap always-on counters:
 * :class:`repro.sim.engine.Engine` -- process steps, clock advances,
   timer events, ops coalesced by ``batch_ops``;
 * :class:`repro.sim.fluid.FluidScheduler` -- ops added/completed,
-  re-rate calls, ops re-rated, effective rate changes;
-* :class:`repro.device.device.BraidRateModel` -- rate-assignment
-  memo hits/misses.
+  re-rate calls, ops re-rated, effective rate changes, and how each
+  group solve was answered: ``vector_solves`` counts solves served from
+  a group's rate-table memo (in list *or* array storage;
+  ``vector_batch_size_avg`` is their mean op count),
+  ``scalar_fallbacks`` counts solves that had to call ``model.assign``
+  because the model has no vector protocol (0 with
+  ``REPRO_SIM_VECTOR=0``, where the protocol is off and every solve is
+  such a call), and ``array_promotions`` / ``array_demotions`` say
+  which storage the run used (both 0: lists throughout);
+* :class:`repro.device.device.BraidRateModel` -- ``rate_cache_hits`` /
+  ``rate_cache_misses`` of its assignment LRU.  The group tables sit in
+  front of it, so it sees only *table-memo misses*: a low hit rate next
+  to a high ``vector_solves`` means the tables absorbed the lookups,
+  not that memoization stopped working.  A model-side miss is one full
+  waterfill run.
 
 :func:`collect_counters` snapshots them all from a
 :class:`~repro.machine.Machine`; :class:`SelfPerfProfiler` adds
@@ -111,7 +123,8 @@ def collect_counters(machine) -> Dict[str, float]:
     return counters
 
 
-def _base_counters(machine, engine, fluid, hits, misses, lookups) -> Dict[str, float]:
+def _kernel_counters(engine, fluid) -> Dict[str, float]:
+    """Engine and scheduler counters (exist once, even on a cluster)."""
     solves = fluid.vector_solves
     return {
         "sim_seconds": engine.now,
@@ -129,11 +142,22 @@ def _base_counters(machine, engine, fluid, hits, misses, lookups) -> Dict[str, f
             (fluid.vector_ops_solved / solves) if solves else 0.0
         ),
         "scalar_fallbacks": fluid.scalar_fallbacks,
-        "intervals_observed": len(machine.stats.timeline),
-        "rate_cache_hits": hits,
-        "rate_cache_misses": misses,
-        "rate_cache_hit_rate": (hits / lookups) if lookups else 0.0,
+        "array_promotions": fluid.array_promotions,
+        "array_demotions": fluid.array_demotions,
     }
+
+
+def _base_counters(machine, engine, fluid, hits, misses, lookups) -> Dict[str, float]:
+    counters = _kernel_counters(engine, fluid)
+    counters.update(
+        {
+            "intervals_observed": len(machine.stats.timeline),
+            "rate_cache_hits": hits,
+            "rate_cache_misses": misses,
+            "rate_cache_hit_rate": (hits / lookups) if lookups else 0.0,
+        }
+    )
+    return counters
 
 
 def collect_cluster_counters(cluster) -> Dict[str, float]:
@@ -147,25 +171,7 @@ def collect_cluster_counters(cluster) -> Dict[str, float]:
     """
     engine = cluster.engine
     fluid = engine.fluid
-    counters: Dict[str, float] = {
-        "sim_seconds": engine.now,
-        "engine_steps": engine.steps,
-        "clock_advances": engine.advances,
-        "timer_events": engine.timer_events,
-        "batched_ops": engine.batched_ops,
-        "ops_added": fluid.ops_added,
-        "ops_completed": fluid.ops_completed,
-        "rerate_calls": fluid.rerate_calls,
-        "ops_rerated": fluid.ops_rerated,
-        "rate_changes": fluid.rate_changes,
-        "vector_solves": fluid.vector_solves,
-        "vector_batch_size_avg": (
-            (fluid.vector_ops_solved / fluid.vector_solves)
-            if fluid.vector_solves
-            else 0.0
-        ),
-        "scalar_fallbacks": fluid.scalar_fallbacks,
-    }
+    counters = _kernel_counters(engine, fluid)
     for shard in cluster.shards:
         model = shard.rate_model
         hits = getattr(model, "cache_hits", 0)
@@ -219,10 +225,11 @@ def render_report(
     )
     if c["vector_solves"]:
         lines.append(
-            "  vector kernel  : "
+            "  rate tables    : "
             f"{c['vector_solves']} solves, "
             f"avg batch {c['vector_batch_size_avg']:.1f}, "
-            f"{c['scalar_fallbacks']} scalar fallbacks"
+            f"{c['scalar_fallbacks']} model.assign fallbacks, "
+            f"arrays +{c['array_promotions']}/-{c['array_demotions']}"
         )
     lines.append(f"  intervals      : {c['intervals_observed']} observed")
     lookups = c["rate_cache_hits"] + c["rate_cache_misses"]
@@ -230,7 +237,7 @@ def render_report(
         lines.append(
             "  rate memo      : "
             f"{c['rate_cache_hit_rate'] * 100:.1f}% hit "
-            f"({c['rate_cache_hits']}/{lookups})"
+            f"({c['rate_cache_hits']}/{lookups} table misses that reached the model)"
         )
     else:
         lines.append("  rate memo      : disabled / unused")

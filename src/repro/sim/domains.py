@@ -7,12 +7,13 @@ each domain to its own resource group, so the fluid scheduler's
 incremental re-rating isolates devices from each other -- issuing an op
 on shard 2 never re-rates shard 0's in-flight ops.
 
-The kernel batches re-rates: when several groups are dirty at the same
-instant, :meth:`FluidScheduler.rerate` collects the affected ops of all
-dirty groups and calls ``assign`` once.  The router therefore
-sub-partitions its input by domain before delegating, preserving each
-domain's issue order so the inner models (and their memo caches) see
-exactly what they would have seen standalone.
+The scheduler solves one resource group at a time, so it only ever
+hands ``assign`` the ops of one domain, in issue order (and only on a
+rate-table miss, or for a domain whose model has no vector protocol).
+``assign`` still accepts any mix of domains -- it sub-partitions its
+input before delegating, preserving each domain's order -- so the inner
+models (and their memo caches) see exactly what they would have seen
+standalone whoever calls it.
 
 Modelling note: each domain owns a full inner model including its host
 resources.  A cluster of N BRAID devices is modelled as N single-socket
@@ -98,11 +99,10 @@ class DomainRouter(RateModel):
         return rates
 
     # ------------------------------------------------------------------
-    # Vectorized-kernel protocol: a resource group is exactly one
-    # domain, so both hooks delegate wholesale to that domain's inner
-    # model.  Domains whose model lacks the protocol simply stay on the
-    # scalar path (vector_state -> None); the scheduler routes each
-    # promoted group's batch solve back through this single domain.
+    # Vector protocol: a resource group is exactly one domain, so both
+    # hooks delegate wholesale to that domain's inner model.  Domains
+    # whose model lacks the protocol (vector_state -> None) are solved
+    # by one assign call per epoch instead of a rate-table lookup.
     def vector_state(self, key):
         model = self._models.get(key)
         if model is None:

@@ -14,60 +14,63 @@ The model also exposes max-min *progressive filling* over shared
 resources (see :class:`repro.device.host.HostModel`), but the kernel only
 requires the ``assign`` callable.
 
-Hot-path design (see DESIGN.md "Simulator core"):
+Hot-path design (see DESIGN.md "Fluid core: one group, two storages"):
 
-* **Incremental re-rating** -- ops are partitioned into resource groups
-  (:meth:`RateModel.resource_key`); a membership change only re-rates
-  ops sharing a dirty group.  Models whose ops are fully coupled (the
-  BRAID model: every op shares the host bus and cores) use a single
-  shared group and degenerate to the classic full re-rate, but the
-  model is then free to memoize whole assignments.
-* **Vectorized groups** -- resource groups that reach
-  ``vector_min_group`` live ops (and whose model implements the vector
-  protocol, :meth:`RateModel.vector_state`/:meth:`RateModel.vector_sig`)
-  are promoted to :class:`_VectorGroup`: contiguous numpy arrays of
-  remaining work, current rate, predicted finish time and interned
-  signature class, mirrored from the op objects.  Re-rating such a group
-  is a handful of numpy calls -- a signature-population memo lookup, one
-  table gather, one changed-mask -- instead of a per-op Python loop, and
-  settling is two array operations.  Groups below the threshold (and any
-  model without the protocol) keep the scalar path, so tiny workloads
-  never pay array overhead.  ``REPRO_SIM_VECTOR=0`` disables promotion
-  entirely.
-* **Completion structure** -- scalar groups use a lazy-deletion heap of
-  ``(finish_time, seq, version, op)`` entries; vector groups keep a
-  per-group finish-time array whose running minimum replaces the heap
-  top (argmin over predicted-finish arrays).  A constant-rate op's
-  absolute finish time is invariant under settling, so entries are only
-  (re)computed when an op's rate actually changes -- in both structures
-  the finish float is the *same expression evaluated at the same
-  instant* (``now + remaining / rate`` at rate-change time), which is
-  what keeps the two paths bit-identical.
+* **Resource groups** -- ops are partitioned by
+  :meth:`RateModel.resource_key`; a membership change only re-rates the
+  ops of a dirty group.  A group (:class:`_Group`) is five parallel,
+  issue-ordered, hole-free columns -- ``ops / rem / rate / finish /
+  sig`` -- so its ``ops`` column *is* the issue-ordered view interval
+  observers of that resource receive (:meth:`FluidScheduler.observe_group`).
+* **Rate tables** -- when the model implements the vector protocol
+  (:meth:`RateModel.vector_state` / :meth:`RateModel.vector_sig`) a
+  group memoizes ``(state token, signature population) -> rate table``: one
+  ``model.assign`` call per distinct population, a table walk per solve
+  after that.  Models without the protocol get one ``model.assign`` call
+  where the table lookup would be.  ``REPRO_SIM_VECTOR=0`` turns the
+  protocol off for every model, which makes that the reference path the
+  equivalence suites compare against.
+* **Two storages** -- the columns are Python lists for the group sizes
+  every workload actually runs (a settle is one comprehension, a solve
+  one walk over ``sig``) and numpy arrays (:class:`_VectorGroup`) only
+  past the measured crossover: a tabled group is promoted when it
+  reaches ``vector_min_group`` live ops (default 128,
+  ``REPRO_SIM_VECTOR_MIN_GROUP``) and demoted again at half that, so a
+  population hovering around the threshold converts once.  Insert,
+  release (completion and cancel), memo and promotion bookkeeping live
+  in the scheduler and are shared; a storage only implements the
+  column kernels.
+* **Completion structure** -- no event heap: each group caches
+  ``min(finish)``, the next event is the least of those and completion
+  is the scan ``finish <= now``.  A constant-rate op's absolute finish
+  time is invariant under settling, so a finish entry is only
+  (re)computed when the op's rate actually changes.
 * **Coalesced completions** -- all ops finishing at the same simulated
   instant pop in one call and are returned sorted by ``seq`` (the op's
   stable integer id) so waiters resume deterministically; see
   :meth:`FluidScheduler.pop_completed` for the ordering invariant.
   Zero-work ops never enter the active set at all.
 
-Determinism invariants the vector path preserves (asserted by the
-equivalence suite in ``tests/test_vector_equivalence.py``):
+Determinism invariants both storages preserve (asserted by
+``tests/property/test_fluid_kernels.py`` at the scheduler and by
+``tests/test_vector_equivalence.py`` on whole sorts):
 
-1. rates come from the same ``model.assign`` floats (tables are built
-   from one scalar assignment per signature population and reused);
-2. settle debits are elementwise ``remaining -= rate * dt`` (numpy
-   elementwise arithmetic is IEEE-identical to the scalar expression;
-   no reductions are vectorized anywhere results are accumulated);
-3. finish times are computed once per rate change, never recomputed on
-   settle, with the scalar operand order;
-4. completions are collected per group in array (= issue) order and
-   globally sorted by op id, exactly like the heap path.
+1. rates come from ``model.assign`` floats (a table is filled by one
+   assignment per signature population and reused, never re-derived);
+2. settle debits are elementwise ``rem - rate * dt`` -- the same IEEE
+   expression in a comprehension and in numpy; nothing that is
+   accumulated is ever reduced in vector form;
+3. a finish time is ``now + rem / rate`` evaluated once, at the instant
+   the rate changed, never on settle;
+4. completions are collected per group in column (= issue) order and
+   globally sorted by op id.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import os
+from bisect import bisect_left
 from operator import attrgetter
 from typing import Callable, Dict, Iterable, List, Optional
 
@@ -75,7 +78,7 @@ from repro.errors import SimulationError
 from repro.sim.probe import ProbeSet
 
 try:  # numpy is a hard dependency of the storage layer, but the kernel
-    import numpy as _np  # degrades to the scalar path without it.
+    import numpy as _np  # degrades to list storage without it.
 except ImportError:  # pragma: no cover - numpy is baked into the image
     _np = None
 
@@ -109,11 +112,13 @@ def time_ne(a: float, b: float, eps: float = _TIME_EPSILON) -> bool:
 
 
 def vector_enabled(default: bool = True) -> bool:
-    """Whether the vectorized kernel paths are enabled.
+    """Whether the kernel may use the models' vector protocol.
 
     Controlled by the ``REPRO_SIM_VECTOR`` environment variable
-    (``0``/``false``/``off``/``no`` disable; unset means enabled).  Read
-    dynamically so tests can flip paths per scheduler instance.
+    (``0``/``false``/``off``/``no`` disable; unset means enabled).  Off
+    means no rate tables and no array storage: every solve is one
+    ``model.assign`` call over a list-backed group.  Read dynamically so
+    tests can flip paths per scheduler instance.
     """
     if _np is None:
         return False
@@ -123,11 +128,12 @@ def vector_enabled(default: bool = True) -> bool:
     return value.strip().lower() not in ("0", "false", "off", "no", "")
 
 
-def vector_min_group(default: int = 4) -> int:
-    """Group-size threshold below which re-rating stays scalar.
+def vector_min_group(default: int = 128) -> int:
+    """Live-op count from which a group's columns are numpy arrays.
 
-    Override with ``REPRO_SIM_VECTOR_MIN_GROUP``; values < 2 are clamped
-    (a singleton group gains nothing from arrays).
+    The default is the measured crossover (DESIGN.md has the table);
+    override with ``REPRO_SIM_VECTOR_MIN_GROUP``.  Values < 2 are
+    clamped (a singleton group gains nothing from arrays).
     """
     value = os.environ.get("REPRO_SIM_VECTOR_MIN_GROUP")
     if value is None:
@@ -139,18 +145,8 @@ def vector_min_group(default: int = 4) -> int:
 
 
 def remaining_work(op: "FluidOp") -> float:
-    """The op's settled remaining work under either kernel path.
-
-    While an op belongs to a vectorized group its authoritative
-    remaining work lives in the group array (the per-op attribute is
-    only synced at completion); scalar-path ops keep it on the object.
-    External mid-flight readers (the fault injector's progress
-    estimate) must use this helper instead of ``op.remaining``.
-    """
-    vg = op._vg
-    if vg is None:
-        return op.remaining
-    return float(vg.rem[op._vi])
+    """The op's settled remaining work (alias of ``op.remaining``)."""
+    return op.remaining
 
 
 _op_counter = itertools.count()
@@ -158,7 +154,7 @@ _op_counter = itertools.count()
 _SEQ_KEY = attrgetter("seq")
 
 #: Default resource-group key for models where all ops are coupled.
-_SHARED_GROUP = "*"
+SHARED_GROUP = "*"
 
 
 class FluidOp:
@@ -192,7 +188,7 @@ class FluidOp:
         "kind",
         "tag",
         "attrs",
-        "remaining",
+        "_remaining",
         "rate",
         "started_at",
         "finished_at",
@@ -202,12 +198,8 @@ class FluidOp:
         "_collector",
         "_sig",
         "_res_key",
-        "_heap_ver",
         "_trace",
-        "_finish",
         "_vg",
-        "_vi",
-        "_vsig",
         "_obs",
     )
 
@@ -229,7 +221,7 @@ class FluidOp:
         elif extra:
             attrs = {**attrs, **extra}
         self.attrs = attrs
-        self.remaining = self.work
+        self._remaining = self.work
         self.rate = 0.0
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
@@ -242,13 +234,7 @@ class FluidOp:
         #: Rate-model scratch: memoization signature, resource group.
         self._sig = None
         self._res_key = None
-        #: Completion-heap entry version (stale entries are skipped).
-        self._heap_ver = 0
-        #: Scheduled absolute finish time of the live heap entry (used
-        #: to transplant state when a group is promoted to vector form).
-        self._finish = _INF
-        #: Owning :class:`_VectorGroup` and row index, or ``None``/unset
-        #: while the op is scalar-scheduled.
+        #: Owning :class:`_Group` while the op is in flight, else None.
         self._vg = None
         #: Cached interval-observer classification (see
         #: :func:`observer_code`); shared by stats and tracer observers.
@@ -258,6 +244,23 @@ class FluidOp:
     def op_id(self) -> int:
         """Stable integer identity (alias of ``seq``)."""
         return self.seq
+
+    @property
+    def remaining(self) -> float:
+        """Settled remaining work.
+
+        While the op is in flight the authoritative value is its row of
+        the owning group's ``rem`` column; the op's own copy is written
+        when it leaves the group (completion or cancel).
+        """
+        group = self._vg
+        if group is None:
+            return self._remaining
+        return float(group.rem[group.ops.index(self)])
+
+    @remaining.setter
+    def remaining(self, value: float) -> None:
+        self._remaining = value
 
     @property
     def duration(self) -> float:
@@ -308,20 +311,18 @@ def observer_code(op: FluidOp) -> int:
 
 
 def predicted_finish(op: FluidOp) -> float:
-    """The op's currently scheduled absolute finish time (``inf`` if
-    stalled), under either kernel path.
+    """The op's currently scheduled absolute finish time.
 
-    Like :func:`remaining_work`, the authoritative value lives in the
-    group array while the op is vector-scheduled.  Used by straggler
-    detection (:meth:`FluidScheduler.predicted_horizon`): the fluid
-    model already knows when every in-flight op will finish under
+    ``inf`` while the op is stalled (rate 0) or not in flight.  Used by
+    straggler detection (:meth:`FluidScheduler.predicted_horizon`): the
+    fluid model already knows when every in-flight op will finish under
     current rates, so slowness is observable *before* wall-clock
     deadlines expire.
     """
-    vg = op._vg
-    if vg is None:
-        return op._finish
-    return float(vg.finish[op._vi])
+    group = op._vg
+    if group is None:
+        return _INF
+    return float(group.finish[group.ops.index(op)])
 
 
 class RateModel:
@@ -331,9 +332,9 @@ class RateModel:
     the active-op population of a resource group changes; between calls
     rates are constant.
 
-    Models may additionally opt into the vectorized group path by
-    implementing :meth:`vector_state` and :meth:`vector_sig`; the
-    contract is that ``assign`` must be *signature-pure*: two ops with
+    Models may additionally opt into per-group rate tables (and, for
+    wide groups, array storage) by implementing :meth:`vector_state`
+    and :meth:`vector_sig`; the contract is that ``assign`` must be *signature-pure*: two ops with
     equal ``vector_sig`` in the same population always receive the same
     rate, and rates depend on nothing but the signature multiset and
     the ``vector_state`` token.
@@ -349,15 +350,15 @@ class RateModel:
         model).  Models whose ops are independent can return per-op keys
         so a membership change re-rates only the affected ops.
         """
-        return _SHARED_GROUP
+        return SHARED_GROUP
 
     def vector_state(self, key) -> Optional[object]:
         """Hashable token of all model state rates depend on, besides
         the group population -- e.g. a fault-degradation multiplier.
 
         Returning ``None`` (the default) means the model does not
-        support the vectorized kernel path for this group and the
-        scheduler keeps the scalar path.
+        implement the protocol for this group: the scheduler then calls
+        ``assign`` on every solve instead of memoizing rate tables.
         """
         return None
 
@@ -406,9 +407,10 @@ class NetLinkRateModel(RateModel):
 
     Deterministic: bottleneck ties break on sorted endpoint name and
     flows freeze in op-id order, so equal populations always produce
-    identical float assignments.  The model keeps the scalar kernel
-    path (``vector_state`` -> None); shuffle fan-out is a handful of
-    flows per epoch, far below vectorization's pay-off point.
+    identical float assignments.  The model does not implement the
+    vector protocol (``vector_state`` -> None): a flow's rate depends
+    on its endpoints' whole neighbourhood, not on a per-op signature,
+    and shuffle fan-out is a handful of flows per epoch.
     """
 
     def __init__(self, link_bw: float = 12.5e9):
@@ -471,94 +473,252 @@ class NetLinkRateModel(RateModel):
         return rates
 
 
-class _VectorGroup:
-    """Array-of-structs mirror of one promoted resource group.
+class _Group:
+    """One resource group: five parallel, issue-ordered, hole-free columns.
 
-    Rows are append-ordered (monotone op id), so array index order *is*
-    issue order; completed rows become holes (``ops[i] is None``,
-    ``rate == 0``, ``finish == inf``, signature id 0) and are compacted
-    once they outnumber the live rows.  ``min_finish`` caches
-    ``finish[:size].min()`` so the engine's next-event query and the
-    completion sweep are O(1) comparisons between events.
+    Row ``i`` of every column describes ``ops[i]``: settled remaining
+    work, current rate, scheduled absolute finish time (``inf`` while
+    stalled) and interned signature id.  Rows are kept in ascending op
+    id, so ``ops`` is the issue-ordered list interval observers of this
+    resource receive.  ``min_finish`` caches ``min(finish)``, which makes
+    the engine's next-event query and the completion sweep O(1)
+    comparisons between events.
+
+    This class stores the numeric columns as Python lists;
+    :class:`_VectorGroup` stores them as numpy arrays.  Membership
+    bookkeeping (signature interning, the rate-table memo, op linkage) is
+    the scheduler's and is shared by both.
     """
 
     __slots__ = (
         "key",
         "ops",
-        "size",
-        "n_live",
-        "cap",
         "rem",
         "rate",
         "finish",
         "sig",
-        "counts",
-        "min_finish",
         "memo",
-        "scratch",
+        "min_finish",
+        "tabled",
     )
 
-    #: Signature id 0 is reserved for holes; assignment tables always
-    #: map it to rate 0.0 so dead rows never show up as rate changes.
-    DEAD_SIG = 0
+    #: Whether the numeric columns are numpy arrays.
+    wide = False
 
     #: Populations memoized per group before the table cache resets
     #: (prevents unbounded growth under adversarial churn; steady-state
     #: workloads cycle through a handful of populations).
     MEMO_LIMIT = 8192
 
-    def __init__(self, key, cap: int = 16):
+    def __init__(self, key, tabled: bool, columns: Optional[tuple] = None):
         self.key = key
-        self.ops: List[Optional[FluidOp]] = []
-        self.size = 0
-        self.n_live = 0
-        self.cap = cap
+        #: Whether solves go through the rate-table memo (the model
+        #: implements the vector protocol for this key).
+        self.tabled = tabled
+        #: (state token, signature population) -> rate table by signature id.
+        self.memo: Dict[tuple, object] = {}
+        self.load(*(columns if columns is not None else ([], [], [], [], [])))
+
+    def load(self, ops: list, rem: list, rate: list, finish: list, sig: list) -> None:
+        """Adopt whole columns, given as lists (see :meth:`dump`)."""
+        self.ops = ops
+        self.rem = rem
+        self.rate = rate
+        self.finish = finish
+        self.sig = sig
+        self.min_finish = min(finish, default=_INF)
+
+    def dump(self) -> tuple:
+        """The five columns as lists, in :meth:`load` order."""
+        return self.ops, self.rem, self.rate, self.finish, self.sig
+
+    def insert(self, i: int, op: FluidOp, sid: int) -> None:
+        """Open row ``i`` for a newly issued op: rate 0, nothing scheduled."""
+        self.ops.insert(i, op)
+        self.rem.insert(i, op._remaining)
+        self.rate.insert(i, 0.0)
+        self.finish.insert(i, _INF)
+        self.sig.insert(i, sid)
+
+    def remove(self, rows: List[int]) -> None:
+        """Close the given rows (ascending indices)."""
+        finish = self.finish
+        for i in reversed(rows):
+            del self.ops[i], self.rem[i], self.rate[i], finish[i], self.sig[i]
+        self.min_finish = min(finish) if finish else _INF
+
+    def settle(self, dt: float) -> None:
+        self.rem = [r - q * dt for r, q in zip(self.rem, self.rate)]
+
+    def population(self):
+        """Hashable signature multiset of the live rows (the memo key).
+
+        Costs O(live rows), never O(signatures the scheduler has seen).
+        """
+        return tuple(sorted(self.sig))
+
+    def table(self, rates: Dict[int, float]):
+        """A rate table this storage's :meth:`solve` can index."""
+        return rates
+
+    def solve(self, table: Dict[int, float], now: float) -> int:
+        """Re-rate every row from a signature table; returns #changed."""
+        return self.apply([table[s] for s in self.sig], now)
+
+    def apply(self, new: List[float], now: float) -> int:
+        """Install per-row rates, rescheduling the rows that changed."""
+        rate = self.rate
+        if new == rate:
+            return 0
+        ops = self.ops
+        rem = self.rem
+        finish = self.finish
+        changed = 0
+        for i, r in enumerate(new):
+            if r != rate[i]:
+                changed += 1
+                ops[i].rate = r
+                if r > 0.0:
+                    finish[i] = now + rem[i] / r
+                elif rem[i] <= _EPSILON:
+                    # Stalled with only float residue left: let it
+                    # complete now instead of deadlocking.
+                    finish[i] = now
+                else:
+                    finish[i] = _INF
+        self.rate = new
+        self.min_finish = min(finish)
+        return changed
+
+    def due(self, now: float) -> List[int]:
+        """Rows whose scheduled finish time has arrived, ascending."""
+        return [i for i, f in enumerate(self.finish) if f <= now]
+
+    def horizon(self) -> Optional[float]:
+        """Latest finite scheduled finish time, if any."""
+        return max((f for f in self.finish if f < _INF), default=None)
+
+
+class _VectorGroup(_Group):
+    """The same group with numpy columns, for wide populations.
+
+    The arrays carry spare capacity; rows ``[:len(ops)]`` are live and
+    hole-free exactly like the list columns, so a solve is a handful of
+    numpy calls -- one table gather, one changed-mask -- instead of a
+    per-row loop, and a settle is one multiply-subtract.
+    """
+
+    #: Live-row count per signature id, maintained by insert/remove:
+    #: at these sizes re-deriving the population on every solve would
+    #: cost more than the solve's own gather.
+    __slots__ = ("counts",)
+
+    wide = True
+
+    def load(self, ops, rem, rate, finish, sig) -> None:
+        n = len(ops)
+        cap = max(16, 2 * n)
+        self.ops = ops
         self.rem = _np.zeros(cap)
         self.rate = _np.zeros(cap)
-        self.finish = _np.full(cap, _INF)
+        self.finish = _np.zeros(cap)
         self.sig = _np.zeros(cap, dtype=_np.int64)
-        #: Live-op count per signature id (indexable by sig id; the
-        #: tuple of this list keys the assignment-table memo).
-        self.counts: List[int] = [0]
-        self.min_finish = _INF
-        #: (state token, population tuple) -> rate table ndarray.
-        self.memo: Dict[tuple, object] = {}
-        #: Settle work buffer (holds rate*dt); contents are transient.
-        self.scratch = _np.zeros(cap)
+        for column, values in zip(self._columns(), (rem, rate, finish, sig)):
+            column[:n] = values
+        self.counts: List[int] = _np.bincount(self.sig[:n]).tolist()
+        self.min_finish = min(finish, default=_INF)
 
-    def _grow(self) -> None:
-        """Double capacity, compacting away holes when they dominate."""
-        if self.size - self.n_live > self.n_live:
-            self.compact()
-            if self.size < self.cap:
-                return
-        new_cap = self.cap * 2
-        for name in ("rem", "rate", "finish", "sig"):
-            old = getattr(self, name)
-            fresh = _np.full(new_cap, _INF) if name == "finish" else (
-                _np.zeros(new_cap, dtype=old.dtype)
+    def _columns(self) -> tuple:
+        return self.rem, self.rate, self.finish, self.sig
+
+    def dump(self) -> tuple:
+        n = len(self.ops)
+        return (self.ops, *(column[:n].tolist() for column in self._columns()))
+
+    def insert(self, i: int, op: FluidOp, sid: int) -> None:
+        n = len(self.ops)
+        if n == len(self.rem):
+            self.rem, self.rate, self.finish, self.sig = (
+                _np.concatenate((column, _np.zeros_like(column)))
+                for column in self._columns()
             )
-            fresh[: self.size] = old[: self.size]
-            setattr(self, name, fresh)
-        self.scratch = _np.zeros(new_cap)
-        self.cap = new_cap
+        if i < n:  # an older op issued late: shift the tail up one row
+            for column in self._columns():
+                column[i + 1 : n + 1] = column[i:n]
+        self.ops.insert(i, op)
+        self.rem[i] = op._remaining
+        self.rate[i] = 0.0
+        self.finish[i] = _INF
+        self.sig[i] = sid
+        counts = self.counts
+        while len(counts) <= sid:
+            counts.append(0)
+        counts[sid] += 1
 
-    def compact(self) -> None:
-        """Drop hole rows, preserving order (and thus issue order)."""
-        live = [i for i, op in enumerate(self.ops) if op is not None]
-        k = len(live)
-        idx = _np.asarray(live, dtype=_np.int64)
-        for name in ("rem", "rate", "finish", "sig"):
-            arr = getattr(self, name)
-            arr[:k] = arr[idx]
-        self.finish[k : self.size] = _INF
-        self.rate[k : self.size] = 0.0
-        self.sig[k : self.size] = self.DEAD_SIG
-        ops = [self.ops[i] for i in live]
-        for j, op in enumerate(ops):
-            op._vi = j
-        self.ops = ops
-        self.size = k
+    def remove(self, rows: List[int]) -> None:
+        n = len(self.ops)
+        for sid in self.sig[rows].tolist():
+            self.counts[sid] -= 1
+        keep = _np.ones(n, dtype=bool)
+        keep[rows] = False
+        k = n - len(rows)
+        for column in self._columns():
+            column[:k] = column[:n][keep]
+        for i in reversed(rows):
+            del self.ops[i]
+        self.min_finish = float(self.finish[:k].min()) if k else _INF
+
+    def settle(self, dt: float) -> None:
+        n = len(self.ops)
+        self.rem[:n] -= self.rate[:n] * dt
+
+    def population(self):
+        return tuple(self.counts)
+
+    def table(self, rates: Dict[int, float]):
+        table = _np.zeros(len(self.counts))
+        for sid, rate in rates.items():
+            table[sid] = rate
+        return table
+
+    def solve(self, table, now: float) -> int:
+        n = len(self.ops)
+        cur = self.rate[:n]
+        new = table[self.sig[:n]]
+        idx = (new != cur).nonzero()[0]
+        k = idx.size
+        if k:
+            nr = new[idx]
+            cur[idx] = nr
+            rem = self.rem[idx]
+            if nr.min() > 0.0:
+                fin = now + rem / nr
+            else:
+                pos = nr > 0.0
+                fin = _np.full(k, _INF)
+                fin[pos] = now + rem[pos] / nr[pos]
+                fin[~pos & (rem <= _EPSILON)] = now
+            self.finish[idx] = fin
+            self.min_finish = float(self.finish[:n].min())
+            ops = self.ops
+            for i, r in zip(idx.tolist(), nr.tolist()):
+                ops[i].rate = r
+        return k
+
+    def due(self, now: float) -> List[int]:
+        return (self.finish[: len(self.ops)] <= now).nonzero()[0].tolist()
+
+    def horizon(self) -> Optional[float]:
+        fin = self.finish[: len(self.ops)]
+        live = fin[fin < _INF]
+        return float(live.max()) if live.size else None
+
+
+def _reject_negative(group: _Group, lowest_rate: float) -> None:
+    if lowest_rate < 0:
+        raise SimulationError(
+            f"model returned a negative rate for group {group.key!r}"
+        )
 
 
 class FluidScheduler:
@@ -586,39 +746,28 @@ class FluidScheduler:
         self._last_settled = start_time
         self.dirty = False
         #: Observers called as fn(t0, t1, ops) once per constant-rate
-        #: interval (settle epoch), used by bandwidth timeline
-        #: recorders.  Ops are passed in issue order so float
-        #: accumulations downstream are run-to-run deterministic.
+        #: interval (settle epoch) with *every* active op, in issue
+        #: order so float accumulations downstream are run-to-run
+        #: deterministic.  Observers of one resource subscribe with
+        #: :meth:`observe_group` instead and skip the global view.
         self.interval_observers: list[Callable[[float, float, list], None]] = []
-        #: Resource groups: key -> set of active ops sharing the key,
-        #: or a :class:`_VectorGroup` once promoted.
-        self._groups: Dict[object, object] = {}
+        self._group_observers: Dict[object, list] = {}
+        #: Resource groups by key.  Tabled groups stay registered while
+        #: empty (their rate-table memo is the point); the others are
+        #: dropped by the rerate that finds them empty.
+        self._groups: Dict[object, _Group] = {}
         self._dirty_keys: set = set()
-        #: Issue-ordered view of ``active``, maintained incrementally so
-        #: settle need not sort every interval.  Appends keep it sorted
-        #: (op seq numbers are monotone in practice); completions mark it
-        #: stale and the next settle filters against ``active``.
-        self._ordered: list[FluidOp] = []
-        self._ordered_stale = False
-        self._ordered_unsorted = False
-        #: Lazy-deletion completion heap for scalar groups:
-        #: (finish_time, seq, version, op).
-        self._heap: list = []
-        #: Vector-path configuration (see module docstring).
+        #: Issue-ordered list of all active ops, built on demand for
+        #: ``interval_observers``; ``None`` after a membership change.
+        self._ordered: Optional[list] = None
+        #: Whether the models' vector protocol is used at all, and the
+        #: group size from which columns are arrays (module docstring).
         self.vector = vector_enabled() if vector is None else (
             bool(vector) and _np is not None
         )
         self.vector_min_group = vector_min_group()
-        #: Promoted groups (kept registered even when momentarily empty
-        #: so steady-state workloads don't re-promote every phase).
-        self._vgroups: List[_VectorGroup] = []
-        #: Signature -> interned id, shared across groups (id 0 is the
-        #: reserved hole marker).
+        #: Signature -> interned id, shared across groups.
         self._sig_ids: Dict[object, int] = {}
-        #: Live ops currently in scalar (set-based) groups; lets settle
-        #: skip the per-op debit loop entirely when everything active is
-        #: vector-scheduled.
-        self._scalar_live = 0
         # Self-performance counters (read by repro.perf).
         self.ops_added = 0
         self.ops_completed = 0
@@ -629,8 +778,19 @@ class FluidScheduler:
         self.vector_solves = 0
         self.vector_ops_solved = 0
         self.scalar_fallbacks = 0
+        self.array_promotions = 0
+        self.array_demotions = 0
 
     # ------------------------------------------------------------------
+    def observe_group(self, key, observer: Callable[[float, float, list], None]) -> None:
+        """Subscribe ``observer`` to one resource key.
+
+        It is called as ``observer(t0, t1, ops)`` once per settle epoch
+        in which the group has live ops, with the group's own
+        issue-ordered ``ops`` column (not a copy: read it, don't keep it).
+        """
+        self._group_observers.setdefault(key, []).append(observer)
+
     def add(self, op: FluidOp, now: float) -> None:
         for fn in self.probes.op_issue:
             # Single choke point: direct yields, ParallelOps carriers
@@ -638,28 +798,36 @@ class FluidScheduler:
             # hook runs before the zero-work fast path so even 0-byte
             # ops get records.
             fn(op, now)
-        if op.remaining <= 0:
+        op.started_at = now
+        if op._remaining <= 0:
             # Zero-work op: mark complete instantly; caller handles wakeup.
-            op.started_at = now
             op.finished_at = now
             return
-        op.started_at = now
-        self.active.add(op)
-        ordered = self._ordered
-        if ordered and op.seq < ordered[-1].seq:
-            self._ordered_unsorted = True
-        ordered.append(op)
-        key = self.model.resource_key(op)
+        model = self.model
+        key = model.resource_key(op)
         op._res_key = key
         group = self._groups.get(key)
         if group is None:
-            self._groups[key] = {op}
-            self._scalar_live += 1
-        elif type(group) is _VectorGroup:
-            self._vg_insert(group, op)
-        else:
-            group.add(op)
-            self._scalar_live += 1
+            group = self._groups[key] = _Group(
+                key, self.vector and model.vector_state(key) is not None
+            )
+        sid = 0
+        if group.tabled:
+            sig = model.vector_sig(op)
+            sig_ids = self._sig_ids
+            sid = sig_ids.get(sig)
+            if sid is None:
+                sid = sig_ids[sig] = len(sig_ids)
+        ops = group.ops
+        i = len(ops)
+        if i and op.seq < ops[-1].seq:
+            # Created before, issued after, a current member: rows stay
+            # in op-id order, which is what "issue order" means here.
+            i = bisect_left(ops, op.seq, key=_SEQ_KEY)
+        group.insert(i, op, sid)
+        op._vg = group
+        self.active.add(op)
+        self._ordered = None
         self._dirty_keys.add(key)
         self.dirty = True
         self.ops_added += 1
@@ -667,274 +835,149 @@ class FluidScheduler:
     def settle(self, now: float) -> None:
         """Debit work accomplished between the last settle and ``now``.
 
-        Interval observers fire exactly once per settle epoch with the
-        full issue-ordered op list; the work debit itself is elementwise
-        (``remaining -= rate * dt``) whether it runs over a group array
-        or per op, so both paths produce identical floats.
+        Interval observers fire exactly once per settle epoch, each with
+        an issue-ordered op list; the work debit itself is elementwise
+        (``rem - rate * dt``) in either storage, so both produce
+        identical floats.
         """
-        dt = now - self._last_settled
+        t0 = self._last_settled
+        dt = now - t0
         if dt < 0:
             raise SimulationError(f"time went backwards: {dt}")
         if dt > 0 and self.active:
-            ops = self._ordered
-            if self._ordered_stale:
-                active = self.active
-                ops = [op for op in ops if op in active]
-                self._ordered = ops
-                self._ordered_stale = False
-            if self._ordered_unsorted:
-                ops.sort(key=_SEQ_KEY)
-                self._ordered_unsorted = False
-            for observer in self.interval_observers:
-                observer(self._last_settled, now, ops)
-            for vg in self._vgroups:
-                size = vg.size
-                if size:
-                    # Same elementwise multiply-then-subtract as the
-                    # expression form; the persistent scratch buffer
-                    # just avoids a fresh temporary per settle.
-                    buf = vg.scratch[:size]
-                    _np.multiply(vg.rate[:size], dt, out=buf)
-                    vg.rem[:size] -= buf
-            if self._scalar_live:
-                for op in ops:
-                    if op._vg is None:
-                        op.remaining -= op.rate * dt
+            if self.interval_observers:
+                ops = self._ordered
+                if ops is None:
+                    ops = self._ordered = self._issue_ordered()
+                for observer in self.interval_observers:
+                    observer(t0, now, ops)
+            # Groups never interact and each observer accumulates into
+            # its own totals, so group order cannot reach any float.
+            observers = self._group_observers
+            for key, group in self._groups.items():
+                if group.ops:
+                    for observer in observers.get(key, ()):
+                        observer(t0, now, group.ops)
+                    group.settle(dt)
         self._last_settled = now
+
+    def _issue_ordered(self) -> list:
+        """Every active op in issue order: the groups' columns, merged."""
+        columns = [
+            g.ops
+            for g in self._groups.values()  # reprolint: disable=SIM003 -- sorted below
+            if g.ops
+        ]
+        if len(columns) == 1:
+            return columns[0]
+        return sorted(itertools.chain.from_iterable(columns), key=_SEQ_KEY)
 
     def rerate(self, now: float) -> None:
         """Recompute rates for ops in dirty resource groups.
 
         Must be called with the scheduler settled to ``now``; completion
-        times are derived from the settled ``remaining`` work.  Ops whose
+        times are derived from the settled remaining work.  Ops whose
         rate is unchanged keep their existing scheduled finish time (a
         constant-rate op's absolute finish time is settle-invariant).
-        Dirty groups are solved per group: promoted groups through the
-        vectorized table path, the rest through one scalar ``assign``
-        call over all their ops (matching the pre-vector kernel
-        exactly).
         """
         keys = self._dirty_keys
         if keys:
             self.rerate_calls += 1
             groups = self._groups
-            model = self.model
-            use_vector = self.vector
-            min_group = self.vector_min_group
-            affected: Iterable[FluidOp] = ()
-            vgs: Iterable[_VectorGroup] = ()
-            if len(groups) == 1 and next(iter(keys)) in groups:
-                only_key, only = next(iter(groups.items()))
-                if type(only) is _VectorGroup:
-                    vgs = (only,)
-                elif (
-                    use_vector
-                    and len(only) >= min_group
-                    and model.vector_state(only_key) is not None
-                ):
-                    vgs = (self._promote(only_key, only),)
-                else:
-                    affected = self.active
-                    if use_vector:
-                        self.scalar_fallbacks += 1
-            else:
-                scalar_affected: List[FluidOp] = []
-                vec_todo: List[_VectorGroup] = []
-                # Dirty-key order cannot leak into results: the rate
-                # model canonicalises assignment order by signature and
-                # completions are ordered by (time, op id).  Keys may
-                # mix types (shared "*" vs per-op ints), so sorted() is
-                # not an option.
-                for key in keys:  # reprolint: disable=SIM003 -- order-independent, see comment above
-                    group = groups.get(key)
-                    if group is None:
-                        continue
-                    if type(group) is _VectorGroup:
-                        vec_todo.append(group)
-                    elif group:
-                        if (
-                            use_vector
-                            and len(group) >= min_group
-                            and model.vector_state(key) is not None
-                        ):
-                            vec_todo.append(self._promote(key, group))
-                        else:
-                            scalar_affected.extend(group)
-                            if use_vector:
-                                self.scalar_fallbacks += 1
-                affected = scalar_affected
-                vgs = vec_todo
-            keys.clear()
             n = 0
-            for vg in vgs:
-                n += self._vector_solve(vg, now)
-            if affected:
-                n += self._scalar_solve(affected, now)
+            # Dirty-key order cannot leak into results: groups never
+            # interact, and completions are ordered by (time, op id).
+            # Keys may mix types (shared "*" vs per-op ints), so sorted()
+            # is not an option.
+            for key in keys:  # reprolint: disable=SIM003 -- order-independent, see comment above
+                group = groups.get(key)
+                if group is not None:
+                    n += self._solve(group, now)
+            keys.clear()
             if n:
                 self.ops_rerated += n
                 for fn in self.probes.rerate:
                     fn(n)
         self.dirty = False
 
-    def _scalar_solve(self, affected: Iterable[FluidOp], now: float) -> int:
-        """The pre-vector per-op re-rate loop (small / opted-out groups)."""
-        rates = self.model.assign(affected)
-        heap = self._heap
-        n = 0
-        for op in affected:
-            n += 1
-            rate = rates.get(op, 0.0)
-            if rate < 0:
-                raise SimulationError(f"model returned negative rate for {op}")
-            if rate != op.rate:
-                op.rate = rate
-                op._heap_ver += 1
-                self.rate_changes += 1
-                if rate > 0.0:
-                    finish = now + op.remaining / rate
-                    op._finish = finish
-                    heapq.heappush(heap, (finish, op.seq, op._heap_ver, op))
-                elif op.remaining <= _EPSILON:
-                    # Stalled with only float residue left: let it
-                    # complete now instead of deadlocking.
-                    op._finish = now
-                    heapq.heappush(heap, (now, op.seq, op._heap_ver, op))
-                else:
-                    op._finish = _INF
-        return n
+    def _solve(self, group: _Group, now: float) -> int:
+        """Re-rate one dirty group; returns how many ops it holds.
 
-    # ------------------------------------------------------------------
-    # Vectorized group machinery
-    # ------------------------------------------------------------------
-    def _promote(self, key, members: set) -> _VectorGroup:
-        """Switch a scalar group to array form, transplanting live state.
-
-        Rates, settled remaining work and the *already scheduled* finish
-        times move over verbatim -- an op whose rate does not change in
-        the very next solve must keep the finish float computed when its
-        rate last changed, exactly as the heap entry would have.
+        Also the one place a group changes storage or is retired, since
+        every membership change dirties its key and lands here.
         """
-        ops = sorted(members, key=_SEQ_KEY)
-        vg = _VectorGroup(key, cap=max(16, 2 * len(ops)))
-        for op in ops:
-            op._heap_ver += 1  # retire any live heap entries
-            self._vg_insert(vg, op)
-            i = op._vi
-            vg.rate[i] = op.rate
-            vg.finish[i] = op._finish
-        vg.min_finish = float(vg.finish[: vg.size].min()) if vg.size else _INF
-        self._groups[key] = vg
-        self._vgroups.append(vg)
-        self._scalar_live -= len(ops)
-        return vg
-
-    def _vg_insert(self, vg: _VectorGroup, op: FluidOp) -> None:
-        sig = self.model.vector_sig(op)
-        sig_ids = self._sig_ids
-        sid = sig_ids.get(sig)
-        if sid is None:
-            sid = len(sig_ids) + 1  # 0 is the reserved hole marker
-            sig_ids[sig] = sid
-        i = vg.size
-        if i == vg.cap:
-            vg._grow()
-            i = vg.size
-        vg.ops.append(op)
-        vg.rem[i] = op.remaining
-        vg.rate[i] = 0.0
-        vg.finish[i] = _INF
-        vg.sig[i] = sid
-        counts = vg.counts
-        while len(counts) <= sid:
-            counts.append(0)
-        counts[sid] += 1
-        vg.size = i + 1
-        vg.n_live += 1
-        op._vg = vg
-        op._vi = i
-        op._vsig = sid
-
-    def _vector_solve(self, vg: _VectorGroup, now: float) -> int:
-        """Re-rate one promoted group in a handful of numpy calls."""
-        n = vg.n_live
-        if n == 0:
+        n = len(group.ops)
+        if not group.tabled:
+            if not n:
+                del self._groups[group.key]
+                return 0
+            if self.vector:
+                self.scalar_fallbacks += 1
+            rates = self.model.assign(group.ops)
+            new = [rates.get(op, 0.0) for op in group.ops]
+            _reject_negative(group, min(new))
+            self.rate_changes += group.apply(new, now)
+            return n
+        # Hysteresis: arrays from vector_min_group live ops, lists again
+        # at half that, so a population hovering at the threshold
+        # converts once instead of every epoch.
+        if group.wide:
+            if n <= self.vector_min_group // 2:
+                group = self._convert(group, _Group)
+                self.array_demotions += 1
+        elif n >= self.vector_min_group:
+            group = self._convert(group, _VectorGroup)
+            self.array_promotions += 1
+        if not n:
             return 0
-        token = self.model.vector_state(vg.key)
-        key = (token, tuple(vg.counts))
-        table = vg.memo.get(key)
+        memo_key = (self.model.vector_state(group.key), group.population())
+        table = group.memo.get(memo_key)
         if table is None:
-            table = self._vg_build_table(vg, key)
+            table = self._build_table(group, memo_key)
         self.vector_solves += 1
         self.vector_ops_solved += n
-        size = vg.size
-        cur = vg.rate[:size]
-        new = table[vg.sig[:size]]
-        idx = (new != cur).nonzero()[0]
-        k = idx.size
-        if k:
-            self.rate_changes += k
-            nr = new[idx]
-            cur[idx] = nr
-            rem = vg.rem[idx]
-            if nr.min() > 0.0:
-                fin = now + rem / nr
-            else:
-                pos = nr > 0.0
-                fin = _np.full(k, _INF)
-                fin[pos] = now + rem[pos] / nr[pos]
-                fin[~pos & (rem <= _EPSILON)] = now
-            vg.finish[idx] = fin
-            vg.min_finish = float(vg.finish[:size].min())
-            ops = vg.ops
-            rate_list = nr.tolist()
-            for j, i in enumerate(idx.tolist()):
-                ops[i].rate = rate_list[j]
+        self.rate_changes += group.solve(table, now)
         return n
 
-    def _vg_build_table(self, vg: _VectorGroup, key: tuple):
-        """Memo miss: one scalar assignment fills the signature table."""
-        ops = [op for op in vg.ops if op is not None]
-        rates = self.model.assign(ops)
-        table = _np.zeros(len(vg.counts))
-        for op in ops:
-            table[op._vsig] = rates.get(op, 0.0)
-        if table.min() < 0:
-            raise SimulationError(
-                f"model returned a negative rate for group {vg.key!r}"
-            )
-        memo = vg.memo
-        if len(memo) >= _VectorGroup.MEMO_LIMIT:
+    def _convert(self, group: _Group, storage: type) -> _Group:
+        """Move a group's columns to the other storage, floats verbatim.
+
+        Rates, settled remaining work and the *already scheduled* finish
+        times carry over -- an op whose rate does not change in the very
+        next solve must keep the finish float computed when its rate
+        last changed.  Rate tables are storage-shaped, so the memo
+        restarts empty.
+        """
+        fresh = storage(group.key, True, group.dump())
+        self._groups[group.key] = fresh
+        for op in fresh.ops:
+            op._vg = fresh
+        return fresh
+
+    def _build_table(self, group: _Group, memo_key: tuple):
+        """Memo miss: one model assignment fills the signature table."""
+        ops, _rem, _rate, _finish, sig = group.dump()
+        assigned = self.model.assign(ops)
+        rates = {sid: assigned.get(op, 0.0) for op, sid in zip(ops, sig)}
+        _reject_negative(group, min(rates.values()))
+        memo = group.memo
+        if len(memo) >= _Group.MEMO_LIMIT:
             memo.clear()
-        memo[key] = table
+        table = memo[memo_key] = group.table(rates)
         return table
 
-    def _vg_pop(self, vg: _VectorGroup, now: float, done: List[FluidOp]) -> None:
-        """Sweep one group's finished rows (array order = issue order)."""
-        size = vg.size
-        finish = vg.finish
-        idx = (finish[:size] <= now).nonzero()[0]
-        if not idx.size:
-            return
-        ops = vg.ops
-        counts = vg.counts
+    def _release(self, group: _Group, rows: List[int]) -> None:
+        """Take rows out of a group: the teardown completion and cancel share."""
+        ops = group.ops
         active = self.active
-        rate = vg.rate
-        sig = vg.sig
-        for i in idx.tolist():
+        for i in rows:
             op = ops[i]
-            op.remaining = 0.0
-            op.finished_at = now
             op._vg = None
-            ops[i] = None
-            counts[op._vsig] -= 1
-            sig[i] = _VectorGroup.DEAD_SIG
-            rate[i] = 0.0
-            finish[i] = _INF
             active.discard(op)
-            done.append(op)
-        vg.n_live -= idx.size
-        vg.min_finish = float(finish[:size].min())
-        self._dirty_keys.add(vg.key)
+        group.remove(rows)
+        self._ordered = None
+        self._dirty_keys.add(group.key)
+        self.dirty = True
 
     # ------------------------------------------------------------------
     def cancel_op(self, op: FluidOp) -> bool:
@@ -946,45 +989,18 @@ class FluidScheduler:
         progress up to cancellation is debited and observed -- interval
         observers then account exactly the work that physically
         happened before the cancel, no more.  The op never reaches the
-        completion queue: its group slot is freed, its heap entries are
-        retired via the version counter, and survivors' rates are
+        completion queue: its row is closed and survivors' rates are
         recomputed at the next rerate (the freed bandwidth speeds them
         up from *now*, not retroactively).  Returns False if the op was
         not active (already completed or never issued).
         """
-        if op not in self.active:
+        group = op._vg
+        if group is None:
             return False
-        self.active.discard(op)
-        self._ordered_stale = True
-        vg = op._vg
-        if vg is not None:
-            # Mirror the completion sweep's row teardown (_vg_pop) --
-            # minus the done-list append.
-            i = op._vi
-            vg.ops[i] = None
-            vg.counts[op._vsig] -= 1
-            vg.sig[i] = _VectorGroup.DEAD_SIG
-            vg.rate[i] = 0.0
-            vg.finish[i] = _INF
-            vg.n_live -= 1
-            vg.min_finish = (
-                float(vg.finish[: vg.size].min()) if vg.size else _INF
-            )
-            op._vg = None
-            self._dirty_keys.add(vg.key)
-        else:
-            op._heap_ver += 1  # retire live heap entries lazily
-            self._scalar_live -= 1
-            key = op._res_key
-            group = self._groups.get(key)
-            if group is not None and type(group) is not _VectorGroup:
-                group.discard(op)
-                if not group:
-                    del self._groups[key]
-                self._dirty_keys.add(key)
+        i = group.ops.index(op)
+        op._remaining = float(group.rem[i])
         op.rate = 0.0
-        op._finish = _INF
-        self.dirty = True
+        self._release(group, [i])
         self.ops_cancelled += 1
         return True
 
@@ -999,20 +1015,7 @@ class FluidScheduler:
         group = self._groups.get(key)
         if group is None:
             return None
-        best = None
-        if type(group) is _VectorGroup:
-            size = group.size
-            if size:
-                fin = group.finish[:size]
-                live = fin[fin < _INF]
-                if live.size:
-                    best = float(live.max())
-        else:
-            for op in group:  # reprolint: disable=SIM003 -- max() is order-independent
-                f = op._finish
-                if f < _INF and (best is None or f > best):
-                    best = f
-        return best
+        return group.horizon()
 
     # ------------------------------------------------------------------
     def invalidate_rates(self) -> None:
@@ -1020,14 +1023,15 @@ class FluidScheduler:
 
         Used when the rate model's *global* state changes mid-run (e.g.
         a fault-injected throughput-degradation window opening or
-        closing): every resource group is marked dirty so the next
-        ``rerate`` call recomputes all active rates under the new model
-        state.  Vector groups re-key their assignment-table memo on the
-        model's state token, so degraded windows never reuse healthy
-        tables.
+        closing): every populated resource group is marked dirty so the
+        next ``rerate`` call recomputes all active rates under the new
+        model state.  Rate-table memos are keyed on the model's state
+        token, so degraded windows never reuse healthy tables.
         """
-        self._dirty_keys.update(self._groups)
-        if self._groups:
+        if self.active:
+            self._dirty_keys.update(
+                key for key, group in self._groups.items() if group.ops
+            )
             self.dirty = True
 
     def pop_completed(self, now: float) -> list[FluidOp]:
@@ -1036,9 +1040,9 @@ class FluidScheduler:
         Ordering invariant (relied on by the engine's batch completion
         and documented by ``tests/sim/test_fluid_vector.py``): all ops
         finishing at (or before) ``now`` are coalesced into one batch
-        and returned in ascending op id (``seq``) order -- *not* in heap
-        or group order -- so simultaneous completions resume their
-        waiters deterministically under either kernel path.
+        and returned in ascending op id (``seq``) order -- *not* in
+        group order -- so simultaneous completions resume their waiters
+        deterministically under either storage.
 
         A tie-reordering probe (schedule fuzzing) deliberately permutes
         this same-instant completion batch *after* it leaves here: the
@@ -1048,34 +1052,17 @@ class FluidScheduler:
         not a guarantee workloads may lean on.
         """
         done: list[FluidOp] = []
-        for vg in self._vgroups:
-            if vg.min_finish <= now:
-                self._vg_pop(vg, now, done)
-        heap = self._heap
-        while heap:
-            t, _seq, ver, op = heap[0]
-            if ver != op._heap_ver:
-                heapq.heappop(heap)  # stale entry (rate changed / completed)
-                continue
-            if t > now:
-                break
-            heapq.heappop(heap)
-            op._heap_ver += 1
-            op.remaining = 0.0
-            op.finished_at = now
-            self.active.discard(op)
-            self._scalar_live -= 1
-            key = op._res_key
-            group = self._groups.get(key)
-            if group is not None and type(group) is not _VectorGroup:
-                group.discard(op)
-                if not group:
-                    del self._groups[key]
-                self._dirty_keys.add(key)
-            done.append(op)
+        for group in self._groups.values():  # reprolint: disable=SIM003 -- batch is sorted by op id below
+            if group.min_finish <= now:
+                rows = group.due(now)
+                ops = group.ops
+                for i in rows:
+                    op = ops[i]
+                    op._remaining = 0.0
+                    op.finished_at = now
+                    done.append(op)
+                self._release(group, rows)
         if done:
-            self.dirty = True
-            self._ordered_stale = True
             self.ops_completed += len(done)
             if len(done) > 1:
                 done.sort(key=_SEQ_KEY)
@@ -1088,18 +1075,8 @@ class FluidScheduler:
         op is stalled the scheduler reports ``None`` and the engine will
         raise a deadlock error unless some other event intervenes.
         """
-        best = None
-        for vg in self._vgroups:
-            m = vg.min_finish
-            if m < _INF and (best is None or m < best):
-                best = m
-        heap = self._heap
-        while heap:
-            t, _seq, ver, op = heap[0]
-            if ver != op._heap_ver:
-                heapq.heappop(heap)
-                continue
-            if best is None or t < best:
-                best = t
-            break
-        return best
+        best = _INF
+        for group in self._groups.values():  # reprolint: disable=SIM003 -- min() is order-independent
+            if group.min_finish < best:
+                best = group.min_finish
+        return best if best < _INF else None

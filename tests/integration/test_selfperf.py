@@ -45,14 +45,11 @@ def stats_snapshot(machine):
 
 
 class TestMemoizationDeterminism:
-    def test_memoize_on_off_identical_results(self):
-        # The memo canonicalises op order before the waterfill, so the
-        # cached and uncached paths must agree bit-for-bit: identical
-        # completion times, identical interval timeline, identical
-        # DeviceStats -- not merely approximately equal.
+    @staticmethod
+    def check_memoize_on_off() -> int:
+        """Compare a memoized and an unmemoized run; returns memo hits."""
         m_on, r_on, out_on = run_mergepass(memoize_rates=True)
         m_off, r_off, out_off = run_mergepass(memoize_rates=False)
-        assert m_on.rate_model.cache_hits > 0
         assert m_off.rate_model.cache_hits == 0
         assert r_on.total_time == r_off.total_time
         assert out_on == out_off
@@ -60,13 +57,32 @@ class TestMemoizationDeterminism:
         assert stats_snapshot(m_on) == stats_snapshot(m_off)
         assert float(r_on.internal_read) == float(r_off.internal_read)
         assert float(r_on.internal_written) == float(r_off.internal_written)
+        return m_on.rate_model.cache_hits
+
+    def test_memoize_on_off_identical_results(self, monkeypatch):
+        # The memo canonicalises op order before the waterfill, so the
+        # cached and uncached paths must agree bit-for-bit: identical
+        # completion times, identical interval timeline, identical
+        # DeviceStats -- not merely approximately equal.  With the
+        # vector protocol off the model's memo serves every repeated
+        # population; by default the scheduler's group tables sit in
+        # front of it and ask the model about each population once.
+        monkeypatch.setenv("REPRO_SIM_VECTOR", "0")
+        assert self.check_memoize_on_off() > 0
+        monkeypatch.setenv("REPRO_SIM_VECTOR", "1")
+        self.check_memoize_on_off()
 
     def test_memoize_hit_rate_on_steady_state_mergepass(self):
-        # Acceptance criterion: the rate-model memo must be observably
-        # effective -- >= 80% hit rate on a steady-state MergePass.
+        # Acceptance criterion: rate memoization must be observably
+        # effective -- on a steady-state MergePass at least 80% of the
+        # solves are answered without running the waterfill.  Since the
+        # group tables sit in front of the model's own LRU, the model
+        # only sees table misses; a model-side miss is a waterfill run.
         machine, _result, _out = run_mergepass(background=2)
         counters = collect_counters(machine)
-        assert counters["rate_cache_hit_rate"] >= 0.8
+        solves = counters["vector_solves"] + counters["scalar_fallbacks"]
+        assert solves == counters["rerate_calls"] > 1_000
+        assert counters["rate_cache_misses"] <= 0.2 * solves
 
 
 class TestBatchingEquivalence:

@@ -1,11 +1,13 @@
-"""Unit tests for the vectorized fluid-kernel path.
+"""Unit tests for the fluid kernel's vector protocol and group storages.
 
-Covers the invariants the array-backed group machinery must uphold:
-deterministic op-id ordering of same-epoch completion batches (under
-either kernel path and when both paths contribute to one batch),
-bit-identical results between the scalar and vector solvers, promotion
-thresholds and fallback counters, the ``REPRO_SIM_VECTOR`` switch, and
-the ``remaining_work`` accessor for mid-flight readers.
+Covers the invariants the group machinery must uphold: deterministic
+op-id ordering of same-epoch completion batches (with the protocol on
+or off, and when tabled and untabled groups contribute to one batch),
+bit-identical results between table solves and per-solve
+``model.assign`` calls, promotion thresholds and fallback counters, the
+``REPRO_SIM_VECTOR`` switch, and the ``remaining_work`` accessor for
+mid-flight readers.  The generated three-way comparison lives in
+``tests/property/test_fluid_kernels.py``.
 """
 
 from __future__ import annotations
@@ -103,8 +105,9 @@ class TestCompletionOrdering:
         assert {o.seq for o in done} == {o.seq for o in ops}
 
     def test_mixed_path_batch_is_globally_sorted(self):
-        # Two resource groups: one large enough to promote, one below
-        # the min-group threshold (stays on the scalar heap).  Ops are
+        # Two resource groups: one served from rate tables (and wide
+        # enough for array storage), one whose model has no vector
+        # protocol (list storage, one model.assign per solve).  Ops are
         # interleaved by creation order across the groups; a same-time
         # completion batch must interleave them back in seq order rather
         # than concatenating group-by-group.
@@ -113,7 +116,7 @@ class TestCompletionOrdering:
                 return op.attrs["grp"]
 
             def vector_state(self, key):
-                # Promote only the "big" group; "small" stays scalar.
+                # Only the "big" group implements the protocol.
                 return self.capacity if key == "big" else None
 
         sched = FluidScheduler(TwoGroupModel(4.0), vector=True)
@@ -170,13 +173,19 @@ class TestScalarVectorEquivalence:
 
 class TestPromotionThreshold:
     def test_small_group_stays_scalar(self):
+        # Below the threshold the columns stay Python lists; the solve
+        # still goes through the rate-table memo (a "vector solve" in
+        # the counters), so nothing falls back to model.assign per epoch.
         sched = FluidScheduler(VectorCapacityModel(4.0), vector=True)
         sched.vector_min_group = 8
-        for _ in range(3):
-            sched.add(FluidOp(4.0, kind="cpu"), 0.0)
+        ops = [FluidOp(4.0, kind="cpu") for _ in range(3)]
+        for op in ops:
+            sched.add(op, 0.0)
         sched.rerate(0.0)
-        assert sched.vector_solves == 0
-        assert sched.scalar_fallbacks == 1
+        assert sched.array_promotions == 0
+        assert not any(op._vg.wide for op in ops)
+        assert sched.vector_solves == 1
+        assert sched.scalar_fallbacks == 0
 
     def test_unsupporting_model_stays_scalar(self):
         sched = FluidScheduler(ScalarCapacityModel(4.0), vector=True)
@@ -197,13 +206,14 @@ class TestPromotionThreshold:
 class TestRemainingWork:
     def test_tracks_array_backed_ops_mid_flight(self):
         sched = FluidScheduler(VectorCapacityModel(8.0), vector=True)
+        sched.vector_min_group = 4
         ops = [FluidOp(8.0, kind="cpu") for _ in range(4)]
         for op in ops:
             sched.add(op, 0.0)
         sched.rerate(0.0)
         sched.settle(1.0)  # each op runs at 2.0 for 1s
         for op in ops:
-            assert op._vg is not None
+            assert op._vg is not None and op._vg.wide
             assert remaining_work(op) == 6.0
         sched.rerate(1.0)
         t = sched.next_completion(1.0)

@@ -11,6 +11,8 @@ floats, never ``approx``).
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -170,10 +172,12 @@ class TestFaultRunEquivalence:
 
 
 class TestClusterEquivalence:
-    """4-shard sorted cluster: one engine, four promoted domains."""
+    """4-shard sorted cluster: one engine, a resource group per shard."""
 
-    def run_path(self, monkeypatch, vector):
+    def run_path(self, monkeypatch, vector, min_group=None):
         set_path(monkeypatch, vector)
+        if min_group is not None:
+            monkeypatch.setenv("REPRO_SIM_VECTOR_MIN_GROUP", str(min_group))
         cluster = Cluster(shards=4)
         sharded = generate_cluster_dataset(cluster, "input", 6_000, FMT, seed=9)
         system = ShardedWiscSort(FMT)
@@ -183,11 +187,41 @@ class TestClusterEquivalence:
             for d in range(4)
         ]
         merged = np.concatenate([p for p in parts if p.size])
-        return result.total_time, tuple(sorted(result.phases.items())), merged
+        # Each shard's statistics observe its own group's op list; the
+        # float accumulation order (issue order) shows in every total.
+        stats = [shard.stats for shard in cluster.shards] + [cluster.net_stats]
+        tags = [
+            {
+                tag: (t.busy_time.hex(), t.internal_bytes.hex(), t.first_active.hex())
+                for tag, t in s.tags.items()
+            }
+            for s in stats
+        ]
+        internal = [
+            (s.bytes_read_internal.hex(), s.bytes_written_internal.hex())
+            for s in stats[:-1]
+        ] + [cluster.net_stats.bytes_total.hex()]
+        return (
+            result.total_time,
+            tuple(sorted(result.phases.items())),
+            tags,
+            internal,
+            [len(s.timeline) for s in stats],
+            merged,
+        )
 
     def test_paths_bit_identical(self, monkeypatch):
-        t_s, ph_s, out_s = self.run_path(monkeypatch, vector=False)
-        t_v, ph_v, out_v = self.run_path(monkeypatch, vector=True)
-        assert t_s == t_v
-        assert ph_s == ph_v
-        assert np.array_equal(out_s, out_v)
+        lists = self.run_path(monkeypatch, vector=False)
+        for kernel in (
+            self.run_path(monkeypatch, vector=True),
+            self.run_path(monkeypatch, vector=True, min_group=2),
+        ):
+            assert kernel[:-1] == lists[:-1]
+            assert np.array_equal(kernel[-1], lists[-1])
+        assert any(tags for tags in lists[2][:-1]) and lists[2][-1]
+        # Captured at 919a023, where each shard's observer filtered the
+        # global issue-ordered op list by domain instead.
+        digest = hashlib.sha256(repr((lists[2], lists[3])).encode()).hexdigest()
+        assert digest == (
+            "5e8b7b608c337c04ab1b56e6749a50dd06ed6d404501e1bcc402de7c1e22e78e"
+        )
