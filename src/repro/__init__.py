@@ -71,7 +71,6 @@ from repro.cluster import (
     Cluster,
     ClusterStats,
     Job,
-    JobScheduler,
     SLO,
     ServiceReport,
     ShardedFile,
@@ -189,7 +188,6 @@ __all__ = [
     "Cluster",
     "ClusterStats",
     "Job",
-    "JobScheduler",
     "SLO",
     "ServiceReport",
     "ShardedFile",

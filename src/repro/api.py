@@ -3,9 +3,9 @@
 Both are built on one typed options surface, :class:`RunOptions` -- a
 frozen dataclass carrying everything a single sort run needs (system,
 device, format, config, seed, fault spec, sanitizer/tracer/race-detector
-arming, DRAM budget).  The CLI, the cluster job scheduler and the sort
-service all construct the same ``RunOptions`` instead of threading
-fifteen loose keyword arguments through every layer::
+arming, DRAM budget).  The CLI and the sort service construct the same
+``RunOptions`` instead of threading fifteen loose keyword arguments
+through every layer::
 
     from repro import api
 
@@ -304,7 +304,12 @@ def serve(
     monitor: Optional[Any] = None,
     **loose,
 ):
-    """Run the cluster as an open-loop sort *service* and report SLOs.
+    """Run the cluster as a sort *service* and report SLOs.
+
+    One call covers the open-loop service and the batch: a batch of K
+    pre-submitted jobs is ``arrivals=TraceArrivals([...])`` with every
+    entry at ``t=0`` (``report.jobs`` / ``report.makespan`` are its job
+    table and drain time; the policy orders such jobs, never sheds them).
 
     The :class:`RunOptions` supplies the per-job defaults (base
     ``records``, ``system``, ``fmt``/``config``, ``seed``) plus the

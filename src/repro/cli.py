@@ -4,9 +4,9 @@ Commands
 --------
 ``sort``        sort a generated dataset with a chosen system and print
                 the phase breakdown and resource timeline.
-``cluster``     run K concurrent sort jobs on an N-shard cluster behind
-                the job scheduler and print queue/service/slowdown and
-                per-shard device statistics.
+``cluster``     run K concurrent sort jobs on an N-shard cluster (the
+                sort service fed one batch at t=0) and print
+                queue/service/slowdown and per-shard device statistics.
 ``serve``       run the cluster as an open-loop sort *service*: seeded
                 Poisson/bursty/trace arrivals, admission control with
                 load shedding, latency percentiles and SLO verdicts.
@@ -52,6 +52,7 @@ from repro import api
 from repro.calibrate import calibrate_device
 from repro.core.base import ConcurrencyModel, SortConfig
 from repro.device.host import HostModel
+from repro.errors import ConfigError
 from repro.metrics.cluster_report import render_job_table, render_shard_table
 from repro.metrics.timeline import render_timeline
 from repro.perf import SelfPerfProfiler, render_report
@@ -203,12 +204,12 @@ def build_parser() -> argparse.ArgumentParser:
                                 "diff the event traces; exit 1 on divergence")
     p_cluster.add_argument("--trace", metavar="PATH", default=None,
                            help="record a sim-time trace across all shards "
-                                "and the job scheduler; exported as "
+                                "and the job service; exported as "
                                 "Chrome/Perfetto trace JSON")
     p_cluster.add_argument(
         "--faults", metavar="SPEC", default=None,
         help="run ONE fault-tolerant sharded sort (instead of the job "
-             "scheduler) under a fault plan; prefix events with a shard "
+             "batch) under a fault plan; prefix events with a shard "
              "domain to target it (e.g. 'shard1:crash@t:5e-5' or "
              "'shard0:slow@t:3e-5+1e-3:x0.05'); --records-per-job is the "
              "total record count")
@@ -426,8 +427,7 @@ def _build_cluster(args: argparse.Namespace):
 
     if args.devices:
         return Cluster(
-            profiles=[name.strip() for name in args.devices.split(",")],
-            dram_budget=args.dram_budget,
+            profiles=_device_names(args), dram_budget=args.dram_budget
         )
     return Cluster(
         shards=args.shards,
@@ -469,41 +469,16 @@ def _report_cluster_probes(args: argparse.Namespace, observers: dict) -> int:
     return 0
 
 
-def _run_cluster(args: argparse.Namespace, options: api.RunOptions):
-    """Build a fresh cluster, arm ``options``' observers, submit and
-    run the jobs; returns ``(cluster, jobs, observers)``."""
-    from repro.cluster import JobScheduler
-
-    cluster = _build_cluster(args)
-    observers, _trace_path = api.arm_probes(options, cluster)
-    scheduler = JobScheduler(cluster, policy=args.policy)
-    tenants = max(1, args.tenants)
-    for j in range(args.jobs):
-        scheduler.submit(
-            f"job{j:02d}",
-            system=args.system,
-            n_records=args.records_per_job,
-            seed=args.seed + j,
-            tenant=f"tenant{j % tenants}",
-        )
-    jobs = scheduler.run()
-    return cluster, jobs, observers
-
-
 def _cmd_cluster_faulted(args: argparse.Namespace) -> int:
-    """One fault-tolerant sharded sort under ``--faults`` (no scheduler)."""
+    """One fault-tolerant sharded sort under ``--faults`` (no jobs)."""
     from repro.cluster import ShardedWiscSort, generate_cluster_dataset
-    from repro.errors import ConfigError, RecoveryError
+    from repro.errors import RecoveryError
     from repro.faults.harness import run_cluster_with_faults
     from repro.faults.plan import parse_fault_spec
 
     fmt = RecordFormat()
     n = args.records_per_job
-    try:
-        plan = parse_fault_spec(args.faults, seed=args.seed)
-    except ConfigError as exc:
-        print(f"cluster: {exc}", file=sys.stderr)
-        return 2
+    plan = parse_fault_spec(args.faults, seed=args.seed)
     checkpoint = plan.has_crash
     counts = None
     if plan.needs_probe:
@@ -613,6 +588,35 @@ def _render_cluster_counters(cluster) -> str:
     return "\n".join(lines)
 
 
+def _config_errors_exit_2(cmd):
+    """A bad configuration is one ``<command>: <why>`` line and exit 2."""
+
+    def guarded(args: argparse.Namespace) -> int:
+        try:
+            return cmd(args)
+        except ConfigError as exc:
+            print(f"{args.command}: {exc}", file=sys.stderr)
+            return 2
+
+    return guarded
+
+
+def _reject_never_fit(report):
+    """A run in which no job could ever be admitted is a bad configuration."""
+    if report.jobs_never_fit and report.jobs_never_fit == report.jobs_arrived:
+        raise ConfigError(
+            f"{report.jobs_never_fit} job(s) can never fit the DRAM budget"
+        )
+    return report
+
+
+def _device_names(args: argparse.Namespace) -> Optional[List[str]]:
+    if not args.devices:
+        return None
+    return [name.strip() for name in args.devices.split(",")]
+
+
+@_config_errors_exit_2
 def cmd_cluster(args: argparse.Namespace) -> int:
     if args.faults is not None:
         for flag in ("sanitize", "verify_determinism"):
@@ -622,24 +626,50 @@ def cmd_cluster(args: argparse.Namespace) -> int:
                 return 2
         return _cmd_cluster_faulted(args)
     if args.schedule_fuzz is not None:
-        print("cluster: --schedule-fuzz needs --faults (the job scheduler "
-              "may legally place tied jobs differently per schedule; the "
+        print("cluster: --schedule-fuzz needs --faults (admission may "
+              "legally place tied jobs differently per schedule; the "
               "fault-tolerant sharded sort has one deterministic output "
               "to fingerprint)", file=sys.stderr)
         return 2
     if args.jobs < 1:
         print("cluster: need at least one job", file=sys.stderr)
         return 2
-    if args.verify_determinism:
-        from repro.analysis.sanitizer import verify_determinism
+    from repro.analysis.sanitizer import SimSanitizer, verify_determinism
+    from repro.trace import Tracer
+    from repro.workloads.arrivals import JobSpec, TraceArrivals
 
-        report = verify_determinism(
-            lambda san: _run_cluster(args, api.RunOptions(sanitizer=san)),
-            runs=2,
-        )
+    base = api.RunOptions(device=args.device, dram_budget=args.dram_budget)
+    tenants = max(1, args.tenants)
+
+    def run_once(**observers):
+        """The batch: a fresh cluster serving every job as a ``t=0`` arrival."""
+        return _reject_never_fit(api.serve(
+            base.replace(**observers),
+            arrivals=TraceArrivals([
+                JobSpec(
+                    index=j, arrival_time=0.0, name=f"job{j:02d}",
+                    tenant=f"tenant{j % tenants}", system=args.system,
+                    records=args.records_per_job, seed=args.seed + j,
+                )
+                for j in range(args.jobs)
+            ]),
+            policy=args.policy,
+            shards=args.shards,
+            devices=_device_names(args),
+        ))
+
+    if args.verify_determinism:
+        report = verify_determinism(lambda san: run_once(sanitizer=san), runs=2)
         print(report.render())
         return 0 if report.ok else 1
-    cluster, jobs, observers = _run_cluster(args, _observer_options(args))
+    # Pre-built observers: _report_cluster_probes says what they found,
+    # rather than api.serve's harvest raising it.
+    report = run_once(
+        sanitizer=SimSanitizer() if args.sanitize else None,
+        trace=Tracer() if args.trace else None,
+        race_detect=args.race_detect,
+    )
+    cluster = report.extras["cluster"]
     print(cluster.describe())
     print(f"policy : {args.policy}, {args.jobs} jobs, "
           f"{args.records_per_job} records/job")
@@ -647,10 +677,10 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         print(f"dram   : {fmt_bytes(cluster.dram.budget)} pool, "
               f"peak {fmt_bytes(cluster.dram.peak)} reserved")
     print()
-    print(render_job_table(jobs))
+    print(render_job_table(report.jobs))
     print()
     print(render_shard_table(cluster))
-    if _report_cluster_probes(args, observers):
+    if _report_cluster_probes(args, report.extras):
         return 1
     if args.selfperf:
         print()
@@ -658,9 +688,8 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     return 0
 
 
+@_config_errors_exit_2
 def cmd_serve(args: argparse.Namespace) -> int:
-    from repro.errors import ConfigError
-
     base = api.RunOptions(
         records=args.records,
         system=args.system,
@@ -669,9 +698,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         dram_budget=args.dram_budget,
         validate=not args.no_validate,
     )
-    devices = None
-    if args.devices:
-        devices = [name.strip() for name in args.devices.split(",")]
     monitor = None
     if args.burn_window is not None:
         if not args.slo:
@@ -682,28 +708,24 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
         monitor = SLOMonitor(args.slo, window=args.burn_window,
                              burn_threshold=args.burn_alert)
-    try:
-        report = api.serve(
-            base,
-            arrivals=args.arrivals,
-            rate=args.rate,
-            horizon=args.horizon,
-            max_jobs=args.max_jobs,
-            policy=args.policy,
-            shards=args.shards,
-            devices=devices,
-            tenants=max(1, args.tenants),
-            queue_cap=args.queue_cap,
-            deadline=args.deadline,
-            period=args.period,
-            amplitude=args.amplitude,
-            trace_file=args.trace_file,
-            slos=args.slo or (),
-            monitor=monitor,
-        )
-    except ConfigError as exc:
-        print(f"serve: {exc}", file=sys.stderr)
-        return 2
+    report = _reject_never_fit(api.serve(
+        base,
+        arrivals=args.arrivals,
+        rate=args.rate,
+        horizon=args.horizon,
+        max_jobs=args.max_jobs,
+        policy=args.policy,
+        shards=args.shards,
+        devices=_device_names(args),
+        tenants=max(1, args.tenants),
+        queue_cap=args.queue_cap,
+        deadline=args.deadline,
+        period=args.period,
+        amplitude=args.amplitude,
+        trace_file=args.trace_file,
+        slos=args.slo or (),
+        monitor=monitor,
+    ))
     print(report.extras["cluster"].describe())
     print(report.render())
     if args.report:
@@ -714,7 +736,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    from repro.errors import ConfigError
     from repro.trace import Tracer, analyze_tracer
     from repro.trace.analyze import parse_what_if
 

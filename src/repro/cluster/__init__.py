@@ -1,4 +1,4 @@
-"""Scale-out: multi-device sharded sorting and a cluster job scheduler.
+"""Scale-out: multi-device sharded sorting and a cluster sort service.
 
 One shared :class:`~repro.sim.engine.Engine` hosts N device shards (each
 a full :class:`~repro.machine.Machine` routed through a
@@ -9,18 +9,15 @@ clock and one DRAM pool.
 * :class:`Cluster` -- owns the engine, the shards and the shared DRAM.
 * :class:`ShardedWiscSort` -- range-partitioning shuffle + per-shard
   WiscSort; merged output is byte-identical to a single-device run.
-* :class:`JobScheduler` -- batch admission of K concurrent sort jobs
-  under a registry-resolved policy, with per-job DRAM reservations and
-  queueing metrics.
-* :class:`SortService` -- the open-loop sort *service*: seeded arrival
-  processes, load shedding, deadline accounting and SLO reports (see
-  :mod:`repro.cluster.service`).
+* :class:`SortService` -- the one admission loop for concurrent sort
+  jobs: arrival processes (a batch is a finite trace at ``t=0``), a
+  registry-resolved policy, per-job DRAM reservations, load shedding,
+  deadline accounting and SLO reports (see :mod:`repro.cluster.service`).
 """
 
 from repro.cluster.cluster import Cluster, ClusterStats, ShardedFile, generate_cluster_dataset
 from repro.cluster.policies import AdmissionPolicy, SchedulingContext
-from repro.cluster.scheduler import Job, JobScheduler
-from repro.cluster.service import SLO, ServiceReport, SortService, parse_slo
+from repro.cluster.service import SLO, Job, ServiceReport, SortService, parse_slo
 from repro.cluster.sharded import ShardedWiscSort
 
 __all__ = [
@@ -34,7 +31,6 @@ __all__ = [
     "SortService",
     "generate_cluster_dataset",
     "Job",
-    "JobScheduler",
     "ShardedWiscSort",
     "parse_slo",
 ]

@@ -1,11 +1,11 @@
-"""Admission-control policies for the job scheduler and the sort service.
+"""Admission-control policies for the sort service.
 
 A policy decides two things and nothing else:
 
 * :meth:`AdmissionPolicy.on_arrival` -- accept or *shed* a job the
-  instant it arrives (open-loop service only; the batch scheduler never
-  sheds pre-submitted work).  Shedding is how a policy protects latency
-  under overload instead of letting the queue grow without bound.
+  instant it arrives (not asked about work already due when the service
+  opens: a batch is ordered, not shed).  Shedding is how a policy protects
+  latency under overload instead of letting the queue grow without bound.
 * :meth:`AdmissionPolicy.pick` -- which pending job to admit next, or
   ``None`` to wait for a completion.  The caller owns the DRAM
   reservation; a policy that returns a job that does not fit causes a
@@ -33,7 +33,7 @@ from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 from repro.registry import register_policy
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.cluster.scheduler import Job
+    from repro.cluster.service import Job
 
 #: Default pending-queue cap for the load-shedding policy.
 DEFAULT_QUEUE_CAP = 64

@@ -1,15 +1,23 @@
-"""Sort-as-a-service: open-loop arrivals, admission control and SLOs.
+"""Sort-as-a-service: arrivals, admission control and SLOs.
 
-The batch :class:`~repro.cluster.scheduler.JobScheduler` answers "how
-fast do K pre-submitted jobs drain?".  The :class:`SortService` answers
-the production question instead: jobs *arrive on their own clock* (an
+Jobs *arrive on their own clock* (an
 :class:`~repro.workloads.arrivals.ArrivalProcess`), queue under an
-admission policy, optionally get *shed* under overload, and the things
-that matter are the latency/slowdown percentiles of the completed jobs
-and the declared :class:`SLO` verdicts -- not the makespan.
+admission policy, optionally get *shed* under overload, and run as
+concurrent simulated processes on the cluster's shared engine: jobs on
+the same shard contend for its device and every admitted job holds a
+DRAM reservation against the one cluster-wide pool.  What matters is
+the latency/slowdown percentiles of the completed jobs and the declared
+:class:`SLO` verdicts.  A *batch* -- "how fast do K pre-submitted jobs
+drain?" -- is the same loop fed a finite
+:class:`~repro.workloads.arrivals.TraceArrivals` whose entries all
+arrive at ``t=0``; its answer is the report's ``makespan`` and ``jobs``.
 
 The pieces:
 
+* :class:`Job` -- one sort job: a dataset on one shard plus its
+  lifecycle metrics (``queue_time`` from arrival to admission,
+  ``service_time`` from admission to completion, ``slowdown`` =
+  (queue + service) / service).
 * :class:`SLO` -- a declarative objective like ``latency:p99<0.05``
   (metric, percentile, comparator, threshold in simulated seconds);
   :func:`parse_slo` parses the string grammar.
@@ -31,9 +39,8 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
-from repro.api import RunOptions
 from repro.core.base import SortConfig
 from repro.errors import ConfigError, DramBudgetError
 from repro.records.format import RecordFormat
@@ -47,7 +54,6 @@ from repro.trace.metrics import MetricsRegistry
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.policies import SchedulingContext
-from repro.cluster.scheduler import Job
 from repro.workloads.arrivals import ArrivalProcess, JobSpec
 
 #: Log-spaced latency/queue-time buckets (simulated seconds).
@@ -272,6 +278,63 @@ class SLOMonitor:
         }
 
 
+@dataclass(eq=False)
+class Job:
+    """One sort job: a dataset on one shard plus its lifecycle metrics."""
+
+    name: str
+    tenant: str
+    system: str
+    n_records: int
+    seed: int
+    #: DRAM reserved for the job's whole residency (IndexMap + buffers).
+    dram_bytes: int
+    #: Arrival sequence number: the total tie-break for policies.
+    seq: int = 0
+    #: Absolute deadline in simulated seconds (None = best effort).
+    deadline: Optional[float] = None
+    shard: Any = field(default=None, repr=False)
+    input_file: Any = field(default=None, repr=False)
+    output_file: Any = field(default=None, repr=False)
+    submit_time: float = 0.0
+    start_time: Optional[float] = None
+    finish_time: Optional[float] = None
+    #: Set when the job was dropped at arrival.
+    shed: bool = False
+
+    @property
+    def queue_time(self) -> float:
+        if self.start_time is None:
+            return 0.0
+        return self.start_time - self.submit_time
+
+    @property
+    def service_time(self) -> float:
+        if self.start_time is None or self.finish_time is None:
+            return 0.0
+        return self.finish_time - self.start_time
+
+    @property
+    def latency(self) -> float:
+        """Arrival-to-completion time (the service SLO metric)."""
+        if self.finish_time is None:
+            return 0.0
+        return self.finish_time - self.submit_time
+
+    @property
+    def slowdown(self) -> float:
+        service = self.service_time
+        if service <= 0.0:
+            return 1.0
+        return (self.finish_time - self.submit_time) / service
+
+    @property
+    def missed_deadline(self) -> bool:
+        if self.deadline is None or self.finish_time is None:
+            return False
+        return self.finish_time > self.deadline
+
+
 @dataclass
 class ServiceReport:
     """What one open-loop service run produced, rendered deterministically."""
@@ -281,6 +344,8 @@ class ServiceReport:
     jobs_admitted: int = 0
     jobs_completed: int = 0
     jobs_shed: int = 0
+    #: Of ``jobs_shed``, those whose reservation exceeds the whole budget.
+    jobs_never_fit: int = 0
     deadline_misses: int = 0
     offered_rate: float = 0.0
     achieved_rate: float = 0.0
@@ -366,16 +431,40 @@ class ServiceReport:
         return "\n".join(lines)
 
 
+@dataclass
+class _Run:
+    """Mutable state of one :meth:`SortService.serve` call, shared by its
+    arrival, admission and job processes."""
+
+    #: Admission waits here for new work *and* freed DRAM.
+    kick: Semaphore
+    horizon: Optional[float]
+    max_jobs: Optional[int]
+    pending: List[Job] = field(default_factory=list)
+    #: Per-tenant attained service seconds / jobs currently in service.
+    service: Dict[str, float] = field(default_factory=dict)
+    in_service: Dict[str, int] = field(default_factory=dict)
+    arrived: int = 0
+    placed: int = 0
+    shed: int = 0
+    never_fit: int = 0
+    running: int = 0
+    last_arrival: float = 0.0
+    arrivals_done: bool = False
+
+
 class SortService:
-    """Open-loop sort service over one cluster.
+    """The one admission loop: an arrival stream served by one cluster.
 
     Jobs from an :class:`~repro.workloads.arrivals.ArrivalProcess` are
     materialised on arrival (dataset generated on their round-robin
     shard), passed to the admission policy's ``on_arrival`` (which may
     shed them), queued, and admitted by ``pick`` whenever DRAM frees
-    up.  All per-job defaults come from ``base_options``
-    (:class:`~repro.api.RunOptions`); each job stores its own derived
-    options, the same object a standalone ``api.sort`` run would use.
+    up.  Jobs already due when the service opens are pre-submitted work:
+    the policy never sheds them, only orders them.  Each admitted job
+    reserves its IndexMap footprint plus its I/O buffers for its whole
+    residency -- what WiscSort needs resident for an OnePass sort; a
+    job no budget could ever admit is shed (``jobs_never_fit``).
     """
 
     def __init__(
@@ -387,7 +476,6 @@ class SortService:
         queue_cap: Optional[int] = None,
         slos: Sequence[Union[str, SLO]] = (),
         validate: bool = True,
-        base_options: Optional[RunOptions] = None,
         monitor: Optional[SLOMonitor] = None,
     ):
         self.cluster = cluster
@@ -399,9 +487,6 @@ class SortService:
         self.queue_cap = queue_cap
         self.slos = [parse_slo(s) for s in slos]
         self.validate = validate
-        self.base_options = (
-            base_options if base_options is not None else RunOptions()
-        )
         #: Optional live burn-rate monitor (off by default, so reports
         #: and fingerprints are byte-identical without one).
         self.monitor = monitor
@@ -431,150 +516,133 @@ class SortService:
             raise ConfigError("horizon must be > 0 simulated seconds")
         if max_jobs is not None and max_jobs < 1:
             raise ConfigError("max_jobs must be >= 1")
-        pending: List[Job] = []
-        state = {
-            "arrived": 0, "shed": 0, "completed": 0,
-            "deadline_misses": 0, "running": 0, "arrivals_done": False,
-            "last_arrival": 0.0, "rr": 0,
-        }
-        service: Dict[str, float] = {}
-        in_service: Dict[str, int] = {}
-        # Admission waits here for new work *and* freed DRAM; the
-        # reason tag lets the trace analyzer bill those stalls to DRAM.
-        kick = Semaphore(
-            self.cluster.engine, 0, name="service-kick", reason="dram"
+        # The reason tag bills waits on `kick` to DRAM in the trace analyzer.
+        run = _Run(
+            self.cluster.semaphore(0, name="service-kick", reason="dram"),
+            horizon, max_jobs,
         )
         if self.monitor is not None:
             self.monitor.probes = self.cluster.probes
         self.cluster.run(
-            self._service_proc(
-                arrivals, horizon, max_jobs, pending, state,
-                service, in_service, kick,
-            ),
-            name=f"service[{self.policy}]",
+            self._service_proc(run, arrivals), name=f"service[{self.policy}]"
         )
+        completed = [j for j in self.jobs if j.finish_time is not None]
+        for emit in self.cluster.probes.complete_span:
+            # Retrospective: a job's endpoints are only all known once
+            # it has finished.
+            for job in completed:
+                if job.start_time > job.submit_time:
+                    emit(
+                        f"queued:{job.name}", job.submit_time, job.start_time,
+                        cat="queue", track="service", proc=job.name,
+                        tenant=job.tenant,
+                    )
+                emit(
+                    f"service:{job.name}", job.start_time, job.finish_time,
+                    cat="service", track="service", proc=job.name,
+                    tenant=job.tenant, shard=job.shard.domain,
+                )
         if self.validate:
-            for job in self.jobs:
-                if job.output_file is None:
-                    continue
+            for job in completed:
                 validate_sorted_file(job.input_file, job.output_file, self.fmt)
-        return self._report(state, horizon)
+        return self._report(run, completed)
 
     # ------------------------------------------------------------------
     def _make_job(self, spec: JobSpec) -> Job:
-        dram_bytes = (
-            spec.records * self.fmt.index_entry_size
-            + self.config.read_buffer
-            + self.config.write_buffer
-        )
-        options = self.base_options.replace(
-            system=spec.system,
-            records=spec.records,
-            seed=spec.seed,
-            fmt=self.fmt,
-            config=self.config,
-        )
-        deadline = (
-            spec.arrival_time + spec.deadline
-            if spec.deadline is not None else None
-        )
         return Job(
             spec.name, spec.tenant, spec.system, spec.records, spec.seed,
-            dram_bytes, seq=spec.index, deadline=deadline, options=options,
+            dram_bytes=(
+                spec.records * self.fmt.index_entry_size
+                + self.config.read_buffer
+                + self.config.write_buffer
+            ),
+            seq=spec.index,
+            deadline=(
+                spec.arrival_time + spec.deadline
+                if spec.deadline is not None else None
+            ),
+            submit_time=spec.arrival_time,
         )
 
-    def _context(
-        self,
-        service: Dict[str, float],
-        in_service: Dict[str, int],
-        state: dict,
-    ) -> SchedulingContext:
+    def _context(self, run: _Run) -> SchedulingContext:
         dram = self.cluster.dram
         return SchedulingContext(
             now=self.cluster.now,
             fits=lambda job: dram.would_fit(job.dram_bytes),
-            service=service,
-            in_service=in_service,
-            running=state["running"],
+            service=run.service,
+            in_service=run.in_service,
+            running=run.running,
             dram_budget=dram.budget,
             dram_available=dram.available,
             queue_cap=self.queue_cap,
         )
 
-    def _service_proc(
-        self, arrivals, horizon, max_jobs, pending, state,
-        service, in_service, kick,
-    ):
-        yield Spawn(
-            self._arrival_proc(
-                arrivals, horizon, max_jobs, pending, state,
-                service, in_service, kick,
-            ),
-            name="service-arrivals",
-        )
-        yield from self._admission_proc(
-            pending, state, service, in_service, kick
-        )
+    def _service_proc(self, run: _Run, arrivals):
+        yield Spawn(self._arrival_proc(run, arrivals), name="service-arrivals")
+        yield from self._admission_proc(run)
 
-    def _arrival_proc(
-        self, arrivals, horizon, max_jobs, pending, state,
-        service, in_service, kick,
-    ):
+    def _arrival_proc(self, run: _Run, arrivals):
         budget = self.cluster.dram.budget
         probes = self.cluster.probes
-        count = 0
+        # Due when the service opens = pre-submitted: never policy-shed.
+        opened = at = self.cluster.now
         for spec in arrivals.stream():
-            if max_jobs is not None and count >= max_jobs:
+            if run.max_jobs is not None and run.arrived >= run.max_jobs:
                 break
-            if horizon is not None and spec.arrival_time > horizon:
+            if run.horizon is not None and spec.arrival_time > run.horizon:
                 break
-            now = yield Now()
-            if spec.arrival_time > now:
-                yield Sleep(spec.arrival_time - now)
-            count += 1
-            state["arrived"] += 1
-            state["last_arrival"] = spec.arrival_time
+            # Only a later arrival yields: every job due at one instant
+            # is queued before admission can pick among them.  Ties are
+            # told by the trace's own times; the clock can wake an ulp off.
+            if spec.arrival_time > at:
+                at = spec.arrival_time
+                yield Sleep(max(0.0, at - self.cluster.now))
+            run.arrived += 1
+            run.last_arrival = spec.arrival_time
             job = self._make_job(spec)
-            job.submit_time = spec.arrival_time
-            service.setdefault(job.tenant, 0.0)
-            in_service.setdefault(job.tenant, 0)
-            oversized = budget is not None and job.dram_bytes > budget
-            ctx = self._context(service, in_service, state)
-            if oversized or not self._policy.on_arrival(job, pending, ctx):
+            self.jobs.append(job)
+            run.service.setdefault(job.tenant, 0.0)
+            run.in_service.setdefault(job.tenant, 0)
+            never_fits = budget is not None and job.dram_bytes > budget
+            run.never_fit += never_fits
+            if never_fits or not (at <= opened or self._policy.on_arrival(
+                job, run.pending, self._context(run)
+            )):
                 job.shed = True
-                state["shed"] += 1
-                self.jobs.append(job)
+                run.shed += 1
                 for emit in probes.instant:
                     emit(
                         "shed", cat="service", track="service",
                         job=job.name, tenant=job.tenant,
                     )
                 continue
-            shard = self.cluster.shards[state["rr"] % len(self.cluster.shards)]
-            state["rr"] += 1
-            job.shard = shard
-            job.input_file = generate_dataset(
-                shard, f"{job.name}.in", job.n_records, self.fmt,
-                seed=job.seed,
-            )
-            pending.append(job)
-            self.jobs.append(job)
+            job.shard = self.cluster.shards[
+                run.placed % len(self.cluster.shards)
+            ]
+            run.placed += 1
+            with job.shard.fs.unaudited("job input: the workload, untimed"):
+                job.input_file = generate_dataset(
+                    job.shard, f"{job.name}.in", job.n_records, self.fmt,
+                    seed=job.seed,
+                )
+            run.pending.append(job)
             for emit in probes.counter:
-                emit("service", "queue_depth", float(len(pending)))
-            kick.release()
-        state["arrivals_done"] = True
-        kick.release()
+                emit("service", "queue_depth", float(len(run.pending)))
+            run.kick.release()
+        run.arrivals_done = True
+        run.kick.release()
 
-    def _admission_proc(self, pending, state, service, in_service, kick):
+    def _admission_proc(self, run: _Run):
         # Arrivals and completions both funnel through `kick`, so one
         # wait point covers "new work" and "freed DRAM" alike.
+        pending = run.pending
         probes = self.cluster.probes
         while True:
             while pending:
-                ctx = self._context(service, in_service, state)
+                ctx = self._context(run)
                 job = self._policy.pick(pending, ctx)
                 if job is None or not ctx.fits(job):
-                    if state["running"] == 0 and state["arrivals_done"]:
+                    if run.running == 0 and run.arrivals_done:
                         stuck = job if job is not None else pending[0]
                         raise DramBudgetError(
                             f"job {stuck.name!r} needs {stuck.dram_bytes} B "
@@ -584,7 +652,7 @@ class SortService:
                     break
                 pending.remove(job)
                 self.cluster.dram.allocate(job.dram_bytes)
-                in_service[job.tenant] += 1
+                run.in_service[job.tenant] += 1
                 job.start_time = yield Now()
                 for emit in probes.counter:
                     emit("service", "queue_depth", float(len(pending)))
@@ -594,21 +662,14 @@ class SortService:
                         job=job.name, tenant=job.tenant,
                         shard=job.shard.domain,
                     )
-                yield Spawn(
-                    self._job_body(job, state, service, in_service, kick),
-                    name=f"job:{job.name}",
-                )
-                state["running"] += 1
-            if state["arrivals_done"] and not pending \
-                    and state["running"] == 0:
+                yield Spawn(self._job_body(run, job), name=f"job:{job.name}")
+                run.running += 1
+            if run.arrivals_done and not pending and run.running == 0:
                 return
-            yield kick.acquire()
+            yield run.kick.acquire()
 
-    def _job_body(self, job, state, service, in_service, kick):
-        options = job.options
-        system = create_system(
-            options.system, options.record_format, config=options.sort_config
-        )
+    def _job_body(self, run: _Run, job: Job):
+        system = create_system(job.system, self.fmt, config=self.config)
         if not hasattr(system, "sort_process"):
             raise ConfigError(
                 f"system {job.system!r} cannot run as a service job "
@@ -619,12 +680,9 @@ class SortService:
         job.output_file = output
         job.finish_time = yield Now()
         self.cluster.dram.free(job.dram_bytes)
-        service[job.tenant] += job.service_time
-        in_service[job.tenant] -= 1
-        state["running"] -= 1
-        state["completed"] += 1
-        if job.missed_deadline:
-            state["deadline_misses"] += 1
+        run.service[job.tenant] += job.service_time
+        run.in_service[job.tenant] -= 1
+        run.running -= 1
         if self.monitor is not None:
             self.monitor.observe(
                 job.finish_time,
@@ -634,10 +692,10 @@ class SortService:
                     "queue": job.queue_time,
                 },
             )
-        kick.release()
+        run.kick.release()
 
     # ------------------------------------------------------------------
-    def _report(self, state: dict, horizon: Optional[float]) -> ServiceReport:
+    def _report(self, run: _Run, completed: List[Job]) -> ServiceReport:
         latency = self.metrics.histogram(
             "job_latency_seconds", buckets=TIME_BUCKETS
         )
@@ -647,17 +705,15 @@ class SortService:
         queue = self.metrics.histogram(
             "job_queue_seconds", buckets=TIME_BUCKETS
         )
-        completed = [j for j in self.jobs if j.finish_time is not None]
         for job in completed:
             latency.observe(job.latency)
             slowdown.observe(job.slowdown)
             queue.observe(job.queue_time)
-        self.metrics.counter("jobs_arrived").set_total(state["arrived"])
-        self.metrics.counter("jobs_shed").set_total(state["shed"])
-        self.metrics.counter("jobs_completed").set_total(state["completed"])
-        self.metrics.counter("deadline_misses").set_total(
-            state["deadline_misses"]
-        )
+        deadline_misses = sum(job.missed_deadline for job in completed)
+        self.metrics.counter("jobs_arrived").set_total(run.arrived)
+        self.metrics.counter("jobs_shed").set_total(run.shed)
+        self.metrics.counter("jobs_completed").set_total(len(completed))
+        self.metrics.counter("deadline_misses").set_total(deadline_misses)
         hists = {"latency": latency, "slowdown": slowdown, "queue": queue}
         percentiles = {
             metric: {
@@ -678,18 +734,17 @@ class SortService:
             self.monitor.finalize()
             burn = self.monitor.summary()
         makespan = self.cluster.now
-        span = horizon if horizon is not None else state["last_arrival"]
-        offered = state["arrived"] / span if span and span > 0 else 0.0
-        achieved = (
-            state["completed"] / makespan if makespan > 0 else 0.0
-        )
+        span = run.horizon if run.horizon is not None else run.last_arrival
+        offered = run.arrived / span if span and span > 0 else 0.0
+        achieved = len(completed) / makespan if makespan > 0 else 0.0
         return ServiceReport(
             policy=self.policy,
-            jobs_arrived=state["arrived"],
-            jobs_admitted=state["arrived"] - state["shed"],
-            jobs_completed=state["completed"],
-            jobs_shed=state["shed"],
-            deadline_misses=state["deadline_misses"],
+            jobs_arrived=run.arrived,
+            jobs_admitted=run.arrived - run.shed,
+            jobs_completed=len(completed),
+            jobs_shed=run.shed,
+            jobs_never_fit=run.never_fit,
+            deadline_misses=deadline_misses,
             offered_rate=offered,
             achieved_rate=achieved,
             makespan=makespan,

@@ -9,7 +9,7 @@ any module can declare a sorting system with::
 
 or, for parameterised variants, decorate a factory function with the
 same ``(fmt, config)`` signature.  The CLI, the benchmark harness, the
-cluster job scheduler and the tests all consume the same registry, so a
+cluster sort service and the tests all consume the same registry, so a
 newly registered system is immediately sortable, benchmarkable and
 schedulable by name.
 
@@ -101,9 +101,8 @@ def register_policy(name: str) -> Callable:
 
     The decorated callable must be constructible with no arguments and
     implement the :class:`repro.cluster.policies.AdmissionPolicy`
-    surface (``on_arrival`` / ``pick``); ``--policy`` names on the CLI,
-    :class:`~repro.cluster.scheduler.JobScheduler` and
-    :class:`~repro.cluster.service.SortService` all resolve here.
+    surface (``on_arrival`` / ``pick``); ``--policy`` names on the CLI
+    and :class:`~repro.cluster.service.SortService` resolve here.
     """
     return _register(_POLICIES, "policy", name)
 

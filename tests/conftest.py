@@ -52,3 +52,19 @@ def host():
 @pytest.fixture
 def fmt():
     return RecordFormat()
+
+
+def batch_trace(*jobs, **defaults):
+    """A batch as the sort service sees it: every job arrives at ``t=0``.
+
+    Each job is a dict of :class:`~repro.workloads.arrivals.JobSpec`
+    fields (``name`` and ``records`` at least); ``defaults`` fill the
+    rest.  At ``t=0`` a relative ``deadline`` is also the absolute one.
+    """
+    from repro.workloads.arrivals import JobSpec, TraceArrivals
+
+    base = {"tenant": "default", "system": "wiscsort", **defaults}
+    return TraceArrivals([
+        JobSpec(index=i, arrival_time=0.0, **{"seed": i, **base, **job})
+        for i, job in enumerate(jobs)
+    ])

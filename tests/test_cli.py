@@ -191,6 +191,20 @@ class TestServeCommand:
         assert rc == 0
         assert "arrived=2" in out
 
+    def test_serve_reports_one_oversized_job_as_shed(self, tmp_path, capsys):
+        # exit 2 is for a run nothing could be admitted to
+        trace = tmp_path / "arrivals.jsonl"
+        trace.write_text(
+            '{"t": 0.0, "records": 1000}\n{"t": 1e-05, "records": 90000}\n',
+            encoding="utf-8",
+        )
+        rc = main([
+            "serve", "--arrivals", "trace", "--trace-file", str(trace),
+            "--dram-budget", "16000000",
+        ])
+        assert rc == 0
+        assert "completed=1 shed=1" in capsys.readouterr().out
+
     def test_serve_bad_spec_exits_2(self, capsys):
         rc = main([
             "serve", "--rate", "100", "--horizon", "0.01",
@@ -198,6 +212,65 @@ class TestServeCommand:
         ])
         assert rc == 2
         assert "serve:" in capsys.readouterr().err
+
+
+class TestClusterCommand:
+    def test_cluster_runs_the_batch_and_prints_the_job_table(self, capsys):
+        rc = main([
+            "cluster", "--shards", "2", "--jobs", "3", "--policy", "edf",
+            "--records-per-job", "1000", "--dram-budget", "20000000",
+        ])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "policy : edf, 3 jobs, 1000 records/job" in out
+        assert "job02  tenant0  wiscsort  shard0" in out
+        assert "3 jobs, makespan" in out
+
+    def test_batch_is_ordered_never_shed(self, capsys):
+        # four ~15.8 MB jobs queue behind a one-job budget: twice what
+        # backpressure would let an open-loop arrival join
+        rc = main([
+            "cluster", "--jobs", "4", "--policy", "backpressure",
+            "--records-per-job", "2000", "--dram-budget", "16000000",
+        ])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "wiscsort  shard3" in out and "wiscsort  -" not in out
+
+    def test_verify_determinism_rejects_a_batch_that_never_fits(self, capsys):
+        rc = main([
+            "cluster", "--jobs", "2", "--verify-determinism",
+            "--dram-budget", "1000",
+        ])
+        assert rc == 2
+        assert "can never fit" in capsys.readouterr().err
+
+
+#: Inputs no run can be built from -> what the one stderr line says.
+BAD_INPUTS = [
+    ("--dram-budget 1000", "can never fit the DRAM budget"),
+    ("--shards 0", "at least one shard"),
+    ("--devices pmem,nope", "unknown profile 'nope'"),
+    ("--records-per-job 0", "record"),
+]
+
+
+class TestBadInputNeverTracebacks:
+    @pytest.mark.parametrize("command", ["cluster", "serve"])
+    @pytest.mark.parametrize("flags,message", BAD_INPUTS)
+    def test_exits_2_with_one_line(self, command, flags, message, capsys):
+        if command == "cluster":
+            argv = ["cluster", "--jobs", "2"] + flags.split()
+        else:  # a rate that offers jobs inside the horizon
+            argv = ["serve", "--rate", "2000", "--horizon", "0.005"] + \
+                flags.replace("--records-per-job", "--records").split()
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"{command}: ") and message in captured.err
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
 
 
 class TestAnalyzeCommand:

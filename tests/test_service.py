@@ -11,16 +11,16 @@ import pytest
 
 from repro import api
 from repro.api import RunOptions
-from repro.cluster import Cluster, SLO, SortService, parse_slo
+from repro.cluster import Cluster, Job, SLO, SortService, parse_slo
 from repro.cluster.policies import (
     BackpressurePolicy,
     EdfPolicy,
     SchedulingContext,
     ShedPolicy,
 )
-from repro.cluster.scheduler import Job, JobScheduler
 from repro.errors import ConfigError
 from repro.workloads.arrivals import PoissonArrivals, TraceArrivals
+from tests.conftest import batch_trace
 
 #: Admits ~3 concurrent 2k-record jobs (each reserves ~15.8 MB).
 BUDGET = 48_000_000
@@ -245,47 +245,111 @@ class TestServiceSurface:
             rate=1_000.0, horizon=0.01, policy="fifo",
         )
         assert rep.jobs_arrived > 0
-        assert rep.jobs_shed == rep.jobs_arrived
+        assert rep.jobs_shed == rep.jobs_never_fit == rep.jobs_arrived
         assert rep.jobs_completed == 0
+
+    def test_never_fit_is_counted_apart_from_policy_sheds(self):
+        rep = api.serve(
+            RunOptions(dram_budget=16_000_000),
+            arrivals=TraceArrivals(
+                [{"t": 0.0, "records": 1_000}, {"t": 0.0, "records": 90_000}]
+            ),
+        )
+        assert (rep.jobs_completed, rep.jobs_shed, rep.jobs_never_fit) == \
+            (1, 1, 1)
+        assert serve_overloaded("shed", queue_cap=8).jobs_never_fit == 0
 
 
 class TestSchedulerIntegration:
-    """The batch scheduler shares policies and RunOptions with the service."""
+    """A batch is a finite trace at ``t=0``: every arrival due at one
+    instant is queued before admission picks among them."""
 
-    def test_submit_with_run_options(self):
-        cluster = Cluster(shards=2)
-        scheduler = JobScheduler(cluster, policy="fifo")
-        job = scheduler.submit(
-            "j0", options=RunOptions(records=1_000, system="wiscsort", seed=9)
-        )
-        assert job.n_records == 1_000
-        assert job.seed == 9
-        assert job.options.system == "wiscsort"
-        jobs = scheduler.run()
-        assert jobs[0].finish_time is not None
+    def _start_order(self, policy, *jobs):
+        # The budget fits exactly one job's ~15.7 MB reservation, so
+        # admissions serialize and the pick order is observable.
+        cluster = Cluster(shards=1, dram_budget=16_000_000)
+        report = SortService(cluster, policy=policy).serve(batch_trace(*jobs))
+        assert report.jobs_completed == len(jobs)
+        return [j.name for j in sorted(report.jobs, key=lambda j: j.start_time)]
 
     def test_edf_policy_in_batch_scheduler(self):
-        # Budget fits exactly one job's ~15.7 MB reservation, so
-        # admissions serialize and the EDF order is observable.
-        cluster = Cluster(shards=1, dram_budget=16_000_000)
-        scheduler = JobScheduler(cluster, policy="edf")
-        # Submitted in anti-deadline order: EDF must admit c, b, a.
-        scheduler.submit("a", n_records=1_000, deadline=3.0)
-        scheduler.submit("b", n_records=1_000, deadline=2.0)
-        scheduler.submit("c", n_records=1_000, deadline=1.0)
-        jobs = {j.name: j for j in scheduler.run()}
-        assert jobs["c"].start_time < jobs["b"].start_time
-        assert jobs["b"].start_time < jobs["a"].start_time
+        # Arriving together in anti-deadline order: EDF must admit c, b, a
+        # (the parent admitted `a` at 0.0, before b and c were queued).
+        assert self._start_order(
+            "edf",
+            dict(name="a", records=1_000, deadline=3.0),
+            dict(name="b", records=1_000, deadline=2.0),
+            dict(name="c", records=1_000, deadline=1.0),
+        ) == ["c", "b", "a"]
 
-    def test_legacy_submit_surface_unchanged(self):
-        cluster = Cluster(shards=2)
-        scheduler = JobScheduler(cluster)
-        job = scheduler.submit("j0", system="wiscsort", n_records=500,
-                               seed=0, tenant="default")
-        assert job.n_records == 500
-        assert job.options.records == 500
-        scheduler.run()
+    def test_fair_sees_the_whole_tied_burst(self):
+        # bob's burst arrives ahead of alice's one job at the same
+        # instant.  With nothing served yet the tenants tie and the name
+        # breaks it, so alice goes first -- if her job is already queued
+        # when admission first picks (the parent started b0 at 0.0).
+        assert self._start_order(
+            "fair",
+            dict(name="b0", records=1_000, tenant="bob"),
+            dict(name="b1", records=1_000, tenant="bob"),
+            dict(name="a0", records=1_000, tenant="alice"),
+        ) == ["a0", "b0", "b1"]
+
+    def test_tied_arrivals_later_in_a_trace_queue_together(self):
+        # The same holds at t > 0 (jobs named in arrival order).
+        cluster = Cluster(shards=1, dram_budget=16_000_000)
+        report = SortService(cluster, policy="edf").serve(TraceArrivals(
+            [{"t": 1e-3, "deadline": d} for d in (3.0, 2.0, 1.0)],
+            records=1_000,
+        ))
+        starts = [j.start_time for j in report.jobs]
+        assert starts == sorted(starts, reverse=True)
+        assert starts[-1] == 1e-3
+
+    def test_ties_are_told_by_trace_times_not_the_clock(self):
+        # Sleeping 0 -> 0.003 -> 0.014 wakes one ulp short of 0.014; the
+        # burst tied there must still queue whole before EDF picks.
+        assert 0.003 + (0.014 - 0.003) < 0.014
+        cluster = Cluster(shards=1, dram_budget=16_000_000)
+        report = SortService(cluster, policy="edf").serve(TraceArrivals(
+            [{"t": 0.003}]
+            + [{"t": 0.014, "deadline": d} for d in (3.0, 2.0, 1.0)],
+            records=1_000,
+        ))
+        starts = [j.start_time for j in report.jobs[1:]]
+        assert starts == sorted(starts, reverse=True)
+
+    @pytest.mark.parametrize("policy,kw", [
+        ("shed", dict(queue_cap=2)), ("backpressure", {}),
+    ])
+    def test_presubmitted_work_is_ordered_never_shed(self, policy, kw):
+        # Five ~15.7 MB jobs at t=0 overflow both the queue cap and twice
+        # the DRAM budget; a batch runs them all.  Arriving one by one
+        # *after* the service opened, the same burst is shed.
+        def serve(t):
+            cluster = Cluster(shards=1, dram_budget=16_000_000)
+            return SortService(cluster, policy=policy, **kw).serve(
+                TraceArrivals([{"t": t}] * 5, records=1_000)
+            )
+        batch = serve(0.0)
+        assert (batch.jobs_shed, batch.jobs_completed) == (0, 5)
+        assert serve(1e-3).jobs_shed > 0
+
+    def test_trace_entry_fields_reach_the_job(self):
+        report = SortService(Cluster(shards=2)).serve(
+            batch_trace(dict(name="j0", records=500, seed=9))
+        )
+        job, = report.jobs
+        assert (job.n_records, job.seed, job.system) == (500, 9, "wiscsort")
         assert job.slowdown >= 1.0
+
+    def test_sanitized_service_has_zero_drift(self):
+        # Job inputs are materialised mid-run, untimed by design; the
+        # sanitizer must not read that as uncharged I/O (it did).
+        report = api.serve(
+            RunOptions(records=1_000, sanitize=True),
+            arrivals=batch_trace(dict(name="j0", records=1_000)),
+        )
+        assert report.extras["sanitizer"].audit_report()["drift"] == []
 
 
 class TestSLOMonitor:

@@ -99,16 +99,15 @@ class TestFaultTracing:
 
 
 def _traced_cluster(jobs=3, shards=2):
-    from repro.cluster import Cluster, JobScheduler
+    from repro.cluster import Cluster, SortService
+    from tests.conftest import batch_trace
 
     cluster = Cluster(shards=shards, dram_budget=64 << 20)
     tracer = cluster.install_tracer()
-    scheduler = JobScheduler(cluster, policy="fifo")
-    for j in range(jobs):
-        scheduler.submit(
-            f"job{j:02d}", n_records=2_000, seed=j, tenant=f"t{j % 2}"
-        )
-    scheduler.run()
+    SortService(cluster, policy="fifo").serve(batch_trace(*[
+        dict(name=f"job{j:02d}", records=2_000, seed=j, tenant=f"t{j % 2}")
+        for j in range(jobs)
+    ]))
     return cluster, tracer
 
 
@@ -118,7 +117,7 @@ class TestClusterTracing:
         names = set(tracer.span_names())
         assert {"service:job00", "service:job01", "service:job02"} <= names
         series = {(track, name) for _, track, name, _ in tracer.counters}
-        assert ("scheduler", "queue_depth") in series
+        assert ("service", "queue_depth") in series
         assert ("cluster", "dram_used") in series
         admits = [ev for ev in tracer.instants if ev["name"] == "admit"]
         assert len(admits) == 3
@@ -209,4 +208,4 @@ class TestCli:
             for ev in doc["traceEvents"]
             if ev["ph"] == "M" and ev["name"] == "process_name"
         }
-        assert "scheduler" in names
+        assert "service" in names

@@ -71,7 +71,7 @@ class TestSpans:
         machine = Machine(profile=pmem)
         tracer = machine.install_tracer()
         span = tracer.add_complete_span(
-            "queued:j0", 1.0, 2.5, cat="queue", track="scheduler", tenant="t0"
+            "queued:j0", 1.0, 2.5, cat="queue", track="service", tenant="t0"
         )
         assert span.t0 == 1.0 and span.t1 == 2.5
         assert span.duration == 1.5
