@@ -12,7 +12,7 @@ measurement data (Sec 3.4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from repro.device.host import HostModel
@@ -34,19 +34,19 @@ class AccessClassResult:
     """Measured scaling of one access class (e.g. sequential reads)."""
 
     points: Tuple[Tuple[int, float], ...]  # (threads, achieved bytes/s)
+    peak_bandwidth: float = field(init=False)
+    #: Smallest thread count within tolerance of peak bandwidth.
+    best_threads: int = field(init=False)
 
-    @property
-    def peak_bandwidth(self) -> float:
-        return max(bw for _, bw in self.points)
-
-    @property
-    def best_threads(self) -> int:
-        """Smallest thread count within tolerance of peak bandwidth."""
-        peak = self.peak_bandwidth
-        for threads, bw in self.points:
-            if bw >= peak * (1.0 - PEAK_TOLERANCE):
-                return threads
-        raise AssertionError("unreachable")
+    def __post_init__(self):
+        # Planning constants, asked for on every pool-size decision.
+        peak = max(bw for _, bw in self.points)
+        best = next(
+            threads for threads, bw in self.points
+            if bw >= peak * (1.0 - PEAK_TOLERANCE)
+        )
+        object.__setattr__(self, "peak_bandwidth", peak)
+        object.__setattr__(self, "best_threads", best)
 
 
 @dataclass(frozen=True)

@@ -81,13 +81,17 @@ class IndexMap:
         order = key_sort_indices(self.keys)
         return self.select(order)
 
+    def sorted_pointers(self) -> np.ndarray:
+        """``sorted().pointers``, minus the key gather (all OnePass reads)."""
+        return self.pointers.take(key_sort_indices(self.keys))
+
     def select(self, indices: np.ndarray) -> "IndexMap":
         """A new IndexMap comprising the given rows, in that order."""
         return IndexMap(
-            keys=self.keys[indices],
-            pointers=self.pointers[indices],
+            keys=self.keys.take(indices, axis=0),
+            pointers=self.pointers.take(indices),
             pointer_size=self.pointer_size,
-            vlens=None if self.vlens is None else self.vlens[indices],
+            vlens=None if self.vlens is None else self.vlens.take(indices),
             len_size=self.len_size,
         )
 
@@ -155,12 +159,14 @@ class IndexMap:
         """IndexMap for contiguous fixed-size records.
 
         "each pointer is a hex address, calculated as (start_address +
-        record_id * record_size)" (Sec 3.7, step 1).
+        record_id * record_size)" (Sec 3.7, step 1).  ``keys`` is kept,
+        not copied: a read payload is the caller's own copy already, and
+        an IndexMap never writes to its columns.
         """
         n = keys.shape[0]
         ids = np.arange(first_record, first_record + n, dtype=np.int64)
         return cls(
-            keys=keys.copy(),
+            keys=keys,
             pointers=ids * record_size,
             pointer_size=pointer_size,
         )

@@ -180,17 +180,19 @@ class WiscSort(CheckpointedRunMergeSort):
         if n == 0:
             return
         with machine.trace_span("phase:onepass", records=n):
-            imap = yield from self._load_sorted_chunk(
+            imap = yield from self._load_chunk(
                 machine, input_file, controller, first_record=0, count=n
             )
             yield from self._scatter_gather_out(
-                machine, input_file, output, controller, imap,
+                machine, input_file, output, controller, imap.sorted_pointers(),
                 skip_records=start_records,
             )
             yield from self._commit({"phase": "done"})
 
-    def _load_sorted_chunk(self, machine, input_file, controller, first_record, count):
-        """Steps 1-2: strided key gather + concurrent in-place sort."""
+    def _load_chunk(self, machine, input_file, controller, first_record, count):
+        """Steps 1-2: strided key gather + concurrent in-place sort, which
+        is charged here; the caller orders the part of the IndexMap it
+        goes on to read (OnePass the pointers, a run whole entries)."""
         fmt = self.fmt
         read_pool = controller.read_threads(Pattern.RAND)
         with machine.trace_span(
@@ -216,10 +218,10 @@ class WiscSort(CheckpointedRunMergeSort):
             yield machine.sort_compute(
                 count, tag="RUN sort", cores=controller.sort_cores()
             )
-        return imap.sorted()
+        return imap
 
     def _scatter_gather_out(self, machine, input_file, output, controller,
-                            imap, skip_records: int = 0):
+                            pointers, skip_records: int = 0):
         """Steps 3-4: batched random value gathers + sequential writes.
 
         ``skip_records`` supports crash recovery: output batches below it
@@ -232,14 +234,13 @@ class WiscSort(CheckpointedRunMergeSort):
         gather_pool = controller.read_threads(Pattern.RAND)
         write_pool = controller.write_threads()
         model = self.config.concurrency
-        n = len(imap)
+        n = len(pointers)
         starts = [s for s in range(0, n, batch_records) if s >= skip_records]
 
         def produce(start):
-            part = imap.slice(start, min(n, start + batch_records))
             return input_file.read_gather(
-                part.pointers, fmt.record_size, tag="RECORD read",
-                threads=gather_pool,
+                pointers[start : start + batch_records], fmt.record_size,
+                tag="RECORD read", threads=gather_pool,
             )
 
         def consume(start, data):
@@ -287,11 +288,9 @@ class WiscSort(CheckpointedRunMergeSort):
 
     def _build_run(self, machine, input_file, controller, name, spec):
         """Steps 1, 2 and 5 for one chunk."""
-        imap = yield from self._load_sorted_chunk(
-            machine, input_file, controller, *spec
-        )
+        imap = yield from self._load_chunk(machine, input_file, controller, *spec)
         run_file = machine.fs.create(name)
-        payload = imap.to_bytes()
+        payload = imap.sorted().to_bytes()
         if self.compression is not None:
             from repro.core.compression import CompressedRunWriter
 

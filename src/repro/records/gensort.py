@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.errors import RecordFormatError
 from repro.records.format import RecordFormat
+from repro.units import ceil_div
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.machine import Machine
@@ -37,35 +38,42 @@ def make_records(
     rng = np.random.default_rng(seed)
     # No zero-fill: keys and values between them overwrite every byte.
     records = np.empty((n_records, fmt.record_size), dtype=np.uint8)
-    low, high = (32, 127) if ascii_keys else (0, 256)
-    records[:, : fmt.key_size] = rng.integers(
-        low, high, size=(n_records, fmt.key_size), dtype=np.uint8
-    )
-    _fill_values(records[:, fmt.key_size :])
+    if ascii_keys:
+        keys = rng.integers(32, 127, size=(n_records, fmt.key_size), dtype=np.uint8)
+    else:
+        # Full-range bytes are the generator's raw 64-bit words read low
+        # byte first: the stream ``integers(0, 256, dtype=uint8)`` hands
+        # out, without its per-byte buffering.
+        nbytes = n_records * fmt.key_size
+        words = rng.bit_generator.random_raw(ceil_div(nbytes, 8)).astype("<u8", copy=False)
+        keys = words.view(np.uint8)[:nbytes].reshape(n_records, fmt.key_size)
+    records[:, : fmt.key_size] = keys
+    _fill_values(records, fmt.key_size)
     return records
 
 
-def _fill_values(values: np.ndarray) -> None:
-    """Deterministic value bytes, written in place into an ``(n, v)`` view:
+def _fill_values(records: np.ndarray, key_size: int) -> None:
+    """Deterministic value bytes, written in place after each row's key:
     little-endian id prefix + rolling fill.
 
     The id prefix makes each (id, position) byte recoverable, so a
     corrupted or duplicated record is detectable without hashing.
     """
-    n_records, value_size = values.shape
-    ids = np.arange(n_records, dtype=np.uint64)
-    id_bytes = min(8, value_size)
-    values[:, :id_bytes] = ids.view(np.uint8).reshape(n_records, 8)[:, :id_bytes]
-    if value_size > id_bytes:
-        # uint8 arithmetic wraps mod 256 naturally, so the outer "add"
-        # stays tiny in memory (no 64-bit intermediates).
-        row = (np.arange(value_size - id_bytes, dtype=np.uint32) * 7 % 256).astype(
-            np.uint8
-        )
-        per_record = ((ids * np.uint64(131) + np.uint64(7)) % np.uint64(256)).astype(
-            np.uint8
-        )
-        np.add(per_record[:, None], row[None, :], out=values[:, id_bytes:])
+    n_records, record_size = records.shape
+    id_bytes = min(8, record_size - key_size)
+    fill_at = key_size + id_bytes
+    ids = np.arange(n_records, dtype="<u8")
+    records[:, key_size:fill_at] = ids.view(np.uint8).reshape(n_records, 8)[:, :id_bytes]
+    if record_size > fill_at:
+        # The fill depends on the id only through ``id % 256`` (uint8
+        # arithmetic wraps), so a 256-row table holds all of it and
+        # whole blocks of 256 records take it as one broadcast.
+        row = (np.arange(record_size - fill_at, dtype=np.uint32) * 7 % 256).astype(np.uint8)
+        per_id = ((np.arange(256, dtype=np.uint32) * 131 + 7) % 256).astype(np.uint8)
+        table = per_id[:, None] + row[None, :]
+        blocks, rest = divmod(n_records, 256)
+        records[: blocks * 256].reshape(blocks, 256, record_size)[:, :, fill_at:] = table
+        records[blocks * 256 :, fill_at:] = table[:rest]
 
 
 def generate_dataset(

@@ -5,11 +5,13 @@ input file, sorted in key ascending order" (Sec 4.1).  We check both
 properties byte-exactly:
 
 * sortedness: consecutive keys compare non-decreasing;
-* permutation: the multisets of whole records in input and output match.
-  The output is already in key order, so the input is put in key order
-  too and, on both sides, each run of equal keys into full-record byte
-  order.  The key is a prefix of the record, so both sides then sit in
-  full-record order and array equality is multiset equality.
+* permutation: some bijection ``perm`` of the rows has ``input[perm]``
+  byte-equal to the output.  A candidate is *proposed*, then *proved* by
+  one kernel (:func:`_permutes`): a wrong proposal can only fail to
+  conclude.  The cheap proposer reads the ordinal gensort embeds in
+  every value; the exact one key-sorts the input and puts each run of
+  equal keys, on both sides, into whole-record order (the key is a
+  prefix of the record), so it is proved iff the record multisets match.
 """
 
 from __future__ import annotations
@@ -52,19 +54,56 @@ def validate_sorted_records(
     descends, tied = adjacent_order(key_columns(output_records[:, :key_size]))
     if descends.any():
         raise ValidationError("output keys are not in ascending order")
-    left = input_records[key_sort_indices(input_records[:, :key_size])]
-    right = output_records
+    for propose in (_perm_from_ordinals, _perm_from_sort):
+        perm = propose(input_records, output_records, key_size, tied)
+        if perm is not None and _permutes(perm, input_records, output_records):
+            return
+    raise ValidationError("output is not a permutation of the input records")
+
+
+def _permutes(perm, input_records, output_records) -> bool:
+    """True iff ``perm`` (row numbers below ``n``) is a bijection and
+    ``input_records[perm]`` is byte-equal to ``output_records``."""
+    seen = np.zeros(perm.size, dtype=bool)
+    seen[perm] = True
+    if not seen.all():
+        return False
+    # Gather and compare 64 KiB at a time: no temporary the size of the
+    # dataset, and each block is still in cache when it is compared.
+    rows = max(1, (64 << 10) // max(1, input_records.shape[1]))
+    for at in range(0, perm.size, rows):
+        block = input_records.take(perm[at : at + rows], axis=0)
+        if not np.array_equal(block, output_records[at : at + rows]):
+            return False
+    return True
+
+
+def _perm_from_ordinals(input_records, output_records, key_size, tied):
+    """The input row each output row names in its first eight value bytes
+    (gensort's little-endian ordinal): an untrusted hint, ``None`` when
+    the values are too short to hold one or it points outside the input."""
+    n, record_size = output_records.shape
+    if n == 0 or record_size - key_size < 8:
+        return None
+    field = np.ascontiguousarray(output_records[:, key_size : key_size + 8])
+    ordinals = field.view("<u8").reshape(n)
+    return ordinals.astype(np.intp) if ordinals.max() < n else None
+
+
+def _perm_from_sort(input_records, output_records, key_size, tied):
+    """Exact for any data: the input's stable key order, lined up with
+    the output's arrangement of equal keys."""
+    perm = key_sort_indices(input_records[:, :key_size])
     if tied.any():
         # Equal keys may come out in any relative order: only these rows
         # are ever sorted on their whole content.  If the input's ties
-        # sit elsewhere the sides differ, which is the right verdict.
+        # sit elsewhere no arrangement matches, which is the right verdict.
         rows = tie_rows(tied)
-        right = right.copy()
-        for side in (left, right):
-            group = side[rows]
-            side[rows] = group[key_sort_indices(group)]
-    if not np.array_equal(left, right):
-        raise ValidationError("output is not a permutation of the input records")
+        at = perm[rows]
+        in_record_order = at[key_sort_indices(input_records.take(at, axis=0))]
+        out_record_order = rows[key_sort_indices(output_records[rows])]
+        perm[out_record_order] = in_record_order
+    return perm
 
 
 def validate_sorted_file(

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import hashlib
+import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,8 @@ from repro.errors import RecordFormatError
 from repro.machine import Machine
 from repro.records.format import RecordFormat
 from repro.records.gensort import generate_dataset, make_records
+
+_GOLDEN = json.loads(Path(__file__).with_name("gensort_golden.json").read_text())
 
 
 class TestMakeRecords:
@@ -82,6 +87,31 @@ class TestMakeRecords:
         records = make_records(n, fmt, seed=seed, ascii_keys=ascii_keys)
         assert records.flags.c_contiguous and records.flags.writeable
         assert hashlib.sha256(records.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("n", _GOLDEN["grid"]["n"])
+    def test_golden_digest_grid(self, n):
+        """``gensort_golden.json`` holds SHA-256 of ``make_records`` over
+        the whole grid, captured at the parent of the table-driven
+        generator: block edges (255/256/257, 65537), value sizes around
+        the 8-byte ordinal, both key modes, three seeds."""
+        grid = _GOLDEN["grid"]
+        for value_size in grid["value_size"]:
+            fmt = RecordFormat(key_size=_GOLDEN["key_size"], value_size=value_size)
+            for ascii_keys in grid["ascii_keys"]:
+                for seed in grid["seed"]:
+                    records = make_records(n, fmt, seed=seed, ascii_keys=ascii_keys)
+                    case = (
+                        f"n={n},value_size={value_size},"
+                        f"ascii_keys={int(ascii_keys)},seed={seed}"
+                    )
+                    assert records.shape == (n, fmt.record_size), case
+                    assert records.flags.c_contiguous and records.flags.writeable
+                    digest = hashlib.sha256(records.tobytes()).hexdigest()
+                    assert digest == _GOLDEN["sha256"][case], case
+
+    def test_golden_grid_is_complete(self):
+        cases = math.prod(len(axis) for axis in _GOLDEN["grid"].values())
+        assert len(_GOLDEN["sha256"]) == cases == 252
 
 
 class TestGenerateDataset:

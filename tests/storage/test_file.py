@@ -58,6 +58,35 @@ class TestReadWrite:
         data[0] = 0
         assert bytes(f.peek(0, 3)) == b"abc"
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            np.array([1, 300, 70000, -1]),  # used to store [1, 44, 112, 255]
+            np.array([1.5, 2.5]),
+            np.array([True, False]),
+            np.arange(4, dtype=np.int8),
+            np.arange(4, dtype=np.uint16),
+        ],
+        ids=lambda a: str(a.dtype),
+    )
+    def test_non_uint8_arrays_are_rejected_not_narrowed(self, machine, data):
+        f = machine.fs.create("f")
+        for store in (
+            lambda: f.poke(0, data),
+            lambda: f.write(0, data, tag="w"),
+            lambda: f.append(data, tag="w"),
+        ):
+            with pytest.raises(StorageError, match=str(data.dtype)):
+                store()
+        assert f.size == 0 and machine.fs.used == 0
+
+    def test_bytes_like_and_uint8_still_accepted(self, machine):
+        f = machine.fs.create("f")
+        f.poke(0, b"ab")
+        f.poke(2, bytearray(b"cd"))
+        f.poke(4, np.frombuffer(b"efgh", dtype=np.uint8).reshape(2, 2)[:, 0])
+        assert bytes(f.peek()) == b"abcdeg"
+
 
 class TestAdopt:
     def test_adopts_without_copy_and_charges_capacity(self, machine):

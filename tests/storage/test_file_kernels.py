@@ -5,6 +5,11 @@ slices; the oracle kept here is the index-matrix formula they replaced
 (one int64 index per payload byte).  Every payload must equal it and be
 a fresh, C-contiguous, writeable ``uint8`` array that does not alias the
 file.
+
+The write side has one rule to keep: a file owns its bytes.  A first
+write that covers an empty file whole allocates once (the file's copy is
+its backing array) and must be indistinguishable from the grow-then-copy
+path in contents, size, capacity and space charged.
 """
 
 from __future__ import annotations
@@ -14,8 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import StorageError
+from repro import api
+from repro.errors import SimulatedCrash, StorageError
+from repro.faults import parse_fault_spec
 from repro.machine import Machine
+from tests.conftest import batch_trace
+from tests.storage.test_file import run_op
 
 
 def _file(pmem, data: np.ndarray):
@@ -128,6 +137,146 @@ class TestKernelsMatchIndexMatrixOracle:
         _assert_fresh_payload(f, payload, _oracle_var(data, starts, sizes))
 
 
+class TestAlignedGather:
+    """From 512 offsets up, offsets that are all multiples of the access
+    size take whole rows of the record matrix; fewer offsets, or one
+    unaligned one, use the window view.  Both must be the oracle's bytes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_oracle(self, pmem, data):
+        access = data.draw(st.integers(1, 12))
+        rows = data.draw(st.integers(1, 25))
+        slack = data.draw(st.integers(0, access - 1))  # ragged last record
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        content = rng.integers(0, 256, size=rows * access + slack, dtype=np.uint8)
+        count = data.draw(st.sampled_from([0, 1, 2, 511, 512, 513, 700]))
+        starts = rng.integers(0, rows, size=count) * access
+        starts[: count // 2 : 7] = (rows - 1) * access  # the last row, repeatedly
+        if count and data.draw(st.booleans()):  # one stray offset anywhere in range
+            starts[data.draw(st.integers(0, count - 1))] = data.draw(
+                st.integers(0, content.size - access)
+            )
+        f = _file(pmem, content)
+        payload = _payload(f.read_gather(starts, access, tag="t"))
+        _assert_fresh_payload(f, payload, _oracle_fixed(content, starts, access))
+
+    @pytest.mark.parametrize("repeat", [1, 600], ids=["few", "many"])
+    @pytest.mark.parametrize(
+        "starts",
+        [[0], [90], [90, 0, 90], [0, 10, 20, 5], [91]],
+        ids=["single-row", "last-row", "repeats", "one-unaligned", "past-last"],
+    )
+    def test_edges(self, pmem, starts, repeat):
+        content = np.arange(100, dtype=np.uint8)
+        f = _file(pmem, content)
+        starts = starts * repeat
+        if 91 in starts:
+            with pytest.raises(StorageError):
+                f.read_gather(starts, 10, tag="t")
+            return
+        payload = _payload(f.read_gather(starts, 10, tag="t"))
+        _assert_fresh_payload(f, payload, _oracle_fixed(content, starts, 10))
+
+
+class TestFirstWriteAndOwnership:
+    @pytest.mark.parametrize("nbytes", [1, 4095, 4096, 4097, 200_000])
+    @pytest.mark.parametrize("how", ["poke", "write", "append"])
+    def test_whole_file_first_write_is_indistinguishable(self, machine, nbytes, how):
+        f = machine.fs.create("f")
+        source = (np.arange(nbytes) % 251).astype(np.uint8)
+        if how == "poke":
+            f.poke(0, source)
+        elif how == "write":
+            run_op(machine, f.write(0, source, tag="w"))
+        else:
+            run_op(machine, f.append(source, tag="w"))
+        assert f.size == nbytes == machine.fs.used
+        assert np.array_equal(f.peek(), source)
+        assert f._data.size == max(nbytes, 4096)  # what grow-then-copy left
+        assert not f._data[nbytes:].any()
+        assert not np.shares_memory(f._data, source)
+        # and it still grows, overwrites and truncates like any file
+        f.poke(nbytes, b"tail")
+        f.poke(0, b"\x07")
+        assert f.size == nbytes + 4 == machine.fs.used
+        assert bytes(f.peek(nbytes, 4)) == b"tail" and f.peek(0, 1)[0] == 7
+        f.truncate(1)
+        assert f.size == 1 == machine.fs.used and not f._data[1:].any()
+
+    def test_first_write_at_an_offset_zero_fills_the_gap(self, machine):
+        f = machine.fs.create("f")
+        f.poke(5000, np.full(5000, 9, dtype=np.uint8))
+        assert f.size == 10_000 and not f.peek(0, 5000).any()
+        assert f._data.size == 10_000
+
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda f, a: f.write(0, a, tag="w"),
+            lambda f, a: f.append(a, tag="w"),
+            lambda f, a: f.write(0, a.reshape(-1, 100), tag="w"),
+            lambda f, a: f.write(0, a[::2], tag="w"),
+            lambda f, a: f.write(100, a, tag="w"),
+        ],
+        ids=["whole-first", "append", "matrix", "strided-source", "at-offset"],
+    )
+    @pytest.mark.parametrize("prefilled", [False, True], ids=["empty", "prefilled"])
+    def test_source_mutation_after_a_timed_write_never_reaches_the_file(
+        self, machine, write, prefilled
+    ):
+        f = machine.fs.create("f")
+        if prefilled:
+            f.poke(0, np.zeros(300, dtype=np.uint8))
+        source = (np.arange(20_000) % 251).astype(np.uint8)
+        op = write(f, source)
+        stored = f.peek()
+        source[...] = 0xEE
+        run_op(machine, op)
+        source[...] = 0x11
+        assert np.array_equal(f.peek(), stored)
+        assert not np.shares_memory(f._data, source)
+
+    def test_torn_first_write_keeps_a_prefix_then_retries_whole(self):
+        machine = Machine()
+        machine.install_faults(parse_fault_spec("torn@op:0", seed=1))
+        f = machine.fs.create("f")
+        source = (np.arange(200_000) % 251).astype(np.uint8)
+        run_op(machine, f.write(0, source, tag="w"))
+        stats = machine.faults.stats
+        assert stats.torn_writes == 1 and 0 < stats.torn_bytes_discarded < source.size
+        assert f.size == source.size == machine.fs.used
+        assert np.array_equal(f.peek(), source)
+        source[...] = 0
+        assert f.peek().any()
+
+    def test_crash_rolls_a_first_write_back_to_its_durable_prefix(self):
+        source = (np.arange(1 << 20) % 251).astype(np.uint8)
+        clean = Machine()
+        run_op(clean, clean.fs.create("f").write(0, source, tag="w"))
+        machine = Machine()
+        machine.install_faults(parse_fault_spec(f"crash@t:{clean.now / 2}", seed=1))
+        f = machine.fs.create("f")
+        with pytest.raises(SimulatedCrash):
+            run_op(machine, f.write(0, source, tag="w"))
+        assert 0 < f.size < source.size and f.size == machine.fs.used
+        assert np.array_equal(f.peek(), source[: f.size])
+        assert f._data.size == source.size and not f._data[f.size :].any()
+        assert machine.faults.stats.torn_bytes_discarded == source.size - f.size
+
+    def test_sanitized_service_charges_every_byte_it_moves(self):
+        report = api.serve(
+            api.RunOptions(records=2_000, sanitize=True),
+            arrivals=batch_trace(*(dict(name=f"j{i}", records=2_000) for i in range(4))),
+            shards=2,
+        )
+        audit = report.extras["sanitizer"].audit_report()
+        assert audit["drift"] == []
+        for job in report.jobs:
+            # each output was one whole-file first write
+            assert job.output_file._data.size == job.output_file.size == 200_000
+
+
 class TestEdges:
     def test_whole_file_as_one_access(self, pmem):
         data = np.arange(97, dtype=np.uint8)
@@ -140,7 +289,9 @@ class TestEdges:
 
     def test_zero_width_gather_keeps_its_shape(self, pmem):
         f = _file(pmem, np.arange(10, dtype=np.uint8))
-        assert _payload(f.read_gather([0, 10, 3], 0, tag="t")).shape == (3, 0)
+        for repeat in (1, 200):  # either side of the row-take threshold
+            payload = _payload(f.read_gather([0, 10, 3] * repeat, 0, tag="t"))
+            assert payload.shape == (3 * repeat, 0)
 
     def test_truncated_tail_is_out_of_reach(self, pmem):
         """Bytes past ``size`` stay in the backing array; the window
