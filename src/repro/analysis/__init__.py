@@ -25,7 +25,6 @@ from repro.analysis.race import (
     RaceReport,
     ScheduleFuzzReport,
     SchedulePermuter,
-    cluster_output_fingerprint,
     file_fingerprint,
     schedule_fuzz,
     sort_output_fingerprint,
@@ -66,5 +65,4 @@ __all__ = [
     "schedule_fuzz",
     "file_fingerprint",
     "sort_output_fingerprint",
-    "cluster_output_fingerprint",
 ]

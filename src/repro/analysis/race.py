@@ -524,23 +524,25 @@ def file_fingerprint(simfile: "SimFile") -> str:
 
 
 def sort_output_fingerprint(result) -> str:
-    """Fingerprint of a :class:`~repro.core.base.SortResult`'s output."""
-    machine = result.extras["machine"]
-    return file_fingerprint(machine.fs.open(result.output_name))
+    """Fingerprint of a :func:`repro.api.sort` result's output bytes.
 
-
-def cluster_output_fingerprint(cluster, output_name: str, n_parts: int) -> str:
-    """Fingerprint of a sharded sort's merged output, in partition order.
-
-    Recovery and speculation may relocate a partition to any shard, so
-    each ``{output_name}.shard{d}`` part is searched for across the
+    A sharded result hashes its ``{output_name}.shard{d}`` parts in
+    partition order, so it equals the single-device fingerprint of the
+    same sorted records.  Recovery and speculation may relocate a
+    partition to any shard, so each part is searched for across the
     whole cluster; exactly one shard must hold it.
     """
+    cluster = result.extras.get("cluster")
+    if cluster is None:
+        machine = result.extras["machine"]
+        return file_fingerprint(machine.fs.open(result.output_name))
     from repro.errors import StorageError
 
     h = hashlib.sha256()
-    for d in range(n_parts):
-        part_name = f"{output_name}.shard{d}"
+    # api.sort spreads the input over every shard and admits none
+    # mid-run: one partition per shard.
+    for d in range(len(cluster.shards)):
+        part_name = f"{result.output_name}.shard{d}"
         holders = [s for s in cluster.shards if s.fs.exists(part_name)]
         if len(holders) != 1:
             raise StorageError(

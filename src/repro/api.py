@@ -12,6 +12,11 @@ through every layer::
     result = api.sort(api.RunOptions(records=200_000, system="wiscsort"))
     print(result.total_time, result.phases)
 
+    chaos = api.sort(
+        api.RunOptions(records=200_000, faults="shard1:crash@50%"), shards=4
+    )
+    print(chaos.extras["fault_report"].summary())
+
     report = api.serve(
         api.RunOptions(records=2_000, seed=7),
         rate=200.0, horizon=0.5, policy="edf",
@@ -19,9 +24,9 @@ through every layer::
     print(report.render())
 
 The returned :class:`~repro.core.base.SortResult` carries the machine in
-``result.extras["machine"]`` for timeline/stats inspection, and the
-fault report (when ``faults`` was given) in
-``result.extras["fault_report"]``.
+``result.extras["machine"]`` (the cluster in ``extras["cluster"]`` for a
+sharded sort) for timeline/stats inspection, and the fault report (when
+``faults`` was given) in ``result.extras["fault_report"]``.
 """
 
 from __future__ import annotations
@@ -42,10 +47,8 @@ from repro.registry import create_system, get_profile
 class RunOptions:
     """Everything one sort run needs, in one typed immutable object.
 
-    Field defaults mirror the historical ``api.sort`` keyword defaults
-    one-to-one, so ``RunOptions()`` reproduces the classic
-    ``api.sort()`` call exactly.  Use :meth:`replace` to derive
-    variants without mutating (the dataclass is frozen)::
+    Use :meth:`replace` to derive variants without mutating (the
+    dataclass is frozen)::
 
         base = RunOptions(records=50_000, device="pmem")
         traced = base.replace(trace="out.trace.json")
@@ -93,6 +96,10 @@ class RunOptions:
     def __post_init__(self):
         if self.records < 0:
             raise ConfigError("records must be >= 0")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        if self.dram_budget is not None and self.dram_budget <= 0:
+            raise ConfigError("dram_budget must be positive")
         if self.fmt is not None and not isinstance(self.fmt, RecordFormat):
             raise ConfigError(
                 f"fmt must be a RecordFormat, not {type(self.fmt).__name__}"
@@ -184,43 +191,79 @@ def _harvest_probes(o: RunOptions, extras: dict, trace_path) -> None:
         write_chrome_trace(extras["tracer"], trace_path)
 
 
-def _build_machine(o: RunOptions) -> Machine:
-    return Machine(
-        profile=get_profile(o.device)(),
+def _build_cluster(o: RunOptions, shards, devices, link_bw=None):
+    """The cluster a sharded sort or the service runs on."""
+    from repro.cluster import Cluster  # lazy: a one-device sort never pays for it
+
+    kwargs = dict(
         dram_budget=o.dram_budget,
+        config=o.sort_config,
         memoize_rates=o.memoize_rates,
     )
+    if link_bw is not None:
+        # None here means "cluster default", not "no interconnect".
+        kwargs["link_bw"] = link_bw
+    if devices:
+        return Cluster(profiles=list(devices), **kwargs)
+    return Cluster(shards=shards, profile=get_profile(o.device)(), **kwargs)
 
 
-def _probe_op_count(o: RunOptions, checkpoint: bool) -> int:
-    """Fault-free probe run counting timed file ops (resolves crash@N%).
+def _assemble(o: RunOptions, shards, devices, checkpoint: bool, arm: bool = True):
+    """One fresh run: owner -> probes -> dataset -> system.
 
-    Mirrors the real run exactly -- same dataset, system and (crucially)
-    checkpoint setting, since checkpoint writes are part of the op
-    stream the fault-plan fractions index into.
+    The owner is a :class:`Machine`, or a cluster running
+    ``ShardedWiscSort(system=o.system)`` when ``shards`` / ``devices``
+    ask for one; everything after this function treats the two alike.
+    ``arm=False`` builds the count-only probe's twin: same dataset,
+    system and (crucially) checkpoint setting, since checkpoint writes
+    are part of the op stream fault-plan fractions index into.
     """
-    from repro.faults import FaultPlan
+    fmt = o.record_format
+    sharded = shards is not None or bool(devices)
+    if sharded:
+        owner = _build_cluster(o, shards, devices)
+    else:
+        owner = Machine(
+            profile=get_profile(o.device)(),
+            dram_budget=o.dram_budget,
+            memoize_rates=o.memoize_rates,
+        )
+    observers, trace_path = arm_probes(o, owner) if arm else ({}, None)
+    if sharded:
+        from repro.cluster import ShardedWiscSort, generate_cluster_dataset
 
-    machine = _build_machine(o)
-    data = generate_dataset(machine, "input", o.records, o.record_format,
-                            seed=o.seed)
-    probe_system = create_system(o.system, o.record_format,
-                                 config=o.sort_config)
-    if checkpoint:
-        probe_system.checkpoint = True
-    injector = machine.install_faults(FaultPlan(), count_only=True)
-    probe_system.run(machine, data, validate=False)
-    return injector.op_index
+        data = generate_cluster_dataset(owner, "input", o.records, fmt,
+                                        seed=o.seed)
+        system = ShardedWiscSort(fmt, config=o.sort_config, system=o.system,
+                                 checkpoint=checkpoint)
+    else:
+        data = generate_dataset(owner, "input", o.records, fmt, seed=o.seed)
+        system = create_system(o.system, fmt, config=o.sort_config)
+        if checkpoint:
+            if not hasattr(system, "checkpoint"):
+                raise ConfigError(
+                    f"faults with a crash need a checkpointing system "
+                    f"(wiscsort or ems), not {o.system!r}"
+                )
+            system.checkpoint = True
+    return owner, data, system, observers, trace_path
 
 
-def sort(options: Optional[RunOptions] = None, /, **loose) -> SortResult:
+def sort(
+    options: Optional[RunOptions] = None,
+    /,
+    *,
+    shards: Optional[int] = None,
+    devices: Optional[Sequence[str]] = None,
+    **loose,
+) -> SortResult:
     """Sort a generated gensort dataset with a registered system.
 
-    Pass one :class:`RunOptions`; its fields mirror the CLI flags
-    one-to-one.  ``system`` and ``device`` are registry names
-    (:func:`repro.registry.available` lists them); unknown names raise
-    :class:`~repro.errors.UnknownSystemError`.  ``faults`` takes the
-    fault-spec grammar of ``--faults`` (e.g. ``"crash@50%"``).
+    Pass one :class:`RunOptions`.  ``system`` and ``device`` are
+    registry names (:func:`repro.registry.available` lists them);
+    unknown names raise :class:`~repro.errors.UnknownSystemError`.
+    ``faults`` takes the fault-spec grammar of ``--faults`` (e.g.
+    ``"crash@50%"``).
     ``sanitize`` installs the runtime
     :class:`~repro.analysis.sanitizer.SimSanitizer` and raises
     :class:`~repro.errors.ChargeDriftError` on accounting drift after a
@@ -229,6 +272,11 @@ def sort(options: Optional[RunOptions] = None, /, **loose) -> SortResult:
     ``trace`` arms the observe-only :class:`repro.trace.Tracer`: a path
     string exports a Chrome/Perfetto trace JSON there after the run, a
     pre-built ``Tracer`` is yours to inspect programmatically.
+
+    ``shards=N`` (or ``devices=[profile names]``, one per shard) runs the
+    same sort sharded: the dataset is spread over an N-shard cluster and
+    sorted by :class:`~repro.cluster.ShardedWiscSort` with ``system`` on
+    every shard; ``shardN:`` prefixes in ``faults`` target one shard.
 
     ``race_detect`` installs the observe-only
     :class:`~repro.analysis.race.RaceDetector` (simulated results stay
@@ -241,41 +289,52 @@ def sort(options: Optional[RunOptions] = None, /, **loose) -> SortResult:
     FIFO schedule).
 
     Returns the :class:`~repro.core.base.SortResult`; ``extras`` carries
-    ``machine``, ``sanitizer`` (when installed), ``tracer`` (when
+    ``machine`` (sharded: ``cluster``, plus the ``ShardedWiscSort`` as
+    ``system``), ``sanitizer`` (when installed), ``tracer`` (when
     tracing), ``race_detector`` (when ``race_detect``) and
     ``fault_report`` (when faults were injected).
     """
     o = _coerce_options("sort", options, loose)
-    fmt = o.record_format
-    config = o.sort_config
-    machine = _build_machine(o)
-    observers, trace_path = arm_probes(o, machine)
-    data = generate_dataset(machine, "input", o.records, fmt, seed=o.seed)
-    sort_system = create_system(o.system, fmt, config=config)
-    fault_report = None
+    plan = None
     if o.faults is not None:
-        from repro.faults import parse_fault_spec, run_with_faults
+        from repro.faults import FaultPlan, parse_fault_spec, run_with_faults
 
         plan = parse_fault_spec(o.faults, seed=o.seed)
-        if plan.has_crash:
-            if not hasattr(sort_system, "checkpoint"):
-                raise ConfigError(
-                    f"faults with a crash need a checkpointing system "
-                    f"(wiscsort or ems), not {o.system!r}"
-                )
-            sort_system.checkpoint = True
-        if plan.needs_probe:
-            plan = plan.resolve_fractions(_probe_op_count(o, plan.has_crash))
-        machine.install_faults(plan)
-        result, fault_report = run_with_faults(
-            sort_system, machine, data, validate=o.validate
-        )
+    checkpoint = plan is not None and plan.has_crash
+    owner, data, system, observers, trace_path = _assemble(
+        o, shards, devices, checkpoint
+    )
+    sharded = not isinstance(owner, Machine)
+    if plan is None:
+        result = system.run(owner, data, validate=o.validate)
     else:
-        result = sort_system.run(machine, data, validate=o.validate)
-    result.extras["machine"] = machine
-    result.extras.update(observers)
-    if fault_report is not None:
+        plan.require_domains([m.domain for m in owner.shards] if sharded else [])
+        probe = None
+        if plan.needs_probe:
+            # Fractional triggers (crash@50%) index into the op stream of
+            # the identical fault-free run: count it once, per shard.
+            twin, twin_data, twin_system, _, _ = _assemble(
+                o, shards, devices, checkpoint, arm=False
+            )
+            probe = twin.install_faults(FaultPlan(), count_only=True)
+            twin_system.run(twin, twin_data, validate=False)
+        if sharded:
+            owner.install_faults(
+                plan, counts=probe.ops_seen() if probe else None
+            )
+        else:
+            owner.install_faults(
+                plan.resolve_fractions(probe.op_index) if probe else plan
+            )
+        result, fault_report = run_with_faults(
+            system, owner, data, validate=o.validate
+        )
         result.extras["fault_report"] = fault_report
+    if sharded:
+        result.extras.update(cluster=owner, system=system)
+    else:
+        result.extras["machine"] = owner
+    result.extras.update(observers)
     _harvest_probes(o, observers, trace_path)
     return result
 
@@ -339,14 +398,13 @@ def serve(
     if o.faults is not None:
         raise ConfigError(
             "api.serve() does not support fault injection yet; use "
-            "api.sort() or the cluster --faults path"
+            "api.sort(), or api.sort(..., shards=N) for a sharded sort"
         )
     if o.schedule_seed is not None:
         raise ConfigError(
             "api.serve() does not support schedule fuzzing: the service "
             "may legally place tied jobs differently per schedule"
         )
-    from repro.cluster import Cluster
     from repro.cluster.service import SortService
     from repro.workloads.arrivals import (
         ArrivalProcess,
@@ -382,22 +440,7 @@ def serve(
             f"unknown arrival process {arrivals!r}; choices: poisson, "
             f"bursty, trace (or pass an ArrivalProcess instance)"
         )
-    cluster_kwargs = dict(
-        dram_budget=o.dram_budget,
-        config=o.sort_config,
-        memoize_rates=o.memoize_rates,
-    )
-    if link_bw is not None:
-        # None here means "cluster default", not "no interconnect".
-        cluster_kwargs["link_bw"] = link_bw
-    if devices:
-        cluster = Cluster(profiles=list(devices), **cluster_kwargs)
-    else:
-        cluster = Cluster(
-            shards=shards,
-            profile=get_profile(o.device)(),
-            **cluster_kwargs,
-        )
+    cluster = _build_cluster(o, shards, devices, link_bw)
     observers, trace_path = arm_probes(o, cluster)
     service = SortService(
         cluster,

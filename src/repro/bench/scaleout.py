@@ -10,15 +10,12 @@ but never *which* bytes come out.
 
 from __future__ import annotations
 
-import numpy as np
-
+from repro import api
+from repro.analysis.race import sort_output_fingerprint
 from repro.bench.experiments import SORTBENCH_FMT, _fmt_ms
-from repro.cluster import Cluster, ShardedWiscSort, generate_cluster_dataset
 from repro.errors import ValidationError
-from repro.machine import Machine
 from repro.metrics.report import BenchTable, speedup
-from repro.records.gensort import generate_dataset
-from repro.registry import create_system, get_profile, register_experiment
+from repro.registry import register_experiment
 from repro.workloads.datasets import DEFAULT_SCALE
 
 
@@ -31,12 +28,11 @@ def cluster_scaleout(
 ) -> BenchTable:
     """Sharded WiscSort vs single device on the same 40M-record workload."""
     n = 40_000_000 // scale
-    fmt = SORTBENCH_FMT
-
-    machine = Machine(profile=get_profile(device)())
-    data = generate_dataset(machine, "input", n, fmt, seed=seed)
-    single = create_system("wiscsort", fmt).run(machine, data)
-    reference = machine.fs.open(single.output_name).peek()
+    options = api.RunOptions(
+        records=n, device=device, fmt=SORTBENCH_FMT, seed=seed
+    )
+    single = api.sort(options)
+    reference = sort_output_fingerprint(single)
 
     table = BenchTable(
         title=f"Scale-out: sharded WiscSort on {device} ({n} records)",
@@ -45,20 +41,8 @@ def cluster_scaleout(
     table.add_row("1 (single)", _fmt_ms(single.total_time), "-", "1.00x")
 
     for n_shards in shard_counts:
-        cluster = Cluster(shards=n_shards, profile=get_profile(device)())
-        sharded_input = generate_cluster_dataset(
-            cluster, "input", n, fmt, seed=seed
-        )
-        system = ShardedWiscSort(fmt)
-        result = system.run(cluster, sharded_input)
-        merged = np.concatenate(
-            [
-                cluster.shards[d].fs.open(f"{system.output_name}.shard{d}").peek()
-                for d in range(n_shards)
-                if cluster.shards[d].fs.open(f"{system.output_name}.shard{d}").size
-            ]
-        )
-        if not np.array_equal(merged, reference):
+        result = api.sort(options, shards=n_shards)
+        if sort_output_fingerprint(result) != reference:
             raise ValidationError(
                 f"{n_shards}-shard output is not byte-identical to the "
                 f"single-device output"

@@ -52,7 +52,13 @@ from repro import api
 from repro.calibrate import calibrate_device
 from repro.core.base import ConcurrencyModel, SortConfig
 from repro.device.host import HostModel
-from repro.errors import ConfigError
+from repro.errors import (
+    ConfigError,
+    FaultError,
+    RecordFormatError,
+    RecoveryError,
+    SanitizerError,
+)
 from repro.metrics.cluster_report import render_job_table, render_shard_table
 from repro.metrics.timeline import render_timeline
 from repro.perf import SelfPerfProfiler, render_report
@@ -61,311 +67,234 @@ from repro.registry import available, get_experiment, get_profile
 from repro.units import fmt_bytes, fmt_seconds
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="WiscSort reproduction (PVLDB 16(9), 2023)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_sort = sub.add_parser("sort", help="sort a generated dataset")
-    p_sort.add_argument("--records", type=int, default=100_000)
-    p_sort.add_argument("--key-size", type=int, default=10)
-    p_sort.add_argument("--value-size", type=int, default=90)
-    p_sort.add_argument("--system", choices=available("system"), default="wiscsort")
-    p_sort.add_argument("--device", choices=available("profile"), default="pmem")
-    p_sort.add_argument(
-        "--concurrency",
+#: Every flag of every subcommand, declared once: its ``add_argument``
+#: keywords as the first command listing it uses them (:data:`COMMANDS`
+#: holds the other commands' ``default=`` / ``help=`` overrides).  A string
+#: ``choices`` names a :mod:`repro.registry` kind, resolved at parser build.
+FLAGS = {
+    "--records": dict(type=int, default=100_000),
+    "--key-size": dict(type=int, default=10),
+    "--value-size": dict(type=int, default=90),
+    "--system": dict(choices="system", default="wiscsort"),
+    "--device": dict(choices="profile", default="pmem"),
+    "--concurrency": dict(
         choices=[m.value for m in ConcurrencyModel],
-        default=ConcurrencyModel.NO_IO_OVERLAP.value,
-    )
-    p_sort.add_argument("--seed", type=int, default=42)
-    p_sort.add_argument("--dram-budget", type=int, default=None,
-                        help="DRAM cap in bytes (forces MergePass when small)")
-    p_sort.add_argument("--no-validate", action="store_true")
-    p_sort.add_argument(
-        "--faults", metavar="SPEC", default=None,
+        default=ConcurrencyModel.NO_IO_OVERLAP.value),
+    "--seed": dict(type=int, default=42),
+    "--dram-budget": dict(
+        type=int, help="DRAM cap in bytes (forces MergePass when small)"),
+    "--no-validate": dict(action="store_true"),
+    "--faults": dict(
+        metavar="SPEC",
         help="fault-injection spec, e.g. 'crash@50%%' or "
-             "'transient@p:0.01,slow@t:0.002+0.01:x0.25,seed:7'; "
-             "crash specs enable checkpointing and automatic recovery "
-             "(wiscsort / ems only)")
-    p_sort.add_argument("--sanitize", action="store_true",
-                        help="install the runtime SimSanitizer: deadlock "
-                             "diagnostics that name stuck coroutines, plus a "
-                             "charge-accounting audit (exit 1 on drift)")
-    p_sort.add_argument("--verify-determinism", action="store_true",
-                        help="run the workload twice on fresh machines and "
-                             "diff the full event traces; exit 1 on any "
-                             "divergence")
-    p_sort.add_argument("--timeline", action="store_true",
-                        help="print the resource-usage sparkline plot")
-    p_sort.add_argument("--selfperf", action="store_true",
-                        help="print simulator self-performance counters "
-                             "(wall-clock phases, event counts, cache hit rates)")
-    p_sort.add_argument("--no-memoize", action="store_true",
-                        help="debug: disable the rate-model memo cache "
-                             "(results must be identical either way)")
-    p_sort.add_argument("--trace", metavar="PATH", default=None,
-                        help="record a sim-time trace and export it as "
-                             "Chrome/Perfetto trace JSON (open in "
-                             "ui.perfetto.dev); observe-only, results are "
-                             "bit-identical with or without it")
-    p_sort.add_argument("--trace-rollup", action="store_true",
-                        help="with --trace: also print the text "
-                             "phase/traffic rollup")
-    p_sort.add_argument("--race-detect", action="store_true",
-                        help="install the sim-time race detector (vector "
-                             "clocks + per-file byte-range logs); "
-                             "observe-only, exit 1 when conflicting "
-                             "same-instant accesses have no happens-before "
-                             "ordering")
-    p_sort.add_argument("--schedule-fuzz", type=int, metavar="N", default=None,
-                        help="run the FIFO baseline plus N seeded "
-                             "permutations of same-instant scheduling ties "
-                             "and compare output fingerprints; exit 1 on "
-                             "any byte divergence")
-
-    p_analyze = sub.add_parser(
-        "analyze",
-        help="sort with the critical-path analyzer armed: where did "
-             "the simulated time go?",
-    )
-    p_analyze.add_argument("--records", type=int, default=100_000)
-    p_analyze.add_argument("--key-size", type=int, default=10)
-    p_analyze.add_argument("--value-size", type=int, default=90)
-    p_analyze.add_argument("--system", choices=available("system"),
-                           default="wiscsort")
-    p_analyze.add_argument("--device", choices=available("profile"),
-                           default="pmem")
-    p_analyze.add_argument(
-        "--concurrency",
-        choices=[m.value for m in ConcurrencyModel],
-        default=ConcurrencyModel.NO_IO_OVERLAP.value,
-    )
-    p_analyze.add_argument("--seed", type=int, default=42)
-    p_analyze.add_argument("--dram-budget", type=int, default=None,
-                           help="DRAM cap in bytes (forces MergePass when "
-                                "small)")
-    p_analyze.add_argument("--no-validate", action="store_true")
-    p_analyze.add_argument("--what-if", action="append", default=None,
-                           metavar="EXPR",
-                           help="project the critical path under a "
-                                "hypothetical change, e.g. 'write_bw*2', "
-                                "'braid.read_bw*1.5', 'net_bw*4' or "
-                                "'dram+4GiB'; repeatable")
-    p_analyze.add_argument("--blame-rows", type=int, default=6,
-                           help="blame-table rows to print per phase")
-    p_analyze.add_argument("--json", metavar="PATH", default=None,
-                           help="also write the analysis report (canonical "
-                                "byte-deterministic JSON) to PATH")
-    p_analyze.add_argument("--trace", metavar="PATH", default=None,
-                           help="also export the underlying Chrome/Perfetto "
-                                "trace JSON to PATH")
-
-    p_diff = sub.add_parser(
-        "trace-diff",
-        help="diff two schema-stamped report JSONs for regressions",
-    )
-    p_diff.add_argument("report_a", help="baseline report JSON")
-    p_diff.add_argument("report_b", help="candidate report JSON")
-    p_diff.add_argument("--threshold", type=float, default=0.05,
-                        help="relative growth that counts as a regression "
-                             "(default 0.05 = 5%%)")
-
-    p_cluster = sub.add_parser(
-        "cluster", help="run concurrent sort jobs on a multi-device cluster"
-    )
-    p_cluster.add_argument("--shards", type=int, default=4,
-                           help="number of homogeneous device shards")
-    p_cluster.add_argument(
-        "--devices", default=None, metavar="NAME[,NAME...]",
+             "'transient@p:0.01,slow@t:0.002+0.01:x0.25,seed:7'; crash "
+             "specs enable checkpointing and automatic recovery (wiscsort "
+             "/ ems only)"),
+    "--sanitize": dict(
+        action="store_true",
+        help="install the runtime SimSanitizer: deadlock diagnostics that "
+             "name stuck coroutines, plus a charge-accounting audit (exit "
+             "1 on drift)"),
+    "--verify-determinism": dict(
+        action="store_true",
+        help="run the workload twice on fresh machines and diff the full "
+             "event traces; exit 1 on any divergence"),
+    "--timeline": dict(
+        action="store_true",
+        help="print the resource-usage sparkline plot"),
+    "--selfperf": dict(
+        action="store_true",
+        help="print simulator self-performance counters (wall-clock "
+             "phases, event counts, cache hit rates)"),
+    "--no-memoize": dict(
+        action="store_true",
+        help="debug: disable the rate-model memo cache (results must be "
+             "identical either way)"),
+    "--trace": dict(
+        metavar="PATH",
+        help="record a sim-time trace and export it as Chrome/Perfetto "
+             "trace JSON (open in ui.perfetto.dev); observe-only, results "
+             "are bit-identical with or without it"),
+    "--trace-rollup": dict(
+        action="store_true",
+        help="with --trace: also print the text phase/traffic rollup"),
+    "--race-detect": dict(
+        action="store_true",
+        help="install the sim-time race detector (vector clocks + per-file "
+             "byte-range logs); observe-only, exit 1 when conflicting "
+             "same-instant accesses have no happens-before ordering"),
+    "--schedule-fuzz": dict(
+        type=int, metavar="N",
+        help="run the FIFO baseline plus N seeded permutations of "
+             "same-instant scheduling ties and compare output "
+             "fingerprints; exit 1 on any byte divergence"),
+    "--what-if": dict(
+        action="append", metavar="EXPR",
+        help="project the critical path under a hypothetical change, e.g. "
+             "'write_bw*2', 'braid.read_bw*1.5', 'net_bw*4' or "
+             "'dram+4GiB'; repeatable"),
+    "--blame-rows": dict(
+        type=int, default=6, help="blame-table rows to print per phase"),
+    "--json": dict(
+        metavar="PATH",
+        help="also write the analysis report (canonical byte-deterministic "
+             "JSON) to PATH"),
+    "report_a": dict(help="baseline report JSON"),
+    "report_b": dict(help="candidate report JSON"),
+    "--threshold": dict(
+        type=float, default=0.05,
+        help="relative growth that counts as a regression (default 0.05 = "
+             "5%%)"),
+    "--shards": dict(
+        type=int, default=4, help="number of homogeneous device shards"),
+    "--devices": dict(
+        metavar="NAME[,NAME...]",
         help="heterogeneous cluster: one profile name per shard, "
-             "comma-separated (overrides --shards/--device)")
-    p_cluster.add_argument("--device", choices=available("profile"), default="pmem")
-    p_cluster.add_argument("--jobs", type=int, default=8,
-                           help="number of sort jobs to submit")
-    p_cluster.add_argument("--policy", choices=available("policy"),
-                           default="fifo")
-    p_cluster.add_argument("--tenants", type=int, default=2,
-                           help="jobs are assigned round-robin to this many "
-                                "tenants (fair-share accounting unit)")
-    p_cluster.add_argument("--system", choices=available("system"),
-                           default="wiscsort")
-    p_cluster.add_argument("--records-per-job", type=int, default=50_000)
-    p_cluster.add_argument("--seed", type=int, default=42)
-    p_cluster.add_argument("--dram-budget", type=int, default=None,
-                           help="cluster-wide DRAM pool in bytes; admitted "
-                                "jobs hold reservations against it")
-    p_cluster.add_argument("--sanitize", action="store_true",
-                           help="install the SimSanitizer across all shards "
-                                "(exit 1 on charge-accounting drift)")
-    p_cluster.add_argument("--verify-determinism", action="store_true",
-                           help="run the whole cluster workload twice and "
-                                "diff the event traces; exit 1 on divergence")
-    p_cluster.add_argument("--trace", metavar="PATH", default=None,
-                           help="record a sim-time trace across all shards "
-                                "and the job service; exported as "
-                                "Chrome/Perfetto trace JSON")
-    p_cluster.add_argument(
-        "--faults", metavar="SPEC", default=None,
-        help="run ONE fault-tolerant sharded sort (instead of the job "
-             "batch) under a fault plan; prefix events with a shard "
-             "domain to target it (e.g. 'shard1:crash@t:5e-5' or "
-             "'shard0:slow@t:3e-5+1e-3:x0.05'); --records-per-job is the "
-             "total record count")
-    p_cluster.add_argument("--selfperf", action="store_true",
-                           help="print cluster simulator self-performance "
-                                "counters (kernel, per-shard devices, "
-                                "interconnect, recovery/speculation)")
-    p_cluster.add_argument("--race-detect", action="store_true",
-                           help="install the sim-time race detector across "
-                                "all shards; observe-only, exit 1 on "
-                                "unordered conflicting accesses")
-    p_cluster.add_argument("--schedule-fuzz", type=int, metavar="N",
-                           default=None,
-                           help="with --faults: run the FIFO baseline plus "
-                                "N seeded same-instant schedule permutations "
-                                "of the fault-tolerant sharded sort and "
-                                "compare merged-output fingerprints; exit 1 "
-                                "on any byte divergence")
-
-    p_serve = sub.add_parser(
-        "serve", help="run the cluster as an open-loop sort service"
-    )
-    p_serve.add_argument("--arrivals", choices=["poisson", "bursty", "trace"],
-                         default="poisson",
-                         help="arrival process; 'trace' replays --trace-file")
-    p_serve.add_argument("--rate", type=float, default=200.0,
-                         help="offered load in jobs per simulated second "
-                              "(poisson/bursty)")
-    p_serve.add_argument("--horizon", type=float, default=0.25,
-                         help="stop admitting arrivals after this many "
-                              "simulated seconds")
-    p_serve.add_argument("--max-jobs", type=int, default=None,
-                         help="stop after this many arrivals (alternative "
-                              "or additional bound to --horizon)")
-    p_serve.add_argument("--policy", choices=available("policy"),
-                         default="fifo")
-    p_serve.add_argument("--shards", type=int, default=2,
-                         help="number of homogeneous device shards")
-    p_serve.add_argument(
-        "--devices", default=None, metavar="NAME[,NAME...]",
-        help="heterogeneous cluster: one profile name per shard, "
-             "comma-separated (overrides --shards/--device)")
-    p_serve.add_argument("--device", choices=available("profile"), default="pmem")
-    p_serve.add_argument("--system", choices=available("system"),
-                         default="wiscsort")
-    p_serve.add_argument("--records", type=int, default=5_000,
-                         help="records per job")
-    p_serve.add_argument("--tenants", type=int, default=2,
-                         help="arrivals round-robin across this many tenants")
-    p_serve.add_argument("--seed", type=int, default=42,
-                         help="seeds the arrival stream AND every job "
-                              "dataset: one seed pins the whole workload")
-    p_serve.add_argument("--dram-budget", type=int, default=None,
-                         help="cluster-wide DRAM pool in bytes; the knob "
-                              "that makes admission control bite")
-    p_serve.add_argument("--queue-cap", type=int, default=None,
-                         help="pending-queue bound for the 'shed' policy")
-    p_serve.add_argument("--deadline", type=float, default=None,
-                         help="per-job relative deadline in simulated "
-                              "seconds (drives 'edf' and miss accounting)")
-    p_serve.add_argument("--period", type=float, default=1.0,
-                         help="bursty: diurnal period in simulated seconds")
-    p_serve.add_argument("--amplitude", type=float, default=0.8,
-                         help="bursty: modulation depth in [0, 1)")
-    p_serve.add_argument("--trace-file", metavar="PATH", default=None,
-                         help="JSONL arrival trace (one {\"t\": ...} object "
-                              "per line) for --arrivals trace")
-    p_serve.add_argument("--slo", action="append", default=None,
-                         metavar="SPEC",
-                         help="declare an SLO, e.g. 'latency:p99<0.01' or "
-                              "'slowdown:p50<2'; repeatable; any FAIL "
-                              "exits 1")
-    p_serve.add_argument("--burn-window", type=float, metavar="SECONDS",
-                         default=None,
-                         help="arm the live SLO burn-rate monitor with this "
-                              "rollup window (simulated seconds); needs at "
-                              "least one --slo")
-    p_serve.add_argument("--burn-alert", type=float, metavar="RATE",
-                         default=2.0,
-                         help="burn-rate multiple that fires an alert "
-                              "(default 2.0 = burning error budget twice "
-                              "as fast as allowed)")
-    p_serve.add_argument("--report", metavar="PATH", default=None,
-                         help="also write the report as JSON to PATH")
-    p_serve.add_argument("--no-validate", action="store_true")
-
-    p_cal = sub.add_parser("calibrate", help="probe a device profile")
-    p_cal.add_argument("--device", choices=available("profile"), default="pmem")
-
-    p_trace = sub.add_parser(
-        "trace-report", help="summarize an exported trace JSON file"
-    )
-    p_trace.add_argument("trace_file", help="path to a --trace output file")
-
-    p_bench = sub.add_parser("bench", help="run one paper experiment")
-    p_bench.add_argument("experiment", choices=available("experiment"))
-    p_bench.add_argument("--scale", type=int, default=1_000,
-                         help="divide the paper's record counts by this")
-
-    sub.add_parser("profiles", help="list available device profiles")
-    return parser
+             "comma-separated (overrides --shards/--device)"),
+    "--jobs": dict(type=int, default=8, help="number of sort jobs to submit"),
+    "--policy": dict(choices="policy", default="fifo"),
+    "--tenants": dict(
+        type=int, default=2,
+        help="jobs are assigned round-robin to this many tenants "
+             "(fair-share accounting unit)"),
+    "--records-per-job": dict(type=int, default=50_000),
+    "--arrivals": dict(
+        choices=['poisson', 'bursty', 'trace'], default="poisson",
+        help="arrival process; 'trace' replays --trace-file"),
+    "--rate": dict(
+        type=float, default=200.0,
+        help="offered load in jobs per simulated second (poisson/bursty)"),
+    "--horizon": dict(
+        type=float, default=0.25,
+        help="stop admitting arrivals after this many simulated seconds"),
+    "--max-jobs": dict(
+        type=int,
+        help="stop after this many arrivals (alternative or additional "
+             "bound to --horizon)"),
+    "--queue-cap": dict(
+        type=int, help="pending-queue bound for the 'shed' policy"),
+    "--deadline": dict(
+        type=float,
+        help="per-job relative deadline in simulated seconds (drives 'edf' "
+             "and miss accounting)"),
+    "--period": dict(
+        type=float, default=1.0,
+        help="bursty: diurnal period in simulated seconds"),
+    "--amplitude": dict(
+        type=float, default=0.8, help="bursty: modulation depth in [0, 1)"),
+    "--trace-file": dict(
+        metavar="PATH",
+        help='JSONL arrival trace (one {"t": ...} object per line) for '
+             "--arrivals trace"),
+    "--slo": dict(
+        action="append", metavar="SPEC",
+        help="declare an SLO, e.g. 'latency:p99<0.01' or 'slowdown:p50<2'; "
+             "repeatable; any FAIL exits 1"),
+    "--burn-window": dict(
+        type=float, metavar="SECONDS",
+        help="arm the live SLO burn-rate monitor with this rollup window "
+             "(simulated seconds); needs at least one --slo"),
+    "--burn-alert": dict(
+        type=float, metavar="RATE", default=2.0,
+        help="burn-rate multiple that fires an alert (default 2.0 = "
+             "burning error budget twice as fast as allowed)"),
+    "--report": dict(
+        metavar="PATH",
+        help="also write the report as JSON to PATH"),
+    "trace_file": dict(help="path to a --trace output file"),
+    "experiment": dict(choices="experiment"),
+    "--scale": dict(
+        type=int, default=1_000,
+        help="divide the paper's record counts by this"),
+}
 
 
-def cmd_sort(args: argparse.Namespace) -> int:
-    fmt = RecordFormat(key_size=args.key_size, value_size=args.value_size)
-    config = SortConfig(concurrency=ConcurrencyModel(args.concurrency))
-    prof = SelfPerfProfiler()
-    base = api.RunOptions(
-        records=args.records,
-        system=args.system,
-        device=args.device,
-        fmt=fmt,
-        config=config,
-        seed=args.seed,
-        faults=args.faults,
-        validate=not args.no_validate,
-        dram_budget=args.dram_budget,
-        memoize_rates=not args.no_memoize,
+def _run_options(args: argparse.Namespace) -> api.RunOptions:
+    """The parsed flags as the invocation's one ``RunOptions``.
+
+    Fields whose flags the subcommand does not declare keep their
+    defaults; ``cluster`` sizes its sorts with ``--records-per-job``.
+    """
+    flags = vars(args)
+    fields = {
+        name: flags[name]
+        for name in ("system", "device", "seed", "faults", "dram_budget",
+                     "sanitize", "trace", "race_detect")
+        if name in flags
+    }
+    records = flags.get("records", flags.get("records_per_job"))
+    if records is not None:
+        fields["records"] = records
+    if "key_size" in flags:
+        fields["fmt"] = RecordFormat(key_size=args.key_size,
+                                     value_size=args.value_size)
+    if "concurrency" in flags:
+        fields["config"] = SortConfig(
+            concurrency=ConcurrencyModel(args.concurrency))
+    return api.RunOptions(
+        validate=not flags.get("no_validate", False),
+        memoize_rates=not flags.get("no_memoize", False),
+        **fields,
     )
 
-    def run_once(**observers):
-        with prof.phase("sort"):
-            return api.sort(base.replace(**observers))
 
+def _device_names(args: argparse.Namespace) -> Optional[List[str]]:
+    if not args.devices:
+        return None
+    return [name.strip() for name in args.devices.split(",")]
+
+
+def _harness(args: argparse.Namespace, run_once) -> Optional[int]:
+    """``--schedule-fuzz`` / ``--verify-determinism``: re-run and compare.
+
+    Returns the exit status, or None when neither harness was asked for.
+    ``run_once(**changes)`` runs the workload on fresh state with those
+    ``RunOptions`` fields replaced; nothing is exported per run.
+    """
     if args.schedule_fuzz is not None:
         if args.schedule_fuzz < 1:
-            print("sort: --schedule-fuzz needs at least one seed",
-                  file=sys.stderr)
-            return 2
+            raise ConfigError("--schedule-fuzz needs at least one seed")
         if args.verify_determinism:
-            print("sort: --schedule-fuzz and --verify-determinism are "
-                  "separate harnesses; pick one", file=sys.stderr)
-            return 2
+            raise ConfigError("--schedule-fuzz and --verify-determinism are "
+                              "separate harnesses; pick one")
         from repro.analysis.race import schedule_fuzz, sort_output_fingerprint
 
         report = schedule_fuzz(
             lambda seed: sort_output_fingerprint(
-                run_once(schedule_seed=seed, race_detect=args.race_detect)
+                run_once(schedule_seed=seed, trace=None)
             ),
             seeds=tuple(range(1, args.schedule_fuzz + 1)),
         )
-        print(report.render())
-        return 0 if report.ok else 1
-    if args.verify_determinism:
+    elif args.verify_determinism:
         from repro.analysis.sanitizer import verify_determinism
 
-        report = verify_determinism(lambda san: run_once(sanitizer=san), runs=2)
-        print(report.render())
-        return 0 if report.ok else 1
-    sanitizer = None
-    if args.sanitize:
-        from repro.analysis.sanitizer import SimSanitizer
+        report = verify_determinism(
+            lambda san: run_once(sanitizer=san, trace=None), runs=2
+        )
+    else:
+        return None
+    print(report.render())
+    return 0 if report.ok else 1
 
-        sanitizer = SimSanitizer()
-    result = run_once(sanitizer=sanitizer, trace=args.trace,
-                      race_detect=args.race_detect)
+
+def _print_trace(args: argparse.Namespace, tracer) -> None:
+    print(f"trace  : {args.trace} "
+          f"({len(tracer.spans)} spans, {len(tracer.ops)} ops)")
+
+
+def cmd_sort(args: argparse.Namespace) -> int:
+    options = _run_options(args)
+    prof = SelfPerfProfiler()
+
+    def run_once(**changes):
+        with prof.phase("sort"):
+            return api.sort(options.replace(**changes))
+
+    status = _harness(args, run_once)
+    if status is not None:
+        return status
+    result = run_once()
+    fmt = options.record_format
     machine = result.extras["machine"]
     fault_report = result.extras.get("fault_report")
     print(f"device : {machine.profile.describe()}")
@@ -391,8 +320,8 @@ def cmd_sort(args: argparse.Namespace) -> int:
             if fault_report.crashes:
                 print(f"  recovery: {fmt_bytes(stats['salvaged_bytes'])} "
                       f"salvaged, {fmt_bytes(stats['redone_bytes'])} redone")
-    if sanitizer is not None:
-        audit = sanitizer.audit_report()
+    if args.sanitize:  # api.sort raised had anything drifted
+        audit = result.extras["sanitizer"].audit_report()
         print(
             f"sanitize: zero drift -- "
             f"{fmt_bytes(audit['moved_read'])} read / "
@@ -400,14 +329,12 @@ def cmd_sort(args: argparse.Namespace) -> int:
             f"layer, all charged to the device model"
         )
     if args.trace:
-        tracer = result.extras["tracer"]
-        print(f"trace  : {args.trace} "
-              f"({len(tracer.spans)} spans, {len(tracer.ops)} ops)")
+        _print_trace(args, result.extras["tracer"])
         if args.trace_rollup:
             from repro.trace import render_phase_rollup
 
             print()
-            print(render_phase_rollup(tracer))
+            print(render_phase_rollup(result.extras["tracer"]))
     if args.race_detect:
         detector = result.extras["race_detector"]
         print(detector.render())
@@ -422,144 +349,63 @@ def cmd_sort(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_cluster(args: argparse.Namespace):
-    from repro.cluster import Cluster
+def _print_cluster_epilogue(args: argparse.Namespace, cluster, observers) -> int:
+    """What both ``cluster`` paths print after their tables; exit status.
 
-    if args.devices:
-        return Cluster(
-            profiles=_device_names(args), dram_budget=args.dram_budget
-        )
-    return Cluster(
-        shards=args.shards,
-        profile=get_profile(args.device)(),
-        dram_budget=args.dram_budget,
-    )
-
-
-def _observer_options(args: argparse.Namespace, **overrides) -> api.RunOptions:
-    """``--sanitize`` / ``--trace`` / ``--race-detect`` as the options
-    :func:`repro.api.arm_probes` installs on a cluster."""
-    return api.RunOptions(
-        sanitize=args.sanitize, trace=args.trace, race_detect=args.race_detect
-    ).replace(**overrides)
-
-
-def _report_cluster_probes(args: argparse.Namespace, observers: dict) -> int:
-    """Export / print what the armed observers found; exit status."""
+    The run already exported the trace and raised had the sanitizer
+    seen drift (``api.sort`` / ``api.serve`` do both).
+    """
     if "tracer" in observers:
-        from repro.trace import write_chrome_trace
-
-        tracer = observers["tracer"]
-        write_chrome_trace(tracer, args.trace)
-        print(f"trace  : {args.trace} "
-              f"({len(tracer.spans)} spans, {len(tracer.ops)} ops)")
+        _print_trace(args, observers["tracer"])
     if "sanitizer" in observers:
-        from repro.errors import ChargeDriftError
-
-        try:
-            observers["sanitizer"].check()
-        except ChargeDriftError as exc:
-            print(f"sanitize: {exc}")
-            return 1
         print("sanitize: zero drift across all shards")
     if "race_detector" in observers:
         print(observers["race_detector"].render())
         if observers["race_detector"].races:
             return 1
+    if args.selfperf:
+        from repro.perf import collect_cluster_counters
+
+        print("\ncluster self-performance")
+        for key, value in sorted(collect_cluster_counters(cluster).items()):
+            if isinstance(value, float) and not value.is_integer():
+                print(f"  {key:32s} {value:.6g}")
+            else:
+                print(f"  {key:32s} {int(value)}")
     return 0
 
 
-def _cmd_cluster_faulted(args: argparse.Namespace) -> int:
+def _cmd_cluster_faulted(args: argparse.Namespace, options) -> int:
     """One fault-tolerant sharded sort under ``--faults`` (no jobs)."""
-    from repro.cluster import ShardedWiscSort, generate_cluster_dataset
-    from repro.errors import RecoveryError
-    from repro.faults.harness import run_cluster_with_faults
-    from repro.faults.plan import parse_fault_spec
+    for flag in ("sanitize", "verify_determinism"):
+        if getattr(args, flag):
+            raise ConfigError(f"--{flag.replace('_', '-')} is not "
+                              f"supported together with --faults")
 
-    fmt = RecordFormat()
+    def run_once(**changes):
+        return api.sort(options.replace(**changes), shards=args.shards,
+                        devices=_device_names(args))
+
+    status = _harness(args, run_once)
+    if status is not None:
+        return status
+    result = run_once()
+    fmt = options.record_format
     n = args.records_per_job
-    plan = parse_fault_spec(args.faults, seed=args.seed)
-    checkpoint = plan.has_crash
-    counts = None
-    if plan.needs_probe:
-        # Fractional triggers (crash@50%) need per-shard op totals: run
-        # the identical workload once with count-only injectors (an
-        # empty plan, same checkpoint setting) and resolve against it.
-        # One probe serves every schedule-fuzz seed too: permutations
-        # reorder same-instant ops without changing the op *totals*.
-        from repro.faults.plan import FaultPlan
-
-        probe = _build_cluster(args)
-        probe_data = generate_cluster_dataset(probe, "input", n, fmt,
-                                              seed=args.seed)
-        probe_state = probe.install_faults(FaultPlan(), count_only=True)
-        ShardedWiscSort(fmt, system=args.system, checkpoint=checkpoint).run(
-            probe, probe_data, validate=False
-        )
-        counts = probe_state.ops_seen()
-
-    def run_once(options):
-        """Fresh cluster + dataset + injectors, one fault-tolerant run."""
-        cluster = _build_cluster(args)
-        observers, _trace_path = api.arm_probes(options, cluster)
-        data = generate_cluster_dataset(cluster, "input", n, fmt,
-                                        seed=args.seed)
-        cluster.install_faults(plan, counts=counts)
-        system = ShardedWiscSort(fmt, system=args.system,
-                                 checkpoint=checkpoint)
-        result, report = run_cluster_with_faults(system, cluster, data)
-        return cluster, data, system, result, report, observers
-
-    if args.schedule_fuzz is not None:
-        if args.schedule_fuzz < 1:
-            print("cluster: --schedule-fuzz needs at least one seed",
-                  file=sys.stderr)
-            return 2
-        from repro.analysis.race import (
-            cluster_output_fingerprint,
-            schedule_fuzz,
-        )
-
-        def fuzz_fingerprint(seed):
-            # No tracer: nothing is exported per seed.
-            cluster, data, _system, result, _report, _observers = run_once(
-                _observer_options(args, trace=None, schedule_seed=seed)
-            )
-            return cluster_output_fingerprint(
-                cluster, result.output_name, len(data.parts)
-            )
-
-        try:
-            fuzz_report = schedule_fuzz(
-                fuzz_fingerprint,
-                seeds=tuple(range(1, args.schedule_fuzz + 1)),
-            )
-        except RecoveryError as exc:
-            print(f"cluster: {exc}", file=sys.stderr)
-            return 1
-        print(fuzz_report.render())
-        return 0 if fuzz_report.ok else 1
-
-    try:
-        cluster, data, system, result, report, observers = run_once(
-            _observer_options(args)
-        )
-    except RecoveryError as exc:
-        print(f"cluster: {exc}", file=sys.stderr)
-        return 1
+    cluster = result.extras["cluster"]
     print(cluster.describe())
     print(f"input  : {n} records x {fmt.record_size}B "
           f"({fmt_bytes(fmt.file_bytes(n))}) across "
-          f"{len(data.parts)} shards")
+          f"{len(cluster.shards)} shards")
     print(f"system : {result.system}")
     print(f"total  : {fmt_seconds(result.total_time)} (simulated)")
-    print(f"faults : {report.summary()}")
+    print(f"faults : {result.extras['fault_report'].summary()}")
     fc = cluster.faults
     print(f"  {fc.shards_recovered} shard(s) recovered, "
           f"{fc.speculative_issues} speculative issue(s), "
           f"{fc.speculative_wins} speculative win(s)")
-    if system.last_recovery is not None:
-        rec = system.last_recovery
+    rec = result.extras["system"].last_recovery
+    if rec is not None:
         print(f"  recovery: {fmt_bytes(rec['salvaged_bytes'])} salvaged, "
               f"{fmt_bytes(rec['redone_bytes'])} redone "
               f"({rec['partitions_salvaged']} partition(s) salvaged, "
@@ -568,37 +414,7 @@ def _cmd_cluster_faulted(args: argparse.Namespace) -> int:
         print(f"network: {fmt_bytes(cluster.net_stats.bytes_total)} "
               f"shuffled across the interconnect")
     print("output : validated (sorted permutation of the input)")
-    if _report_cluster_probes(args, observers):
-        return 1
-    if args.selfperf:
-        print()
-        print(_render_cluster_counters(cluster))
-    return 0
-
-
-def _render_cluster_counters(cluster) -> str:
-    from repro.perf import collect_cluster_counters
-
-    lines = ["cluster self-performance"]
-    for key, value in sorted(collect_cluster_counters(cluster).items()):
-        if isinstance(value, float) and not value.is_integer():
-            lines.append(f"  {key:32s} {value:.6g}")
-        else:
-            lines.append(f"  {key:32s} {int(value)}")
-    return "\n".join(lines)
-
-
-def _config_errors_exit_2(cmd):
-    """A bad configuration is one ``<command>: <why>`` line and exit 2."""
-
-    def guarded(args: argparse.Namespace) -> int:
-        try:
-            return cmd(args)
-        except ConfigError as exc:
-            print(f"{args.command}: {exc}", file=sys.stderr)
-            return 2
-
-    return guarded
+    return _print_cluster_epilogue(args, cluster, result.extras)
 
 
 def _reject_never_fit(report):
@@ -610,41 +426,26 @@ def _reject_never_fit(report):
     return report
 
 
-def _device_names(args: argparse.Namespace) -> Optional[List[str]]:
-    if not args.devices:
-        return None
-    return [name.strip() for name in args.devices.split(",")]
-
-
-@_config_errors_exit_2
 def cmd_cluster(args: argparse.Namespace) -> int:
+    options = _run_options(args)
     if args.faults is not None:
-        for flag in ("sanitize", "verify_determinism"):
-            if getattr(args, flag):
-                print(f"cluster: --{flag.replace('_', '-')} is not "
-                      f"supported together with --faults", file=sys.stderr)
-                return 2
-        return _cmd_cluster_faulted(args)
+        return _cmd_cluster_faulted(args, options)
     if args.schedule_fuzz is not None:
-        print("cluster: --schedule-fuzz needs --faults (admission may "
-              "legally place tied jobs differently per schedule; the "
-              "fault-tolerant sharded sort has one deterministic output "
-              "to fingerprint)", file=sys.stderr)
-        return 2
+        raise ConfigError(
+            "--schedule-fuzz needs --faults (admission may "
+            "legally place tied jobs differently per schedule; the "
+            "fault-tolerant sharded sort has one deterministic output "
+            "to fingerprint)")
     if args.jobs < 1:
-        print("cluster: need at least one job", file=sys.stderr)
-        return 2
-    from repro.analysis.sanitizer import SimSanitizer, verify_determinism
-    from repro.trace import Tracer
+        raise ConfigError("need at least one job")
     from repro.workloads.arrivals import JobSpec, TraceArrivals
 
-    base = api.RunOptions(device=args.device, dram_budget=args.dram_budget)
     tenants = max(1, args.tenants)
 
-    def run_once(**observers):
+    def run_once(**changes):
         """The batch: a fresh cluster serving every job as a ``t=0`` arrival."""
         return _reject_never_fit(api.serve(
-            base.replace(**observers),
+            options.replace(**changes),
             arrivals=TraceArrivals([
                 JobSpec(
                     index=j, arrival_time=0.0, name=f"job{j:02d}",
@@ -658,17 +459,10 @@ def cmd_cluster(args: argparse.Namespace) -> int:
             devices=_device_names(args),
         ))
 
-    if args.verify_determinism:
-        report = verify_determinism(lambda san: run_once(sanitizer=san), runs=2)
-        print(report.render())
-        return 0 if report.ok else 1
-    # Pre-built observers: _report_cluster_probes says what they found,
-    # rather than api.serve's harvest raising it.
-    report = run_once(
-        sanitizer=SimSanitizer() if args.sanitize else None,
-        trace=Tracer() if args.trace else None,
-        race_detect=args.race_detect,
-    )
+    status = _harness(args, run_once)
+    if status is not None:
+        return status
+    report = run_once()
     cluster = report.extras["cluster"]
     print(cluster.describe())
     print(f"policy : {args.policy}, {args.jobs} jobs, "
@@ -680,36 +474,20 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     print(render_job_table(report.jobs))
     print()
     print(render_shard_table(cluster))
-    if _report_cluster_probes(args, report.extras):
-        return 1
-    if args.selfperf:
-        print()
-        print(_render_cluster_counters(cluster))
-    return 0
+    return _print_cluster_epilogue(args, cluster, report.extras)
 
 
-@_config_errors_exit_2
 def cmd_serve(args: argparse.Namespace) -> int:
-    base = api.RunOptions(
-        records=args.records,
-        system=args.system,
-        device=args.device,
-        seed=args.seed,
-        dram_budget=args.dram_budget,
-        validate=not args.no_validate,
-    )
     monitor = None
     if args.burn_window is not None:
         if not args.slo:
-            print("serve: --burn-window needs at least one --slo",
-                  file=sys.stderr)
-            return 2
+            raise ConfigError("--burn-window needs at least one --slo")
         from repro.cluster.service import SLOMonitor
 
         monitor = SLOMonitor(args.slo, window=args.burn_window,
                              burn_threshold=args.burn_alert)
     report = _reject_never_fit(api.serve(
-        base,
+        _run_options(args),
         arrivals=args.arrivals,
         rate=args.rate,
         horizon=args.horizon,
@@ -736,30 +514,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    from repro.trace import Tracer, analyze_tracer
+    from repro.trace import analyze_tracer
     from repro.trace.analyze import parse_what_if
 
-    hypotheses = []
-    for expr in args.what_if or ():
-        try:
-            hypotheses.append(parse_what_if(expr))
-        except ConfigError as exc:
-            print(f"analyze: {exc}", file=sys.stderr)
-            return 2
-    fmt = RecordFormat(key_size=args.key_size, value_size=args.value_size)
-    config = SortConfig(concurrency=ConcurrencyModel(args.concurrency))
-    tracer = Tracer(analyze=True)
-    result = api.sort(api.RunOptions(
-        records=args.records,
-        system=args.system,
-        device=args.device,
-        fmt=fmt,
-        config=config,
-        seed=args.seed,
-        validate=not args.no_validate,
-        dram_budget=args.dram_budget,
-        trace=tracer,
-    ))
+    hypotheses = [parse_what_if(expr) for expr in args.what_if or ()]
+    result = api.sort(_run_options(args).replace(analyze=True))
+    tracer = result.extras["tracer"]
     report = analyze_tracer(tracer)
     machine = result.extras["machine"]
     print(f"device : {machine.profile.describe()}")
@@ -776,30 +536,20 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         write_report_json(report, args.json)
         print(f"\nreport : {args.json}")
     if args.trace:
-        from repro.trace import write_chrome_trace
-
-        write_chrome_trace(tracer, args.trace)
-        print(f"trace  : {args.trace} "
-              f"({len(tracer.spans)} spans, {len(tracer.ops)} ops)")
+        _print_trace(args, tracer)
     return 0
 
 
 def cmd_trace_diff(args: argparse.Namespace) -> int:
-    from repro.errors import SchemaMismatchError
     from repro.trace import diff_reports, load_report_json, render_diff
 
     docs = []
     for path in (args.report_a, args.report_b):
         try:
             docs.append(load_report_json(path))
-        except (OSError, ValueError) as exc:
-            print(f"trace-diff: {path}: {exc}", file=sys.stderr)
-            return 2
-    try:
-        diff = diff_reports(docs[0], docs[1], threshold=args.threshold)
-    except SchemaMismatchError as exc:
-        print(f"trace-diff: {exc}", file=sys.stderr)
-        return 2
+        except (OSError, ValueError) as exc:  # unreadable, or not a report
+            raise ConfigError(f"{path}: {exc}") from None
+    diff = diff_reports(docs[0], docs[1], threshold=args.threshold)
     print(render_diff(diff))
     return 1 if diff["regressions"] else 0
 
@@ -809,9 +559,8 @@ def cmd_trace_report(args: argparse.Namespace) -> int:
 
     try:
         doc = load_chrome_trace(args.trace_file)
-    except (OSError, ValueError) as exc:
-        print(f"trace-report: {exc}", file=sys.stderr)
-        return 2
+    except ValueError as exc:  # not JSON, or not a trace document
+        raise ConfigError(exc) from None
     print(render_trace_report(doc, args.trace_file))
     return 0
 
@@ -825,6 +574,8 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    if args.scale < 1:
+        raise ConfigError("--scale must be >= 1")
     fn = get_experiment(args.experiment)
     table = fn() if args.experiment == "tab01" else fn(scale=args.scale)
     print(table.render())
@@ -837,20 +588,132 @@ def cmd_profiles(_args: argparse.Namespace) -> int:
     return 0
 
 
+#: Every subcommand, declared once: help line, handler, and its flags in
+#: ``--help`` order -- a :data:`FLAGS` name, or ``(name, overrides)`` where
+#: this command's ``default=`` / ``help=`` differ.
+COMMANDS = {
+    "sort": ("sort a generated dataset", cmd_sort, [
+        "--records", "--key-size", "--value-size", "--system", "--device",
+        "--concurrency", "--seed", "--dram-budget", "--no-validate",
+        "--faults", "--sanitize", "--verify-determinism", "--timeline",
+        "--selfperf", "--no-memoize", "--trace", "--trace-rollup",
+        "--race-detect", "--schedule-fuzz",
+    ]),
+    "analyze": (
+        "sort with the critical-path analyzer armed: where did "
+        "the simulated time go?",
+        cmd_analyze, [
+            "--records", "--key-size", "--value-size", "--system",
+            "--device", "--concurrency", "--seed", "--dram-budget",
+            "--no-validate", "--what-if", "--blame-rows", "--json",
+            ("--trace", dict(
+                help="also export the underlying Chrome/Perfetto "
+                     "trace JSON to PATH")),
+        ]),
+    "trace-diff": (
+        "diff two schema-stamped report JSONs for regressions",
+        cmd_trace_diff, ["report_a", "report_b", "--threshold"]),
+    "cluster": (
+        "run concurrent sort jobs on a multi-device cluster", cmd_cluster, [
+            "--shards", "--devices", "--device", "--jobs", "--policy",
+            "--tenants", "--system", "--records-per-job", "--seed",
+            ("--dram-budget", dict(
+                help="cluster-wide DRAM pool in bytes; admitted "
+                     "jobs hold reservations against it")),
+            ("--sanitize", dict(
+                help="install the SimSanitizer across all shards "
+                     "(exit 1 on charge-accounting drift)")),
+            ("--verify-determinism", dict(
+                help="run the whole cluster workload twice and "
+                     "diff the event traces; exit 1 on divergence")),
+            ("--trace", dict(
+                help="record a sim-time trace across all shards "
+                     "and the job service; exported as "
+                     "Chrome/Perfetto trace JSON")),
+            ("--faults", dict(
+                help="run ONE fault-tolerant sharded sort (instead of the job "
+                     "batch) under a fault plan; prefix events with a shard "
+                     "domain to target it (e.g. 'shard1:crash@t:5e-5' or "
+                     "'shard0:slow@t:3e-5+1e-3:x0.05'); --records-per-job is "
+                     "the total record count")),
+            ("--selfperf", dict(
+                help="print cluster simulator self-performance "
+                     "counters (kernel, per-shard devices, "
+                     "interconnect, recovery/speculation)")),
+            ("--race-detect", dict(
+                help="install the sim-time race detector across "
+                     "all shards; observe-only, exit 1 on "
+                     "unordered conflicting accesses")),
+            ("--schedule-fuzz", dict(
+                help="with --faults: run the FIFO baseline plus "
+                     "N seeded same-instant schedule permutations "
+                     "of the fault-tolerant sharded sort and "
+                     "compare merged-output fingerprints; exit 1 "
+                     "on any byte divergence")),
+        ]),
+    "serve": (
+        "run the cluster as an open-loop sort service", cmd_serve, [
+            "--arrivals", "--rate", "--horizon", "--max-jobs", "--policy",
+            ("--shards", dict(default=2)),
+            "--devices", "--device", "--system",
+            ("--records", dict(default=5_000, help="records per job")),
+            ("--tenants", dict(
+                help="arrivals round-robin across this many tenants")),
+            ("--seed", dict(
+                help="seeds the arrival stream AND every job "
+                     "dataset: one seed pins the whole workload")),
+            ("--dram-budget", dict(
+                help="cluster-wide DRAM pool in bytes; the knob "
+                     "that makes admission control bite")),
+            "--queue-cap", "--deadline", "--period", "--amplitude",
+            "--trace-file", "--slo", "--burn-window", "--burn-alert",
+            "--report", "--no-validate",
+        ]),
+    "calibrate": ("probe a device profile", cmd_calibrate, ["--device"]),
+    "trace-report": (
+        "summarize an exported trace JSON file", cmd_trace_report,
+        ["trace_file"]),
+    "bench": ("run one paper experiment", cmd_bench, ["experiment", "--scale"]),
+    "profiles": ("list available device profiles", cmd_profiles, []),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="WiscSort reproduction (PVLDB 16(9), 2023)",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (summary, _handler, flags) in COMMANDS.items():
+        command_parser = sub.add_parser(command, help=summary)
+        for flag in flags:
+            name, overrides = flag if isinstance(flag, tuple) else (flag, {})
+            keywords = {**FLAGS[name], **overrides}
+            if isinstance(keywords.get("choices"), str):
+                keywords["choices"] = available(keywords["choices"])
+            command_parser.add_argument(name, **keywords)
+    return parser
+
+
 def main(argv: Optional[List[str]] = None) -> int:
+    """Parse, run the command's handler, apply the exit-code contract.
+
+    0: ran clean.  1: the run found a problem -- the handler says so
+    (race report, SLO FAIL, determinism or fingerprint divergence,
+    ``trace-diff`` regression), or recovery gave up, a scripted fault was
+    not survivable, or a sanitizer check failed.  2: bad input -- exactly
+    one ``<command>: <why>`` line on stderr.  Anything else is a bug and
+    keeps its traceback.
+    """
     args = build_parser().parse_args(argv)
-    handlers = {
-        "sort": cmd_sort,
-        "analyze": cmd_analyze,
-        "trace-diff": cmd_trace_diff,
-        "cluster": cmd_cluster,
-        "serve": cmd_serve,
-        "calibrate": cmd_calibrate,
-        "trace-report": cmd_trace_report,
-        "bench": cmd_bench,
-        "profiles": cmd_profiles,
-    }
-    return handlers[args.command](args)
+    try:
+        return COMMANDS[args.command][1](args)
+    except (RecoveryError, FaultError, SanitizerError) as exc:
+        status, why = 1, exc
+    except (ConfigError, RecordFormatError, OSError) as exc:
+        status, why = 2, exc
+    print(f"{args.command}: {why}", file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":  # pragma: no cover

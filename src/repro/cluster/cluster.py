@@ -126,6 +126,11 @@ class ClusterFaultState:
         """Per-shard op counts (count-only probe results)."""
         return {dom: inj.stats.ops_seen for dom, inj in self.injectors.items()}
 
+    def note_recovery(self) -> None:
+        """The harness rebooted the crashed shard and is about to recover."""
+        self.stats.recoveries += 1
+        self.shards_recovered += 1
+
     def as_dict(self) -> Dict[str, float]:
         """Flat counter snapshot: cluster ledger + per-shard injectors."""
         out: Dict[str, float] = {}

@@ -48,7 +48,7 @@ manifest scheme of :mod:`repro.core.recovery` at partition granularity:
 
 After a whole-shard crash (see
 :meth:`~repro.cluster.cluster.Cluster.reboot` and
-:func:`~repro.faults.harness.run_cluster_with_faults`) recovery
+:func:`~repro.faults.harness.run_with_faults`) recovery
 re-executes *only* what no manifest covers: unmarked sources re-gather
 keys and re-scatter against the frozen splitters, and unsalvaged
 partitions are re-sorted -- on an idle spare shard when one exists (the

@@ -1,9 +1,10 @@
 """Crash / reboot / recover orchestration for fault-injected sorts.
 
-:func:`run_with_faults` is the one-call entry point used by the CLI and
-the chaos tests: install a :class:`~repro.faults.plan.FaultPlan`, start
-the sort, and whenever a :class:`~repro.errors.SimulatedCrash` unwinds
-the event loop, reboot the machine and re-enter through the system's
+:func:`run_with_faults` is the one-call entry point used by
+:func:`repro.api.sort` and the chaos tests: install a
+:class:`~repro.faults.plan.FaultPlan`, start the sort, and whenever a
+:class:`~repro.errors.SimulatedCrash` unwinds the event loop, reboot
+the owner (machine or cluster) and re-enter through the system's
 ``recover()`` path -- repeatedly, because recovery itself can crash if
 the plan scripts several crash points.
 
@@ -15,11 +16,12 @@ spinning forever.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 
 from repro.errors import RecoveryError, SimulatedCrash
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.cluster import Cluster, ShardedFile
     from repro.core.base import SortResult, SortSystem
     from repro.machine import Machine
     from repro.storage.file import SimFile
@@ -50,45 +52,56 @@ class FaultRunReport:
 
 def run_with_faults(
     system: "SortSystem",
-    machine: "Machine",
-    input_file: "SimFile",
+    owner: Union["Machine", "Cluster"],
+    input_file: Union["SimFile", "ShardedFile"],
     plan: Optional["FaultPlan"] = None,
     validate: bool = True,
     max_recoveries: int = 8,
 ) -> Tuple["SortResult", FaultRunReport]:
     """Drive ``system`` to completion under ``plan``, surviving crashes.
 
+    ``owner`` is the run's machine, or its cluster for a sharded sort.
     With ``plan=None`` (or an already-installed injector) the existing
-    machine state is used unchanged; passing a plan installs it first.
+    owner state is used unchanged; passing a plan installs it first.
     Returns the final :class:`~repro.core.base.SortResult` together with
     a :class:`FaultRunReport`.  Non-crash faults (media errors past the
     retry budget, genuine ENOSPC) propagate to the caller -- only
     :class:`~repro.errors.SimulatedCrash` is survivable by design.
+
+    On a cluster a crash raised by any shard's injector unwinds the
+    whole shared event loop and names the dead shard (``crash.domain``):
+    :meth:`~repro.cluster.cluster.Cluster.reboot` restarts it, resetting
+    every survivor's volatile state too, and ``recover()`` salvages all
+    manifest-covered partitions and re-executes only the lost work.
     """
     if plan is not None:
-        machine.install_faults(plan)
+        owner.install_faults(plan)
     report = FaultRunReport()
-    t0 = machine.now
-    read0 = machine.stats.bytes_read_internal
-    written0 = machine.stats.bytes_written_internal
+    t0 = owner.now
+    read0 = owner.stats.bytes_read_internal
+    written0 = owner.stats.bytes_written_internal
     try:
-        result = system.run(machine, input_file, validate=validate)
+        result = system.run(owner, input_file, validate=validate)
     except SimulatedCrash as crash:
         result = _recover_loop(
-            system, machine, input_file, crash, validate, max_recoveries, report
+            system, owner, input_file, crash, validate, max_recoveries, report
         )
         # The recovery result only timed its own segment; re-span it over
         # the whole workload (the clock and device stats survive reboots).
-        result.total_time = machine.now - t0
-        result.internal_read = machine.stats.bytes_read_internal - read0
-        result.internal_written = machine.stats.bytes_written_internal - written0
-    if machine.faults is not None:
-        report.stats = machine.faults.stats.as_dict()
+        result.total_time = owner.now - t0
+        result.internal_read = owner.stats.bytes_read_internal - read0
+        result.internal_written = owner.stats.bytes_written_internal - written0
+    if owner.faults is not None:
+        report.stats = owner.faults.as_dict()
     return result, report
+
+
+#: The frozen ``benchmarks/ledger/workloads.py`` imports this name.
+run_cluster_with_faults = run_with_faults
 
 
 def _recover_loop(
-    system, machine, input_file, crash, validate, max_recoveries, report
+    system, owner, input_file, crash, validate, max_recoveries, report
 ):
     while True:
         report.crashes += 1
@@ -98,72 +111,11 @@ def _recover_loop(
                 f"gave up after {max_recoveries} recovery attempts "
                 f"({report.crashes} crashes)"
             ) from crash
-        machine.reboot()
-        if machine.faults is not None:
-            machine.faults.stats.recoveries += 1
+        owner.reboot(crash.domain)
+        if owner.faults is not None:
+            owner.faults.note_recovery()
         report.recoveries += 1
         try:
-            return system.recover(machine, input_file, validate=validate)
-        except SimulatedCrash as next_crash:
-            crash = next_crash
-
-
-def run_cluster_with_faults(
-    system,
-    cluster,
-    sharded_input,
-    plan: Optional["FaultPlan"] = None,
-    validate: bool = True,
-    max_recoveries: int = 8,
-) -> Tuple["SortResult", FaultRunReport]:
-    """Cluster twin of :func:`run_with_faults`: survive shard crashes.
-
-    A :class:`~repro.errors.SimulatedCrash` raised by any shard's
-    injector unwinds the whole shared event loop; the crash names the
-    dead shard via its ``domain`` attribute, so the loop reboots that
-    shard (:meth:`~repro.cluster.cluster.Cluster.reboot` -- which also
-    resets every survivor's volatile state) and re-enters through the
-    system's ``recover()`` path, which salvages all manifest-covered
-    partitions and re-executes only the lost work.
-    """
-    if plan is not None:
-        cluster.install_faults(plan)
-    report = FaultRunReport()
-    t0 = cluster.now
-    read0 = cluster.stats.bytes_read_internal
-    written0 = cluster.stats.bytes_written_internal
-    try:
-        result = system.run(cluster, sharded_input, validate=validate)
-    except SimulatedCrash as crash:
-        result = _cluster_recover_loop(
-            system, cluster, sharded_input, crash, validate,
-            max_recoveries, report,
-        )
-        result.total_time = cluster.now - t0
-        result.internal_read = cluster.stats.bytes_read_internal - read0
-        result.internal_written = cluster.stats.bytes_written_internal - written0
-    if cluster.faults is not None:
-        report.stats = cluster.faults.as_dict()
-    return result, report
-
-
-def _cluster_recover_loop(
-    system, cluster, sharded_input, crash, validate, max_recoveries, report
-):
-    while True:
-        report.crashes += 1
-        report.crash_points.append((crash.at_time, crash.at_op))
-        if report.recoveries >= max_recoveries:
-            raise RecoveryError(
-                f"gave up after {max_recoveries} recovery attempts "
-                f"({report.crashes} crashes)"
-            ) from crash
-        cluster.reboot(crash.domain)
-        if cluster.faults is not None:
-            cluster.faults.stats.recoveries += 1
-            cluster.faults.shards_recovered += 1
-        report.recoveries += 1
-        try:
-            return system.recover(cluster, sharded_input, validate=validate)
+            return system.recover(owner, input_file, validate=validate)
         except SimulatedCrash as next_crash:
             crash = next_crash

@@ -154,6 +154,14 @@ class FaultInjector:
         then takes the exact fault-free fast path (zero overhead)."""
         return self.count_only or bool(self.plan.events)
 
+    def note_recovery(self) -> None:
+        """The harness rebooted the machine and is about to recover."""
+        self.stats.recoveries += 1
+
+    def as_dict(self) -> dict:
+        """Counter snapshot for :class:`~repro.faults.harness.FaultRunReport`."""
+        return self.stats.as_dict()
+
     @property
     def _crash_pending(self) -> bool:
         return any(

@@ -31,16 +31,17 @@ Spec grammar (comma-separated, whitespace ignored)::
 
 Any event token may carry a ``shardN:`` prefix (``shard1:crash@50%``,
 ``shard0:slow@t:0.1+0.2:x0.25``) restricting it to one cluster shard;
-untargeted tokens apply to every shard.  Standalone-machine runs ignore
-the targeting field entirely (:meth:`Cluster.install_faults` is the
-only consumer, via :meth:`FaultPlan.for_shard`).
+untargeted tokens apply to every shard (:meth:`Cluster.install_faults`
+slices the plan per shard via :meth:`FaultPlan.for_shard`; a standalone
+machine ignores the field).  :func:`repro.api.sort` rejects a target the
+run does not have (:meth:`FaultPlan.require_domains`).
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro.errors import ConfigError
 from repro.faults.retry import RetryPolicy
@@ -86,6 +87,15 @@ class FaultEvent:
             raise ConfigError(
                 f"{self.kind} event needs exactly one trigger "
                 f"(at_op / at_time / at_frac / p)"
+            )
+        # The injector schedules only these pairings; any other would
+        # index an absent trigger mid-run.
+        if (self.p is not None and self.kind in ("crash", "enospc")) or (
+            self.at_time is not None and self.kind not in ("crash", "slow")
+        ):
+            raise ConfigError(
+                f"{self.kind} events take no "
+                f"{'p:' if self.p is not None else 't:'} trigger"
             )
         if self.p is not None and not (0.0 <= self.p <= 1.0):
             raise ConfigError(f"probability must be in [0, 1], got {self.p}")
@@ -133,6 +143,19 @@ class FaultPlan:
     @property
     def has_crash(self) -> bool:
         return any(ev.kind == "crash" for ev in self.events)
+
+    def require_domains(self, domains: Sequence[str]) -> None:
+        """Reject ``shardN:`` targets outside the run's fault ``domains``."""
+        unknown = sorted(
+            {ev.shard for ev in self.events if ev.shard is not None}
+            - set(domains)
+        )
+        if unknown:
+            raise ConfigError(
+                f"fault plan targets {', '.join(unknown)}, but the run's "
+                f"fault domains are: "
+                f"{', '.join(domains) or 'none (one device takes no shardN: prefix)'}"
+            )
 
     def resolve_fractions(self, total_ops: int) -> "FaultPlan":
         """Turn ``crash@50%``-style fractions into concrete op indices.

@@ -209,7 +209,7 @@ class Machine(ProbeHost):
         self.faults = injector
         return injector
 
-    def reboot(self) -> None:
+    def reboot(self, victim: None = None) -> None:
         """Crash recovery: replace the engine, carrying the clock forward.
 
         Models a host restart after a :class:`~repro.errors.SimulatedCrash`:
@@ -220,6 +220,8 @@ class Machine(ProbeHost):
         total simulated duration.  An installed fault injector is
         re-attached and keeps its global op counter and fired-event
         state; installed probes are rebound to the replacement engine.
+        ``victim`` mirrors :meth:`repro.cluster.cluster.Cluster.reboot` for
+        the recovery harness; a standalone machine's crashes name none.
         """
         if self.domain is not None:
             raise ConfigError(

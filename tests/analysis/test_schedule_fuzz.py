@@ -157,45 +157,14 @@ class TestHarness:
 class TestFaultedClusterFuzz:
     def test_crash_recovery_is_schedule_invariant(self):
         """A shard crash mid-sort recovers to identical bytes per seed."""
-        from repro.analysis.race import cluster_output_fingerprint
-        from repro.cluster import (
-            Cluster,
-            ShardedWiscSort,
-            generate_cluster_dataset,
-        )
-        from repro.faults.harness import run_cluster_with_faults
-        from repro.faults.plan import FaultPlan, parse_fault_spec
-        from repro.records.format import RecordFormat
+        from repro import api
 
-        fmt = RecordFormat()
-        n = 4000
-        spec = "shard1:crash@50%"
-
-        def build():
-            cluster = Cluster(shards=2)
-            data = generate_cluster_dataset(cluster, "input", n, fmt, seed=1)
-            return cluster, data
-
-        probe, probe_data = build()
-        probe_state = probe.install_faults(FaultPlan(), count_only=True)
-        ShardedWiscSort(fmt, checkpoint=True).run(
-            probe, probe_data, validate=False
-        )
-        counts = probe_state.ops_seen()
+        options = api.RunOptions(records=4000, seed=1, faults="shard1:crash@50%")
 
         def run(seed):
-            cluster, data = build()
-            if seed is not None:
-                cluster.install_schedule_fuzz(seed)
-            plan = parse_fault_spec(spec, seed=1)
-            for dom, c in counts.items():
-                assert c > 0, dom
-            cluster.install_faults(plan, counts=counts)
-            system = ShardedWiscSort(fmt, checkpoint=True)
-            result, _report = run_cluster_with_faults(system, cluster, data)
-            return cluster_output_fingerprint(
-                cluster, result.output_name, len(data.parts)
-            )
+            result = api.sort(options.replace(schedule_seed=seed), shards=2)
+            assert result.extras["fault_report"].recoveries == 1
+            return sort_output_fingerprint(result)
 
         report = schedule_fuzz(run, seeds=(1, 2))
         assert report.ok, report.render()

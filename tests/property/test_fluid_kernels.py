@@ -21,11 +21,8 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from repro.cluster import Cluster, ShardedWiscSort, generate_cluster_dataset
+from repro import api
 from repro.core.base import SortConfig
-from repro.faults.harness import run_cluster_with_faults
-from repro.faults.plan import FaultPlan, parse_fault_spec
-from repro.records.format import RecordFormat
 from repro.sim.fluid import FluidOp, FluidScheduler, UniformRateModel
 from repro.units import KiB
 
@@ -213,25 +210,16 @@ class TestStorageLifecycle:
         # array, epoch after epoch.
         monkeypatch.setenv("REPRO_SIM_VECTOR", "1")
         monkeypatch.setenv("REPRO_SIM_VECTOR_MIN_GROUP", "4")
-        fmt = RecordFormat()
-        config = SortConfig(read_buffer=96 * KiB, write_buffer=8 * KiB)
-
-        def build():
-            cluster = Cluster(shards=4, config=config)
-            data = generate_cluster_dataset(cluster, "input", 20_000, fmt, seed=101)
-            system = ShardedWiscSort(
-                fmt, config=config, system="wiscsort-merge", checkpoint=True
-            )
-            return cluster, data, system
-
-        cluster, data, system = build()
-        probe = cluster.install_faults(FaultPlan(), count_only=True)
-        system.run(cluster, data, validate=False)
-        cluster, data, system = build()
-        plan = parse_fault_spec("shard1:crash@50%,shard0:slow@t:1e-4+1:x0.1", seed=101)
-        cluster.install_faults(plan, counts=probe.ops_seen())
-        result, report = run_cluster_with_faults(system, cluster, data)
-        assert result.validated and report.crashes == 1
+        result = api.sort(
+            api.RunOptions(
+                records=20_000, system="wiscsort-merge", seed=101,
+                config=SortConfig(read_buffer=96 * KiB, write_buffer=8 * KiB),
+                faults="shard1:crash@50%,shard0:slow@t:1e-4+1:x0.1",
+            ),
+            shards=4,
+        )
+        assert result.validated and result.extras["fault_report"].crashes == 1
+        cluster = result.extras["cluster"]
         sched = cluster.engine.fluid
         assert sched.array_promotions >= 4
         assert sched.array_demotions == sched.array_promotions

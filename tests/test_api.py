@@ -143,3 +143,56 @@ class TestFacadeFaults:
                 api.sort(RunOptions(
                     records=5_000, system="wiscsort-natural", faults=spec
                 ))
+
+
+class TestShardedSort:
+    """``api.sort(options, shards=N)``: the same run on a cluster."""
+
+    def test_shard_crash_recovers_to_the_single_device_output(self):
+        from repro.analysis.race import sort_output_fingerprint
+
+        options = RunOptions(records=4_000)
+        chaos = api.sort(options.replace(faults="shard1:crash@50%"), shards=2)
+        assert chaos.validated
+        assert chaos.extras["fault_report"].recoveries == 1
+        assert chaos.extras["cluster"].faults.shards_recovered == 1
+        assert chaos.extras["system"].last_recovery["partitions_redone"] >= 1
+        assert "machine" not in chaos.extras
+        assert sort_output_fingerprint(chaos) == sort_output_fingerprint(
+            api.sort(options)
+        )
+
+    def test_devices_run_heterogeneous(self):
+        result = api.sort(RunOptions(records=2_000), devices=["pmem", "bd-device"])
+        assert result.validated
+        profiles = [m.profile.name for m in result.extras["cluster"].shards]
+        assert profiles == ["pmem", "bd-device"]
+
+    def test_observers_ride_the_cluster_bus(self):
+        result = api.sort(
+            RunOptions(records=2_000, sanitize=True, race_detect=True), shards=2
+        )
+        assert not result.extras["race_detector"].races
+        assert result.extras["sanitizer"].audit_report()["moved_write"] > 0
+
+    @pytest.mark.parametrize("sharding,domains", [
+        ({}, "none"),
+        ({"shards": 4}, "shard0, shard1, shard2, shard3"),
+    ])
+    def test_fault_target_outside_the_run_is_rejected(self, sharding, domains):
+        # one device used to drop the prefix and crash the machine; four
+        # shards used to inject nothing and report a clean run
+        with pytest.raises(ConfigError, match=f"fault domains are: {domains}"):
+            api.sort(
+                RunOptions(records=2_000, faults="shard9:crash@50%"), **sharding
+            )
+
+    def test_the_ledger_plan_targets_shards_the_run_has(self):
+        result = api.sort(
+            RunOptions(
+                records=4_000,
+                faults="shard1:crash@50%,shard0:slow@t:1e-4+1:x0.1",
+            ),
+            shards=4,
+        )
+        assert result.extras["fault_report"].crashes == 1

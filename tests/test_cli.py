@@ -8,6 +8,14 @@ from repro.cli import build_parser, main
 from repro.registry import available
 
 
+def assert_one_line(capsys, command, message):
+    """The whole of stderr is one ``<command>: ...message...`` line."""
+    err = capsys.readouterr().err
+    assert err.startswith(f"{command}: ") and message in err
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err
+
+
 class TestParser:
     def test_sort_defaults(self):
         args = build_parser().parse_args(["sort"])
@@ -112,23 +120,33 @@ class TestFaultsFlag:
         assert "1 injected" in out
         assert "retries" in out and "backoff" in out
 
-    def test_crash_on_non_checkpointing_system_rejected(self):
-        from repro.errors import ConfigError
+    def test_crash_on_non_checkpointing_system_rejected(self, capsys):
+        rc = main([
+            "sort", "--records", "2000", "--system", "sample-sort",
+            "--faults", "crash@op:1",
+        ])
+        assert rc == 2
+        assert_one_line(capsys, "sort", "need a checkpointing system")
 
-        with pytest.raises(ConfigError):
-            main([
-                "sort", "--records", "2000", "--system", "sample-sort",
-                "--faults", "crash@op:1",
-            ])
+    def test_crash_on_natural_run_elision_rejected(self, capsys):
+        rc = main([
+            "sort", "--records", "20000", "--system", "wiscsort-natural",
+            "--faults", "crash@50%",
+        ])
+        assert rc == 2
+        assert_one_line(capsys, "sort", "natural-run elision")
 
-    def test_crash_on_natural_run_elision_rejected(self):
-        from repro.errors import ConfigError
+    def test_crashes_outpacing_recovery_exit_1(self, capsys):
+        # at the parent `cluster` printed this and `sort` raised it
+        spec = ",".join(f"crash@op:{3 + 2 * i}" for i in range(9))
+        rc = main(["sort", "--records", "3000", "--faults", spec])
+        assert rc == 1
+        assert_one_line(capsys, "sort", "gave up after 8 recovery attempts")
 
-        with pytest.raises(ConfigError, match="natural-run elision"):
-            main([
-                "sort", "--records", "20000", "--system", "wiscsort-natural",
-                "--faults", "crash@50%",
-            ])
+    def test_unsurvivable_scripted_fault_exits_1(self, capsys):
+        rc = main(["sort", "--records", "1000", "--faults", "readerr@op:1"])
+        assert rc == 1
+        assert_one_line(capsys, "sort", "uncorrectable media error")
 
     def test_ems_crash_recovers(self, capsys):
         rc = main([
@@ -255,6 +273,44 @@ BAD_INPUTS = [
 ]
 
 
+#: The same contract on the commands that had no guard (each of these
+#: was a traceback, or a ``shardN:`` target silently dropped): argv ->
+#: what the one stderr line says.
+BAD_ARGV = [
+    ("sort --faults bogus", "bad fault token 'bogus'"),
+    ("sort --records 2000 --faults crash@p:0.5",
+     "crash events take no p: trigger"),
+    ("sort --records 2000 --faults torn@t:1e-5",
+     "torn events take no t: trigger"),
+    ("sort --records -5", "records must be >= 0"),
+    ("sort --seed -1", "seed must be >= 0"),
+    ("sort --dram-budget -1", "dram_budget must be positive"),
+    ("sort --key-size 0", "key_size"),
+    ("sort --records 2000 --faults crash@50% --system pmsort",
+     "need a checkpointing system"),
+    ("sort --records 2000 --faults shard1:crash@50%",
+     "fault plan targets shard1"),
+    ("analyze --records -1", "records must be >= 0"),
+    ("analyze --value-size -3", "value_size"),
+    ("bench fig08 --scale 0", "--scale must be >= 1"),
+    ("cluster --shards 4 --records-per-job 2000 --faults shard9:crash@50%",
+     "fault domains are: shard0, shard1, shard2, shard3"),
+    ("serve --arrivals trace --trace-file {missing}/arrivals.jsonl",
+     "No such file or directory"),
+    # the run completes, then its export has nowhere to go
+    ("sort --records 2000 --trace {missing}/t.json",
+     "No such file or directory"),
+    ("analyze --records 2000 --json {missing}/a.json",
+     "No such file or directory"),
+    ("analyze --records 2000 --trace {missing}/t.json",
+     "No such file or directory"),
+    ("cluster --jobs 2 --records-per-job 1000 --trace {missing}/t.json",
+     "No such file or directory"),
+    ("serve --rate 2000 --horizon 0.005 --records 1000 "
+     "--report {missing}/r.json", "No such file or directory"),
+]
+
+
 class TestBadInputNeverTracebacks:
     @pytest.mark.parametrize("command", ["cluster", "serve"])
     @pytest.mark.parametrize("flags,message", BAD_INPUTS)
@@ -265,12 +321,27 @@ class TestBadInputNeverTracebacks:
             argv = ["serve", "--rate", "2000", "--horizon", "0.005"] + \
                 flags.replace("--records-per-job", "--records").split()
         rc = main(argv)
-        captured = capsys.readouterr()
         assert rc == 2
-        assert captured.out == ""
-        assert captured.err.startswith(f"{command}: ") and message in captured.err
-        assert captured.err.count("\n") == 1
-        assert "Traceback" not in captured.err
+        assert_one_line(capsys, command, message)
+
+    @pytest.mark.parametrize("argv,message", BAD_ARGV)
+    def test_every_command_exits_2_with_one_line(
+        self, argv, message, tmp_path, capsys
+    ):
+        argv = argv.replace("{missing}", str(tmp_path / "missing")).split()
+        assert main(argv) == 2
+        assert_one_line(capsys, argv[0], message)
+
+    def test_a_bug_still_tracebacks(self, monkeypatch):
+        # the guard names what bad input raises; it is not `except Exception`
+        from repro import cli
+
+        def boom(_options):
+            raise KeyError("a genuine bug")
+
+        monkeypatch.setattr(cli.api, "sort", boom)
+        with pytest.raises(KeyError):
+            main(["sort", "--records", "1000"])
 
 
 class TestAnalyzeCommand:
