@@ -37,6 +37,7 @@ cluster configuration: same inputs, byte-identical report.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Union
@@ -512,8 +513,10 @@ class SortService:
                 "an infinite arrival process needs a horizon= or "
                 "max_jobs= bound"
             )
-        if horizon is not None and horizon <= 0:
-            raise ConfigError("horizon must be > 0 simulated seconds")
+        if horizon is not None and not 0 < horizon < math.inf:
+            raise ConfigError(
+                "horizon must be a finite number > 0 simulated seconds"
+            )
         if max_jobs is not None and max_jobs < 1:
             raise ConfigError("max_jobs must be >= 1")
         # The reason tag bills waits on `kick` to DRAM in the trace analyzer.

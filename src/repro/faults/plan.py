@@ -39,6 +39,7 @@ run does not have (:meth:`FaultPlan.require_domains`).
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence
@@ -199,9 +200,12 @@ _SHARD_PREFIX = re.compile(r"^(?P<shard>shard\d+):(?P<rest>.+)$")
 
 def _parse_float(text: str, what: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        raise ConfigError(f"bad {what} in fault spec: {text!r}") from None
+        value = math.nan  # rejected below, like the nan float() accepts
+    if not math.isfinite(value):
+        raise ConfigError(f"bad {what} in fault spec: {text!r}")
+    return value
 
 
 def _parse_int(text: str, what: str) -> int:

@@ -9,13 +9,11 @@ cheap always-on counters:
 * :class:`repro.sim.fluid.FluidScheduler` -- ops added/completed,
   re-rate calls, ops re-rated, effective rate changes, and how each
   group solve was answered: ``vector_solves`` counts solves served from
-  a group's rate-table memo (in list *or* array storage;
-  ``vector_batch_size_avg`` is their mean op count),
-  ``scalar_fallbacks`` counts solves that had to call ``model.assign``
-  because the model has no vector protocol (0 with
+  a group's rate-table memo (``vector_batch_size_avg`` is their mean
+  op count) and ``scalar_fallbacks`` counts solves that had to call
+  ``model.assign`` because the model has no vector protocol (0 with
   ``REPRO_SIM_VECTOR=0``, where the protocol is off and every solve is
-  such a call), and ``array_promotions`` / ``array_demotions`` say
-  which storage the run used (both 0: lists throughout);
+  such a call);
 * :class:`repro.device.device.BraidRateModel` -- ``rate_cache_hits`` /
   ``rate_cache_misses`` of its assignment LRU.  The group tables sit in
   front of it, so it sees only *table-memo misses*: a low hit rate next
@@ -142,8 +140,6 @@ def _kernel_counters(engine, fluid) -> Dict[str, float]:
             (fluid.vector_ops_solved / solves) if solves else 0.0
         ),
         "scalar_fallbacks": fluid.scalar_fallbacks,
-        "array_promotions": fluid.array_promotions,
-        "array_demotions": fluid.array_demotions,
     }
 
 
@@ -228,8 +224,7 @@ def render_report(
             "  rate tables    : "
             f"{c['vector_solves']} solves, "
             f"avg batch {c['vector_batch_size_avg']:.1f}, "
-            f"{c['scalar_fallbacks']} model.assign fallbacks, "
-            f"arrays +{c['array_promotions']}/-{c['array_demotions']}"
+            f"{c['scalar_fallbacks']} model.assign fallbacks"
         )
     lines.append(f"  intervals      : {c['intervals_observed']} observed")
     lookups = c["rate_cache_hits"] + c["rate_cache_misses"]

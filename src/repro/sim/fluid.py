@@ -14,14 +14,15 @@ The model also exposes max-min *progressive filling* over shared
 resources (see :class:`repro.device.host.HostModel`), but the kernel only
 requires the ``assign`` callable.
 
-Hot-path design (see DESIGN.md "Fluid core: one group, two storages"):
+Hot-path design (see DESIGN.md "Fluid core: one group, one storage"):
 
 * **Resource groups** -- ops are partitioned by
   :meth:`RateModel.resource_key`; a membership change only re-rates the
   ops of a dirty group.  A group (:class:`_Group`) is five parallel,
-  issue-ordered, hole-free columns -- ``ops / rem / rate / finish /
+  issue-ordered, hole-free Python lists -- ``ops / rem / rate / finish /
   sig`` -- so its ``ops`` column *is* the issue-ordered view interval
-  observers of that resource receive (:meth:`FluidScheduler.observe_group`).
+  observers of that resource receive (:meth:`FluidScheduler.observe_group`),
+  a settle is one comprehension and a solve one walk over ``sig``.
 * **Rate tables** -- when the model implements the vector protocol
   (:meth:`RateModel.vector_state` / :meth:`RateModel.vector_sig`) a
   group memoizes ``(state token, signature population) -> rate table``: one
@@ -30,16 +31,6 @@ Hot-path design (see DESIGN.md "Fluid core: one group, two storages"):
   where the table lookup would be.  ``REPRO_SIM_VECTOR=0`` turns the
   protocol off for every model, which makes that the reference path the
   equivalence suites compare against.
-* **Two storages** -- the columns are Python lists for the group sizes
-  every workload actually runs (a settle is one comprehension, a solve
-  one walk over ``sig``) and numpy arrays (:class:`_VectorGroup`) only
-  past the measured crossover: a tabled group is promoted when it
-  reaches ``vector_min_group`` live ops (default 128,
-  ``REPRO_SIM_VECTOR_MIN_GROUP``) and demoted again at half that, so a
-  population hovering around the threshold converts once.  Insert,
-  release (completion and cancel), memo and promotion bookkeeping live
-  in the scheduler and are shared; a storage only implements the
-  column kernels.
 * **Completion structure** -- no event heap: each group caches
   ``min(finish)``, the next event is the least of those and completion
   is the scan ``finish <= now``.  A constant-rate op's absolute finish
@@ -51,15 +42,14 @@ Hot-path design (see DESIGN.md "Fluid core: one group, two storages"):
   :meth:`FluidScheduler.pop_completed` for the ordering invariant.
   Zero-work ops never enter the active set at all.
 
-Determinism invariants both storages preserve (asserted by
+Determinism invariants (asserted by
 ``tests/property/test_fluid_kernels.py`` at the scheduler and by
 ``tests/test_vector_equivalence.py`` on whole sorts):
 
 1. rates come from ``model.assign`` floats (a table is filled by one
    assignment per signature population and reused, never re-derived);
-2. settle debits are elementwise ``rem - rate * dt`` -- the same IEEE
-   expression in a comprehension and in numpy; nothing that is
-   accumulated is ever reduced in vector form;
+2. settle debits are elementwise ``rem - rate * dt``; nothing that is
+   accumulated is ever reduced across ops;
 3. a finish time is ``now + rem / rate`` evaluated once, at the instant
    the rate changed, never on settle;
 4. completions are collected per group in column (= issue) order and
@@ -76,11 +66,6 @@ from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.errors import SimulationError
 from repro.sim.probe import ProbeSet
-
-try:  # numpy is a hard dependency of the storage layer, but the kernel
-    import numpy as _np  # degrades to list storage without it.
-except ImportError:  # pragma: no cover - numpy is baked into the image
-    _np = None
 
 #: Absolute work units (bytes / cpu-seconds) below which a *stalled*
 #: (zero-rate) op is considered complete.  Completion is normally
@@ -116,32 +101,13 @@ def vector_enabled(default: bool = True) -> bool:
 
     Controlled by the ``REPRO_SIM_VECTOR`` environment variable
     (``0``/``false``/``off``/``no`` disable; unset means enabled).  Off
-    means no rate tables and no array storage: every solve is one
-    ``model.assign`` call over a list-backed group.  Read dynamically so
-    tests can flip paths per scheduler instance.
+    means no rate tables: every solve is one ``model.assign`` call.
+    Read dynamically so tests can flip paths per scheduler instance.
     """
-    if _np is None:
-        return False
     value = os.environ.get("REPRO_SIM_VECTOR")
     if value is None:
         return default
     return value.strip().lower() not in ("0", "false", "off", "no", "")
-
-
-def vector_min_group(default: int = 128) -> int:
-    """Live-op count from which a group's columns are numpy arrays.
-
-    The default is the measured crossover (DESIGN.md has the table);
-    override with ``REPRO_SIM_VECTOR_MIN_GROUP``.  Values < 2 are
-    clamped (a singleton group gains nothing from arrays).
-    """
-    value = os.environ.get("REPRO_SIM_VECTOR_MIN_GROUP")
-    if value is None:
-        return default
-    try:
-        return max(2, int(value))
-    except ValueError:
-        return default
 
 
 def remaining_work(op: "FluidOp") -> float:
@@ -256,7 +222,7 @@ class FluidOp:
         group = self._vg
         if group is None:
             return self._remaining
-        return float(group.rem[group.ops.index(self)])
+        return group.rem[group.ops.index(self)]
 
     @remaining.setter
     def remaining(self, value: float) -> None:
@@ -322,7 +288,7 @@ def predicted_finish(op: FluidOp) -> float:
     group = op._vg
     if group is None:
         return _INF
-    return float(group.finish[group.ops.index(op)])
+    return group.finish[group.ops.index(op)]
 
 
 class RateModel:
@@ -332,9 +298,9 @@ class RateModel:
     the active-op population of a resource group changes; between calls
     rates are constant.
 
-    Models may additionally opt into per-group rate tables (and, for
-    wide groups, array storage) by implementing :meth:`vector_state`
-    and :meth:`vector_sig`; the contract is that ``assign`` must be *signature-pure*: two ops with
+    Models may additionally opt into per-group rate tables by
+    implementing :meth:`vector_state` and :meth:`vector_sig`; the
+    contract is that ``assign`` must be *signature-pure*: two ops with
     equal ``vector_sig`` in the same population always receive the same
     rate, and rates depend on nothing but the signature multiset and
     the ``vector_state`` token.
@@ -482,12 +448,8 @@ class _Group:
     id, so ``ops`` is the issue-ordered list interval observers of this
     resource receive.  ``min_finish`` caches ``min(finish)``, which makes
     the engine's next-event query and the completion sweep O(1)
-    comparisons between events.
-
-    This class stores the numeric columns as Python lists;
-    :class:`_VectorGroup` stores them as numpy arrays.  Membership
-    bookkeeping (signature interning, the rate-table memo, op linkage) is
-    the scheduler's and is shared by both.
+    comparisons between events.  Signature interning, the rate-table
+    memo's contents and op linkage are the scheduler's.
     """
 
     __slots__ = (
@@ -502,35 +464,24 @@ class _Group:
         "tabled",
     )
 
-    #: Whether the numeric columns are numpy arrays.
-    wide = False
-
     #: Populations memoized per group before the table cache resets
     #: (prevents unbounded growth under adversarial churn; steady-state
     #: workloads cycle through a handful of populations).
     MEMO_LIMIT = 8192
 
-    def __init__(self, key, tabled: bool, columns: Optional[tuple] = None):
+    def __init__(self, key, tabled: bool):
         self.key = key
         #: Whether solves go through the rate-table memo (the model
         #: implements the vector protocol for this key).
         self.tabled = tabled
         #: (state token, signature population) -> rate table by signature id.
-        self.memo: Dict[tuple, object] = {}
-        self.load(*(columns if columns is not None else ([], [], [], [], [])))
-
-    def load(self, ops: list, rem: list, rate: list, finish: list, sig: list) -> None:
-        """Adopt whole columns, given as lists (see :meth:`dump`)."""
-        self.ops = ops
-        self.rem = rem
-        self.rate = rate
-        self.finish = finish
-        self.sig = sig
-        self.min_finish = min(finish, default=_INF)
-
-    def dump(self) -> tuple:
-        """The five columns as lists, in :meth:`load` order."""
-        return self.ops, self.rem, self.rate, self.finish, self.sig
+        self.memo: Dict[tuple, Dict[int, float]] = {}
+        self.ops: List[FluidOp] = []
+        self.rem: List[float] = []
+        self.rate: List[float] = []
+        self.finish: List[float] = []
+        self.sig: List[int] = []
+        self.min_finish = _INF
 
     def insert(self, i: int, op: FluidOp, sid: int) -> None:
         """Open row ``i`` for a newly issued op: rate 0, nothing scheduled."""
@@ -549,21 +500,6 @@ class _Group:
 
     def settle(self, dt: float) -> None:
         self.rem = [r - q * dt for r, q in zip(self.rem, self.rate)]
-
-    def population(self):
-        """Hashable signature multiset of the live rows (the memo key).
-
-        Costs O(live rows), never O(signatures the scheduler has seen).
-        """
-        return tuple(sorted(self.sig))
-
-    def table(self, rates: Dict[int, float]):
-        """A rate table this storage's :meth:`solve` can index."""
-        return rates
-
-    def solve(self, table: Dict[int, float], now: float) -> int:
-        """Re-rate every row from a signature table; returns #changed."""
-        return self.apply([table[s] for s in self.sig], now)
 
     def apply(self, new: List[float], now: float) -> int:
         """Install per-row rates, rescheduling the rows that changed."""
@@ -597,121 +533,6 @@ class _Group:
     def horizon(self) -> Optional[float]:
         """Latest finite scheduled finish time, if any."""
         return max((f for f in self.finish if f < _INF), default=None)
-
-
-class _VectorGroup(_Group):
-    """The same group with numpy columns, for wide populations.
-
-    The arrays carry spare capacity; rows ``[:len(ops)]`` are live and
-    hole-free exactly like the list columns, so a solve is a handful of
-    numpy calls -- one table gather, one changed-mask -- instead of a
-    per-row loop, and a settle is one multiply-subtract.
-    """
-
-    #: Live-row count per signature id, maintained by insert/remove:
-    #: at these sizes re-deriving the population on every solve would
-    #: cost more than the solve's own gather.
-    __slots__ = ("counts",)
-
-    wide = True
-
-    def load(self, ops, rem, rate, finish, sig) -> None:
-        n = len(ops)
-        cap = max(16, 2 * n)
-        self.ops = ops
-        self.rem = _np.zeros(cap)
-        self.rate = _np.zeros(cap)
-        self.finish = _np.zeros(cap)
-        self.sig = _np.zeros(cap, dtype=_np.int64)
-        for column, values in zip(self._columns(), (rem, rate, finish, sig)):
-            column[:n] = values
-        self.counts: List[int] = _np.bincount(self.sig[:n]).tolist()
-        self.min_finish = min(finish, default=_INF)
-
-    def _columns(self) -> tuple:
-        return self.rem, self.rate, self.finish, self.sig
-
-    def dump(self) -> tuple:
-        n = len(self.ops)
-        return (self.ops, *(column[:n].tolist() for column in self._columns()))
-
-    def insert(self, i: int, op: FluidOp, sid: int) -> None:
-        n = len(self.ops)
-        if n == len(self.rem):
-            self.rem, self.rate, self.finish, self.sig = (
-                _np.concatenate((column, _np.zeros_like(column)))
-                for column in self._columns()
-            )
-        if i < n:  # an older op issued late: shift the tail up one row
-            for column in self._columns():
-                column[i + 1 : n + 1] = column[i:n]
-        self.ops.insert(i, op)
-        self.rem[i] = op._remaining
-        self.rate[i] = 0.0
-        self.finish[i] = _INF
-        self.sig[i] = sid
-        counts = self.counts
-        while len(counts) <= sid:
-            counts.append(0)
-        counts[sid] += 1
-
-    def remove(self, rows: List[int]) -> None:
-        n = len(self.ops)
-        for sid in self.sig[rows].tolist():
-            self.counts[sid] -= 1
-        keep = _np.ones(n, dtype=bool)
-        keep[rows] = False
-        k = n - len(rows)
-        for column in self._columns():
-            column[:k] = column[:n][keep]
-        for i in reversed(rows):
-            del self.ops[i]
-        self.min_finish = float(self.finish[:k].min()) if k else _INF
-
-    def settle(self, dt: float) -> None:
-        n = len(self.ops)
-        self.rem[:n] -= self.rate[:n] * dt
-
-    def population(self):
-        return tuple(self.counts)
-
-    def table(self, rates: Dict[int, float]):
-        table = _np.zeros(len(self.counts))
-        for sid, rate in rates.items():
-            table[sid] = rate
-        return table
-
-    def solve(self, table, now: float) -> int:
-        n = len(self.ops)
-        cur = self.rate[:n]
-        new = table[self.sig[:n]]
-        idx = (new != cur).nonzero()[0]
-        k = idx.size
-        if k:
-            nr = new[idx]
-            cur[idx] = nr
-            rem = self.rem[idx]
-            if nr.min() > 0.0:
-                fin = now + rem / nr
-            else:
-                pos = nr > 0.0
-                fin = _np.full(k, _INF)
-                fin[pos] = now + rem[pos] / nr[pos]
-                fin[~pos & (rem <= _EPSILON)] = now
-            self.finish[idx] = fin
-            self.min_finish = float(self.finish[:n].min())
-            ops = self.ops
-            for i, r in zip(idx.tolist(), nr.tolist()):
-                ops[i].rate = r
-        return k
-
-    def due(self, now: float) -> List[int]:
-        return (self.finish[: len(self.ops)] <= now).nonzero()[0].tolist()
-
-    def horizon(self) -> Optional[float]:
-        fin = self.finish[: len(self.ops)]
-        live = fin[fin < _INF]
-        return float(live.max()) if live.size else None
 
 
 def _reject_negative(group: _Group, lowest_rate: float) -> None:
@@ -760,12 +581,8 @@ class FluidScheduler:
         #: Issue-ordered list of all active ops, built on demand for
         #: ``interval_observers``; ``None`` after a membership change.
         self._ordered: Optional[list] = None
-        #: Whether the models' vector protocol is used at all, and the
-        #: group size from which columns are arrays (module docstring).
-        self.vector = vector_enabled() if vector is None else (
-            bool(vector) and _np is not None
-        )
-        self.vector_min_group = vector_min_group()
+        #: Whether the models' vector protocol (rate tables) is used.
+        self.vector = vector_enabled() if vector is None else bool(vector)
         #: Signature -> interned id, shared across groups.
         self._sig_ids: Dict[object, int] = {}
         # Self-performance counters (read by repro.perf).
@@ -778,8 +595,6 @@ class FluidScheduler:
         self.vector_solves = 0
         self.vector_ops_solved = 0
         self.scalar_fallbacks = 0
-        self.array_promotions = 0
-        self.array_demotions = 0
 
     # ------------------------------------------------------------------
     def observe_group(self, key, observer: Callable[[float, float, list], None]) -> None:
@@ -837,8 +652,7 @@ class FluidScheduler:
 
         Interval observers fire exactly once per settle epoch, each with
         an issue-ordered op list; the work debit itself is elementwise
-        (``rem - rate * dt``) in either storage, so both produce
-        identical floats.
+        (``rem - rate * dt``).
         """
         t0 = self._last_settled
         dt = now - t0
@@ -903,8 +717,8 @@ class FluidScheduler:
     def _solve(self, group: _Group, now: float) -> int:
         """Re-rate one dirty group; returns how many ops it holds.
 
-        Also the one place a group changes storage or is retired, since
-        every membership change dirties its key and lands here.
+        Also the one place an untabled group is retired, since every
+        membership change dirties its key and lands here.
         """
         n = len(group.ops)
         if not group.tabled:
@@ -918,52 +732,28 @@ class FluidScheduler:
             _reject_negative(group, min(new))
             self.rate_changes += group.apply(new, now)
             return n
-        # Hysteresis: arrays from vector_min_group live ops, lists again
-        # at half that, so a population hovering at the threshold
-        # converts once instead of every epoch.
-        if group.wide:
-            if n <= self.vector_min_group // 2:
-                group = self._convert(group, _Group)
-                self.array_demotions += 1
-        elif n >= self.vector_min_group:
-            group = self._convert(group, _VectorGroup)
-            self.array_promotions += 1
         if not n:
             return 0
-        memo_key = (self.model.vector_state(group.key), group.population())
+        # The memo key is the live signature multiset: O(live rows),
+        # never O(signatures the scheduler has seen).
+        memo_key = (self.model.vector_state(group.key), tuple(sorted(group.sig)))
         table = group.memo.get(memo_key)
         if table is None:
             table = self._build_table(group, memo_key)
         self.vector_solves += 1
         self.vector_ops_solved += n
-        self.rate_changes += group.solve(table, now)
+        self.rate_changes += group.apply([table[s] for s in group.sig], now)
         return n
 
-    def _convert(self, group: _Group, storage: type) -> _Group:
-        """Move a group's columns to the other storage, floats verbatim.
-
-        Rates, settled remaining work and the *already scheduled* finish
-        times carry over -- an op whose rate does not change in the very
-        next solve must keep the finish float computed when its rate
-        last changed.  Rate tables are storage-shaped, so the memo
-        restarts empty.
-        """
-        fresh = storage(group.key, True, group.dump())
-        self._groups[group.key] = fresh
-        for op in fresh.ops:
-            op._vg = fresh
-        return fresh
-
-    def _build_table(self, group: _Group, memo_key: tuple):
+    def _build_table(self, group: _Group, memo_key: tuple) -> Dict[int, float]:
         """Memo miss: one model assignment fills the signature table."""
-        ops, _rem, _rate, _finish, sig = group.dump()
-        assigned = self.model.assign(ops)
-        rates = {sid: assigned.get(op, 0.0) for op, sid in zip(ops, sig)}
-        _reject_negative(group, min(rates.values()))
+        assigned = self.model.assign(group.ops)
+        table = {sid: assigned.get(op, 0.0) for op, sid in zip(group.ops, group.sig)}
+        _reject_negative(group, min(table.values()))
         memo = group.memo
         if len(memo) >= _Group.MEMO_LIMIT:
             memo.clear()
-        table = memo[memo_key] = group.table(rates)
+        memo[memo_key] = table
         return table
 
     def _release(self, group: _Group, rows: List[int]) -> None:
@@ -998,7 +788,7 @@ class FluidScheduler:
         if group is None:
             return False
         i = group.ops.index(op)
-        op._remaining = float(group.rem[i])
+        op._remaining = group.rem[i]
         op.rate = 0.0
         self._release(group, [i])
         self.ops_cancelled += 1
@@ -1042,7 +832,7 @@ class FluidScheduler:
         finishing at (or before) ``now`` are coalesced into one batch
         and returned in ascending op id (``seq``) order -- *not* in
         group order -- so simultaneous completions resume their waiters
-        deterministically under either storage.
+        deterministically.
 
         A tie-reordering probe (schedule fuzzing) deliberately permutes
         this same-instant completion batch *after* it leaves here: the

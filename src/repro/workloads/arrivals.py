@@ -63,10 +63,15 @@ class JobSpec:
     def __post_init__(self):
         if self.records < 1:
             raise ConfigError(f"job {self.name!r} needs at least one record")
-        if self.arrival_time < 0:
-            raise ConfigError(f"job {self.name!r} arrives before t=0")
-        if self.deadline is not None and self.deadline <= 0:
-            raise ConfigError(f"job {self.name!r} deadline must be > 0 s")
+        if not 0 <= self.arrival_time < math.inf:
+            raise ConfigError(
+                f"job {self.name!r} arrives at {self.arrival_time!r}, "
+                f"not at a finite t >= 0"
+            )
+        if self.deadline is not None and not 0 < self.deadline < math.inf:
+            raise ConfigError(
+                f"job {self.name!r} deadline must be a finite number > 0 s"
+            )
 
     def as_line(self) -> str:
         """Canonical one-line serialization (byte-identity tests)."""
@@ -160,8 +165,8 @@ class PoissonArrivals(_GenerativeArrivals):
     """Open-loop Poisson arrivals at ``rate`` jobs per simulated second."""
 
     def __init__(self, rate: float, seed: int = 0, **job_kwargs):
-        if rate <= 0:
-            raise ConfigError("arrival rate must be > 0 jobs/s")
+        if not 0 < rate < math.inf:
+            raise ConfigError("arrival rate must be a finite number > 0 jobs/s")
         super().__init__(seed=seed, **job_kwargs)
         self.rate = rate
 
@@ -195,10 +200,12 @@ class BurstyArrivals(_GenerativeArrivals):
         amplitude: float = 0.8,
         **job_kwargs,
     ):
-        if base_rate <= 0:
-            raise ConfigError("base arrival rate must be > 0 jobs/s")
-        if period <= 0:
-            raise ConfigError("diurnal period must be > 0 s")
+        if not 0 < base_rate < math.inf:
+            raise ConfigError(
+                "base arrival rate must be a finite number > 0 jobs/s"
+            )
+        if not 0 < period < math.inf:
+            raise ConfigError("diurnal period must be a finite number > 0 s")
         if not 0.0 <= amplitude < 1.0:
             raise ConfigError("amplitude must be in [0, 1)")
         super().__init__(seed=seed, **job_kwargs)

@@ -45,8 +45,7 @@ DOMAINS = ("d0", "d1", "net", "x")
 #: Kernel configurations compared by the equivalence tests:
 #: environment overrides in force while the scheduler is constructed.
 KERNELS: Dict[str, Dict[str, str]] = {
-    "lists": {"REPRO_SIM_VECTOR": "0"},
-    "arrays": {"REPRO_SIM_VECTOR": "1", "REPRO_SIM_VECTOR_MIN_GROUP": "2"},
+    "reference": {"REPRO_SIM_VECTOR": "0"},
     "default": {},
 }
 
@@ -117,17 +116,15 @@ def random_spec(rng: random.Random, domain: Optional[str] = None) -> tuple:
 
 @contextmanager
 def environment(overrides: Dict[str, str]):
-    """``os.environ`` with the two kernel switches replaced."""
-    names = ("REPRO_SIM_VECTOR", "REPRO_SIM_VECTOR_MIN_GROUP")
-    saved = {name: os.environ.pop(name, None) for name in names}
+    """``os.environ`` with the kernel switch replaced."""
+    saved = os.environ.pop("REPRO_SIM_VECTOR", None)
     os.environ.update(overrides)
     try:
         yield
     finally:
-        for name in names:
-            os.environ.pop(name, None)
-            if saved[name] is not None:
-                os.environ[name] = saved[name]
+        os.environ.pop("REPRO_SIM_VECTOR", None)
+        if saved is not None:
+            os.environ["REPRO_SIM_VECTOR"] = saved
 
 
 class Replica:
@@ -240,8 +237,8 @@ def random_step(rng: random.Random, live: List[int]) -> tuple:
     if roll < 0.85:
         return ("degrade", rng.choice(("d0", "d1")), rng.choice((1.0, 0.5, 0.25)))
     if roll < 0.89:
-        # A burst wide enough to cross the default promotion threshold;
-        # the drains below bring the group back under the demotion one.
+        # A burst of >= 120 ops on one device (wider than any workload
+        # in the repo but one); the drains below empty it again.
         domain = rng.choice(("d0", "d1"))
         return ("add", [random_spec(rng, domain) for _ in range(rng.randrange(120, 150))])
     return ("advance", rng.randrange(60, 150))

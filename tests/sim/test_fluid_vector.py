@@ -1,13 +1,13 @@
-"""Unit tests for the fluid kernel's vector protocol and group storages.
+"""Unit tests for the fluid kernel's vector protocol (rate tables).
 
 Covers the invariants the group machinery must uphold: deterministic
 op-id ordering of same-epoch completion batches (with the protocol on
 or off, and when tabled and untabled groups contribute to one batch),
 bit-identical results between table solves and per-solve
-``model.assign`` calls, promotion thresholds and fallback counters, the
-``REPRO_SIM_VECTOR`` switch, and the ``remaining_work`` accessor for
-mid-flight readers.  The generated three-way comparison lives in
-``tests/property/test_fluid_kernels.py``.
+``model.assign`` calls, which solves count as table solves and which
+as fallbacks, the ``REPRO_SIM_VECTOR`` switch, and the
+``remaining_work`` accessor for mid-flight readers.  The generated
+comparison lives in ``tests/property/test_fluid_kernels.py``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from repro.sim.fluid import (
     FluidOp,
     FluidScheduler,
     RateModel,
-    UniformRateModel,
     observer_code,
     remaining_work,
     vector_enabled,
@@ -105,12 +104,11 @@ class TestCompletionOrdering:
         assert {o.seq for o in done} == {o.seq for o in ops}
 
     def test_mixed_path_batch_is_globally_sorted(self):
-        # Two resource groups: one served from rate tables (and wide
-        # enough for array storage), one whose model has no vector
-        # protocol (list storage, one model.assign per solve).  Ops are
-        # interleaved by creation order across the groups; a same-time
-        # completion batch must interleave them back in seq order rather
-        # than concatenating group-by-group.
+        # Two resource groups: one served from rate tables, one whose
+        # model has no vector protocol (one model.assign per solve).
+        # Ops are interleaved by creation order across the groups; a
+        # same-time completion batch must interleave them back in seq
+        # order rather than concatenating group-by-group.
         class TwoGroupModel(VectorCapacityModel):
             def resource_key(self, op):
                 return op.attrs["grp"]
@@ -120,7 +118,6 @@ class TestCompletionOrdering:
                 return self.capacity if key == "big" else None
 
         sched = FluidScheduler(TwoGroupModel(4.0), vector=True)
-        sched.vector_min_group = 2
         ops = []
         for i in range(8):
             grp = "big" if i % 2 == 0 else "small"
@@ -173,17 +170,14 @@ class TestScalarVectorEquivalence:
 
 class TestPromotionThreshold:
     def test_small_group_stays_scalar(self):
-        # Below the threshold the columns stay Python lists; the solve
-        # still goes through the rate-table memo (a "vector solve" in
-        # the counters), so nothing falls back to model.assign per epoch.
+        # However small the group, the solve goes through the rate-table
+        # memo (a "vector solve" in the counters), so nothing falls back
+        # to model.assign per epoch.
         sched = FluidScheduler(VectorCapacityModel(4.0), vector=True)
-        sched.vector_min_group = 8
         ops = [FluidOp(4.0, kind="cpu") for _ in range(3)]
         for op in ops:
             sched.add(op, 0.0)
         sched.rerate(0.0)
-        assert sched.array_promotions == 0
-        assert not any(op._vg.wide for op in ops)
         assert sched.vector_solves == 1
         assert sched.scalar_fallbacks == 0
 
@@ -195,25 +189,17 @@ class TestPromotionThreshold:
         assert sched.vector_solves == 0
         assert sched.scalar_fallbacks == 1
 
-    def test_per_op_groups_never_promote(self):
-        sched = FluidScheduler(UniformRateModel(2.0), vector=True)
-        for _ in range(6):
-            sched.add(FluidOp(4.0, kind="cpu"), 0.0)
-        sched.rerate(0.0)
-        assert sched.vector_solves == 0
-
 
 class TestRemainingWork:
     def test_tracks_array_backed_ops_mid_flight(self):
         sched = FluidScheduler(VectorCapacityModel(8.0), vector=True)
-        sched.vector_min_group = 4
         ops = [FluidOp(8.0, kind="cpu") for _ in range(4)]
         for op in ops:
             sched.add(op, 0.0)
         sched.rerate(0.0)
         sched.settle(1.0)  # each op runs at 2.0 for 1s
         for op in ops:
-            assert op._vg is not None and op._vg.wide
+            assert op._vg is not None
             assert remaining_work(op) == 6.0
         sched.rerate(1.0)
         t = sched.next_completion(1.0)

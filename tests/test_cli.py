@@ -209,6 +209,20 @@ class TestServeCommand:
         assert rc == 0
         assert "arrived=2" in out
 
+    @pytest.mark.parametrize("line", ['{"t": NaN}', '{"t": Infinity}',
+                                      '{"t": 0.0, "deadline": NaN}'])
+    def test_serve_trace_rejects_non_finite_numbers(self, line, tmp_path, capsys):
+        # json.loads takes these spellings; the run used to exit 0 with
+        # -inf percentiles
+        trace = tmp_path / "arrivals.jsonl"
+        trace.write_text('{"t": 0.0}\n' + line + "\n", encoding="utf-8")
+        rc = main([
+            "serve", "--arrivals", "trace", "--trace-file", str(trace),
+            "--records", "1000",
+        ])
+        assert rc == 2
+        assert_one_line(capsys, "serve", "finite")
+
     def test_serve_reports_one_oversized_job_as_shed(self, tmp_path, capsys):
         # exit 2 is for a run nothing could be admitted to
         trace = tmp_path / "arrivals.jsonl"
@@ -308,6 +322,24 @@ BAD_ARGV = [
      "No such file or directory"),
     ("serve --rate 2000 --horizon 0.005 --records 1000 "
      "--report {missing}/r.json", "No such file or directory"),
+    # non-finite numbers: float() takes them, nothing downstream can
+    # (the first two were AssertionErrors in the engine, the next two
+    # ran as if no fault had been asked for, the serve rows hung)
+    ("sort --records 2000 --faults crash@t:nan", "bad time in fault spec"),
+    ("sort --records 2000 --faults slow@t:nan+1:x0.5",
+     "bad time in fault spec"),
+    ("sort --records 2000 --faults slow@t:1e-4+1:xnan",
+     "bad factor in fault spec"),
+    ("sort --records 2000 --faults slow@t:1e-4+nan:x0.5",
+     "bad duration in fault spec"),
+    ("serve --rate nan", "arrival rate must be a finite number"),
+    ("serve --rate inf", "arrival rate must be a finite number"),
+    ("serve --arrivals bursty --rate nan",
+     "base arrival rate must be a finite number"),
+    ("serve --horizon nan", "horizon must be a finite number"),
+    ("serve --horizon inf", "horizon must be a finite number"),
+    ("serve --rate 2000 --horizon 0.005 --records 1000 --deadline nan",
+     "deadline must be a finite number"),
 ]
 
 

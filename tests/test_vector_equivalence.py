@@ -97,13 +97,13 @@ class TestOnepassEquivalence:
 
 
 class TestMergePassEquivalence:
-    def run_path(self, monkeypatch, vector):
+    def run_path(self, monkeypatch, vector, writers=2):
         set_path(monkeypatch, vector)
         machine = Machine()
         sanitizer = machine.install_sanitizer()
         tracer = machine.install_tracer()
         data = generate_dataset(machine, "input", 15_000, FMT, seed=33)
-        BackgroundClients(machine, 2, "write").start()
+        BackgroundClients(machine, writers, "write").start()
         system = WiscSort(
             FMT,
             config=SortConfig(read_buffer=16 * KiB, write_buffer=8 * KiB),
@@ -130,6 +130,15 @@ class TestMergePassEquivalence:
         # Sanity: the switch actually selected different kernels.
         assert c_s["vector_solves"] == 0
         assert c_v["vector_solves"] > 0
+
+    def test_wide_group_bit_identical(self, monkeypatch):
+        # Fig 10 at 16x the paper's largest background population:
+        # every solve walks >= 128 rows.
+        reference = self.run_path(monkeypatch, vector=False, writers=128)
+        default = self.run_path(monkeypatch, vector=True, writers=128)
+        assert reference[:3] == default[:3]
+        solved = default[3]
+        assert solved["vector_solves"] > 0 and solved["vector_batch_size_avg"] >= 128
 
 
 class TestFaultRunEquivalence:
@@ -174,10 +183,8 @@ class TestFaultRunEquivalence:
 class TestClusterEquivalence:
     """4-shard sorted cluster: one engine, a resource group per shard."""
 
-    def run_path(self, monkeypatch, vector, min_group=None):
+    def run_path(self, monkeypatch, vector):
         set_path(monkeypatch, vector)
-        if min_group is not None:
-            monkeypatch.setenv("REPRO_SIM_VECTOR_MIN_GROUP", str(min_group))
         cluster = Cluster(shards=4)
         sharded = generate_cluster_dataset(cluster, "input", 6_000, FMT, seed=9)
         system = ShardedWiscSort(FMT)
@@ -212,12 +219,9 @@ class TestClusterEquivalence:
 
     def test_paths_bit_identical(self, monkeypatch):
         lists = self.run_path(monkeypatch, vector=False)
-        for kernel in (
-            self.run_path(monkeypatch, vector=True),
-            self.run_path(monkeypatch, vector=True, min_group=2),
-        ):
-            assert kernel[:-1] == lists[:-1]
-            assert np.array_equal(kernel[-1], lists[-1])
+        kernel = self.run_path(monkeypatch, vector=True)
+        assert kernel[:-1] == lists[:-1]
+        assert np.array_equal(kernel[-1], lists[-1])
         assert any(tags for tags in lists[2][:-1]) and lists[2][-1]
         # Captured at 919a023, where each shard's observer filtered the
         # global issue-ordered op list by domain instead.
