@@ -6,9 +6,11 @@ WiscSort/PMSort over IndexMap runs) follows the paper's cursor protocol
 files, cursors track the current window of each run, exhausted windows
 are refilled, and when a run drains its buffer share is redistributed.
 :func:`drive_merge` *is* that protocol, written once on top of
-:class:`MergeFrontier`; a sorting system supplies only cursors and a
-sink (what an emitted batch costs and where it goes), usually staged
-through a :class:`PendingRows` buffer.
+:class:`MergeFrontier` (whose uniform fleets keep their windows in one
+:class:`_FrontierIndex` slab and step with a fixed handful of array
+operations); a sorting system supplies only cursors and a sink (what an
+emitted batch costs and where it goes), usually staged through a
+:class:`PendingRows` buffer.
 
 For simulation efficiency the merge is executed in *batches* rather than
 record-at-a-time: all windowed entries whose key is <= the smallest
@@ -26,6 +28,7 @@ compare the driver against.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -75,51 +78,65 @@ class RunCursor:
         self.key_size = key_size
         self.window_entries = max(1, window_bytes // entry_size)
         self.pos = 0
-        #: Set by :class:`_FrontierIndex` when it mirrors this cursor's
-        #: windows: the scalar search caches (``_cols``, first/last key
-        #: bytes) are then skipped on install and materialized lazily if
-        #: a scalar consumer ever asks.
+        #: ``[_start, _n, taken]``: offset of the next untaken entry in
+        #: the installed window, the window's length, entries consumed
+        #: so far.  The cursor's own list until a :class:`_FrontierIndex`
+        #: adopts it, then a column of the index's table, which a batch
+        #: step advances for all its rows in one store and the cursor
+        #: reads on demand.  A plain array, never the index itself: that
+        #: back-reference would be a cycle pinning the machine's files
+        #: until the cyclic GC runs.
+        self._state = [0, 0, 0]
+        #: Set by the adopting index: it searches its own key mirror, so
+        #: the scalar search caches are skipped on install.
         self._index_owned = False
         self.window = np.zeros((0, entry_size), dtype=np.uint8)
         self.bytes_loaded = 0
-        #: Entries consumed via :meth:`take` (checkpoint/recovery state).
-        self.taken = 0
 
     # ------------------------------------------------------------------
     @property
+    def _start(self) -> int:
+        return int(self._state[0])
+
+    @property
+    def _n(self) -> int:
+        return int(self._state[1])
+
+    @property
+    def taken(self) -> int:
+        """Entries consumed via :meth:`take` (checkpoint/recovery state)."""
+        return int(self._state[2])
+
+    @property
     def window(self) -> np.ndarray:
         """Entries not yet taken from the current window (a view)."""
-        if self._start:
-            return self._window[self._start :]
-        return self._window
+        start = self._state[0]
+        return self._window[start:] if start else self._window
 
     @window.setter
     def window(self, data: np.ndarray) -> None:
         self._window = data
-        self._start = 0
-        self._n = data.shape[0]
-        if self._n and not self._index_owned:
-            self._install_search_caches()
+        n = data.shape[0]
+        self._state[:2] = (0, n)
+        if n and not self._index_owned:
+            keys = data[:, : self.key_size]
+            # Native-endian copies of the big-endian comparison columns:
+            # identical numeric values, faster searchsorted.
+            self._cols = [
+                np.ascontiguousarray(c, dtype=np.uint64)
+                for c in _key_columns(keys)
+            ]
+            self._first_bytes = keys[0].tobytes()
+            self._last_bytes = keys[-1].tobytes()
         else:
             self._cols = []
             self._first_bytes = None
             self._last_bytes = None
 
-    def _install_search_caches(self) -> None:
-        keys = self._window[:, : self.key_size]
-        # Native-endian copies of the big-endian comparison columns:
-        # identical numeric values, faster searchsorted.
-        self._cols = [
-            np.ascontiguousarray(c, dtype=np.uint64)
-            for c in _key_columns(keys)
-        ]
-        self._first_bytes = keys[self._start].tobytes()
-        self._last_bytes = keys[-1].tobytes()
-
     @property
     def remaining(self) -> int:
         """Entries left in the current window."""
-        return self._n - self._start
+        return int(self._state[1] - self._state[0])
 
     @property
     def file_exhausted(self) -> bool:
@@ -127,11 +144,11 @@ class RunCursor:
 
     @property
     def done(self) -> bool:
-        return self.file_exhausted and self._n - self._start == 0
+        return self.file_exhausted and self.remaining == 0
 
     @property
     def needs_refill(self) -> bool:
-        return self._n - self._start == 0 and not self.file_exhausted
+        return self.remaining == 0 and not self.file_exhausted
 
     def grow_window(self, extra_bytes: int) -> None:
         """Absorb buffer space released by a drained neighbour (Sec 3.7)."""
@@ -169,13 +186,11 @@ class RunCursor:
         pass to the next column.  Exact unsigned-lexicographic count,
         O(cols * log n).
         """
-        lo, hi = self._start, self._n
+        if self._index_owned:
+            raise SimulationError("cursor is searched by its merge frontier")
+        lo, hi = self._state[:2]
         if lo >= hi:
             return 0
-        if not self._cols:
-            # Index-owned cursor: caches were skipped on install;
-            # materialize them for this scalar consumer.
-            self._install_search_caches()
         less = 0
         for col, b in zip(self._cols, bound_words):
             seg = col[lo:hi]
@@ -188,11 +203,11 @@ class RunCursor:
         return less + (hi - lo)
 
     def take(self, count: int) -> np.ndarray:
-        start = self._start
-        end = start + count
-        self._start = end
-        self.taken += count
-        if end < self._n:
+        state = self._state
+        start = state[0]
+        state[0] = end = start + count
+        state[2] += count
+        if end < state[1]:
             self._first_bytes = self._window[end, : self.key_size].tobytes()
         return self._window[start:end]
 
@@ -207,14 +222,14 @@ class RunCursor:
         are skipped.
         """
         nbytes = count * self.entry_size
-        if self._n - self._start:
+        if self.remaining:
             raise SimulationError("skip_entries requires an empty window")
         if nbytes > self.file.size:
             raise SimulationError(
                 f"cannot skip {count} entries past end of {self.file.name!r}"
             )
         self.pos = nbytes
-        self.taken = count
+        self._state[2] = count
 
 
 def _frontier_step(
@@ -268,97 +283,68 @@ def _frontier_step(
 
 
 class _FrontierIndex:
-    """Columnar mirror of every live window for batched frontier steps.
+    """The window slab of a uniform cursor fleet: array-shaped steps.
 
-    One row per cursor: ``S`` is a ``(k, W)`` matrix of fixed-width
-    ``S<key_size>`` byte strings (the window keys) and k-vectors ``L`` /
-    ``F`` track each row's last and current-head key.  Only *keys* are
-    mirrored: the entries themselves stay in the cursors' own windows
-    (a second copy of the read buffer would double its footprint once
-    whole 100-byte records flow through the frontier).  numpy's bytes
-    comparison (trailing-NUL-stripped lexicographic) is order- and
-    equality-isomorphic to fixed-width unsigned lexicographic
-    comparison: at the first differing byte position either both
-    stripped strings still extend past it (same byte decides both
-    compares) or exactly the NUL-holding side ended early (prefix <
-    extension, same verdict).  A frontier step is therefore a handful of
-    whole-array bytes compares -- threshold = min over ``L`` of the
-    still-readable rows (cached between steps; it only changes on
-    refill or drain), ``F <= threshold`` picks the contributing rows,
-    ``S[rows] <= threshold`` gives the emit counts, and the emitted
-    entries are the matching slices of the contributing cursors'
-    windows, concatenated in row order.
+    One slab row per live cursor, ``width`` slots each, kept as two flat
+    arrays: ``E`` holds the entries (``note_refilled`` copies a refill
+    payload in, the cursor's window becomes a view of its row and the
+    payload is released, so the read buffer still exists once) and ``M``
+    mirrors their keys as fixed-width byte strings, each prefixed with
+    its big-endian row number.  The prefix makes the flat mirror
+    globally sorted (rows ascending, each window sorted, ``0xFF``
+    padding behind it), so one ``searchsorted`` answers "how many keys
+    of row r are <= the threshold" for every contributing row at once:
+    the query is the threshold under row r's prefix, and the answer is
+    capped at the row's window end (padding equals an all-``0xFF``
+    key).  numpy's bytes comparison (trailing-NUL-stripped
+    lexicographic) is order- and equality-isomorphic to fixed-width
+    unsigned lexicographic comparison: at the first differing byte
+    position either both stripped strings still extend past it (same
+    byte decides both compares) or exactly the NUL-holding side ended
+    early (prefix < extension, same verdict); a leading row number
+    changes neither case.
+
+    A step is a fixed handful of array operations whatever the fan-in:
+    the threshold is the top of a heap of the still-readable rows' last
+    keys (pushed per refill), ``head <= threshold`` picks the
+    contributing rows, the one search gives their emit counts, the
+    ``[start, start + count)`` ranges are expanded in row order and
+    gathered with one ``take`` -- always a fresh array, because the
+    next refill overwrites the slab row while ``PendingRows`` may still
+    hold the batch -- and a stable key ``argsort`` orders the batch.
+    Cursor bookkeeping is a store into ``starts`` and one into
+    ``taken``, rows of the table whose column r is cursor r's
+    ``RunCursor._state``.  Nothing scales with the pool: per-step work
+    is O(fan-in) cheap vector compares plus O(emitted).
 
     Bit-identity with :func:`_frontier_step` (asserted by the
     equivalence suite): per-row emit counts equal ``_count_leq_words``
-    exactly (isomorphic predicate; already-taken rows are covered by
-    threshold monotonicity -- the frontier threshold never decreases,
-    so everything taken under an earlier threshold is ``<=`` the
-    current one); pieces are gathered in ascending row order, which is
-    the scalar path's ``live`` order (live-list filtering preserves
-    construction order); and the final stable argsort over the gathered
-    keys is the same permutation as the stable ``np.lexsort`` inside
-    :func:`key_sort_indices` (same ordering and tie classes by the
-    isomorphism, and both sorts are stable).
+    exactly (isomorphic predicate; the head test guarantees the count
+    passes ``_start``); pieces are gathered in ascending row order,
+    which is the scalar path's ``live`` order (rows keep construction
+    order across reallocations); and the final stable argsort over the
+    gathered keys is the same permutation as the stable ``np.lexsort``
+    inside :func:`key_sort_indices` (same ordering and tie classes by
+    the isomorphism, and both sorts are stable).
 
-    The index owns its cursors' windows outright -- they skip their
-    scalar search caches on install (see ``RunCursor._index_owned``).
-    Only uniform fleets of plain :class:`RunCursor` qualify (subclasses
-    may redefine window semantics); :class:`MergeFrontier` falls back
-    to the scalar step otherwise or when ``REPRO_SIM_VECTOR=0``.
+    The slab is sized by what windows hold, not by their capacity (two
+    100k-entry runs under a 10 MiB buffer have 349,525-entry windows),
+    and a window outgrowing it -- drained neighbours handed over their
+    share -- reallocates for the live rows only: keeping dead rows
+    reaches fan-in x read buffer on pre-sorted input.  Only uniform
+    fleets of plain :class:`RunCursor` qualify (subclasses may redefine
+    window semantics); :class:`MergeFrontier` falls back to the scalar
+    step otherwise or when ``REPRO_SIM_VECTOR=0``.
     """
 
     __slots__ = (
-        "row_cursors",
-        "k",
-        "key_size",
-        "sdtype",
-        "width",
-        "S",
-        "L",
-        "F",
-        "starts",
-        "ns",
-        "ready",
-        "exhausted",
-        "_threshold",
-        "_tdirty",
+        "row_cursors", "key_size", "width", "prefix", "E", "K", "M", "Q",
+        "Qkeys", "starts", "ns", "taken", "base", "cand", "heap",
     )
 
     def __init__(self, cursors: List[RunCursor]):
-        self.row_cursors = list(cursors)
-        self.k = len(self.row_cursors)
-        first = self.row_cursors[0]
-        self.key_size = first.key_size
-        self.sdtype = np.dtype("S%d" % self.key_size)
-        width = 1
-        for c in self.row_cursors:
-            width = max(width, c._n)
-        self.width = width
-        k = self.k
-        self.S = np.zeros((k, width), dtype=self.sdtype)
-        self.L = np.zeros(k, dtype=self.sdtype)
-        self.F = np.zeros(k, dtype=self.sdtype)
-        self.starts = np.zeros(k, dtype=np.int64)
-        self.ns = np.zeros(k, dtype=np.int64)
-        #: Rows with an installed window; unready live rows are awaiting
-        #: their refill and never participate in a step (the driver
-        #: protocol refills before stepping).
-        self.ready = np.zeros(k, dtype=bool)
-        self.exhausted = np.zeros(k, dtype=bool)
-        #: Cached frontier threshold key (``None`` = drain-all); valid
-        #: while ``_tdirty`` is clear -- the threshold depends only on
-        #: last keys and exhaustion, which change on refill/death, not
-        #: on takes.
-        self._threshold: Optional[bytes] = None
-        self._tdirty = True
-        for i, c in enumerate(self.row_cursors):
-            c._vrow = i
-            c._index_owned = True
-            if c._n:
-                self.load_row(c)
-            else:
-                self.exhausted[i] = c.file_exhausted
+        self.width = 0
+        self._build(cursors)
 
     @staticmethod
     def eligible(cursors: List[RunCursor]) -> bool:
@@ -372,131 +358,122 @@ class _FrontierIndex:
             for c in cursors
         )
 
-    def _grow(self, needed: int) -> None:
-        new_width = max(needed, self.width * 2)
-        fresh_s = np.zeros((self.k, new_width), dtype=self.sdtype)
-        fresh_s[:, : self.width] = self.S
-        self.S = fresh_s
-        self.width = new_width
+    def _build(self, cursors: List[RunCursor]) -> None:
+        """(Re)allocate for ``cursors`` (live, construction order) and
+        move their windows in.  A quarter of headroom over the previous
+        width keeps a run of drains to O(log) reallocations; the first
+        allocation that sees windows fits them exactly."""
+        self.row_cursors = list(cursors)
+        k = len(cursors)
+        first = cursors[0]
+        self.key_size = ks = first.key_size
+        self.prefix = p = max(1, ((k - 1).bit_length() + 7) // 8)
+        self.width = width = max(
+            1, self.width + self.width // 4, max(c._n for c in cursors)
+        )
+        row_numbers = np.arange(k, dtype=">u8").view(np.uint8).reshape(k, 8)[:, 8 - p :]
+        sdtype = np.dtype("S%d" % (p + ks))
+        self.E = np.empty((k * width, first.entry_size), dtype=np.uint8)
+        self.K = np.full((k * width, p + ks), 0xFF, dtype=np.uint8)
+        self.K.reshape(k, width, -1)[:, :, :p] = row_numbers[:, None, :]
+        self.M = self.K.reshape(-1).view(sdtype)
+        #: One query per row: the threshold under the row's prefix.
+        queries = np.empty((k, p + ks), dtype=np.uint8)
+        queries[:, :p] = row_numbers
+        self.Q = queries.reshape(-1).view(sdtype)
+        self.Qkeys = queries[:, p:]
+        #: Row r's column is cursor r's ``_state``.
+        table = np.zeros((3, k), dtype=np.int64)
+        self.starts, self.ns, self.taken = table
+        self.base = np.arange(k, dtype=np.int64) * width
+        #: Threshold candidates: ``cand[r]`` is row r's last key while
+        #: its file has more to read, and ``heap`` holds every such key
+        #: ever pushed; entries ``cand`` no longer confirms are stale.
+        self.cand: List[Optional[bytes]] = [None] * k
+        self.heap: List[Tuple[bytes, int]] = []
+        for i, c in enumerate(cursors):
+            c._vrow = i
+            c._index_owned = True
+            table[:, i] = c._state
+            c._state = table[:, i]
+            if c.remaining:
+                self.load_row(c)
 
     def load_row(self, c: RunCursor) -> None:
-        """(Re)install a cursor's freshly accepted window into its row."""
-        i = c._vrow
-        n = c._n
+        """Move a cursor's freshly accepted window into its slab row."""
+        data = c._window
+        n = data.shape[0]
         if n > self.width:
-            self._grow(n)
-        start = c._start
-        keys = np.ascontiguousarray(c._window[:, : self.key_size])
-        skeys = keys.reshape(-1).view(self.sdtype)
-        self.S[i, :n] = skeys
-        self.L[i] = skeys[n - 1]
-        self.F[i] = skeys[start]
-        self.starts[i] = start
-        self.ns[i] = n
-        self.ready[i] = True
-        self.exhausted[i] = c.file_exhausted
-        self._tdirty = True
+            self._build([r for r in self.row_cursors if r is not None])
+            return
+        i = c._vrow
+        lo = i * self.width
+        self.E[lo : lo + n] = data
+        keys = self.K[lo : lo + self.width, self.prefix :]
+        keys[:n] = data[:, : self.key_size]
+        keys[n:] = 0xFF
+        c._window = self.E[lo : lo + n]
+        if c.file_exhausted:
+            self.cand[i] = None
+        else:
+            self.cand[i] = last = keys[n - 1].tobytes()
+            heappush(self.heap, (last, i))
 
     def mark_dead(self, c: RunCursor) -> None:
-        """Retire a drained cursor's row (zero rows emit nothing)."""
-        i = c._vrow
-        self.ready[i] = False
-        self.exhausted[i] = True
-        self.starts[i] = 0
-        self.ns[i] = 0
-        self._tdirty = True
-
-    def _refresh_threshold(self) -> None:
-        # Lexicographic min of the still-readable last keys.  ``None``
-        # means every file is fully windowed (drain-all mode).  numpy
-        # has no min-reduction for bytes dtypes, so take the Python min
-        # over the (at most k) candidates.
-        sel = self.ready & ~self.exhausted
-        if sel.any():
-            self._threshold = min(self.L[sel].tolist())
-        else:
-            self._threshold = None
-        self._tdirty = False
+        """Retire a drained cursor: its row is dropped by the next
+        reallocation and the cursor lets go of the slab."""
+        self.row_cursors[c._vrow] = None
+        c.window = np.zeros((0, c.entry_size), dtype=np.uint8)
 
     def step_batch(self) -> Tuple[np.ndarray, List[RunCursor]]:
-        """One frontier step over the mirrors; see class docstring."""
-        ns = self.ns
-        starts = self.starts
-        if self._tdirty:
-            self._refresh_threshold()
-        threshold = self._threshold
-        if threshold is not None:
-            # Contributing rows: installed window whose head key is <=
-            # the threshold -- the matrix analogue of the scalar path's
-            # ``_first_bytes > threshold_bytes`` skip.
-            mask = self.F <= threshold
-            mask &= self.ready
-            rows = np.nonzero(mask)[0]
-            if not rows.size:
-                # Impossible under the driver protocol: the cursor that
-                # defines the threshold always contributes its head.
-                raise SimulationError("merge_step emitted nothing")
-            # Emit counts for just those rows: entries with key <= the
-            # threshold, counted by binary search over each sorted
-            # mirrored row -- exactly _count_leq_words' predicate by
-            # the isomorphism.  Entries before `starts` were taken
-            # under an earlier (<=) threshold, so the count minus
-            # `starts` is the number of fresh entries to take.
-            S = self.S
-            counts = [
-                S[r, :n].searchsorted(threshold, side="right")
-                for r, n in zip(rows.tolist(), ns[rows].tolist())
-            ]
-            lens = np.asarray(counts, dtype=np.int64) - starts[rows]
+        """One frontier step over the slab; see class docstring."""
+        starts, heap, cand = self.starts, self.heap, self.cand
+        while heap and cand[heap[0][1]] != heap[0][0]:
+            heappop(heap)
+        cur = self.base + starts
+        ends = self.base + self.ns
+        if heap:
+            # Threshold = smallest last key among still-readable rows.
+            # Contributing rows: a window with entries left whose head
+            # key is <= the threshold (the array analogue of the scalar
+            # path's ``_first_bytes > threshold_bytes`` skip).
+            self.Qkeys[:] = np.frombuffer(heap[0][0], dtype=np.uint8)
+            mask = self.M.take(cur, mode="clip") <= self.Q
+            mask &= cur < ends
+            rows = mask.nonzero()[0]
+            ends = ends[rows]
+            hi = self.M.searchsorted(self.Q[rows], side="right")
+            np.minimum(hi, ends, out=hi)
         else:
             # Every file fully windowed: drain everything left.
-            rows = np.nonzero(self.ready)[0]
-            if not rows.size:
-                raise SimulationError("merge_step emitted nothing")
-            lens = (ns - starts)[rows]
-        new_starts = starts[rows] + lens
-        ns_r = ns[rows]
-        # Cursor bookkeeping (replaces per-piece ``take`` calls); the
-        # emitted pieces are slices of the cursors' own windows, rows
-        # ascending -- the scalar path's piece concatenation order.
-        emptied: List[RunCursor] = []
-        pieces: List[np.ndarray] = []
-        row_cursors = self.row_cursors
-        ready = self.ready
-        for r, s_new, n_row, cnt in zip(
-            rows.tolist(), new_starts.tolist(), ns_r.tolist(), lens.tolist()
-        ):
-            c = row_cursors[r]
-            pieces.append(c._window[s_new - cnt : s_new])
-            c._start = s_new
-            c.taken += cnt
-            if s_new == n_row:
-                # Await refill (or death): a drained row must not keep
-                # feeding its stale last key into the threshold.
-                ready[r] = False
-                emptied.append(c)
-        starts[rows] = new_starts
+            rows = (cur < ends).nonzero()[0]
+            hi = ends = ends[rows]
+        if not rows.size:
+            # Impossible under the driver protocol: the cursor that
+            # defines the threshold always contributes its head.
+            raise SimulationError("merge_step emitted nothing")
+        lo = cur[rows]
+        lens = hi - lo
+        starts[rows] += lens
+        self.taken[rows] += lens
+        # Expand the per-row [lo, hi) ranges, rows ascending -- the
+        # scalar path's piece concatenation order.
+        stops = lens.cumsum()
+        picks = np.repeat(hi - stops, lens)
+        picks += np.arange(stops[-1])
+        merged = self.E.take(picks, axis=0)
+        # A drained row awaits its refill (or death); `cur == ends`
+        # keeps it out of later steps until then.
+        emptied = [self.row_cursors[r] for r in rows[hi == ends].tolist()]
         if rows.size == 1:
-            # Single contributing window: the slice is already sorted
-            # (a stable sort would be the identity permutation).
-            i = int(rows[0])
-            e = int(new_starts[0])
-            if e < ns[i]:
-                self.F[i] = self.S[i, e]
-            return pieces[0], emptied
-        merged = np.concatenate(pieces, axis=0)
+            # Single contributing window: already sorted.
+            return merged, emptied
         skeys = (
             np.ascontiguousarray(merged[:, : self.key_size])
             .reshape(-1)
-            .view(self.sdtype)
+            .view("S%d" % self.key_size)
         )
-        # Refresh head keys of rows that still have entries windowed.
-        open_mask = new_starts < ns_r
-        alive = rows[open_mask]
-        if alive.size:
-            self.F[alive] = self.S[alive, new_starts[open_mask]]
-        order = np.argsort(skeys, kind="stable")
-        return merged[order], emptied
+        return merged.take(skeys.argsort(kind="stable"), axis=0), emptied
 
 
 class MergeFrontier:
@@ -528,9 +505,9 @@ class MergeFrontier:
         self._initial_drained = [
             c for c in self.cursors if c.done and c.window_entries > 0
         ]
-        #: Columnar batch index (vector path); ``None`` falls back to
-        #: the scalar :func:`_frontier_step` -- non-uniform or
-        #: subclassed cursor fleets, or ``REPRO_SIM_VECTOR=0``.
+        #: Window slab (vector path); ``None`` falls back to the scalar
+        #: :func:`_frontier_step` -- non-uniform or subclassed cursor
+        #: fleets, or ``REPRO_SIM_VECTOR=0``.
         self._index = (
             _FrontierIndex(self.live)
             if vector_enabled() and _FrontierIndex.eligible(self.live)
@@ -547,7 +524,8 @@ class MergeFrontier:
         return refills
 
     def note_refilled(self, cursors: List[RunCursor]) -> None:
-        """Refresh cached exhaustion state after ``accept`` calls."""
+        """After ``accept`` calls: refresh cached exhaustion state and
+        move the accepted windows into the slab."""
         exhausted = self._exhausted
         index = self._index
         for c in cursors:
@@ -666,6 +644,9 @@ def drive_merge(
                 for op in (c.accept(d) for c, d in zip(refills, datas))
                 if op is not None
             ]
+            # The windows hold the payloads now; the slab lets go of
+            # each as it copies it, so the read buffer never exists twice.
+            del datas
             if cpu_ops:
                 # Frame decompression (compressed IndexMap runs only).
                 yield ParallelOps(cpu_ops)
