@@ -372,8 +372,8 @@ class Cluster(ProbeHost):
         :class:`ClusterStats` (which reads the live shard list).  An
         in-progress sharded sort keeps its planned partition count --
         splitters were already chosen -- but can use the newcomer as a
-        spare for speculative re-issue and crash re-execution; the
-        *next* ``run`` re-plans with the grown shard count.  With a
+        spare for speculative re-issue; the *next* ``run`` re-plans with
+        the grown shard count.  With a
         fault plan installed the newcomer gets its own injector slice.
         """
         if profile is None:

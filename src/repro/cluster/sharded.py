@@ -46,22 +46,26 @@ manifest scheme of :mod:`repro.core.recovery` at partition granularity:
 * one **sorted manifest** per partition commits after the partition's
   output file is durable, recording which shard holds it and its size.
 
-After a whole-shard crash (see
-:meth:`~repro.cluster.cluster.Cluster.reboot` and
-:func:`~repro.faults.harness.run_with_faults`) recovery
-re-executes *only* what no manifest covers: unmarked sources re-gather
-keys and re-scatter against the frozen splitters, and unsalvaged
-partitions are re-sorted -- on an idle spare shard when one exists (the
-staging file travels over the interconnect), otherwise on the rebooted
-home shard.
+The phases are one state machine whose state is what the manifests
+say: ``run()`` enters it with none, ``recover()`` (after a whole-shard
+crash, see :meth:`~repro.cluster.cluster.Cluster.reboot` and
+:func:`~repro.faults.harness.run_with_faults`) with the ones it finds.
+No plan manifest: plan.  A source without a scatter manifest re-gathers
+its keys and re-scatters against the frozen splitters; a partition
+without a valid sorted manifest is sorted on its home shard.  A run owns
+every file under ``<output_name>.`` on every shard: ``recover()`` first
+deletes what no manifest vouches for and every completed run deletes all
+but its outputs (:meth:`ShardedWiscSort._sweep`), so no crash instant
+leaks a speculative copy or leaves one output on two shards.
 
-Straggler speculation (active only when a fault plan is installed, so
-fault-free runs are bit-identical to pre-speculation builds): a monitor
-process compares each open partition's predicted finish -- the fluid
-scheduler's scheduled horizon for that shard's resource group -- against
-``spec_factor`` times the slowest *completed* partition.  A partition
-predicted to overshoot is re-issued on an idle shard from a staging
-copy.  The first attempt to complete wins; the engine's deterministic
+Straggler speculation (armed only by an installed fault plan, so
+fault-free runs are bit-identical to pre-speculation builds, and only in
+a drive that planned): a monitor process compares each open partition's
+predicted finish -- the fluid scheduler's scheduled horizon for that
+shard's resource group -- against :data:`SPEC_FACTOR` times the slowest
+*completed* partition.  A partition predicted to overshoot is re-issued
+on an idle shard from a staging copy -- the only work a spare shard ever
+gets.  The first attempt to complete wins; the engine's deterministic
 completion order makes the winner identical across runs and across the
 scalar/vector kernels, and the loser is torn down with
 :meth:`~repro.sim.engine.Engine.cancel_tree` (which settles the fluid
@@ -73,7 +77,7 @@ holding an admission slot another shard is waiting on.
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -94,6 +98,10 @@ from repro.sim.primitives import Semaphore
 
 from repro.cluster.cluster import Cluster, ShardedFile
 
+#: A partition is a straggler when its predicted duration exceeds
+#: ``SPEC_FACTOR`` x the slowest completed partition.
+SPEC_FACTOR = 1.75
+
 
 class ShardedWiscSort(SortSystem):
     """Cross-shard shuffle + concurrent per-shard sorts on a Cluster."""
@@ -106,9 +114,6 @@ class ShardedWiscSort(SortSystem):
         output_name: str = "sharded-wiscsort.out",
         oversample: int = 32,
         checkpoint: bool = False,
-        speculate: bool = True,
-        spec_factor: float = 1.75,
-        spec_interval: Optional[float] = None,
     ):
         self.fmt = fmt if fmt is not None else RecordFormat()
         self.config = config if config is not None else SortConfig()
@@ -123,19 +128,6 @@ class ShardedWiscSort(SortSystem):
         #: Write partition-granular manifests so a shard crash loses
         #: only uncommitted work (required for ``recover()``).
         self.checkpoint = checkpoint
-        #: Allow straggler re-issue (only ever active under an
-        #: installed fault plan; see module docstring).
-        self.speculate = speculate
-        if spec_factor <= 1.0:
-            raise ConfigError("spec_factor must be > 1")
-        #: A partition is a straggler when its predicted duration
-        #: exceeds ``spec_factor`` x the slowest completed partition.
-        self.spec_factor = spec_factor
-        if spec_interval is not None and spec_interval <= 0:
-            raise ConfigError("spec_interval must be positive or None")
-        #: Monitor poll period in simulated seconds; None derives it
-        #: from the scheduled horizon (an eighth of the remaining work).
-        self.spec_interval = spec_interval
         self.name = f"sharded-{system}[{self.config.concurrency}]"
         #: Chosen splitter keys of the last run ((n_parts-1, key_size)).
         self.splitters: Optional[np.ndarray] = None
@@ -153,35 +145,21 @@ class ShardedWiscSort(SortSystem):
         return inp.shape[0]
 
     def _execute(self, cluster: Cluster, sharded_input: ShardedFile) -> ShardedFile:
-        homes = self._homes(cluster, sharded_input)
-        n_parts = len(homes)
-        for part in sharded_input.parts:
-            if part.size % self.fmt.record_size:
-                raise ConfigError(
-                    f"part {part.name!r} size is not a multiple of record size"
-                )
-        arbiter = WritePoolArbiter(cluster)
-        stagings = [
-            shard.fs.create(f"{self.output_name}.stage{d}")
-            for d, shard in enumerate(homes)
-        ]
-        outputs: List = [None] * n_parts
-        cluster.run(
-            self._drive(cluster, homes, sharded_input, stagings, arbiter, outputs),
-            name=f"sharded-{self.system}",
-        )
-        for d, shard in enumerate(homes):
-            shard.fs.delete(stagings[d].name)
-        if self.checkpoint:
-            self._discard_manifests(cluster)
-        return ShardedFile(self.output_name, outputs)
+        return self._run(cluster, sharded_input, resume=False)
+
+    def _execute_recover(self, cluster, sharded_input) -> ShardedFile:
+        if not self.checkpoint:
+            raise RecoveryError(
+                f"{self.name} cannot recover without checkpoint=True"
+            )
+        return self._run(cluster, sharded_input, resume=True)
 
     def _homes(self, cluster: Cluster, sharded_input: ShardedFile) -> List:
         """The shards owning this run's partitions, in partition order.
 
         The partition count is the *input's* part count; shards beyond
         it (admitted via :meth:`Cluster.add_shard`, before or during the
-        run) serve as spares for speculation and crash re-execution.
+        run) serve as spares for speculative re-issue.
         The next dataset generated on the grown cluster has more parts,
         so the next run re-plans -- and rebalances its splitters -- over
         the full shard count.
@@ -194,57 +172,175 @@ class ShardedWiscSort(SortSystem):
             )
         return list(cluster.shards[:n_parts])
 
-    # ------------------------------------------------------------------
-    def _drive(self, cluster, homes, sharded_input, stagings, arbiter, outputs):
-        fmt = self.fmt
-        rec = fmt.record_size
+    def _salvage(self, cluster, homes):
+        """Read the crashed run's state off its manifests, then delete
+        every run file they do not vouch for (the entry sweep).
+
+        Returns ``(plan, pending, salvaged)`` -- the frozen ``(splitters,
+        counts)`` or None, the sources whose scatter never committed,
+        ``{d: output}`` for every partition a valid sorted manifest
+        names -- and leaves the salvaged-vs-redone accounting in
+        :attr:`last_recovery`.  Without a plan manifest nothing
+        partition-granular is durable: nothing is kept, nothing is
+        *re*-done, and the state is a fresh run's.
+        """
         n_parts = len(homes)
+        rec = self.fmt.record_size
+        payload = self._log(homes[0], "plan").load()
+        if payload is None:
+            self._sweep(cluster, keep=())
+            self.last_recovery = dict.fromkeys(
+                ("salvaged_bytes", "redone_bytes", "partitions_salvaged",
+                 "partitions_redone"), 0,
+            )
+            return None, list(range(n_parts)), {}
+        if (
+            int(payload.get("n_parts", -1)) != n_parts
+            or int(payload.get("record_size", -1)) != rec
+        ):
+            raise RecoveryError("plan manifest does not match this run")
+        splitters = unpack_entries(payload["splitters"], self.fmt.key_size)
+        counts = np.asarray(payload["counts"], dtype=np.int64).reshape(
+            n_parts, n_parts
+        )
+        salvaged = {}
+        for d in range(n_parts):
+            # The sorted manifest may live on any shard (a speculative
+            # win commits on the shard it ran on).
+            for shard in cluster.shards:
+                p = self._log(shard, f"sorted{d}").load()
+                if not p:
+                    continue
+                name = p.get("output", "")
+                if (
+                    shard.fs.exists(name)
+                    and shard.fs.open(name).size == int(p.get("size", -1))
+                ):
+                    salvaged[d] = shard.fs.open(name)
+                    break
+        pending = [
+            s for s, shard in enumerate(homes)
+            if self._log(shard, f"scatter{s}").load() is None
+        ]
+        self._sweep(cluster, keep=salvaged.values(), resuming=True)
+        lost = [d for d in range(n_parts) if d not in salvaged]
+        self.last_recovery = {
+            "salvaged_bytes": sum(salvaged[d].size for d in sorted(salvaged))
+            + rec * int(counts.sum() - counts[pending].sum()),
+            # the pending sources' slices of the lost partitions, then
+            # those partitions' sorts
+            "redone_bytes": rec
+            * int(counts[pending][:, lost].sum() + counts[:, lost].sum()),
+            "partitions_salvaged": len(salvaged),
+            "partitions_redone": len(lost),
+        }
+        return (splitters, counts), pending, salvaged
+
+    # ------------------------------------------------------------------
+    def _run(self, cluster, sharded_input, resume: bool) -> ShardedFile:
+        """The one driver: a fresh run is a recovery that finds nothing."""
+        homes = self._homes(cluster, sharded_input)
+        for part in sharded_input.parts:
+            if part.size % self.fmt.record_size:
+                raise ConfigError(
+                    f"part {part.name!r} size is not a multiple of record size"
+                )
+        plan, pending, salvaged = (
+            self._salvage(cluster, homes) if resume
+            else (None, list(range(len(homes))), {})
+        )
+        arbiter = WritePoolArbiter(cluster)
+        # Created before anything can commit, so a plan manifest implies
+        # them; and a fresh run over a crashed run's files must raise.
+        stagings = [
+            (shard.fs.create if plan is None else shard.fs.open)(
+                f"{self.output_name}.stage{d}"
+            )
+            for d, shard in enumerate(homes)
+        ]
+        outputs: List = [salvaged.get(d) for d in range(len(homes))]
+        cluster.run(
+            self._drive(
+                cluster, homes, sharded_input, stagings, arbiter, outputs,
+                plan, pending,
+            ),
+            name=f"{'sharded' if plan is None else 'recover'}-{self.system}",
+        )
+        # Exit sweep: staging files, manifests, whatever speculation left.
+        self._sweep(cluster, keep=outputs)
+        return ShardedFile(self.output_name, outputs)
+
+    def _drive(
+        self, cluster, homes, sharded_input, stagings, arbiter, outputs,
+        plan, pending,
+    ):
+        rec = self.fmt.record_size
+        n_parts = len(homes)
+        # A resumed segment's processes are named apart in traces.
+        plan_tag, scatter_tag, sort_tag = (
+            ("plan", "shuffle", "sort") if plan is None
+            else ("replan", "rescatter", "resort")
+        )
+        lost = [d for d in range(n_parts) if outputs[d] is None]
 
         # -- Plan: concurrent per-shard key gathers ---------------------
-        plan_procs = []
-        for shard, part in zip(homes, sharded_input.parts):
-            ctrl = arbiter.controller(shard.domain)
-            proc = yield Spawn(
-                self._gather_keys(shard, part, ctrl), name=f"plan:{shard.domain}"
-            )
-            plan_procs.append(proc)
-        shard_keys = yield Join(plan_procs)
-
-        splitters = self._choose_splitters(shard_keys, n_parts)
-        self.splitters = splitters
-        pids = [self._partition_ids(keys, splitters) for keys in shard_keys]
-        counts = np.zeros((n_parts, n_parts), dtype=np.int64)
-        for s in range(n_parts):
-            if pids[s].size:
-                counts[s] = np.bincount(pids[s], minlength=n_parts)
-        self.shuffle_counts = counts
-
-        if self.checkpoint:
-            # Freeze the plan: with splitters and counts durable, every
-            # later phase is re-executable at partition granularity.
-            yield from self._plan_log(homes[0]).save(
-                {
-                    "phase": "plan",
-                    "n_parts": n_parts,
-                    "record_size": rec,
-                    "splitters": pack_entries(splitters),
-                    "counts": counts.reshape(-1).tolist(),
-                }
-            )
-
-        # Charge the partition scan (classifying every key against the
-        # splitters is a DRAM-bandwidth-bound sweep of the key arrays).
-        scan_ops = []
-        for shard, keys in zip(homes, shard_keys):
-            ctrl = arbiter.controller(shard.domain)
-            scan_ops.append(
-                shard.copy(
-                    keys.shape[0] * fmt.key_size,
-                    tag="SHUFFLE partition",
-                    cores=ctrl.sort_cores(),
+        shard_keys = {}
+        if pending:
+            plan_procs = []
+            for s in pending:
+                shard = homes[s]
+                ctrl = arbiter.controller(shard.domain)
+                proc = yield Spawn(
+                    self._gather_keys(shard, sharded_input.parts[s], ctrl),
+                    name=f"{plan_tag}:{shard.domain}",
                 )
+                plan_procs.append(proc)
+            shard_keys = dict(zip(pending, (yield Join(plan_procs))))
+        if plan is None:
+            splitters = self._choose_splitters([shard_keys[s] for s in pending], n_parts)
+        else:
+            splitters, counts = plan
+        pids = {s: self._partition_ids(shard_keys[s], splitters) for s in pending}
+        tally = {s: np.bincount(pids[s], minlength=n_parts) for s in pending}
+        if plan is None:
+            counts = np.stack([tally[s] for s in pending]).astype(np.int64)
+            if self.checkpoint:
+                # Freeze the plan: with splitters and counts durable, every
+                # later phase is re-executable at partition granularity.
+                yield from self._log(homes[0], "plan").save(
+                    {
+                        "phase": "plan",
+                        "n_parts": n_parts,
+                        "record_size": rec,
+                        "splitters": pack_entries(splitters),
+                        "counts": counts.reshape(-1).tolist(),
+                    }
+                )
+            # Charge the partition scan (classifying every key against the
+            # splitters is a DRAM-bandwidth-bound sweep of the key arrays).
+            # Only the drive that planned pays it: a source re-gathered
+            # against a frozen plan is not charged again.
+            yield ParallelOps(
+                [
+                    shard.copy(
+                        shard_keys[s].shape[0] * self.fmt.key_size,
+                        tag="SHUFFLE partition",
+                        cores=arbiter.controller(shard.domain).sort_cores(),
+                    )
+                    for s, shard in enumerate(homes)
+                ]
             )
-        yield ParallelOps(scan_ops)
+        else:
+            # Reserved offsets make a re-scatter idempotent only if the
+            # source still classifies exactly as the frozen plan says.
+            for s in pending:
+                if not np.array_equal(tally[s], counts[s]):
+                    raise RecoveryError(
+                        f"source {s} partition counts diverge from the "
+                        f"plan manifest"
+                    )
+        self.splitters = splitters
+        self.shuffle_counts = counts
 
         # Reserved staging offsets: source s writes its dest-d records at
         # [base, base + counts[s][d]*rec) where base skips all earlier
@@ -253,52 +349,78 @@ class ShardedWiscSort(SortSystem):
         bases[1:] = np.cumsum(counts[:-1], axis=0)
         bases *= rec
 
-        # -- Shuffle: concurrent per-source streaming scatter -----------
+        # -- Shuffle: concurrent per-source streaming scatter (idempotent:
+        #    reserved offsets overwrite any torn bytes with identical
+        #    content), to the lost partitions only ------------------------
         shuffle_procs = []
-        for s, (shard, part) in enumerate(zip(homes, sharded_input.parts)):
-            ctrl = arbiter.controller(shard.domain)
-            log = self._scatter_log(shard, s) if self.checkpoint else None
+        for s in pending:
             proc = yield Spawn(
                 self._shuffle_source(
-                    cluster, homes, part, pids[s], bases[s].copy(), stagings,
-                    arbiter, ctrl, shard.domain, scatter_log=log, src_index=s,
+                    cluster, homes, s, sharded_input.parts[s], pids[s],
+                    bases[s].copy(), stagings, arbiter, lost,
                 ),
-                name=f"shuffle:{shard.domain}",
+                name=f"{scatter_tag}:{homes[s].domain}",
             )
             shuffle_procs.append(proc)
-        yield Join(shuffle_procs)
+        if shuffle_procs:
+            yield Join(shuffle_procs)
 
-        # -- Sort: unmodified per-shard sorts, concurrently -------------
+        # -- Sort: unmodified per-shard sorts, concurrently, each on its
+        #    partition's home shard ---------------------------------------
         entries = []
-        for d, shard in enumerate(homes):
-            part_name = f"{self.output_name}.shard{d}"
-            if stagings[d].size == 0:
-                outputs[d] = shard.fs.create(part_name)
-                continue
-            entries.append((d, shard))
+        for d in lost:
+            expected = int(counts[:, d].sum()) * rec
+            if expected == 0:
+                outputs[d] = homes[d].fs.create(f"{self.output_name}.shard{d}")
+            elif stagings[d].size != expected:
+                raise RecoveryError(
+                    f"partition {d} staging is incomplete "
+                    f"({stagings[d].size} of {expected} bytes)"
+                )
+            else:
+                entries.append(d)
         if not entries:
             return
         # Speculation changes the engine's event schedule (monitor
         # timers), so it arms only under an installed fault plan --
-        # fault-free runs stay bit-identical to the plain Join path.
+        # fault-free runs stay bit-identical to the plain Join path --
+        # and only in the drive that planned: the frozen step counts of
+        # resumed segments predate it (the one fresh/resumed asymmetry
+        # left; see ROADMAP).
         faults = cluster.faults
-        if self.speculate and faults is not None and not faults.count_only:
-            yield from self._sort_with_speculation(
-                cluster, entries, stagings, arbiter, outputs
-            )
-            return
+        spec = None
+        if plan is None and faults is not None and not faults.count_only:
+            spec = self._speculation(cluster.engine, homes, entries)
         sort_procs = []
-        for d, shard in entries:
+        for d in entries:
+            home = homes[d]
             proc = yield Spawn(
-                self._sort_partition(
-                    d, shard, stagings[d], f"{self.output_name}.shard{d}"
+                self._attempt(
+                    cluster, d, home, home, stagings[d], arbiter,
+                    commit_to=outputs if spec is None else None,
                 ),
-                name=f"sort:{shard.domain}",
+                name=f"{sort_tag}:{home.domain}",
             )
-            sort_procs.append((d, proc))
-        results = yield Join([proc for _d, proc in sort_procs])
-        for (d, _proc), output in zip(sort_procs, results):
-            outputs[d] = output
+            sort_procs.append(proc)
+            if spec is not None:
+                spec["attempts"][d] = [(proc, home, "primary")]
+                yield Spawn(
+                    self._watch_attempt(
+                        cluster, d, proc, home, "primary", spec, outputs
+                    ),
+                    name=f"watch:part{d}",
+                )
+        if spec is None:
+            yield Join(sort_procs)
+            return
+        monitor = yield Spawn(
+            self._spec_monitor(cluster, stagings, arbiter, spec, outputs),
+            name="spec-monitor",
+        )
+        for _ in entries:
+            yield spec["done"].acquire()
+        if not monitor.done:
+            cluster.engine.cancel_tree(monitor)
 
     # ------------------------------------------------------------------
     def _gather_keys(self, shard, part, ctrl):
@@ -355,36 +477,20 @@ class ShardedWiscSort(SortSystem):
         return pid
 
     def _shuffle_source(
-        self,
-        cluster,
-        homes,
-        part,
-        pids,
-        cursors,
-        stagings,
-        arbiter,
-        ctrl,
-        src_domain: str,
-        scatter_log: Optional[CheckpointLog] = None,
-        src_index: int = -1,
-        skip_dests: FrozenSet[int] = frozenset(),
-        redone: Optional[list] = None,
+        self, cluster, homes, s, part, pids, cursors, stagings, arbiter, dests
     ):
-        """Stream one source shard, scattering batches to staging files.
+        """Stream source shard ``s``, scattering batches to staging files.
 
         ``cursors`` holds this source's next reserved write offset per
         destination; content placement never depends on op timing.
-        Cross-shard slices pay the interconnect (the staging write and
-        the network transfer run in parallel, completing together).
-        ``skip_dests`` (recovery) suppresses writes to partitions whose
-        sorted output was already salvaged; ``redone`` is a one-element
-        byte accumulator for recovery accounting.
+        Cross-shard slices pay the interconnect (:meth:`_over_wire`).
+        ``dests`` leaves out the partitions whose sorted output was
+        already salvaged.
         """
-        fmt = self.fmt
-        rec = fmt.record_size
-        n_parts = len(homes)
+        rec = self.fmt.record_size
+        src_domain = homes[s].domain
         chunk_bytes = max(1, self.config.read_buffer // rec) * rec
-        read_threads = ctrl.read_threads(Pattern.SEQ)
+        read_threads = arbiter.controller(src_domain).read_threads(Pattern.SEQ)
         row = 0
         for offset in range(0, part.size, chunk_bytes):
             nbytes = min(chunk_bytes, part.size - offset)
@@ -394,9 +500,7 @@ class ShardedWiscSort(SortSystem):
             rows = data.reshape(-1, rec)
             batch_pids = pids[row : row + rows.shape[0]]
             row += rows.shape[0]
-            for d in range(n_parts):
-                if d in skip_dests:
-                    continue
+            for d in dests:
                 slice_rows = rows[batch_pids == d]
                 if slice_rows.shape[0] == 0:
                     continue
@@ -408,119 +512,102 @@ class ShardedWiscSort(SortSystem):
                     tag="SHUFFLE write",
                     threads=arbiter.write_threads(dest),
                 )
-                if cluster.network is not None and dest != src_domain:
-                    yield ParallelOps(
-                        [
-                            write_op,
-                            cluster.net_op(
-                                src_domain, dest, slice_rows.size,
-                                tag="SHUFFLE net",
-                            ),
-                        ]
-                    )
-                else:
-                    yield write_op
+                yield self._over_wire(
+                    cluster, write_op, src_domain, dest, slice_rows.size,
+                    "SHUFFLE net",
+                )
                 arbiter.release(dest)
                 cursors[d] += slice_rows.size
-                if redone is not None:
-                    redone[0] += int(slice_rows.size)
-        if scatter_log is not None:
+        if self.checkpoint:
             # Commit only after every slice completed: a valid scatter
             # manifest therefore proves all of this source's staging
             # bytes are durable on their destinations.
-            yield from scatter_log.save(
-                {"phase": "scatter", "source": src_index}
+            yield from self._log(homes[s], f"scatter{s}").save(
+                {"phase": "scatter", "source": s}
             )
 
-    def _make_shard_system(self, output_name: str):
+    @staticmethod
+    def _over_wire(cluster, write_op, src: str, dst: str, nbytes: int, tag: str):
+        """``write_op`` with its bytes coming from shard ``src``: in
+        parallel with the interconnect transfer (the two complete
+        together), or alone when local or the cluster has no network."""
+        if cluster.network is None or src == dst:
+            return write_op
+        return ParallelOps([write_op, cluster.net_op(src, dst, nbytes, tag=tag)])
+
+    # ------------------------------------------------------------------
+    # Sort attempts, speculation and loser cancellation
+    # ------------------------------------------------------------------
+    def _attempt(self, cluster, d, shard, home, staging, arbiter, commit_to=None):
+        """Sort partition ``d`` on ``shard``: the one way it is ever done.
+
+        At home the staging file is sorted where it lies.  On any other
+        shard (only speculation asks) a copy travels over the wire first
+        and the output carries ``.spec`` until the attempt wins.
+        ``commit_to`` is the unwatched path: no rival can exist, so the
+        attempt commits its own result; a winner's watcher does otherwise.
+        """
+        part_name = f"{self.output_name}.shard{d}"
+        if shard is not home:
+            arbiter.ensure(shard.domain)
+            staging = yield from self._relocate_staging(
+                cluster, home, shard, staging, d, arbiter
+            )
+            part_name += ".spec"
         system = create_system(self.system, self.fmt, config=self.config)
         if not hasattr(system, "sort_process"):
             raise ConfigError(
                 f"system {self.system!r} cannot run as a cluster shard "
                 f"process (no sort_process); use a wiscsort variant"
             )
-        system.output_name = output_name
-        return system
-
-    # ------------------------------------------------------------------
-    # Sort attempts, speculation and loser cancellation
-    # ------------------------------------------------------------------
-    def _sort_attempt(self, shard, staging, part_name):
-        """One raw per-shard sort (no manifest; used by speculation)."""
-        system = self._make_shard_system(part_name)
+        system.output_name = part_name
         output = yield from system.sort_process(shard, staging)
+        if commit_to is not None:
+            yield from self._commit(shard, d, output, commit_to)
         return output
 
-    def _sort_partition(self, d, shard, staging, part_name):
-        """Per-shard sort plus (when checkpointing) its sorted manifest."""
-        output = yield from self._sort_attempt(shard, staging, part_name)
+    def _commit(self, shard, d, output, outputs):
+        """Partition ``d`` is done.  The manifest commits the moment the
+        output is durable: recovery itself can crash, and the next pass
+        then salvages this partition instead of redoing it."""
         if self.checkpoint:
-            yield from self._save_sorted(shard, d, output)
-        return output
+            yield from self._log(shard, f"sorted{d}").save(
+                {
+                    "phase": "sorted",
+                    "dest": d,
+                    "domain": shard.domain,
+                    "output": output.name,
+                    "size": int(output.size),
+                }
+            )
+        outputs[d] = output
 
-    def _save_sorted(self, shard, d, output):
-        yield from self._sorted_log(shard, d).save(
-            {
-                "phase": "sorted",
-                "dest": d,
-                "domain": shard.domain,
-                "output": output.name,
-                "size": int(output.size),
-            }
-        )
-
-    def _sort_with_speculation(self, cluster, entries, stagings, arbiter, outputs):
-        """Run the sort phase with straggler re-issue.
+    def _speculation(self, engine, homes, entries) -> dict:
+        """Bookkeeping of a sort phase run with straggler re-issue.
 
         Every attempt (primary or speculative) gets a watcher process;
         the first watcher to observe its partition complete claims the
         win, cancels and scrubs the rival, and releases the ``done``
-        semaphore -- the drive below simply acquires one release per
+        semaphore -- the drive simply acquires one release per
         partition.  Engine completion order is deterministic, so the
         winner is identical across runs and kernels.
         """
-        engine = cluster.engine
-        done = Semaphore(engine, 0, name="sort-done", reason="barrier")
-        state = {
-            "winner": {},  # d -> "primary" | "spec"
+        return {
+            "done": Semaphore(engine, 0, name="sort-done", reason="barrier"),
+            "start": engine.now,  # every primary starts at this instant
             "durations": {},  # d -> completed-partition duration
             "attempts": {},  # d -> [(proc, shard, kind), ...]
-            "start": {},  # d -> attempt start time
-            "open": set(),  # partitions without a winner yet
-            "busy": set(),  # domains currently executing an attempt
+            "open": set(entries),  # partitions without a winner yet
+            "busy": {homes[d].domain for d in entries},  # domains mid-attempt
         }
-        for d, shard in entries:
-            gen = self._sort_attempt(
-                shard, stagings[d], f"{self.output_name}.shard{d}"
-            )
-            proc = yield Spawn(gen, name=f"sort:{shard.domain}")
-            state["attempts"][d] = [(proc, shard, "primary")]
-            state["start"][d] = engine.now
-            state["open"].add(d)
-            state["busy"].add(shard.domain)
-            yield Spawn(
-                self._watch_attempt(
-                    cluster, d, proc, shard, "primary", state, done, outputs
-                ),
-                name=f"watch:part{d}",
-            )
-        monitor = yield Spawn(
-            self._spec_monitor(cluster, stagings, arbiter, state, done, outputs),
-            name="spec-monitor",
-        )
-        for _ in range(len(entries)):
-            yield done.acquire()
-        if not monitor.done:
-            engine.cancel_tree(monitor)
 
-    def _watch_attempt(self, cluster, d, proc, shard, kind, state, done, outputs):
+    def _watch_attempt(self, cluster, d, proc, shard, kind, state, outputs):
         output = yield Join(proc)
-        if proc.cancelled or d in state["winner"]:
+        if proc.cancelled or d not in state["open"]:
             return  # a cancelled loser, or the rival already claimed
         engine = cluster.engine
-        state["winner"][d] = kind
-        state["durations"][d] = engine.now - state["start"][d]
         state["open"].discard(d)
+        state["durations"][d] = engine.now - state["start"]
         state["busy"].discard(shard.domain)
         part_name = f"{self.output_name}.shard{d}"
         spec_stage_name = f"{self.output_name}.stage{d}.spec"
@@ -530,27 +617,28 @@ class ShardedWiscSort(SortSystem):
             if not rproc.done:
                 engine.cancel_tree(rproc)
             state["busy"].discard(rshard.domain)
+            # The loser's output and temp files (``name`` and ``name.*``)
+            # and, for a speculative loser, its staging copy.
             rname = part_name if rkind == "primary" else f"{part_name}.spec"
-            self._scrub_partials(rshard, rname)
-            self._sorted_log(rshard, d).discard()
-            if rkind == "spec" and rshard.fs.exists(spec_stage_name):
-                self._forget_and_delete(rshard, spec_stage_name)
+            for name in rshard.fs.list():
+                if (
+                    name == rname
+                    or name.startswith(rname + ".")
+                    or (rkind == "spec" and name == spec_stage_name)
+                ):
+                    self._forget_and_delete(rshard, name)
         if kind == "spec":
             cluster.faults.speculative_wins += 1
-            if shard.fs.exists(spec_stage_name):
-                shard.fs.delete(spec_stage_name)
             shard.fs.rename(output.name, part_name)
             for emit in cluster.probes.instant:
                 emit(
                     "speculation-win", cat="spec", track="cluster",
                     dest=d, domain=shard.domain,
                 )
-        if self.checkpoint:
-            yield from self._save_sorted(shard, d, output)
-        outputs[d] = output
-        done.release()
+        yield from self._commit(shard, d, output, outputs)
+        state["done"].release()
 
-    def _spec_monitor(self, cluster, stagings, arbiter, state, done, outputs):
+    def _spec_monitor(self, cluster, stagings, arbiter, state, outputs):
         """Poll predicted finishes; re-issue stragglers on idle shards.
 
         Detection uses the fluid kernel's scheduled horizon for the
@@ -565,7 +653,7 @@ class ShardedWiscSort(SortSystem):
             yield Sleep(self._monitor_step(engine, fluid, state))
             if not state["open"] or not state["durations"]:
                 continue
-            threshold = self.spec_factor * max(state["durations"].values())
+            threshold = SPEC_FACTOR * max(state["durations"].values())
             for d in sorted(state["open"]):
                 attempts = state["attempts"][d]
                 if len(attempts) > 1:
@@ -575,9 +663,15 @@ class ShardedWiscSort(SortSystem):
                     continue
                 horizon = fluid.predicted_horizon(home.domain)
                 eta = max(engine.now, horizon if horizon is not None else 0.0)
-                if eta - state["start"][d] <= threshold:
+                if eta - state["start"] <= threshold:
                     continue
-                spare = self._idle_shard(cluster, state)
+                # First shard with no running attempt: a spare (possibly
+                # admitted mid-run: this reads the live shard list) or a
+                # home whose partition already finished.
+                spare = next(
+                    (m for m in cluster.shards if m.domain not in state["busy"]),
+                    None,
+                )
                 if spare is None:
                     continue
                 state["busy"].add(spare.domain)
@@ -588,23 +682,21 @@ class ShardedWiscSort(SortSystem):
                         dest=d, domain=spare.domain,
                     )
                 sproc = yield Spawn(
-                    self._speculative_attempt(
-                        cluster, d, home, spare, stagings[d], arbiter
+                    self._attempt(
+                        cluster, d, spare, home, stagings[d], arbiter
                     ),
                     name=f"spec:part{d}@{spare.domain}",
                 )
                 attempts.append((sproc, spare, "spec"))
                 yield Spawn(
                     self._watch_attempt(
-                        cluster, d, sproc, spare, "spec", state, done, outputs
+                        cluster, d, sproc, spare, "spec", state, outputs
                     ),
                     name=f"watch:spec{d}",
                 )
 
     def _monitor_step(self, engine, fluid, state) -> float:
-        """The next poll delay (simulated seconds), derived when unset."""
-        if self.spec_interval is not None:
-            return self.spec_interval
+        """The next poll delay: an eighth of the remaining scheduled work."""
         horizon = None
         for d in sorted(state["open"]):
             _proc, shard, _kind = state["attempts"][d][-1]
@@ -624,38 +716,14 @@ class ShardedWiscSort(SortSystem):
         # and the monitor would spin at one instant forever.
         return max(step, engine.now * 1e-9, 1e-12)
 
-    def _idle_shard(self, cluster, state):
-        """First shard with no running attempt: a spare (possibly
-        admitted mid-run) or a home whose partition already finished.
-        Reads the live shard list, so elastic scale-out is visible."""
-        for shard in cluster.shards:
-            if shard.domain not in state["busy"]:
-                return shard
-        return None
-
-    def _speculative_attempt(self, cluster, d, home, spare, staging, arbiter):
-        """Copy the straggler's staging to ``spare`` and sort it there."""
-        arbiter.ensure(spare.domain)
-        stage = yield from self._relocate_staging(
-            cluster, home, spare, staging,
-            f"{self.output_name}.stage{d}.spec", arbiter, tag="SPEC",
-        )
-        self._scrub_partials(spare, f"{self.output_name}.shard{d}.spec")
-        output = yield from self._sort_attempt(
-            spare, stage, f"{self.output_name}.shard{d}.spec"
-        )
-        return output
-
-    def _relocate_staging(self, cluster, src, dst, staging, name, arbiter, tag):
-        """Stream a staging file from ``src`` to ``dst`` over the wire.
+    def _relocate_staging(self, cluster, src, dst, staging, d, arbiter):
+        """Stream partition ``d``'s staging file from ``src`` to ``dst``.
 
         Deliberately slot-free (see module docstring): the destination
         is idle by construction and a cancelled copy must not die
         holding a write-pool admission slot.
         """
-        if dst.fs.exists(name):
-            self._forget_and_delete(dst, name)
-        copy = dst.fs.create(name)
+        copy = dst.fs.create(f"{self.output_name}.stage{d}.spec")
         read_threads = arbiter.controller(src.domain).read_threads(Pattern.SEQ)
         write_threads = arbiter.write_threads(dst.domain)
         rec = self.fmt.record_size
@@ -663,256 +731,38 @@ class ShardedWiscSort(SortSystem):
         for offset in range(0, staging.size, chunk):
             nbytes = min(chunk, staging.size - offset)
             data = yield staging.read(
-                offset, nbytes, tag=f"{tag} read", threads=read_threads
+                offset, nbytes, tag="SPEC read", threads=read_threads
             )
             write_op = copy.write(
-                offset, data, tag=f"{tag} write", threads=write_threads
+                offset, data, tag="SPEC write", threads=write_threads
             )
-            if cluster.network is not None:
-                yield ParallelOps(
-                    [
-                        write_op,
-                        cluster.net_op(
-                            src.domain, dst.domain, nbytes, tag=f"{tag} net"
-                        ),
-                    ]
-                )
-            else:
-                yield write_op
+            yield self._over_wire(
+                cluster, write_op, src.domain, dst.domain, nbytes, "SPEC net"
+            )
         return copy
 
     # ------------------------------------------------------------------
-    # Crash recovery
+    # Manifest and run-file bookkeeping
     # ------------------------------------------------------------------
-    def _execute_recover(self, cluster, sharded_input) -> ShardedFile:
-        if not self.checkpoint:
-            raise RecoveryError(
-                f"{self.name} cannot recover without checkpoint=True"
-            )
-        homes = self._homes(cluster, sharded_input)
-        n_parts = len(homes)
-        rec = self.fmt.record_size
-        metrics = {
-            "salvaged_bytes": 0,
-            "redone_bytes": 0,
-            "partitions_salvaged": 0,
-            "partitions_redone": 0,
-        }
-        payload = self._plan_log(homes[0]).load()
-        if payload is None:
-            # The plan never committed: nothing partition-granular is
-            # durable, so scrub all run files and start over.
-            self._scrub_run_files(cluster)
-            self.last_recovery = metrics
-            return self._execute(cluster, sharded_input)
-        if (
-            int(payload.get("n_parts", -1)) != n_parts
-            or int(payload.get("record_size", -1)) != rec
-        ):
-            raise RecoveryError("plan manifest does not match this run")
-        splitters = unpack_entries(payload["splitters"], self.fmt.key_size)
-        counts = np.asarray(payload["counts"], dtype=np.int64).reshape(
-            n_parts, n_parts
-        )
-        self.splitters = splitters
-        self.shuffle_counts = counts
+    def _log(self, shard, what: str) -> CheckpointLog:
+        """``plan`` (on shard 0), ``scatter{s}`` (on source ``s``) or
+        ``sorted{d}`` (on the shard holding partition ``d``'s output)."""
+        return CheckpointLog(shard.fs, f"{self.output_name}.{what}.manifest")
 
-        outputs: List = [None] * n_parts
-        salvaged = set()
-        for d in range(n_parts):
-            # The sorted manifest may live on any shard (a pre-crash
-            # speculative win runs on a spare).
-            for shard in cluster.shards:
-                p = self._sorted_log(shard, d).load()
-                if not p:
-                    continue
-                name = p.get("output", "")
-                if (
-                    shard.fs.exists(name)
-                    and shard.fs.open(name).size == int(p.get("size", -1))
-                ):
-                    outputs[d] = shard.fs.open(name)
-                    salvaged.add(d)
-                    metrics["salvaged_bytes"] += int(p["size"])
-                    break
-        pending_sources = []
-        if len(salvaged) < n_parts:
-            for s, shard in enumerate(homes):
-                if self._scatter_log(shard, s).load() is None:
-                    pending_sources.append(s)
-                else:
-                    metrics["salvaged_bytes"] += int(counts[s].sum()) * rec
-        stagings = []
-        for d, shard in enumerate(homes):
-            name = f"{self.output_name}.stage{d}"
-            stagings.append(
-                shard.fs.open(name) if shard.fs.exists(name)
-                else shard.fs.create(name)
-            )
-        metrics["partitions_salvaged"] = len(salvaged)
-        metrics["partitions_redone"] = n_parts - len(salvaged)
-        arbiter = WritePoolArbiter(cluster)
-        cluster.run(
-            self._recover_drive(
-                cluster, homes, sharded_input, stagings, arbiter, outputs,
-                salvaged, pending_sources, splitters, counts, metrics,
-            ),
-            name=f"recover-{self.system}",
-        )
-        for d, shard in enumerate(homes):
-            if shard.fs.exists(stagings[d].name):
-                shard.fs.delete(stagings[d].name)
-        self._discard_manifests(cluster)
-        self.last_recovery = metrics
-        return ShardedFile(self.output_name, outputs)
-
-    def _recover_drive(
-        self, cluster, homes, sharded_input, stagings, arbiter, outputs,
-        salvaged, pending_sources, splitters, counts, metrics,
-    ):
-        rec = self.fmt.record_size
-        n_parts = len(homes)
-
-        # -- Re-scatter uncommitted sources (idempotent: reserved
-        #    offsets overwrite any torn bytes with identical content) --
-        if pending_sources and len(salvaged) < n_parts:
-            procs = []
-            for s in pending_sources:
-                shard = homes[s]
-                ctrl = arbiter.controller(shard.domain)
-                proc = yield Spawn(
-                    self._gather_keys(shard, sharded_input.parts[s], ctrl),
-                    name=f"replan:{shard.domain}",
-                )
-                procs.append(proc)
-            keys_list = yield Join(procs)
-            bases = np.zeros((n_parts, n_parts), dtype=np.int64)
-            bases[1:] = np.cumsum(counts[:-1], axis=0)
-            bases *= rec
-            redone = [0]
-            sprocs = []
-            for s, keys in zip(pending_sources, keys_list):
-                pids = self._partition_ids(keys, splitters)
-                fresh = (
-                    np.bincount(pids, minlength=n_parts)
-                    if pids.size
-                    else np.zeros(n_parts, dtype=np.int64)
-                )
-                if not np.array_equal(fresh, counts[s]):
-                    raise RecoveryError(
-                        f"source {s} partition counts diverge from the "
-                        f"plan manifest"
-                    )
-                shard = homes[s]
-                ctrl = arbiter.controller(shard.domain)
-                proc = yield Spawn(
-                    self._shuffle_source(
-                        cluster, homes, sharded_input.parts[s], pids,
-                        bases[s].copy(), stagings, arbiter, ctrl,
-                        shard.domain,
-                        scatter_log=self._scatter_log(shard, s),
-                        src_index=s,
-                        skip_dests=frozenset(salvaged),
-                        redone=redone,
-                    ),
-                    name=f"rescatter:{shard.domain}",
-                )
-                sprocs.append(proc)
-            yield Join(sprocs)
-            metrics["redone_bytes"] += redone[0]
-
-        # -- Re-sort lost partitions, spares first ----------------------
-        spares = [m for m in cluster.shards if m not in homes]
-        procs = []
-        for d, home in enumerate(homes):
-            if d in salvaged:
-                continue
-            part_name = f"{self.output_name}.shard{d}"
-            self._scrub_partials(home, part_name)
-            expected = int(counts[:, d].sum()) * rec
-            if expected == 0:
-                outputs[d] = home.fs.create(part_name)
-                continue
-            if stagings[d].size != expected:
-                raise RecoveryError(
-                    f"partition {d} staging is incomplete "
-                    f"({stagings[d].size} of {expected} bytes)"
-                )
-            metrics["redone_bytes"] += expected
-            exec_shard = spares.pop(0) if spares else home
-            proc = yield Spawn(
-                self._recover_partition(
-                    cluster, d, home, exec_shard, stagings[d], arbiter,
-                    part_name,
-                ),
-                name=f"resort:{exec_shard.domain}",
-            )
-            procs.append((d, proc))
-        if procs:
-            results = yield Join([p for _d, p in procs])
-            for (d, _p), output in zip(procs, results):
-                outputs[d] = output
-
-    def _recover_partition(
-        self, cluster, d, home, exec_shard, staging, arbiter, part_name
-    ):
-        """Re-sort one lost partition on its home or a spare shard."""
-        if exec_shard is home:
-            output = yield from self._sort_attempt(home, staging, part_name)
-            shard = home
-        else:
-            arbiter.ensure(exec_shard.domain)
-            self._scrub_partials(exec_shard, part_name)
-            stage = yield from self._relocate_staging(
-                cluster, home, exec_shard, staging,
-                f"{self.output_name}.stage{d}.recover", arbiter,
-                tag="RECOVER",
-            )
-            output = yield from self._sort_attempt(
-                exec_shard, stage, part_name
-            )
-            exec_shard.fs.delete(stage.name)
-            shard = exec_shard
-        # Commit immediately: recovery itself can crash, and the next
-        # pass then salvages this partition instead of redoing it.
-        yield from self._save_sorted(shard, d, output)
-        return output
-
-    # ------------------------------------------------------------------
-    # Manifest and partial-file bookkeeping
-    # ------------------------------------------------------------------
-    def _plan_log(self, shard) -> CheckpointLog:
-        return CheckpointLog(shard.fs, f"{self.output_name}.plan.manifest")
-
-    def _scatter_log(self, shard, s: int) -> CheckpointLog:
-        return CheckpointLog(shard.fs, f"{self.output_name}.scatter{s}.manifest")
-
-    def _sorted_log(self, shard, d: int) -> CheckpointLog:
-        return CheckpointLog(shard.fs, f"{self.output_name}.sorted{d}.manifest")
-
-    def _discard_manifests(self, cluster) -> None:
-        """Drop every manifest of this run (end of a successful sort)."""
+    def _sweep(self, cluster, keep, resuming: bool = False) -> None:
+        """The ownership rule: a run owns every file under
+        ``<output_name>.`` on every shard, so each one goes unless it is
+        a ``keep`` handle -- or, when ``resuming``, a manifest or the
+        shard's own staging file (shard ``i`` is partition ``i``'s home)."""
         prefix = f"{self.output_name}."
-        for shard in cluster.shards:
+        for i, shard in enumerate(cluster.shards):
             for name in shard.fs.list():
-                if name.startswith(prefix) and ".manifest" in name:
-                    shard.fs.delete(name)
-
-    def _scrub_run_files(self, cluster) -> None:
-        """Delete every file this run created, on every shard."""
-        prefix = f"{self.output_name}."
-        for shard in cluster.shards:
-            for name in shard.fs.list():
-                if name.startswith(prefix):
+                vouched = shard.fs.open(name) in keep or (
+                    resuming
+                    and (name.endswith(".manifest") or name == f"{prefix}stage{i}")
+                )
+                if name.startswith(prefix) and not vouched:
                     self._forget_and_delete(shard, name)
-
-    def _scrub_partials(self, shard, part_name: str) -> None:
-        """Delete one attempt's output and temp files (``name`` and
-        ``name.*``), e.g. after cancelling a speculative loser."""
-        prefix = part_name + "."
-        for name in shard.fs.list():
-            if name == part_name or name.startswith(prefix):
-                self._forget_and_delete(shard, name)
 
     def _forget_and_delete(self, shard, name: str) -> None:
         """Delete a file and drop any in-flight fault tracking on it

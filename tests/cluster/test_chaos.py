@@ -39,10 +39,13 @@ def _reference(pmem, n, fmt, seed):
 
 
 def _merged_output(cluster, n_parts, output_name="sharded-wiscsort.out"):
-    """Concatenate the partition outputs wherever they landed.
+    """The end-of-run check: concatenate the partition outputs wherever
+    they landed, and insist the run left nothing else behind.
 
-    Recovery and speculation may place a partition's output on a spare
-    shard, so every shard is searched for each part name.
+    A speculative win leaves its partition on the shard that won, so
+    every shard is searched for each part name: exactly one may hold it,
+    and no other file under ``<output_name>.`` (staging, speculative
+    copies, manifests, temp files) may survive on any shard.
     """
     parts = []
     for d in range(n_parts):
@@ -52,6 +55,15 @@ def _merged_output(cluster, n_parts, output_name="sharded-wiscsort.out"):
         f = holders[0].fs.open(name)
         if f.size:
             parts.append(f.peek())
+    outputs = {f"{output_name}.shard{d}" for d in range(n_parts)}
+    leftovers = {
+        shard.domain: sorted(
+            n for n in shard.fs.list()
+            if n.startswith(f"{output_name}.") and n not in outputs
+        )
+        for shard in cluster.shards
+    }
+    assert not any(leftovers.values()), f"run files left behind: {leftovers}"
     return np.concatenate(parts)
 
 
@@ -78,6 +90,44 @@ class TestShardCrashRecovery:
         assert result.validated
         assert report.crashes >= 1
         assert cluster.faults.shards_recovered == report.recoveries
+        assert np.array_equal(_merged_output(cluster, 3), reference)
+
+    def test_crash_under_speculation_leaves_no_copy(self, pmem, fmt):
+        """Regression: the crash unwinds the run while a speculative
+        staging copy is in flight on shard1; recovery used to scrub the
+        home shard only and left ``.stage0.spec`` behind."""
+        seed = SEEDS[1]
+        reference = _reference(pmem, N_RECORDS, fmt, seed)
+        cluster = Cluster(shards=2, profile=pmem)
+        data = generate_cluster_dataset(cluster, "input", N_RECORDS, fmt,
+                                        seed=seed)
+        plan = parse_fault_spec("shard0:crash@t:7.144348456530547e-05",
+                                seed=seed)
+        system = ShardedWiscSort(fmt, checkpoint=True)
+        result, report = run_cluster_with_faults(system, cluster, data,
+                                                 plan=plan)
+        assert result.validated and report.crashes == 1
+        assert cluster.faults.speculative_issues == 1
+        assert np.array_equal(_merged_output(cluster, 2), reference)
+
+    def test_crash_between_win_and_commit_keeps_one_output(self, pmem, fmt):
+        """Regression: shard1 crashes after the speculative winner's
+        rename and before its sorted manifest commits; recovery used to
+        re-sort at home and leave ``.shard0`` on two shards."""
+        seed = SEEDS[0]
+        reference = _reference(pmem, N_RECORDS, fmt, seed)
+        cluster = Cluster(shards=3, profile=pmem)
+        data = generate_cluster_dataset(cluster, "input", N_RECORDS, fmt,
+                                        seed=seed)
+        plan = parse_fault_spec(
+            "shard0:slow@t:3.04677e-05+0.00553958:x0.05,shard1:crash@op:14",
+            seed=seed,
+        )
+        system = ShardedWiscSort(fmt, checkpoint=True)
+        result, report = run_cluster_with_faults(system, cluster, data,
+                                                 plan=plan)
+        assert result.validated and report.crashes == 1
+        assert cluster.faults.speculative_wins == 1
         assert np.array_equal(_merged_output(cluster, 3), reference)
 
     def test_recovery_salvages_committed_partitions(self, pmem, fmt):

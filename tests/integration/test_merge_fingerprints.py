@@ -7,25 +7,31 @@ this table pins ``repr(total_time)``, internal byte counters, per-tag
 busy times and the output SHA-256 of each path that
 ``BENCH_selfperf.json`` (WiscSort only) does not already freeze, plus
 the ``last_recovery`` accounting of checkpointed sorts crashed at fixed
-fractions of their op stream.
+fractions of their op stream.  The ``sharded[...]`` entries (ISSUE 21)
+freeze ``ShardedWiscSort`` the same way -- fault-free, one shard crashed
+at fixed fractions of its op stream, the same under a straggler window,
+and two crashes -- with the counters that pin its control flow.
 
 The frozen values live in ``merge_fingerprints.json`` next to this
 file; they were captured at the commit *before* the refactor.  Re-capture
 (only when a simulated-result change is intended and explained)::
 
-    PYTHONPATH=src python tests/integration/test_merge_fingerprints.py
+    PYTHONPATH=src python -m tests.integration.test_merge_fingerprints
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
 from repro.baselines.external_merge_sort import ExternalMergeSort
 from repro.baselines.pmsort import PMSort, PMSortPlus
+from repro.cluster import Cluster, ShardedWiscSort, generate_cluster_dataset
 from repro.core.base import ConcurrencyModel, SortConfig
 from repro.core.compression import CompressionModel
 from repro.core.klv_sort import WiscSortKLV
@@ -33,10 +39,13 @@ from repro.core.natural_runs import NaturalRunWiscSort
 from repro.core.wiscsort import WiscSort
 from repro.faults import FaultPlan, parse_fault_spec, run_with_faults
 from repro.machine import Machine
+from repro.perf import collect_cluster_counters
 from repro.records.format import RecordFormat, record_sort_indices
 from repro.records.gensort import generate_dataset
 from repro.records.klv import KLVFormat, generate_klv_dataset
 from repro.units import KiB
+
+from tests.cluster.test_chaos import _merged_output
 
 FROZEN_PATH = Path(__file__).with_name("merge_fingerprints.json")
 FMT = RecordFormat()
@@ -91,9 +100,44 @@ CRASH_CASES = {
 }
 CRASH_PERCENTS = (2, 10, 30, 50, 70, 90)
 
+#: name -> (shards, per-shard system, checkpoint, fault spec or None).
+#: ``N%`` resolves against the victim's fault-free op count and ``<x>T``
+#: is x times the fault-free duration (both from one count-only probe);
+#: the slow window arms straggler speculation across the sort phase.
+SHARDED_SLOW = "shard0:slow@t:0.4T+50T:x0.1"
+SHARDED_TWO_CRASH = {2: "shard0:crash@30%,shard1:crash@70%",
+                     4: "shard1:crash@30%,shard3:crash@70%"}
+SHARDED_CASES = {}
+for _shards in (2, 4):
+    for _system in ("wiscsort", "wiscsort-merge"):
+        _key = f"sharded[{_system}]x{_shards}"
+        SHARDED_CASES[f"{_key}:no-checkpoint"] = (_shards, _system, False, None)
+        SHARDED_CASES[f"{_key}:fault-free"] = (_shards, _system, True, None)
+        # no crash: the whole run is one engine, so ``engine_steps`` and
+        # the speculation counters cover the watchers and the monitor
+        SHARDED_CASES[f"{_key}:slow"] = (_shards, _system, True, SHARDED_SLOW)
+        for _percent in CRASH_PERCENTS[1:]:
+            _crash = f"shard1:crash@{_percent}%"
+            SHARDED_CASES[f"{_key}:{_crash}"] = (_shards, _system, True, _crash)
+            SHARDED_CASES[f"{_key}:{_crash}+slow"] = (
+                _shards, _system, True, f"{_crash},{SHARDED_SLOW}"
+            )
+    SHARDED_CASES[f"sharded[wiscsort-merge]x{_shards}:two-crash"] = (
+        _shards, "wiscsort-merge", True, SHARDED_TWO_CRASH[_shards]
+    )
+    # shard0's first op is its key gather: no plan manifest to resume from
+    SHARDED_CASES[f"sharded[wiscsort-merge]x{_shards}:crash-before-plan"] = (
+        _shards, "wiscsort-merge", True, "shard0:crash@op:1"
+    )
+SHARDED_COUNTERS = (
+    "engine_steps", "ops_cancelled", "speculative_issues", "speculative_wins",
+    "shuffle_bytes_network",
+)
 
-def _fingerprint(machine, result):
-    output = machine.fs.open(result.output_name).peek()
+
+def _fingerprint(machine, result, output=None):
+    if output is None:
+        output = machine.fs.open(result.output_name).peek()
     return {
         "total_time": repr(result.total_time),
         "internal_read": result.internal_read,
@@ -152,8 +196,44 @@ def run_crash(name, percent):
     return fingerprint
 
 
+def _sharded_build(shards, system_name, checkpoint):
+    config = _config(96, 8)
+    cluster = Cluster(shards=shards, config=config)
+    data = generate_cluster_dataset(cluster, "input", N_RECORDS, FMT, seed=SEED)
+    system = ShardedWiscSort(
+        FMT, config=config, system=system_name, checkpoint=checkpoint
+    )
+    return cluster, data, system
+
+
+@lru_cache(maxsize=None)
+def _sharded_probe(shards, system_name):
+    """Per-shard op counts and duration T of the fault-free run."""
+    cluster, data, system = _sharded_build(shards, system_name, True)
+    probe = cluster.install_faults(FaultPlan(), count_only=True)
+    system.run(cluster, data, validate=False)
+    return probe.ops_seen(), cluster.now
+
+
+def run_sharded(name):
+    shards, system_name, checkpoint, spec = SHARDED_CASES[name]
+    cluster, data, system = _sharded_build(shards, system_name, checkpoint)
+    if spec is not None:
+        counts, total = _sharded_probe(shards, system_name)
+        spec = re.sub(r"([0-9.]+)T", lambda m: repr(float(m[1]) * total), spec)
+        cluster.install_faults(parse_fault_spec(spec, seed=SEED), counts=counts)
+    result, report = run_with_faults(system, cluster, data)
+    assert report.crashes == report.recoveries == (spec or "").count("crash")
+    fingerprint = _fingerprint(cluster, result, _merged_output(cluster, shards))
+    counters = collect_cluster_counters(cluster)
+    fingerprint.update({k: counters.get(k, 0) for k in SHARDED_COUNTERS})
+    fingerprint["last_recovery"] = system.last_recovery
+    return fingerprint
+
+
 def capture():
     frozen = {name: run_case(name) for name in CASES}
+    frozen.update({name: run_sharded(name) for name in SHARDED_CASES})
     frozen["wiscsort-klv"] = run_klv()
     frozen["wiscsort-natural"] = run_natural()
     for name in CRASH_CASES:
@@ -182,6 +262,11 @@ def test_natural_run_merge_fingerprint():
 @pytest.mark.parametrize("name", sorted(CRASH_CASES))
 def test_crash_recovery_fingerprint(name, percent):
     assert run_crash(name, percent) == FROZEN[f"{name}:crash@{percent}%"]
+
+
+@pytest.mark.parametrize("name", sorted(SHARDED_CASES))
+def test_sharded_fingerprint(name):
+    assert run_sharded(name) == FROZEN[name]
 
 
 if __name__ == "__main__":
