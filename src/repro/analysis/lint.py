@@ -20,14 +20,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from repro.analysis.rules import (
-    RULES,
-    Finding,
-    check_module,
-    collect_metric_registrations,
-    metric_collisions,
-    rules_for_path,
-)
+from repro.analysis.rules import RULES, Finding, check_module
 
 #: Directories never descended into.
 _SKIP_DIRS = {".git", "__pycache__", ".venv", "node_modules", ".ruff_cache"}
@@ -52,13 +45,8 @@ def iter_python_files(paths: Sequence[str]) -> List[Path]:
 def lint_paths(
     paths: Sequence[str], select: Optional[Sequence[str]] = None
 ) -> List[Finding]:
-    """Lint every python file under ``paths``; returns all findings.
-
-    Runs the per-file rules, then the cross-file half of OBS001
-    (metric-name kind collisions) over every file OBS001 applies to.
-    """
+    """Lint every python file under ``paths``; returns all findings."""
     findings: List[Finding] = []
-    registrations: List[tuple] = []
     for path in iter_python_files(paths):
         try:
             source = path.read_text(encoding="utf-8")
@@ -69,10 +57,6 @@ def lint_paths(
             continue
         try:
             findings.extend(check_module(source, str(path), select))
-            if "OBS001" in rules_for_path(str(path), select):
-                registrations.extend(
-                    collect_metric_registrations(source, str(path))
-                )
         except SyntaxError as exc:
             findings.append(
                 Finding(
@@ -83,7 +67,6 @@ def lint_paths(
                     f"syntax error: {exc.msg}",
                 )
             )
-    findings.extend(metric_collisions(registrations))
     return findings
 
 

@@ -45,12 +45,6 @@ PRG001    Unknown or retired rule id named in a ``# reprolint:``
           pragma.  A typo silently disables nothing; a retired id
           should be dropped (the pragma machinery reports what the
           rule was folded into).
-OBS001    Metric names registered in a :class:`MetricsRegistry`
-          (``.counter(...)`` / ``.gauge(...)`` / ``.histogram(...)``
-          with a literal name) must be snake_case, and one name must
-          mean one instrument kind across the whole tree -- a counter
-          in one module and a histogram in another under the same name
-          poisons every dashboard and diff that joins on it.
 ========  ============================================================
 
 Any rule can be silenced on a specific line with a trailing
@@ -62,7 +56,6 @@ carry a justification in the same comment.
 from __future__ import annotations
 
 import ast
-import re
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
@@ -76,13 +69,13 @@ RULES: Dict[str, str] = {
     "SIM005": "shared-state mutation from a spawned coroutine without an arbiter",
     "SIM006": "sort/min/max keyed on a bare sim-time value (ties not total)",
     "PRG001": "unknown or retired rule id in a reprolint pragma",
-    "OBS001": "metric name not snake_case / one name with two instrument kinds",
 }
 
 #: Rule ids that once existed and were retired; naming one in a pragma
 #: is a PRG001 finding explaining where the invariant went.
 RETIRED_RULES: Dict[str, str] = {
     "DET001": "folded into SIM003 (iteration-order leaks)",
+    "OBS001": "deleted with the metrics registry whose names it checked",
 }
 
 #: Path components that exempt a file from a rule.  ``repro.perf`` and
@@ -101,8 +94,6 @@ RULE_EXEMPT_PARTS: Dict[str, Set[str]] = {
     "SIM005": {"tests", "benchmarks", "examples"},
     "SIM006": {"tests", "benchmarks", "examples"},
     "PRG001": set(),
-    # Tests register throwaway scratch metrics under any name they like.
-    "OBS001": {"tests", "benchmarks", "examples"},
 }
 
 #: DEV001 only applies inside these packages (the sort algorithms); the
@@ -174,14 +165,6 @@ _ORDER_SENSITIVE_CALLS = {"list", "tuple", "enumerate", "sum"}
 #: Simulated-time value names for SIM004.
 _TIME_NAMES = {"now", "t0", "t1", "deadline", "first_active", "last_active"}
 _TIME_SUFFIXES = ("_time", "_at", "_settled")
-
-#: MetricsRegistry factory methods whose literal first argument is a
-#: metric name (OBS001).
-_METRIC_VERBS = {"counter", "gauge", "histogram"}
-
-#: Strict snake_case: lowercase segments separated by single
-#: underscores, no leading/trailing/doubled underscores.
-_SNAKE_RE = re.compile(r"^[a-z][a-z0-9]*(_[a-z0-9]+)*$")
 
 
 @dataclass(frozen=True)
@@ -414,20 +397,7 @@ class _FileChecker(ast.NodeVisitor):
         self._check_order_sensitive_call(node, dotted)
         self._check_raw_move_call(node)
         self._check_tie_break(node)
-        self._check_metric_name(node)
         self.generic_visit(node)
-
-    # -- OBS001 (per-file half; collisions are a cross-file pass) -------
-    def _check_metric_name(self, node: ast.Call) -> None:
-        name = _metric_registration(node)
-        if name is not None and not _SNAKE_RE.match(name[0]):
-            self._report(
-                node.args[0],
-                "OBS001",
-                f"metric name {name[0]!r} is not snake_case; use lowercase "
-                f"segments joined by single underscores "
-                f"(e.g. 'jobs_completed')",
-            )
 
     def _check_wallclock(self, node: ast.Call, dotted: Optional[str]) -> None:
         if dotted is None:
@@ -735,70 +705,6 @@ class _SpawnMutationChecker(ast.NodeVisitor):
             if root is not None and root not in local:
                 return f"{root}[...] (enclosing scope)"
         return None
-
-
-def _metric_registration(node: ast.Call) -> "Optional[tuple]":
-    """``(name, kind)`` when ``node`` registers a metric with a literal
-    name (``registry.counter("jobs_arrived")``), else None."""
-    func = node.func
-    if not (isinstance(func, ast.Attribute) and func.attr in _METRIC_VERBS):
-        return None
-    if not node.args:
-        return None
-    arg = node.args[0]
-    if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-        return (arg.value, func.attr)
-    return None
-
-
-def collect_metric_registrations(
-    source: str, path: str = "<string>"
-) -> List[tuple]:
-    """All literal-name metric registrations in one module.
-
-    Returns ``(name, kind, path, line, col)`` tuples for the cross-file
-    half of OBS001 (see :func:`metric_collisions`).
-    """
-    tree = ast.parse(source, filename=path)
-    out: List[tuple] = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            reg = _metric_registration(node)
-            if reg is not None:
-                out.append(
-                    (reg[0], reg[1], path, node.lineno, node.col_offset)
-                )
-    return out
-
-
-def metric_collisions(registrations: List[tuple]) -> List[Finding]:
-    """OBS001 cross-file pass: one metric name, one instrument kind.
-
-    The first registration site (path/line order) fixes the canonical
-    kind; every later site registering the same name as a different
-    kind is a finding.
-    """
-    by_name: Dict[str, List[tuple]] = {}
-    for name, kind, path, line, col in registrations:
-        by_name.setdefault(name, []).append((kind, path, line, col))
-    findings: List[Finding] = []
-    for name in sorted(by_name):
-        entries = sorted(by_name[name], key=lambda e: (e[1], e[2], e[3]))
-        canonical, c_path, c_line, _c = entries[0]
-        for kind, path, line, col in entries[1:]:
-            if kind != canonical:
-                findings.append(
-                    Finding(
-                        path,
-                        line,
-                        col,
-                        "OBS001",
-                        f"metric {name!r} registered as a {kind} here but "
-                        f"as a {canonical} at {c_path}:{c_line}; one name "
-                        f"must mean one instrument kind everywhere",
-                    )
-                )
-    return findings
 
 
 def rules_for_path(path: str, select: Optional[Iterable[str]] = None) -> Set[str]:

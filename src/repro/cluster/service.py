@@ -23,8 +23,9 @@ The pieces:
   :func:`parse_slo` parses the string grammar.
 * :class:`SortService` -- drives one arrival stream through the
   cluster under a registry-resolved policy
-  (``fifo``/``fair``/``edf``/``backpressure``/``shed``) and collects
-  per-job metrics into a :class:`~repro.trace.MetricsRegistry`.
+  (``fifo``/``fair``/``edf``/``backpressure``/``shed``) and reduces
+  per-job metrics to percentiles, one
+  :class:`~repro.trace.Histogram` per metric.
 * :class:`ServiceReport` -- counters, a p50/p99/p999 percentile table
   and SLO verdicts, with a byte-deterministic :meth:`~ServiceReport.render`
   and :meth:`~ServiceReport.to_json` (the CI service gate compares the
@@ -51,7 +52,7 @@ from repro.registry import create_system, get_policy
 from repro.sim.engine import Now, Sleep, Spawn
 from repro.sim.primitives import Semaphore
 from repro.sim.probe import ProbeSet
-from repro.trace.metrics import MetricsRegistry
+from repro.trace.metrics import Histogram
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.policies import SchedulingContext
@@ -355,7 +356,6 @@ class ServiceReport:
     percentiles: Dict[str, Dict[str, float]] = field(default_factory=dict)
     #: ``[{"slo": spec, "measured": v, "ok": bool}, ...]``.
     slo_results: List[dict] = field(default_factory=list)
-    metrics: Optional[MetricsRegistry] = None
     jobs: List[Job] = field(default_factory=list)
     extras: dict = field(default_factory=dict)
     #: :meth:`SLOMonitor.summary` when a monitor was attached.
@@ -493,7 +493,6 @@ class SortService:
         self.monitor = monitor
         #: Every job that arrived, shed ones included, in arrival order.
         self.jobs: List[Job] = []
-        self.metrics = MetricsRegistry()
 
     # ------------------------------------------------------------------
     def serve(
@@ -699,24 +698,14 @@ class SortService:
 
     # ------------------------------------------------------------------
     def _report(self, run: _Run, completed: List[Job]) -> ServiceReport:
-        latency = self.metrics.histogram(
-            "job_latency_seconds", buckets=TIME_BUCKETS
-        )
-        slowdown = self.metrics.histogram(
-            "job_slowdown", buckets=SLOWDOWN_BUCKETS
-        )
-        queue = self.metrics.histogram(
-            "job_queue_seconds", buckets=TIME_BUCKETS
-        )
+        latency = Histogram("job_latency_seconds", buckets=TIME_BUCKETS)
+        slowdown = Histogram("job_slowdown", buckets=SLOWDOWN_BUCKETS)
+        queue = Histogram("job_queue_seconds", buckets=TIME_BUCKETS)
         for job in completed:
             latency.observe(job.latency)
             slowdown.observe(job.slowdown)
             queue.observe(job.queue_time)
         deadline_misses = sum(job.missed_deadline for job in completed)
-        self.metrics.counter("jobs_arrived").set_total(run.arrived)
-        self.metrics.counter("jobs_shed").set_total(run.shed)
-        self.metrics.counter("jobs_completed").set_total(len(completed))
-        self.metrics.counter("deadline_misses").set_total(deadline_misses)
         hists = {"latency": latency, "slowdown": slowdown, "queue": queue}
         percentiles = {
             metric: {
@@ -753,7 +742,6 @@ class SortService:
             makespan=makespan,
             percentiles=percentiles,
             slo_results=slo_results,
-            metrics=self.metrics,
             jobs=list(self.jobs),
             burn=burn,
         )

@@ -81,8 +81,9 @@ class SchemaMismatchError(ConfigError):
     """Two JSON reports cannot be compared (``repro trace-diff``).
 
     Raised when a document lacks the ``"schema"`` version stamp, when
-    the two documents' schema versions disagree, or when their document
-    kinds differ (an analysis report against a selfperf baseline).
+    the two documents' schema versions disagree, when their document
+    kinds differ (an analysis report against a selfperf baseline), or
+    when a row is malformed (a missing field, a non-number).
     """
 
 

@@ -21,9 +21,14 @@ cheap always-on counters:
   not that memoization stopped working.  A model-side miss is one full
   waterfill run.
 
-:func:`collect_counters` snapshots them all from a
-:class:`~repro.machine.Machine`; :class:`SelfPerfProfiler` adds
-per-phase wall timers; :func:`render_report` formats both for humans.
+This module is the one counter surface: every counter of a run is a key
+of the flat dict :func:`collect_counters` (a
+:class:`~repro.machine.Machine`) or :func:`collect_cluster_counters` (a
+cluster) returns.  Kernel counters are unprefixed; the device block is
+unprefixed for a machine and ``"<domain>."``-prefixed per shard; fault
+ledgers are ``FaultStats.as_dict()`` flattened under ``fault_`` by the
+same rule on both.  :class:`SelfPerfProfiler` adds per-phase wall
+timers; :func:`render_report` formats both for humans.
 """
 
 from __future__ import annotations
@@ -31,6 +36,8 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from typing import Dict, List, Optional
+
+from repro.cluster.cluster import ClusterFaultState
 
 
 class SelfPerfProfiler:
@@ -93,36 +100,18 @@ def collect_counters(machine) -> Dict[str, float]:
     salvaged-vs-redone recovery bytes -- so fault-injected runs report
     their robustness overhead alongside the kernel counters.
     """
-    engine = machine.engine
-    fluid = engine.fluid
-    model = machine.rate_model
-    hits = getattr(model, "cache_hits", 0)
-    misses = getattr(model, "cache_misses", 0)
-    lookups = hits + misses
-    counters = _base_counters(machine, engine, fluid, hits, misses, lookups)
+    counters = _kernel_counters(machine.engine)
+    _device_counters("", machine, counters)
     if machine.faults is not None:
-        fs = machine.faults.stats
-        counters.update(
-            {
-                "fault_ops_seen": fs.ops_seen,
-                "fault_injected": fs.faults_injected,
-                "fault_retries": fs.retries,
-                "fault_backoff_seconds": fs.backoff_seconds,
-                "fault_retries_exhausted": fs.exhausted,
-                "fault_crashes": fs.crashes,
-                "fault_recoveries": fs.recoveries,
-                "fault_torn_writes": fs.torn_writes,
-                "fault_torn_bytes_discarded": fs.torn_bytes_discarded,
-                "fault_slow_windows": fs.slow_windows,
-                "fault_salvaged_bytes": fs.salvaged_bytes,
-                "fault_redone_bytes": fs.redone_bytes,
-            }
+        ClusterFaultState._flatten(
+            "fault_", machine.faults.stats.as_dict(), counters
         )
     return counters
 
 
-def _kernel_counters(engine, fluid) -> Dict[str, float]:
+def _kernel_counters(engine) -> Dict[str, float]:
     """Engine and scheduler counters (exist once, even on a cluster)."""
+    fluid = engine.fluid
     solves = fluid.vector_solves
     return {
         "sim_seconds": engine.now,
@@ -143,17 +132,19 @@ def _kernel_counters(engine, fluid) -> Dict[str, float]:
     }
 
 
-def _base_counters(machine, engine, fluid, hits, misses, lookups) -> Dict[str, float]:
-    counters = _kernel_counters(engine, fluid)
-    counters.update(
-        {
-            "intervals_observed": len(machine.stats.timeline),
-            "rate_cache_hits": hits,
-            "rate_cache_misses": misses,
-            "rate_cache_hit_rate": (hits / lookups) if lookups else 0.0,
-        }
-    )
-    return counters
+def _device_counters(prefix: str, machine, out: Dict[str, float]) -> None:
+    """One device's rate-memo and traffic counters, keys ``prefix + name``
+    (``""`` for a standalone machine, ``"<domain>."`` for a shard)."""
+    model = machine.rate_model
+    hits = getattr(model, "cache_hits", 0)
+    misses = getattr(model, "cache_misses", 0)
+    lookups = hits + misses
+    out[f"{prefix}intervals_observed"] = len(machine.stats.timeline)
+    out[f"{prefix}rate_cache_hits"] = hits
+    out[f"{prefix}rate_cache_misses"] = misses
+    out[f"{prefix}rate_cache_hit_rate"] = (hits / lookups) if lookups else 0.0
+    out[f"{prefix}device_bytes_read"] = machine.stats.bytes_read_internal
+    out[f"{prefix}device_bytes_written"] = machine.stats.bytes_written_internal
 
 
 def collect_cluster_counters(cluster) -> Dict[str, float]:
@@ -165,28 +156,10 @@ def collect_cluster_counters(cluster) -> Dict[str, float]:
     namespaced ``"{domain}.{name}"`` (e.g. ``"shard0.rate_cache_hits"``)
     so a flat snapshot stays collision-free across shards.
     """
-    engine = cluster.engine
-    fluid = engine.fluid
-    counters = _kernel_counters(engine, fluid)
+    counters = _kernel_counters(cluster.engine)
     for shard in cluster.shards:
-        model = shard.rate_model
-        hits = getattr(model, "cache_hits", 0)
-        misses = getattr(model, "cache_misses", 0)
-        lookups = hits + misses
-        prefix = shard.domain
-        counters[f"{prefix}.intervals_observed"] = len(shard.stats.timeline)
-        counters[f"{prefix}.rate_cache_hits"] = hits
-        counters[f"{prefix}.rate_cache_misses"] = misses
-        counters[f"{prefix}.rate_cache_hit_rate"] = (
-            (hits / lookups) if lookups else 0.0
-        )
-        counters[f"{prefix}.device_bytes_read"] = (
-            shard.stats.bytes_read_internal
-        )
-        counters[f"{prefix}.device_bytes_written"] = (
-            shard.stats.bytes_written_internal
-        )
-    counters["ops_cancelled"] = fluid.ops_cancelled
+        _device_counters(f"{shard.domain}.", shard, counters)
+    counters["ops_cancelled"] = cluster.engine.fluid.ops_cancelled
     counters["shuffle_bytes_network"] = (
         cluster.net_stats.bytes_total if cluster.net_stats is not None else 0.0
     )
@@ -239,7 +212,7 @@ def render_report(
     if "fault_ops_seen" in c:
         lines.append(
             "  faults         : "
-            f"{int(c['fault_injected'])} injected over "
+            f"{int(c['fault_faults_injected'])} injected over "
             f"{int(c['fault_ops_seen'])} file ops, "
             f"{int(c['fault_crashes'])} crashes, "
             f"{int(c['fault_slow_windows'])} slow windows"

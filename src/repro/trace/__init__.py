@@ -1,4 +1,4 @@
-"""``repro.trace``: sim-time tracing, metrics registry, trace export.
+"""``repro.trace``: sim-time tracing, critical-path analysis, trace export.
 
 The observability layer for the simulator.  A :class:`Tracer` installs
 on a machine or cluster as a probe on the bus (:mod:`repro.sim.probe`)
@@ -27,6 +27,11 @@ Programmatic::
 process-lifetime records for the critical-path analyzer
 (:func:`analyze_tracer`, ``python -m repro analyze``), still
 observe-only: simulated results stay bit-identical.
+
+Counters are not here: a run's counters are the flat dict of
+:func:`repro.perf.collect_counters` /
+:func:`~repro.perf.collect_cluster_counters`.  :class:`Histogram` is the
+percentile estimator of the service report.
 """
 
 from repro.trace.analyze import (
@@ -50,35 +55,20 @@ from repro.trace.export import (
     write_report_json,
     write_spans_jsonl,
 )
-from repro.trace.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    WindowedSeries,
-    counter_windows,
-    snapshot_cluster,
-    snapshot_machine,
-    tracer_histograms,
-)
+from repro.trace.metrics import Histogram
 from repro.trace.tracer import Span, Tracer
 
 __all__ = [
     "AnalysisReport",
     "CATEGORIES",
-    "Counter",
     "CriticalPath",
     "PhaseBreakdown",
-    "WindowedSeries",
     "analyze_tracer",
     "blame_table",
-    "counter_windows",
     "diff_reports",
     "parse_what_if",
     "render_diff",
-    "Gauge",
     "Histogram",
-    "MetricsRegistry",
     "Span",
     "Tracer",
     "chrome_trace_events",
@@ -87,10 +77,7 @@ __all__ = [
     "load_report_json",
     "render_phase_rollup",
     "render_trace_report",
-    "snapshot_cluster",
-    "snapshot_machine",
     "spans_jsonl",
-    "tracer_histograms",
     "write_chrome_trace",
     "write_report_json",
     "write_spans_jsonl",

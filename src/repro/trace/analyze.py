@@ -333,26 +333,68 @@ def _doc_kind(doc: dict) -> str:
     )
 
 
-def _analysis_rows(doc: dict) -> Dict[str, float]:
-    return {ph["name"]: ph["duration"] for ph in doc["phases"]}
+def _mapping(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise SchemaMismatchError(f"{where} is {value!r}, not an object")
+    return value
 
 
-def _selfperf_rows(doc: dict) -> Dict[str, float]:
+def _field(obj, key: str, where: str):
+    if key not in _mapping(obj, where):
+        raise SchemaMismatchError(f"{where} has no {key!r} field")
+    return obj[key]
+
+
+def _analysis_rows(doc: dict, label: str) -> Dict[str, float]:
+    phases = doc["phases"]
+    if not isinstance(phases, list):
+        raise SchemaMismatchError(f"{label} 'phases' is not a list")
     rows = {}
-    for name, wl in doc["workloads"].items():
-        fp = wl.get("fingerprint", {})
-        total = fp.get("total_time")
-        rows[name] = (
-            float.fromhex(total) if isinstance(total, str) else wl["sim_seconds"]
-        )
+    for i, ph in enumerate(phases):
+        name = _field(ph, "name", f"{label} phase #{i}")
+        if not isinstance(name, str):
+            raise SchemaMismatchError(f"{label} phase #{i} name is {name!r}")
+        rows[name] = _field(ph, "duration", f"{label} phase {name!r}")
     return rows
 
 
-def _service_rows(doc: dict) -> Dict[str, float]:
-    rows = {"makespan": doc["makespan"]}
-    for metric, pcts in doc["percentiles"].items():
-        for p, value in pcts.items():
+def _selfperf_rows(doc: dict, label: str) -> Dict[str, float]:
+    rows = {}
+    for name, wl in _mapping(doc["workloads"], f"{label} 'workloads'").items():
+        where = f"{label} workload {name!r}"
+        fingerprint = _mapping(wl, where).get("fingerprint", {})
+        total = _mapping(fingerprint, f"{where} fingerprint").get("total_time")
+        if isinstance(total, str):
+            try:
+                rows[name] = float.fromhex(total)
+            except ValueError:
+                raise SchemaMismatchError(
+                    f"{where} total_time {total!r} is not a hex float"
+                ) from None
+        else:
+            rows[name] = _field(wl, "sim_seconds", where)
+    return rows
+
+
+def _service_rows(doc: dict, label: str) -> Dict[str, float]:
+    rows = {"makespan": _field(doc, "makespan", label)}
+    percentiles = _mapping(doc["percentiles"], f"{label} 'percentiles'")
+    for metric, pcts in percentiles.items():
+        where = f"{label} percentiles {metric!r}"
+        for p, value in _mapping(pcts, where).items():
             rows[f"{metric}:{p}"] = value
+    return rows
+
+
+def _rows(extract, doc: dict, label: str) -> Dict[str, float]:
+    """One document's ``{row: number}``; anything else in a row's place
+    is a typed error naming the document and the row."""
+    rows = extract(doc, label)
+    for name, value in rows.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise SchemaMismatchError(
+                f"{label} row {name!r} is {value!r}, not a number"
+            )
     return rows
 
 
@@ -365,7 +407,8 @@ def diff_reports(
     service percentile) whose value grew by more than ``threshold``
     relative; shrinking rows are reported as improvements.  Raises
     :class:`~repro.errors.SchemaMismatchError` on schema or kind
-    disagreements instead of a ``KeyError`` deep in a comparison.
+    disagreements and on a malformed row, instead of a ``KeyError`` or
+    ``TypeError`` deep in a comparison.
     """
     schema_a = _require_schema(doc_a, "document A")
     schema_b = _require_schema(doc_b, "document B")
@@ -385,8 +428,8 @@ def diff_reports(
         "selfperf": _selfperf_rows,
         "service": _service_rows,
     }[kind]
-    rows_a = extract(doc_a)
-    rows_b = extract(doc_b)
+    rows_a = _rows(extract, doc_a, "document A")
+    rows_b = _rows(extract, doc_b, "document B")
     regressions: List[dict] = []
     improvements: List[dict] = []
     missing: List[str] = sorted(

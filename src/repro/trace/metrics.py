@@ -1,101 +1,40 @@
-"""Typed metrics registry: counters, gauges, histograms with labels.
+"""The bucketed :class:`Histogram` behind the service report's percentiles.
 
-Unifies the repo's ad-hoc counter surfaces -- ``collect_counters``
-kernel counters, :class:`~repro.device.stats.DeviceStats` totals,
-:class:`~repro.cluster.stats.ClusterStats` merges and
-:class:`~repro.faults.injector.FaultStats` -- behind one snapshot/diff
-API:
+Counters are not kept here: every counter of a run is one key of the
+flat dict :func:`repro.perf.collect_counters` /
+:func:`repro.perf.collect_cluster_counters` return.  This module keeps
+the one estimator a flat dict cannot hold, the percentile over a
+distribution:
 
-    >>> reg = snapshot_machine(machine)
-    >>> snap = reg.snapshot()
-    >>> snap["engine_steps"]
-    1234.0
-    >>> reg.diff(snap)     # after more work: only what changed
-    {...}
-
-Metric keys render as ``name{label=value,...}`` with labels sorted by
-label name, so snapshots are deterministic dictionaries suitable for
-JSON dumps and fingerprint comparison.
+    >>> h = Histogram("job_latency_seconds", buckets=(1e-3, 1e-2))
+    >>> h.observe(0.004)
+    >>> h.percentile(99.0)
+    0.004
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Sequence
 
 _DEFAULT_BUCKETS = (
     1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0
 )
 
 
-def _render_key(name: str, labels: Optional[dict]) -> str:
-    if not labels:
-        return name
-    inner = ",".join(f"{k}={labels[k]}" for k in sorted(labels))
-    return f"{name}{{{inner}}}"
-
-
-class Counter:
-    """Monotonically non-decreasing total."""
-
-    __slots__ = ("name", "labels", "value")
-
-    def __init__(self, name: str, labels: Optional[dict] = None):
-        self.name = name
-        self.labels = labels
-        self.value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.name!r} cannot decrease")
-        self.value += amount
-
-    def set_total(self, value: float) -> None:
-        """Overwrite with an externally accumulated total (bridges)."""
-        self.value = float(value)
-
-    def sample(self) -> Dict[str, float]:
-        return {_render_key(self.name, self.labels): self.value}
-
-
-class Gauge:
-    """Point-in-time value; goes up and down."""
-
-    __slots__ = ("name", "labels", "value")
-
-    def __init__(self, name: str, labels: Optional[dict] = None):
-        self.name = name
-        self.labels = labels
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
-
-    def add(self, amount: float) -> None:
-        self.value += amount
-
-    def sample(self) -> Dict[str, float]:
-        return {_render_key(self.name, self.labels): self.value}
-
-
 class Histogram:
     """Cumulative-bucket histogram (Prometheus-style ``le`` buckets)."""
 
-    __slots__ = (
-        "name", "labels", "buckets", "counts", "total", "count",
-        "vmin", "vmax",
-    )
+    __slots__ = ("name", "buckets", "counts", "total", "count", "vmin", "vmax")
 
     def __init__(
         self,
         name: str,
-        labels: Optional[dict] = None,
         buckets: Sequence[float] = _DEFAULT_BUCKETS,
     ):
         if list(buckets) != sorted(buckets):
             raise ValueError(f"histogram {name!r} buckets must be sorted")
         self.name = name
-        self.labels = labels
         self.buckets = tuple(buckets)
         self.counts = [0] * (len(self.buckets) + 1)  # +inf overflow
         self.total = 0.0
@@ -155,324 +94,3 @@ class Histogram:
             return self.vmax
         frac = (rank - cumulative) / n
         return lo + frac * (self.vmax - lo)
-
-    def sample(self) -> Dict[str, float]:
-        base = _render_key(self.name, self.labels)
-        out = {
-            f"{base}.count": float(self.count),
-            f"{base}.sum": self.total,
-        }
-        cumulative = 0
-        for edge, n in zip(self.buckets, self.counts):
-            cumulative += n
-            label = "inf" if math.isinf(edge) else repr(edge)
-            out[f"{base}.le_{label}"] = float(cumulative)
-        out[f"{base}.le_inf"] = float(self.count)
-        return out
-
-
-class MetricsRegistry:
-    """Keyed store of typed metrics with one snapshot/diff API.
-
-    ``counter``/``gauge``/``histogram`` are get-or-create: the same
-    ``(name, labels)`` pair always returns the same instrument, so
-    bridge functions can be re-run to refresh totals in place.
-    """
-
-    def __init__(self) -> None:
-        self._metrics: Dict[str, object] = {}
-
-    def _get(self, cls, name: str, labels: Optional[dict], **kwargs):
-        key = _render_key(name, labels)
-        metric = self._metrics.get(key)
-        if metric is None:
-            metric = cls(name, labels, **kwargs)
-            self._metrics[key] = metric
-        elif not isinstance(metric, cls):
-            raise ValueError(
-                f"metric {key!r} already registered as "
-                f"{type(metric).__name__}, not {cls.__name__}"
-            )
-        return metric
-
-    def counter(self, name: str, labels: Optional[dict] = None) -> Counter:
-        return self._get(Counter, name, labels)
-
-    def gauge(self, name: str, labels: Optional[dict] = None) -> Gauge:
-        return self._get(Gauge, name, labels)
-
-    def histogram(
-        self,
-        name: str,
-        labels: Optional[dict] = None,
-        buckets: Sequence[float] = _DEFAULT_BUCKETS,
-    ) -> Histogram:
-        return self._get(Histogram, name, labels, buckets=buckets)
-
-    def __len__(self) -> int:
-        return len(self._metrics)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._metrics
-
-    def snapshot(self) -> Dict[str, float]:
-        """Flat ``{rendered_key: value}`` dict, keys sorted."""
-        flat: Dict[str, float] = {}
-        for key in sorted(self._metrics):
-            flat.update(self._metrics[key].sample())
-        return dict(sorted(flat.items()))
-
-    def diff(self, before: Dict[str, float]) -> Dict[str, float]:
-        """Changes since a prior :meth:`snapshot` (new keys included)."""
-        after = self.snapshot()
-        out: Dict[str, float] = {}
-        for key, value in after.items():
-            prev = before.get(key, 0.0)
-            if value != prev:
-                out[key] = value - prev
-        return out
-
-    def render(self) -> str:
-        """Plain-text dump, one ``key value`` line per sample."""
-        snap = self.snapshot()
-        if not snap:
-            return "(no metrics registered)"
-        width = max(len(k) for k in snap)
-        return "\n".join(f"{k:<{width}}  {v:g}" for k, v in snap.items())
-
-
-# ----------------------------------------------------------------------
-# Windowed time-series rollups (sim-time windows)
-# ----------------------------------------------------------------------
-class WindowedSeries:
-    """Event observations bucketed into fixed sim-time windows.
-
-    Each window keeps its own :class:`Histogram`, so rolling p50/p99
-    come straight from the same interpolation the registry uses
-    elsewhere.  Deterministic: the same ``(t, value)`` stream always
-    produces the same rows.  This is the rollup surface behind the SLO
-    burn-rate monitor and the ``analyze`` CLI's service view.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        window: float,
-        buckets: Sequence[float] = _DEFAULT_BUCKETS,
-    ):
-        if window <= 0:
-            raise ValueError(f"series {name!r} window must be > 0")
-        self.name = name
-        self.window = window
-        self.buckets = tuple(buckets)
-        self._windows: Dict[int, Histogram] = {}
-
-    def observe(self, t: float, value: float) -> None:
-        idx = int(t // self.window)
-        hist = self._windows.get(idx)
-        if hist is None:
-            hist = Histogram(self.name, buckets=self.buckets)
-            self._windows[idx] = hist
-        hist.observe(value)
-
-    def __len__(self) -> int:
-        return len(self._windows)
-
-    def rows(
-        self, percentiles: Sequence[float] = (50.0, 99.0)
-    ) -> List[dict]:
-        """One dict per non-empty window, in time order."""
-        out = []
-        for idx in sorted(self._windows):
-            hist = self._windows[idx]
-            row = {
-                "t0": idx * self.window,
-                "t1": (idx + 1) * self.window,
-                "count": hist.count,
-                "mean": hist.mean,
-            }
-            for q in percentiles:
-                row[f"p{q:g}".replace(".", "_")] = hist.percentile(q)
-            out.append(row)
-        return out
-
-
-def counter_windows(
-    counters: Sequence[Tuple[float, str, str, float]],
-    track: str,
-    series: str,
-    window: float,
-    t_end: Optional[float] = None,
-) -> List[dict]:
-    """Time-weighted rollup of one counter track into sim-time windows.
-
-    Counter samples are change-points of a step function (utilization,
-    queue depth); this integrates that step function per window and
-    reports the time-weighted mean plus the max level seen.  ``t_end``
-    bounds the final sample's reach (defaults to the last sample time).
-    Returns ``{"t0", "t1", "avg", "max"}`` rows for covered windows.
-    """
-    if window <= 0:
-        raise ValueError("window must be > 0")
-    points = [
-        (t, value) for (t, trk, ser, value) in counters
-        if trk == track and ser == series
-    ]
-    if not points:
-        return []
-    points.sort(key=lambda p: p[0])
-    end = t_end if t_end is not None else points[-1][0]
-    acc: Dict[int, List[float]] = {}  # idx -> [integral, max]
-    for i, (t0, value) in enumerate(points):
-        t1 = points[i + 1][0] if i + 1 < len(points) else end
-        if t1 <= t0:
-            continue
-        lo = t0
-        while lo < t1:
-            idx = int(lo // window)
-            hi = min((idx + 1) * window, t1)
-            slot = acc.get(idx)
-            if slot is None:
-                slot = [0.0, value]
-                acc[idx] = slot
-            slot[0] += (hi - lo) * value
-            if value > slot[1]:
-                slot[1] = value
-            lo = hi
-    out = []
-    for idx in sorted(acc):
-        integral, peak = acc[idx]
-        lo = idx * window
-        hi = min((idx + 1) * window, end)
-        covered = hi - lo
-        out.append({
-            "t0": lo,
-            "t1": idx * window + window,
-            "avg": integral / covered if covered > 0 else 0.0,
-            "max": peak,
-        })
-    return out
-
-
-# ----------------------------------------------------------------------
-# Bridges from the existing ad-hoc stat surfaces
-# ----------------------------------------------------------------------
-def _bridge_kernel(registry: MetricsRegistry, counters: Dict[str, float],
-                   labels: Optional[dict] = None) -> None:
-    for name, value in counters.items():
-        if name.endswith("hit_rate"):
-            registry.gauge(name, labels).set(value)
-        elif name == "sim_seconds":
-            registry.gauge(name, labels).set(value)
-        else:
-            registry.counter(name, labels).set_total(value)
-
-
-def _bridge_device_stats(registry: MetricsRegistry, stats,
-                         labels: Optional[dict] = None) -> None:
-    registry.counter("device_bytes_read_internal", labels).set_total(
-        stats.bytes_read_internal
-    )
-    registry.counter("device_bytes_written_internal", labels).set_total(
-        stats.bytes_written_internal
-    )
-    for tag, tstats in stats.tag_table():
-        tl = dict(labels) if labels else {}
-        tl["tag"] = tag
-        registry.counter("device_busy_seconds", tl).set_total(tstats.busy_time)
-        registry.counter("device_user_bytes", tl).set_total(tstats.user_bytes)
-        registry.counter("device_ops", tl).set_total(tstats.op_count)
-
-
-def _bridge_dram(registry: MetricsRegistry, dram,
-                 labels: Optional[dict] = None) -> None:
-    registry.gauge("dram_used_bytes", labels).set(dram.used)
-    registry.gauge("dram_peak_bytes", labels).set(dram.peak)
-
-
-def _bridge_faults(registry: MetricsRegistry, injector,
-                   labels: Optional[dict] = None) -> None:
-    for name, value in injector.stats.as_dict().items():
-        if name == "by_kind":
-            for kind, count in value.items():
-                kl = dict(labels) if labels else {}
-                kl["kind"] = kind
-                registry.counter("fault_injected_by_kind", kl).set_total(count)
-            continue
-        registry.counter(f"fault_{name}", labels).set_total(value)
-
-
-def snapshot_machine(
-    machine, registry: Optional[MetricsRegistry] = None
-) -> MetricsRegistry:
-    """One registry covering a standalone machine: kernel counters,
-    device totals, DRAM watermarks and (if armed) fault counters."""
-    from repro.perf.profiler import collect_counters
-
-    registry = registry if registry is not None else MetricsRegistry()
-    counters = collect_counters(machine)
-    fault_keys = {k for k in counters if k.startswith("fault_")}
-    _bridge_kernel(
-        registry, {k: v for k, v in counters.items() if k not in fault_keys}
-    )
-    _bridge_device_stats(registry, machine.stats)
-    _bridge_dram(registry, machine.dram)
-    if machine.faults is not None:
-        _bridge_faults(registry, machine.faults)
-    return registry
-
-
-def snapshot_cluster(
-    cluster, registry: Optional[MetricsRegistry] = None
-) -> MetricsRegistry:
-    """One registry covering a cluster: shared kernel counters once,
-    then per-shard device totals labelled ``shard=<domain>``."""
-    from repro.perf.profiler import collect_cluster_counters
-
-    registry = registry if registry is not None else MetricsRegistry()
-    counters = collect_cluster_counters(cluster)
-    _bridge_kernel(
-        registry, {k: v for k, v in counters.items() if "." not in k}
-    )
-    for shard in cluster.shards:
-        labels = {"shard": shard.domain}
-        _bridge_device_stats(registry, shard.stats, labels)
-        if shard.faults is not None:
-            _bridge_faults(registry, shard.faults, labels)
-    _bridge_dram(registry, cluster.dram)
-    return registry
-
-
-def tracer_histograms(
-    tracer, registry: Optional[MetricsRegistry] = None
-) -> MetricsRegistry:
-    """Span/op duration histograms from a finished tracer.
-
-    Spans feed ``span_seconds{name=...}``; completed ops feed
-    ``op_seconds{kind=...,track=...}`` and ``op_bytes{...}``.
-    """
-    registry = registry if registry is not None else MetricsRegistry()
-    for span in tracer.spans:
-        if span.t1 is None:
-            continue
-        registry.histogram("span_seconds", {"name": span.name}).observe(
-            span.t1 - span.t0
-        )
-    for rec in tracer.ops:
-        done = rec["t1"]
-        if done is None:
-            continue
-        labels = {"kind": rec["kind"], "track": rec["track"]}
-        registry.histogram("op_seconds", labels).observe(done - rec["t0"])
-        if rec["kind"] == "io":
-            registry.histogram(
-                "op_bytes",
-                {"direction": rec["direction"], "track": rec["track"]},
-                buckets=(4096.0, 65536.0, 1048576.0, 16777216.0, 268435456.0),
-            ).observe(rec["bytes"])
-    return registry
-
-
-def registry_rows(snapshot: Dict[str, float]) -> List[Tuple[str, float]]:
-    """Snapshot as sorted rows (convenience for table renderers)."""
-    return sorted(snapshot.items())

@@ -24,8 +24,7 @@ What gets recorded (all timestamps are *simulated* seconds):
   machine track (from a private interval observer), DRAM usage (the
   bus's ``dram_change`` event) and scheduler queue depth.
 
-Export formats live in :mod:`repro.trace.export`; the typed metrics
-registry in :mod:`repro.trace.metrics`.
+Export formats live in :mod:`repro.trace.export`.
 """
 
 from __future__ import annotations

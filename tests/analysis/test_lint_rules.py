@@ -261,7 +261,7 @@ class TestDriver:
     def test_rules_registry_complete(self):
         assert set(RULES) == {
             "SIM001", "SIM002", "SIM003", "SIM004", "SIM005", "SIM006",
-            "DEV001", "PRG001", "OBS001",
+            "DEV001", "PRG001",
         }
 
     def test_syntax_error_reported_not_raised(self, tmp_path):
@@ -549,6 +549,12 @@ class TestPragmaValidation:
         assert "retired" in f.message
         assert "SIM003" in f.message
 
+    def test_deleted_rule_pragma_is_retired(self):
+        src = "x = 1  # reprolint" ": disable=OBS001 -- legacy dashboard key\n"
+        (f,) = lint_source(src, SRC)
+        assert f.rule == "PRG001"
+        assert "retired" in f.message and "OBS001" in f.message
+
     def test_known_rule_pragma_clean(self):
         src = "x = {1}\nfor i in x:  # reprolint: disable=SIM003 -- justified\n    pass\n"
         assert lint_source(src, SRC) == []
@@ -592,81 +598,3 @@ class TestGithubFormat:
         out = capsys.readouterr().out
         assert "::error" not in out
         assert "0 finding(s)" in out
-
-
-# ----------------------------------------------------------------------
-# OBS001: metric naming discipline
-# ----------------------------------------------------------------------
-
-
-class TestOBS001:
-    def test_camel_case_metric_name_flagged(self):
-        src = "def f(reg):\n    reg.counter('JobsArrived').inc()\n"
-        assert "OBS001" in rules_hit(src)
-
-    def test_dashes_flagged(self):
-        src = "def f(reg):\n    reg.gauge('dram-used').set(1.0)\n"
-        assert "OBS001" in rules_hit(src)
-
-    def test_double_underscore_flagged(self):
-        src = "def f(reg):\n    reg.histogram('op__seconds')\n"
-        assert "OBS001" in rules_hit(src)
-
-    def test_snake_case_clean(self):
-        src = (
-            "def f(reg):\n"
-            "    reg.counter('jobs_arrived').inc()\n"
-            "    reg.gauge('dram_used_bytes').set(1.0)\n"
-            "    reg.histogram('op_seconds')\n"
-        )
-        assert "OBS001" not in rules_hit(src)
-
-    def test_non_literal_name_ignored(self):
-        src = "def f(reg, name):\n    reg.counter(name).inc()\n"
-        assert "OBS001" not in rules_hit(src)
-
-    def test_exempt_under_tests_and_benchmarks(self):
-        src = "def f(reg):\n    reg.counter('BadName').inc()\n"
-        assert "OBS001" not in rules_hit(src, path="tests/test_x.py")
-        assert "OBS001" not in rules_hit(src, path="benchmarks/bench_x.py")
-
-    def test_pragma_disables(self):
-        src = (
-            "def f(reg):\n"
-            "    reg.counter('BadName').inc()"
-            "  # reprolint: disable=OBS001 -- legacy dashboard key\n"
-        )
-        assert lint_source(src, SRC, ["OBS001"]) == []
-
-    def test_cross_file_kind_collision(self, tmp_path):
-        (tmp_path / "a.py").write_text(
-            "def f(reg):\n    reg.counter('jobs_done').inc()\n"
-        )
-        (tmp_path / "b.py").write_text(
-            "def g(reg):\n    reg.gauge('jobs_done').set(1.0)\n"
-        )
-        findings = [
-            f for f in lint_paths([str(tmp_path)]) if f.rule == "OBS001"
-        ]
-        assert len(findings) == 1
-        # a.py wins (path order); b.py's gauge is the deviant site.
-        assert findings[0].path.endswith("b.py")
-        assert "gauge" in findings[0].message
-        assert "counter" in findings[0].message
-
-    def test_same_kind_everywhere_is_clean(self, tmp_path):
-        for name in ("a.py", "b.py"):
-            (tmp_path / name).write_text(
-                "def f(reg):\n    reg.counter('jobs_done').inc()\n"
-            )
-        assert [
-            f for f in lint_paths([str(tmp_path)]) if f.rule == "OBS001"
-        ] == []
-
-    def test_repo_src_tree_is_clean(self):
-        findings = [
-            f
-            for f in lint_paths([str(REPO / "src")], select=["OBS001"])
-            if f.rule == "OBS001"
-        ]
-        assert findings == []

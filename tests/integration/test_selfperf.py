@@ -13,7 +13,13 @@ import pytest
 from repro.core.base import SortConfig
 from repro.core.wiscsort import WiscSort
 from repro.machine import Machine
-from repro.perf import SelfPerfProfiler, collect_counters, render_report
+from repro.api import RunOptions, sort
+from repro.perf import (
+    SelfPerfProfiler,
+    collect_cluster_counters,
+    collect_counters,
+    render_report,
+)
 from repro.records.format import RecordFormat
 from repro.records.gensort import generate_dataset
 from repro.units import KiB
@@ -198,3 +204,95 @@ class TestPerfInstrumentation:
         assert rc == 0
         out = capsys.readouterr().out
         assert "disabled / unused" in out
+
+
+# The exact key sets of the one counter surface, captured at the commit
+# before the typed registry was deleted.  The cluster tuples are that
+# capture unchanged.  The machine tuples differ from it by what sharing
+# the cluster's device block and fault rule gives a machine snapshot:
+# ``device_bytes_read`` / ``device_bytes_written`` and
+# ``fault_by_kind.*`` are new, and ``fault_injected`` is now spelled
+# ``fault_faults_injected`` as on a shard.
+_MACHINE_KEYS = (
+    "batched_ops", "clock_advances", "device_bytes_read",
+    "device_bytes_written", "engine_steps", "intervals_observed", "ops_added",
+    "ops_completed", "ops_rerated", "rate_cache_hit_rate", "rate_cache_hits",
+    "rate_cache_misses", "rate_changes", "rerate_calls", "scalar_fallbacks",
+    "sim_seconds", "timer_events", "vector_batch_size_avg", "vector_solves",
+)
+_MACHINE_FAULT_KEYS = (
+    "batched_ops", "clock_advances", "device_bytes_read",
+    "device_bytes_written", "engine_steps", "fault_backoff_seconds",
+    "fault_by_kind.TransientDeviceError", "fault_crashes",
+    "fault_faults_injected", "fault_ops_seen", "fault_recoveries",
+    "fault_redone_bytes", "fault_retries", "fault_retries_exhausted",
+    "fault_salvaged_bytes", "fault_slow_windows",
+    "fault_torn_bytes_discarded", "fault_torn_writes", "intervals_observed",
+    "ops_added", "ops_completed", "ops_rerated", "rate_cache_hit_rate",
+    "rate_cache_hits", "rate_cache_misses", "rate_changes", "rerate_calls",
+    "scalar_fallbacks", "sim_seconds", "timer_events",
+    "vector_batch_size_avg", "vector_solves",
+)
+_CLUSTER_KEYS = (
+    "batched_ops", "clock_advances", "engine_steps", "ops_added",
+    "ops_cancelled", "ops_completed", "ops_rerated", "rate_changes",
+    "rerate_calls", "scalar_fallbacks", "shard0.device_bytes_read",
+    "shard0.device_bytes_written", "shard0.intervals_observed",
+    "shard0.rate_cache_hit_rate", "shard0.rate_cache_hits",
+    "shard0.rate_cache_misses", "shard1.device_bytes_read",
+    "shard1.device_bytes_written", "shard1.intervals_observed",
+    "shard1.rate_cache_hit_rate", "shard1.rate_cache_hits",
+    "shard1.rate_cache_misses", "shuffle_bytes_network", "sim_seconds",
+    "timer_events", "vector_batch_size_avg", "vector_solves",
+)
+_CLUSTER_CHAOS_KEYS = (
+    "batched_ops", "clock_advances", "cluster.fault_backoff_seconds",
+    "cluster.fault_crashes", "cluster.fault_faults_injected",
+    "cluster.fault_ops_seen", "cluster.fault_recoveries",
+    "cluster.fault_redone_bytes", "cluster.fault_retries",
+    "cluster.fault_retries_exhausted", "cluster.fault_salvaged_bytes",
+    "cluster.fault_slow_windows", "cluster.fault_torn_bytes_discarded",
+    "cluster.fault_torn_writes", "engine_steps", "ops_added", "ops_cancelled",
+    "ops_completed", "ops_rerated", "rate_changes", "rerate_calls",
+    "scalar_fallbacks", "shard0.device_bytes_read",
+    "shard0.device_bytes_written", "shard0.fault_backoff_seconds",
+    "shard0.fault_crashes", "shard0.fault_faults_injected",
+    "shard0.fault_ops_seen", "shard0.fault_recoveries",
+    "shard0.fault_redone_bytes", "shard0.fault_retries",
+    "shard0.fault_retries_exhausted", "shard0.fault_salvaged_bytes",
+    "shard0.fault_slow_windows", "shard0.fault_torn_bytes_discarded",
+    "shard0.fault_torn_writes", "shard0.intervals_observed",
+    "shard0.rate_cache_hit_rate", "shard0.rate_cache_hits",
+    "shard0.rate_cache_misses", "shard1.device_bytes_read",
+    "shard1.device_bytes_written", "shard1.fault_backoff_seconds",
+    "shard1.fault_crashes", "shard1.fault_faults_injected",
+    "shard1.fault_ops_seen", "shard1.fault_recoveries",
+    "shard1.fault_redone_bytes", "shard1.fault_retries",
+    "shard1.fault_retries_exhausted", "shard1.fault_salvaged_bytes",
+    "shard1.fault_slow_windows", "shard1.fault_torn_bytes_discarded",
+    "shard1.fault_torn_writes", "shard1.intervals_observed",
+    "shard1.rate_cache_hit_rate", "shard1.rate_cache_hits",
+    "shard1.rate_cache_misses", "shards_recovered", "shuffle_bytes_network",
+    "sim_seconds", "speculative_issues", "speculative_wins", "timer_events",
+    "vector_batch_size_avg", "vector_solves",
+)
+
+
+class TestCounterKeysFrozen:
+    @pytest.mark.parametrize(
+        "shards, faults, expected",
+        [
+            (None, None, _MACHINE_KEYS),
+            (None, "transient@op:1,seed:3", _MACHINE_FAULT_KEYS),
+            (2, None, _CLUSTER_KEYS),
+            (2, "shard1:crash@50%", _CLUSTER_CHAOS_KEYS),
+        ],
+    )
+    def test_counter_key_sets(self, shards, faults, expected):
+        records = 6000 if shards else 3000
+        result = sort(RunOptions(records=records, faults=faults), shards=shards)
+        if shards:
+            counters = collect_cluster_counters(result.extras["cluster"])
+        else:
+            counters = collect_counters(result.extras["machine"])
+        assert tuple(sorted(counters)) == expected

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -336,6 +337,46 @@ class TestDiff:
         b["percentiles"]["latency"]["p99"] = 0.05
         diff = diff_reports(a, b)
         assert [r["name"] for r in diff["regressions"]] == ["latency:p99"]
+
+    @pytest.mark.parametrize(
+        "doc_a, doc_b, named",
+        [
+            ({"workloads": {"w": {}}}, None, "document A workload 'w'"),
+            ({"percentiles": {"latency": 3}, "makespan": 1}, None,
+             "document A percentiles 'latency'"),
+            ({"phases": [{"name": "x"}]}, None, "document A phase 'x'"),
+            ({"workloads": {"w": {"sim_seconds": "abc"}}},
+             {"workloads": {"w": {"sim_seconds": 1.0}}},
+             "document A row 'w'"),
+            ({"makespan": 1, "percentiles": {"latency": {"p50": None}}},
+             {"makespan": 1, "percentiles": {"latency": {"p50": 0.5}}},
+             "document A row 'latency:p50'"),
+            ({"workloads": {"w": {"fingerprint": {"total_time": "zz"}}}},
+             None, "document A workload 'w'"),
+            ({"phases": [{"name": ["x"], "duration": 1}]}, None,
+             "document A phase #0"),
+        ],
+        ids=["workload-empty", "percentiles-int", "phase-no-duration",
+             "sim-seconds-str", "p50-null", "total-time-not-hex",
+             "phase-name-list"],
+    )
+    def test_malformed_row_is_typed_error(self, doc_a, doc_b, named, tmp_path,
+                                          capsys):
+        # Schema-stamped but malformed: each used to escape as a raw
+        # KeyError / AttributeError / TypeError / ValueError traceback.
+        doc_a = {"schema": 1, **doc_a}
+        doc_b = {"schema": 1, **doc_b} if doc_b is not None else doc_a
+        with pytest.raises(SchemaMismatchError, match=re.escape(named)):
+            diff_reports(doc_a, doc_b)
+        from repro.cli import main
+
+        paths = []
+        for name, doc in (("a.json", doc_a), ("b.json", doc_b)):
+            paths.append(str(tmp_path / name))
+            (tmp_path / name).write_text(json.dumps(doc))
+        assert main(["trace-diff", *paths]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("trace-diff: ") and named in err[0]
 
 
 class TestCriticalPathUnits:

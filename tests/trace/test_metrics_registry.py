@@ -1,123 +1,24 @@
-"""Tests for the typed metrics registry and its bridge snapshots."""
+"""Tests for the service report's percentile :class:`Histogram`."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.device.profile import Pattern
-from repro.machine import Machine
-from repro.trace import MetricsRegistry, snapshot_machine, tracer_histograms
-from repro.trace.metrics import Counter, Gauge, Histogram
+from repro.trace.metrics import Histogram
 
 
 class TestInstruments:
-    def test_counter_rejects_decrease(self):
-        c = Counter("c")
-        c.inc(2.0)
-        with pytest.raises(ValueError):
-            c.inc(-1.0)
-        assert c.sample() == {"c": 2.0}
-
-    def test_gauge_moves_both_ways(self):
-        g = Gauge("g", {"shard": "shard0"})
-        g.set(5.0)
-        g.add(-2.0)
-        assert g.sample() == {"g{shard=shard0}": 3.0}
-
     def test_histogram_buckets_and_mean(self):
         h = Histogram("h", buckets=(1.0, 10.0))
         for v in (0.5, 5.0, 100.0):
             h.observe(v)
         assert h.count == 3
         assert h.mean == pytest.approx(105.5 / 3)
-        sample = h.sample()
-        assert sample["h.count"] == 3.0
-        assert sample["h.le_1.0"] == 1.0
-        assert sample["h.le_10.0"] == 2.0
-        assert sample["h.le_inf"] == 3.0
+        assert h.counts == [1, 1, 1]
 
     def test_histogram_requires_sorted_buckets(self):
         with pytest.raises(ValueError):
             Histogram("h", buckets=(10.0, 1.0))
-
-
-class TestRegistry:
-    def test_get_or_create_returns_same_instrument(self):
-        reg = MetricsRegistry()
-        a = reg.counter("ops", {"shard": "s0"})
-        b = reg.counter("ops", {"shard": "s0"})
-        assert a is b
-        assert len(reg) == 1
-        assert "ops{shard=s0}" in reg
-
-    def test_type_conflict_raises(self):
-        reg = MetricsRegistry()
-        reg.counter("x")
-        with pytest.raises(ValueError):
-            reg.gauge("x")
-
-    def test_labels_render_sorted(self):
-        reg = MetricsRegistry()
-        reg.counter("m", {"b": "2", "a": "1"}).inc()
-        assert list(reg.snapshot()) == ["m{a=1,b=2}"]
-
-    def test_snapshot_and_diff(self):
-        reg = MetricsRegistry()
-        reg.counter("ops").inc(3)
-        before = reg.snapshot()
-        reg.counter("ops").inc(2)
-        reg.gauge("depth").set(7.0)
-        delta = reg.diff(before)
-        assert delta == {"ops": 2.0, "depth": 7.0}
-
-    def test_render_lists_every_sample(self):
-        reg = MetricsRegistry()
-        assert reg.render() == "(no metrics registered)"
-        reg.counter("ops").inc()
-        assert "ops" in reg.render()
-
-
-class TestBridges:
-    def _run(self, pmem, trace=False):
-        machine = Machine(profile=pmem)
-        tracer = machine.install_tracer() if trace else None
-
-        def job():
-            yield machine.io("read", Pattern.SEQ, 1 << 20, tag="r")
-            yield machine.io("write", Pattern.SEQ, 1 << 20, tag="w")
-
-        machine.run(job())
-        return machine, tracer
-
-    def test_snapshot_machine_unifies_surfaces(self, pmem):
-        machine, _ = self._run(pmem)
-        snap = snapshot_machine(machine).snapshot()
-        assert snap["engine_steps"] > 0
-        assert snap["device_bytes_read_internal"] >= float(1 << 20)
-        assert snap["device_busy_seconds{tag=r}"] > 0.0
-        assert snap["dram_peak_bytes"] == 0.0
-        assert not any(k.startswith("fault_") for k in snap)
-
-    def test_snapshot_machine_includes_faults_when_armed(self, pmem):
-        from repro.faults import FaultPlan
-
-        machine = Machine(profile=pmem)
-        machine.install_faults(FaultPlan())
-
-        def job():
-            yield machine.io("read", Pattern.SEQ, 4096, tag="r")
-
-        machine.run(job())
-        snap = snapshot_machine(machine).snapshot()
-        assert "fault_faults_injected" in snap
-
-    def test_tracer_histograms(self, pmem):
-        _, tracer = self._run(pmem, trace=True)
-        snap = tracer_histograms(tracer).snapshot()
-        assert snap["op_seconds{kind=io,track=machine}.count"] == 2.0
-        assert snap["op_bytes{direction=read,track=machine}.sum"] == float(
-            1 << 20
-        )
 
 
 class TestPercentileEdgeCases:
@@ -170,84 +71,3 @@ class TestPercentileEdgeCases:
         h.observe(7.0)
         assert h.percentile(100.0) == 7.0
         assert 1.0 <= h.percentile(50.0) <= 7.0
-
-
-class TestWindowedSeries:
-    def test_rows_bucket_by_sim_time(self):
-        from repro.trace.metrics import WindowedSeries
-
-        s = WindowedSeries("latency", window=1.0)
-        s.observe(0.1, 0.005)
-        s.observe(0.9, 0.005)
-        s.observe(1.5, 0.020)
-        rows = s.rows()
-        assert len(s) == 2 and len(rows) == 2
-        assert rows[0]["t0"] == 0.0 and rows[0]["t1"] == 1.0
-        assert rows[0]["count"] == 2
-        assert rows[0]["mean"] == pytest.approx(0.005)
-        assert rows[1]["count"] == 1
-        assert "p50" in rows[0] and "p99" in rows[0]
-
-    def test_custom_percentile_key_rendering(self):
-        from repro.trace.metrics import WindowedSeries
-
-        s = WindowedSeries("latency", window=1.0)
-        s.observe(0.5, 0.01)
-        row = s.rows(percentiles=(99.9,))[0]
-        assert "p99_9" in row
-
-    def test_window_must_be_positive(self):
-        from repro.trace.metrics import WindowedSeries
-
-        with pytest.raises(ValueError):
-            WindowedSeries("x", window=0.0)
-
-    def test_deterministic_rows(self):
-        from repro.trace.metrics import WindowedSeries
-
-        def build():
-            s = WindowedSeries("x", window=0.5)
-            for i in range(20):
-                s.observe(i * 0.13, (i % 7) * 1e-3)
-            return s.rows()
-
-        assert build() == build()
-
-
-class TestCounterWindows:
-    def test_step_function_integration(self):
-        from repro.trace.metrics import counter_windows
-
-        counters = [
-            (0.0, "m", "queue", 2.0),
-            (1.0, "m", "queue", 4.0),
-            (0.0, "m", "other", 99.0),
-        ]
-        rows = counter_windows(counters, "m", "queue", 1.0, t_end=2.0)
-        assert len(rows) == 2
-        assert rows[0]["avg"] == pytest.approx(2.0)
-        assert rows[0]["max"] == 2.0
-        assert rows[1]["avg"] == pytest.approx(4.0)
-
-    def test_sample_spanning_windows_is_split(self):
-        from repro.trace.metrics import counter_windows
-
-        counters = [(0.5, "m", "q", 10.0)]
-        rows = counter_windows(counters, "m", "q", 1.0, t_end=1.5)
-        assert [r["t0"] for r in rows] == [0.0, 1.0]
-        # Time before the first sample counts as level zero, so the
-        # first window averages 10.0 over half its span.
-        assert rows[0]["avg"] == pytest.approx(5.0)
-        assert rows[1]["avg"] == pytest.approx(10.0)
-
-    def test_missing_track_is_empty(self):
-        from repro.trace.metrics import counter_windows
-
-        assert counter_windows([], "m", "q", 1.0) == []
-        assert counter_windows([(0.0, "x", "q", 1.0)], "m", "q", 1.0) == []
-
-    def test_window_must_be_positive(self):
-        from repro.trace.metrics import counter_windows
-
-        with pytest.raises(ValueError):
-            counter_windows([(0.0, "m", "q", 1.0)], "m", "q", 0.0)

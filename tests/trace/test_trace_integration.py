@@ -145,15 +145,6 @@ class TestClusterCounters:
         shared = [k for k in counters if "." not in k]
         assert "sim_seconds" in shared
 
-    def test_snapshot_cluster_labels_shards(self):
-        from repro.trace import snapshot_cluster
-
-        cluster, _ = _traced_cluster()
-        snap = snapshot_cluster(cluster).snapshot()
-        assert snap["engine_steps"] > 0
-        assert any("shard=shard0" in k for k in snap)
-        assert snap["dram_peak_bytes"] > 0.0
-
 
 class TestCli:
     def test_sort_trace_flag(self, tmp_path, capsys):
