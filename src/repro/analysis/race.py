@@ -77,11 +77,12 @@ def _merge(into: Dict[int, int], other: Dict[int, int]) -> None:
 
 
 class _Access:
-    """One logged byte-range access within the current instant."""
+    """One logged byte-range access within the current instant, kept as
+    the storage hook passed it (most never reach the overlap test)."""
 
-    __slots__ = ("proc_name", "pid", "epoch", "kind", "starts", "ends")
+    __slots__ = ("proc_name", "pid", "epoch", "kind", "starts", "sizes")
 
-    def __init__(self, proc_name, pid, epoch, kind, starts, ends):
+    def __init__(self, proc_name, pid, epoch, kind, starts, sizes):
         self.proc_name = proc_name
         self.pid = pid
         #: The accessor's own clock component at access time; a later
@@ -89,8 +90,17 @@ class _Access:
         #: coroutine's live clock has caught up to this epoch.
         self.epoch = epoch
         self.kind = kind  # "r" | "w"
-        self.starts = starts  # int64 array, sorted ascending
-        self.ends = ends
+        self.starts = starts
+        self.sizes = sizes
+
+    def ranges(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(starts, ends)`` int64 arrays, sorted by start."""
+        s = np.asarray(self.starts, dtype=np.int64).reshape(-1)
+        e = s + np.asarray(self.sizes, dtype=np.int64)
+        if s.size > 1 and not bool(np.all(s[1:] >= s[:-1])):
+            order = np.argsort(s, kind="stable")
+            s, e = s[order], e[order]
+        return s, e
 
 
 class RaceReport:
@@ -295,24 +305,16 @@ class RaceDetector(Probe):
     # -- storage hooks ----------------------------------------------------
     def note_span(self, file: "SimFile", kind: str, offset: int, nbytes: int) -> None:
         """A contiguous access ``[offset, offset + nbytes)``."""
-        if nbytes <= 0:
-            return
-        starts = np.asarray([offset], dtype=np.int64)
-        self._note(file, kind, starts, starts + int(nbytes))
+        if nbytes > 0:
+            self._note(file, kind, offset, nbytes)
 
     def note_batch(self, file: "SimFile", kind: str, starts, sizes) -> None:
         """A gather/scatter access: ``starts[i]`` for ``sizes[i]`` bytes
         (``sizes`` may be a scalar)."""
-        s = np.asarray(starts, dtype=np.int64)
-        if s.size == 0:
-            return
-        e = s + np.asarray(sizes, dtype=np.int64)
-        if s.size > 1 and not bool(np.all(s[1:] >= s[:-1])):
-            order = np.argsort(s, kind="stable")
-            s, e = s[order], e[order]
-        self._note(file, kind, s, e)
+        if len(starts):
+            self._note(file, kind, starts, sizes)
 
-    def _note(self, file, kind, starts, ends) -> None:
+    def _note(self, file, kind, starts, sizes) -> None:
         engine = self._engine
         proc = engine.current
         if proc is None or not engine.running:
@@ -329,7 +331,7 @@ class RaceDetector(Probe):
         self.accesses_seen += 1
         c = self._clock_of(proc)
         access = _Access(proc.name, proc.pid, c.get(proc.pid, 0), kind,
-                         starts, ends)
+                         starts, sizes)
         entry = self._buffer.get(id(file))
         if entry is None:
             self._buffer[id(file)] = (file, [access])
@@ -345,8 +347,7 @@ class RaceDetector(Probe):
             # live clock has caught up to the old access's epoch.
             if c.get(old.pid, 0) >= old.epoch:
                 continue
-            overlaps = _overlap_ranges(old.starts, old.ends,
-                                       access.starts, access.ends)
+            overlaps = _overlap_ranges(*old.ranges(), *access.ranges())
             if overlaps:
                 self._record(file, old, access, overlaps, t)
         entry[1].append(access)

@@ -486,6 +486,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
         monitor = SLOMonitor(args.slo, window=args.burn_window,
                              burn_threshold=args.burn_alert)
+    if args.trace_file is not None and args.arrivals != "trace":
+        raise ConfigError("--trace-file needs --arrivals trace")
     report = _reject_never_fit(api.serve(
         _run_options(args),
         arrivals=args.arrivals,

@@ -569,7 +569,9 @@ class FluidScheduler:
         #: Observers called as fn(t0, t1, ops) once per constant-rate
         #: interval (settle epoch) with *every* active op, in issue
         #: order so float accumulations downstream are run-to-run
-        #: deterministic.  Observers of one resource subscribe with
+        #: deterministic.  They run after that epoch's group observers,
+        #: so a statistics row a group observer appends is already
+        #: there to read.  Observers of one resource subscribe with
         #: :meth:`observe_group` instead and skip the global view.
         self.interval_observers: list[Callable[[float, float, list], None]] = []
         self._group_observers: Dict[object, list] = {}
@@ -605,6 +607,11 @@ class FluidScheduler:
         issue-ordered ``ops`` column (not a copy: read it, don't keep it).
         """
         self._group_observers.setdefault(key, []).append(observer)
+
+    def group_ops(self, key) -> list:
+        """One resource group's live, issue-ordered ops (read, don't keep)."""
+        group = self._groups.get(key)
+        return group.ops if group is not None else []
 
     def add(self, op: FluidOp, now: float) -> None:
         for fn in self.probes.op_issue:
@@ -651,20 +658,16 @@ class FluidScheduler:
         """Debit work accomplished between the last settle and ``now``.
 
         Interval observers fire exactly once per settle epoch, each with
-        an issue-ordered op list; the work debit itself is elementwise
-        (``rem - rate * dt``).
+        an issue-ordered op list: group observers first, then the global
+        ones (which may read what the former recorded; settling leaves
+        every ``op.rate`` untouched).  The work debit itself is
+        elementwise (``rem - rate * dt``).
         """
         t0 = self._last_settled
         dt = now - t0
         if dt < 0:
             raise SimulationError(f"time went backwards: {dt}")
         if dt > 0 and self.active:
-            if self.interval_observers:
-                ops = self._ordered
-                if ops is None:
-                    ops = self._ordered = self._issue_ordered()
-                for observer in self.interval_observers:
-                    observer(t0, now, ops)
             # Groups never interact and each observer accumulates into
             # its own totals, so group order cannot reach any float.
             observers = self._group_observers
@@ -673,6 +676,12 @@ class FluidScheduler:
                     for observer in observers.get(key, ()):
                         observer(t0, now, group.ops)
                     group.settle(dt)
+            if self.interval_observers:
+                ops = self._ordered
+                if ops is None:
+                    ops = self._ordered = self._issue_ordered()
+                for observer in self.interval_observers:
+                    observer(t0, now, ops)
         self._last_settled = now
 
     def _issue_ordered(self) -> list:

@@ -21,8 +21,10 @@ What gets recorded (all timestamps are *simulated* seconds):
   windows, scheduler admissions; plus (``detail=True``) engine
   spawn/block/resume and fluid re-rate events.
 * **Counter samples** -- read/write bandwidth and CPU cores per
-  machine track (from a private interval observer), DRAM usage (the
-  bus's ``dram_change`` event) and scheduler queue depth.
+  machine track (read off the rows the machine's ``DeviceStats``
+  appends each settle epoch; the cluster's ``"net"`` track off
+  ``InterconnectStats``), DRAM usage (the bus's ``dram_change`` event)
+  and scheduler queue depth.
 
 Export formats live in :mod:`repro.trace.export`.
 """
@@ -35,11 +37,9 @@ from functools import partial
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.sim.fluid import (
-    OBS_CPU_COMPUTE,
-    OBS_CPU_COPY,
     OBS_IO_READ,
     OBS_IO_WRITE,
-    OBS_NET,
+    SHARED_GROUP,
     FluidOp,
     observer_code,
 )
@@ -265,43 +265,21 @@ class Tracer(Probe):
         )
 
     def _make_interval_observer(self, machine: "Machine", key: str):
-        """A private bandwidth/cores sampler for one machine track.
+        """One machine track's sampler: global interval observers run
+        after the epoch's group observers, so it reads the ``(read_bw,
+        write_bw, cores)`` row ``DeviceStats`` just appended, or zeros
+        if the machine was idle.  A new row is told by the row count,
+        not by its ``t0`` (a float compare of simulated times)."""
+        timeline = machine.stats.timeline
+        rows = len(timeline)
 
-        Mirrors :meth:`repro.device.stats.DeviceStats.observe` but emits
-        counter samples instead of accumulating totals; purely
-        additive, so installing it cannot change simulated results.
-        """
-        domain = machine.domain
-        io_cpu_bw = machine.host.io_cpu_bw
-        copy_bw = machine.host.copy_bw_per_core
-
-        def observe(t0: float, t1: float, ops: list) -> None:
-            if t1 - t0 <= 0:
-                return
-            read_bw = 0.0
-            write_bw = 0.0
-            cores = 0.0
-            for op in ops:
-                attrs = op.attrs
-                if domain is not None and (
-                    attrs is None or attrs.get("domain") != domain
-                ):
-                    continue
-                # Cached classification (see fluid.observer_code); same
-                # adds in the same order as the attribute branches.
-                code = op._obs
-                if code is None:
-                    code = observer_code(op)
-                if code == OBS_IO_READ:
-                    read_bw += op.rate
-                    cores += op.rate / io_cpu_bw
-                elif code == OBS_IO_WRITE:
-                    write_bw += op.rate
-                    cores += op.rate / io_cpu_bw
-                elif code == OBS_CPU_COMPUTE:
-                    cores += op.rate
-                elif code == OBS_CPU_COPY:
-                    cores += op.rate / copy_bw
+        def observe(t0: float, _t1: float, _ops: list) -> None:
+            nonlocal rows
+            if len(timeline) == rows:
+                read_bw = write_bw = cores = 0.0
+            else:
+                rows = len(timeline)
+                _r0, _r1, read_bw, write_bw, cores = timeline[-1]
             self.counter_sample(key, "read_bw", read_bw, t=t0)
             self.counter_sample(key, "write_bw", write_bw, t=t0)
             self.counter_sample(key, "cores", cores, t=t0)
@@ -309,26 +287,18 @@ class Tracer(Probe):
         return observe
 
     def _make_net_observer(self):
-        """Aggregate interconnect bandwidth sampler (``"net"`` track).
+        """The ``"net"`` track's sampler: ``InterconnectStats`` rows, read
+        likewise, from the first flow to one zero after the last."""
+        timeline = self._engine.probes.owner.net_stats.timeline
+        rows = len(timeline)
 
-        Counter-sample counterpart of
-        :class:`repro.device.stats.InterconnectStats`; purely additive.
-        """
-
-        def observe(t0: float, t1: float, ops: list) -> None:
-            if t1 - t0 <= 0:
-                return
-            net_bw = 0.0
-            seen = False
-            for op in ops:
-                code = op._obs
-                if code is None:
-                    code = observer_code(op)
-                if code == OBS_NET:
-                    net_bw += op.rate
-                    seen = True
-            if seen or self._last_counter.get(("net", "net_bw")):
-                self.counter_sample("net", "net_bw", net_bw, t=t0)
+        def observe(t0: float, _t1: float, _ops: list) -> None:
+            nonlocal rows
+            if len(timeline) != rows:
+                rows = len(timeline)
+                self.counter_sample("net", "net_bw", timeline[-1][2], t=t0)
+            elif self._last_counter.get(("net", "net_bw")):
+                self.counter_sample("net", "net_bw", 0.0, t=t0)
 
         return observe
 
@@ -476,24 +446,26 @@ class Tracer(Probe):
         attrs = op.attrs
         domain = None if attrs is None else attrs.get("domain")
         key = domain if domain is not None else self.MAIN_TRACK
-        proc = self._current
-        stack = (
-            self._stacks.get(proc.pid) if proc is not None else self._stacks.get(0)
-        )
+        proc = self._engine.current
+        if proc is None:
+            stack, name = self._stacks.get(0), "main"
+        else:
+            stack, name = self._stacks.get(proc.pid), proc.name
         span = stack[-1] if stack else None
+        kind = op.kind
         rec: dict = {
             "oid": next(self._oid),
             "tag": op.tag,
-            "kind": op.kind,
+            "kind": kind,
             "track": key,
-            "proc": proc.name if proc is not None else "main",
+            "proc": name,
             "span": None if span is None else span.sid,
             "phase": None if span is None else span.name,
             "t0": t_issue,
             "t1": None,
             "work": op.work,
         }
-        if op.kind == "io" and attrs is not None:
+        if kind == "io" and attrs is not None:
             user = float(attrs.get("user_bytes", 0.0))
             pattern = attrs.get("pattern")
             rec["direction"] = attrs["direction"]
@@ -504,38 +476,33 @@ class Tracer(Probe):
             machine = self._machines.get(key)
             if machine is not None:
                 rec["interference"] = self._interference(machine, attrs, domain)
-        elif op.kind == "cpu" and attrs is not None:
+        elif kind == "cpu" and attrs is not None:
             rec["mode"] = attrs.get("mode", "compute")
             rec["cores"] = attrs.get("cores", 1)
         op._trace = rec
         self.ops.append(rec)
 
     def _interference(self, machine: "Machine", attrs: dict, domain) -> float:
-        """Read-write interference multiplier in force at issue time.
-
-        Counts concurrent reader/writer threads in the op's domain the
-        same way :class:`~repro.device.device.BraidRateModel` does when
-        capping per-op bandwidth, then applies the profile's
-        interference curve.  Thread counts are integer sums, so the set
-        iteration order cannot affect the result.
-        """
-        fluid = self._engine.fluid
-        readers = 0.0
-        writers = 0.0
-        for other in fluid.active:  # reprolint: disable=SIM003 -- integer sums are order-independent
-            oattrs = other.attrs
-            if other.kind != "io" or oattrs is None:
-                continue
-            if domain is not None and oattrs.get("domain") != domain:
-                continue
-            if oattrs["direction"] == "read":
-                readers += oattrs.get("threads", 1)
-            else:
-                writers += oattrs.get("threads", 1)
+        """Read-write interference multiplier in force at issue time: the
+        profile's curve over the opposite direction's threads in flight
+        in the machine's resource group (as ``Machine.observe_engine``
+        keys it), counted as :class:`~repro.device.device.BraidRateModel`
+        counts them when capping per-op bandwidth."""
+        reads = attrs["direction"] == "read"
+        rival = OBS_IO_WRITE if reads else OBS_IO_READ
+        threads = 0.0
+        for other in self._engine.fluid.group_ops(
+            SHARED_GROUP if domain is None else domain
+        ):
+            code = other._obs
+            if code is None:
+                code = observer_code(other)
+            if code == rival:
+                threads += other.attrs.get("threads", 1)
         interference = machine.profile.interference
-        if attrs["direction"] == "read":
-            return interference.read_multiplier(writers)
-        return interference.write_multiplier(readers)
+        if reads:
+            return interference.read_multiplier(threads)
+        return interference.write_multiplier(threads)
 
     def on_op_complete(self, op: "FluidOp", t_done: float) -> None:
         rec = getattr(op, "_trace", None)
@@ -602,18 +569,20 @@ class Tracer(Probe):
         blocked-reason tag (or the verb) and the resource's name is
         recorded.
         """
-        primitive = verb not in _ENGINE_WAITS
-        self._open_waits[proc.pid] = {
-            "pid": proc.pid,
-            "t0": self.now,
+        if verb in _ENGINE_WAITS:
+            kind, reason, name = verb, None, None
+        else:
+            kind = "primitive"
+            reason = getattr(resource, "reason", None) or verb
+            name = getattr(resource, "name", None) or None
+        pid = proc.pid
+        self._open_waits[pid] = {
+            "pid": pid,
+            "t0": self._engine.now,
             "t1": None,
-            "kind": "primitive" if primitive else verb,
-            "reason": (
-                getattr(resource, "reason", None) or verb if primitive else None
-            ),
-            "resource": (
-                getattr(resource, "name", None) or None if primitive else None
-            ),
+            "kind": kind,
+            "reason": reason,
+            "resource": name,
         }
 
     def wait_end(self, proc: "Process", _detail: Any = None) -> None:
@@ -629,7 +598,7 @@ class Tracer(Probe):
         rec = self._open_waits.pop(proc.pid, None)
         if rec is None:
             return
-        t1 = self.now
+        t1 = self._engine.now
         if t1 <= rec["t0"]:
             return
         rec["t1"] = t1

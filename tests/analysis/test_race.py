@@ -84,6 +84,29 @@ class TestIntentionalRaces:
         assert len(det.races) == 1
         assert det.races[0].overlaps == [(208, 216)]
 
+    def test_unsorted_gather_diagnostics_frozen(self):
+        # Offsets out of order: the overlap is still reported in range
+        # order, with the same text as when every gather was sorted on
+        # arrival.
+        m, det, f = _machine_with_file()
+
+        def writer():
+            yield f.write(200, b"\xff" * 16, tag="W")
+
+        def gatherer():
+            yield f.read_gather([400, 0, 208], 8, tag="G")
+
+        _spawn_pair(m, writer(), gatherer(), "writer", "gatherer")
+        assert det.races[0].overlaps == [(208, 216)]
+        assert det.render() == (
+            "race: WR conflict on 'hot' at t=0 (overlap [208, 216))\n"
+            "  write by 'writer' (pid 2)\n"
+            "  read by 'gatherer' (pid 3)\n"
+            "  no happens-before edge orders these accesses: a legal "
+            "same-instant schedule permutation can swap them\n"
+            "race-detect: 1 distinct racing pair(s)"
+        )
+
     def test_strided_read_vs_write_flagged(self):
         m, det, f = _machine_with_file()
 
@@ -281,6 +304,32 @@ class TestObserveOnly:
         base = sort(opts)
         observed = sort(opts.replace(race_detect=True))
         assert observed.total_time == base.total_time
+
+    def test_mergepass_body_counts_frozen(self):
+        # The ledger's MergePass body (200k records, 134-way merge, 8
+        # background writers): every span and gather is logged, none
+        # reaches the overlap test, and the counts match the detector
+        # that built sorted ranges for every access.
+        from repro.core.base import SortConfig
+        from repro.core.wiscsort import WiscSort
+        from repro.records.format import RecordFormat
+        from repro.records.gensort import generate_dataset
+        from repro.units import KiB
+        from repro.workloads.background import BackgroundClients
+
+        fmt = RecordFormat()
+        m = Machine()
+        det = m.install_race_detector()
+        data = generate_dataset(m, "input", 200_000, fmt, seed=2023)
+        BackgroundClients(m, 8, "write").start()
+        WiscSort(
+            fmt,
+            config=SortConfig(read_buffer=96 * KiB, write_buffer=8 * KiB),
+            force_merge_pass=True,
+            merge_chunk_entries=1_500,
+        ).run(m, data, validate=False)
+        assert (det.accesses_seen, det.pairs_checked) == (9475, 0)
+        assert det.races == []
 
 
 class TestLifecycle:

@@ -54,6 +54,43 @@ class TestScheduler:
         sched.settle(2.0)
         assert seen == [(0.0, 2.0, 1)]
 
+    def test_global_observers_run_after_group_observers(self):
+        # Per-op groups (UniformRateModel); issued out of creation order.
+        sched = FluidScheduler(UniformRateModel(1.0))
+        first, second = FluidOp(4.0, kind="cpu"), FluidOp(2.0, kind="cpu")
+        calls = []
+        for op in (second, first):
+            sched.observe_group(
+                op.seq, lambda t0, t1, ops: calls.append(("group", list(ops)))
+            )
+            sched.add(op, now=0.0)
+        sched.interval_observers.append(
+            lambda t0, t1, ops: calls.append(("global", list(ops)))
+        )
+        sched.rerate(0.0)
+        sched.settle(1.0)
+        assert [kind for kind, _ops in calls] == ["group", "group", "global"]
+        assert calls[-1][1] == [first, second]  # still issue (op id) order
+
+    def test_global_observer_sees_the_epochs_statistics_row(self):
+        from repro.machine import Machine
+
+        machine = Machine()
+        rows = []
+        machine.engine.fluid.interval_observers.append(
+            lambda t0, t1, ops: rows.append(
+                (machine.stats.timeline[-1], t0, t1, ops[0].rate)
+            )
+        )
+
+        def body():
+            yield machine.compute(1e-3, tag="c", cores=2)
+
+        machine.run(body(), name="body")
+        assert len(rows) == len(machine.stats.timeline) == 1
+        (row_t0, row_t1, _read, _write, cores), t0, t1, rate = rows[0]
+        assert (row_t0, row_t1, cores) == (t0, t1, rate)
+
 
 class TestWorkConservation:
     """Property: total simulated time equals work/rate for any op mix."""

@@ -311,6 +311,12 @@ BAD_ARGV = [
      "fault domains are: shard0, shard1, shard2, shard3"),
     ("serve --arrivals trace --trace-file {missing}/arrivals.jsonl",
      "No such file or directory"),
+    # an arrival trace only poisson/bursty would ignore (``--trace`` is
+    # argparse's prefix of ``--trace-file``): both ran and exited 0
+    ("serve --rate 2000 --horizon 0.005 --records 1000 "
+     "--trace {missing}/t.json", "--trace-file needs --arrivals trace"),
+    ("serve --rate 2000 --horizon 0.005 --records 1000 "
+     "--trace-file {missing}/a.jsonl", "--trace-file needs --arrivals trace"),
     # the run completes, then its export has nowhere to go
     ("sort --records 2000 --trace {missing}/t.json",
      "No such file or directory"),
