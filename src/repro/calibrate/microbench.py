@@ -12,7 +12,8 @@ measurement data (Sec 3.4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import Dict, List, Tuple
 
 from repro.device.host import HostModel
@@ -75,7 +76,11 @@ class CalibrationResult:
         return lines
 
 
-_CACHE: Dict[Tuple[int, int], CalibrationResult] = {}
+_CACHE: Dict[tuple, CalibrationResult] = {}
+
+#: Every field the probes read (curves compare by their points).
+_PROFILE_FIELDS = attrgetter(*(f.name for f in fields(DeviceProfile)))
+_HOST_FIELDS = attrgetter(*(f.name for f in fields(HostModel)))
 
 
 def calibrate_device(
@@ -83,13 +88,15 @@ def calibrate_device(
 ) -> CalibrationResult:
     """Measure ``profile`` with a throwaway machine per probe point.
 
-    Results are cached by (profile, host) identity: experiments create
-    many machines with the same shared profile object, and probing is
-    pure.
+    Results are cached by the (profile, host) field values: every run
+    builds machines from fresh profile objects, and probing is pure.  A
+    fresh, equal-valued object is the same key; a freed object's id can
+    never alias another.
     """
-    key = (id(profile), id(host))
-    if use_cache and key in _CACHE:
-        return _CACHE[key]
+    key = (type(profile), _PROFILE_FIELDS(profile), type(host), _HOST_FIELDS(host))
+    cached = _CACHE.get(key) if use_cache else None
+    if cached is not None:
+        return cached
     result = CalibrationResult(
         device_name=profile.name,
         seq_read=_probe(profile, host, "read", Pattern.SEQ),

@@ -120,12 +120,7 @@ class RunCursor:
         self._state[:2] = (0, n)
         if n and not self._index_owned:
             keys = data[:, : self.key_size]
-            # Native-endian copies of the big-endian comparison columns:
-            # identical numeric values, faster searchsorted.
-            self._cols = [
-                np.ascontiguousarray(c, dtype=np.uint64)
-                for c in _key_columns(keys)
-            ]
+            self._cols = _key_columns(keys)
             self._first_bytes = keys[0].tobytes()
             self._last_bytes = keys[-1].tobytes()
         else:

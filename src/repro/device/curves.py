@@ -40,6 +40,8 @@ class ScalingCurve:
                 raise ValueError("bandwidth must be positive")
         self._threads = [p[0] for p in pts]
         self._bandwidth = [p[1] for p in pts]
+        self._points = tuple(pts)
+        self._hash = hash(self._points)
         #: Interpolation memo -- thread counts repeat endlessly in steady
         #: state, and this sits inside the rate-assignment hot loop.
         self._memo: dict = {}
@@ -77,6 +79,20 @@ class ScalingCurve:
         return self.aggregate(threads) / threads
 
     @property
+    def points(self) -> Tuple[Tuple[float, float], ...]:
+        """The ``(threads, aggregate_bytes_per_second)`` pairs, sorted."""
+        return self._points
+
+    # A curve never changes after construction: equal points, equal curve.
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ScalingCurve):
+            return NotImplemented
+        return self._points == other._points
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @property
     def peak(self) -> float:
         """Best aggregate bandwidth across all thread counts."""
         return max(self._bandwidth)
@@ -94,9 +110,7 @@ class ScalingCurve:
         """A copy with all bandwidths multiplied by ``factor``."""
         if factor <= 0:
             raise ValueError("factor must be positive")
-        return ScalingCurve(
-            [(t, bw * factor) for t, bw in zip(self._threads, self._bandwidth)]
-        )
+        return ScalingCurve([(t, bw * factor) for t, bw in self.points])
 
     @classmethod
     def linear_to_saturation(

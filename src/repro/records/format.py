@@ -17,6 +17,10 @@ import numpy as np
 from repro.errors import RecordFormatError
 from repro.units import ceil_div
 
+#: Big-endian unsigned word dtypes by byte width: the widths a key slice
+#: can be read as in one element per row.
+_WORDS = {w: np.dtype(f">u{w}") for w in (1, 2, 4, 8)}
+
 
 @dataclass(frozen=True)
 class RecordFormat:
@@ -63,19 +67,37 @@ class RecordFormat:
 
 
 def key_columns(keys: np.ndarray) -> List[np.ndarray]:
-    """Convert an ``(n, k)`` uint8 key matrix to big-endian u64 columns.
+    """Convert an ``(n, k)`` uint8 key matrix to u64 comparison columns.
 
-    The returned columns are most-significant first: comparing rows by
-    these columns in order is exactly unsigned lexicographic comparison
-    of the original byte strings.  They are the contiguous rows of one
-    word-major buffer (zero-padded on the right to whole words).
+    Column ``j`` holds, per row, key bytes ``8j .. 8j+7`` read as one
+    big-endian word (zero-padded on the right), in native byte order.
+    The columns are most-significant first: comparing rows by them in
+    order is exactly unsigned lexicographic comparison of the original
+    byte strings.  They are the contiguous rows of one word-major buffer.
     """
     if keys.ndim != 2:
         raise RecordFormatError(f"keys must be 2-D, got shape {keys.shape}")
     n, k = keys.shape
-    padded = np.zeros((n, ceil_div(max(k, 1), 8) * 8), dtype=np.uint8)
-    padded[:, :k] = keys
-    return list(np.ascontiguousarray(padded.view(">u8").T))
+    words = ceil_div(max(k, 1), 8)
+    if keys.strides[1] != 1:
+        # Bytes that are not adjacent have no wide view: pad a copy.
+        padded = np.zeros((n, words * 8), dtype=np.uint8)
+        padded[:, :k] = keys
+        return list(np.ascontiguousarray(padded.view(">u8").T, dtype=np.uint64))
+    cols = np.empty((words, n), dtype=np.uint64)
+    for j, col in enumerate(cols):
+        # Each word moves as one element per row: a 2-D byte copy only
+        # 8-10 bytes wide costs several times as much per row.
+        field = keys[:, 8 * j : 8 * j + 8]
+        width = field.shape[1]
+        if width not in _WORDS:  # a 3, 5, 6 or 7-byte tail: pad this word only
+            padded = np.zeros((n, 8), dtype=np.uint8)
+            padded[:, :width] = field
+            field, width = padded, 8
+        col[:] = field.view(_WORDS[width])[:, 0]
+        if width < 8:
+            col <<= np.uint64(64 - 8 * width)
+    return list(cols)
 
 
 def key_words(key) -> tuple:

@@ -36,7 +36,7 @@ def make_records(
     if n_records < 0:
         raise RecordFormatError("n_records must be >= 0")
     rng = np.random.default_rng(seed)
-    # No zero-fill: keys and values between them overwrite every byte.
+    # No zero-fill: values, then keys, between them overwrite every byte.
     records = np.empty((n_records, fmt.record_size), dtype=np.uint8)
     if ascii_keys:
         keys = rng.integers(32, 127, size=(n_records, fmt.key_size), dtype=np.uint8)
@@ -47,8 +47,10 @@ def make_records(
         nbytes = n_records * fmt.key_size
         words = rng.bit_generator.random_raw(ceil_div(nbytes, 8)).astype("<u8", copy=False)
         keys = words.view(np.uint8)[:nbytes].reshape(n_records, fmt.key_size)
-    records[:, : fmt.key_size] = keys
     _fill_values(records, fmt.key_size)
+    # One key-sized element per row (see _fill_values).
+    key = np.dtype(f"V{fmt.key_size}")
+    records[:, : fmt.key_size].view(key)[:, 0] = keys.view(key)[:, 0]
     return records
 
 
@@ -57,23 +59,30 @@ def _fill_values(records: np.ndarray, key_size: int) -> None:
     little-endian id prefix + rolling fill.
 
     The id prefix makes each (id, position) byte recoverable, so a
-    corrupted or duplicated record is detectable without hashing.
+    corrupted or duplicated record is detectable without hashing.  Key
+    bytes are left for the caller to write.
     """
     n_records, record_size = records.shape
     id_bytes = min(8, record_size - key_size)
     fill_at = key_size + id_bytes
+    # The fill depends on the id only through ``id % 256`` (uint8
+    # arithmetic wraps), so whole records repeat every 256 rows apart
+    # from key and id: copy a 256-row template in contiguous blocks,
+    # then write the ids over it.  A 2-D copy 8-90 bytes wide costs
+    # several times as much per row as whole rows or one wide element.
+    rows = min(n_records, 256)
+    template = np.zeros((rows, record_size), dtype=np.uint8)
+    per_id = (np.arange(rows, dtype=np.uint32) * 131 + 7).astype(np.uint8)
+    fill = (np.arange(record_size - fill_at, dtype=np.uint32) * 7).astype(np.uint8)
+    np.add(per_id[:, None], fill, out=template[:, fill_at:])
+    blocks, rest = divmod(n_records, 256)
+    records[: blocks * 256].reshape(blocks, template.size)[:] = template.reshape(-1)
+    records[blocks * 256 :] = template[:rest]
     ids = np.arange(n_records, dtype="<u8")
-    records[:, key_size:fill_at] = ids.view(np.uint8).reshape(n_records, 8)[:, :id_bytes]
-    if record_size > fill_at:
-        # The fill depends on the id only through ``id % 256`` (uint8
-        # arithmetic wraps), so a 256-row table holds all of it and
-        # whole blocks of 256 records take it as one broadcast.
-        row = (np.arange(record_size - fill_at, dtype=np.uint32) * 7 % 256).astype(np.uint8)
-        per_id = ((np.arange(256, dtype=np.uint32) * 131 + 7) % 256).astype(np.uint8)
-        table = per_id[:, None] + row[None, :]
-        blocks, rest = divmod(n_records, 256)
-        records[: blocks * 256].reshape(blocks, 256, record_size)[:, :, fill_at:] = table
-        records[blocks * 256 :, fill_at:] = table[:rest]
+    if id_bytes == 8:
+        records[:, key_size:fill_at].view("<u8")[:, 0] = ids
+    else:
+        records[:, key_size:fill_at] = ids.view(np.uint8).reshape(n_records, 8)[:, :id_bytes]
 
 
 def generate_dataset(

@@ -68,9 +68,14 @@ def _permutes(perm, input_records, output_records) -> bool:
     seen[perm] = True
     if not seen.all():
         return False
+    width = input_records.shape[1]
+    rows = max(1, (64 << 10) // max(1, width))
+    if width % 4 == 0 and input_records.strides[1] == output_records.strides[1] == 1:
+        # Same bytes, a quarter of the elements to compare.
+        input_records = input_records.view(np.uint32)
+        output_records = output_records.view(np.uint32)
     # Gather and compare 64 KiB at a time: no temporary the size of the
     # dataset, and each block is still in cache when it is compared.
-    rows = max(1, (64 << 10) // max(1, input_records.shape[1]))
     for at in range(0, perm.size, rows):
         block = input_records.take(perm[at : at + rows], axis=0)
         if not np.array_equal(block, output_records[at : at + rows]):
@@ -85,8 +90,10 @@ def _perm_from_ordinals(input_records, output_records, key_size, tied):
     n, record_size = output_records.shape
     if n == 0 or record_size - key_size < 8:
         return None
-    field = np.ascontiguousarray(output_records[:, key_size : key_size + 8])
-    ordinals = field.view("<u8").reshape(n)
+    field = output_records[:, key_size : key_size + 8]
+    if field.strides[1] != 1:
+        field = np.ascontiguousarray(field)
+    ordinals = field.view("<u8")[:, 0]
     return ordinals.astype(np.intp) if ordinals.max() < n else None
 
 

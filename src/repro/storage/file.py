@@ -195,7 +195,10 @@ class SimFile:
 
         def build() -> FluidOp:
             with self._audit("read", count * access_size):
-                payload = self._rows(offset, count, stride, access_size).copy()
+                # One wide element per field: a 2-D copy only
+                # ``access_size`` bytes wide costs more per row.
+                fields = np.ndarray((count,), f"V{access_size}", self._data, offset, (stride,))
+                payload = fields.copy().view(np.uint8).reshape(count, access_size)
                 op = self._machine_io(
                     "read",
                     Pattern.STRIDED,

@@ -15,8 +15,8 @@ from repro.device.profiles import (
 from repro.machine import Machine
 from repro.records.format import RecordFormat
 
-# Profiles are shared across the whole test session so the calibration
-# cache (keyed by object identity) is hit instead of re-probed.
+# Profiles are shared across the whole test session (the calibration
+# cache is keyed by their field values, so fresh equal ones hit it too).
 _PMEM = pmem_profile()
 _DRAM = dram_profile()
 _BD = bd_device_profile()

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
+from repro.calibrate import microbench
 from repro.calibrate.microbench import calibrate_device
 from repro.core.base import ConcurrencyModel, SortConfig
 from repro.core.controller import ThreadPoolController
+from repro.device.curves import ScalingCurve
+from repro.device.host import HostModel
 from repro.device.profile import Pattern
+from repro.device.profiles import PROFILE_FACTORIES, pmem_profile
 from repro.machine import Machine
 
 
@@ -35,6 +41,45 @@ class TestCalibration:
         a = calibrate_device(pmem, host)
         b = calibrate_device(pmem, host)
         assert a is b
+
+    def test_equal_valued_fresh_objects_hit_the_cache(self, pmem, host):
+        a = calibrate_device(pmem, host)
+        assert calibrate_device(pmem_profile(), HostModel()) is a
+
+    def test_one_curve_point_apart_never_share_an_entry(self, monkeypatch, host):
+        monkeypatch.setattr(microbench, "_CACHE", {})
+        base = pmem_profile()
+        bent = pmem_profile()
+        bent.write = ScalingCurve(
+            [(t, bw * (0.5 if t == base.write.peak_threads else 1.0))
+             for t, bw in base.write.points]
+        )
+        a = calibrate_device(base, host)
+        b = calibrate_device(bent, host)
+        assert a is not b
+        assert a.write.points != b.write.points
+        assert a.seq_read == b.seq_read and a.write == calibrate_device(
+            base, host, use_cache=False
+        ).write
+        assert calibrate_device(pmem_profile(), HostModel()) is a
+        assert len(microbench._CACHE) == 2
+
+    def test_host_values_are_part_of_the_key(self, pmem, host):
+        narrow = HostModel(ncores=4)
+        assert calibrate_device(pmem, narrow) is not calibrate_device(pmem, host)
+
+    def test_fresh_machines_always_get_their_own_device(self, monkeypatch):
+        # Machines come and go with fresh profile objects; an identity
+        # key handed a freed id's calibration to a different device.
+        monkeypatch.setattr(microbench, "_CACHE", {})
+        names = sorted(PROFILE_FACTORIES)
+        for i in range(300):
+            machine = Machine(profile=PROFILE_FACTORIES[names[i % len(names)]]())
+            ctl = ThreadPoolController(machine, SortConfig())
+            assert ctl.calibration.device_name == machine.profile.name, i
+            del machine, ctl
+            gc.collect()
+        assert len(microbench._CACHE) <= len(names)
 
     def test_table_is_printable(self, pmem, host):
         lines = calibrate_device(pmem, host).table()
