@@ -58,14 +58,13 @@ deletes what no manifest vouches for and every completed run deletes all
 but its outputs (:meth:`ShardedWiscSort._sweep`), so no crash instant
 leaks a speculative copy or leaves one output on two shards.
 
-Straggler speculation (armed only by an installed fault plan, so
-fault-free runs are bit-identical to pre-speculation builds, and only in
-a drive that planned): a monitor process compares each open partition's
-predicted finish -- the fluid scheduler's scheduled horizon for that
-shard's resource group -- against :data:`SPEC_FACTOR` times the slowest
-*completed* partition.  A partition predicted to overshoot is re-issued
-on an idle shard from a staging copy -- the only work a spare shard ever
-gets.  The first attempt to complete wins; the engine's deterministic
+Straggler speculation (armed by an installed fault plan, in fresh and
+resumed drives alike, so fault-free runs are bit-identical to
+pre-speculation builds): every primary sort attempt of a drive starts at
+one instant, and a partition still open :data:`SPEC_FACTOR` times the
+slowest *completed* partition's duration later is re-issued on an idle
+shard from a staging copy -- the only work a spare shard ever gets.
+The first attempt to complete wins; the engine's deterministic
 completion order makes the winner identical across runs and across the
 scalar/vector kernels, and the loser is torn down with
 :meth:`~repro.sim.engine.Engine.cancel_tree` (which settles the fluid
@@ -98,8 +97,8 @@ from repro.sim.primitives import Semaphore
 
 from repro.cluster.cluster import Cluster, ShardedFile
 
-#: A partition is a straggler when its predicted duration exceeds
-#: ``SPEC_FACTOR`` x the slowest completed partition.
+#: A partition is a straggler when it is still open ``SPEC_FACTOR`` x
+#: the slowest completed partition's duration after the sort phase began.
 SPEC_FACTOR = 1.75
 
 
@@ -383,13 +382,10 @@ class ShardedWiscSort(SortSystem):
             return
         # Speculation changes the engine's event schedule (monitor
         # timers), so it arms only under an installed fault plan --
-        # fault-free runs stay bit-identical to the plain Join path --
-        # and only in the drive that planned: the frozen step counts of
-        # resumed segments predate it (the one fresh/resumed asymmetry
-        # left; see ROADMAP).
+        # fault-free runs stay bit-identical to the plain Join path.
         faults = cluster.faults
         spec = None
-        if plan is None and faults is not None and not faults.count_only:
+        if faults is not None and not faults.count_only:
             spec = self._speculation(cluster.engine, homes, entries)
         sort_procs = []
         for d in entries:
@@ -589,11 +585,13 @@ class ShardedWiscSort(SortSystem):
         the first watcher to observe its partition complete claims the
         win, cancels and scrubs the rival, and releases the ``done``
         semaphore -- the drive simply acquires one release per
-        partition.  Engine completion order is deterministic, so the
-        winner is identical across runs and kernels.
+        partition -- and the monitor's ``committed`` one.  Engine
+        completion order is deterministic, so the winner is identical
+        across runs and kernels.
         """
         return {
             "done": Semaphore(engine, 0, name="sort-done", reason="barrier"),
+            "committed": Semaphore(engine, 0, name="spec-committed", reason="barrier"),
             "start": engine.now,  # every primary starts at this instant
             "durations": {},  # d -> completed-partition duration
             "attempts": {},  # d -> [(proc, shard, kind), ...]
@@ -637,34 +635,34 @@ class ShardedWiscSort(SortSystem):
                 )
         yield from self._commit(shard, d, output, outputs)
         state["done"].release()
+        state["committed"].release()
 
     def _spec_monitor(self, cluster, stagings, arbiter, state, outputs):
-        """Poll predicted finishes; re-issue stragglers on idle shards.
+        """Re-issue stragglers on idle shards, on a deadline.
 
-        Detection uses the fluid kernel's scheduled horizon for the
-        straggler's resource group (bit-identical between the scalar
-        and vector kernels), calibrated against the slowest *completed*
-        partition -- so speculation never triggers before at least one
-        partition has finished.
+        After each commit, sleep to ``start + SPEC_FACTOR x`` the slowest
+        completed duration (again if commits meanwhile moved it), then
+        give every open partition without a copy the first idle shard --
+        so a shard freed or admitted mid-run is a target at the next
+        commit or deadline.
         """
         engine = cluster.engine
-        fluid = engine.fluid
+        durations = state["durations"]
         while state["open"]:
-            yield Sleep(self._monitor_step(engine, fluid, state))
-            if not state["open"] or not state["durations"]:
-                continue
-            threshold = SPEC_FACTOR * max(state["durations"].values())
+            yield state["committed"].acquire()
+            slowest = -1.0
+            while slowest < max(durations.values()):
+                slowest = max(durations.values())
+                wait = state["start"] + SPEC_FACTOR * slowest - engine.now
+                if wait > 0.0:
+                    yield Sleep(wait)
             for d in sorted(state["open"]):
                 attempts = state["attempts"][d]
-                if len(attempts) > 1:
-                    continue  # one speculative copy per partition
-                proc, home, _kind = attempts[0]
-                if proc.done:
+                # One speculative copy per partition; a finished primary's
+                # watcher is about to commit.
+                if len(attempts) > 1 or attempts[0][0].done:
                     continue
-                horizon = fluid.predicted_horizon(home.domain)
-                eta = max(engine.now, horizon if horizon is not None else 0.0)
-                if eta - state["start"] <= threshold:
-                    continue
+                home = attempts[0][1]
                 # First shard with no running attempt: a spare (possibly
                 # admitted mid-run: this reads the live shard list) or a
                 # home whose partition already finished.
@@ -694,27 +692,6 @@ class ShardedWiscSort(SortSystem):
                     ),
                     name=f"watch:spec{d}",
                 )
-
-    def _monitor_step(self, engine, fluid, state) -> float:
-        """The next poll delay: an eighth of the remaining scheduled work."""
-        horizon = None
-        for d in sorted(state["open"]):
-            _proc, shard, _kind = state["attempts"][d][-1]
-            h = fluid.predicted_horizon(shard.domain)
-            if h is not None and (horizon is None or h > horizon):
-                horizon = h
-        if horizon is not None and horizon > engine.now:
-            step = (horizon - engine.now) / 8.0
-        elif state["durations"]:
-            step = max(state["durations"].values()) / 8.0
-        else:
-            # Bootstrap: the monitor's first poll can race the attempts'
-            # first op issues (no horizon yet); re-poll on the clock's
-            # own scale so the adaptive step engages almost immediately.
-            step = max(engine.now, 1e-9) / 64.0
-        # A step below the clock's float spacing would not advance time
-        # and the monitor would spin at one instant forever.
-        return max(step, engine.now * 1e-9, 1e-12)
 
     def _relocate_staging(self, cluster, src, dst, staging, d, arbiter):
         """Stream partition ``d``'s staging file from ``src`` to ``dst``.

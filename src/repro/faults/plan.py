@@ -98,6 +98,13 @@ class FaultEvent:
                 f"{self.kind} events take no "
                 f"{'p:' if self.p is not None else 't:'} trigger"
             )
+        # Triggers that could never fire (or would fire at op 0).
+        if self.at_time is not None and self.at_time < 0:
+            raise ConfigError(f"time must be >= 0, got {self.at_time}")
+        if self.at_op is not None and self.at_op < 0:
+            raise ConfigError(f"op index must be >= 0, got {self.at_op}")
+        if self.count < 1:
+            raise ConfigError(f"burst length must be >= 1, got {self.count}")
         if self.p is not None and not (0.0 <= self.p <= 1.0):
             raise ConfigError(f"probability must be in [0, 1], got {self.p}")
         if self.at_frac is not None and not (0.0 < self.at_frac <= 1.0):

@@ -279,11 +279,7 @@ def observer_code(op: FluidOp) -> int:
 def predicted_finish(op: FluidOp) -> float:
     """The op's currently scheduled absolute finish time.
 
-    ``inf`` while the op is stalled (rate 0) or not in flight.  Used by
-    straggler detection (:meth:`FluidScheduler.predicted_horizon`): the
-    fluid model already knows when every in-flight op will finish under
-    current rates, so slowness is observable *before* wall-clock
-    deadlines expire.
+    ``inf`` while the op is stalled (rate 0) or not in flight.
     """
     group = op._vg
     if group is None:
@@ -529,10 +525,6 @@ class _Group:
     def due(self, now: float) -> List[int]:
         """Rows whose scheduled finish time has arrived, ascending."""
         return [i for i, f in enumerate(self.finish) if f <= now]
-
-    def horizon(self) -> Optional[float]:
-        """Latest finite scheduled finish time, if any."""
-        return max((f for f in self.finish if f < _INF), default=None)
 
 
 def _reject_negative(group: _Group, lowest_rate: float) -> None:
@@ -802,19 +794,6 @@ class FluidScheduler:
         self._release(group, [i])
         self.ops_cancelled += 1
         return True
-
-    def predicted_horizon(self, key) -> Optional[float]:
-        """Latest finite scheduled finish time in one resource group.
-
-        For a cluster shard domain this is "when does everything this
-        shard currently has in flight drain, at current rates" -- the
-        fluid model's native straggler signal.  Returns ``None`` when
-        the group has no live ops or every live op is stalled.
-        """
-        group = self._groups.get(key)
-        if group is None:
-            return None
-        return group.horizon()
 
     # ------------------------------------------------------------------
     def invalidate_rates(self) -> None:

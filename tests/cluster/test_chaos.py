@@ -26,6 +26,7 @@ from repro.faults.plan import parse_fault_spec
 from repro.machine import Machine
 from repro.records.format import RecordFormat
 from repro.records.gensort import generate_dataset
+from repro.sim.probe import Probe
 
 SEEDS = [101, 202, 303]
 N_RECORDS = 3_000
@@ -67,6 +68,46 @@ def _merged_output(cluster, n_parts, output_name="sharded-wiscsort.out"):
     return np.concatenate(parts)
 
 
+class _SpecWatch(Probe):
+    """The run's instant names in order, plus partition 0's speculative
+    attempt: when it was issued and stopped, and whether its staging copy
+    was still short of the home staging file when a crash fired."""
+
+    STAGE = "sharded-wiscsort.out.stage0"
+
+    def __init__(self, cluster):
+        self.cluster = cluster
+        self.instants = []
+        self.attempt = self.issued = self.stopped = None
+        self.in_flight_at_crash = False
+
+    def bind(self, probes):
+        self.engine = probes.engine
+
+    def subscriptions(self):
+        return (("spawn", self._spawn), ("finish", self._stop),
+                ("cancelled", self._stop), ("instant", self._instant))
+
+    def _spawn(self, proc):
+        if proc.name.startswith("spec:part0@"):
+            self.attempt, self.issued = proc, self.engine.now
+
+    def _stop(self, proc, now):
+        if proc is self.attempt:
+            self.stopped = now
+
+    def _instant(self, name, **_args):
+        self.instants.append(name)
+        if name != "crash" or self.attempt is None or self.attempt.done:
+            return
+        home, copy = (s.fs for s in self.cluster.shards[:2])
+        self.in_flight_at_crash = (
+            copy.exists(f"{self.STAGE}.spec")
+            and copy.open(f"{self.STAGE}.spec").size
+            < home.open(self.STAGE).size
+        )
+
+
 def _no_fault_duration(pmem, n, fmt, seed, shards):
     cluster = Cluster(shards=shards, profile=pmem)
     data = generate_cluster_dataset(cluster, "input", n, fmt, seed=seed)
@@ -95,19 +136,34 @@ class TestShardCrashRecovery:
     def test_crash_under_speculation_leaves_no_copy(self, pmem, fmt):
         """Regression: the crash unwinds the run while a speculative
         staging copy is in flight on shard1; recovery used to scrub the
-        home shard only and left ``.stage0.spec`` behind."""
+        home shard only and left ``.stage0.spec`` behind.
+
+        The crash instant comes from a probe run whose crash lies far
+        past the end (it only arms speculation): halfway between the
+        copy's issue and the instant it stopped."""
         seed = SEEDS[1]
         reference = _reference(pmem, N_RECORDS, fmt, seed)
-        cluster = Cluster(shards=2, profile=pmem)
-        data = generate_cluster_dataset(cluster, "input", N_RECORDS, fmt,
-                                        seed=seed)
-        plan = parse_fault_spec("shard0:crash@t:7.144348456530547e-05",
-                                seed=seed)
-        system = ShardedWiscSort(fmt, checkpoint=True)
-        result, report = run_cluster_with_faults(system, cluster, data,
-                                                 plan=plan)
-        assert result.validated and report.crashes == 1
-        assert cluster.faults.speculative_issues == 1
+
+        def run(crash_at):
+            cluster = Cluster(shards=2, profile=pmem)
+            watch = _SpecWatch(cluster).install(cluster)
+            data = generate_cluster_dataset(cluster, "input", N_RECORDS, fmt,
+                                            seed=seed)
+            plan = parse_fault_spec(f"shard0:crash@t:{crash_at!r}", seed=seed)
+            result, report = run_cluster_with_faults(
+                ShardedWiscSort(fmt, checkpoint=True), cluster, data, plan=plan
+            )
+            assert result.validated
+            return cluster, watch, report
+
+        _, probe, report = run(1.0)
+        assert report.crashes == 0 and probe.stopped is not None
+        cluster, watch, report = run(
+            probe.issued + 0.5 * (probe.stopped - probe.issued)
+        )
+        assert report.crashes == 1
+        assert watch.in_flight_at_crash
+        assert cluster.faults.speculative_issues >= 1
         assert np.array_equal(_merged_output(cluster, 2), reference)
 
     def test_crash_between_win_and_commit_keeps_one_output(self, pmem, fmt):
@@ -215,6 +271,27 @@ class TestStragglerSpeculation:
         for shard in cluster.shards:
             leftovers = [n for n in shard.fs.list() if ".spec" in n]
             assert leftovers == []
+
+    def test_deadline_monitor_adds_few_engine_steps(self, pmem, fmt):
+        """The monitor sleeps to one deadline per commit: a straggler run
+        takes at most 1.5x the engine steps of the same run without its
+        slow window (a monitor polling the fluid horizon took 11.8x)."""
+        seed = SEEDS[0]
+        total = _no_fault_duration(pmem, N_RECORDS, fmt, seed, shards=4)
+        steps = []
+        for plan in (None, parse_fault_spec(
+            f"shard0:slow@t:{0.4 * total}+{50 * total}:x0.1", seed=seed
+        )):
+            cluster = Cluster(shards=4, profile=pmem)
+            data = generate_cluster_dataset(cluster, "input", N_RECORDS, fmt,
+                                            seed=seed)
+            result, _report = run_cluster_with_faults(
+                ShardedWiscSort(fmt), cluster, data, plan=plan
+            )
+            assert result.validated
+            steps.append(cluster.engine.steps)
+        assert cluster.faults.speculative_issues >= 1
+        assert steps[1] <= 1.5 * steps[0], steps
 
     def test_speculation_disabled_without_faults(self, pmem, fmt):
         cluster = Cluster(shards=3, profile=pmem)
@@ -325,6 +402,29 @@ class TestCombinedChaos:
                                                  plan=plan)
         assert result.validated
         assert report.crashes >= 1
+        assert np.array_equal(_merged_output(cluster, 4), reference)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_resumed_drive_speculates(self, pmem, fmt, seed):
+        """A drive resumed after a crash arms speculation like a fresh
+        one: the straggler is re-issued after the reboot."""
+        reference = _reference(pmem, N_RECORDS, fmt, seed)
+        total = _no_fault_duration(pmem, N_RECORDS, fmt, seed, shards=4)
+        cluster = Cluster(shards=4, profile=pmem)
+        watch = _SpecWatch(cluster).install(cluster)
+        data = generate_cluster_dataset(cluster, "input", N_RECORDS, fmt,
+                                        seed=seed)
+        plan = parse_fault_spec(
+            f"shard1:crash@t:{0.3 * total},"
+            f"shard0:slow@t:{0.4 * total}+{50 * total}:x0.1",
+            seed=seed,
+        )
+        result, report = run_cluster_with_faults(
+            ShardedWiscSort(fmt, checkpoint=True), cluster, data, plan=plan
+        )
+        assert result.validated and report.crashes == 1
+        resumed = watch.instants[watch.instants.index("cluster-reboot"):]
+        assert "speculation-issue" in resumed
         assert np.array_equal(_merged_output(cluster, 4), reference)
 
     def test_counters_surface_in_selfperf(self, pmem, fmt):

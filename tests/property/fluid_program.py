@@ -218,8 +218,14 @@ class Replica:
         return tuple(rows)
 
     def horizons(self) -> tuple:
+        """Per resource group, the latest finite scheduled finish."""
         return tuple(
-            (d, repr(self.sched.predicted_horizon(d))) for d in DOMAINS
+            (d, repr(max(
+                (f for f in map(predicted_finish, self.sched.group_ops(d))
+                 if f < float("inf")),
+                default=None,
+            )))
+            for d in DOMAINS
         )
 
 

@@ -105,13 +105,15 @@ def scenarios(draw):
 
 
 # The two crash instants that broke the per-path scrubs: a crash while a
-# speculative staging copy is in flight (``.stage0.spec`` leaked), and
-# one between a speculative winner's rename and its manifest commit
-# (``.shard0`` ended up on two shards).  The third makes a spare do the
-# only work a spare ever gets -- two stragglers, one finished home -- and
-# crashes it mid-sort.
+# speculative staging copy is in flight (``.stage0.spec`` leaked; the
+# instant is derived, and asserted in flight, by the chaos suite's
+# ``test_crash_under_speculation_leaves_no_copy``), and one between a
+# speculative winner's rename and its manifest commit (``.shard0`` ended
+# up on two shards).  The third makes a spare do the only work a spare
+# ever gets -- two stragglers, one finished home -- and crashes it
+# mid-sort.
 @example(Scenario(202, 2, (), "wiscsort", False,
-                  "shard0:crash@t:7.144348456530547e-05"))
+                  "shard0:crash@t:8.916213348440961e-05"))
 @example(Scenario(101, 3, (), "wiscsort", False,
                   "shard0:slow@t:3.04677e-05+0.00553958:x0.05,"
                   "shard1:crash@op:14"))

@@ -338,6 +338,14 @@ BAD_ARGV = [
      "bad factor in fault spec"),
     ("sort --records 2000 --faults slow@t:1e-4+nan:x0.5",
      "bad duration in fault spec"),
+    # triggers that can never fire: each ran with exit 0 (crash@op:-1
+    # crashed at op 0; the slow window lay wholly before t=0)
+    ("sort --records 2000 --faults crash@t:-1", "time must be >= 0"),
+    ("sort --records 2000 --faults crash@op:-1", "op index must be >= 0"),
+    ("sort --records 2000 --faults enospc@op:5+0", "burst length must be >= 1"),
+    ("sort --records 2000 --faults enospc@op:5+-2",
+     "burst length must be >= 1"),
+    ("sort --records 2000 --faults slow@t:-5+1:x0.5", "time must be >= 0"),
     ("serve --rate nan", "arrival rate must be a finite number"),
     ("serve --rate inf", "arrival rate must be a finite number"),
     ("serve --arrivals bursty --rate nan",
