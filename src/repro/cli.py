@@ -14,9 +14,9 @@ Commands
                 print the per-phase device-busy / queueing / DRAM-stall
                 / net / cpu decomposition, blame tables and optional
                 ``--what-if`` projections.
-``trace-diff``  compare two schema-stamped report JSONs (analysis
-                reports, selfperf baselines or service reports) and
-                flag per-row regressions; exit 1 on any regression.
+``trace-diff``  compare two schema-stamped report JSONs (analysis or
+                service reports) and flag per-row regressions; exit 1
+                on any regression.
 ``calibrate``   run the device microbenchmark suite on a profile.
 ``trace-report``  summarize a Chrome/Perfetto trace JSON produced by
                 ``--trace`` (span and device-class aggregates).
@@ -545,6 +545,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_trace_diff(args: argparse.Namespace) -> int:
     from repro.trace import diff_reports, load_report_json, render_diff
 
+    if not 0 <= args.threshold < float("inf"):  # nan fails both
+        raise ConfigError(f"--threshold must be a finite number >= 0, got {args.threshold}")
     docs = []
     for path in (args.report_a, args.report_b):
         try:

@@ -82,7 +82,7 @@ class SchemaMismatchError(ConfigError):
 
     Raised when a document lacks the ``"schema"`` version stamp, when
     the two documents' schema versions disagree, when their document
-    kinds differ (an analysis report against a selfperf baseline), or
+    kinds differ (an analysis report against a service report), or
     when a row is malformed (a missing field, a non-number).
     """
 

@@ -12,9 +12,8 @@ produces:
   ``dram+4GiB``): only the affected segments shrink, everything else is
   assumed invariant;
 * **regression diffing** -- :func:`diff_reports` compares two
-  schema-stamped JSON documents (analysis reports or selfperf
-  baselines) with relative thresholds, the engine behind ``python -m
-  repro trace-diff``.
+  schema-stamped JSON documents (analysis or service reports) with
+  relative thresholds, the engine behind ``python -m repro trace-diff``.
 
 All outputs are byte-deterministic: same seed, same report bytes.
 
@@ -44,9 +43,8 @@ from repro.trace.critical_path import (
 )
 from repro.trace.tracer import Tracer
 
-#: Version stamp shared with :class:`repro.cluster.service.ServiceReport`
-#: and ``BENCH_selfperf.json``; ``trace-diff`` refuses to compare
-#: documents whose stamps disagree.
+#: Version stamp shared with :class:`repro.cluster.service.ServiceReport`;
+#: ``trace-diff`` refuses to compare documents whose stamps disagree.
 REPORT_SCHEMA = 1
 
 #: Canonical JSON rendering for byte-deterministic reports.
@@ -321,15 +319,13 @@ def _require_schema(doc: dict, label: str) -> int:
 
 
 def _doc_kind(doc: dict) -> str:
-    if "workloads" in doc:
-        return "selfperf"
     if "phases" in doc:
         return "analysis"
     if "percentiles" in doc:
         return "service"
     raise SchemaMismatchError(
-        "unrecognised report document (expected a selfperf baseline, an "
-        "analysis report or a service report)"
+        "unrecognised report document (expected an analysis report or a "
+        "service report)"
     )
 
 
@@ -355,24 +351,6 @@ def _analysis_rows(doc: dict, label: str) -> Dict[str, float]:
         if not isinstance(name, str):
             raise SchemaMismatchError(f"{label} phase #{i} name is {name!r}")
         rows[name] = _field(ph, "duration", f"{label} phase {name!r}")
-    return rows
-
-
-def _selfperf_rows(doc: dict, label: str) -> Dict[str, float]:
-    rows = {}
-    for name, wl in _mapping(doc["workloads"], f"{label} 'workloads'").items():
-        where = f"{label} workload {name!r}"
-        fingerprint = _mapping(wl, where).get("fingerprint", {})
-        total = _mapping(fingerprint, f"{where} fingerprint").get("total_time")
-        if isinstance(total, str):
-            try:
-                rows[name] = float.fromhex(total)
-            except ValueError:
-                raise SchemaMismatchError(
-                    f"{where} total_time {total!r} is not a hex float"
-                ) from None
-        else:
-            rows[name] = _field(wl, "sim_seconds", where)
     return rows
 
 
@@ -403,8 +381,8 @@ def diff_reports(
 ) -> dict:
     """Compare two schema-stamped report documents.
 
-    A *regression* is a row (phase duration, workload simulated time,
-    service percentile) whose value grew by more than ``threshold``
+    A *regression* is a row (phase duration, service makespan or
+    percentile) whose value grew by more than ``threshold``
     relative; shrinking rows are reported as improvements.  Raises
     :class:`~repro.errors.SchemaMismatchError` on schema or kind
     disagreements and on a malformed row, instead of a ``KeyError`` or
@@ -425,7 +403,6 @@ def diff_reports(
         )
     extract = {
         "analysis": _analysis_rows,
-        "selfperf": _selfperf_rows,
         "service": _service_rows,
     }[kind]
     rows_a = _rows(extract, doc_a, "document A")

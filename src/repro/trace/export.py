@@ -303,11 +303,43 @@ def render_phase_rollup(tracer: Tracer) -> str:
 # ----------------------------------------------------------------------
 # trace-report: summarize an exported Chrome trace JSON file
 # ----------------------------------------------------------------------
+_NUMBER = (int, float)
+_TIMES = {"ts": (_NUMBER, 0.0), "dur": (_NUMBER, 0.0)}
+#: What :func:`render_trace_report` reads from an event, by kind: dotted
+#: path -> (types, default if absent); a ``None`` default is required.
+_EVENT_FIELDS = {
+    "M": {"name": (str, None)},
+    "process_name": {"pid": ((int, str), None), "args.name": (str, None)},
+    "op": {**_TIMES, "args": (dict, {}), "args.class": (str, ""),
+           "args.bytes": (_NUMBER, 0.0), "args.work": (_NUMBER, 0.0)},
+    "X": {**_TIMES, "cat": (str, ""), "name": (str, None)},
+    "C": {**_TIMES, "pid": ((int, str), None), "name": (str, None),
+          "args.value": (_NUMBER, None)},
+}
+
+
 def load_chrome_trace(path: str) -> dict:
+    """Load an exported trace; ``ValueError`` names the first event
+    :func:`render_trace_report` could not read."""
     with open(path) as fh:
         doc = json.load(fh)
-    if "traceEvents" not in doc:
-        raise ValueError(f"{path}: not a Chrome trace (no traceEvents)")
+    events = doc.get("traceEvents") if isinstance(doc, dict) else None
+    if not isinstance(events, list):
+        raise ValueError(f"{path}: not a Chrome trace (no traceEvents list)")
+    for i, ev in enumerate(events):
+        if not isinstance(ev, dict):
+            raise ValueError(f"{path}: event #{i} is {ev!r}, not an object")
+        kind = ev.get("ph")
+        if kind == "X" and str(ev.get("cat", "")).startswith("op."):
+            kind = "op"
+        elif kind == "M" and ev.get("name") == "process_name":
+            kind = "process_name"
+        for field, (types, default) in _EVENT_FIELDS.get(kind, _TIMES).items():
+            value = ev
+            for key in field.split("."):
+                value = value.get(key, default) if isinstance(value, dict) else default
+            if not isinstance(value, types):
+                raise ValueError(f"{path}: event #{i} {field} is {value!r}")
     return doc
 
 

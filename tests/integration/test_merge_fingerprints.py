@@ -4,13 +4,16 @@ ISSUE 14 routes six formerly hand-copied k-way merge loops through
 ``repro.core.kway.drive_merge`` and two crash-recovery state machines
 through ``repro.core.recovery``.  The simulated results must not move:
 this table pins ``repr(total_time)``, internal byte counters, per-tag
-busy times and the output SHA-256 of each path that
-``BENCH_selfperf.json`` (WiscSort only) does not already freeze, plus
+busy times and the output SHA-256 of each path, plus
 the ``last_recovery`` accounting of checkpointed sorts crashed at fixed
 fractions of their op stream.  The ``sharded[...]`` entries (ISSUE 21)
 freeze ``ShardedWiscSort`` the same way -- fault-free, one shard crashed
 at fixed fractions of its op stream, the same under a straggler window,
-and two crashes -- with the counters that pin its control flow.
+and two crashes -- with the counters that pin its control flow.  The
+``selfperf:...`` entries freeze the paper's two WiscSort modes at seed
+2023 (OnePass, and a 134-way MergePass under 8 background writers) with
+per-tag device accounting and kernel counters; every observer, alone or
+all at once, and the scalar kernel path must reproduce them.
 
 The frozen values live in ``merge_fingerprints.json`` next to this
 file; they were captured at the commit *before* the refactor.  Re-capture
@@ -39,11 +42,13 @@ from repro.core.natural_runs import NaturalRunWiscSort
 from repro.core.wiscsort import WiscSort
 from repro.faults import FaultPlan, parse_fault_spec, run_with_faults
 from repro.machine import Machine
-from repro.perf import collect_cluster_counters
+from repro.perf import collect_cluster_counters, collect_counters
 from repro.records.format import RecordFormat, record_sort_indices
 from repro.records.gensort import generate_dataset
 from repro.records.klv import KLVFormat, generate_klv_dataset
-from repro.units import KiB
+from repro.trace import Tracer
+from repro.units import KiB, MiB
+from repro.workloads.background import BackgroundClients
 
 from tests.cluster.test_chaos import _merged_output
 
@@ -133,6 +138,25 @@ SHARDED_COUNTERS = (
     "engine_steps", "ops_cancelled", "speculative_issues", "speculative_wins",
     "shuffle_bytes_network",
 )
+
+#: name -> (records, background writers, system factory), seed 2023.
+SELFPERF_CASES = {
+    "onepass": (50_000, 0, lambda: WiscSort(
+        FMT, SortConfig(read_buffer=10 * MiB, write_buffer=8 * KiB))),
+    "mergepass": (200_000, 8, lambda: WiscSort(
+        FMT, SortConfig(read_buffer=96 * KiB, write_buffer=8 * KiB),
+        force_merge_pass=True, merge_chunk_entries=1_500)),
+}
+SELFPERF_COUNTERS = (
+    "engine_steps", "ops_completed", "rerate_calls", "vector_solves",
+    "scalar_fallbacks",
+)
+#: leg -> observers installed before the run; ``scalar`` runs none on
+#: the reference kernel path (``REPRO_SIM_VECTOR=0``).
+OBSERVERS = ("analyze", "race", "faults", "sanitize")
+SELFPERF_LEGS = {
+    "off": (), **{o: (o,) for o in OBSERVERS}, "all": OBSERVERS, "scalar": (),
+}
 
 
 def _fingerprint(machine, result, output=None):
@@ -231,11 +255,41 @@ def run_sharded(name):
     return fingerprint
 
 
+def run_selfperf(name, observers=()):
+    records, background, system = SELFPERF_CASES[name]
+    machine = Machine()
+    checked = []
+    if "analyze" in observers:
+        Tracer(analyze=True).install(machine)
+    if "faults" in observers:
+        machine.install_faults(FaultPlan())
+    if "sanitize" in observers:
+        checked.append(machine.install_sanitizer())
+    if "race" in observers:
+        checked.append(machine.install_race_detector())
+    data = generate_dataset(machine, "input", records, FMT, seed=2023)
+    if background:
+        BackgroundClients(machine, background, "write").start()
+    result = system().run(machine, data, validate=False)
+    for observer in checked:
+        observer.check()  # charge drift or a race raises
+    fingerprint = _fingerprint(machine, result)
+    fingerprint["tags"] = {
+        tag: {"busy_time": repr(s.busy_time), "internal_bytes": s.internal_bytes,
+              "user_bytes": s.user_bytes, "op_count": s.op_count}
+        for tag, s in sorted(machine.stats.tags.items())
+    }
+    counters = collect_counters(machine)
+    fingerprint.update({k: counters[k] for k in SELFPERF_COUNTERS})
+    return fingerprint
+
+
 def capture():
     frozen = {name: run_case(name) for name in CASES}
     frozen.update({name: run_sharded(name) for name in SHARDED_CASES})
     frozen["wiscsort-klv"] = run_klv()
     frozen["wiscsort-natural"] = run_natural()
+    frozen.update({f"selfperf:{name}": run_selfperf(name) for name in SELFPERF_CASES})
     for name in CRASH_CASES:
         for percent in CRASH_PERCENTS:
             frozen[f"{name}:crash@{percent}%"] = run_crash(name, percent)
@@ -267,6 +321,16 @@ def test_crash_recovery_fingerprint(name, percent):
 @pytest.mark.parametrize("name", sorted(SHARDED_CASES))
 def test_sharded_fingerprint(name):
     assert run_sharded(name) == FROZEN[name]
+
+
+@pytest.mark.parametrize("leg", SELFPERF_LEGS)
+@pytest.mark.parametrize("name", SELFPERF_CASES)
+def test_selfperf_fingerprint(name, leg, monkeypatch):
+    monkeypatch.setenv("REPRO_SIM_VECTOR", "0" if leg == "scalar" else "1")
+    want = dict(FROZEN[f"selfperf:{name}"])
+    if leg == "scalar":  # every solve is one model.assign, none vectored
+        want["vector_solves"] = 0
+    assert run_selfperf(name, SELFPERF_LEGS[leg]) == want
 
 
 if __name__ == "__main__":

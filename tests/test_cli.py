@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -354,6 +356,29 @@ BAD_ARGV = [
     ("serve --horizon inf", "horizon must be a finite number"),
     ("serve --rate 2000 --horizon 0.005 --records 1000 --deadline nan",
      "deadline must be a finite number"),
+    # thresholds that break the gate (checked before the files load): nan
+    # and inf passed a +400 % row, -1 flagged a 5 -> 1 drop as a REGRESSION
+    ("trace-diff {missing}/a.json {missing}/b.json --threshold nan",
+     "--threshold must be a finite number >= 0"),
+    ("trace-diff {missing}/a.json {missing}/b.json --threshold inf",
+     "--threshold must be a finite number >= 0"),
+    ("trace-diff {missing}/a.json {missing}/b.json --threshold -1",
+     "--threshold must be a finite number >= 0"),
+]
+
+#: Malformed trace documents -> what the one ``trace-report:`` line says
+#: (each was a TypeError / KeyError traceback).
+BAD_TRACES = [
+    (5, "no traceEvents list"),
+    ({"traceEvents": 5}, "no traceEvents list"),
+    ({"traceEvents": [{"ph": "i", "ts": 0}, 5]}, "event #1 is 5"),
+    ({"traceEvents": [{"ph": "i", "ts": 0}, {"ph": "X", "ts": 0, "dur": 1}]},
+     "event #1 name is None"),
+    ({"traceEvents": [{"ph": "i", "ts": 0},
+                      {"ph": "C", "pid": 0, "name": "bw", "ts": 0, "args": {}}]},
+     "event #1 args.value is None"),
+    ({"traceEvents": [{"ph": "i", "ts": 0}, {"ph": "i", "ts": "5"}]},
+     "event #1 ts is '5'"),
 ]
 
 
@@ -377,6 +402,19 @@ class TestBadInputNeverTracebacks:
         argv = argv.replace("{missing}", str(tmp_path / "missing")).split()
         assert main(argv) == 2
         assert_one_line(capsys, argv[0], message)
+
+    @pytest.mark.parametrize(
+        "doc,message", BAD_TRACES,
+        ids=["top-level-int", "events-int", "event-int", "span-no-name",
+             "counter-no-value", "ts-str"],
+    )
+    def test_malformed_trace_exits_2_with_one_line(
+        self, doc, message, tmp_path, capsys
+    ):
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps(doc))
+        assert main(["trace-report", str(path)]) == 2
+        assert_one_line(capsys, "trace-report", message)
 
     def test_a_bug_still_tracebacks(self, monkeypatch):
         # the guard names what bad input raises; it is not `except Exception`
@@ -434,9 +472,7 @@ class TestAnalyzeCommand:
         capsys.readouterr()
         blobs = [p.read_bytes() for p in paths]
         assert blobs[0] == blobs[1]
-        import json as _json
-
-        doc = _json.loads(blobs[0])
+        doc = json.loads(blobs[0])
         assert doc["schema"] == 1 and doc["kind"] == "analysis"
 
 
@@ -459,13 +495,11 @@ class TestTraceDiffCommand:
         assert "0 regression(s)" in out
 
     def test_regression_exits_1(self, tmp_path, capsys):
-        import json as _json
-
         a = self._report(tmp_path, "a.json")
-        doc = _json.loads(a.read_text())
+        doc = json.loads(a.read_text())
         doc["phases"][0]["duration"] *= 2.0
         b = tmp_path / "b.json"
-        b.write_text(_json.dumps(doc))
+        b.write_text(json.dumps(doc))
         capsys.readouterr()
         rc = main(["trace-diff", str(a), str(b)])
         out = capsys.readouterr().out
@@ -473,11 +507,9 @@ class TestTraceDiffCommand:
         assert "REGRESSION" in out
 
     def test_kind_mismatch_exits_2(self, tmp_path, capsys):
-        import json as _json
-
         a = self._report(tmp_path, "a.json")
-        b = tmp_path / "selfperf.json"
-        b.write_text(_json.dumps({"schema": 1, "workloads": {}}))
+        b = tmp_path / "service.json"
+        b.write_text(json.dumps({"schema": 1, "makespan": 1.0, "percentiles": {}}))
         capsys.readouterr()
         rc = main(["trace-diff", str(a), str(b)])
         assert rc == 2

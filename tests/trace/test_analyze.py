@@ -316,19 +316,9 @@ class TestDiff:
 
     def test_kind_mismatch_rejected(self):
         doc = self._report_doc()
-        selfperf = {"schema": 1, "workloads": {}}
+        service = {"schema": 1, "makespan": 1.0, "percentiles": {}}
         with pytest.raises(SchemaMismatchError, match="kinds differ"):
-            diff_reports(doc, selfperf)
-
-    def test_selfperf_documents_diff_on_total_time(self):
-        a = {"schema": 1, "workloads": {"onepass": {
-            "sim_seconds": 1.0,
-            "fingerprint": {"total_time": (0.5).hex()},
-        }}}
-        b = json.loads(json.dumps(a))
-        b["workloads"]["onepass"]["fingerprint"]["total_time"] = (0.6).hex()
-        diff = diff_reports(a, b, threshold=0.05)
-        assert len(diff["regressions"]) == 1
+            diff_reports(doc, service)
 
     def test_service_documents_diff_on_percentiles(self):
         a = {"schema": 1, "makespan": 1.0,
@@ -341,24 +331,19 @@ class TestDiff:
     @pytest.mark.parametrize(
         "doc_a, doc_b, named",
         [
-            ({"workloads": {"w": {}}}, None, "document A workload 'w'"),
             ({"percentiles": {"latency": 3}, "makespan": 1}, None,
              "document A percentiles 'latency'"),
             ({"phases": [{"name": "x"}]}, None, "document A phase 'x'"),
-            ({"workloads": {"w": {"sim_seconds": "abc"}}},
-             {"workloads": {"w": {"sim_seconds": 1.0}}},
-             "document A row 'w'"),
             ({"makespan": 1, "percentiles": {"latency": {"p50": None}}},
              {"makespan": 1, "percentiles": {"latency": {"p50": 0.5}}},
              "document A row 'latency:p50'"),
-            ({"workloads": {"w": {"fingerprint": {"total_time": "zz"}}}},
-             None, "document A workload 'w'"),
             ({"phases": [{"name": ["x"], "duration": 1}]}, None,
              "document A phase #0"),
+            # the retired self-benchmark's document shape
+            ({"workloads": {}}, None, "unrecognised report document"),
         ],
-        ids=["workload-empty", "percentiles-int", "phase-no-duration",
-             "sim-seconds-str", "p50-null", "total-time-not-hex",
-             "phase-name-list"],
+        ids=["percentiles-int", "phase-no-duration", "p50-null",
+             "phase-name-list", "workloads-unrecognised"],
     )
     def test_malformed_row_is_typed_error(self, doc_a, doc_b, named, tmp_path,
                                           capsys):
