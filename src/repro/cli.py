@@ -438,9 +438,9 @@ def cmd_cluster(args: argparse.Namespace) -> int:
             "to fingerprint)")
     if args.jobs < 1:
         raise ConfigError("need at least one job")
+    if args.tenants < 1:
+        raise ConfigError("need at least one tenant")
     from repro.workloads.arrivals import JobSpec, TraceArrivals
-
-    tenants = max(1, args.tenants)
 
     def run_once(**changes):
         """The batch: a fresh cluster serving every job as a ``t=0`` arrival."""
@@ -449,7 +449,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
             arrivals=TraceArrivals([
                 JobSpec(
                     index=j, arrival_time=0.0, name=f"job{j:02d}",
-                    tenant=f"tenant{j % tenants}", system=args.system,
+                    tenant=f"tenant{j % args.tenants}", system=args.system,
                     records=args.records_per_job, seed=args.seed + j,
                 )
                 for j in range(args.jobs)
@@ -497,7 +497,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         policy=args.policy,
         shards=args.shards,
         devices=_device_names(args),
-        tenants=max(1, args.tenants),
+        tenants=args.tenants,
         queue_cap=args.queue_cap,
         deadline=args.deadline,
         period=args.period,
@@ -519,6 +519,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     from repro.trace import analyze_tracer
     from repro.trace.analyze import parse_what_if
 
+    if args.blame_rows < 0:
+        raise ConfigError(f"--blame-rows must be >= 0, got {args.blame_rows}")
     hypotheses = [parse_what_if(expr) for expr in args.what_if or ()]
     result = api.sort(_run_options(args).replace(analyze=True))
     tracer = result.extras["tracer"]

@@ -485,6 +485,8 @@ class SortService:
         self._policy = get_policy(policy)()
         self.fmt = fmt if fmt is not None else RecordFormat()
         self.config = config if config is not None else cluster.config
+        if queue_cap is not None and queue_cap < 0:
+            raise ConfigError(f"queue_cap must be >= 0, got {queue_cap}")
         self.queue_cap = queue_cap
         self.slos = [parse_slo(s) for s in slos]
         self.validate = validate

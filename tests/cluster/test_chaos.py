@@ -4,8 +4,8 @@ The invariant under test is the strongest one the cluster makes: no
 matter which shard crashes, which shard straggles, or when a new shard
 is admitted, the concatenated sorted output is byte-identical to a
 single-device WiscSort over the same records -- across multiple seeds
-and under both fluid kernels (run with ``REPRO_SIM_VECTOR=0/1``; the CI
-``cluster-chaos`` job sweeps both).
+and under both fluid kernels (CI runs tier-1 with ``REPRO_SIM_VECTOR``
+unset and with ``=0``).
 
 The suite deliberately runs without the sanitizer and with an unlimited
 DRAM budget: loser cancellation tears processes down mid-allocation by

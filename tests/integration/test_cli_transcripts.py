@@ -51,9 +51,17 @@ def _mask(text: str, tmp: str) -> str:
 
 
 def run_cases(doc: dict) -> list:
-    """Run every case of ``doc`` in order; one observed record each."""
+    """Run every case of ``doc`` in order; one observed record each.
+
+    ``--selfperf`` prints which fluid-kernel path ran, and the cases were
+    captured on the default one, so ``REPRO_SIM_VECTOR`` is unset here.
+    """
     observed = []
-    with tempfile.TemporaryDirectory() as tmp:
+    with (
+        pytest.MonkeyPatch.context() as mp,
+        tempfile.TemporaryDirectory() as tmp,
+    ):
+        mp.delenv("REPRO_SIM_VECTOR", raising=False)
         for name, content in doc["files"].items():
             Path(tmp, name).write_text(content, encoding="utf-8")
         seen = set(os.listdir(tmp))

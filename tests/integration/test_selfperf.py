@@ -78,12 +78,14 @@ class TestMemoizationDeterminism:
         monkeypatch.setenv("REPRO_SIM_VECTOR", "1")
         self.check_memoize_on_off()
 
-    def test_memoize_hit_rate_on_steady_state_mergepass(self):
+    def test_memoize_hit_rate_on_steady_state_mergepass(self, monkeypatch):
         # Acceptance criterion: rate memoization must be observably
         # effective -- on a steady-state MergePass at least 80% of the
         # solves are answered without running the waterfill.  Since the
         # group tables sit in front of the model's own LRU, the model
-        # only sees table misses; a model-side miss is a waterfill run.
+        # only sees table misses; a model-side miss is a waterfill run
+        # (so this pins the default kernel, where the tables exist).
+        monkeypatch.delenv("REPRO_SIM_VECTOR", raising=False)
         machine, _result, _out = run_mergepass(background=2)
         counters = collect_counters(machine)
         solves = counters["vector_solves"] + counters["scalar_fallbacks"]

@@ -364,6 +364,16 @@ BAD_ARGV = [
      "--threshold must be a finite number >= 0"),
     ("trace-diff {missing}/a.json {missing}/b.json --threshold -1",
      "--threshold must be a finite number >= 0"),
+    # each ran and exited 0: --tenants 0 put every job on tenant0, the
+    # negative queue cap shed every arrival, and --blame-rows -1 dropped
+    # the last contributor of every phase
+    ("cluster --jobs 2 --records-per-job 1000 --tenants 0",
+     "need at least one tenant"),
+    ("serve --rate 2000 --horizon 0.005 --records 1000 --tenants 0",
+     "need at least one tenant"),
+    ("serve --rate 2000 --horizon 0.005 --records 1000 --policy shed "
+     "--queue-cap -1", "queue_cap must be >= 0"),
+    ("analyze --records 2000 --blame-rows -1", "--blame-rows must be >= 0"),
 ]
 
 #: Malformed trace documents -> what the one ``trace-report:`` line says

@@ -7,6 +7,11 @@ arrivals exercise real queueing without real waiting.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro import api
@@ -24,6 +29,7 @@ from tests.conftest import batch_trace
 
 #: Admits ~3 concurrent 2k-record jobs (each reserves ~15.8 MB).
 BUDGET = 48_000_000
+REPO = Path(__file__).resolve().parents[1]
 
 
 def overload_options(seed=3):
@@ -64,6 +70,24 @@ class TestDeterminism:
         vector_render, vector_pct = run(True)
         assert scalar_render == vector_render
         assert scalar_pct == vector_pct
+
+    def test_bench_sweep_is_byte_identical_across_processes(self, tmp_path):
+        # The quick throughput-knee sweep is a pure function of its seed:
+        # two processes with different hash seeds (so sets of strings
+        # iterate in different orders) must write the same JSON bytes.
+        outputs = [tmp_path / f"sweep{seed}.json" for seed in (1, 2)]
+        procs = [
+            subprocess.Popen(
+                [sys.executable, str(REPO / "benchmarks" / "bench_service.py"),
+                 "--quick", "--output", str(out)],
+                cwd=tmp_path, stdout=subprocess.DEVNULL,
+                env={**os.environ, "PYTHONPATH": str(REPO / "src"),
+                     "PYTHONHASHSEED": str(seed)},
+            )
+            for seed, out in zip((1, 2), outputs)
+        ]
+        assert [p.wait(timeout=600) for p in procs] == [0, 0]
+        assert outputs[0].read_bytes() == outputs[1].read_bytes()
 
     def test_same_seed_same_job_stream(self):
         jobs_a = serve_overloaded("fifo").jobs

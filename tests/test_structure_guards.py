@@ -1,0 +1,146 @@
+"""Structural guards: one mechanism per job, and the deleted ones stay gone.
+
+Each row of ``LINE_GUARDS`` is a regular expression, the files it scans
+(globs relative to the repo root; a directory is walked whole) and the
+number of matching lines it may have.  Most allow none: a name that
+belongs to a deleted mechanism, or an observer attribute in the kernel.
+A count of 1 pins a mechanism's single call site.  Patterns that scan
+``tests`` bracket one letter (``[G]``) so they never match this file.
+"""
+
+from __future__ import annotations
+
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: (guard, pattern, paths scanned, paths excluded, matching lines allowed)
+LINE_GUARDS = [
+    # Every hook site loops over a probe-bus tuple (repro.sim.probe); an
+    # observer attribute creeping back into the kernel or the storage
+    # layer is a regression of that contract.
+    ("kernel and storage name no observer",
+     r"\.(sanitizer|tracer|race|audit|schedule_fuzz|on_change|on_pressure)\b",
+     ["src/repro/sim/engine.py", "src/repro/sim/fluid.py",
+      "src/repro/sim/primitives.py", "src/repro/storage/*.py"], [], 0),
+    # The cursor protocol lives once, in core/kway.py::drive_merge.  The
+    # full-scan pair is its test oracle and must not regain a production
+    # caller; only cursor classes may ask needs_refill.
+    ("one merge driver: full-scan oracle",
+     r"\b(merge_step|redistribute_on_drain)\b",
+     ["src/repro/**/*.py"], ["src/repro/core/kway.py"], 0),
+    ("one merge driver: needs_refill", r"needs_refill",
+     ["src/repro/**/*.py"],
+     ["src/repro/core/kway.py", "src/repro/core/compression.py",
+      "src/repro/core/natural_runs.py"], 0),
+    # The batch JobScheduler became a finite arrival trace on
+    # SortService, not a second loop beside it: one policy call site, one
+    # place jobs get a sorter, no scheduler module.
+    ("one admission loop: policy call", r"_policy\.pick\(",
+     ["src/repro/cluster/service.py"], [], 1),
+    ("one admission loop: sorter", r"create_system\(",
+     ["src/repro/cluster/service.py"], [], 1),
+    ("one admission loop: no JobScheduler", r"JobScheduler",
+     ["src", "examples", "README.md"], [], 0),
+    # The set+heap scalar kernel was replaced by slot lists, not kept
+    # beside them; nor may the numpy column storage, its threshold knob
+    # or its counters come back (DESIGN.md has the measurements).
+    ("one fluid kernel: no event heap", r"heapq|_heap_ver|_scalar_live",
+     ["src/repro/sim/fluid.py"], [], 0),
+    ("one column storage: no numpy columns",
+     r"_Vector[G]roup|REPRO_SIM_VECTOR_MIN[_]GROUP|vector_min[_]group"
+     r"|array_(pro|de)motions",
+     ["src", "tests", ".github", "README.md", "DESIGN.md"], [], 0),
+    ("one column storage: no numpy in the kernel", r"numpy",
+     ["src/repro/sim/*.py"], [], 0),
+    # Every run is assembled in repro.api; the CLI parses, builds one
+    # RunOptions, calls api.sort / api.serve and prints.  Flags are
+    # declared once, and crash recovery has one loop.
+    ("one front door: CLI builds no run",
+     r"ShardedWiscSort|install_faults|run_cluster_with_faults"
+     r"|run_with_faults|Cluster\(",
+     ["src/repro/cli.py"], [], 0),
+    ("one front door: RunOptions", r"RunOptions\(", ["src/repro/cli.py"], [], 1),
+    ("one front door: add_argument", r"add_argument\(",
+     ["src/repro/cli.py"], [], 1),
+    ("one front door: recovery loop", r"def _recover_loop",
+     ["src/repro/faults/harness.py"], [], 1),
+    ("one front door: no cluster recovery loop", r"_cluster_recover_loop",
+     ["src/repro/faults/harness.py"], [], 0),
+    # A fresh run is a recovery from empty manifests: run() and recover()
+    # meet in one _run, so the engine is entered, the reserved offsets
+    # computed and the scatter spawned in one place each.  Spare-first
+    # re-sort and the three speculation knobs no caller set were deleted
+    # on measured traffic (DESIGN.md) and must not come back.
+    ("one sharded driver: engine entry", r"cluster\.run\(",
+     ["src/repro/cluster/sharded.py"], [], 1),
+    ("one sharded driver: reserved offsets", r"np\.cumsum\(",
+     ["src/repro/cluster/sharded.py"], [], 1),
+    ("one sharded driver: scatter", r"_shuffle_source\(",
+     ["src/repro/cluster/sharded.py"], [], 2),
+    ("one sharded driver: deleted paths",
+     r"_recover_drive|_recover_partition|RECOVER|spec_interval|spec_factor"
+     r"|self\.speculate",
+     ["src/repro/cluster/sharded.py"], [], 0),
+    # Every counter of a run is a key of repro.perf's flat dict.  The
+    # typed registry, its bridges and the windowed rollups had writers
+    # and no reader (DESIGN.md); trace/metrics.py keeps the service
+    # report's Histogram only.
+    ("one counter surface: Histogram only", r"^class ",
+     ["src/repro/trace/metrics.py"], [], 1),
+    ("one counter surface: deleted registry",
+     r"MetricsRegistry|snapshot_(machine|cluster)|tracer_histograms"
+     r"|WindowedSeries|counter_windows|set_total",
+     ["src", "examples", "README.md", "DESIGN.md"], [], 0),
+    # The paper's OnePass / MergePass fingerprints are tier-1 golden
+    # cases (tests/integration/test_merge_fingerprints.py); the script
+    # that froze them beside tier-1 must not come back.
+    ("one frozen-result gate", r"(bench|BENCH)_self[p]erf",
+     ["src", "tests", "examples", ".github", "README.md", "DESIGN.md"], [], 0),
+    # Counter tracks read the rows DeviceStats / InterconnectStats append
+    # each settle epoch: a scan of every active op per epoch or per issue
+    # must not come back (DESIGN.md).
+    ("tracer reads the device statistics", r"fluid\.active",
+     ["src/repro/trace/tracer.py"], [], 0),
+]
+
+#: Files whose job moved elsewhere (globs, bracketed as above).
+DELETED_FILES = [
+    "src/repro/cluster/scheduler.py",
+    "benchmarks/bench_self[p]erf.py",
+    "BENCH_self[p]erf.json",
+]
+
+
+def _scanned(paths, excluded):
+    skip = {ROOT / p for p in excluded}
+    for pattern in paths:
+        for path in sorted(ROOT.glob(pattern)):
+            files = sorted(path.rglob("*")) if path.is_dir() else [path]
+            for f in files:
+                if f.is_file() and f not in skip and "__pycache__" not in f.parts:
+                    yield f
+
+
+@pytest.mark.parametrize(
+    "guard,pattern,paths,excluded,allowed", LINE_GUARDS,
+    ids=[g[0] for g in LINE_GUARDS],
+)
+def test_line_guard(guard, pattern, paths, excluded, allowed):
+    regex = re.compile(pattern)
+    hits = [
+        f"{f.relative_to(ROOT)}:{n}: {line.strip()}"
+        for f in _scanned(paths, excluded)
+        for n, line in enumerate(
+            f.read_text(encoding="utf-8", errors="replace").splitlines(), 1)
+        if regex.search(line)
+    ]
+    assert len(hits) == allowed, "\n".join([f"{guard}:"] + hits)
+
+
+@pytest.mark.parametrize("pattern", DELETED_FILES)
+def test_deleted_file_stays_gone(pattern):
+    assert not list(ROOT.glob(pattern))
