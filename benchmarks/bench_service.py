@@ -9,8 +9,9 @@ policies (shed/backpressure) trade completions for flat tails.
 
 The whole sweep is a pure function of ``--seed``: the arrival streams,
 job datasets and simulated service are all deterministic, so two runs
-produce byte-identical tables and JSON (the CI service job asserts
-exactly that with ``cmp``).
+produce byte-identical tables and JSON (the two-process
+``PYTHONHASHSEED`` test in ``tests/test_service.py`` asserts exactly
+that).
 
 Not a pytest module -- run it as a script::
 
@@ -112,7 +113,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--quick", action="store_true",
-                        help="two rates instead of five (CI)")
+                        help="two rates instead of five (the tier-1 test)")
     parser.add_argument("--policies", default=None,
                         metavar="NAME[,NAME...]",
                         help="subset of the policy grid to sweep")

@@ -79,8 +79,6 @@ class RunOptions:
     validate: bool = True
     #: DRAM cap in bytes (None = unbounded; small values force MergePass).
     dram_budget: Optional[int] = None
-    #: Rate-model memo cache (debug switch; results identical either way).
-    memoize_rates: bool = True
     #: Pre-built sanitizer instance (advanced; overrides ``sanitize``'s).
     sanitizer: Optional[Any] = None
     #: Trace export path or pre-built :class:`~repro.trace.Tracer`.
@@ -195,11 +193,7 @@ def _build_cluster(o: RunOptions, shards, devices, link_bw=None):
     """The cluster a sharded sort or the service runs on."""
     from repro.cluster import Cluster  # lazy: a one-device sort never pays for it
 
-    kwargs = dict(
-        dram_budget=o.dram_budget,
-        config=o.sort_config,
-        memoize_rates=o.memoize_rates,
-    )
+    kwargs = dict(dram_budget=o.dram_budget, config=o.sort_config)
     if link_bw is not None:
         # None here means "cluster default", not "no interconnect".
         kwargs["link_bw"] = link_bw
@@ -223,11 +217,7 @@ def _assemble(o: RunOptions, shards, devices, checkpoint: bool, arm: bool = True
     if sharded:
         owner = _build_cluster(o, shards, devices)
     else:
-        owner = Machine(
-            profile=get_profile(o.device)(),
-            dram_budget=o.dram_budget,
-            memoize_rates=o.memoize_rates,
-        )
+        owner = Machine(profile=get_profile(o.device)(), dram_budget=o.dram_budget)
     observers, trace_path = arm_probes(o, owner) if arm else ({}, None)
     if sharded:
         from repro.cluster import ShardedWiscSort, generate_cluster_dataset

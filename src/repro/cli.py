@@ -105,11 +105,7 @@ FLAGS = {
     "--selfperf": dict(
         action="store_true",
         help="print simulator self-performance counters (wall-clock "
-             "phases, event counts, cache hit rates)"),
-    "--no-memoize": dict(
-        action="store_true",
-        help="debug: disable the rate-model memo cache (results must be "
-             "identical either way)"),
+             "phases, event and rate-table counts)"),
     "--trace": dict(
         metavar="PATH",
         help="record a sim-time trace and export it as Chrome/Perfetto "
@@ -233,7 +229,6 @@ def _run_options(args: argparse.Namespace) -> api.RunOptions:
             concurrency=ConcurrencyModel(args.concurrency))
     return api.RunOptions(
         validate=not flags.get("no_validate", False),
-        memoize_rates=not flags.get("no_memoize", False),
         **fields,
     )
 
@@ -602,7 +597,7 @@ COMMANDS = {
         "--records", "--key-size", "--value-size", "--system", "--device",
         "--concurrency", "--seed", "--dram-budget", "--no-validate",
         "--faults", "--sanitize", "--verify-determinism", "--timeline",
-        "--selfperf", "--no-memoize", "--trace", "--trace-rollup",
+        "--selfperf", "--trace", "--trace-rollup",
         "--race-detect", "--schedule-fuzz",
     ]),
     "analyze": (

@@ -176,7 +176,6 @@ class Cluster(ProbeHost):
         host: Optional[HostModel] = None,
         dram_budget: Optional[int] = None,
         config: Optional[SortConfig] = None,
-        memoize_rates: bool = True,
         link_bw: Optional[float] = DEFAULT_LINK_BW,
     ):
         if profiles is not None:
@@ -198,12 +197,10 @@ class Cluster(ProbeHost):
         self.host = host if host is not None else HostModel()
         self.dram = DramTracker(dram_budget, self.probes)
         self.config = config if config is not None else SortConfig()
-        self._memoize_rates = memoize_rates
         self.shards: List[Machine] = [
             Machine(
                 profile=prof,
                 host=self.host,
-                memoize_rates=memoize_rates,
                 engine=self.engine,
                 domain=f"shard{i}",
                 dram=self.dram,
@@ -386,7 +383,6 @@ class Cluster(ProbeHost):
         shard = Machine(
             profile=prof,
             host=self.host,
-            memoize_rates=self._memoize_rates,
             engine=self.engine,
             domain=f"shard{index}",
             dram=self.dram,

@@ -28,8 +28,9 @@ The pieces:
   :class:`~repro.trace.Histogram` per metric.
 * :class:`ServiceReport` -- counters, a p50/p99/p999 percentile table
   and SLO verdicts, with a byte-deterministic :meth:`~ServiceReport.render`
-  and :meth:`~ServiceReport.to_json` (the CI service gate compares the
-  rendered bytes across runs).
+  and :meth:`~ServiceReport.to_json` (``TestDeterminism`` in
+  ``tests/test_service.py`` compares the rendered bytes across runs and
+  across processes).
 
 Everything is a pure function of the arrival process seed and the
 cluster configuration: same inputs, byte-identical report.
@@ -392,7 +393,8 @@ class ServiceReport:
         return json.dumps(self.as_dict(), sort_keys=True, indent=2)
 
     def render(self) -> str:
-        """Deterministic plain-text report (the CI gate hashes this)."""
+        """Deterministic plain-text report (``tests/test_service.py``
+        compares it byte for byte across runs)."""
         lines = [
             f"sort service report: policy={self.policy} "
             f"arrived={self.jobs_arrived} admitted={self.jobs_admitted} "

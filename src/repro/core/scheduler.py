@@ -39,9 +39,7 @@ def run_ops_parallel(machine: "Machine", ops: List[FluidOp]):
 
     All ops enter the device at the same simulated instant and the
     caller resumes when the last one finishes -- one ``ParallelOps``
-    engine command instead of a spawn/join pair per op.  When the
-    machine's engine has ``batch_ops`` enabled, homogeneous ops in the
-    batch are further aggregated into a single carrier op.
+    engine command instead of a spawn/join pair per op.
     """
     if not ops:
         return []

@@ -24,16 +24,16 @@ Rate assignment happens in two stages:
 
 Rates depend only on each op's *signature* -- (kind, direction, pattern,
 threads, host_ratio) for I/O, (kind, mode, cores) for CPU -- never on
-identity or remaining work, so whole assignments are memoized in an LRU
-cache keyed on the sorted signature multiset of the active population.
-Steady-state workloads (a merge loop cycling through identical
-refill/flush populations) hit the cache almost always; see DESIGN.md
-"Simulator performance".
+identity or remaining work.  :meth:`BraidRateModel.assign` runs the
+waterfill in canonical signature order, so equal-signature ops are
+interchangeable and one assignment is exact for every population with
+the same signature multiset.  That is what lets the fluid scheduler's
+per-group rate tables (:mod:`repro.sim.fluid`) memoize assignments; the
+model itself keeps no cache.  See DESIGN.md "Fluid core".
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Dict, Iterable, List, Tuple
 
 from repro.device.host import HostModel
@@ -81,33 +81,16 @@ def make_io_op(
 
 
 class BraidRateModel(RateModel):
-    """Implements the two-stage rate assignment described above.
+    """Implements the two-stage rate assignment described above."""
 
-    ``memoize`` (default on) caches complete rate assignments keyed on
-    the signature multiset of the active population.  The uncached path
-    processes ops in canonical signature order, so cached and uncached
-    assignments are bit-identical -- disabling the cache (the
-    determinism-guard debug flag) must not change any simulated result.
-    """
-
-    def __init__(
-        self,
-        profile: DeviceProfile,
-        host: HostModel,
-        memoize: bool = True,
-        cache_size: int = 4096,
-    ):
+    def __init__(self, profile: DeviceProfile, host: HostModel):
         self.profile = profile
         self.host = host
-        self.memoize = memoize
-        self.cache_size = cache_size
-        self._cache: "OrderedDict[tuple, dict]" = OrderedDict()
-        self.cache_hits = 0
-        self.cache_misses = 0
         #: Global device-throughput multiplier in (0, 1].  The fault
         #: injector lowers it during transient-degradation windows
-        #: (interference storms); it scales every I/O cap and is part of
-        #: the memo key so cached assignments stay exact.
+        #: (interference storms); it scales every I/O cap and is the
+        #: vector state token, so rate tables built under another
+        #: value are never reused.
         self.degrade = 1.0
 
     # ------------------------------------------------------------------
@@ -141,29 +124,12 @@ class BraidRateModel(RateModel):
                 sig = self._signature(op)
                 op._sig = sig
             pairs.append((sig, op))
-        if self.memoize:
-            key = (self.degrade,) + tuple(sorted(sig for sig, _ in pairs))
-            table = self._cache.get(key)
-            if table is not None:
-                self._cache.move_to_end(key)
-                self.cache_hits += 1
-                return {op: table[sig] for sig, op in pairs}
-            self.cache_misses += 1
         # Canonical signature order: rates become independent of caller
         # iteration order (equal-signature ops are interchangeable), so
-        # the memo table built from this pass is exact for any
+        # a group's rate table built from this pass is exact for any
         # population with the same signature multiset.
         pairs.sort(key=lambda p: p[0])
-        rates = self._assign_ordered([op for _, op in pairs])
-        if self.memoize:
-            cache = self._cache
-            cache[key] = {sig: rates[op] for sig, op in pairs}
-            if len(cache) > self.cache_size:
-                cache.popitem(last=False)
-        return rates
-
-    def clear_cache(self) -> None:
-        self._cache.clear()
+        return self._assign_ordered([op for _, op in pairs])
 
     # ------------------------------------------------------------------
     # Vectorized-kernel protocol (see RateModel): rates depend only on

@@ -133,17 +133,13 @@ class Machine(ProbeHost):
         profile: Optional[DeviceProfile] = None,
         host: Optional[HostModel] = None,
         dram_budget: Optional[int] = None,
-        memoize_rates: bool = True,
-        batch_ops: bool = False,
         engine: Optional[Engine] = None,
         domain: Optional[str] = None,
         dram: Optional[DramTracker] = None,
     ):
         self.profile = profile if profile is not None else pmem_profile()
         self.host = host if host is not None else HostModel()
-        self.rate_model = BraidRateModel(
-            self.profile, self.host, memoize=memoize_rates
-        )
+        self.rate_model = BraidRateModel(self.profile, self.host)
         #: Domain key stamped on every op (None on standalone machines,
         #: where op attributes stay identical to earlier builds).
         self.domain = domain
@@ -167,9 +163,7 @@ class Machine(ProbeHost):
             if domain is not None:
                 raise ConfigError("domain= requires a shared engine=")
             self.probes = ProbeSet(self)
-            self.engine = Engine(
-                self.rate_model, batch_ops=batch_ops, probes=self.probes
-            )
+            self.engine = Engine(self.rate_model, probes=self.probes)
         self.stats = DeviceStats(self.host)
         self.observe_engine()
         self.fs = SimFS(self)
@@ -229,11 +223,8 @@ class Machine(ProbeHost):
                 "whole-host operation on the owning cluster"
             )
         now = self.engine.now
-        batch_ops = self.engine.batch_ops
         self.rate_model.degrade = 1.0
-        self.engine = Engine(
-            self.rate_model, batch_ops=batch_ops, start_time=now, probes=self.probes
-        )
+        self.engine = Engine(self.rate_model, start_time=now, probes=self.probes)
         self.observe_engine()
         self.dram = DramTracker(self.dram.budget, self.probes)
         if self.faults is not None:

@@ -5,21 +5,17 @@ sortbenchmark configs are gated on it), so the kernel layers expose
 cheap always-on counters:
 
 * :class:`repro.sim.engine.Engine` -- process steps, clock advances,
-  timer events, ops coalesced by ``batch_ops``;
+  timer events;
 * :class:`repro.sim.fluid.FluidScheduler` -- ops added/completed,
   re-rate calls, ops re-rated, effective rate changes, and how each
-  group solve was answered: ``vector_solves`` counts solves served from
-  a group's rate-table memo (``vector_batch_size_avg`` is their mean
-  op count) and ``scalar_fallbacks`` counts solves that had to call
-  ``model.assign`` because the model has no vector protocol (0 with
+  group solve was answered: ``vector_solves`` counts solves served
+  through a group's rate table, the one rate memo
+  (``vector_batch_size_avg`` is their mean op count), and
+  ``scalar_fallbacks`` counts solves that had to call ``model.assign``
+  because the model has no vector protocol (0 with
   ``REPRO_SIM_VECTOR=0``, where the protocol is off and every solve is
-  such a call);
-* :class:`repro.device.device.BraidRateModel` -- ``rate_cache_hits`` /
-  ``rate_cache_misses`` of its assignment LRU.  The group tables sit in
-  front of it, so it sees only *table-memo misses*: a low hit rate next
-  to a high ``vector_solves`` means the tables absorbed the lookups,
-  not that memoization stopped working.  A model-side miss is one full
-  waterfill run.
+  one unmemoized ``model.assign`` waterfill);
+* each device -- intervals observed and internal bytes moved.
 
 This module is the one counter surface: every counter of a run is a key
 of the flat dict :func:`collect_counters` (a
@@ -118,7 +114,6 @@ def _kernel_counters(engine) -> Dict[str, float]:
         "engine_steps": engine.steps,
         "clock_advances": engine.advances,
         "timer_events": engine.timer_events,
-        "batched_ops": engine.batched_ops,
         "ops_added": fluid.ops_added,
         "ops_completed": fluid.ops_completed,
         "rerate_calls": fluid.rerate_calls,
@@ -133,16 +128,9 @@ def _kernel_counters(engine) -> Dict[str, float]:
 
 
 def _device_counters(prefix: str, machine, out: Dict[str, float]) -> None:
-    """One device's rate-memo and traffic counters, keys ``prefix + name``
-    (``""`` for a standalone machine, ``"<domain>."`` for a shard)."""
-    model = machine.rate_model
-    hits = getattr(model, "cache_hits", 0)
-    misses = getattr(model, "cache_misses", 0)
-    lookups = hits + misses
+    """One device's traffic counters, keys ``prefix + name`` (``""`` for
+    a standalone machine, ``"<domain>."`` for a shard)."""
     out[f"{prefix}intervals_observed"] = len(machine.stats.timeline)
-    out[f"{prefix}rate_cache_hits"] = hits
-    out[f"{prefix}rate_cache_misses"] = misses
-    out[f"{prefix}rate_cache_hit_rate"] = (hits / lookups) if lookups else 0.0
     out[f"{prefix}device_bytes_read"] = machine.stats.bytes_read_internal
     out[f"{prefix}device_bytes_written"] = machine.stats.bytes_written_internal
 
@@ -152,8 +140,8 @@ def collect_cluster_counters(cluster) -> Dict[str, float]:
 
     Kernel counters (engine/fluid/timers) exist once -- shards share one
     engine -- and appear unprefixed, exactly as in
-    :func:`collect_counters`.  Per-shard device/rate-model counters are
-    namespaced ``"{domain}.{name}"`` (e.g. ``"shard0.rate_cache_hits"``)
+    :func:`collect_counters`.  Per-shard device counters are
+    namespaced ``"{domain}.{name}"`` (e.g. ``"shard0.device_bytes_read"``)
     so a flat snapshot stays collision-free across shards.
     """
     counters = _kernel_counters(cluster.engine)
@@ -184,8 +172,7 @@ def render_report(
     )
     lines.append(
         "  fluid ops      : "
-        f"{c['ops_added']} added, {c['ops_completed']} completed, "
-        f"{c['batched_ops']} coalesced"
+        f"{c['ops_added']} added, {c['ops_completed']} completed"
     )
     lines.append(
         "  re-rating      : "
@@ -200,15 +187,6 @@ def render_report(
             f"{c['scalar_fallbacks']} model.assign fallbacks"
         )
     lines.append(f"  intervals      : {c['intervals_observed']} observed")
-    lookups = c["rate_cache_hits"] + c["rate_cache_misses"]
-    if lookups:
-        lines.append(
-            "  rate memo      : "
-            f"{c['rate_cache_hit_rate'] * 100:.1f}% hit "
-            f"({c['rate_cache_hits']}/{lookups} table misses that reached the model)"
-        )
-    else:
-        lines.append("  rate memo      : disabled / unused")
     if "fault_ops_seen" in c:
         lines.append(
             "  faults         : "

@@ -12,8 +12,8 @@ hands ``assign`` the ops of one domain, in issue order (and only on a
 rate-table miss, or for a domain whose model has no vector protocol).
 ``assign`` still accepts any mix of domains -- it sub-partitions its
 input before delegating, preserving each domain's order -- so the inner
-models (and their memo caches) see exactly what they would have seen
-standalone whoever calls it.
+models see exactly what they would have seen standalone whoever calls
+it.
 
 Modelling note: each domain owns a full inner model including its host
 resources.  A cluster of N BRAID devices is modelled as N single-socket

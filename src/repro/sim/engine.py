@@ -89,11 +89,6 @@ class ParallelOps:
     simulated instant either way -- but costs one engine command instead
     of ``2n + 1``.  Resumes with the list of per-op completion values in
     argument order.
-
-    When the engine's ``batch_ops`` flag is set, homogeneous ops in one
-    ``ParallelOps`` issue (same kind/tag/attrs) are aggregated into a
-    single carrier op with summed work and summed thread count; see
-    :meth:`Engine._coalesce_parallel`.
     """
 
     __slots__ = ("ops",)
@@ -135,8 +130,8 @@ class Process:
         #: cancellation can take down the whole subtree.
         self.children: list["Process"] = []
         #: What the process currently waits on, maintained by the
-        #: engine at every block site: a FluidOp, a list of carrier
-        #: FluidOps (ParallelOps), a Sleep/Join command, or a primitive
+        #: engine at every block site: a FluidOp, the list of FluidOps
+        #: of a ParallelOps, a Sleep/Join command, or a primitive
         #: resource.  None while ready/running.  Lets ``cancel_tree``
         #: withdraw in-flight work and fix blocked-process accounting.
         self.blocked_on: Any = None
@@ -168,7 +163,6 @@ class Engine:
     def __init__(
         self,
         rate_model: RateModel,
-        batch_ops: bool = False,
         start_time: float = 0.0,
         probes: Optional[ProbeSet] = None,
     ):
@@ -188,11 +182,6 @@ class Engine:
         self.fluid = FluidScheduler(
             rate_model, start_time=start_time, probes=self.probes
         )
-        #: Aggregate homogeneous ops issued in one ParallelOps command
-        #: into a single carrier op.  Off by default: batching changes
-        #: float summation order, so results are equivalent only to
-        #: ~1e-9 relative rather than bit-identical.
-        self.batch_ops = batch_ops
         self._ready: deque[Process] = deque()
         self._heap: list[tuple[float, int, Any]] = []
         self._seq = itertools.count()
@@ -207,7 +196,6 @@ class Engine:
         self.steps = 0
         self.advances = 0
         self.timer_events = 0
-        self.batched_ops = 0
 
     # ------------------------------------------------------------------
     # Public API
@@ -530,17 +518,13 @@ class Engine:
             return
         fluid_items = [(i, op) for i, op in enumerate(ops) if isinstance(op, FluidOp)]
         other_items = [(i, op) for i, op in enumerate(ops) if not isinstance(op, FluidOp)]
-        if self.batch_ops and len(fluid_items) > 1:
-            groups = self._coalesce_parallel(fluid_items)
-        else:
-            groups = [(op, ((i, op),)) for i, op in fluid_items]
         self._blocked += 1
         for fn in self.probes.block_parallel:
-            # Before carriers issue: a zero-work carrier can resume the
+            # Before the ops issue: a zero-work op can resume the
             # process from inside the issue loop below.
             fn(proc, ops, "parallel")
         results: list[Any] = [None] * len(ops)
-        pending = [len(groups) + len(other_items)]
+        pending = [len(ops)]
         state = {"failed": False}
 
         def finish_one() -> None:
@@ -548,16 +532,8 @@ class Engine:
             if pending[0] == 0 and not state["failed"]:
                 self.resume(proc, results)
 
-        def on_carrier_done(carrier: FluidOp, members) -> None:
-            for i, op in members:
-                if op is not carrier:
-                    op.started_at = carrier.started_at
-                    op.finished_at = carrier.finished_at
-                    op.remaining = 0.0
-                    op.rate = carrier.rate
-                results[i] = (
-                    op.on_complete(op) if op.on_complete is not None else op
-                )
+        def on_op_done(op: FluidOp, i: int) -> None:
+            results[i] = op.on_complete(op) if op.on_complete is not None else op
             finish_one()
 
         def make_callback(i: int):
@@ -572,63 +548,15 @@ class Engine:
 
             return callback
 
-        proc.blocked_on = [carrier for carrier, _members in groups]
-        for carrier, members in groups:
-            carrier._collector = (
-                lambda c, _members=members: on_carrier_done(c, _members)
-            )
-            self.fluid.add(carrier, self.now)
-            if carrier.finished_at is not None:
-                # Zero-work carrier completed instantly.
-                self._complete_op(carrier)
+        proc.blocked_on = [op for _i, op in fluid_items]
+        for i, op in fluid_items:
+            op._collector = lambda o, _i=i: on_op_done(o, _i)
+            self.fluid.add(op, self.now)
+            if op.finished_at is not None:
+                # Zero-work op completed instantly.
+                self._complete_op(op)
         for i, item in other_items:
             item._collect_execute(self, make_callback(i))
-
-    def _coalesce_parallel(self, indexed_ops: list):
-        """Merge homogeneous ops into carrier ops with summed work.
-
-        Takes ``(result_index, op)`` pairs.  Ops sharing (kind, tag,
-        attrs) progress at identical rates under any attribute-driven
-        model, so a carrier with their summed work (and summed
-        thread/core count, preserving the device's view of total
-        parallelism) finishes exactly when each member would have.
-        Stats attribution is unaffected: submissions were credited at op
-        creation, and interval observers see the same tag moving the
-        same total bytes.
-        """
-        buckets: dict = {}
-        order = []
-        for i, op in indexed_ops:
-            attrs = op.attrs
-            akey = None if attrs is None else tuple(sorted(attrs.items()))
-            key = (op.kind, op.tag, akey)
-            bucket = buckets.get(key)
-            if bucket is None:
-                buckets[key] = [(i, op)]
-                order.append(key)
-            else:
-                bucket.append((i, op))
-        groups = []
-        for key in order:
-            members = buckets[key]
-            if len(members) == 1:
-                op = members[0][1]
-                groups.append((op, ((members[0][0], op),)))
-                continue
-            total_work = 0.0
-            for _i, op in members:
-                total_work += op.work
-            first = members[0][1]
-            attrs = None
-            if first.attrs is not None:
-                attrs = dict(first.attrs)
-                for par_key in ("threads", "cores"):
-                    if par_key in attrs:
-                        attrs[par_key] = attrs[par_key] * len(members)
-            carrier = FluidOp(total_work, first.kind, tag=first.tag, attrs=attrs)
-            self.batched_ops += len(members)
-            groups.append((carrier, tuple(members)))
-        return groups
 
     def _step(self, proc: Process) -> None:
         if proc.done:

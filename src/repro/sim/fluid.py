@@ -194,10 +194,10 @@ class FluidOp:
         self.seq = next(_op_counter)
         self._waiter = None  # Process resumed on completion (set by Engine)
         self.on_complete: Optional[Callable[["FluidOp"], object]] = None
-        #: Alternative completion sink used by batched parallel issues
-        #: (see :class:`repro.sim.engine.ParallelOps`).
+        #: Alternative completion sink used by parallel issues (see
+        #: :class:`repro.sim.engine.ParallelOps`).
         self._collector: Optional[Callable[["FluidOp", object], None]] = None
-        #: Rate-model scratch: memoization signature, resource group.
+        #: Rate-model scratch: rate signature, resource group.
         self._sig = None
         self._res_key = None
         #: Owning :class:`_Group` while the op is in flight, else None.
@@ -607,7 +607,7 @@ class FluidScheduler:
 
     def add(self, op: FluidOp, now: float) -> None:
         for fn in self.probes.op_issue:
-            # Single choke point: direct yields, ParallelOps carriers
+            # Single choke point: direct yields, ParallelOps members
             # and fault-retry re-issues all pass through here, and the
             # hook runs before the zero-work fast path so even 0-byte
             # ops get records.

@@ -22,7 +22,7 @@ queries:
   (spawned writers joining sub-writers) resolves to leaf causes.  This
   is the critical-path choice: the last finisher is the binding
   constraint of the join.
-* A ``ParallelOps`` wait is billed to its last-finishing carrier op.
+* A ``ParallelOps`` wait is billed to its last-finishing op.
 
 Whatever the walk cannot attribute (explicit cpu segments plus the
 zero-measure scheduling gaps and float dust) is the phase's residual

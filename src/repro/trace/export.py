@@ -10,7 +10,9 @@ samples as counter tracks.  Timestamps are *simulated* microseconds.
 All exports are deterministic: ids are per-tracer sequence numbers,
 pids/tids are assigned by first appearance, and JSON is dumped with
 sorted keys and fixed separators -- two runs of the same seed produce
-byte-identical files (this is CI-gated).
+byte-identical files (``test_same_seed_runs_export_byte_identical_json``
+in ``tests/trace/test_trace_integration.py`` and the export SHA-256s of
+the frozen CLI transcripts check it).
 """
 
 from __future__ import annotations
@@ -194,8 +196,9 @@ def write_report_json(doc, path: str) -> None:
     ``doc`` may be a plain dict or anything with an ``as_dict()`` (an
     :class:`~repro.trace.analyze.AnalysisReport`, a
     :class:`~repro.cluster.service.ServiceReport`).  The canonical form
-    -- sorted keys, no whitespace, trailing newline -- is what the CI
-    byte-identity gates ``cmp`` against.
+    -- sorted keys, no whitespace, trailing newline -- is what
+    ``test_analyze_json_report_is_byte_deterministic`` in
+    ``tests/test_cli.py`` compares byte for byte.
     """
     if hasattr(doc, "as_dict"):
         doc = doc.as_dict()

@@ -590,7 +590,7 @@ class Tracer(Probe):
 
         Must run while ``proc.blocked_on`` is still set: the record
         snapshots what the process was parked on -- the waited-for op's
-        kind/track/direction (``io``), each carrier's snapshot plus its
+        kind/track/direction (``io``), each member op's snapshot plus its
         finish time (``parallel``), or the joined pids (``join``).
         Zero-duration waits are dropped; they contribute nothing to any
         decomposition.

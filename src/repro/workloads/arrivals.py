@@ -6,7 +6,8 @@ backpressure and load shedding actually matter (a closed loop can never
 over-drive the service past its knee).  Every process here is a
 deterministic function of its seed: the same seed always yields the
 byte-identical :class:`JobSpec` stream, which is what makes the service
-benchmarks and the CI percentile gates reproducible.
+benchmarks and the percentile reports reproducible (pinned by the
+two-process ``PYTHONHASHSEED`` test in ``tests/test_service.py``).
 
 Three processes cover the paper-to-production spectrum:
 
@@ -323,8 +324,9 @@ class TraceArrivals(ArrivalProcess):
 def stream_fingerprint(specs: Iterable[JobSpec]) -> str:
     """SHA-256 over the canonical serialization of a spec stream.
 
-    Two same-seed streams must fingerprint identically; the determinism
-    tests and the CI service job compare exactly this.
+    Two same-seed streams must fingerprint identically;
+    ``tests/test_arrivals.py`` (``test_same_seed_byte_identical``)
+    compares exactly this.
     """
     import hashlib
 

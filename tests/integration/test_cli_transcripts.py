@@ -68,7 +68,10 @@ def run_cases(doc: dict) -> list:
         for case in doc["cases"]:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                rc = main([a.replace("{tmp}", tmp) for a in case["argv"]])
+                try:
+                    rc = main([a.replace("{tmp}", tmp) for a in case["argv"]])
+                except SystemExit as exit_:  # argparse rejected the argv
+                    rc = exit_.code
             new = sorted(set(os.listdir(tmp)) - seen)
             seen.update(new)
             observed.append({

@@ -1,9 +1,10 @@
-"""Determinism guards and self-performance instrumentation tests.
+"""Rate-memo effectiveness and self-performance instrumentation tests.
 
-The kernel optimisations (rate-model memoization, op batching, the
-frontier merge loop) are only admissible if they do not change simulated
-results.  These tests pin that down end-to-end on a WiscSort MergePass
-workload, and exercise the ``repro.perf`` profiler / counters.
+The fluid kernel's per-group rate tables are the simulator's one rate
+memo; these tests check on a WiscSort MergePass workload that they
+absorb repeated solves, and exercise the ``repro.perf`` profiler /
+counters.  That the tables change no simulated result is the business
+of the frozen fingerprints and ``tests/test_vector_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import pytest
 
 from repro.core.base import SortConfig
 from repro.core.wiscsort import WiscSort
+from repro.device.device import BraidRateModel
 from repro.machine import Machine
 from repro.api import RunOptions, sort
 from repro.perf import (
@@ -28,8 +30,8 @@ from repro.workloads.background import BackgroundClients
 RECORDS = 30_000
 
 
-def run_mergepass(memoize_rates=True, batch_ops=False, background=0):
-    machine = Machine(memoize_rates=memoize_rates, batch_ops=batch_ops)
+def run_mergepass(background=0):
+    machine = Machine()
     fmt = RecordFormat()
     data = generate_dataset(machine, "input", RECORDS, fmt, seed=7)
     if background:
@@ -43,72 +45,36 @@ def run_mergepass(memoize_rates=True, batch_ops=False, background=0):
     return machine, result, output
 
 
-def stats_snapshot(machine):
-    return {
-        tag: (s.busy_time, s.internal_bytes, s.user_bytes, s.op_count)
-        for tag, s in machine.stats.tags.items()
-    }
-
-
-class TestMemoizationDeterminism:
-    @staticmethod
-    def check_memoize_on_off() -> int:
-        """Compare a memoized and an unmemoized run; returns memo hits."""
-        m_on, r_on, out_on = run_mergepass(memoize_rates=True)
-        m_off, r_off, out_off = run_mergepass(memoize_rates=False)
-        assert m_off.rate_model.cache_hits == 0
-        assert r_on.total_time == r_off.total_time
-        assert out_on == out_off
-        assert m_on.stats.timeline == m_off.stats.timeline
-        assert stats_snapshot(m_on) == stats_snapshot(m_off)
-        assert float(r_on.internal_read) == float(r_off.internal_read)
-        assert float(r_on.internal_written) == float(r_off.internal_written)
-        return m_on.rate_model.cache_hits
-
-    def test_memoize_on_off_identical_results(self, monkeypatch):
-        # The memo canonicalises op order before the waterfill, so the
-        # cached and uncached paths must agree bit-for-bit: identical
-        # completion times, identical interval timeline, identical
-        # DeviceStats -- not merely approximately equal.  With the
-        # vector protocol off the model's memo serves every repeated
-        # population; by default the scheduler's group tables sit in
-        # front of it and ask the model about each population once.
-        monkeypatch.setenv("REPRO_SIM_VECTOR", "0")
-        assert self.check_memoize_on_off() > 0
-        monkeypatch.setenv("REPRO_SIM_VECTOR", "1")
-        self.check_memoize_on_off()
-
-    def test_memoize_hit_rate_on_steady_state_mergepass(self, monkeypatch):
-        # Acceptance criterion: rate memoization must be observably
-        # effective -- on a steady-state MergePass at least 80% of the
-        # solves are answered without running the waterfill.  Since the
-        # group tables sit in front of the model's own LRU, the model
-        # only sees table misses; a model-side miss is a waterfill run
-        # (so this pins the default kernel, where the tables exist).
+@pytest.mark.parametrize("vector", [None, "0"], ids=["default", "reference"])
+def test_rate_tables_absorb_repeated_solves(monkeypatch, vector):
+    # The rate memo must be observably effective: on a steady-state
+    # MergePass the default kernel's group tables answer at least 80% of
+    # the solves without running the waterfill (BraidRateModel.assign).
+    # The reference kernel (REPRO_SIM_VECTOR=0) memoizes nothing and
+    # runs it exactly once per solve.
+    if vector is None:
         monkeypatch.delenv("REPRO_SIM_VECTOR", raising=False)
-        machine, _result, _out = run_mergepass(background=2)
-        counters = collect_counters(machine)
-        solves = counters["vector_solves"] + counters["scalar_fallbacks"]
-        assert solves == counters["rerate_calls"] > 1_000
-        assert counters["rate_cache_misses"] <= 0.2 * solves
+    else:
+        monkeypatch.setenv("REPRO_SIM_VECTOR", vector)
+    calls = []
+    assign = BraidRateModel.assign
 
+    def counted(self, ops):
+        calls.append(None)
+        return assign(self, ops)
 
-class TestBatchingEquivalence:
-    def test_batch_ops_equivalent_results(self):
-        # Coalescing homogeneous parallel ops changes float summation
-        # order, so times are equivalent to ~1e-9 relative rather than
-        # bit-identical; data results must match exactly.
-        m_plain, r_plain, out_plain = run_mergepass(batch_ops=False)
-        m_batch, r_batch, out_batch = run_mergepass(batch_ops=True)
-        assert m_batch.engine.batched_ops > 0
-        assert m_plain.engine.batched_ops == 0
-        assert out_plain == out_batch
-        assert r_batch.total_time == pytest.approx(r_plain.total_time, rel=1e-9)
-        for tag, (busy, internal, user, ops) in stats_snapshot(m_plain).items():
-            busy_b, internal_b, user_b, _ops_b = stats_snapshot(m_batch)[tag]
-            assert busy_b == pytest.approx(busy, rel=1e-9, abs=1e-15)
-            assert internal_b == pytest.approx(internal, rel=1e-9, abs=1e-6)
-            assert user_b == user
+    monkeypatch.setattr(BraidRateModel, "assign", counted)
+    machine, _result, _out = run_mergepass(background=2)
+    counters = collect_counters(machine)
+    # A standalone machine is one resource group: one solve per re-rate.
+    solves = counters["rerate_calls"]
+    assert solves > 1_000
+    if vector is None:
+        assert counters["vector_solves"] == solves
+        assert len(calls) <= 0.2 * solves
+    else:
+        assert counters["vector_solves"] == 0
+        assert len(calls) == solves
 
 
 class TestPerfInstrumentation:
@@ -120,8 +86,6 @@ class TestPerfInstrumentation:
         assert c["engine_steps"] > 0
         assert c["clock_advances"] > 0
         assert c["intervals_observed"] == len(machine.stats.timeline)
-        hits, misses = c["rate_cache_hits"], c["rate_cache_misses"]
-        assert c["rate_cache_hit_rate"] == pytest.approx(hits / (hits + misses))
 
     def test_profiler_phases_accumulate_and_render(self):
         machine, _result, _out = run_mergepass()
@@ -136,7 +100,7 @@ class TestPerfInstrumentation:
         assert prof.total_wall >= 0.0
         report = render_report(machine, prof)
         assert "simulator self-performance" in report
-        assert "rate memo" in report
+        assert "re-rating" in report
         assert "throughput" in report
 
     def test_profiler_nested_same_name_counts_once(self, monkeypatch):
@@ -186,86 +150,61 @@ class TestPerfInstrumentation:
         assert rc == 0
         out = capsys.readouterr().out
         assert "simulator self-performance" in out
-        assert "rate memo" in out
-
-    def test_cli_no_memoize_flag_disables_cache(self, capsys):
-        from repro.cli import main
-
-        rc = main(
-            [
-                "sort",
-                "--records",
-                "5000",
-                "--system",
-                "wiscsort",
-                "--no-validate",
-                "--selfperf",
-                "--no-memoize",
-            ]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "disabled / unused" in out
+        assert "re-rating" in out
 
 
 # The exact key sets of the one counter surface, captured at the commit
-# before the typed registry was deleted.  The cluster tuples are that
-# capture unchanged.  The machine tuples differ from it by what sharing
-# the cluster's device block and fault rule gives a machine snapshot:
-# ``device_bytes_read`` / ``device_bytes_written`` and
+# before the typed registry was deleted, less ``batched_ops`` and the
+# per-device ``rate_cache_*`` keys, whose counters went with the op
+# coalescing and the rate model's own memo.  The cluster tuples are that
+# capture otherwise unchanged.  The machine tuples differ from it by
+# what sharing the cluster's device block and fault rule gives a machine
+# snapshot: ``device_bytes_read`` / ``device_bytes_written`` and
 # ``fault_by_kind.*`` are new, and ``fault_injected`` is now spelled
 # ``fault_faults_injected`` as on a shard.
 _MACHINE_KEYS = (
-    "batched_ops", "clock_advances", "device_bytes_read",
-    "device_bytes_written", "engine_steps", "intervals_observed", "ops_added",
-    "ops_completed", "ops_rerated", "rate_cache_hit_rate", "rate_cache_hits",
-    "rate_cache_misses", "rate_changes", "rerate_calls", "scalar_fallbacks",
+    "clock_advances", "device_bytes_read", "device_bytes_written",
+    "engine_steps", "intervals_observed", "ops_added", "ops_completed",
+    "ops_rerated", "rate_changes", "rerate_calls", "scalar_fallbacks",
     "sim_seconds", "timer_events", "vector_batch_size_avg", "vector_solves",
 )
 _MACHINE_FAULT_KEYS = (
-    "batched_ops", "clock_advances", "device_bytes_read",
-    "device_bytes_written", "engine_steps", "fault_backoff_seconds",
+    "clock_advances", "device_bytes_read", "device_bytes_written",
+    "engine_steps", "fault_backoff_seconds",
     "fault_by_kind.TransientDeviceError", "fault_crashes",
     "fault_faults_injected", "fault_ops_seen", "fault_recoveries",
     "fault_redone_bytes", "fault_retries", "fault_retries_exhausted",
-    "fault_salvaged_bytes", "fault_slow_windows",
-    "fault_torn_bytes_discarded", "fault_torn_writes", "intervals_observed",
-    "ops_added", "ops_completed", "ops_rerated", "rate_cache_hit_rate",
-    "rate_cache_hits", "rate_cache_misses", "rate_changes", "rerate_calls",
-    "scalar_fallbacks", "sim_seconds", "timer_events",
-    "vector_batch_size_avg", "vector_solves",
+    "fault_salvaged_bytes", "fault_slow_windows", "fault_torn_bytes_discarded",
+    "fault_torn_writes", "intervals_observed", "ops_added", "ops_completed",
+    "ops_rerated", "rate_changes", "rerate_calls", "scalar_fallbacks",
+    "sim_seconds", "timer_events", "vector_batch_size_avg", "vector_solves",
 )
 _CLUSTER_KEYS = (
-    "batched_ops", "clock_advances", "engine_steps", "ops_added",
-    "ops_cancelled", "ops_completed", "ops_rerated", "rate_changes",
-    "rerate_calls", "scalar_fallbacks", "shard0.device_bytes_read",
+    "clock_advances", "engine_steps", "ops_added", "ops_cancelled",
+    "ops_completed", "ops_rerated", "rate_changes", "rerate_calls",
+    "scalar_fallbacks", "shard0.device_bytes_read",
     "shard0.device_bytes_written", "shard0.intervals_observed",
-    "shard0.rate_cache_hit_rate", "shard0.rate_cache_hits",
-    "shard0.rate_cache_misses", "shard1.device_bytes_read",
-    "shard1.device_bytes_written", "shard1.intervals_observed",
-    "shard1.rate_cache_hit_rate", "shard1.rate_cache_hits",
-    "shard1.rate_cache_misses", "shuffle_bytes_network", "sim_seconds",
+    "shard1.device_bytes_read", "shard1.device_bytes_written",
+    "shard1.intervals_observed", "shuffle_bytes_network", "sim_seconds",
     "timer_events", "vector_batch_size_avg", "vector_solves",
 )
 _CLUSTER_CHAOS_KEYS = (
-    "batched_ops", "clock_advances", "cluster.fault_backoff_seconds",
-    "cluster.fault_crashes", "cluster.fault_faults_injected",
-    "cluster.fault_ops_seen", "cluster.fault_recoveries",
-    "cluster.fault_redone_bytes", "cluster.fault_retries",
-    "cluster.fault_retries_exhausted", "cluster.fault_salvaged_bytes",
-    "cluster.fault_slow_windows", "cluster.fault_torn_bytes_discarded",
-    "cluster.fault_torn_writes", "engine_steps", "ops_added", "ops_cancelled",
-    "ops_completed", "ops_rerated", "rate_changes", "rerate_calls",
-    "scalar_fallbacks", "shard0.device_bytes_read",
-    "shard0.device_bytes_written", "shard0.fault_backoff_seconds",
-    "shard0.fault_crashes", "shard0.fault_faults_injected",
-    "shard0.fault_ops_seen", "shard0.fault_recoveries",
-    "shard0.fault_redone_bytes", "shard0.fault_retries",
-    "shard0.fault_retries_exhausted", "shard0.fault_salvaged_bytes",
-    "shard0.fault_slow_windows", "shard0.fault_torn_bytes_discarded",
-    "shard0.fault_torn_writes", "shard0.intervals_observed",
-    "shard0.rate_cache_hit_rate", "shard0.rate_cache_hits",
-    "shard0.rate_cache_misses", "shard1.device_bytes_read",
+    "clock_advances", "cluster.fault_backoff_seconds", "cluster.fault_crashes",
+    "cluster.fault_faults_injected", "cluster.fault_ops_seen",
+    "cluster.fault_recoveries", "cluster.fault_redone_bytes",
+    "cluster.fault_retries", "cluster.fault_retries_exhausted",
+    "cluster.fault_salvaged_bytes", "cluster.fault_slow_windows",
+    "cluster.fault_torn_bytes_discarded", "cluster.fault_torn_writes",
+    "engine_steps", "ops_added", "ops_cancelled", "ops_completed",
+    "ops_rerated", "rate_changes", "rerate_calls", "scalar_fallbacks",
+    "shard0.device_bytes_read", "shard0.device_bytes_written",
+    "shard0.fault_backoff_seconds", "shard0.fault_crashes",
+    "shard0.fault_faults_injected", "shard0.fault_ops_seen",
+    "shard0.fault_recoveries", "shard0.fault_redone_bytes",
+    "shard0.fault_retries", "shard0.fault_retries_exhausted",
+    "shard0.fault_salvaged_bytes", "shard0.fault_slow_windows",
+    "shard0.fault_torn_bytes_discarded", "shard0.fault_torn_writes",
+    "shard0.intervals_observed", "shard1.device_bytes_read",
     "shard1.device_bytes_written", "shard1.fault_backoff_seconds",
     "shard1.fault_crashes", "shard1.fault_faults_injected",
     "shard1.fault_ops_seen", "shard1.fault_recoveries",
@@ -273,9 +212,8 @@ _CLUSTER_CHAOS_KEYS = (
     "shard1.fault_retries_exhausted", "shard1.fault_salvaged_bytes",
     "shard1.fault_slow_windows", "shard1.fault_torn_bytes_discarded",
     "shard1.fault_torn_writes", "shard1.intervals_observed",
-    "shard1.rate_cache_hit_rate", "shard1.rate_cache_hits",
-    "shard1.rate_cache_misses", "shards_recovered", "shuffle_bytes_network",
-    "sim_seconds", "speculative_issues", "speculative_wins", "timer_events",
+    "shards_recovered", "shuffle_bytes_network", "sim_seconds",
+    "speculative_issues", "speculative_wins", "timer_events",
     "vector_batch_size_avg", "vector_solves",
 )
 

@@ -105,6 +105,16 @@ LINE_GUARDS = [
     # must not come back (DESIGN.md).
     ("tracer reads the device statistics", r"fluid\.active",
      ["src/repro/trace/tracer.py"], [], 0),
+    # The fluid kernel's per-group rate tables are the one rate memo.
+    # The rate model's LRU, its on/off knob and the never-enabled op
+    # coalescing were deleted on measured traffic (DESIGN.md "Fluid
+    # core") and must not come back.  The CLI transcripts keep one case
+    # pinning that the old flag is now rejected.
+    ("one rate memo",
+     r"memoize_rate[s]|no-memoiz[e]|batch_op[s]|_coalesce_paralle[l]"
+     r"|cache_hit[s]|cache_misse[s]",
+     ["src", "tests", "examples", "README.md", "DESIGN.md"],
+     ["tests/integration/cli_transcripts.json"], 0),
 ]
 
 #: Files whose job moved elsewhere (globs, bracketed as above).

@@ -141,7 +141,7 @@ class TestClusterCounters:
         assert counters["ops_completed"] > 0
         for shard in cluster.shards:
             assert counters[f"{shard.domain}.device_bytes_read"] > 0
-            assert f"{shard.domain}.rate_cache_hit_rate" in counters
+            assert f"{shard.domain}.intervals_observed" in counters
         shared = [k for k in counters if "." not in k]
         assert "sim_seconds" in shared
 
