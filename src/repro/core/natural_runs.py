@@ -26,7 +26,7 @@ from repro.core.kway import RunCursor, window_bytes_per_run
 from repro.core.wiscsort import WiscSort
 from repro.device.profile import Pattern
 from repro.errors import ConfigError, SimulationError
-from repro.records.format import adjacent_order, key_columns, keys_ascending
+from repro.records.format import adjacent_order, keys_ascending
 from repro.registry import register_system
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -41,7 +41,7 @@ def find_natural_runs(keys: np.ndarray) -> List[Tuple[int, int]]:
     n = keys.shape[0]
     if n == 0:
         return []
-    descents, _tied = adjacent_order(key_columns(keys))
+    descents, _tied = adjacent_order(keys)
     boundaries = np.flatnonzero(descents) + 1
     edges = [0, *boundaries.tolist(), n]
     return [(edges[i], edges[i + 1]) for i in range(len(edges) - 1)]

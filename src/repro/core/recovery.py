@@ -170,7 +170,8 @@ class CheckpointedRunMergeSort(SortSystem):
     between leaves both and recovery drops whatever the manifest
     disowns), ``merge`` (live run set + durable output records +
     per-run consumed counts + the taken-but-unflushed residual) and
-    ``done``.
+    ``done`` (committed before the last runs are deleted; the manifest
+    goes with them).
     """
 
     #: Simulated-process name of a run; ``<name>-recover`` for recovery.
@@ -366,9 +367,19 @@ class CheckpointedRunMergeSort(SortSystem):
         yield from self._final_merge(
             machine, input_file, output, controller, run_names, resume
         )
-        for name in run_names:
-            machine.fs.delete(name)
+        yield from self._complete(machine.fs, run_names)
+
+    def _complete(self, fs: "SimFS", run_names=()):
+        """The output is durable (generator): commit ``done`` *before*
+        deleting the merged runs, as the intermediate rounds do -- a
+        crash on that write leaves the runs its ``merge`` checkpoint
+        names -- then drop the manifest, so a completed sort leaves
+        nothing under its output's name but the output."""
         yield from self._commit({"phase": "done"})
+        for name in run_names:
+            fs.delete(name)
+        if self._ckpt is not None:
+            self._ckpt.discard()
 
     def _merge_checkpoint(self, run_names, out_records, cursors, pending) -> dict:
         """The ``merge`` payload after a durable output flush: a
@@ -435,8 +446,11 @@ class CheckpointedRunMergeSort(SortSystem):
         with self._span(machine, "phase:recover", checkpoint=phase):
             if phase == "done":
                 # Crashed after the sort completed (e.g. during
-                # validation): the whole output is durable.
+                # validation, or before its runs were deleted): the whole
+                # output is durable and nothing else is needed.
                 metrics["salvaged_bytes"] += output.size
+                self._drop_strays(fs, ())
+                self._ckpt.discard()
                 return
             runless = self._recover_without_runs(*args, state, metrics)
             if runless is not None:

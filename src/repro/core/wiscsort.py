@@ -114,6 +114,7 @@ class WiscSort(CheckpointedRunMergeSort):
         self._check_checkpoint_config()
         controller = ThreadPoolController(machine, self.config)
         output = machine.fs.create(self.output_name)
+        output.reserve(input_file.size)
         self._arm_checkpoint(machine.fs)
         if not self._plan_pass(machine, n):
             gen = self._one_pass(machine, input_file, output, controller, n)
@@ -187,7 +188,7 @@ class WiscSort(CheckpointedRunMergeSort):
                 machine, input_file, output, controller, imap.sorted_pointers(),
                 skip_records=start_records,
             )
-            yield from self._commit({"phase": "done"})
+            yield from self._complete(machine.fs)
 
     def _load_chunk(self, machine, input_file, controller, first_record, count):
         """Steps 1-2: strided key gather + concurrent in-place sort, which
@@ -230,7 +231,8 @@ class WiscSort(CheckpointedRunMergeSort):
         expensive value writes are not).
         """
         fmt = self.fmt
-        batch_records = max(1, self.config.write_buffer // fmt.record_size)
+        rec = fmt.record_size
+        batch_records = max(1, self.config.write_buffer // rec)
         gather_pool = controller.read_threads(Pattern.RAND)
         write_pool = controller.write_threads()
         model = self.config.concurrency
@@ -238,13 +240,19 @@ class WiscSort(CheckpointedRunMergeSort):
         starts = [s for s in range(0, n, batch_records) if s >= skip_records]
 
         def produce(start):
+            batch = pointers[start : start + batch_records]
+            # Values gather straight into the output's reserved extent,
+            # so the write that follows moves no bytes; a checkpointed
+            # sort copies (its writes can be torn and rolled back).
+            staged = None if self._ckpt is not None else output.staging(
+                start * rec, batch.size * rec
+            )
             return input_file.read_gather(
-                pointers[start : start + batch_records], fmt.record_size,
-                tag="RECORD read", threads=gather_pool,
+                batch, rec, tag="RECORD read", threads=gather_pool, out=staged
             )
 
         def consume(start, data):
-            offset = start * fmt.record_size
+            offset = start * rec
             return output.write(
                 offset, data.reshape(-1), tag="RUN write", threads=write_pool
             )

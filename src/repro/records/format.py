@@ -75,29 +75,40 @@ def key_columns(keys: np.ndarray) -> List[np.ndarray]:
     order is exactly unsigned lexicographic comparison of the original
     byte strings.  They are the contiguous rows of one word-major buffer.
     """
+    _check_keys(keys)
+    cols = np.empty((_word_count(keys), keys.shape[0]), dtype=np.uint64)
+    for j, col in enumerate(cols):
+        key_word(keys, j, out=col)
+    return list(cols)
+
+
+def key_word(keys: np.ndarray, j: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Column ``j`` of :func:`key_columns` alone (into ``out`` if given)."""
+    n = keys.shape[0]
+    col = np.empty(n, dtype=np.uint64) if out is None else out
+    # Each word moves as one element per row: a 2-D byte copy only
+    # 8-10 bytes wide costs several times as much per row.
+    field = keys[:, 8 * j : 8 * j + 8]
+    width = field.shape[1]
+    if width not in _WORDS or field.strides[1] != 1:
+        # A 3, 5, 6 or 7-byte tail, or bytes that are not adjacent (no
+        # wide view): pad a copy of this word only.
+        padded = np.zeros((n, 8), dtype=np.uint8)
+        padded[:, :width] = field
+        field, width = padded, 8
+    col[:] = field.view(_WORDS[width])[:, 0]
+    if width < 8:
+        col <<= np.uint64(64 - 8 * width)
+    return col
+
+
+def _check_keys(keys: np.ndarray) -> None:
     if keys.ndim != 2:
         raise RecordFormatError(f"keys must be 2-D, got shape {keys.shape}")
-    n, k = keys.shape
-    words = ceil_div(max(k, 1), 8)
-    if keys.strides[1] != 1:
-        # Bytes that are not adjacent have no wide view: pad a copy.
-        padded = np.zeros((n, words * 8), dtype=np.uint8)
-        padded[:, :k] = keys
-        return list(np.ascontiguousarray(padded.view(">u8").T, dtype=np.uint64))
-    cols = np.empty((words, n), dtype=np.uint64)
-    for j, col in enumerate(cols):
-        # Each word moves as one element per row: a 2-D byte copy only
-        # 8-10 bytes wide costs several times as much per row.
-        field = keys[:, 8 * j : 8 * j + 8]
-        width = field.shape[1]
-        if width not in _WORDS:  # a 3, 5, 6 or 7-byte tail: pad this word only
-            padded = np.zeros((n, 8), dtype=np.uint8)
-            padded[:, :width] = field
-            field, width = padded, 8
-        col[:] = field.view(_WORDS[width])[:, 0]
-        if width < 8:
-            col <<= np.uint64(64 - 8 * width)
-    return list(cols)
+
+
+def _word_count(keys: np.ndarray) -> int:
+    return ceil_div(max(keys.shape[1], 1), 8)
 
 
 def key_words(key) -> tuple:
@@ -116,21 +127,39 @@ def key_words(key) -> tuple:
     )
 
 
-def adjacent_order(cols: List[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
-    """Compare each row of :func:`key_columns` output with the next.
+def adjacent_order(keys) -> Tuple[np.ndarray, np.ndarray]:
+    """Compare each key with the next.
 
+    ``keys`` is an ``(n, k)`` uint8 key matrix or its :func:`key_columns`.
     Returns two ``(n - 1,)`` boolean masks: ``descends[i]`` where row
     ``i`` sorts after row ``i + 1``, ``tied[i]`` where they are equal.
+    Only the first word is compared for every pair; a later word only
+    for the pairs every earlier word ties (from a matrix, only those
+    rows' words are read).
     """
-    pairs = max(cols[0].shape[0] - 1, 0)
-    descends = np.zeros(pairs, dtype=bool)
-    tied = np.ones(pairs, dtype=bool)
-    for col in cols:
-        left, right = col[:-1], col[1:]
-        descends |= tied & (left > right)
-        tied &= left == right
-        if not tied.any():
+    if isinstance(keys, np.ndarray):
+        _check_keys(keys)
+        words = _word_count(keys)
+        first = key_word(keys, 0)
+
+        def word(j, rows):
+            return key_word(keys[rows], j)
+    else:
+        words, first = len(keys), keys[0]
+
+        def word(j, rows):
+            return keys[j][rows]
+
+    descends = first[:-1] > first[1:]
+    at = np.flatnonzero(first[:-1] == first[1:])
+    for j in range(1, words):
+        if not at.size:
             break
+        left, right = word(j, at), word(j, at + 1)
+        descends[at[left > right]] = True
+        at = at[left == right]
+    tied = np.zeros(descends.size, dtype=bool)
+    tied[at] = True
     return descends, tied
 
 
@@ -147,21 +176,35 @@ def key_sort_indices(keys: np.ndarray) -> np.ndarray:
     """Stable argsort of binary keys (rows of an ``(n, k)`` uint8 matrix).
 
     Bit for bit the permutation ``np.lexsort`` gives over all the key
-    columns, at the cost of one single-word sort when (as for random
-    keys) the most-significant word rarely ties: argsort that word, then
-    put only the rows whose word ties into (remaining words, original
-    position) order.  That order is total, so the first sort need not be
-    stable.
+    columns, at the cost of one sort of one word when (as for random
+    keys) the first word's high bits rarely tie: the first word with its
+    low ``ceil(log2 n)`` bits replaced by the row number is a distinct
+    value per row whose order is (prefix, row), so plain ``np.sort``
+    orders it and the low bits read back the permutation.  Only rows
+    whose packed prefixes tie have the rest of their key read, and are
+    put into (whole key, row) order by ``np.lexsort``.
     """
-    cols = key_columns(keys)
-    order = np.argsort(cols[0])
-    word = cols[0][order]
-    ties = word[1:] == word[:-1]
+    _check_keys(keys)
+    n, k = keys.shape
+    if n < 2:
+        return np.arange(n, dtype=np.intp)
+    bits = (n - 1).bit_length()
+    low = np.uint64((1 << bits) - 1)
+    packed = key_word(keys, 0)
+    packed &= ~low
+    packed |= np.arange(n, dtype=np.uint64)
+    packed.sort()
+    order = (packed & low).view(np.intp)
+    if 8 * k <= 64 - bits:
+        # The row number sits in zero padding: the prefix is the key.
+        return order
+    packed >>= np.uint64(bits)
+    ties = packed[1:] == packed[:-1]
     if ties.any():
         tied = tie_rows(ties)
         rows = order[tied]
         # lexsort treats the LAST key as primary.
-        refine = (rows, *(c[rows] for c in reversed(cols[1:])), word[tied])
+        refine = (rows, *reversed(key_columns(keys[rows])))
         order[tied] = rows[np.lexsort(refine)]
     return order
 
@@ -177,7 +220,7 @@ def record_sort_indices(records: np.ndarray, key_size: int) -> np.ndarray:
 
 def keys_ascending(keys: np.ndarray) -> bool:
     """True iff consecutive rows are in non-decreasing key order."""
-    return not adjacent_order(key_columns(keys))[0].any()
+    return not adjacent_order(keys)[0].any()
 
 
 def leq_mask(keys: np.ndarray, bound: np.ndarray) -> np.ndarray:

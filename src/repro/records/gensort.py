@@ -36,8 +36,6 @@ def make_records(
     if n_records < 0:
         raise RecordFormatError("n_records must be >= 0")
     rng = np.random.default_rng(seed)
-    # No zero-fill: values, then keys, between them overwrite every byte.
-    records = np.empty((n_records, fmt.record_size), dtype=np.uint8)
     if ascii_keys:
         keys = rng.integers(32, 127, size=(n_records, fmt.key_size), dtype=np.uint8)
     else:
@@ -47,42 +45,61 @@ def make_records(
         nbytes = n_records * fmt.key_size
         words = rng.bit_generator.random_raw(ceil_div(nbytes, 8)).astype("<u8", copy=False)
         keys = words.view(np.uint8)[:nbytes].reshape(n_records, fmt.key_size)
-    _fill_values(records, fmt.key_size)
-    # One key-sized element per row (see _fill_values).
+    # No zero-fill: template, ids and keys between them write every byte.
+    records = np.empty((n_records, fmt.record_size), dtype=np.uint8)
+    template = _value_template(min(n_records, _TEMPLATE_ROWS), fmt)
+    # One key-sized element per row: a 2-D copy 8-90 bytes wide costs
+    # several times as much per row as whole rows or one wide element.
     key = np.dtype(f"V{fmt.key_size}")
-    records[:, : fmt.key_size].view(key)[:, 0] = keys.view(key)[:, 0]
+    keys = keys.view(key)[:, 0]
+    # Each pass over a block runs while the block is still in cache.
+    for at in range(0, n_records, _BLOCK_ROWS):
+        block = records[at : at + _BLOCK_ROWS]
+        _fill_values(block, template, at, fmt.key_size)
+        block[:, : fmt.key_size].view(key)[:, 0] = keys[at : at + _BLOCK_ROWS]
     return records
 
 
-def _fill_values(records: np.ndarray, key_size: int) -> None:
-    """Deterministic value bytes, written in place after each row's key:
-    little-endian id prefix + rolling fill.
+#: Whole records repeat every 256 rows apart from key and id (the fill
+#: depends on the id only through ``id % 256``: uint8 arithmetic wraps).
+_TEMPLATE_ROWS = 256
+#: Rows generated per block (a multiple of the template): ~800 KB of
+#: 100-byte records.
+_BLOCK_ROWS = 32 * _TEMPLATE_ROWS
+
+
+def _value_template(rows: int, fmt: RecordFormat) -> np.ndarray:
+    """The first ``rows`` records' value fill (ids and keys left zero):
+    little-endian id prefix + a rolling fill of the id."""
+    template = np.zeros((rows, fmt.record_size), dtype=np.uint8)
+    fill_at = fmt.key_size + min(8, fmt.value_size)
+    per_id = (np.arange(rows, dtype=np.uint32) * 131 + 7).astype(np.uint8)
+    fill = (np.arange(fmt.record_size - fill_at, dtype=np.uint32) * 7).astype(np.uint8)
+    np.add(per_id[:, None], fill, out=template[:, fill_at:])
+    return template
+
+
+def _fill_values(block: np.ndarray, template: np.ndarray, first_id: int, key_size: int) -> None:
+    """Value bytes of the records ``first_id ..`` (``first_id`` a
+    multiple of 256), written in place after each row's key.
 
     The id prefix makes each (id, position) byte recoverable, so a
     corrupted or duplicated record is detectable without hashing.  Key
     bytes are left for the caller to write.
     """
-    n_records, record_size = records.shape
+    n_records, record_size = block.shape
     id_bytes = min(8, record_size - key_size)
     fill_at = key_size + id_bytes
-    # The fill depends on the id only through ``id % 256`` (uint8
-    # arithmetic wraps), so whole records repeat every 256 rows apart
-    # from key and id: copy a 256-row template in contiguous blocks,
-    # then write the ids over it.  A 2-D copy 8-90 bytes wide costs
-    # several times as much per row as whole rows or one wide element.
-    rows = min(n_records, 256)
-    template = np.zeros((rows, record_size), dtype=np.uint8)
-    per_id = (np.arange(rows, dtype=np.uint32) * 131 + 7).astype(np.uint8)
-    fill = (np.arange(record_size - fill_at, dtype=np.uint32) * 7).astype(np.uint8)
-    np.add(per_id[:, None], fill, out=template[:, fill_at:])
-    blocks, rest = divmod(n_records, 256)
-    records[: blocks * 256].reshape(blocks, template.size)[:] = template.reshape(-1)
-    records[blocks * 256 :] = template[:rest]
-    ids = np.arange(n_records, dtype="<u8")
+    # Copy the template in contiguous 256-row blocks, then write the ids
+    # over it.
+    blocks, rest = divmod(n_records, _TEMPLATE_ROWS)
+    block[: blocks * _TEMPLATE_ROWS].reshape(blocks, template.size)[:] = template.reshape(-1)
+    block[blocks * _TEMPLATE_ROWS :] = template[:rest]
+    ids = np.arange(first_id, first_id + n_records, dtype="<u8")
     if id_bytes == 8:
-        records[:, key_size:fill_at].view("<u8")[:, 0] = ids
+        block[:, key_size:fill_at].view("<u8")[:, 0] = ids
     else:
-        records[:, key_size:fill_at] = ids.view(np.uint8).reshape(n_records, 8)[:, :id_bytes]
+        block[:, key_size:fill_at] = ids.view(np.uint8).reshape(n_records, 8)[:, :id_bytes]
 
 
 def generate_dataset(

@@ -24,7 +24,6 @@ from repro.errors import ValidationError
 from repro.records.format import (
     RecordFormat,
     adjacent_order,
-    key_columns,
     key_sort_indices,
     tie_rows,
 )
@@ -51,7 +50,7 @@ def validate_sorted_records(
             f"record counts differ: input {input_records.shape} vs "
             f"output {output_records.shape}"
         )
-    descends, tied = adjacent_order(key_columns(output_records[:, :key_size]))
+    descends, tied = adjacent_order(output_records[:, :key_size])
     if descends.any():
         raise ValidationError("output keys are not in ascending order")
     for propose in (_perm_from_ordinals, _perm_from_sort):
@@ -62,39 +61,46 @@ def validate_sorted_records(
 
 
 def _permutes(perm, input_records, output_records) -> bool:
-    """True iff ``perm`` (row numbers below ``n``) is a bijection and
-    ``input_records[perm]`` is byte-equal to ``output_records``."""
-    seen = np.zeros(perm.size, dtype=bool)
-    seen[perm] = True
-    if not seen.all():
-        return False
-    width = input_records.shape[1]
-    rows = max(1, (64 << 10) // max(1, width))
+    """True iff ``perm`` (untrusted row numbers, any integer dtype) is a
+    bijection onto the rows and ``input_records[perm]`` is byte-equal to
+    ``output_records``."""
+    n, width = output_records.shape
     if width % 4 == 0 and input_records.strides[1] == output_records.strides[1] == 1:
-        # Same bytes, a quarter of the elements to compare.
+        # Same bytes, a quarter of the elements to move and compare.
         input_records = input_records.view(np.uint32)
         output_records = output_records.view(np.uint32)
-    # Gather and compare 64 KiB at a time: no temporary the size of the
-    # dataset, and each block is still in cache when it is compared.
-    for at in range(0, perm.size, rows):
-        block = input_records.take(perm[at : at + rows], axis=0)
-        if not np.array_equal(block, output_records[at : at + rows]):
+    seen = np.zeros(n, dtype=bool)
+    block = np.empty((min(n, _PROOF_ROWS), input_records.shape[1]), input_records.dtype)
+    # Range-check, scatter, gather and compare one block at a time: no
+    # temporary the size of the dataset, and each block is still in
+    # cache when it is compared.
+    for at in range(0, n, _PROOF_ROWS):
+        rows = perm[at : at + _PROOF_ROWS].astype(np.intp)
+        if rows.min() < 0 or rows.max() >= n:
             return False
-    return True
+        seen[rows] = True
+        got = input_records.take(rows, axis=0, out=block[: rows.size], mode="clip")
+        if not np.array_equal(got, output_records[at : at + _PROOF_ROWS]):
+            return False
+    return bool(seen.all())
+
+
+#: Rows per block of the permutation proof (~200 KB of 100-byte records).
+_PROOF_ROWS = 2048
 
 
 def _perm_from_ordinals(input_records, output_records, key_size, tied):
     """The input row each output row names in its first eight value bytes
     (gensort's little-endian ordinal): an untrusted hint, ``None`` when
-    the values are too short to hold one or it points outside the input."""
+    the values are too short to hold one.  It is read in place; the
+    proof range-checks it."""
     n, record_size = output_records.shape
     if n == 0 or record_size - key_size < 8:
         return None
     field = output_records[:, key_size : key_size + 8]
     if field.strides[1] != 1:
         field = np.ascontiguousarray(field)
-    ordinals = field.view("<u8")[:, 0]
-    return ordinals.astype(np.intp) if ordinals.max() < n else None
+    return field.view("<u8")[:, 0]
 
 
 def _perm_from_sort(input_records, output_records, key_size, tied):

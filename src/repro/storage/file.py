@@ -95,6 +95,38 @@ class SimFile:
         self._data = data
         self.size = data.size
 
+    def reserve(self, nbytes: int) -> None:
+        """Untimed: size the backing array for a file of ``nbytes``.
+
+        Only host memory moves: nothing is charged to the device,
+        ``size`` and ``fs.used`` stay, and a hole past ``size`` still
+        reads as zeros.  Writes within the reservation never regrow the
+        array, and :meth:`staging` can hand out its extents.
+        """
+        if nbytes > self._data.size:
+            grown = np.zeros(nbytes, dtype=np.uint8)
+            grown[: self.size] = self._data[: self.size]
+            self._data = grown
+
+    def staging(self, offset: int, nbytes: int) -> np.ndarray | None:
+        """The reserved, unwritten extent ``[offset, offset + nbytes)``
+        as a writeable view, for a gather to fill ahead of the timed
+        :meth:`write` of that extent, which then moves no bytes.
+
+        The view is the file's own memory: a write past it before its
+        own write zero-fills it like any hole.  ``None`` (copy instead)
+        when the extent is not reserved, starts below ``size``, or a
+        fault injector is installed: a torn, retried or rolled-back
+        write must copy from a payload the file does not own.
+        """
+        if (
+            self._fs.injector is not None
+            or offset < self.size
+            or offset + nbytes > self._data.size
+        ):
+            return None
+        return self._data[offset : offset + nbytes]
+
     def truncate(self, new_size: int) -> None:
         """Discard bytes past ``new_size`` (torn-write rollback, recovery).
 
@@ -222,11 +254,13 @@ class SimFile:
         access_size: int,
         tag: str,
         threads: int = 1,
+        out: np.ndarray | None = None,
     ) -> FluidOp:
         """Random reads of fixed-size records at arbitrary offsets.
 
         Resumes with a ``(len(offsets), access_size)`` uint8 matrix in
-        the order of ``offsets``.
+        the order of ``offsets``: a fresh array, or ``out`` (a
+        :meth:`staging` view of exactly that many bytes) reshaped.
         """
         starts = np.asarray(offsets, dtype=np.int64)
         if starts.size == 0:
@@ -244,7 +278,10 @@ class SimFile:
 
         def build() -> FluidOp:
             with self._audit("read", int(starts.size) * access_size):
-                payload = self._take_rows(starts, access_size)
+                payload = self._take_rows(
+                    starts, access_size,
+                    None if out is None else out.reshape(starts.size, access_size),
+                )
                 op = self._machine_io(
                     "read",
                     Pattern.RAND,
@@ -314,10 +351,12 @@ class SimFile:
         building an index (numpy checks the extent against the buffer)."""
         return np.ndarray((count, access_size), np.uint8, self._data, offset, (stride, 1))
 
-    def _take_rows(self, starts: np.ndarray, access_size: int) -> np.ndarray:
-        """Fresh copy of the ``access_size`` bytes at each of ``starts``,
-        which the caller has bounds-checked (as row indices numpy would
-        wrap negative offsets silently)."""
+    def _take_rows(
+        self, starts: np.ndarray, access_size: int, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """The ``access_size`` bytes at each of ``starts``, into ``out``
+        or a fresh array.  The caller has bounds-checked ``starts`` (as
+        row indices numpy would wrap negative offsets silently)."""
         # Whole rows of the contiguous record matrix, one memcpy each,
         # when every offset is record-aligned, as every sort's value
         # gather is.  Finding that out pays from ~500 rows up (measured).
@@ -325,9 +364,16 @@ class SimFile:
             records = starts // access_size
             if (records * access_size == starts).all():
                 matrix = self._rows(0, self.size // access_size, access_size, access_size)
-                return matrix.take(records, axis=0)
-        # Otherwise a row take on the view of every access_size-byte window.
-        return self._rows(0, self.size - access_size + 1, 1, access_size)[starts]
+                # "clip" skips a check already made, which with ``out``
+                # would also gather into a temporary first.
+                return matrix.take(records, axis=0, out=out, mode="clip")
+        # Otherwise rows of the view of every access_size-byte window, by
+        # indexing: ``take`` would first copy that overlapping view whole.
+        rows = self._rows(0, self.size - access_size + 1, 1, access_size)[starts]
+        if out is None:
+            return rows
+        out[...] = rows
+        return out
 
     def _audit(self, direction: str, nbytes: int):
         """Probe scope around one timed op's byte move and its charge
@@ -362,7 +408,9 @@ class SimFile:
             )
 
     def _store(self, offset: int, arr: np.ndarray) -> None:
-        """Copy ``arr`` in at ``offset``, growing the backing array."""
+        """Copy ``arr`` in at ``offset``, growing the backing array; the
+        bytes between the old end of file and ``offset`` read as zeros.
+        A staged ``arr`` (see :meth:`staging`) is already in place."""
         end = offset + arr.size
         if end > self._data.size:
             new_cap = max(end, self._data.size * 2, 4096)
@@ -373,8 +421,13 @@ class SimFile:
                 self._data = arr.copy()
                 return
             grown = np.zeros(new_cap, dtype=np.uint8)
-            grown[: self._data.size] = self._data
+            grown[: self.size] = self._data[: self.size]
             self._data = grown
+        elif offset > self.size:
+            # Past the end of file only staged bytes can be non-zero.
+            self._data[self.size : offset] = 0
+        if arr.base is self._data and arr.ctypes.data == self._data.ctypes.data + offset:
+            return
         self._data[offset:end] = arr
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.records.format import RecordFormat, key_sort_indices
+from repro.records.format import RecordFormat, adjacent_order, key_columns, key_sort_indices
 from repro.records.gensort import make_records
 from tests.records.test_format import _lexsort_oracle
 from tests.records.test_wide_fields import _oracle_make_records
@@ -74,6 +74,16 @@ class TestKeyOrderMatchesLexsort:
             "inner_stride": records[:, ::3][:, :10],
         }[layout]
         _assert_lexsort(keys)
+
+    def test_adjacent_order_of_packed_prefix_ties(self):
+        keys = _shared_prefix(3000, 20, 7, 2, seed=3)
+        keys = keys[_lexsort_oracle(keys)]
+        keys[[10, 11]] = keys[[11, 10]]  # one descent past the first word
+        got = adjacent_order(keys)
+        want = adjacent_order(key_columns(keys))
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        assert np.flatnonzero(got[0]).tolist() == ([10] if (keys[10] != keys[11]).any() else [])
 
 
 class TestMakeRecordsAtBlockEdges:

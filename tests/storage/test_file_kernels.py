@@ -350,3 +350,85 @@ class TestPeekView:
             f.peek_view(40, 20)
         with pytest.raises(StorageError):
             f.peek_view(-1, 2)
+
+
+class TestReserveAndStaging:
+    """``reserve`` sizes the backing array only; ``staging`` hands out a
+    reserved extent for a gather to fill ahead of the timed write that
+    then moves nothing.  No other payload may alias a file."""
+
+    def test_reserve_charges_nothing_and_keeps_the_contents(self, machine):
+        f = machine.fs.create("f")
+        f.poke(0, b"head")
+        used = machine.fs.used
+        f.reserve(10_000)
+        assert machine.fs.used == used == f.size == 4
+        assert f._data.size == 10_000 and bytes(f.peek()) == b"head"
+        assert not f._data[4:].any()
+        f.reserve(100)  # never shrinks
+        assert f._data.size == 10_000
+        run_op(machine, f.write(4, np.ones(9_996, dtype=np.uint8), tag="w"))
+        assert f._data.size == 10_000 == f.size == machine.fs.used
+
+    def test_staged_gather_lands_in_place_and_the_write_moves_nothing(self, machine):
+        source = machine.fs.create("in")
+        data = (np.arange(100_000) % 251).astype(np.uint8)
+        source.poke(0, data)
+        out = machine.fs.create("out")
+        out.reserve(data.size)
+        starts = np.arange(999, -1, -1, dtype=np.int64) * 100
+        stage = out.staging(0, 100_000)
+        assert np.shares_memory(stage, out._data)
+        payload = run_op(machine, source.read_gather(starts, 100, tag="g", out=stage))
+        assert np.shares_memory(payload, out._data) and payload.shape == (1000, 100)
+        assert out.size == 0 and not out.peek_view().size
+        stats = machine.stats.tags
+        run_op(machine, out.write(0, payload.reshape(-1), tag="w"))
+        assert stats["w"].user_bytes == 100_000 == out.size == machine.fs.used - data.size
+        assert np.array_equal(out.peek(), _oracle_fixed(data, starts, 100).reshape(-1))
+
+    def test_a_hole_poked_past_a_staged_extent_reads_as_zeros(self, machine):
+        f = machine.fs.create("f")
+        f.reserve(1_000)
+        f.staging(100, 200)[:] = 7
+        f.poke(500, b"x")
+        assert f.size == 501 and not f.peek(0, 500).any()
+        f.truncate(0)
+        f.staging(0, 300)[:] = 9
+        run_op(machine, f.write(600, b"y", tag="w"))
+        assert not f.peek(0, 600).any() and bytes(f.peek(600, 1)) == b"y"
+
+    def test_staging_refuses_what_it_cannot_hand_over(self, machine):
+        f = machine.fs.create("f")
+        f.reserve(1_000)
+        f.poke(0, np.ones(100, dtype=np.uint8))
+        assert f.staging(50, 100) is None  # below the end of file
+        assert f.staging(900, 101) is None  # past the reservation
+        assert f.staging(100, 900) is not None
+        machine.install_faults(parse_fault_spec("torn@op:0", seed=1))
+        assert f.staging(100, 900) is None  # a torn write must copy
+
+    @pytest.mark.parametrize("records", [1, 511, 512, 5_000])
+    def test_unstaged_payloads_never_alias_the_file(self, machine, records):
+        data = (np.arange(records * 100) % 253).astype(np.uint8)
+        f = machine.fs.create("f")
+        f.reserve(data.size + 1_000)
+        run_op(machine, f.write(0, data, tag="w"))
+        starts = np.arange(records, dtype=np.int64)[::-1] * 100
+        for op in (
+            f.read_gather(starts, 100, tag="t"),
+            f.read_gather(starts + 3, 90, tag="t"),
+            f.read(0, data.size, tag="t"),
+            f.read_strided(0, records, 100, 10, tag="t"),
+        ):
+            payload = _payload(op)
+            _assert_fresh_payload(f, payload, payload.copy())
+
+    def test_sanitized_onepass_balances_its_charge_audit(self):
+        result = api.sort(api.RunOptions(records=20_000, sanitize=True))
+        audit = result.extras["sanitizer"].audit_report()
+        assert audit["drift"] == [] and audit["raw_uncharged_moves"] == 0
+        assert audit["moved_write"] == audit["charged_write"] == 2_000_000
+        assert audit["moved_read"] == audit["charged_read"]
+        out = result.extras["machine"].fs.open(result.output_name)
+        assert out._data.size == out.size == 2_000_000
