@@ -36,6 +36,8 @@ def make_records(
     if n_records < 0:
         raise RecordFormatError("n_records must be >= 0")
     rng = np.random.default_rng(seed)
+    # No zero-fill: template, ids and keys between them write every byte.
+    records = np.empty((n_records, fmt.record_size), dtype=np.uint8)
     if ascii_keys:
         keys = rng.integers(32, 127, size=(n_records, fmt.key_size), dtype=np.uint8)
     else:
@@ -45,9 +47,8 @@ def make_records(
         nbytes = n_records * fmt.key_size
         words = rng.bit_generator.random_raw(ceil_div(nbytes, 8)).astype("<u8", copy=False)
         keys = words.view(np.uint8)[:nbytes].reshape(n_records, fmt.key_size)
-    # No zero-fill: template, ids and keys between them write every byte.
-    records = np.empty((n_records, fmt.record_size), dtype=np.uint8)
     template = _value_template(min(n_records, _TEMPLATE_ROWS), fmt)
+    ids = np.arange(min(n_records, _BLOCK_ROWS), dtype="<u8")
     # One key-sized element per row: a 2-D copy 8-90 bytes wide costs
     # several times as much per row as whole rows or one wide element.
     key = np.dtype(f"V{fmt.key_size}")
@@ -55,7 +56,7 @@ def make_records(
     # Each pass over a block runs while the block is still in cache.
     for at in range(0, n_records, _BLOCK_ROWS):
         block = records[at : at + _BLOCK_ROWS]
-        _fill_values(block, template, at, fmt.key_size)
+        _fill_values(block, template, ids[: block.shape[0]], at, fmt.key_size)
         block[:, : fmt.key_size].view(key)[:, 0] = keys[at : at + _BLOCK_ROWS]
     return records
 
@@ -79,9 +80,12 @@ def _value_template(rows: int, fmt: RecordFormat) -> np.ndarray:
     return template
 
 
-def _fill_values(block: np.ndarray, template: np.ndarray, first_id: int, key_size: int) -> None:
+def _fill_values(
+    block: np.ndarray, template: np.ndarray, ids: np.ndarray, first_id: int, key_size: int
+) -> None:
     """Value bytes of the records ``first_id ..`` (``first_id`` a
-    multiple of 256), written in place after each row's key.
+    multiple of 256), written in place after each row's key; ``ids``
+    is ``arange(len(block))`` as ``<u8``.
 
     The id prefix makes each (id, position) byte recoverable, so a
     corrupted or duplicated record is detectable without hashing.  Key
@@ -95,11 +99,10 @@ def _fill_values(block: np.ndarray, template: np.ndarray, first_id: int, key_siz
     blocks, rest = divmod(n_records, _TEMPLATE_ROWS)
     block[: blocks * _TEMPLATE_ROWS].reshape(blocks, template.size)[:] = template.reshape(-1)
     block[blocks * _TEMPLATE_ROWS :] = template[:rest]
-    ids = np.arange(first_id, first_id + n_records, dtype="<u8")
     if id_bytes == 8:
-        block[:, key_size:fill_at].view("<u8")[:, 0] = ids
+        np.add(ids, first_id, out=block[:, key_size:fill_at].view("<u8")[:, 0])
     else:
-        block[:, key_size:fill_at] = ids.view(np.uint8).reshape(n_records, 8)[:, :id_bytes]
+        block[:, key_size:fill_at] = (ids + first_id).view(np.uint8).reshape(n_records, 8)[:, :id_bytes]
 
 
 def generate_dataset(
