@@ -78,11 +78,11 @@ def key_columns(keys: np.ndarray) -> List[np.ndarray]:
     _check_keys(keys)
     cols = np.empty((_word_count(keys), keys.shape[0]), dtype=np.uint64)
     for j, col in enumerate(cols):
-        key_word(keys, j, out=col)
+        _key_word(keys, j, out=col)
     return list(cols)
 
 
-def key_word(keys: np.ndarray, j: int, out: np.ndarray | None = None) -> np.ndarray:
+def _key_word(keys: np.ndarray, j: int, out: np.ndarray | None = None) -> np.ndarray:
     """Column ``j`` of :func:`key_columns` alone (into ``out`` if given)."""
     n = keys.shape[0]
     col = np.empty(n, dtype=np.uint64) if out is None else out
@@ -140,10 +140,10 @@ def adjacent_order(keys) -> Tuple[np.ndarray, np.ndarray]:
     if isinstance(keys, np.ndarray):
         _check_keys(keys)
         words = _word_count(keys)
-        first = key_word(keys, 0)
+        first = _key_word(keys, 0)
 
         def word(j, rows):
-            return key_word(keys[rows], j)
+            return _key_word(keys[rows], j)
     else:
         words, first = len(keys), keys[0]
 
@@ -190,7 +190,7 @@ def key_sort_indices(keys: np.ndarray) -> np.ndarray:
         return np.arange(n, dtype=np.intp)
     bits = (n - 1).bit_length()
     low = np.uint64((1 << bits) - 1)
-    packed = key_word(keys, 0)
+    packed = _key_word(keys, 0)
     packed &= ~low
     packed |= np.arange(n, dtype=np.uint64)
     packed.sort()
