@@ -8,15 +8,13 @@ from __future__ import annotations
 
 from typing import Tuple
 
-import numpy as np
-
-from repro.bench.experiments import SORTBENCH_FMT, _fmt_ms, _run_system
+from repro.bench.experiments import SORTBENCH_FMT, _run_system
 from repro.core.base import SortConfig
 from repro.core.compression import CompressionModel, estimate_benefit
 from repro.device.host import HostModel
 from repro.device.profiles import pmem_profile
 from repro.machine import Machine
-from repro.metrics.report import BenchTable
+from repro.metrics.report import TIMES, BenchTable, ms
 from repro.records.format import RecordFormat
 from repro.records.gensort import generate_dataset
 from repro.registry import get_system, register_experiment
@@ -37,11 +35,12 @@ def ablation_write_pool(
     table = BenchTable(
         title=f"Ablation: write-pool size, WiscSort OnePass ({n} records)",
         headers=["write threads", "time (ms)"],
+        formats={"time (ms)": ms},
     )
     for threads in pool_sizes:
         config = SortConfig(write_threads=threads)
         result = _run_system(get_system("wiscsort")(SORTBENCH_FMT, config=config), pmem, n)
-        table.add_row(threads, _fmt_ms(result.total_time))
+        table.add_row(threads, result.total_time)
     table.add_note("controller default picks ~5 threads; ends of the sweep lose")
     return table
 
@@ -57,6 +56,7 @@ def ablation_pointer_size(scale: int = DEFAULT_SCALE) -> BenchTable:
     table = BenchTable(
         title=f"Ablation: pointer width, WiscSort MergePass ({n} records)",
         headers=["pointer B", "time (ms)", "run-write bytes", "write reduction vs ems"],
+        formats={"time (ms)": ms, "write reduction vs ems": TIMES},
     )
     ems = _run_system(get_system("ems")(SORTBENCH_FMT), pmem, n)
     ems_run_write = ems.extras["machine"].stats.tags["RUN write"].user_bytes
@@ -67,9 +67,9 @@ def ablation_pointer_size(scale: int = DEFAULT_SCALE) -> BenchTable:
         run_write = result.extras["machine"].stats.tags["RUN write"].user_bytes
         table.add_row(
             pointer,
-            _fmt_ms(result.total_time),
+            result.total_time,
             int(run_write),
-            f"{ems_run_write / run_write:.2f}x",
+            ems_run_write / run_write,
         )
     table.add_note("paper: ~7x reduction with 5B pointers, 5x with 8B")
     return table
@@ -88,15 +88,16 @@ def ablation_dram_budget(
     table = BenchTable(
         title=f"Ablation: DRAM budget vs IndexMap size ({n} records)",
         headers=["budget/imap", "pass", "time (ms)"],
+        formats={"budget/imap": "{:.2f}", "time (ms)": ms},
     )
     for fraction in budget_fractions:
         budget = max(64 * KiB, int(imap_bytes * fraction))
         system = get_system("wiscsort")(SORTBENCH_FMT)
         result = _run_system(system, pmem, n, dram_budget=budget)
         table.add_row(
-            f"{fraction:.2f}",
+            fraction,
             "merge" if system.used_merge_pass else "one",
-            _fmt_ms(result.total_time),
+            result.total_time,
         )
     table.add_note("crossover at budget == IndexMap size; MergePass costs extra")
     return table
@@ -114,11 +115,12 @@ def ablation_buffer_size(
     table = BenchTable(
         title=f"Ablation: write-buffer size, WiscSort OnePass ({n} records)",
         headers=["write buffer MiB", "time (ms)"],
+        formats={"time (ms)": ms},
     )
     for wb in write_buffers:
         config = SortConfig(write_buffer=wb)
         result = _run_system(get_system("wiscsort")(SORTBENCH_FMT, config=config), pmem, n)
-        table.add_row(wb // MiB, _fmt_ms(result.total_time))
+        table.add_row(wb // MiB, result.total_time)
     table.add_note("paper: buffer size choice has no effect (times ~flat)")
     return table
 
@@ -137,6 +139,12 @@ def ablation_compression(scale: int = DEFAULT_SCALE) -> BenchTable:
     table = BenchTable(
         title=f"Ablation: IndexMap compression, MergePass ({n} records)",
         headers=["workload", "plain ms", "compressed ms", "ratio", "predicted"],
+        formats={
+            "plain ms": ms,
+            "compressed ms": ms,
+            "ratio": "{:.2f}",
+            "predicted": lambda worth: "worthwhile" if worth else "not worthwhile",
+        },
     )
 
     def run_pair(skewed: bool):
@@ -169,10 +177,10 @@ def ablation_compression(scale: int = DEFAULT_SCALE) -> BenchTable:
         benefit = estimate_benefit(pmem, host, model, ratio, cores=host.ncores)
         table.add_row(
             label,
-            _fmt_ms(plain.total_time),
-            _fmt_ms(compressed.total_time),
-            f"{ratio:.2f}",
-            "worthwhile" if benefit > 0 else "not worthwhile",
+            plain.total_time,
+            compressed.total_time,
+            ratio,
+            benefit > 0,
         )
     table.add_note("Sec 5: worthwhile only if reads+decompression beat "
                    "compression+writes")
@@ -201,6 +209,7 @@ def ablation_natural_runs(
         title=f"Ablation: natural-run elision, MergePass ({n} records)",
         headers=["device", "presorted", "wiscsort ms", "natural-run ms",
                  "natural chunks"],
+        formats={"presorted": "{:.0%}", "wiscsort ms": ms, "natural-run ms": ms},
     )
 
     def run_one(profile, fraction, cls):
@@ -227,9 +236,9 @@ def ablation_natural_runs(
             nat, system = run_one(profile, fraction, get_system("wiscsort-natural"))
             table.add_row(
                 device_name,
-                f"{fraction:.0%}",
-                _fmt_ms(base.total_time),
-                _fmt_ms(nat.total_time),
+                fraction,
+                base.total_time,
+                nat.total_time,
                 system.natural_chunks,
             )
     table.add_note("elision wins where writes are expensive (BARD); ~neutral on PMEM")
@@ -256,6 +265,7 @@ def ablation_merge_fanin(
         title=f"Ablation: merge fan-in / phases ({n} records)",
         headers=["read buffer KiB", "ems M", "ems ms", "ems writes/dataset",
                  "wiscsort M", "wiscsort ms"],
+        formats={"ems ms": ms, "ems writes/dataset": "{:.2f}", "wiscsort ms": ms},
     )
     for rb in read_buffers:
         config = SortConfig(read_buffer=rb, write_buffer=max(4 * KiB, rb // 2))
@@ -269,10 +279,10 @@ def ablation_merge_fanin(
         table.add_row(
             rb // KiB,
             ems_system.merge_passes,
-            _fmt_ms(ems.total_time),
-            f"{ems.user_written / dataset:.2f}",
+            ems.total_time,
+            ems.user_written / dataset,
             wisc_system.merge_passes,
-            _fmt_ms(wisc.total_time),
+            wisc.total_time,
         )
     table.add_note("EMS write traffic is (1+M) x dataset; WiscSort's extra "
                    "phases move 15B entries, not 100B records")

@@ -1,9 +1,9 @@
 """Reproductions of every table and figure in the paper's evaluation.
 
 Scale note: record counts are the paper's divided by ``scale`` (default
-1000; e.g. Fig 7's 400M records run as 400k).  Simulated seconds scale
-down by the same factor, so all ratios are directly comparable to the
-paper's.  Reported times in the tables are *simulated* seconds.
+1000; e.g. Fig 7's 400M records run as 400k).  Table cells hold
+*simulated* seconds and ratios; ``repro.bench.claims.CLAIMS`` says which ratios
+hold at which scale.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.base import ConcurrencyModel, SortConfig, SortResult
+from repro.core.wiscsort import WiscSort
 from repro.device.profile import DeviceProfile
 from repro.device.profiles import (
     bard_device_profile,
@@ -21,7 +22,7 @@ from repro.device.profiles import (
 )
 from repro.machine import Machine
 from repro.metrics.efficiency import io_efficiency_rows
-from repro.metrics.report import BenchTable
+from repro.metrics.report import TIMES, BenchTable, ms
 from repro.records.format import RecordFormat
 from repro.records.gensort import generate_dataset
 from repro.registry import get_system, register_experiment
@@ -55,10 +56,6 @@ def _run_system(
     return result
 
 
-def _fmt_ms(seconds: float) -> str:
-    return f"{seconds * 1e3:.3f}"
-
-
 # ----------------------------------------------------------------------
 # Figure 1 -- motivation: sorting approaches on PMEM (20 GB / 200M recs)
 # ----------------------------------------------------------------------
@@ -77,10 +74,11 @@ def fig01_motivation(scale: int = DEFAULT_SCALE) -> BenchTable:
     table = BenchTable(
         title=f"Fig 1: sorting approaches on PMEM ({n} records, 10B/90B)",
         headers=["system", "time (ms, simulated)", "speedup vs sample sort"],
+        formats={"time (ms, simulated)": ms, "speedup vs sample sort": TIMES},
     )
     base = results["in-place sample sort (PMEM)"].total_time
     for name, result in results.items():
-        table.add_row(name, _fmt_ms(result.total_time), f"{base / result.total_time:.2f}x")
+        table.add_row(name, result.total_time, base / result.total_time)
     table.add_note("paper: EMS ~2x faster than in-place sample sort; WiscSort fastest")
     table.add_note("paper: in-place on DRAM ~10x faster than in-place on PMEM")
     return table
@@ -100,15 +98,20 @@ COMPLIANCE_MATRIX: List[Tuple[str, bool, bool, bool, bool, bool]] = [
 ]
 
 
+_BRAID = ["B", "R", "A", "I", "D"]
+
+
 @register_experiment("tab01")
-def tab01_compliance() -> BenchTable:
-    """The BRAID compliance matrix (Table 1)."""
+def tab01_compliance(scale: int = DEFAULT_SCALE) -> BenchTable:
+    """The BRAID compliance matrix (Table 1): the paper's constant, so
+    ``scale`` is accepted only to give every experiment one signature."""
     table = BenchTable(
         title="Table 1: sorting systems' compliance with the BRAID model",
-        headers=["system", "B", "R", "A", "I", "D"],
+        headers=["system", *_BRAID],
+        formats=dict.fromkeys(_BRAID, lambda flag: "yes" if flag else "-"),
     )
-    for name, *flags in COMPLIANCE_MATRIX:
-        table.add_row(name, *("yes" if f else "-" for f in flags))
+    for row in COMPLIANCE_MATRIX:
+        table.add_row(*row)
     return table
 
 
@@ -138,6 +141,7 @@ def fig04_sortbenchmark(
     table = BenchTable(
         title="Fig 4: sortbenchmark, EMS vs WiscSort (times in simulated ms)",
         headers=["paper GB", "system", "pass", "total"] + FIG4_PHASES + ["speedup"],
+        formats={**dict.fromkeys(["total"] + FIG4_PHASES, ms), "speedup": TIMES},
     )
     for gb in paper_gbs:
         n = sortbenchmark_records_for_gb(gb, scale)
@@ -152,15 +156,15 @@ def fig04_sortbenchmark(
                 "wiscsort",
                 wisc,
                 "merge" if wisc_system.used_merge_pass else "one",
-                f"{ems.total_time / wisc.total_time:.2f}x",
+                ems.total_time / wisc.total_time,
             ),
         ):
             table.add_row(
                 gb,
                 label,
                 passname,
-                _fmt_ms(result.total_time),
-                *[_fmt_ms(result.phase(p)) for p in FIG4_PHASES],
+                result.total_time,
+                *[result.phase(p) for p in FIG4_PHASES],
                 speed,
             )
     table.add_note("paper: OnePass ~3x and MergePass ~2x faster than EMS")
@@ -179,6 +183,12 @@ def _resource_table(title: str, results: Dict[str, SortResult]) -> BenchTable:
             "system", "tag", "busy ms", "internal MB",
             "peak-class eff.", "mean cores",
         ],
+        formats={
+            "busy ms": ms,
+            "internal MB": lambda nbytes: f"{nbytes / 1e6:.1f}",
+            "peak-class eff.": lambda eff: f"{eff * 100:.0f}%",
+            "mean cores": "{:.1f}",
+        },
     )
     for name, result in results.items():
         machine = result.extras["machine"]
@@ -187,10 +197,10 @@ def _resource_table(title: str, results: Dict[str, SortResult]) -> BenchTable:
             table.add_row(
                 name,
                 tag,
-                _fmt_ms(stats.busy_time),
-                f"{stats.internal_bytes / 1e6:.1f}",
-                f"{eff * 100:.0f}%",
-                f"{machine.stats.mean_cores():.1f}",
+                stats.busy_time,
+                stats.internal_bytes,
+                eff,
+                machine.stats.mean_cores(),
             )
     for name, result in results.items():
         machine = result.extras["machine"]
@@ -214,8 +224,8 @@ def fig05_resources_onepass(scale: int = DEFAULT_SCALE) -> BenchTable:
     )
     table.add_note("paper: every I/O op runs near its access-class peak bandwidth")
     table.add_note(
-        f"totals: ems={_fmt_ms(results['ems'].total_time)}ms, "
-        f"onepass={_fmt_ms(results['wiscsort-onepass'].total_time)}ms"
+        f"totals: ems={ms(results['ems'].total_time)}ms, "
+        f"onepass={ms(results['wiscsort-onepass'].total_time)}ms"
     )
     return table
 
@@ -285,6 +295,7 @@ def fig07_concurrency(scale: int = DEFAULT_SCALE) -> BenchTable:
     table = BenchTable(
         title=f"Fig 7: concurrency models ({n} records of 100B)",
         headers=["system", "time (ms)", "vs pmsort single"],
+        formats={"time (ms)": ms, "vs pmsort single": TIMES},
     )
     results: Dict[str, SortResult] = {}
     for name, system in systems:
@@ -292,7 +303,7 @@ def fig07_concurrency(scale: int = DEFAULT_SCALE) -> BenchTable:
     base = results["pmsort single-thread"].total_time
     for name in results:
         t = results[name].total_time
-        table.add_row(name, _fmt_ms(t), f"{base / t:.2f}x")
+        table.add_row(name, t, base / t)
     table.add_note("paper: no-io-overlap best in every family; OnePass ~7x and "
                    "MergePass ~4x faster than single-threaded PMSort")
     return table
@@ -313,6 +324,10 @@ def fig08_kv_split(
         title=f"Fig 8: key-value split benefit ({n} records, 10B key, varying V)",
         headers=["value B", "ems ms", "onepass ms", "mergepass ms",
                  "onepass speedup", "mergepass speedup"],
+        formats={
+            **dict.fromkeys(["ems ms", "onepass ms", "mergepass ms"], ms),
+            **dict.fromkeys(["onepass speedup", "mergepass speedup"], TIMES),
+        },
     )
     for v in value_sizes:
         fmt = RecordFormat(key_size=10, value_size=v, pointer_size=5)
@@ -324,11 +339,11 @@ def fig08_kv_split(
         )
         table.add_row(
             v,
-            _fmt_ms(ems.total_time),
-            _fmt_ms(one.total_time),
-            _fmt_ms(merge.total_time),
-            f"{ems.total_time / one.total_time:.2f}x",
-            f"{ems.total_time / merge.total_time:.2f}x",
+            ems.total_time,
+            one.total_time,
+            merge.total_time,
+            ems.total_time / one.total_time,
+            ems.total_time / merge.total_time,
         )
     table.add_note("paper: OnePass wins at every V:K; MergePass wins iff V:K > 1")
     return table
@@ -352,6 +367,7 @@ def fig09_strided_vs_seq(
     table = BenchTable(
         title=f"Fig 9: IndexMap load, strided vs sequential ({n} records)",
         headers=["value B", "strided ms", "sequential ms", "strided speedup"],
+        formats={"strided ms": ms, "sequential ms": ms, "strided speedup": TIMES},
     )
     for v in value_sizes:
         fmt = RecordFormat(key_size=10, value_size=v, pointer_size=5)
@@ -379,9 +395,7 @@ def fig09_strided_vs_seq(
 
         t_strided = timed(strided_job)
         t_seq = timed(sequential_job)
-        table.add_row(
-            v, _fmt_ms(t_strided), _fmt_ms(t_seq), f"{t_seq / t_strided:.2f}x"
-        )
+        table.add_row(v, t_strided, t_seq, t_seq / t_strided)
     table.add_note("paper: strided gather wins at every V:K, up to ~3x at V=502")
     return table
 
@@ -401,6 +415,8 @@ def fig10_interference(
         title=f"Fig 10: background interference ({n} records of 100B)",
         headers=["kind", "clients", "wiscsort ms", "wiscsort slowdown",
                  "ems ms", "ems slowdown"],
+        formats={"wiscsort ms": ms, "wiscsort slowdown": TIMES,
+                 "ems ms": ms, "ems slowdown": TIMES},
     )
     baselines: Dict[str, float] = {}
     for kind in ("read", "write"):
@@ -417,10 +433,10 @@ def fig10_interference(
             table.add_row(
                 kind,
                 clients,
-                _fmt_ms(wisc.total_time),
-                f"{wisc.total_time / baselines[f'wisc-{kind}']:.2f}x",
-                _fmt_ms(ems.total_time),
-                f"{ems.total_time / baselines[f'ems-{kind}']:.2f}x",
+                wisc.total_time,
+                wisc.total_time / baselines[f"wisc-{kind}"],
+                ems.total_time,
+                ems.total_time / baselines[f"ems-{kind}"],
             )
     table.add_note("paper: background writers hurt far more than readers; "
                    "WiscSort stays ~2x faster than EMS throughout")
@@ -447,6 +463,7 @@ def fig11_future_devices(
     table = BenchTable(
         title=f"Fig 11: future BRAID devices ({n} records of 100B)",
         headers=["device", "system", "time (ms)"],
+        formats={"time (ms)": ms},
     )
     for device_name in devices:
         profile = FIG11_DEVICES[device_name]()
@@ -464,7 +481,7 @@ def fig11_future_devices(
         ]
         for sys_name, system in systems:
             result = _run_system(system, profile, n)
-            table.add_row(device_name, sys_name, _fmt_ms(result.total_time))
+            table.add_row(device_name, sys_name, result.total_time)
     table.add_note("paper 11a (BD): EMS best, WiscSort pays for random reads")
     table.add_note("paper 11b (BRD): OnePass best; sample sort beats EMS & MergePass")
     table.add_note("paper 11c (BARD): writes dominate; OnePass lowest, EMS ~2x WiscSort")

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from repro import api
 from repro.analysis.race import sort_output_fingerprint
-from repro.bench.experiments import SORTBENCH_FMT, _fmt_ms
+from repro.bench.experiments import SORTBENCH_FMT
 from repro.errors import ValidationError
-from repro.metrics.report import BenchTable, speedup
+from repro.metrics.report import TIMES, BenchTable, ms, speedup
 from repro.registry import register_experiment
 from repro.workloads.datasets import DEFAULT_SCALE
 
@@ -37,8 +37,9 @@ def cluster_scaleout(
     table = BenchTable(
         title=f"Scale-out: sharded WiscSort on {device} ({n} records)",
         headers=["shards", "total (ms)", "shuffle busy (ms)", "speedup"],
+        formats={"total (ms)": ms, "shuffle busy (ms)": ms, "speedup": TIMES},
     )
-    table.add_row("1 (single)", _fmt_ms(single.total_time), "-", "1.00x")
+    table.add_row("1 (single)", single.total_time, "-", 1.0)
 
     for n_shards in shard_counts:
         result = api.sort(options, shards=n_shards)
@@ -55,9 +56,9 @@ def cluster_scaleout(
         )
         table.add_row(
             str(n_shards),
-            _fmt_ms(result.total_time),
-            _fmt_ms(shuffle),
-            f"{speedup(single.total_time, result.total_time):.2f}x",
+            result.total_time,
+            shuffle,
+            speedup(single.total_time, result.total_time),
         )
     table.add_note(
         "every sharded output verified byte-identical to the single-device "

@@ -21,7 +21,9 @@ Commands
 ``trace-report``  summarize a Chrome/Perfetto trace JSON produced by
                 ``--trace`` (span and device-class aggregates).
 ``bench``       run one paper experiment (fig01 ... fig11, tab01, an
-                ablation, or cluster-scaleout) and print its table.
+                ablation, or cluster-scaleout) and print its table;
+                ``bench claims`` checks every paper claim and prints
+                EXPERIMENTS.md's tables.
 ``profiles``    list the available device profiles.
 
 Systems, experiments and profiles all resolve through
@@ -577,9 +579,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     if args.scale < 1:
         raise ConfigError("--scale must be >= 1")
-    fn = get_experiment(args.experiment)
-    table = fn() if args.experiment == "tab01" else fn(scale=args.scale)
-    print(table.render())
+    print(get_experiment(args.experiment)(scale=args.scale).render())
     return 0
 
 

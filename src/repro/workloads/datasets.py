@@ -2,8 +2,9 @@
 
 All experiments scale the paper's record counts by ``DEFAULT_SCALE``
 (1/1000): a "40 GB" sortbenchmark input becomes 400k records / 40 MB.
-Byte counts feed the device model identically at any scale, so relative
-results are scale-free; wall-clock stays in seconds.
+Byte counts feed the device model identically at any scale, but not
+every ratio is scale-free: ``repro.bench.claims.CLAIMS`` marks the rows that
+are not (``scale_stable=False``).
 """
 
 from __future__ import annotations

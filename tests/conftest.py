@@ -39,6 +39,18 @@ def emulated_profiles():
     return {"bd": _BD, "brd": _BRD, "bard": _BARD}
 
 
+#: The scale tier-1 checks the paper's claims at (record counts / 8000).
+CLAIMS_SCALE = 8_000
+
+
+@pytest.fixture(scope="session")
+def claims():
+    """Every row of ``repro.bench.claims.CLAIMS``, measured once at ``CLAIMS_SCALE``."""
+    from repro.bench.claims import check
+
+    return check(CLAIMS_SCALE)
+
+
 @pytest.fixture
 def machine(pmem):
     return Machine(profile=pmem)

@@ -7,7 +7,7 @@ import pytest
 from repro.device.profile import Pattern
 from repro.machine import Machine
 from repro.metrics.efficiency import io_efficiency_rows
-from repro.metrics.report import BenchTable, format_table, speedup
+from repro.metrics.report import BenchTable, format_table, ms, speedup
 
 
 class TestFormatTable:
@@ -48,6 +48,27 @@ class TestBenchTable:
         assert table.column("y") == ["a", "b"]
         with pytest.raises(ValueError):
             table.column("z")
+
+    def test_typed_cells_print_through_their_column_format(self):
+        table = BenchTable(title="T", headers=["system", "time", "speedup"],
+                           formats={"time": ms, "speedup": "{:.2f}x"})
+        table.add_row("ems", 0.0250321, 1.0)
+        table.add_row("wiscsort", 0.0095392, "")
+        assert table.render().splitlines()[3:] == [
+            "ems       25.032  1.00x", "wiscsort  9.539"]
+        assert table.column("time") == [0.0250321, 0.0095392]
+        assert table.cell("time", "wiscsort") == 0.0095392
+        assert table.records()[0] == {"system": "ems", "time": 0.0250321, "speedup": 1.0}
+
+    def test_cell_lookup_needs_exactly_one_row(self):
+        table = BenchTable(title="T", headers=["kind", "n", "v"])
+        table.add_row("read", 1, 0.5)
+        table.add_row("read", 2, 0.7)
+        assert table.cell("v", "read", 2) == 0.7
+        with pytest.raises(KeyError):
+            table.cell("v", "read")
+        with pytest.raises(KeyError):
+            table.cell("v", "write")
 
 
 class TestIoEfficiency:

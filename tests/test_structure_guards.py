@@ -115,6 +115,11 @@ LINE_GUARDS = [
      r"|cache_hit[s]|cache_misse[s]",
      ["src", "tests", "examples", "README.md", "DESIGN.md"],
      ["tests/integration/cli_transcripts.json"], 0),
+    # A paper claim is a row of repro.bench.claims.CLAIMS reading typed
+    # BenchTable cells; parsing a rendered cell back into a number must
+    # not come back.
+    ("one claims table", r'parse_m[s]|parse_speedu[p]|rstrip\("[x%]"\)',
+     ["benchmarks", "tests", "src/repro/bench"], [], 0),
 ]
 
 #: Files whose job moved elsewhere (globs, bracketed as above).
@@ -122,6 +127,10 @@ DELETED_FILES = [
     "src/repro/cluster/scheduler.py",
     "benchmarks/bench_self[p]erf.py",
     "BENCH_self[p]erf.json",
+    "benchmarks/bench_fi[g]*.py",
+    "benchmarks/bench_tab01_complianc[e].py",
+    "benchmarks/bench_ablation[s].py",
+    "benchmarks/conftes[t].py",
 ]
 
 
