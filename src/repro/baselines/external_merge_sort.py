@@ -17,10 +17,9 @@ impossible to parallelise for record runs.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import List, Optional
 
 from repro.core.base import ConcurrencyModel, SortConfig
-from repro.core.controller import ThreadPoolController
 from repro.core.kway import (
     PendingRows,
     RunCursor,
@@ -30,15 +29,10 @@ from repro.core.kway import (
 from repro.core.recovery import CheckpointedRunMergeSort, unpack_entries
 from repro.core.scheduler import _op_runner
 from repro.device.profile import Pattern
-from repro.errors import ConfigError
 from repro.records.format import RecordFormat, record_sort_indices
 from repro.records.validate import validate_sorted_file
 from repro.registry import register_system
 from repro.sim.engine import Join, Spawn
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.machine import Machine
-    from repro.storage.file import SimFile
 
 
 @register_system("ems")
@@ -60,7 +54,8 @@ class ExternalMergeSort(CheckpointedRunMergeSort):
     ):
         # ``merge_passes`` is the M of Sec 2.4.1's traffic formula,
         # (1+M) x dataset; M = 1 in dominant cases.
-        super().__init__(checkpoint)
+        super().__init__()
+        self.checkpoint = checkpoint
         self.fmt = fmt if fmt is not None else RecordFormat()
         self.config = config if config is not None else SortConfig()
         self.output_name = output_name
@@ -69,19 +64,6 @@ class ExternalMergeSort(CheckpointedRunMergeSort):
     # ------------------------------------------------------------------
     def _validate(self, machine, input_file, output_file) -> int:
         return validate_sorted_file(input_file, output_file, self.fmt)
-
-    def _execute(self, machine: "Machine", input_file: "SimFile") -> "SimFile":
-        if input_file.size % self.fmt.record_size:
-            raise ConfigError("input size not a multiple of record size")
-        self._check_checkpoint_config()
-        controller = ThreadPoolController(machine, self.config)
-        output = machine.fs.create(self.output_name)
-        self._arm_checkpoint(machine.fs)
-        machine.run(
-            self._run_then_merge(machine, input_file, output, controller),
-            name=self._proc_name,
-        )
-        return output
 
     # ------------------------------------------------------------------
     @property
@@ -177,7 +159,7 @@ class ExternalMergeSort(CheckpointedRunMergeSort):
                         )
                 else:
                     overlap_writes.append(
-                        (yield Spawn(_op_runner(write_op), "merge-write"))
+                        (yield Spawn(_op_runner(write_op), self._merge_write_proc))
                     )
 
         def sink(emitted):

@@ -10,7 +10,9 @@ Two changes versus the fixed-size algorithm:
   restriction is shared by other sorting algorithms as well").
 
 Value gathers in the RECORD-read steps use variable-size random reads
-partitioned over the gather pool.
+partitioned over the gather pool.  MergePass is WiscSort's
+(:class:`~repro.core.wiscsort.IndexMapMergeSort`): runs are slices of
+the scanned IndexMap, and the final merge emits byte-sized batches.
 """
 
 from __future__ import annotations
@@ -19,16 +21,11 @@ from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.base import SortConfig, SortSystem
-from repro.core.controller import ThreadPoolController
+from repro.core.base import SortConfig
 from repro.core.indexmap import IndexMap
-from repro.core.kway import (
-    PendingRows,
-    RunCursor,
-    drive_merge,
-    window_bytes_per_run,
-)
+from repro.core.kway import PendingRows, drive_merge
 from repro.core.scheduler import pipelined_batches
+from repro.core.wiscsort import IndexMapMergeSort
 from repro.device.profile import Pattern
 from repro.errors import RecordFormatError
 from repro.records.klv import KLVFormat
@@ -36,7 +33,6 @@ from repro.records.validate import validate_sorted_klv
 from repro.units import ceil_div
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.machine import Machine
     from repro.storage.file import SimFile
 
 
@@ -102,8 +98,10 @@ def reencode_klv(
     return np.concatenate(pieces)
 
 
-class WiscSortKLV(SortSystem):
+class WiscSortKLV(IndexMapMergeSort):
     """WiscSort over Key-Length-Value encoded variable-size records."""
+
+    _proc_name = "wiscsort-klv"
 
     def __init__(
         self,
@@ -113,26 +111,23 @@ class WiscSortKLV(SortSystem):
         merge_chunk_entries: Optional[int] = None,
         output_name: str = "wiscsort-klv.out",
     ):
+        super().__init__()
         self.fmt = fmt if fmt is not None else KLVFormat()
         self.config = config if config is not None else SortConfig()
         self.force_merge_pass = force_merge_pass
         self.merge_chunk_entries = merge_chunk_entries
         self.output_name = output_name
         self.used_merge_pass: Optional[bool] = None
+        #: The header scan's IndexMap, input order; runs are its slices.
+        self._map: Optional[IndexMap] = None
         self.name = f"wiscsort-klv[{self.config.concurrency}]"
 
     # ------------------------------------------------------------------
     def _validate(self, machine, input_file, output_file) -> int:
         return validate_sorted_klv(input_file, output_file, self.fmt)
 
-    def _execute(self, machine: "Machine", input_file: "SimFile") -> "SimFile":
-        controller = ThreadPoolController(machine, self.config)
-        output = machine.fs.create(self.output_name)
-        machine.run(
-            self._drive(machine, input_file, output, controller),
-            name="wiscsort-klv",
-        )
-        return output
+    def _check_input(self, input_file: "SimFile") -> None:
+        """Nothing to check up front: the header scan walks the stream."""
 
     # ------------------------------------------------------------------
     def _serial_scan(self, machine, input_file, first_byte: int, nbytes: int):
@@ -184,38 +179,32 @@ class WiscSortKLV(SortSystem):
             batches.append(imap.slice(start, len(imap)))
         return batches
 
-    def _drive(self, machine, input_file, output, controller):
-        fmt = self.fmt
-        config = self.config
-        # --- RUN phase: serial header scans -> sorted IndexMap chunks.
-        full_map = yield from self._serial_scan(machine, input_file, 0, input_file.size)
-        n = len(full_map)
+    def _run_then_merge(self, machine, input_file, output, controller):
+        """RUN phase: one serial header scan, then OnePass when the
+        IndexMap fits, else MergePass over chunks of it."""
+        self._map = yield from self._serial_scan(machine, input_file, 0, input_file.size)
+        n = len(self._map)
         if n == 0:
             return
-        map_bytes = n * full_map.entry_size
-        chunk = self._plan_chunk(machine, n, map_bytes)
-        self.used_merge_pass = chunk < n
-        if not self.used_merge_pass:
-            yield machine.sort_compute(n, tag="RUN sort", cores=controller.sort_cores())
-            yield from self._emit(machine, input_file, output, controller, full_map.sorted())
+        self._chunk = self._plan_chunk(machine, n, n * self._map.entry_size)
+        self.used_merge_pass = self._chunk < n
+        if self.used_merge_pass:
+            yield from super()._run_then_merge(machine, input_file, output, controller)
             return
-        # MergePass: sort and persist IndexMap runs chunk by chunk.
-        run_names: List[str] = []
-        write_pool = controller.write_threads()
-        for i, start in enumerate(range(0, n, chunk)):
-            part = full_map.slice(start, min(n, start + chunk))
-            yield machine.sort_compute(
-                len(part), tag="RUN sort", cores=controller.sort_cores()
-            )
-            run_name = f"{self.output_name}.indexmap.{i}"
-            run_file = machine.fs.create(run_name)
-            run_names.append(run_name)
-            yield run_file.write(
-                0, part.sorted().to_bytes(), tag="RUN write", threads=write_pool
-            )
-        yield from self._merge(machine, input_file, output, controller, run_names)
-        for name in run_names:
-            machine.fs.delete(name)
+        yield machine.sort_compute(n, tag="RUN sort", cores=controller.sort_cores())
+        yield from self._emit(machine, input_file, output, controller, self._map.sorted())
+
+    def _plan_runs(self, machine, input_file):
+        return self._chunk_runs(len(self._map))
+
+    def _build_run(self, machine, input_file, controller, name, spec):
+        first, count = spec
+        part = self._map.slice(first, first + count)
+        yield machine.sort_compute(len(part), tag="RUN sort", cores=controller.sort_cores())
+        return machine.fs.create(name).write(
+            0, part.sorted().to_bytes(), tag="RUN write",
+            threads=controller.write_threads(),
+        )
 
     def _plan_chunk(self, machine, n: int, map_bytes: int) -> int:
         if machine.dram.would_fit(map_bytes + self.config.write_buffer) and not self.force_merge_pass:
@@ -251,15 +240,12 @@ class WiscSortKLV(SortSystem):
             machine, self.config.concurrency, batches, produce, consume
         )
 
-    def _merge(self, machine, input_file, output, controller, run_names):
+    def _final_merge(self, machine, input_file, output, controller, run_names,
+                     resume=None):
+        """Merge to byte-sized batches, each emitted like OnePass."""
         fmt = self.fmt
         entry = fmt.index_entry_size
-        k = len(run_names)
-        window = window_bytes_per_run(self.config.read_buffer, k, entry)
-        cursors = [
-            RunCursor(machine.fs.open(name), entry, fmt.key_size, window)
-            for name in run_names
-        ]
+        cursors = self._final_cursors(machine, input_file, run_names)
         pending = PendingRows(entry)
         pending_bytes = 0
 

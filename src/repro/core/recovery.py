@@ -21,9 +21,20 @@ Payloads are small dicts keyed by ``phase`` (``run`` / ``intermediate``
 owns that schema and the whole protocol around it -- when each phase
 commits, commit-before-delete in intermediate rounds, and the recovery
 state machine -- for every sort of the shape *build sorted runs, then
-merge them* (:class:`repro.core.wiscsort.WiscSort`,
-:class:`repro.baselines.external_merge_sort.ExternalMergeSort`); a
-system supplies only how a run is built and how a group is merged.
+merge them* (WiscSort and its natural-run and KLV variants, PMSort,
+PMSort+ and external merge sort); a system supplies only how a run is
+built and how a group is merged.
+
+Multi-phase merging lives here too: "large amounts of data or small DRAM
+sizes may necessitate multiple merge phases since a record from each run
+file might not fit in available memory" (paper Sec 2.1); external merge
+sort produces ``(1 + M)`` times the dataset in device traffic, with M
+merge phases (Sec 2.4.1, M = 1 in dominant cases).  The fan-in of one
+phase is bounded by how many run windows the read buffer can hold while
+staying efficient: below a minimum window size, every refill is a tiny
+read and cursor overhead dominates.  When the run count exceeds the
+fan-in, runs are merged in groups into intermediate runs, repeatedly,
+until one final phase remains.
 """
 
 from __future__ import annotations
@@ -31,13 +42,12 @@ from __future__ import annotations
 import hashlib
 import json
 from contextlib import nullcontext
-from typing import TYPE_CHECKING, Any, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.base import ConcurrencyModel, SortSystem
 from repro.core.controller import ThreadPoolController
-from repro.core.multipass import grouped, max_fanin, merge_rounds
 from repro.core.scheduler import _op_runner
 from repro.errors import ConfigError, RecoveryError
 from repro.sim.engine import Join, Spawn
@@ -46,6 +56,37 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.machine import Machine
     from repro.storage.file import SimFile
     from repro.storage.filesystem import SimFS
+
+#: Smallest useful per-run window, in entries.
+MIN_WINDOW_ENTRIES = 16
+
+
+def max_fanin(read_buffer: int, entry_size: int) -> int:
+    """How many runs one merge phase can window at once."""
+    if entry_size < 1:
+        raise ConfigError("entry_size must be >= 1")
+    fanin = read_buffer // (entry_size * MIN_WINDOW_ENTRIES)
+    return max(2, fanin)
+
+
+def merge_rounds(n_runs: int, fanin: int) -> int:
+    """Number of merge phases M needed for ``n_runs`` at ``fanin``."""
+    if fanin < 2:
+        raise ConfigError("fanin must be >= 2")
+    if n_runs <= 1:
+        return min(1, n_runs)
+    rounds = 0
+    while n_runs > 1:
+        n_runs = -(-n_runs // fanin)
+        rounds += 1
+    return rounds
+
+
+def grouped(names: Sequence[str], fanin: int) -> Iterator[List[str]]:
+    """Split run names into consecutive groups of at most ``fanin``."""
+    for start in range(0, len(names), fanin):
+        yield list(names[start : start + fanin])
+
 
 _MAGIC = b"WSCKPT1\n"
 _HEADER = len(_MAGIC) + 8 + 32  # magic + u64 body length + sha256
@@ -160,8 +201,13 @@ class CheckpointedRunMergeSort(SortSystem):
       run file;
     * :meth:`_final_merge` -- merge the last round into the output,
       optionally resumed from a ``merge`` checkpoint;
-    * optionally :meth:`_recover_without_runs` for a mode that builds no
-      runs at all (WiscSort's OnePass).
+    * optionally :meth:`_controller` for pools other than the config's
+      (PMSort's single thread) and :meth:`_recover_without_runs` for a
+      mode that builds no runs at all (WiscSort's OnePass).
+
+    A system that can resume declares a ``checkpoint`` flag; one that
+    cannot (PMSort, PMSort+, KLV WiscSort) has none, so a crash plan is
+    refused before it runs.
 
     Manifest phases, each committed only after the writes it describes
     are durable: ``run`` (a prefix of the planned runs is complete),
@@ -178,16 +224,14 @@ class CheckpointedRunMergeSort(SortSystem):
     _proc_name = "sort"
     #: Process name of an overlapped (non-NO_IO_OVERLAP) run-file write.
     _run_write_proc = "run-write"
+    #: Process name of an overlapped final-merge output write.
+    _merge_write_proc = "merge-write"
     #: Intermediate runs are named ``<output>.<_inter_tag>.<seq>``.
     _inter_tag = "merge"
     #: Whether phases open trace spans.
     _trace_phases = False
 
-    def __init__(self, checkpoint: bool):
-        #: Persist a manifest after every durable milestone so the sort
-        #: can resume via :meth:`recover` after a simulated crash.  Off
-        #: by default -- with it off no manifest op is ever issued.
-        self.checkpoint = checkpoint
+    def __init__(self):
         self._ckpt: Optional[CheckpointLog] = None
         self._inter_seq = 0
         #: Number of merge phases M of the last run.
@@ -225,12 +269,27 @@ class CheckpointedRunMergeSort(SortSystem):
         """A generator finishing a sort that builds no runs, or None."""
         return None
 
+    def _controller(self, machine) -> ThreadPoolController:
+        """The pool-size oracle the whole sort runs under."""
+        return ThreadPoolController(machine, self.config)
+
+    def _check_input(self, input_file: "SimFile") -> None:
+        """Refuse an input that is not a whole number of records."""
+        if input_file.size % self.fmt.record_size:
+            raise ConfigError(
+                f"input size {input_file.size} not a multiple of record size"
+            )
+
     # -- manifest plumbing -------------------------------------------------
     def _manifest_name(self) -> str:
         return f"{self.output_name}.manifest"
 
+    @property
+    def _checkpointing(self) -> bool:
+        return getattr(self, "checkpoint", False)
+
     def _check_checkpoint_config(self) -> None:
-        if self.checkpoint and (
+        if self._checkpointing and (
             self.config.concurrency is not ConcurrencyModel.NO_IO_OVERLAP
         ):
             raise ConfigError(
@@ -241,7 +300,7 @@ class CheckpointedRunMergeSort(SortSystem):
 
     def _arm_checkpoint(self, fs: "SimFS") -> None:
         self._ckpt = (
-            CheckpointLog(fs, self._manifest_name()) if self.checkpoint else None
+            CheckpointLog(fs, self._manifest_name()) if self._checkpointing else None
         )
         self._inter_seq = 0
 
@@ -276,6 +335,18 @@ class CheckpointedRunMergeSort(SortSystem):
         return dropped
 
     # -- the sort ----------------------------------------------------------
+    def _execute(self, machine: "Machine", input_file: "SimFile") -> "SimFile":
+        self._check_input(input_file)
+        self._check_checkpoint_config()
+        controller = self._controller(machine)
+        output = machine.fs.create(self.output_name)
+        self._arm_checkpoint(machine.fs)
+        machine.run(
+            self._run_then_merge(machine, input_file, output, controller),
+            name=self._proc_name,
+        )
+        return output
+
     def _run_then_merge(self, machine, input_file, output, controller):
         run_names = yield from self._run_phase(machine, input_file, controller)
         yield from self._merge_tail(
@@ -286,8 +357,9 @@ class CheckpointedRunMergeSort(SortSystem):
         """Build every planned run; returns the run names."""
         plan = self._plan_runs(machine, input_file)
         # IO_OVERLAP deliberately overlaps a run's write with the next
-        # chunk's read; NO_SYNC's uncoordinated workers do the same.
-        overlap = self.config.concurrency is not ConcurrencyModel.NO_IO_OVERLAP
+        # chunk's read; NO_SYNC's uncoordinated workers do the same.  The
+        # model is the controller's: PMSort runs serially under any.
+        overlap = controller.config.concurrency is not ConcurrencyModel.NO_IO_OVERLAP
         pending_write = None
         with self._span(machine, "phase:run-generation", chunks=len(plan)):
             for i, (name, _size, spec) in enumerate(plan):
@@ -412,11 +484,11 @@ class CheckpointedRunMergeSort(SortSystem):
         at the furthest checkpointed point.  Repeated crashes during
         recovery are safe: every path below is itself checkpointed.
         """
-        if not self.checkpoint:
+        if not self._checkpointing:
             raise RecoveryError(f"{self.name}: recovery requires checkpoint=True")
         self._check_checkpoint_config()
         fs = machine.fs
-        controller = ThreadPoolController(machine, self.config)
+        controller = self._controller(machine)
         output = (
             fs.open(self.output_name)
             if fs.exists(self.output_name)

@@ -25,7 +25,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.core.base import SortConfig
-from repro.core.controller import ThreadPoolController
 from repro.core.indexmap import IndexMap
 from repro.core.kway import (
     PendingRows,
@@ -48,13 +47,183 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.storage.file import SimFile
 
 
+class IndexMapMergeSort(CheckpointedRunMergeSort):
+    """MergePass over key-pointer runs (Fig 3 steps 5-9).
+
+    Every run is a sorted IndexMap chunk of ``_chunk`` records;
+    intermediate rounds merge entries only, and the final merge queues
+    pointers on the offset queue and collects their values one write
+    buffer at a time.  WiscSort, PMSort+ and PMSort share all of it and
+    differ in how a run is loaded (:meth:`_build_run`) and, for PMSort,
+    in how values are collected (:meth:`_collect_values`); KLV WiscSort
+    brings its own final merge.
+    """
+
+    _run_write_proc = "imap-write"
+    _inter_tag = "indexmerge"
+    #: Refill merge windows one after another (PMSort's single thread).
+    _serial_refills = False
+
+    def __init__(self):
+        super().__init__()
+        #: Entries per IndexMap run, planned per sort.
+        self._chunk = 0
+
+    def _validate(self, machine, input_file, output_file) -> int:
+        return validate_sorted_file(input_file, output_file, self.fmt)
+
+    @property
+    def _merge_entry_size(self) -> int:
+        return self.fmt.index_entry_size
+
+    def _plan_runs(self, machine, input_file):
+        return self._chunk_runs(input_file.size // self.fmt.record_size)
+
+    def _chunk_runs(self, n: int):
+        """One IndexMap run per ``_chunk`` of ``n`` entries."""
+        entry = self.fmt.index_entry_size
+        plan = []
+        for i, first in enumerate(range(0, n, self._chunk)):
+            count = min(self._chunk, n - first)
+            plan.append(
+                (f"{self.output_name}.indexmap.{i}", count * entry, (first, count))
+            )
+        return plan
+
+    def _run_cursors(self, machine, run_names, window) -> List[RunCursor]:
+        return [self._run_cursor(machine, name, window) for name in run_names]
+
+    def _run_cursor(self, machine, name, window) -> RunCursor:
+        fmt = self.fmt
+        return RunCursor(machine.fs.open(name), fmt.index_entry_size, fmt.key_size, window)
+
+    def _final_cursors(self, machine, input_file, run_names) -> List[RunCursor]:
+        """The final merge's cursor fleet, read buffer split evenly (none
+        for an empty input)."""
+        if not run_names:
+            return []
+        window = window_bytes_per_run(
+            self.config.read_buffer, len(run_names), self.fmt.index_entry_size
+        )
+        return self._run_cursors(machine, run_names, window)
+
+    def _merge_group(self, machine, input_file, controller, group, out_file):
+        """Intermediate merge phase: merge IndexMap runs entry-wise.
+
+        No value gathering happens here -- only key-pointer entries
+        stream through the read buffer and out to the intermediate run;
+        values are gathered exactly once, in the final phase, which is
+        key-value separation's second dividend.
+        """
+        entry = self.fmt.index_entry_size
+        window = window_bytes_per_run(self.config.read_buffer, len(group), entry)
+        write_pool = controller.write_threads()
+        pending = PendingRows(entry)
+
+        def flush():
+            if pending.count:
+                yield out_file.append(
+                    pending.pop(pending.count).reshape(-1), tag="MERGE write",
+                    threads=write_pool,
+                )
+
+        def sink(emitted):
+            pending.push(emitted)
+            if pending.count * entry >= self.config.write_buffer:
+                yield from flush()
+
+        yield from drive_merge(
+            machine, self._run_cursors(machine, group, window),
+            controller.read_threads(Pattern.SEQ), sink,
+            serial_refills=self._serial_refills,
+        )
+        yield from flush()
+
+    def _final_merge(self, machine, input_file, output, controller, run_names,
+                     resume=None):
+        """Steps 6-9: cursor merge + offset queue + batched gathers.
+
+        ``resume`` (crash recovery) carries the last committed merge
+        checkpoint: per-run consumed entry counts, durable output record
+        count and the taken-but-unflushed residual entries.
+        """
+        fmt = self.fmt
+        rec = fmt.record_size
+        cursors = self._final_cursors(machine, input_file, run_names)
+        pending = PendingRows(fmt.index_entry_size)
+        out_records = 0
+        if resume is not None:
+            for cursor, consumed in zip(cursors, resume["consumed"]):
+                cursor.skip_entries(consumed)
+            pending.push(
+                unpack_entries(resume.get("residual", ""), fmt.index_entry_size)
+            )
+            out_records = resume["out_records"]
+        queue_capacity = max(1, self.config.write_buffer // rec)
+        overlap_writes: List = []
+
+        def flush(final: bool = False):
+            """Drain full offset-queue batches to the output."""
+            nonlocal out_records
+            for batch in pending.batches(queue_capacity, final):
+                imap = IndexMap.from_bytes(
+                    batch.reshape(-1), fmt.key_size, fmt.pointer_size
+                )
+                write_at = out_records * rec
+                out_records += batch.shape[0]
+                yield from self._collect_values(
+                    machine, input_file, output, controller, imap.pointers,
+                    write_at, overlap_writes,
+                )
+                if self._ckpt is not None:
+                    yield from self._ckpt.save(
+                        self._merge_checkpoint(
+                            run_names, out_records, cursors, pending
+                        )
+                    )
+
+        def sink(emitted):
+            # Step 7's min-finding is charged by the driver; enqueue the
+            # pointers and gather once the offset queue fills (step 8).
+            pending.push(emitted)
+            return flush()
+
+        with self._span(machine, "phase:final-merge", fanin=len(cursors)):
+            yield from drive_merge(
+                machine, cursors, controller.read_threads(Pattern.SEQ), sink,
+                serial_refills=self._serial_refills,
+            )
+            yield from flush(final=True)
+            if overlap_writes:
+                yield Join(overlap_writes)
+
+    def _collect_values(self, machine, input_file, output, controller, pointers,
+                        write_at, overlap_writes):
+        """Steps 8-9 for one offset-queue batch: a concurrent random
+        gather of the records ``pointers`` address, written at byte
+        ``write_at``; an overlapped write joins ``overlap_writes``."""
+        rec = self.fmt.record_size
+        yield from transfer_batch(
+            machine,
+            controller.config.concurrency,
+            input_file.read_gather(
+                pointers, rec, tag="RECORD read",
+                threads=controller.read_threads(Pattern.RAND),
+            ),
+            lambda data: output.write(
+                write_at, data.reshape(-1), tag="MERGE write",
+                threads=controller.write_threads(),
+            ),
+            overlap_writes,
+            self._merge_write_proc,
+        )
+
+
 @register_system("wiscsort")
-class WiscSort(CheckpointedRunMergeSort):
+class WiscSort(IndexMapMergeSort):
     """The paper's sorting system for fixed-size records."""
 
     _proc_name = "wiscsort"
-    _run_write_proc = "imap-write"
-    _inter_tag = "indexmerge"
     _trace_phases = True
 
     def __init__(
@@ -67,7 +236,11 @@ class WiscSort(CheckpointedRunMergeSort):
         compression: Optional["CompressionModel"] = None,
         checkpoint: bool = False,
     ):
-        super().__init__(checkpoint)
+        super().__init__()
+        #: Persist a manifest after every durable milestone so the sort
+        #: can resume via :meth:`recover` after a simulated crash.  Off
+        #: by default -- with it off no manifest op is ever issued.
+        self.checkpoint = checkpoint
         self.fmt = fmt if fmt is not None else RecordFormat()
         self.config = config if config is not None else SortConfig()
         self.force_merge_pass = force_merge_pass
@@ -78,15 +251,10 @@ class WiscSort(CheckpointedRunMergeSort):
         self._run_frames: dict = {}
         self.achieved_compression_ratio: Optional[float] = None
         self.used_merge_pass: Optional[bool] = None
-        #: Entries per IndexMap run, planned per sort (== n: OnePass).
-        self._chunk = 0
         mode = "merge" if force_merge_pass else "auto"
         self.name = f"wiscsort[{self.config.concurrency}:{mode}]"
 
     # ------------------------------------------------------------------
-    def _validate(self, machine, input_file, output_file) -> int:
-        return validate_sorted_file(input_file, output_file, self.fmt)
-
     def _execute(self, machine: "Machine", input_file: "SimFile") -> "SimFile":
         gen, output, name = self._prepare(machine, input_file)
         machine.run(gen, name=name)
@@ -102,17 +270,14 @@ class WiscSort(CheckpointedRunMergeSort):
         cannot be re-entered from inside a simulated process.
         """
         fmt = self.fmt
-        if input_file.size % fmt.record_size:
-            raise ConfigError(
-                f"input size {input_file.size} not a multiple of record size"
-            )
+        self._check_input(input_file)
         n = input_file.size // fmt.record_size
         if n > fmt.max_addressable_records():
             raise ConfigError(
                 f"{n} records exceed {fmt.pointer_size}-byte pointer range"
             )
         self._check_checkpoint_config()
-        controller = ThreadPoolController(machine, self.config)
+        controller = self._controller(machine)
         output = machine.fs.create(self.output_name)
         output.reserve(input_file.size)
         self._arm_checkpoint(machine.fs)
@@ -196,9 +361,7 @@ class WiscSort(CheckpointedRunMergeSort):
         goes on to read (OnePass the pointers, a run whole entries)."""
         fmt = self.fmt
         read_pool = controller.read_threads(Pattern.RAND)
-        with machine.trace_span(
-            "run", cat="chunk", first=first_record, records=count
-        ):
+        with self._span(machine, "run", cat="chunk", first=first_record, records=count):
             keys = yield input_file.read_strided(
                 offset=first_record * fmt.record_size,
                 count=count,
@@ -276,24 +439,9 @@ class WiscSort(CheckpointedRunMergeSort):
             yield from pipelined_batches(machine, model, starts, produce, consume)
 
     # ------------------------------------------------------------------
-    # MergePass
+    # MergePass: the run builder and compressed runs (the merge is
+    # IndexMapMergeSort's)
     # ------------------------------------------------------------------
-    @property
-    def _merge_entry_size(self) -> int:
-        return self.fmt.index_entry_size
-
-    def _plan_runs(self, machine, input_file):
-        """One IndexMap run per ``_chunk`` records of the input."""
-        n = input_file.size // self.fmt.record_size
-        entry = self.fmt.index_entry_size
-        plan = []
-        for i, first in enumerate(range(0, n, self._chunk)):
-            count = min(self._chunk, n - first)
-            plan.append(
-                (f"{self.output_name}.indexmap.{i}", count * entry, (first, count))
-            )
-        return plan
-
     def _build_run(self, machine, input_file, controller, name, spec):
         """Steps 1, 2 and 5 for one chunk."""
         imap = yield from self._load_chunk(machine, input_file, controller, *spec)
@@ -317,132 +465,18 @@ class WiscSort(CheckpointedRunMergeSort):
             0, payload, tag="RUN write", threads=controller.write_threads()
         )
 
-    def _run_cursors(self, machine, run_names, window) -> List[RunCursor]:
-        """A cursor per IndexMap run, compressed or plain."""
+    def _run_cursor(self, machine, name, window):
+        """Runs written compressed decompress as they are windowed."""
+        frames = self._run_frames.get(name)
+        if frames is None:
+            return super()._run_cursor(machine, name, window)
+        from repro.core.compression import CompressedRunCursor
+
         fmt = self.fmt
-        entry = fmt.index_entry_size
-        cursors: List[RunCursor] = []
-        for name in run_names:
-            if name in self._run_frames:  # written compressed
-                from repro.core.compression import CompressedRunCursor
-
-                cursors.append(
-                    CompressedRunCursor(
-                        machine.fs.open(name), self._run_frames[name], entry,
-                        fmt.key_size, machine, self.compression,
-                    )
-                )
-            else:
-                cursors.append(
-                    RunCursor(machine.fs.open(name), entry, fmt.key_size, window)
-                )
-        return cursors
-
-    def _final_cursors(self, machine, input_file, run_names) -> List[RunCursor]:
-        """The final merge's cursor fleet, read buffer split evenly."""
-        window = window_bytes_per_run(
-            self.config.read_buffer, len(run_names), self.fmt.index_entry_size
+        return CompressedRunCursor(
+            machine.fs.open(name), frames, fmt.index_entry_size, fmt.key_size,
+            machine, self.compression,
         )
-        return self._run_cursors(machine, run_names, window)
-
-    def _merge_group(self, machine, input_file, controller, group, out_file):
-        """Intermediate merge phase: merge IndexMap runs entry-wise.
-
-        No value gathering happens here -- only key-pointer entries
-        stream through the read buffer and out to the intermediate run;
-        values are gathered exactly once, in the final phase, which is
-        key-value separation's second dividend.
-        """
-        entry = self.fmt.index_entry_size
-        window = window_bytes_per_run(self.config.read_buffer, len(group), entry)
-        write_pool = controller.write_threads()
-        pending = PendingRows(entry)
-
-        def flush():
-            if pending.count:
-                yield out_file.append(
-                    pending.pop(pending.count).reshape(-1), tag="MERGE write",
-                    threads=write_pool,
-                )
-
-        def sink(emitted):
-            pending.push(emitted)
-            if pending.count * entry >= self.config.write_buffer:
-                yield from flush()
-
-        yield from drive_merge(
-            machine, self._run_cursors(machine, group, window),
-            controller.read_threads(Pattern.SEQ), sink,
-        )
-        yield from flush()
-
-    def _final_merge(self, machine, input_file, output, controller, run_names,
-                     resume=None):
-        """Steps 6-9: cursor merge + offset queue + batched gathers.
-
-        ``resume`` (crash recovery) carries the last committed merge
-        checkpoint: per-run consumed entry counts, durable output record
-        count and the taken-but-unflushed residual entries.
-        """
-        fmt = self.fmt
-        rec = fmt.record_size
-        cursors = self._final_cursors(machine, input_file, run_names)
-        pending = PendingRows(fmt.index_entry_size)
-        out_records = 0
-        if resume is not None:
-            for cursor, consumed in zip(cursors, resume["consumed"]):
-                cursor.skip_entries(consumed)
-            pending.push(
-                unpack_entries(resume.get("residual", ""), fmt.index_entry_size)
-            )
-            out_records = resume["out_records"]
-        gather_pool = controller.read_threads(Pattern.RAND)
-        write_pool = controller.write_threads()
-        queue_capacity = max(1, self.config.write_buffer // rec)
-        overlap_writes: List = []
-
-        def flush(final: bool = False):
-            """Drain full offset-queue batches to the output."""
-            nonlocal out_records
-            for batch in pending.batches(queue_capacity, final):
-                imap = IndexMap.from_bytes(
-                    batch.reshape(-1), fmt.key_size, fmt.pointer_size
-                )
-                write_at = out_records * rec
-                out_records += batch.shape[0]
-                yield from transfer_batch(
-                    machine,
-                    self.config.concurrency,
-                    input_file.read_gather(
-                        imap.pointers, rec, tag="RECORD read", threads=gather_pool
-                    ),
-                    lambda data: output.write(
-                        write_at, data.reshape(-1), tag="MERGE write",
-                        threads=write_pool,
-                    ),
-                    overlap_writes,
-                    "merge-write",
-                )
-                if self._ckpt is not None:
-                    yield from self._ckpt.save(
-                        self._merge_checkpoint(
-                            run_names, out_records, cursors, pending
-                        )
-                    )
-
-        def sink(emitted):
-            # Step 7's min-finding is charged by the driver; enqueue the
-            # pointers and gather once the offset queue fills (step 8).
-            pending.push(emitted)
-            return flush()
-
-        with machine.trace_span("phase:final-merge", fanin=len(cursors)):
-            yield from drive_merge(
-                machine, cursors, controller.read_threads(Pattern.SEQ), sink
-            )
-            yield from flush(final=True)
-            if overlap_writes:
-                yield Join(overlap_writes)
 
     # ------------------------------------------------------------------
     # Crash recovery (the state machine lives in CheckpointedRunMergeSort)

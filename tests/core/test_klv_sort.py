@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -109,6 +111,30 @@ class TestMergePassKLV:
         system = WiscSortKLV(fmt, force_merge_pass=True, merge_chunk_entries=200)
         machine, _, _ = klv_run(pmem, 1_000, system=system)
         assert not [n for n in machine.fs.list() if "indexmap" in n]
+
+    def test_merges_in_rounds(self, pmem):
+        """16 runs against a fan-in of 13 take an entry-only intermediate
+        round, and the output is OnePass's byte for byte."""
+        fmt = KLVFormat()
+        config = SortConfig(read_buffer=4096, write_buffer=4096)
+        system = WiscSortKLV(
+            fmt, config=config, force_merge_pass=True, merge_chunk_entries=500
+        )
+        machine, system, result = klv_run(pmem, 8_000, system=system)
+        assert system.merge_passes == 2
+        assert result.n_records == 8_000
+        assert sorted(machine.fs.list()) == ["input", result.output_name]
+        onepass_machine, onepass, _ = klv_run(
+            pmem, 8_000, system=WiscSortKLV(fmt, config=config)
+        )
+        assert onepass.used_merge_pass is False
+
+        def digest(m, name):
+            return hashlib.sha256(m.fs.open(name).peek().tobytes()).hexdigest()
+
+        assert digest(machine, result.output_name) == digest(
+            onepass_machine, onepass.output_name
+        )
 
 
 class TestSerialScanCost:

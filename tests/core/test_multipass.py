@@ -6,7 +6,7 @@ import pytest
 
 from repro.baselines.external_merge_sort import ExternalMergeSort
 from repro.core.base import SortConfig
-from repro.core.multipass import grouped, max_fanin, merge_rounds
+from repro.core.recovery import grouped, max_fanin, merge_rounds
 from repro.core.wiscsort import WiscSort
 from repro.errors import ConfigError
 from repro.machine import Machine

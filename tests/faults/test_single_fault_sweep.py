@@ -99,7 +99,7 @@ def test_every_single_crash_and_torn_write_recovers(system, monkeypatch, capsys)
     assert enospc_injected > 0
 
 
-@pytest.mark.parametrize("system", ["wiscsort", "ems"])
+@pytest.mark.parametrize("system", SYSTEMS)
 def test_every_crash_pair_recovers(system, monkeypatch, capsys):
     """A second crash at any later op, through the first one's recovery.
 

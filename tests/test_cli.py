@@ -304,6 +304,13 @@ BAD_ARGV = [
     ("sort --key-size 0", "key_size"),
     ("sort --records 2000 --faults crash@50% --system pmsort",
      "need a checkpointing system"),
+    # capability pins: neither resumes, and PMSort has no sort_process
+    ("sort --records 2000 --faults crash@op:1 --system modified-key-sort",
+     "need a checkpointing system"),
+    ("sort --records 2000 --faults crash@op:1 --system pmsort+ "
+     "--concurrency io-overlap", "need a checkpointing system"),
+    ("cluster --shards 2 --jobs 2 --records-per-job 1000 --system pmsort",
+     "cannot run as a service job"),
     ("sort --records 2000 --faults shard1:crash@50%",
      "fault plan targets shard1"),
     ("analyze --records -1", "records must be >= 0"),

@@ -71,10 +71,10 @@ class TestLookup:
 
 
 class TestRoundTrip:
-    """Every registered system sorts 1k records and validates."""
+    """Every registered system sorts 1k, 1 and 0 records and validates."""
 
-    @pytest.mark.parametrize("name", available("system"))
-    def test_create_and_sort(self, name, pmem):
+    @staticmethod
+    def _sort(name, n, pmem):
         fmt = RecordFormat()
         config = SortConfig()
         if name == "pmsort+":
@@ -83,10 +83,36 @@ class TestRoundTrip:
             config = SortConfig(concurrency=ConcurrencyModel.IO_OVERLAP)
         system = create_system(name, fmt, config=config)
         machine = Machine(profile=pmem)
-        data = generate_dataset(machine, "input", 1_000, fmt, seed=7)
-        result = system.run(machine, data)
+        data = generate_dataset(machine, "input", n, fmt, seed=7)
+        return machine, system.run(machine, data)
+
+    @pytest.mark.parametrize("name", available("system"))
+    def test_create_and_sort(self, name, pmem):
+        _, result = self._sort(name, 1_000, pmem)
         assert result.validated
         assert result.total_time > 0
+
+    @pytest.mark.parametrize("n", [0, 1])
+    @pytest.mark.parametrize("name", available("system"))
+    def test_empty_and_single_record(self, name, n, pmem):
+        machine, result = self._sort(name, n, pmem)
+        assert result.validated and result.n_records == n
+        if n == 0:
+            assert result.total_time == 0
+        assert sorted(machine.fs.list()) == sorted(["input", result.output_name])
+
+    def test_capabilities(self):
+        """Service and shard jobs need ``sort_process``; a crash plan needs
+        a ``checkpoint`` flag (``api`` refuses the rest up front)."""
+        config = SortConfig(concurrency=ConcurrencyModel.IO_OVERLAP)
+        systems = {n: create_system(n, config=config) for n in available("system")}
+
+        def having(attr):
+            return {n for n, s in systems.items() if hasattr(s, attr)}
+
+        wiscsorts = {"wiscsort", "wiscsort-merge", "wiscsort-natural"}
+        assert having("sort_process") == wiscsorts
+        assert having("checkpoint") == wiscsorts | {"ems"}
 
     @pytest.mark.parametrize("name", available("system"))
     def test_uniform_constructor_keeps_config(self, name):

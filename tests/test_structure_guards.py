@@ -120,6 +120,15 @@ LINE_GUARDS = [
     # not come back.
     ("one claims table", r'parse_m[s]|parse_speedu[p]|rstrip\("[x%]"\)',
      ["benchmarks", "tests", "src/repro/bench"], [], 0),
+    # Every run-then-merge sort is core/recovery.py's skeleton plus a run
+    # loader and a sink: the key-pointer cursor fleet is WiscSort's
+    # IndexMapMergeSort._run_cursor (shared by PMSort, PMSort+ and KLV),
+    # the record one EMS's _merge_to, and the skeleton deletes the runs.
+    ("one run-merge skeleton: cursor fleets", r"\bRunCursor\(",
+     ["src/repro/**/*.py"], ["src/repro/core/kway.py"], 2),
+    ("one run-merge skeleton: run cleanup", r"fs\.delete\(",
+     ["src/repro/baselines/*.py", "src/repro/core/klv_sort.py",
+      "src/repro/core/wiscsort.py"], [], 0),
 ]
 
 #: Files whose job moved elsewhere (globs, bracketed as above).
@@ -131,6 +140,7 @@ DELETED_FILES = [
     "benchmarks/bench_tab01_complianc[e].py",
     "benchmarks/bench_ablation[s].py",
     "benchmarks/conftes[t].py",
+    "src/repro/core/multipas[s].py",
 ]
 
 
