@@ -39,6 +39,11 @@ def _decode_uints(raw: np.ndarray) -> np.ndarray:
     return padded.view("<u8").reshape(n).astype(np.int64)
 
 
+def entry_pointers(rows: np.ndarray, key_size: int, pointer_size: int) -> np.ndarray:
+    """The pointer column of ``(n, entry)`` IndexMap entry rows."""
+    return _decode_uints(rows[:, key_size : key_size + pointer_size])
+
+
 @dataclass
 class IndexMap:
     """A (possibly sorted) collection of key/pointer[/vlen] entries."""

@@ -7,10 +7,10 @@ files, cursors track the current window of each run, exhausted windows
 are refilled, and when a run drains its buffer share is redistributed.
 :func:`drive_merge` *is* that protocol, written once on top of
 :class:`MergeFrontier` (whose uniform fleets keep their windows in one
-:class:`_FrontierIndex` slab and step with a fixed handful of array
-operations); a sorting system supplies only cursors and a sink (what an
-emitted batch costs and where it goes), usually staged through a
-:class:`PendingRows` buffer.
+:class:`_FrontierIndex` slab and step by taking a prefix of one sorted
+pool of their keys); a sorting system supplies only cursors and a sink
+(what an emitted batch costs and where it goes), usually staged through
+a :class:`PendingRows` buffer.
 
 For simulation efficiency the merge is executed in *batches* rather than
 record-at-a-time: all windowed entries whose key is <= the smallest
@@ -28,6 +28,7 @@ compare the driver against.
 
 from __future__ import annotations
 
+import weakref
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Callable, Iterator, List, Optional, Tuple
 
@@ -80,37 +81,47 @@ class RunCursor:
         self.pos = 0
         #: ``[_start, _n, taken]``: offset of the next untaken entry in
         #: the installed window, the window's length, entries consumed
-        #: so far.  The cursor's own list until a :class:`_FrontierIndex`
-        #: adopts it, then a column of the index's table, which a batch
-        #: step advances for all its rows in one store and the cursor
-        #: reads on demand.  A plain array, never the index itself: that
-        #: back-reference would be a cycle pinning the machine's files
-        #: until the cyclic GC runs.
+        #: so far.  The cursor's own list, except while a
+        #: :class:`_FrontierIndex` holds its window: then a column of
+        #: the index's table, brought up to date on read through
+        #: ``_owner`` (a weak reference to the index, or None).
         self._state = [0, 0, 0]
-        #: Set by the adopting index: it searches its own key mirror, so
+        self._owner = None
+        #: Set by the adopting index: it searches its own key pool, so
         #: the scalar search caches are skipped on install.
         self._index_owned = False
+        #: The cursor's slab row while an index owns it: a refill that
+        #: fits is read straight into it.
+        self._slot = None
         self.window = np.zeros((0, entry_size), dtype=np.uint8)
         self.bytes_loaded = 0
 
     # ------------------------------------------------------------------
+    def _live_state(self):
+        owner = self._owner
+        if owner is not None:
+            index = owner()
+            if index is not None and index.stale:
+                index.sync()
+        return self._state
+
     @property
     def _start(self) -> int:
-        return int(self._state[0])
+        return int(self._live_state()[0])
 
     @property
     def _n(self) -> int:
-        return int(self._state[1])
+        return int(self._live_state()[1])
 
     @property
     def taken(self) -> int:
         """Entries consumed via :meth:`take` (checkpoint/recovery state)."""
-        return int(self._state[2])
+        return int(self._live_state()[2])
 
     @property
     def window(self) -> np.ndarray:
         """Entries not yet taken from the current window (a view)."""
-        start = self._state[0]
+        start = self._live_state()[0]
         return self._window[start:] if start else self._window
 
     @window.setter
@@ -131,7 +142,8 @@ class RunCursor:
     @property
     def remaining(self) -> int:
         """Entries left in the current window."""
-        return int(self._state[1] - self._state[0])
+        state = self._live_state()
+        return int(state[1] - state[0])
 
     @property
     def file_exhausted(self) -> bool:
@@ -154,7 +166,11 @@ class RunCursor:
         if not self.needs_refill:
             raise SimulationError("refill_op called on a non-empty cursor")
         nbytes = min(self.window_entries * self.entry_size, self.file.size - self.pos)
-        op = self.file.read(self.pos, nbytes, tag=tag, threads=threads)
+        slot = self._slot
+        out = None
+        if slot is not None and nbytes <= slot.nbytes:
+            out = slot.reshape(-1)[:nbytes]
+        op = self.file.read(self.pos, nbytes, tag=tag, threads=threads, out=out)
         self.pos += nbytes
         self.bytes_loaded += nbytes
         return op
@@ -278,49 +294,45 @@ def _frontier_step(
 
 
 class _FrontierIndex:
-    """The window slab of a uniform cursor fleet: array-shaped steps.
+    """The window slab of a uniform cursor fleet and its sorted key pool.
 
-    One slab row per live cursor, ``width`` slots each, kept as two flat
-    arrays: ``E`` holds the entries (``note_refilled`` copies a refill
-    payload in, the cursor's window becomes a view of its row and the
-    payload is released, so the read buffer still exists once) and ``M``
-    mirrors their keys as fixed-width byte strings, each prefixed with
-    its big-endian row number.  The prefix makes the flat mirror
-    globally sorted (rows ascending, each window sorted, ``0xFF``
-    padding behind it), so one ``searchsorted`` answers "how many keys
-    of row r are <= the threshold" for every contributing row at once:
-    the query is the threshold under row r's prefix, and the answer is
-    capped at the row's window end (padding equals an all-``0xFF``
-    key).  numpy's bytes comparison (trailing-NUL-stripped
-    lexicographic) is order- and equality-isomorphic to fixed-width
-    unsigned lexicographic comparison: at the first differing byte
-    position either both stripped strings still extend past it (same
-    byte decides both compares) or exactly the NUL-holding side ended
-    early (prefix < extension, same verdict); a leading row number
-    changes neither case.
+    One slab row per live cursor, ``width`` entry slots each: ``E``
+    holds the windows, and a refill whose window fits lands straight in
+    its row (:meth:`RunCursor.refill_op` reads into ``slot``), so every
+    refilled byte moves once.  ``pool`` is every windowed, untaken entry
+    as one ascending array of fixed-width byte strings ``key || zero gap
+    || slot number`` (the number big-endian, ``itype``): ordered by key,
+    ties by slot, i.e. by (row, position).  numpy's
+    bytes comparison (trailing-NUL-stripped lexicographic) is order- and
+    equality-isomorphic to fixed-width unsigned lexicographic comparison
+    on equal-width strings, so that is the scalar path's order.
 
-    A step is a fixed handful of array operations whatever the fan-in:
-    the threshold is the top of a heap of the still-readable rows' last
-    keys (pushed per refill), ``head <= threshold`` picks the
-    contributing rows, the one search gives their emit counts, the
-    ``[start, start + count)`` ranges are expanded in row order and
-    gathered with one ``take`` -- always a fresh array, because the
-    next refill overwrites the slab row while ``PendingRows`` may still
-    hold the batch -- and a stable key ``argsort`` orders the batch.
-    Cursor bookkeeping is a store into ``starts`` and one into
-    ``taken``, rows of the table whose column r is cursor r's
-    ``RunCursor._state``.  Nothing scales with the pool: per-step work
-    is O(fan-in) cheap vector compares plus O(emitted).
+    A step is one ``searchsorted`` of ``threshold || 0xFF..`` over the
+    pool and one ``take`` of the prefix's slot numbers from ``E`` --
+    always a fresh array, because a refill overwrites its row while
+    ``PendingRows`` may still hold the batch.  The threshold is the top
+    of ``heap``, the last keys of the rows whose files have more to
+    read; a row drains exactly when its last key is <= the threshold, so
+    the drained rows are the heap entries equal to it plus the entries
+    of ``final`` (rows whose file is fully windowed) at or below it.
+    A refill merges the new window's strings into the pool at their
+    ``searchsorted`` positions.  Rows and key order are what a step
+    needs; nothing per row is stored by it.
+
+    Cursor bookkeeping is lazy.  A drained cursor is detached: its
+    ``_state`` becomes its own exact list.  A windowed cursor's
+    ``_state`` is a column of ``table`` (start, length, taken), and its
+    reads call :meth:`sync` through a weak reference (a strong one would
+    be a cycle pinning the machine's files until the cyclic GC runs)
+    when the pool has changed since: one ``bincount`` of the pool's slot
+    rows gives every row's remaining count.
 
     Bit-identity with :func:`_frontier_step` (asserted by the
-    equivalence suite): per-row emit counts equal ``_count_leq_words``
-    exactly (isomorphic predicate; the head test guarantees the count
-    passes ``_start``); pieces are gathered in ascending row order,
-    which is the scalar path's ``live`` order (rows keep construction
-    order across reallocations); and the final stable argsort over the
-    gathered keys is the same permutation as the stable ``np.lexsort``
-    inside :func:`key_sort_indices` (same ordering and tie classes by
-    the isomorphism, and both sorts are stable).
+    equivalence suite): the threshold and the drained set are the
+    scalar ones, the prefix is exactly the entries with key <= the
+    threshold, and their order is the scalar path's stable key sort of
+    pieces concatenated in ascending row order (rows keep construction
+    order across reallocations).
 
     The slab is sized by what windows hold, not by their capacity (two
     100k-entry runs under a 10 MiB buffer have 349,525-entry windows),
@@ -333,12 +345,21 @@ class _FrontierIndex:
     """
 
     __slots__ = (
-        "row_cursors", "key_size", "width", "prefix", "E", "K", "M", "Q",
-        "Qkeys", "starts", "ns", "taken", "base", "cand", "heap",
+        "row_cursors", "key_size", "width", "E", "slots", "pool", "keep",
+        "dtype", "itype", "pad", "table", "columns", "ns", "taken0", "heap",
+        "final", "stale",
+        "ref", "__weakref__",
     )
 
     def __init__(self, cursors: List[RunCursor]):
-        self.width = 0
+        self.ref = weakref.ref(self)
+        self.stale = False
+        # The first refills fit their rows exactly.
+        self.width = max(
+            c.remaining
+            or min(c.window_entries, (c.file.size - c.pos) // c.entry_size)
+            for c in cursors
+        )
         self._build(cursors)
 
     @staticmethod
@@ -353,122 +374,186 @@ class _FrontierIndex:
             for c in cursors
         )
 
-    def _build(self, cursors: List[RunCursor]) -> None:
+    def _build(self, cursors: List[RunCursor], grow: bool = False) -> None:
         """(Re)allocate for ``cursors`` (live, construction order) and
-        move their windows in.  A quarter of headroom over the previous
-        width keeps a run of drains to O(log) reallocations; the first
-        allocation that sees windows fits them exactly."""
+        move their untaken entries in.  A quarter of headroom over the
+        previous width keeps a run of drains (``grow``) to O(log)
+        reallocations."""
+        if self.stale:
+            self.sync()
+        windows = [c.window for c in cursors]
         self.row_cursors = list(cursors)
         k = len(cursors)
         first = cursors[0]
         self.key_size = ks = first.key_size
-        self.prefix = p = max(1, ((k - 1).bit_length() + 7) // 8)
         self.width = width = max(
-            1, self.width + self.width // 4, max(c._n for c in cursors)
+            1,
+            self.width + self.width // 4 if grow else self.width,
+            max(w.shape[0] for w in windows),
         )
-        row_numbers = np.arange(k, dtype=">u8").view(np.uint8).reshape(k, 8)[:, 8 - p :]
-        sdtype = np.dtype("S%d" % (p + ks))
+        self.itype = itype = np.dtype(">u4" if k * width < 0xFFFFFFFF else ">u8")
+        # Pool strings are padded to a multiple of 8 bytes with zeros
+        # between key and slot (copies of aligned items are cheaper).
+        size = -(-(ks + itype.itemsize) // 8) * 8
+        self.pad = b"\xff" * (size - ks)
+        self.dtype = np.dtype("S%d" % size)
         self.E = np.empty((k * width, first.entry_size), dtype=np.uint8)
-        self.K = np.full((k * width, p + ks), 0xFF, dtype=np.uint8)
-        self.K.reshape(k, width, -1)[:, :, :p] = row_numbers[:, None, :]
-        self.M = self.K.reshape(-1).view(sdtype)
-        #: One query per row: the threshold under the row's prefix.
-        queries = np.empty((k, p + ks), dtype=np.uint8)
-        queries[:, :p] = row_numbers
-        self.Q = queries.reshape(-1).view(sdtype)
-        self.Qkeys = queries[:, p:]
-        #: Row r's column is cursor r's ``_state``.
-        table = np.zeros((3, k), dtype=np.int64)
-        self.starts, self.ns, self.taken = table
-        self.base = np.arange(k, dtype=np.int64) * width
-        #: Threshold candidates: ``cand[r]`` is row r's last key while
-        #: its file has more to read, and ``heap`` holds every such key
-        #: ever pushed; entries ``cand`` no longer confirms are stale.
-        self.cand: List[Optional[bytes]] = [None] * k
+        #: Every slot's string tail: the zero gap, then its number.
+        self.slots = np.zeros((k * width, size - ks), dtype=np.uint8)
+        self.slots[:, -itype.itemsize :] = (
+            np.arange(k * width, dtype=itype).view(np.uint8).reshape(k * width, -1)
+        )
+        #: Row r's column is an attached cursor's ``_state``: start,
+        #: length, taken, as of the last :meth:`sync`; the lists hold
+        #: each attached row's length and its taken count when indexed.
+        self.table = np.zeros((3, k), dtype=np.int64)
+        self.columns = list(self.table.T)
+        self.ns = [0] * k
+        self.taken0 = [0] * k
         self.heap: List[Tuple[bytes, int]] = []
-        for i, c in enumerate(cursors):
+        self.final: List[Tuple[bytes, int]] = []
+        self.pool = np.empty(0, dtype=self.dtype)
+        self.keep = np.empty(0, dtype=bool)
+        blocks = []
+        for i, (c, window) in enumerate(zip(cursors, windows)):
             c._vrow = i
             c._index_owned = True
-            table[:, i] = c._state
-            c._state = table[:, i]
-            if c.remaining:
-                self.load_row(c)
+            c._slot = self.E[i * width : (i + 1) * width]
+            n = window.shape[0]
+            c._state = [0, n, c.taken]
+            c._owner = None
+            if n:
+                c._slot[:n] = window
+                c._window = c._slot[:n]
+                blocks.append(self._attach(c))
+            else:
+                # Awaiting its refill: lets go of any older slab.
+                c._window = c._slot[:0]
+        if blocks:
+            self._merge(np.sort(np.concatenate(blocks)))
 
-    def load_row(self, c: RunCursor) -> None:
-        """Move a cursor's freshly accepted window into its slab row."""
-        data = c._window
-        n = data.shape[0]
-        if n > self.width:
-            self._build([r for r in self.row_cursors if r is not None])
-            return
+    def _attach(self, c: RunCursor) -> np.ndarray:
+        """Index a cursor whose window fills the head of its slot: its
+        state becomes a table column, its last key a threshold
+        candidate.  Returns the window's pool strings, ascending."""
         i = c._vrow
+        _start, n, taken = c._state
+        self.ns[i] = n
+        self.taken0[i] = taken
+        # Start and taken come from the next sync.
+        self.stale = True
+        c._state = self.columns[i]
+        c._owner = self.ref
         lo = i * self.width
-        self.E[lo : lo + n] = data
-        keys = self.K[lo : lo + self.width, self.prefix :]
-        keys[:n] = data[:, : self.key_size]
-        keys[n:] = 0xFF
-        c._window = self.E[lo : lo + n]
-        if c.file_exhausted:
-            self.cand[i] = None
-        else:
-            self.cand[i] = last = keys[n - 1].tobytes()
-            heappush(self.heap, (last, i))
+        ks = self.key_size
+        block = np.concatenate(
+            (self.E[lo : lo + n, :ks], self.slots[lo : lo + n]), axis=1
+        )
+        heappush(
+            self.final if c.file_exhausted else self.heap,
+            (block[-1, :ks].tobytes(), i),
+        )
+        return block.reshape(-1).view(self.dtype)
+
+    def _merge(self, new: np.ndarray) -> None:
+        """Merge ascending strings into the pool: their final positions
+        first, then the old strings fill the rest in order."""
+        pool = self.pool
+        if not pool.size:
+            self.pool = new
+            return
+        size = pool.size + new.size
+        at = pool.searchsorted(new)
+        at += np.arange(new.size)
+        merged = np.empty(size, dtype=self.dtype)
+        if self.keep.size < size:
+            self.keep = np.empty(2 * size, dtype=bool)
+        keep = self.keep[:size]
+        keep.fill(True)
+        keep[at] = False
+        merged[at] = new
+        merged[keep] = pool
+        self.pool = merged
+
+    def load(self, cursors: List[RunCursor]) -> None:
+        """Index freshly accepted windows (the cursors are detached)."""
+        if max(c._state[1] for c in cursors) > self.width:
+            self._build([r for r in self.row_cursors if r is not None], grow=True)
+            return
+        E, width = self.E, self.width
+        blocks = []
+        for c in cursors:
+            window = c._window
+            if window.base is not E:
+                # Read elsewhere (it outgrew its slot before a
+                # reallocation, or a fault retry built it): copy it in.
+                lo = c._vrow * width
+                n = window.shape[0]
+                E[lo : lo + n] = window
+                c._window = E[lo : lo + n]
+            blocks.append(self._attach(c))
+        self._merge(blocks[0] if len(blocks) == 1 else np.sort(np.concatenate(blocks)))
+
+    def detach(self, c: RunCursor) -> None:
+        """Give a drained cursor its exact state as its own list."""
+        i = c._vrow
+        n = self.ns[i]
+        c._state = [n, n, self.taken0[i] + n]
+        c._owner = None
 
     def mark_dead(self, c: RunCursor) -> None:
         """Retire a drained cursor: its row is dropped by the next
         reallocation and the cursor lets go of the slab."""
         self.row_cursors[c._vrow] = None
+        c._slot = None
         c.window = np.zeros((0, c.entry_size), dtype=np.uint8)
 
+    def _slots(self, strings: np.ndarray) -> np.ndarray:
+        """The slot numbers of contiguous pool strings (a view)."""
+        if not strings.size:
+            return np.zeros(0, dtype=np.intp)
+        size = strings.itemsize
+        return np.ndarray(
+            strings.shape, self.itype, strings, size - self.itype.itemsize, (size,)
+        )
+
+    def sync(self) -> None:
+        """Materialise every attached row's start and taken from the pool."""
+        rows = self._slots(self.pool) // self.width
+        left = np.bincount(rows.astype(np.intp), minlength=len(self.row_cursors))
+        starts, ns, taken = self.table
+        ns[:] = self.ns
+        np.subtract(ns, left, out=starts)
+        np.add(self.taken0, starts, out=taken)
+        self.stale = False
+
     def step_batch(self) -> Tuple[np.ndarray, List[RunCursor]]:
-        """One frontier step over the slab; see class docstring."""
-        starts, heap, cand = self.starts, self.heap, self.cand
-        while heap and cand[heap[0][1]] != heap[0][0]:
-            heappop(heap)
-        cur = self.base + starts
-        ends = self.base + self.ns
+        """One frontier step over the pool; see class docstring."""
+        heap, final, pool = self.heap, self.final, self.pool
+        drained = []
         if heap:
-            # Threshold = smallest last key among still-readable rows.
-            # Contributing rows: a window with entries left whose head
-            # key is <= the threshold (the array analogue of the scalar
-            # path's ``_first_bytes > threshold_bytes`` skip).
-            self.Qkeys[:] = np.frombuffer(heap[0][0], dtype=np.uint8)
-            mask = self.M.take(cur, mode="clip") <= self.Q
-            mask &= cur < ends
-            rows = mask.nonzero()[0]
-            ends = ends[rows]
-            hi = self.M.searchsorted(self.Q[rows], side="right")
-            np.minimum(hi, ends, out=hi)
+            threshold = heap[0][0]
+            cut = pool.searchsorted(threshold + self.pad, side="right")
+            while heap and heap[0][0] == threshold:
+                drained.append(heappop(heap)[1])
+            while final and final[0][0] <= threshold:
+                drained.append(heappop(final)[1])
         else:
             # Every file fully windowed: drain everything left.
-            rows = (cur < ends).nonzero()[0]
-            hi = ends = ends[rows]
-        if not rows.size:
-            # Impossible under the driver protocol: the cursor that
+            cut = pool.size
+            drained.extend(i for _key, i in final)
+            final.clear()
+        if not cut:
+            # Impossible under the driver protocol: the row that
             # defines the threshold always contributes its head.
             raise SimulationError("merge_step emitted nothing")
-        lo = cur[rows]
-        lens = hi - lo
-        starts[rows] += lens
-        self.taken[rows] += lens
-        # Expand the per-row [lo, hi) ranges, rows ascending -- the
-        # scalar path's piece concatenation order.
-        stops = lens.cumsum()
-        picks = np.repeat(hi - stops, lens)
-        picks += np.arange(stops[-1])
-        merged = self.E.take(picks, axis=0)
-        # A drained row awaits its refill (or death); `cur == ends`
-        # keeps it out of later steps until then.
-        emptied = [self.row_cursors[r] for r in rows[hi == ends].tolist()]
-        if rows.size == 1:
-            # Single contributing window: already sorted.
-            return merged, emptied
-        skeys = (
-            np.ascontiguousarray(merged[:, : self.key_size])
-            .reshape(-1)
-            .view("S%d" % self.key_size)
-        )
-        return merged.take(skeys.argsort(kind="stable"), axis=0), emptied
+        slots = self._slots(pool[:cut])
+        self.pool = pool[cut:]
+        self.stale = True
+        emptied = [self.row_cursors[i] for i in sorted(drained)]
+        for c in emptied:
+            self.detach(c)
+        return self.E.take(slots, axis=0), emptied
 
 
 class MergeFrontier:
@@ -520,13 +605,12 @@ class MergeFrontier:
 
     def note_refilled(self, cursors: List[RunCursor]) -> None:
         """After ``accept`` calls: refresh cached exhaustion state and
-        move the accepted windows into the slab."""
+        index the accepted windows."""
         exhausted = self._exhausted
-        index = self._index
         for c in cursors:
             exhausted[c] = c.file_exhausted
-            if index is not None:
-                index.load_row(c)
+        if self._index is not None and cursors:
+            self._index.load(cursors)
 
     def step(self) -> Tuple[np.ndarray, int]:
         """One merge step; updates refill/drain bookkeeping."""

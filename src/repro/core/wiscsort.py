@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.core.base import SortConfig
-from repro.core.indexmap import IndexMap
+from repro.core.indexmap import IndexMap, entry_pointers
 from repro.core.kway import (
     PendingRows,
     RunCursor,
@@ -166,13 +166,11 @@ class IndexMapMergeSort(CheckpointedRunMergeSort):
             """Drain full offset-queue batches to the output."""
             nonlocal out_records
             for batch in pending.batches(queue_capacity, final):
-                imap = IndexMap.from_bytes(
-                    batch.reshape(-1), fmt.key_size, fmt.pointer_size
-                )
                 write_at = out_records * rec
                 out_records += batch.shape[0]
                 yield from self._collect_values(
-                    machine, input_file, output, controller, imap.pointers,
+                    machine, input_file, output, controller,
+                    entry_pointers(batch, fmt.key_size, fmt.pointer_size),
                     write_at, overlap_writes,
                 )
                 if self._ckpt is not None:
@@ -186,7 +184,7 @@ class IndexMapMergeSort(CheckpointedRunMergeSort):
             # Step 7's min-finding is charged by the driver; enqueue the
             # pointers and gather once the offset queue fills (step 8).
             pending.push(emitted)
-            return flush()
+            return flush() if pending.count >= queue_capacity else ()
 
         with self._span(machine, "phase:final-merge", fanin=len(cursors)):
             yield from drive_merge(

@@ -98,15 +98,17 @@ class BraidRateModel(RateModel):
     def _signature(op: FluidOp) -> tuple:
         """Everything the rate computation reads from one op.
 
-        Uses ``pattern.value`` (a string) rather than the enum so
-        signatures of different ops sort under a total order.
+        Uses the pattern's value (a string) rather than the enum so
+        signatures of different ops sort under a total order; it is read
+        as ``_value_``, the member's plain attribute, since ``.value``
+        costs a Python-level descriptor call per op.
         """
         attrs = op.attrs
         if op.kind == "io":
             return (
                 "io",
                 attrs["direction"],
-                attrs["pattern"].value,
+                attrs["pattern"]._value_,
                 attrs["threads"],
                 attrs["host_ratio"],
             )

@@ -143,7 +143,9 @@ class DeviceProfile:
         between access start offsets for strided reads.
         """
         memo = self._work_memo
-        key = (pattern, nbytes, accesses, stride)
+        # Keyed by the pattern's value: hashing the member itself is a
+        # Python-level call.
+        key = (pattern._value_, nbytes, accesses, stride)
         cached = memo.get(key)
         if cached is not None:
             return cached

@@ -100,19 +100,20 @@ class DeviceStats:
             code = op._obs
             if code is None:
                 code = observer_code(op)
-            if code == OBS_IO_READ:
-                rate = op.rate
-                delta = rate * dt
-                read_rate += rate
-                read_internal += delta
-                if tag:
-                    tags[tag].internal_bytes += delta
-                cores += rate / io_cpu_bw
-            elif code == OBS_IO_WRITE:
+            # Writes first: background writers make most of the ops.
+            if code == OBS_IO_WRITE:
                 rate = op.rate
                 delta = rate * dt
                 write_rate += rate
                 written_internal += delta
+                if tag:
+                    tags[tag].internal_bytes += delta
+                cores += rate / io_cpu_bw
+            elif code == OBS_IO_READ:
+                rate = op.rate
+                delta = rate * dt
+                read_rate += rate
+                read_internal += delta
                 if tag:
                     tags[tag].internal_bytes += delta
                 cores += rate / io_cpu_bw

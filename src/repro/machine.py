@@ -261,7 +261,7 @@ class Machine(ProbeHost):
             op.attrs["domain"] = self.domain
         for fn in self.probes.charge:
             fn(direction, nbytes, tag)
-        self.stats.credit_submission(tag, nbytes, direction, pattern.value)
+        self.stats.credit_submission(tag, nbytes, direction, pattern._value_)
         return op
 
     def io_raw(
@@ -289,7 +289,7 @@ class Machine(ProbeHost):
             op.attrs["domain"] = self.domain
         for fn in self.probes.charge:
             fn(direction, user_bytes, tag)
-        self.stats.credit_submission(tag, user_bytes, direction, pattern.value)
+        self.stats.credit_submission(tag, user_bytes, direction, pattern._value_)
         return op
 
     def compute(self, cpu_seconds: float, tag: str, cores: int = 1) -> FluidOp:

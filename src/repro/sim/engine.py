@@ -27,6 +27,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
+from functools import partial
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.errors import DeadlockError, SimulationError
@@ -35,6 +36,8 @@ from repro.sim.probe import ProbeSet
 
 SimGenerator = Generator[Any, Any, Any]
 
+_INF = float("inf")
+
 
 class Sleep:
     """Command: suspend the issuing process for ``dt`` simulated seconds."""
@@ -42,8 +45,8 @@ class Sleep:
     __slots__ = ("dt",)
 
     def __init__(self, dt: float):
-        if dt < 0:
-            raise ValueError(f"Sleep duration must be >= 0, got {dt}")
+        if not 0.0 <= dt < _INF:
+            raise ValueError(f"Sleep duration must be finite and >= 0, got {dt}")
         self.dt = dt
 
 
@@ -98,6 +101,39 @@ class ParallelOps:
 
     def _sim_execute(self, engine: "Engine", proc: "Process") -> None:
         engine._issue_parallel(self.ops, proc)
+
+
+class _ParallelJoin:
+    """Where the members of one :class:`ParallelOps` deliver: results
+    in argument order, resuming the process once all have arrived, or
+    with the first failure (later deliveries are then ignored)."""
+
+    __slots__ = ("engine", "proc", "results", "pending", "failed")
+
+    def __init__(self, engine: "Engine", proc: "Process", n: int):
+        self.engine = engine
+        self.proc = proc
+        self.results: list[Any] = [None] * n
+        self.pending = n
+        self.failed = False
+
+    def op_done(self, i: int, op: FluidOp) -> None:
+        """Collector of fluid member ``i``."""
+        self.deliver(i, op.on_complete(op) if op.on_complete is not None else op)
+
+    def deliver(
+        self, i: int, value: Any = None, exc: Optional[BaseException] = None
+    ) -> None:
+        """Result (or failure) of member ``i``; a command's callback."""
+        if exc is not None:
+            if not self.failed:
+                self.failed = True
+                self.engine.resume(self.proc, exc=exc)
+            return
+        self.results[i] = value
+        self.pending -= 1
+        if not self.pending and not self.failed:
+            self.engine.resume(self.proc, self.results)
 
 
 class Process:
@@ -266,8 +302,10 @@ class Engine:
 
     def call_at(self, t: float, fn: Callable[[], None]) -> None:
         """Run ``fn()`` at absolute simulated time ``t``."""
-        if t < self.now:
-            raise SimulationError(f"cannot schedule in the past ({t} < {self.now})")
+        if not self.now <= t < _INF:
+            if t < self.now:
+                raise SimulationError(f"cannot schedule in the past ({t} < {self.now})")
+            raise SimulationError(f"cannot schedule at a non-finite time ({t})")
         heapq.heappush(self._heap, (t, next(self._seq), fn))
 
     def cancel_tree(self, root: Process) -> int:
@@ -334,16 +372,7 @@ class Engine:
 
     def run(self) -> float:
         """Run until no work remains; returns the final simulated time."""
-        self.running = True
-        try:
-            while True:
-                self._drain_ready()
-                if self._settle_and_complete():
-                    continue
-                if not self._advance():
-                    break
-        finally:
-            self.running = False
+        self._loop(None)
         if self._blocked:
             raise DeadlockError(
                 f"simulation ended with {self._blocked} blocked process(es)"
@@ -359,21 +388,7 @@ class Engine:
         watched process completes, and in-flight background ops are
         simply abandoned.  Raises if the engine runs dry first.
         """
-        self.running = True
-        try:
-            while not proc.done:
-                self._drain_ready()
-                if proc.done:
-                    break
-                if self._settle_and_complete():
-                    continue
-                if not self._advance():
-                    raise DeadlockError(
-                        f"engine ran out of events before {proc!r} finished"
-                        + self._deadlock_detail()
-                    )
-        finally:
-            self.running = False
+        self._loop(proc)
         return proc.result
 
     def run_process(self, gen: SimGenerator, name: str = "") -> Any:
@@ -397,16 +412,59 @@ class Engine:
     # ------------------------------------------------------------------
     # Event loop internals
     # ------------------------------------------------------------------
-    def _drain_ready(self) -> None:
+    def _loop(self, until: Optional[Process]) -> None:
+        """The event loop: step every ready process, then settle the
+        current instant (re-rate, wake what completed), then advance the
+        clock; until nothing remains or ``until`` has finished."""
+        ready = self._ready
+        fluid = self.fluid
+        probes = self.probes
+        step = self._step
+        complete = self._complete_op
+        self.running = True
+        try:
+            while until is None or not until.done:
+                if probes.pick_ready is None:
+                    while ready:
+                        step(ready.popleft())
+                else:
+                    self._drain_picked()
+                if until is not None and until.done:
+                    break
+                if fluid.dirty:
+                    # Every op finishing at this instant, coalesced in
+                    # ascending op id; completing them in that order
+                    # keeps waiter wakeups deterministic under both
+                    # kernel paths.
+                    done = fluid.refresh(self.now)
+                    if done:
+                        shuffle = probes.shuffle_ties
+                        if shuffle is not None and len(done) > 1:
+                            # Any delivery order of ops finishing at the
+                            # same instant is a legal schedule.
+                            shuffle(done)
+                        for op in done:
+                            complete(op)
+                        continue
+                if not self._advance():
+                    if until is not None:
+                        raise DeadlockError(
+                            f"engine ran out of events before {until!r} finished"
+                            + self._deadlock_detail()
+                        )
+                    break
+        finally:
+            self.running = False
+
+    def _drain_picked(self) -> None:
+        """Drain the ready queue in the order an active probe picks.
+
+        The probe reorders ties: step the ready process it picks instead
+        of the FIFO head (any choice is a legal schedule).  The rotate
+        dance pops index i and restores the relative order of the rest,
+        so one pick permutes without reshuffling the deque.
+        """
         pick = self.probes.pick_ready
-        if pick is None:
-            while self._ready:
-                self._step(self._ready.popleft())
-            return
-        # An active probe reorders ties: step the ready process it picks
-        # instead of the FIFO head (any choice is a legal schedule).  The
-        # rotate dance pops index i and restores the relative order of
-        # the rest, so one pick permutes without reshuffling the deque.
         ready = self._ready
         while ready:
             n = len(ready)
@@ -417,32 +475,6 @@ class Engine:
             if i:
                 ready.rotate(i)
             self._step(proc)
-
-    def _settle_and_complete(self) -> bool:
-        """Re-rate if needed and wake zero-time completions.
-
-        Returns True when progress was made at the current instant.
-        """
-        fluid = self.fluid
-        if not fluid.dirty:
-            return False
-        now = self.now
-        fluid.settle(now)
-        fluid.rerate(now)
-        # pop_completed coalesces every op finishing at this instant and
-        # returns them in ascending op id; completing them in that order
-        # keeps waiter wakeups deterministic under both kernel paths.
-        done = fluid.pop_completed(now)
-        if done:
-            shuffle = self.probes.shuffle_ties
-            if shuffle is not None and len(done) > 1:
-                # Any delivery order of ops finishing at the same
-                # instant is a legal schedule.
-                shuffle(done)
-            for op in done:
-                self._complete_op(op)
-            return True
-        return False
 
     def _advance(self) -> bool:
         """Advance the clock to the next event; False when nothing remains."""
@@ -460,11 +492,14 @@ class Engine:
             target = t_fluid
         else:
             target = t_heap
-        assert target is not None and target >= self.now
+        if not self.now <= target < _INF:
+            raise SimulationError(
+                f"next event time {target} is not a finite instant at or "
+                f"after now ({self.now})"
+            )
         self.now = target
         self.advances += 1
-        fluid.settle(target)
-        done = fluid.pop_completed(target)
+        done = fluid.settle_due(target)
         shuffle = self.probes.shuffle_ties
         if shuffle is not None and len(done) > 1:
             shuffle(done)
@@ -517,46 +552,24 @@ class Engine:
             self._ready.append(proc)
             return
         fluid_items = [(i, op) for i, op in enumerate(ops) if isinstance(op, FluidOp)]
-        other_items = [(i, op) for i, op in enumerate(ops) if not isinstance(op, FluidOp)]
         self._blocked += 1
         for fn in self.probes.block_parallel:
             # Before the ops issue: a zero-work op can resume the
             # process from inside the issue loop below.
             fn(proc, ops, "parallel")
-        results: list[Any] = [None] * len(ops)
-        pending = [len(ops)]
-        state = {"failed": False}
-
-        def finish_one() -> None:
-            pending[0] -= 1
-            if pending[0] == 0 and not state["failed"]:
-                self.resume(proc, results)
-
-        def on_op_done(op: FluidOp, i: int) -> None:
-            results[i] = op.on_complete(op) if op.on_complete is not None else op
-            finish_one()
-
-        def make_callback(i: int):
-            def callback(value: Any = None, exc: Optional[BaseException] = None):
-                if exc is not None:
-                    if not state["failed"]:
-                        state["failed"] = True
-                        self.resume(proc, exc=exc)
-                    return
-                results[i] = value
-                finish_one()
-
-            return callback
-
+        join = _ParallelJoin(self, proc, len(ops))
         proc.blocked_on = [op for _i, op in fluid_items]
+        add, now = self.fluid.add, self.now
         for i, op in fluid_items:
-            op._collector = lambda o, _i=i: on_op_done(o, _i)
-            self.fluid.add(op, self.now)
+            op._collector = partial(join.op_done, i)
+            add(op, now)
             if op.finished_at is not None:
                 # Zero-work op completed instantly.
                 self._complete_op(op)
-        for i, item in other_items:
-            item._collect_execute(self, make_callback(i))
+        if len(fluid_items) < len(ops):
+            for i, item in enumerate(ops):
+                if not isinstance(item, FluidOp):
+                    item._collect_execute(self, partial(join.deliver, i))
 
     def _step(self, proc: Process) -> None:
         if proc.done:
@@ -581,22 +594,25 @@ class Engine:
                     fn(proc, self.now)
                 proc._finish(stop.value)
                 return
-            self._dispatch(command, proc)
+            if isinstance(command, FluidOp):
+                # The common command, dispatched here.
+                command._waiter = proc
+                proc.blocked_on = command
+                self._blocked += 1
+                for fn in self.probes.block_io:
+                    fn(proc, command, "io")
+                self.fluid.add(command, self.now)
+                if command.finished_at is not None:
+                    # Zero-work op completed instantly.
+                    self._complete_op(command)
+            else:
+                self._dispatch(command, proc)
         finally:
             self.current = None
 
     def _dispatch(self, command: Any, proc: Process) -> None:
-        if isinstance(command, FluidOp):
-            command._waiter = proc
-            proc.blocked_on = command
-            self._blocked += 1
-            for fn in self.probes.block_io:
-                fn(proc, command, "io")
-            self.fluid.add(command, self.now)
-            if command.finished_at is not None:
-                # Zero-work op completed instantly.
-                self._complete_op(command)
-        elif isinstance(command, Sleep):
+        """Every command but a :class:`FluidOp` (see :meth:`_step`)."""
+        if isinstance(command, Sleep):
             proc.blocked_on = command
             self._blocked += 1
             for fn in self.probes.block_sleep:

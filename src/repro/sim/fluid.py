@@ -177,8 +177,8 @@ class FluidOp:
         attrs: Optional[dict] = None,
         **extra,
     ):
-        if work < 0:
-            raise ValueError(f"FluidOp work must be >= 0, got {work}")
+        if not 0 <= work < _INF:
+            raise ValueError(f"FluidOp work must be finite and >= 0, got {work}")
         self.work = float(work)
         self.kind = kind
         self.tag = tag
@@ -479,14 +479,6 @@ class _Group:
         self.sig: List[int] = []
         self.min_finish = _INF
 
-    def insert(self, i: int, op: FluidOp, sid: int) -> None:
-        """Open row ``i`` for a newly issued op: rate 0, nothing scheduled."""
-        self.ops.insert(i, op)
-        self.rem.insert(i, op._remaining)
-        self.rate.insert(i, 0.0)
-        self.finish.insert(i, _INF)
-        self.sig.insert(i, sid)
-
     def remove(self, rows: List[int]) -> None:
         """Close the given rows (ascending indices)."""
         finish = self.finish
@@ -494,37 +486,33 @@ class _Group:
             del self.ops[i], self.rem[i], self.rate[i], finish[i], self.sig[i]
         self.min_finish = min(finish) if finish else _INF
 
-    def settle(self, dt: float) -> None:
-        self.rem = [r - q * dt for r, q in zip(self.rem, self.rate)]
-
-    def apply(self, new: List[float], now: float) -> int:
-        """Install per-row rates, rescheduling the rows that changed."""
+    def apply(self, new: Iterable[float], now: float) -> int:
+        """Install per-row rates in place (one pass, ``new`` may be a
+        lazy iterable), rescheduling the rows whose rate changed."""
         rate = self.rate
-        if new == rate:
-            return 0
         ops = self.ops
         rem = self.rem
         finish = self.finish
-        changed = 0
+        # Nearly every row changes: count the ones that do not.
+        same = 0
         for i, r in enumerate(new):
-            if r != rate[i]:
-                changed += 1
-                ops[i].rate = r
-                if r > 0.0:
-                    finish[i] = now + rem[i] / r
-                elif rem[i] <= _EPSILON:
-                    # Stalled with only float residue left: let it
-                    # complete now instead of deadlocking.
-                    finish[i] = now
-                else:
-                    finish[i] = _INF
-        self.rate = new
-        self.min_finish = min(finish)
+            if r == rate[i]:
+                same += 1
+                continue
+            rate[i] = r
+            ops[i].rate = r
+            if r > 0.0:
+                finish[i] = now + rem[i] / r
+            elif rem[i] <= _EPSILON:
+                # Stalled with only float residue left: let it
+                # complete now instead of deadlocking.
+                finish[i] = now
+            else:
+                finish[i] = _INF
+        changed = len(rate) - same
+        if changed:
+            self.min_finish = min(finish)
         return changed
-
-    def due(self, now: float) -> List[int]:
-        """Rows whose scheduled finish time has arrived, ascending."""
-        return [i for i, f in enumerate(self.finish) if f <= now]
 
 
 def _reject_negative(group: _Group, lowest_rate: float) -> None:
@@ -632,13 +620,23 @@ class FluidScheduler:
             sid = sig_ids.get(sig)
             if sid is None:
                 sid = sig_ids[sig] = len(sig_ids)
+        # Open the op's row: rate 0, nothing scheduled.
         ops = group.ops
-        i = len(ops)
-        if i and op.seq < ops[-1].seq:
+        if ops and op.seq < ops[-1].seq:
             # Created before, issued after, a current member: rows stay
             # in op-id order, which is what "issue order" means here.
             i = bisect_left(ops, op.seq, key=_SEQ_KEY)
-        group.insert(i, op, sid)
+            ops.insert(i, op)
+            group.rem.insert(i, op._remaining)
+            group.rate.insert(i, 0.0)
+            group.finish.insert(i, _INF)
+            group.sig.insert(i, sid)
+        else:
+            ops.append(op)
+            group.rem.append(op._remaining)
+            group.rate.append(0.0)
+            group.finish.append(_INF)
+            group.sig.append(sid)
         op._vg = group
         self.active.add(op)
         self._ordered = None
@@ -655,19 +653,36 @@ class FluidScheduler:
         every ``op.rate`` untouched).  The work debit itself is
         elementwise (``rem - rate * dt``).
         """
+        self._settle(now, None)
+
+    def settle_due(self, now: float) -> list[FluidOp]:
+        """:meth:`settle` to ``now``, then :meth:`pop_completed`, with
+        the groups holding due rows collected by the settle pass."""
+        due: List[_Group] = []
+        if not self._settle(now, due):
+            due = [g for g in self._groups.values() if g.min_finish <= now]  # reprolint: disable=SIM003 -- batch is sorted by op id
+        return self._pop(due, now)
+
+    def _settle(self, now: float, due: Optional[List[_Group]]) -> bool:
+        """The settle pass; appends groups with due rows to ``due``.
+        Returns whether it visited every group."""
         t0 = self._last_settled
         dt = now - t0
         if dt < 0:
             raise SimulationError(f"time went backwards: {dt}")
-        if dt > 0 and self.active:
+        visited = dt > 0 and bool(self.active)
+        if visited:
             # Groups never interact and each observer accumulates into
             # its own totals, so group order cannot reach any float.
             observers = self._group_observers
             for key, group in self._groups.items():
-                if group.ops:
+                ops = group.ops
+                if ops:
                     for observer in observers.get(key, ()):
-                        observer(t0, now, group.ops)
-                    group.settle(dt)
+                        observer(t0, now, ops)
+                    group.rem = [r - q * dt for r, q in zip(group.rem, group.rate)]
+                    if due is not None and group.min_finish <= now:
+                        due.append(group)
             if self.interval_observers:
                 ops = self._ordered
                 if ops is None:
@@ -675,6 +690,7 @@ class FluidScheduler:
                 for observer in self.interval_observers:
                     observer(t0, now, ops)
         self._last_settled = now
+        return visited
 
     def _issue_ordered(self) -> list:
         """Every active op in issue order: the groups' columns, merged."""
@@ -695,6 +711,23 @@ class FluidScheduler:
         rate is unchanged keep their existing scheduled finish time (a
         constant-rate op's absolute finish time is settle-invariant).
         """
+        self._rerate(now, None)
+
+    def refresh(self, now: float) -> list[FluidOp]:
+        """The engine's pass at an instant whose membership changed:
+        :meth:`settle`, :meth:`rerate`, :meth:`pop_completed`.  Only a
+        re-rated group can hold a due row -- every other group's were
+        popped when the clock reached ``now`` -- unless the settle had
+        time to debit, and then its pass collects them."""
+        due: List[_Group] = []
+        if now - self._last_settled:
+            self._settle(now, due)
+        self._rerate(now, due)
+        return self._pop(due, now) if due else []
+
+    def _rerate(self, now: float, due: Optional[List[_Group]]) -> None:
+        """The re-rate pass; appends re-rated groups with due rows to
+        ``due`` (once each)."""
         keys = self._dirty_keys
         if keys:
             self.rerate_calls += 1
@@ -708,6 +741,8 @@ class FluidScheduler:
                 group = groups.get(key)
                 if group is not None:
                     n += self._solve(group, now)
+                    if due is not None and group.min_finish <= now and group not in due:
+                        due.append(group)
             keys.clear()
             if n:
                 self.ops_rerated += n
@@ -743,7 +778,7 @@ class FluidScheduler:
             table = self._build_table(group, memo_key)
         self.vector_solves += 1
         self.vector_ops_solved += n
-        self.rate_changes += group.apply([table[s] for s in group.sig], now)
+        self.rate_changes += group.apply(map(table.__getitem__, group.sig), now)
         return n
 
     def _build_table(self, group: _Group, memo_key: tuple) -> Dict[int, float]:
@@ -829,17 +864,25 @@ class FluidScheduler:
         ascending-``seq`` contract above is the reproducible baseline,
         not a guarantee workloads may lean on.
         """
+        return self._pop(
+            [g for g in self._groups.values() if g.min_finish <= now],  # reprolint: disable=SIM003 -- batch is sorted by op id
+            now,
+        )
+
+    def _pop(self, groups: List[_Group], now: float) -> list[FluidOp]:
+        """Complete the rows of ``groups`` whose finish time has come."""
         done: list[FluidOp] = []
-        for group in self._groups.values():  # reprolint: disable=SIM003 -- batch is sorted by op id below
-            if group.min_finish <= now:
-                rows = group.due(now)
-                ops = group.ops
-                for i in rows:
-                    op = ops[i]
-                    op._remaining = 0.0
-                    op.finished_at = now
-                    done.append(op)
-                self._release(group, rows)
+        for group in groups:
+            ops = group.ops
+            rows = [i for i, f in enumerate(group.finish) if f <= now]
+            if not rows:
+                continue
+            for i in rows:
+                op = ops[i]
+                op._remaining = 0.0
+                op.finished_at = now
+                done.append(op)
+            self._release(group, rows)
         if done:
             self.ops_completed += len(done)
             if len(done) > 1:

@@ -148,9 +148,15 @@ class SimFile:
     # Timed operations (yield the returned op from a simulated thread)
     # ------------------------------------------------------------------
     def read(
-        self, offset: int, nbytes: int, tag: str, threads: int = 1
+        self,
+        offset: int,
+        nbytes: int,
+        tag: str,
+        threads: int = 1,
+        out: np.ndarray | None = None,
     ) -> FluidOp:
-        """Sequential read; resumes with a copy of the bytes."""
+        """Sequential read; resumes with a copy of the bytes: a fresh
+        array, or ``out`` (exactly ``nbytes`` uint8) filled in place."""
         self._check_extent(offset, nbytes)
         for fn in self._fs.probes.file_span:
             fn(self, "r", offset, nbytes)
@@ -160,13 +166,19 @@ class SimFile:
                 self,
                 nbytes,
                 tag,
-                lambda: self._build_read(offset, nbytes, tag, threads),
+                lambda: self._build_read(offset, nbytes, tag, threads, out),
             )
-        return self._build_read(offset, nbytes, tag, threads)
+        return self._build_read(offset, nbytes, tag, threads, out)
 
-    def _build_read(self, offset: int, nbytes: int, tag: str, threads: int) -> FluidOp:
+    def _build_read(
+        self, offset: int, nbytes: int, tag: str, threads: int, out: np.ndarray | None
+    ) -> FluidOp:
         with self._audit("read", nbytes):
-            payload = self._data[offset : offset + nbytes].copy()
+            if out is None:
+                payload = self._data[offset : offset + nbytes].copy()
+            else:
+                payload = out
+                payload[:] = self._data[offset : offset + nbytes]
             op = self._machine_io("read", Pattern.SEQ, nbytes, tag, threads=threads)
         op.on_complete = lambda _op: payload
         return op

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import heapq
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.errors import DeadlockError, SimulationError
@@ -231,6 +236,74 @@ class TestRunSemantics:
         engine.run_process(proc())
         with pytest.raises(SimulationError):
             engine.call_at(0.5, lambda: None)
+
+
+NON_FINITE = pytest.mark.parametrize(
+    "value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"]
+)
+
+
+class TestNonFiniteTimes:
+    """NaN compares False both ways, so ``dt < 0`` let it through; an
+    infinite time or amount of work can never be reached.  Each is
+    rejected where it enters, naming the value."""
+
+    @NON_FINITE
+    def test_sleep_rejects(self, value):
+        with pytest.raises(ValueError, match=str(value)):
+            Sleep(value)
+
+    @NON_FINITE
+    def test_process_yielding_a_non_finite_sleep_fails_at_the_yield(self, value):
+        engine = make_engine()
+
+        def proc():
+            yield Sleep(value)
+
+        engine.spawn(proc())
+        with pytest.raises(ValueError, match=str(value)):
+            engine.run()
+
+    @NON_FINITE
+    def test_call_at_rejects(self, value):
+        engine = make_engine()
+        with pytest.raises(SimulationError, match=str(value)):
+            engine.call_at(value, lambda: None)
+
+    @NON_FINITE
+    def test_fluid_op_rejects_non_finite_work(self, value):
+        with pytest.raises(ValueError, match=str(value)):
+            FluidOp(value, kind="cpu")
+
+    def test_a_bad_event_time_is_a_simulation_error(self):
+        """The clock's own guard, for a time that bypassed validation."""
+        engine = make_engine()
+        heapq.heappush(engine._heap, (float("nan"), -1, lambda: None))
+        with pytest.raises(SimulationError, match="nan"):
+            engine.run()
+
+    def test_rejected_under_python_O(self):
+        """``-O`` strips ``assert``: the run must still end, with the error."""
+        script = (
+            "from repro.sim.engine import Engine, Sleep\n"
+            "from repro.sim.fluid import UniformRateModel\n"
+            "engine = Engine(UniformRateModel(1.0))\n"
+            "def proc():\n"
+            "    yield Sleep(float('nan'))\n"
+            "engine.spawn(proc())\n"
+            "try:\n"
+            "    engine.run()\n"
+            "except ValueError as err:\n"
+            "    print('rejected:', err)\n"
+        )
+        src = Path(__file__).resolve().parents[2] / "src"
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, timeout=60,
+            env={"PYTHONPATH": str(src), "PATH": ""},
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("rejected:") and "nan" in done.stdout
 
 
 class TestDeadlockDetection:
