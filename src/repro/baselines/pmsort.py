@@ -127,7 +127,7 @@ class PMSort(PMSortPlus):
     def _controller(self, machine) -> ThreadPoolController:
         """One thread and one core everywhere, whatever the model: run
         writes never overlap and refills never run concurrently."""
-        return ThreadPoolController(machine, replace(
+        return ThreadPoolController.of(machine, replace(
             self.config, concurrency=ConcurrencyModel.NO_IO_OVERLAP,
             read_threads=1, write_threads=1, sort_cores=1,
         ))

@@ -50,7 +50,7 @@ from repro.records.format import RecordFormat
 from repro.records.gensort import generate_dataset
 from repro.records.validate import validate_sorted_file
 from repro.registry import create_system, get_policy
-from repro.sim.engine import Now, Sleep, Spawn
+from repro.sim.engine import Sleep, Spawn
 from repro.sim.primitives import Semaphore
 from repro.sim.probe import ProbeSet
 from repro.trace.metrics import Histogram
@@ -659,7 +659,7 @@ class SortService:
                 pending.remove(job)
                 self.cluster.dram.allocate(job.dram_bytes)
                 run.in_service[job.tenant] += 1
-                job.start_time = yield Now()
+                job.start_time = self.cluster.now
                 for emit in probes.counter:
                     emit("service", "queue_depth", float(len(pending)))
                 for emit in probes.instant:
@@ -684,7 +684,7 @@ class SortService:
         system.output_name = f"{job.name}.out"
         output = yield from system.sort_process(job.shard, job.input_file)
         job.output_file = output
-        job.finish_time = yield Now()
+        job.finish_time = self.cluster.now
         self.cluster.dram.free(job.dram_bytes)
         run.service[job.tenant] += job.service_time
         run.in_service[job.tenant] -= 1
@@ -698,7 +698,11 @@ class SortService:
                     "queue": job.queue_time,
                 },
             )
-        run.kick.release()
+        # Freed DRAM matters only to queued work, or to an admission
+        # loop that must see the stream closed to return: a wake that
+        # finds neither is an engine step that simulates nothing.
+        if run.pending or run.arrivals_done:
+            run.kick.release()
 
     # ------------------------------------------------------------------
     def _report(self, run: _Run, completed: List[Job]) -> ServiceReport:

@@ -9,6 +9,7 @@ hard-coded constants.
 
 from __future__ import annotations
 
+from dataclasses import fields, replace
 from typing import TYPE_CHECKING
 
 from repro.calibrate.microbench import CalibrationResult, calibrate_device
@@ -17,6 +18,10 @@ from repro.device.profile import Pattern
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.machine import Machine
+
+
+#: What makes two configs the same controller (``ThreadPoolController.of``).
+_CONFIG_FIELDS = tuple(f.name for f in fields(SortConfig))
 
 
 class ThreadPoolController:
@@ -34,6 +39,20 @@ class ThreadPoolController:
         self.calibration: CalibrationResult = calibrate_device(
             machine.profile, machine.host
         )
+
+    @classmethod
+    def of(cls, machine: "Machine", config: SortConfig) -> "ThreadPoolController":
+        """The controller of ``machine`` under ``config``'s values, built
+        once: its machine, config and calibration are fixed for the
+        machine's life, and a service builds one sorter per job.  It
+        holds a copy of ``config``, so mutating the caller's later does
+        not change what an equal-valued config is answered with."""
+        memo = machine.pool_controllers
+        key = tuple([getattr(config, name) for name in _CONFIG_FIELDS])
+        controller = memo.get(key)
+        if controller is None:
+            controller = memo[key] = cls(machine, replace(config))
+        return controller
 
     # ------------------------------------------------------------------
     def read_threads(self, pattern: Pattern = Pattern.SEQ) -> int:

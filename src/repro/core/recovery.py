@@ -271,7 +271,7 @@ class CheckpointedRunMergeSort(SortSystem):
 
     def _controller(self, machine) -> ThreadPoolController:
         """The pool-size oracle the whole sort runs under."""
-        return ThreadPoolController(machine, self.config)
+        return ThreadPoolController.of(machine, self.config)
 
     def _check_input(self, input_file: "SimFile") -> None:
         """Refuse an input that is not a whole number of records."""

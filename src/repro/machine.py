@@ -172,6 +172,9 @@ class Machine(ProbeHost):
         )
         #: Installed :class:`repro.faults.injector.FaultInjector`, if any.
         self.faults = None
+        #: :meth:`ThreadPoolController.of`'s memo: config values ->
+        #: controller, fixed for this machine's life.
+        self.pool_controllers: dict = {}
 
     def observe_engine(self) -> None:
         """Subscribe this machine's statistics to its engine's scheduler.

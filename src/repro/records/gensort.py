@@ -9,6 +9,7 @@ so permutation checking and debugging stay cheap.
 
 from __future__ import annotations
 
+import functools
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -47,7 +48,7 @@ def make_records(
         nbytes = n_records * fmt.key_size
         words = rng.bit_generator.random_raw(ceil_div(nbytes, 8)).astype("<u8", copy=False)
         keys = words.view(np.uint8)[:nbytes].reshape(n_records, fmt.key_size)
-    template = _value_template(min(n_records, _TEMPLATE_ROWS), fmt)
+    template = _value_template(fmt.key_size, fmt.value_size)
     ids = np.arange(min(n_records, _BLOCK_ROWS), dtype="<u8")
     # One key-sized element per row: a 2-D copy 8-90 bytes wide costs
     # several times as much per row as whole rows or one wide element.
@@ -69,14 +70,18 @@ _TEMPLATE_ROWS = 256
 _BLOCK_ROWS = 32 * _TEMPLATE_ROWS
 
 
-def _value_template(rows: int, fmt: RecordFormat) -> np.ndarray:
-    """The first ``rows`` records' value fill (ids and keys left zero):
-    little-endian id prefix + a rolling fill of the id."""
-    template = np.zeros((rows, fmt.record_size), dtype=np.uint8)
-    fill_at = fmt.key_size + min(8, fmt.value_size)
-    per_id = (np.arange(rows, dtype=np.uint32) * 131 + 7).astype(np.uint8)
-    fill = (np.arange(fmt.record_size - fill_at, dtype=np.uint32) * 7).astype(np.uint8)
+@functools.lru_cache(maxsize=None)
+def _value_template(key_size: int, value_size: int) -> np.ndarray:
+    """The first 256 records' value fill (ids and keys left zero):
+    little-endian id prefix + a rolling fill of the id.  Built once per
+    geometry and shared, so read-only."""
+    record_size = key_size + value_size
+    template = np.zeros((_TEMPLATE_ROWS, record_size), dtype=np.uint8)
+    fill_at = key_size + min(8, value_size)
+    per_id = (np.arange(_TEMPLATE_ROWS, dtype=np.uint32) * 131 + 7).astype(np.uint8)
+    fill = (np.arange(record_size - fill_at, dtype=np.uint32) * 7).astype(np.uint8)
     np.add(per_id[:, None], fill, out=template[:, fill_at:])
+    template.flags.writeable = False
     return template
 
 

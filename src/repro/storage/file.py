@@ -98,13 +98,16 @@ class SimFile:
     def reserve(self, nbytes: int) -> None:
         """Untimed: size the backing array for a file of ``nbytes``.
 
-        Only host memory moves: nothing is charged to the device,
-        ``size`` and ``fs.used`` stay, and a hole past ``size`` still
-        reads as zeros.  Writes within the reservation never regrow the
-        array, and :meth:`staging` can hand out its extents.
+        Only host memory moves: nothing is charged to the device and
+        ``size`` and ``fs.used`` stay.  The reservation is not zeroed
+        (its bytes are written once, by the gather that fills them): a
+        hole past ``size`` still reads as zeros because :meth:`_store`
+        zero-fills ``[size, offset)`` before a write past the end.
+        Writes within the reservation never regrow the array, and
+        :meth:`staging` can hand out its extents.
         """
         if nbytes > self._data.size:
-            grown = np.zeros(nbytes, dtype=np.uint8)
+            grown = np.empty(nbytes, dtype=np.uint8)
             grown[: self.size] = self._data[: self.size]
             self._data = grown
 
@@ -436,7 +439,8 @@ class SimFile:
             grown[: self.size] = self._data[: self.size]
             self._data = grown
         elif offset > self.size:
-            # Past the end of file only staged bytes can be non-zero.
+            # Past the end of file the bytes are staged or never
+            # written (a reservation is not zeroed): the hole reads zeros.
             self._data[self.size : offset] = 0
         if arr.base is self._data and arr.ctypes.data == self._data.ctypes.data + offset:
             return

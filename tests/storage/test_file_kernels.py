@@ -364,9 +364,12 @@ class TestReserveAndStaging:
         f.reserve(10_000)
         assert machine.fs.used == used == f.size == 4
         assert f._data.size == 10_000 and bytes(f.peek()) == b"head"
-        assert not f._data[4:].any()
         f.reserve(100)  # never shrinks
         assert f._data.size == 10_000
+        # the reserved bytes are a hole: a write at its far end leaves
+        # everything between reading as zeros
+        run_op(machine, f.write(9_999, b"z", tag="w"))
+        assert not f.peek(4, 9_995).any() and bytes(f.peek(9_999)) == b"z"
         run_op(machine, f.write(4, np.ones(9_996, dtype=np.uint8), tag="w"))
         assert f._data.size == 10_000 == f.size == machine.fs.used
 
@@ -397,6 +400,23 @@ class TestReserveAndStaging:
         f.staging(0, 300)[:] = 9
         run_op(machine, f.write(600, b"y", tag="w"))
         assert not f.peek(0, 600).any() and bytes(f.peek(600, 1)) == b"y"
+
+    @pytest.mark.parametrize("plan", [None, "torn@op:50"])
+    def test_a_dirty_reservation_never_shows_through_a_hole(self, machine, plan):
+        f = machine.fs.create("f")
+        f.reserve(4_000)
+        f.staging(0, 4_000)[:] = 0xFF  # every reserved byte dirty
+        run_op(machine, f.write(0, f.staging(0, 1_000), tag="w"))
+        if plan is not None:
+            machine.install_faults(parse_fault_spec(plan, seed=1))
+        f.truncate(500)
+        f.poke(1_500, b"p")
+        run_op(machine, f.write(3_000, b"w", tag="w"))
+        assert f.size == 3_001
+        assert (f.peek(0, 500) == 0xFF).all()
+        assert not f.peek(500, 1_000).any()  # truncated, then a hole
+        assert not f.peek(1_501, 1_499).any()  # a hole left by a write
+        assert bytes(f.peek(1_500, 1)) == b"p" and bytes(f.peek(3_000)) == b"w"
 
     def test_staging_refuses_what_it_cannot_hand_over(self, machine):
         f = machine.fs.create("f")

@@ -139,6 +139,17 @@ class TestAccounting:
         assert rep.percentiles["queue"]["p99"] == 0.0
         assert rep.ok
 
+    def test_a_job_costs_at_most_ten_engine_steps_at_low_load(self):
+        # Arrival wake, admission, spawn and the sort's own I/O: an
+        # engine round-trip that simulates nothing (a clock read, a wake
+        # that finds no work) shows up here as a step per job.
+        cluster = Cluster(shards=2)
+        arrivals = PoissonArrivals(2_000.0, seed=1, records=2_000).take(50)
+        rep = SortService(cluster, policy="fifo").serve(TraceArrivals(arrivals))
+        assert rep.jobs_completed == 50
+        assert rep.percentiles["queue"]["p99"] == 0.0
+        assert cluster.engine.steps <= 10 * 50
+
 
 class TestSLO:
     def test_parse_grammar(self):
