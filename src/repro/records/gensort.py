@@ -48,8 +48,8 @@ def make_records(
         nbytes = n_records * fmt.key_size
         words = rng.bit_generator.random_raw(ceil_div(nbytes, 8)).astype("<u8", copy=False)
         keys = words.view(np.uint8)[:nbytes].reshape(n_records, fmt.key_size)
-    template = _value_template(fmt.key_size, fmt.value_size)
-    ids = np.arange(min(n_records, _BLOCK_ROWS), dtype="<u8")
+    first = _first_block(fmt.key_size, fmt.value_size)
+    ids = np.arange(_BLOCK_ROWS, dtype="<u8") if n_records > _BLOCK_ROWS else None
     # One key-sized element per row: a 2-D copy 8-90 bytes wide costs
     # several times as much per row as whole rows or one wide element.
     key = np.dtype(f"V{fmt.key_size}")
@@ -57,7 +57,9 @@ def make_records(
     # Each pass over a block runs while the block is still in cache.
     for at in range(0, n_records, _BLOCK_ROWS):
         block = records[at : at + _BLOCK_ROWS]
-        _fill_values(block, template, ids[: block.shape[0]], at, fmt.key_size)
+        block[:] = first[: block.shape[0]]
+        if at:
+            _write_ids(block, ids[: block.shape[0]], at, fmt.key_size)
         block[:, : fmt.key_size].view(key)[:, 0] = keys[at : at + _BLOCK_ROWS]
     return records
 
@@ -70,40 +72,36 @@ _TEMPLATE_ROWS = 256
 _BLOCK_ROWS = 32 * _TEMPLATE_ROWS
 
 
-@functools.lru_cache(maxsize=None)
-def _value_template(key_size: int, value_size: int) -> np.ndarray:
-    """The first 256 records' value fill (ids and keys left zero):
-    little-endian id prefix + a rolling fill of the id.  Built once per
-    geometry and shared, so read-only."""
+@functools.lru_cache(maxsize=4)
+def _first_block(key_size: int, value_size: int) -> np.ndarray:
+    """Records ``0 .. _BLOCK_ROWS - 1`` with their keys left zero: a
+    little-endian id prefix, then a rolling fill of the id.  A later
+    block differs from it only in its ids, so every block starts as a
+    copy of it.  Built once per geometry and shared, so read-only."""
     record_size = key_size + value_size
-    template = np.zeros((_TEMPLATE_ROWS, record_size), dtype=np.uint8)
     fill_at = key_size + min(8, value_size)
+    block = np.zeros((_BLOCK_ROWS, record_size), dtype=np.uint8)
     per_id = (np.arange(_TEMPLATE_ROWS, dtype=np.uint32) * 131 + 7).astype(np.uint8)
     fill = (np.arange(record_size - fill_at, dtype=np.uint32) * 7).astype(np.uint8)
+    template = block[:_TEMPLATE_ROWS]
     np.add(per_id[:, None], fill, out=template[:, fill_at:])
-    template.flags.writeable = False
-    return template
+    block[_TEMPLATE_ROWS:].reshape(-1, template.size)[:] = template.reshape(-1)
+    _write_ids(block, np.arange(_BLOCK_ROWS, dtype="<u8"), 0, key_size)
+    block.flags.writeable = False
+    return block
 
 
-def _fill_values(
-    block: np.ndarray, template: np.ndarray, ids: np.ndarray, first_id: int, key_size: int
-) -> None:
-    """Value bytes of the records ``first_id ..`` (``first_id`` a
-    multiple of 256), written in place after each row's key; ``ids``
-    is ``arange(len(block))`` as ``<u8``.
+def _write_ids(block: np.ndarray, ids: np.ndarray, first_id: int, key_size: int) -> None:
+    """The ordinals ``first_id ..`` of ``block``'s rows, little-endian,
+    into the (up to) eight value bytes after each key; ``ids`` is
+    ``arange(len(block))`` as ``<u8``.
 
     The id prefix makes each (id, position) byte recoverable, so a
-    corrupted or duplicated record is detectable without hashing.  Key
-    bytes are left for the caller to write.
+    corrupted or duplicated record is detectable without hashing.
     """
     n_records, record_size = block.shape
     id_bytes = min(8, record_size - key_size)
     fill_at = key_size + id_bytes
-    # Copy the template in contiguous 256-row blocks, then write the ids
-    # over it.
-    blocks, rest = divmod(n_records, _TEMPLATE_ROWS)
-    block[: blocks * _TEMPLATE_ROWS].reshape(blocks, template.size)[:] = template.reshape(-1)
-    block[blocks * _TEMPLATE_ROWS :] = template[:rest]
     if id_bytes == 8:
         np.add(ids, first_id, out=block[:, key_size:fill_at].view("<u8")[:, 0])
     else:
