@@ -311,7 +311,8 @@ class Cluster(ProbeHost):
         DRAM contents, transient degradation) is gone -- only the
         crashed shard additionally lost its in-flight writes (torn by
         the injector).  Mirroring :meth:`repro.machine.Machine.reboot`,
-        this replaces the engine (clock carried forward), rebuilds the
+        this closes the old engine's processes, replaces the engine
+        (clock carried forward), rebuilds the
         shared DRAM pool, clears degradation, re-registers every
         shard's rate model and observers (plus the interconnect),
         re-attaches injectors (re-arming unfired timed events) and
@@ -326,6 +327,7 @@ class Cluster(ProbeHost):
                 victim if isinstance(victim, Machine)
                 else self.shard_by_domain(victim)
             )
+        self.engine.close()
         now = self.engine.now
         self.router = DomainRouter()
         engine = Engine(self.router, start_time=now, probes=self.probes)

@@ -347,6 +347,9 @@ class ShardedWiscSort(SortSystem):
         bases = np.zeros((n_parts, n_parts), dtype=np.int64)
         bases[1:] = np.cumsum(counts[:-1], axis=0)
         bases *= rec
+        # Each staging file the scatter fills is reserved at its final size.
+        for d in lost:
+            stagings[d].reserve(int(counts[:, d].sum()) * rec)
 
         # -- Shuffle: concurrent per-source streaming scatter (idempotent:
         #    reserved offsets overwrite any torn bytes with identical
@@ -701,6 +704,7 @@ class ShardedWiscSort(SortSystem):
         holding a write-pool admission slot.
         """
         copy = dst.fs.create(f"{self.output_name}.stage{d}.spec")
+        copy.reserve(staging.size)
         read_threads = arbiter.controller(src.domain).read_threads(Pattern.SEQ)
         write_threads = arbiter.write_threads(dst.domain)
         rec = self.fmt.record_size

@@ -340,6 +340,7 @@ class CheckpointedRunMergeSort(SortSystem):
         self._check_checkpoint_config()
         controller = self._controller(machine)
         output = machine.fs.create(self.output_name)
+        output.reserve(input_file.size)
         self._arm_checkpoint(machine.fs)
         machine.run(
             self._run_then_merge(machine, input_file, output, controller),
@@ -405,6 +406,7 @@ class CheckpointedRunMergeSort(SortSystem):
                             next_names.append(group[0])
                             continue
                         inter = fs.create(self._next_inter_name(fs))
+                        inter.reserve(sum(fs.open(name).size for name in group))
                         yield from self._merge_group(
                             machine, input_file, controller, group, inter
                         )
@@ -494,6 +496,7 @@ class CheckpointedRunMergeSort(SortSystem):
             if fs.exists(self.output_name)
             else fs.create(self.output_name)
         )
+        output.reserve(input_file.size)
         self._ckpt = CheckpointLog(fs, self._manifest_name())
         state = self._ckpt.load() or {}
         self.last_recovery = metrics = {

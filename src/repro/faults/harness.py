@@ -83,6 +83,8 @@ def run_with_faults(
     try:
         result = system.run(owner, input_file, validate=validate)
     except SimulatedCrash as crash:
+        # The traceback's frames would keep the dead attempt alive.
+        crash.__traceback__ = None
         result = _recover_loop(
             system, owner, input_file, crash, validate, max_recoveries, report
         )
@@ -118,4 +120,4 @@ def _recover_loop(
         try:
             return system.recover(owner, input_file, validate=validate)
         except SimulatedCrash as next_crash:
-            crash = next_crash
+            crash = next_crash.with_traceback(None)

@@ -212,7 +212,10 @@ class Machine(ProbeHost):
         Models a host restart after a :class:`~repro.errors.SimulatedCrash`:
         volatile state (in-flight processes, DRAM contents, any transient
         degradation) is lost, while the device -- filesystem contents and
-        accumulated statistics -- survives.  The new engine's clock
+        accumulated statistics -- survives.  The old engine's processes
+        are closed first (:meth:`~repro.sim.engine.Engine.close`): the
+        dead attempt's ``finally`` blocks run here, and its memory is
+        freed now rather than at the next cyclic collection.  The new engine's clock
         continues from the crash time, so recovery cost is visible in the
         total simulated duration.  An installed fault injector is
         re-attached and keeps its global op counter and fired-event
@@ -225,6 +228,7 @@ class Machine(ProbeHost):
                 "cluster shards cannot reboot independently; reboot is a "
                 "whole-host operation on the owning cluster"
             )
+        self.engine.close()
         now = self.engine.now
         self.rate_model.degrade = 1.0
         self.engine = Engine(self.rate_model, start_time=now, probes=self.probes)

@@ -71,14 +71,22 @@ class TestCalibration:
     def test_fresh_machines_always_get_their_own_device(self, monkeypatch):
         # Machines come and go with fresh profile objects; an identity
         # key handed a freed id's calibration to a different device.
+        # Runs until a freed profile's id has gone to a different device.
         monkeypatch.setattr(microbench, "_CACHE", {})
         names = sorted(PROFILE_FACTORIES)
+        device_of_id = {}
         for i in range(300):
             machine = Machine(profile=PROFILE_FACTORIES[names[i % len(names)]]())
             ctl = ThreadPoolController(machine, SortConfig())
             assert ctl.calibration.device_name == machine.profile.name, i
+            earlier = device_of_id.get(id(machine.profile), machine.profile.name)
+            if earlier != machine.profile.name:
+                break
+            device_of_id[id(machine.profile)] = machine.profile.name
             del machine, ctl
             gc.collect()
+        else:
+            pytest.fail("no freed profile id went to another device in 300 machines")
         assert len(microbench._CACHE) <= len(names)
 
     def test_table_is_printable(self, pmem, host):
