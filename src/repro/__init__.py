@@ -79,7 +79,6 @@ from repro.cluster import (
     generate_cluster_dataset,
     parse_slo,
 )
-from repro.query import JoinResult, QueryResult, SortedIndex, indexmap_join
 from repro.registry import (
     available,
     create_system,
@@ -163,11 +162,7 @@ __all__ = [
     "TraceArrivals",
     "JobSpec",
     "stream_fingerprint",
-    # late materialization & compression extensions (paper Sec 5)
-    "SortedIndex",
-    "QueryResult",
-    "indexmap_join",
-    "JoinResult",
+    # compression extension (paper Sec 5)
     "CompressionModel",
     "estimate_benefit",
     # facade & registry

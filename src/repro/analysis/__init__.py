@@ -6,7 +6,8 @@ Two halves:
   -- an AST-based linter enforcing simulator-specific invariants (no
   wall-clock in simulated code, no unseeded RNG, no iteration-order
   leaks, no float-equality on simulated time, no uncharged byte moves).
-  Run it with ``python -m repro.analysis.lint <paths>``.
+  Run it with ``python -m repro.analysis.lint <paths>``; nothing else
+  in the package imports it.
 
 * **SimSanitizer** (:mod:`repro.analysis.sanitizer`) -- an opt-in
   runtime checker installed via
@@ -29,7 +30,6 @@ from repro.analysis.race import (
     schedule_fuzz,
     sort_output_fingerprint,
 )
-from repro.analysis.rules import RULES, Finding, check_module
 from repro.analysis.sanitizer import (
     ChargeAuditor,
     DeterminismReport,
@@ -37,23 +37,7 @@ from repro.analysis.sanitizer import (
     verify_determinism,
 )
 
-
-def __getattr__(name):
-    # Lazy re-export: importing repro.analysis.lint here eagerly would
-    # trip the "found in sys.modules" warning under
-    # ``python -m repro.analysis.lint``.
-    if name in ("lint_paths", "lint_source"):
-        from repro.analysis import lint
-
-        return getattr(lint, name)
-    raise AttributeError(name)
-
 __all__ = [
-    "RULES",
-    "Finding",
-    "check_module",
-    "lint_paths",
-    "lint_source",
     "ChargeAuditor",
     "DeterminismReport",
     "SimSanitizer",

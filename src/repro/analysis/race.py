@@ -36,11 +36,10 @@ resume    the waking coroutine's clock (if the wake happens inside a
           coroutine step) merges into the resumed one.
 join      the joiner merges every target's final clock (not just the
           last finisher's).
-acquire   a primitive's resource clock merges into the acquirer
-          (Semaphore fast-path acquire, SimQueue get/try_get, Barrier
-          release); ``release``/``put`` merge the releaser into the
-          resource clock.  This covers the fast paths that never pass
-          through block/resume.
+acquire   a semaphore's resource clock merges into the acquirer
+          (fast-path acquire or wake); ``release`` merges the releaser
+          into the resource clock.  This covers the fast path that
+          never passes through block/resume.
 ========  =============================================================
 """
 
@@ -54,15 +53,12 @@ import numpy as np
 
 from repro.errors import RaceError, ScheduleDivergenceError
 from repro.sim.engine import Join
-from repro.sim.primitives import Barrier, Semaphore, SimQueue
+from repro.sim.primitives import Semaphore
 from repro.sim.probe import Probe, ProbeSet
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Engine, Process
     from repro.storage.file import SimFile
-
-#: Primitives carrying a resource clock for acquire/release edges.
-_PRIMITIVE_TYPES = (Semaphore, Barrier, SimQueue)
 
 #: Cap on recorded distinct races (each pair is deduplicated anyway);
 #: a racy workload would otherwise grow the report without bound.
@@ -239,21 +235,14 @@ class RaceDetector(Probe):
         self._clocks[proc.pid] = child
 
     def on_block(self, proc: "Process", resource: Any, verb: str) -> None:
-        c = self._tick(proc)
-        # Barrier arrivals and queue puts publish state through the
-        # resource: merge the blocker into the resource clock so the
-        # eventual releaser / getter inherits the edge.
-        if isinstance(resource, Barrier) or (
-            isinstance(resource, SimQueue) and verb == "put"
-        ):
-            self._res_merge(resource, c)
+        self._tick(proc)
 
     def on_resume(self, proc: "Process", resource: Any) -> None:
         c = self._clock_of(proc)
         waker = self._engine.current
         if waker is not None and waker is not proc:
             _merge(c, self._tick(waker))
-        if isinstance(resource, _PRIMITIVE_TYPES):
+        if isinstance(resource, Semaphore):
             entry = self._res_clocks.get(id(resource))
             if entry is not None:
                 _merge(c, entry[1])

@@ -32,7 +32,7 @@ DEV001    In ``core/`` and ``baselines/``, raw byte moves
           access is for fixtures and validation only.
 SIM005    No mutation of shared enclosing-scope / ``self`` state from
           a spawned coroutine body without a named arbiter primitive
-          (``Semaphore`` / ``Barrier`` / ``SimQueue``).  Two spawned
+          (a ``Semaphore``, or any ``wait`` / ``put`` / ``get`` verb).  Two spawned
           generators writing the same closure cell or attribute race
           under any legal same-instant schedule permutation; route the
           result through a queue or guard it with a lock.
@@ -682,8 +682,8 @@ class _SpawnMutationChecker(ast.NodeVisitor):
                             "SIM005",
                             f"spawned coroutine {fn.name!r} mutates shared "
                             f"state {desc} with no arbiter primitive in its "
-                            f"body; route the result through a SimQueue or "
-                            f"guard it with a Semaphore/Barrier",
+                            f"body; route the result through a queue or "
+                            f"guard it with a Semaphore",
                         )
                     )
 

@@ -10,12 +10,12 @@ untouched.
 Three checkers:
 
 * **Waits-for deadlock diagnostics.**  The engine tracks which process
-  is parked on which resource (Barrier / Semaphore / SimQueue / fluid
-  op / sleep / join) from the bus's block and wake events.  When the event
-  loop runs dry with blocked processes, the resulting
+  is parked on which resource (semaphore / fluid op / sleep / join)
+  from the bus's block and wake events.  When the event loop runs dry
+  with blocked processes, the resulting
   :class:`~repro.errors.DeadlockError` names every stuck coroutine and
-  the resource (with state: arrived-count, semaphore value, queue
-  depth) it waits on, instead of reporting a bare count.
+  the resource (with state: semaphore value, pending joins) it waits
+  on, instead of reporting a bare count.
 
 * **Charge accounting audit.**  Every byte a timed ``SimFile``
   operation moves must be charged to the device model (the bus's
@@ -55,27 +55,13 @@ def describe_resource(resource: Any) -> str:
     """Human-readable state of whatever a process is parked on."""
     from repro.sim.engine import Join, ParallelOps, Sleep
     from repro.sim.fluid import FluidOp
-    from repro.sim.primitives import Barrier, Semaphore, SimQueue
+    from repro.sim.primitives import Semaphore
 
-    if isinstance(resource, Barrier):
-        name = f"{resource.name!r}, " if resource.name else ""
-        return (
-            f"Barrier({name}arrived {resource._arrived}/{resource.parties}, "
-            f"generation {resource.generation})"
-        )
     if isinstance(resource, Semaphore):
         name = f"{resource.name!r}, " if resource.name else ""
         return (
             f"Semaphore({name}count={resource._count}, "
             f"{len(resource._waiters)} waiter(s))"
-        )
-    if isinstance(resource, SimQueue):
-        name = f"{resource.name!r}, " if resource.name else ""
-        cap = "inf" if resource.maxsize is None else resource.maxsize
-        return (
-            f"SimQueue({name}{len(resource._items)}/{cap} items, "
-            f"{len(resource._get_waiters)} getter(s), "
-            f"{len(resource._put_waiters)} putter(s))"
         )
     if isinstance(resource, FluidOp):
         return repr(resource)

@@ -267,7 +267,7 @@ class Cluster(ProbeHost):
         )
 
     # ------------------------------------------------------------------
-    # Fault injection, crash recovery and elasticity
+    # Fault injection and crash recovery
     # ------------------------------------------------------------------
     def install_faults(
         self,
@@ -360,46 +360,6 @@ class Cluster(ProbeHost):
                 cat="fault",
                 track="cluster",
                 victim=shard.domain if shard is not None else "?",
-            )
-        return shard
-
-    def add_shard(self, profile: Union[str, DeviceProfile, None] = None) -> Machine:
-        """Admit a new shard mid-run (elastic scale-out).
-
-        The shard joins the shared engine, clock, DRAM pool and
-        interconnect immediately and is visible to
-        :class:`ClusterStats` (which reads the live shard list).  An
-        in-progress sharded sort keeps its planned partition count --
-        splitters were already chosen -- but can use the newcomer as a
-        spare for speculative re-issue; the *next* ``run`` re-plans with
-        the grown shard count.  With a
-        fault plan installed the newcomer gets its own injector slice.
-        """
-        if profile is None:
-            prof = self.shards[0].profile
-        elif isinstance(profile, str):
-            prof = get_profile(profile)()
-        else:
-            prof = profile
-        index = len(self.shards)
-        shard = Machine(
-            profile=prof,
-            host=self.host,
-            engine=self.engine,
-            domain=f"shard{index}",
-            dram=self.dram,
-        )
-        self.shards.append(shard)
-        if self.faults is not None:
-            sub = self.faults.plan.for_shard(shard.domain)
-            self.faults.injectors[shard.domain] = shard.install_faults(
-                sub, count_only=self.faults.count_only
-            )
-        self.probes.add_shard(shard)
-        for emit in self.probes.instant:
-            emit(
-                "shard-admitted", cat="elastic", track="cluster",
-                domain=shard.domain,
             )
         return shard
 

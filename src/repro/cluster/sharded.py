@@ -157,11 +157,7 @@ class ShardedWiscSort(SortSystem):
         """The shards owning this run's partitions, in partition order.
 
         The partition count is the *input's* part count; shards beyond
-        it (admitted via :meth:`Cluster.add_shard`, before or during the
-        run) serve as spares for speculative re-issue.
-        The next dataset generated on the grown cluster has more parts,
-        so the next run re-plans -- and rebalances its splitters -- over
-        the full shard count.
+        it serve as spares for speculative re-issue.
         """
         n_parts = len(sharded_input.parts)
         if n_parts > len(cluster.shards):
@@ -548,7 +544,6 @@ class ShardedWiscSort(SortSystem):
         """
         part_name = f"{self.output_name}.shard{d}"
         if shard is not home:
-            arbiter.ensure(shard.domain)
             staging = yield from self._relocate_staging(
                 cluster, home, shard, staging, d, arbiter
             )
@@ -646,8 +641,8 @@ class ShardedWiscSort(SortSystem):
         After each commit, sleep to ``start + SPEC_FACTOR x`` the slowest
         completed duration (again if commits meanwhile moved it), then
         give every open partition without a copy the first idle shard --
-        so a shard freed or admitted mid-run is a target at the next
-        commit or deadline.
+        so a shard freed mid-run is a target at the next commit or
+        deadline.
         """
         engine = cluster.engine
         durations = state["durations"]
@@ -666,8 +661,7 @@ class ShardedWiscSort(SortSystem):
                 if len(attempts) > 1 or attempts[0][0].done:
                     continue
                 home = attempts[0][1]
-                # First shard with no running attempt: a spare (possibly
-                # admitted mid-run: this reads the live shard list) or a
+                # First shard with no running attempt: a spare or a
                 # home whose partition already finished.
                 spare = next(
                     (m for m in cluster.shards if m.domain not in state["busy"]),

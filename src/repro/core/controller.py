@@ -100,24 +100,13 @@ class WritePoolArbiter:
     """
 
     def __init__(self, cluster):
-        self._cluster = cluster
         self._slots = {}
         self._controllers = {}
         for shard in cluster.shards:
-            self._admit(shard)
-
-    def _admit(self, shard) -> None:
-        controller = ThreadPoolController(shard, self._cluster.config)
-        self._controllers[shard.domain] = controller
-        self._slots[shard.domain] = shard.semaphore(
-            1, name=f"write-pool:{shard.domain}", reason="write-slot"
-        )
-
-    def ensure(self, domain: str) -> None:
-        """Late-admit a shard that joined after construction (elastic
-        scale-out): build its controller and write slot on first use."""
-        if domain not in self._slots:
-            self._admit(self._cluster.shard_by_domain(domain))
+            self._controllers[shard.domain] = ThreadPoolController(shard, cluster.config)
+            self._slots[shard.domain] = shard.semaphore(
+                1, name=f"write-pool:{shard.domain}", reason="write-slot"
+            )
 
     def write_threads(self, domain: str) -> int:
         """The destination device's calibrated write-pool size."""

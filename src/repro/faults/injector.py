@@ -41,7 +41,6 @@ from repro.errors import (
 )
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.faults.retry import _RetryingIO
-from repro.sim.fluid import remaining_work
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.machine import Machine
@@ -415,8 +414,8 @@ class FaultInjector:
         op, f, n = rec.op, rec.file, rec.nbytes
         if op.work > 0:
             # An in-flight op's settled remainder lives in its group's
-            # column; remaining_work reads it from there.
-            progress = max(0.0, min(1.0, 1.0 - remaining_work(op) / op.work))
+            # column; op.remaining reads it from there.
+            progress = max(0.0, min(1.0, 1.0 - op.remaining / op.work))
         else:
             progress = 0.0
         durable = self._tear_point(n, progress)

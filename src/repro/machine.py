@@ -29,7 +29,7 @@ from repro.device.stats import DeviceStats
 from repro.errors import ConfigError
 from repro.sim.engine import Engine, SimGenerator
 from repro.sim.fluid import SHARED_GROUP, FluidOp
-from repro.sim.primitives import Barrier, Semaphore, SimQueue
+from repro.sim.primitives import Semaphore
 from repro.sim.probe import ProbeSet, scope
 from repro.storage.dram import DramTracker
 from repro.storage.filesystem import SimFS
@@ -64,7 +64,7 @@ class ProbeHost:
 
         return self.probes.install(SimSanitizer(trace=trace))
 
-    def install_tracer(self, detail: bool = False):
+    def install_tracer(self):
         """Install a :class:`repro.trace.Tracer`.
 
         Opt-in observability: sim-time spans, per-op device events with
@@ -75,7 +75,7 @@ class ProbeHost:
         """
         from repro.trace import Tracer
 
-        return self.probes.install(Tracer(detail=detail))
+        return self.probes.install(Tracer())
 
     def install_race_detector(self):
         """Install a :class:`~repro.analysis.race.RaceDetector`.
@@ -334,18 +334,7 @@ class Machine(ProbeHost):
     def now(self) -> float:
         return self.engine.now
 
-    def barrier(self, parties: int, name: str = "") -> Barrier:
-        return Barrier(self.engine, parties, name=name)
-
     def semaphore(
         self, count: int = 1, name: str = "", reason: Optional[str] = None
     ) -> Semaphore:
         return Semaphore(self.engine, count, name=name, reason=reason)
-
-    def queue(
-        self,
-        maxsize: Optional[int] = None,
-        name: str = "",
-        reason: Optional[str] = None,
-    ) -> SimQueue:
-        return SimQueue(self.engine, maxsize, name=name, reason=reason)

@@ -2,7 +2,7 @@
 
 The kernel provides generator-based cooperative "simulated threads"
 (:class:`~repro.sim.engine.Process`), an event loop
-(:class:`~repro.sim.engine.Engine`), synchronisation primitives
+(:class:`~repro.sim.engine.Engine`), a semaphore
 (:mod:`repro.sim.primitives`) and a fluid-flow work scheduler
 (:mod:`repro.sim.fluid`) that turns resource-sharing descriptions into
 completion times.
@@ -21,7 +21,7 @@ from repro.sim.fluid import (
     time_eq,
     time_ne,
 )
-from repro.sim.primitives import Barrier, Semaphore, SimQueue
+from repro.sim.primitives import Semaphore
 
 __all__ = [
     "Engine",
@@ -36,7 +36,5 @@ __all__ = [
     "UniformRateModel",
     "time_eq",
     "time_ne",
-    "Barrier",
     "Semaphore",
-    "SimQueue",
 ]

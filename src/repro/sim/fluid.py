@@ -39,7 +39,7 @@ Hot-path design (see DESIGN.md "Fluid core: one group, one storage"):
 * **Coalesced completions** -- all ops finishing at the same simulated
   instant pop in one call and are returned sorted by ``seq`` (the op's
   stable integer id) so waiters resume deterministically; see
-  :meth:`FluidScheduler.pop_completed` for the ordering invariant.
+  :meth:`FluidScheduler.settle_due` for the ordering invariant.
   Zero-work ops never enter the active set at all.
 
 Determinism invariants (asserted by
@@ -108,11 +108,6 @@ def vector_enabled(default: bool = True) -> bool:
     if value is None:
         return default
     return value.strip().lower() not in ("0", "false", "off", "no", "")
-
-
-def remaining_work(op: "FluidOp") -> float:
-    """The op's settled remaining work (alias of ``op.remaining``)."""
-    return op.remaining
 
 
 _op_counter = itertools.count()
@@ -205,11 +200,6 @@ class FluidOp:
         #: Cached interval-observer classification (see
         #: :func:`observer_code`); shared by stats and tracer observers.
         self._obs = None
-
-    @property
-    def op_id(self) -> int:
-        """Stable integer identity (alias of ``seq``)."""
-        return self.seq
 
     @property
     def remaining(self) -> float:
@@ -526,10 +516,10 @@ class FluidScheduler:
     """Tracks active ops, advances their work, finds next completion.
 
     The owning :class:`~repro.sim.engine.Engine` drives this object:
-    ``settle`` debits work done since the last settle, ``rerate`` asks the
-    model for fresh rates for dirty resource groups, and
-    ``next_completion`` reports when the earliest op will finish under
-    current rates.
+    ``refresh`` settles an instant whose membership changed, asks the
+    model for fresh rates for dirty resource groups and pops what is
+    due; ``next_completion`` reports when the earliest op will finish
+    under current rates, and ``settle_due`` advances to it.
     """
 
     def __init__(
@@ -557,7 +547,7 @@ class FluidScheduler:
         self._group_observers: Dict[object, list] = {}
         #: Resource groups by key.  Tabled groups stay registered while
         #: empty (their rate-table memo is the point); the others are
-        #: dropped by the rerate that finds them empty.
+        #: dropped by the re-rate that finds them empty.
         self._groups: Dict[object, _Group] = {}
         self._dirty_keys: set = set()
         #: Issue-ordered list of all active ops, built on demand for
@@ -656,8 +646,23 @@ class FluidScheduler:
         self._settle(now, None)
 
     def settle_due(self, now: float) -> list[FluidOp]:
-        """:meth:`settle` to ``now``, then :meth:`pop_completed`, with
-        the groups holding due rows collected by the settle pass."""
+        """:meth:`settle` to ``now``, then remove and return the ops whose
+        scheduled finish time has arrived (the settle pass collects the
+        groups holding due rows).
+
+        Ordering invariant: all ops finishing at (or before) ``now`` are
+        coalesced into one batch and returned in ascending op id
+        (``seq``) order -- *not* in group order -- so simultaneous
+        completions resume their waiters deterministically;
+        :meth:`refresh` returns its batch the same way.
+
+        A tie-reordering probe (schedule fuzzing) deliberately permutes
+        this same-instant completion batch *after* it leaves here: the
+        engine shuffles the returned list before waking waiters, so
+        correct workloads must not depend on the ``seq`` tie order.  The
+        ascending-``seq`` contract is the reproducible baseline, not a
+        guarantee workloads may lean on.
+        """
         due: List[_Group] = []
         if not self._settle(now, due):
             due = [g for g in self._groups.values() if g.min_finish <= now]  # reprolint: disable=SIM003 -- batch is sorted by op id
@@ -704,7 +709,9 @@ class FluidScheduler:
         return sorted(itertools.chain.from_iterable(columns), key=_SEQ_KEY)
 
     def rerate(self, now: float) -> None:
-        """Recompute rates for ops in dirty resource groups.
+        """Recompute rates for ops in dirty resource groups: the re-rate
+        pass of :meth:`refresh` alone, which benchmarks/ledger/micro.py
+        times.  No engine path calls it.
 
         Must be called with the scheduler settled to ``now``; completion
         times are derived from the settled remaining work.  Ops whose
@@ -715,7 +722,7 @@ class FluidScheduler:
 
     def refresh(self, now: float) -> list[FluidOp]:
         """The engine's pass at an instant whose membership changed:
-        :meth:`settle`, :meth:`rerate`, :meth:`pop_completed`.  Only a
+        settle, re-rate the dirty groups, pop the due rows.  Only a
         re-rated group can hold a due row -- every other group's were
         popped when the clock reached ``now`` -- unless the settle had
         time to debit, and then its pass collects them."""
@@ -744,10 +751,7 @@ class FluidScheduler:
                     if due is not None and group.min_finish <= now and group not in due:
                         due.append(group)
             keys.clear()
-            if n:
-                self.ops_rerated += n
-                for fn in self.probes.rerate:
-                    fn(n)
+            self.ops_rerated += n
         self.dirty = False
 
     def _solve(self, group: _Group, now: float) -> int:
@@ -816,7 +820,7 @@ class FluidScheduler:
         observers then account exactly the work that physically
         happened before the cancel, no more.  The op never reaches the
         completion queue: its row is closed and survivors' rates are
-        recomputed at the next rerate (the freed bandwidth speeds them
+        recomputed at the next refresh (the freed bandwidth speeds them
         up from *now*, not retroactively).  Returns False if the op was
         not active (already completed or never issued).
         """
@@ -837,7 +841,7 @@ class FluidScheduler:
         Used when the rate model's *global* state changes mid-run (e.g.
         a fault-injected throughput-degradation window opening or
         closing): every populated resource group is marked dirty so the
-        next ``rerate`` call recomputes all active rates under the new
+        next ``refresh`` recomputes all active rates under the new
         model state.  Rate-table memos are keyed on the model's state
         token, so degraded windows never reuse healthy tables.
         """
@@ -848,22 +852,9 @@ class FluidScheduler:
             self.dirty = True
 
     def pop_completed(self, now: float) -> list[FluidOp]:
-        """Remove and return ops whose scheduled finish time has arrived.
-
-        Ordering invariant (relied on by the engine's batch completion
-        and documented by ``tests/sim/test_fluid_vector.py``): all ops
-        finishing at (or before) ``now`` are coalesced into one batch
-        and returned in ascending op id (``seq``) order -- *not* in
-        group order -- so simultaneous completions resume their waiters
-        deterministically.
-
-        A tie-reordering probe (schedule fuzzing) deliberately permutes
-        this same-instant completion batch *after* it leaves here: the
-        engine shuffles the returned list before waking waiters, so
-        correct workloads must not depend on the ``seq`` tie order.  The
-        ascending-``seq`` contract above is the reproducible baseline,
-        not a guarantee workloads may lean on.
-        """
+        """:meth:`settle_due` without the settle.  No engine path calls
+        it; benchmarks/ledger/trace.py times it by name, so it goes with
+        that list."""
         return self._pop(
             [g for g in self._groups.values() if g.min_finish <= now],  # reprolint: disable=SIM003 -- batch is sorted by op id
             now,

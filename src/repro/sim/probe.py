@@ -45,8 +45,7 @@ EVENTS = {
     # fluid scheduler
     "op_issue": "(op, now)",
     "op_done": "(op, now)",
-    "rerate": "(n_ops)",
-    # primitives' fast paths (no block/resume)
+    # the semaphore's fast paths (no block/resume)
     "acquire": "(proc, resource)",
     "release": "(resource)",
     # storage
@@ -103,9 +102,6 @@ class Probe:
         install and after every reboot: volatile per-engine state resets
         here, recorded findings survive."""
 
-    def watch_shard(self, shard) -> None:
-        """A shard joined the owning cluster mid-run."""
-
     def subscriptions(self) -> Iterable[Tuple[str, Callable]]:
         """``(event or group, bound callback)`` pairs, in call order."""
         return ()
@@ -137,10 +133,6 @@ class ProbeSet:
         for probe in self.probes:
             probe.bind(self)
         self._compile()
-
-    def add_shard(self, shard) -> None:
-        for probe in self.probes:
-            probe.watch_shard(shard)
 
     def _compile(self) -> None:
         table: dict = {event: [] for event in EVENTS}

@@ -15,7 +15,7 @@ queries:
   ``net`` for interconnect transfers, ``cpu`` for compute/copy ops.
 * A wait on a primitive is billed by its *blocked reason*: ``dram``
   becomes ``dram_stall``; everything else (``write-slot``,
-  ``barrier``, queue verbs, sleeps) is ``queueing`` with the reason as
+  ``barrier``, sleeps) is ``queueing`` with the reason as
   the blame key.
 * A ``Join`` wait descends into the last-finishing child and classifies
   *its* waits inside the window -- recursively, so nested fan-out

@@ -3,7 +3,7 @@
 A :class:`Tracer` is a :class:`~repro.sim.probe.Probe`: it installs on
 a :class:`~repro.machine.Machine` (or a whole
 :class:`~repro.cluster.Cluster`) through the probe bus, subscribing to
-exactly the events its ``detail`` / ``analyze`` flags call for, so an
+exactly the events its ``analyze`` flag calls for, so an
 uninstalled tracer costs nothing and an installed one never changes
 simulated results.
 
@@ -18,8 +18,7 @@ What gets recorded (all timestamps are *simulated* seconds):
   multiplier in force at issue time, the issuing coroutine and the
   enclosing span -- so traffic rolls up by phase x device class x shard.
 * **Instant events** -- faults, retries, backoff, crashes, slow
-  windows, scheduler admissions; plus (``detail=True``) engine
-  spawn/block/resume and fluid re-rate events.
+  windows, scheduler admissions.
 * **Counter samples** -- read/write bandwidth and CPU cores per
   machine track (read off the rows the machine's ``DeviceStats``
   appends each settle epoch; the cluster's ``"net"`` track off
@@ -33,7 +32,6 @@ from __future__ import annotations
 
 import itertools
 from contextlib import contextmanager
-from functools import partial
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.sim.fluid import (
@@ -109,7 +107,7 @@ class Span:
 
 
 #: Block verbs of the engine's own commands; any other verb is a
-#: primitive's (``acquire`` / ``wait`` / ``put`` / ``get``).
+#: primitive's (a semaphore's ``acquire``, a retry's ``retrying-io``).
 _ENGINE_WAITS = frozenset(("io", "sleep", "join", "parallel"))
 
 
@@ -121,25 +119,20 @@ class Tracer(Probe):
     the global sequence does not reset between runs in one process, so
     leaking it into exports would break byte-identical re-runs.
 
-    ``detail=True`` additionally records engine scheduling events
-    (spawn/block/resume) and fluid re-rates; these are high-volume and
-    off by default.
-
     ``analyze=True`` arms the blocked-reason hooks consumed by
     :mod:`repro.trace.analyze`: one *wait record* per blocking engine
     command (why each coroutine waited, and on what) and one *process
     record* per spawned coroutine.  Like every other hook these are
     observe-only -- simulated results are bit-identical either way.
-    Both flags are read when the tracer is installed (they decide which
-    bus events it subscribes to), so set them before :meth:`install`.
+    The flag is read when the tracer is installed (it decides which
+    bus events it subscribes to), so set it before :meth:`install`.
     """
 
     #: Track key used for a standalone machine (cluster shards use
     #: their domain keys instead).
     MAIN_TRACK = "machine"
 
-    def __init__(self, detail: bool = False, analyze: bool = False):
-        self.detail = detail
+    def __init__(self, analyze: bool = False):
         self.analyze = analyze
         self.spans: List[Span] = []
         self.ops: List[dict] = []
@@ -193,14 +186,14 @@ class Tracer(Probe):
             return  # a bare engine: spans and ops, no counter tracks
         shards = getattr(owner, "shards", None)
         if shards is None:
-            self.watch_shard(owner)
+            self._watch_machine(owner)
         else:
             # One tracer watches the shared engine: a counter track per
             # shard, aggregate interconnect bandwidth on "net", and the
             # cluster-wide DRAM pool on "cluster".
             self._dram_track = "cluster"
             for shard in shards:
-                self.watch_shard(shard)
+                self._watch_machine(shard)
             if owner.net_stats is not None:
                 probes.engine.fluid.interval_observers.append(
                     self._make_net_observer()
@@ -210,9 +203,9 @@ class Tracer(Probe):
         self._last_counter.pop((self._dram_track, "dram_used"), None)
         self._dram_change(owner.dram.used)
 
-    def watch_shard(self, shard: "Machine") -> None:
+    def _watch_machine(self, shard: "Machine") -> None:
         """Register one machine's counter track (a standalone machine,
-        or a cluster shard -- including one admitted mid-run)."""
+        or a cluster shard)."""
         key = shard.domain if shard.domain is not None else self.MAIN_TRACK
         self._machines[key] = shard
         shard.engine.fluid.interval_observers.append(
@@ -240,15 +233,6 @@ class Tracer(Probe):
                 ("cancel", self.wait_end),
                 ("cancel", self.analyze_finish),
                 ("dram_pressure", self._dram_pressure),
-            ]
-        if self.detail:
-            sched = self.sched_event
-            subs += [
-                ("spawn", partial(sched, "spawn")),
-                ("block_primitive", self._sched_block),
-                ("resume", partial(sched, "resume")),
-                ("cancelled", partial(sched, "cancel")),
-                ("rerate", self.on_rerate),
             ]
         return subs
 
@@ -509,8 +493,10 @@ class Tracer(Probe):
         if rec is not None and rec["t1"] is None:
             rec["t1"] = t_done
 
+    # No bus event calls the next two: benchmarks/ledger/trace.py times
+    # them by name among the tracer's hooks, so they go with that list.
     def on_rerate(self, n_ops: int) -> None:
-        """Fluid re-rate event (subscribed in ``detail`` mode only)."""
+        """Fluid re-rate instant."""
         self.instants.append(
             {
                 "name": "rerate",
@@ -523,7 +509,7 @@ class Tracer(Probe):
         )
 
     def sched_event(self, verb: str, proc: "Process", _detail: Any = None) -> None:
-        """Engine spawn/block/resume/cancel event (``detail`` mode only)."""
+        """Engine scheduling instant."""
         self.instants.append(
             {
                 "name": verb,
@@ -534,9 +520,6 @@ class Tracer(Probe):
                 "args": None,
             }
         )
-
-    def _sched_block(self, proc: "Process", _resource: Any, verb: str) -> None:
-        self.sched_event(f"block:{verb}", proc)
 
     # ------------------------------------------------------------------
     # Blocked-reason hooks (subscribed in ``analyze`` mode only)

@@ -11,11 +11,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.race import RaceDetector, sort_output_fingerprint
+from repro.analysis.race import sort_output_fingerprint
 from repro.errors import RaceError
 from repro.machine import Machine
 from repro.sim.engine import Join, Sleep, Spawn
-from repro.sim.primitives import Barrier, Semaphore, SimQueue
+from repro.sim.primitives import Semaphore
 
 
 def _machine_with_file(nbytes=4096, name="hot"):
@@ -248,38 +248,6 @@ class TestHappensBefore:
 
         _spawn_pair(m, first(), second(), "first", "second")
         assert len(det.races) == 1
-
-    def test_queue_edge(self):
-        m, det, f = _machine_with_file()
-        q = SimQueue(m.engine, name="handoff")
-
-        def producer():
-            op = f.write(0, b"\x01" * 256, tag="W")
-            yield q.put("token")  # producer clock flows into the queue
-            yield op
-
-        def consumer():
-            yield q.get()  # inherits the producer's clock with the item
-            yield f.write(128, b"\x02" * 256, tag="W")
-
-        _spawn_pair(m, producer(), consumer(), "producer", "consumer")
-        assert det.races == []
-
-    def test_barrier_edge(self):
-        m, det, f = _machine_with_file()
-        bar = Barrier(m.engine, parties=2, name="sync")
-
-        def first():
-            op = f.write(0, b"\x01" * 256, tag="W")
-            yield bar.wait()
-            yield op
-
-        def second():
-            yield bar.wait()  # all-to-all: inherits every arriver's clock
-            yield f.write(128, b"\x02" * 256, tag="W")
-
-        _spawn_pair(m, first(), second(), "first", "second")
-        assert det.races == []
 
 
 class TestObserveOnly:

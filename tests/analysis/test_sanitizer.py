@@ -10,6 +10,7 @@ from repro.errors import ChargeDriftError, DeadlockError, DeterminismError
 from repro.machine import Machine
 from repro.records.format import RecordFormat
 from repro.records.gensort import generate_dataset
+from repro.sim.engine import Sleep
 from repro.units import KiB
 from repro.workloads.background import BackgroundClients
 
@@ -20,15 +21,15 @@ from repro.workloads.background import BackgroundClients
 
 
 class TestDeadlockDiagnostics:
-    def test_stuck_barrier_names_coroutines(self):
-        """A 3-party barrier entered by only 2 workers deadlocks; the
-        error must name both stuck coroutines and the barrier state."""
+    def test_stuck_semaphore_names_coroutines(self):
+        """Two workers parked on a semaphore nobody releases deadlock;
+        the error must name both stuck coroutines and its state."""
         machine = Machine()
         machine.install_sanitizer()
-        bar = machine.barrier(3, name="phase-gate")
+        gate = machine.semaphore(0, name="phase-gate")
 
         def worker():
-            yield bar.wait()
+            yield gate.acquire()
 
         machine.engine.spawn(worker(), name="reader-0")
         machine.engine.spawn(worker(), name="reader-1")
@@ -38,23 +39,7 @@ class TestDeadlockDiagnostics:
         assert "reader-0" in msg
         assert "reader-1" in msg
         assert "phase-gate" in msg
-        assert "arrived 2/3" in msg
-
-    def test_queue_deadlock_shows_getter(self):
-        machine = Machine()
-        machine.install_sanitizer()
-        q = machine.queue(name="work-items")
-
-        def consumer():
-            yield q.get()
-
-        machine.engine.spawn(consumer(), name="consumer")
-        with pytest.raises(DeadlockError) as exc_info:
-            machine.engine.run()
-        msg = str(exc_info.value)
-        assert "consumer" in msg
-        assert "work-items" in msg
-        assert "get" in msg
+        assert "2 waiter(s)" in msg
 
     def test_semaphore_deadlock_shows_waiter(self):
         machine = Machine()
@@ -74,10 +59,10 @@ class TestDeadlockDiagnostics:
 
     def test_without_sanitizer_points_at_flag(self):
         machine = Machine()
-        bar = machine.barrier(2)
+        sem = machine.semaphore(0)
 
         def worker():
-            yield bar.wait()
+            yield sem.acquire()
 
         machine.engine.spawn(worker(), name="lonely")
         with pytest.raises(DeadlockError) as exc_info:
@@ -85,16 +70,20 @@ class TestDeadlockDiagnostics:
         assert "--sanitize" in str(exc_info.value)
 
     def test_waits_clear_on_wake(self):
-        """A completed rendezvous leaves no tracked waits behind."""
+        """A completed hand-off leaves no tracked waits behind."""
         machine = Machine()
         san = machine.install_sanitizer()
-        bar = machine.barrier(2)
+        sem = machine.semaphore(0)
 
-        def worker():
-            yield bar.wait()
+        def waiter():
+            yield sem.acquire()
 
-        machine.engine.spawn(worker(), name="a")
-        machine.engine.spawn(worker(), name="b")
+        def releaser():
+            yield Sleep(1.0)
+            sem.release()
+
+        machine.engine.spawn(waiter(), name="a")
+        machine.engine.spawn(releaser(), name="b")
         machine.engine.run()
         assert san.waits == {}
 

@@ -437,11 +437,13 @@ class TestWindowSlab:
                 def count(frame, event, arg):
                     calls[0] += event in ("call", "c_call")
 
+                # Put back whatever profiler spans the suite (a census).
+                previous = sys.getprofile()
                 sys.setprofile(count)
                 try:
                     frontier.step()
                 finally:
-                    sys.setprofile(None)
+                    sys.setprofile(previous)
                 counts.append(calls[0])
             assert len(frontier.live) == fanin
             return counts

@@ -4,10 +4,10 @@ A *program* is a list of steps over op *specs* (plain tuples), so the
 same program can be replayed on several schedulers -- each builds its
 own ops and rate models -- and their observable state compared float
 for float.  Everything here goes through the scheduler's public surface
-(``add`` / ``settle`` / ``rerate`` / ``pop_completed`` /
-``next_completion`` / ``cancel_op`` / ``invalidate_rates`` and the
-``remaining_work`` / ``predicted_finish`` accessors), in the order the
-engine calls it.
+(``add`` / ``settle`` / ``settle_due`` / ``refresh`` /
+``next_completion`` / ``cancel_op`` / ``invalidate_rates``, and
+``FluidOp.remaining`` / ``predicted_finish``), in the order the engine
+calls it.
 
 ``fluid_trace_parent.json`` is :func:`run_program` 's output at commit
 919a023 (set+heap scalar kernel, one-way array promotion at 4 ops): a
@@ -34,7 +34,6 @@ from repro.sim.fluid import (
     NetLinkRateModel,
     RateModel,
     predicted_finish,
-    remaining_work,
 )
 
 _PROFILES = {"d0": pmem_profile(), "d1": bd_device_profile()}
@@ -158,9 +157,7 @@ class Replica:
     def _settle_and_complete(self) -> None:
         sched = self.sched
         while sched.dirty:
-            sched.settle(self.now)
-            sched.rerate(self.now)
-            self._deliver(sched.pop_completed(self.now))
+            self._deliver(sched.refresh(self.now))
 
     # -- program steps ---------------------------------------------------
     def add(self, specs: List[tuple]) -> None:
@@ -180,8 +177,7 @@ class Replica:
             if target is None:
                 return
             self.now = target
-            self.sched.settle(target)
-            self._deliver(self.sched.pop_completed(target))
+            self._deliver(self.sched.settle_due(target))
             self._settle_and_complete()
 
     def sleep(self, dt: float) -> None:
@@ -213,7 +209,7 @@ class Replica:
         for i in self.live():
             op = self.ops[i]
             rows.append(
-                (i, op.rate.hex(), remaining_work(op).hex(), predicted_finish(op).hex())
+                (i, op.rate.hex(), op.remaining.hex(), predicted_finish(op).hex())
             )
         return tuple(rows)
 

@@ -5,7 +5,7 @@ protocol off (``REPRO_SIM_VECTOR=0``: one ``model.assign`` per solve)
 and the default (rate tables) -- are driven through the same generated
 program, bursts of >= 128 ops on one device included; after every step
 they must agree on the ``(time, op)`` completion sequence, on the exact
-``rate`` / ``remaining_work`` / ``predicted_finish`` floats of every
+``rate`` / ``remaining`` / ``predicted_finish`` floats of every
 live op and on every interval observer's arguments.  One frozen program
 captured at commit 919a023 pins both to the kernel they replaced.
 """
@@ -151,11 +151,10 @@ class TestStorageLifecycle:
         now = 0.0
         for _ in range(10_000):
             sched.add(FluidOp(1.0, kind="cpu"), now)
-            sched.rerate(now)
+            sched.refresh(now)
             now = sched.next_completion(now)
-            sched.settle(now)
-            assert len(sched.pop_completed(now)) == 1
-            sched.rerate(now)
+            assert len(sched.settle_due(now)) == 1
+            sched.refresh(now)
         assert sched.ops_completed == 10_000
         assert not sched._groups and not sched._group_observers
         assert not sched._sig_ids and not sched._dirty_keys
@@ -169,13 +168,12 @@ class TestStorageLifecycle:
         for _ in range(2_000):
             for _ in range(rng.randrange(1, 4)):
                 sched.add(build_op(random_spec(rng, rng.choice(("d0", "d1")))), now)
-            sched.rerate(now)
+            sched.refresh(now)
             peak = max(peak, len(sched.active))
             while sched.active and rng.random() < 0.7:
                 now = sched.next_completion(now)
-                sched.settle(now)
-                sched.pop_completed(now)
-                sched.rerate(now)
+                sched.settle_due(now)
+                sched.refresh(now)
         # One group per resource key ever used, each memo capped.
         assert set(sched._groups) <= set(DOMAINS)
         assert len(sched._sig_ids) > 20

@@ -3,8 +3,7 @@
 ``ShardedWiscSort`` has one driver -- a fresh run is a recovery from no
 manifests and speculation is one more caller of the same sort attempt --
 so one strategy reaches the fresh, resumed and speculative paths: draw a
-cluster shape, spares admitted before or during the run, a per-shard
-system and up to two crashes plus straggler windows, and whatever
+cluster shape, spare shards holding no input part, a per-shard system and up to two crashes plus straggler windows, and whatever
 happens the run must end validated, byte-identical to single-device
 WiscSort, with every crash recovered and nothing on any shard but the
 outputs (the chaos suite's end-of-run check).
@@ -14,13 +13,13 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from typing import NamedTuple, Tuple, Union
+from typing import NamedTuple
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import Cluster, ShardedWiscSort, generate_cluster_dataset
+from repro.cluster import Cluster, ShardedFile, ShardedWiscSort, generate_cluster_dataset
 from repro.core.base import SortConfig
 from repro.faults import parse_fault_spec, run_with_faults
 from repro.records.format import RecordFormat
@@ -36,9 +35,8 @@ SMALL = SortConfig(read_buffer=16 * KiB, write_buffer=8 * KiB)
 class Scenario(NamedTuple):
     seed: int
     shards: int
-    #: One entry per spare: None admits it before the run, a float at
-    #: that fraction of the fault-free duration T.
-    spares: Tuple[Union[None, float], ...]
+    #: Shards beyond the input's parts: targets for speculation only.
+    spares: int
     system: str
     small_buffers: bool
     #: Fault spec; ``<x>T`` stands for x times T.
@@ -47,10 +45,18 @@ class Scenario(NamedTuple):
 
 def _build(scenario):
     config = SMALL if scenario.small_buffers else SortConfig()
-    cluster = Cluster(shards=scenario.shards, profile=_PMEM, config=config)
-    data = generate_cluster_dataset(
-        cluster, "input", N_RECORDS, FMT, seed=scenario.seed
+    cluster = Cluster(
+        shards=scenario.shards + scenario.spares, profile=_PMEM, config=config
     )
+    data = generate_cluster_dataset(
+        Cluster(shards=scenario.shards, profile=_PMEM), "input", N_RECORDS, FMT,
+        seed=scenario.seed,
+    )
+    parts = []
+    for shard, part in zip(cluster.shards, data.parts):
+        parts.append(shard.fs.create(part.name))
+        parts[-1].adopt(part.peek())
+    data = ShardedFile(data.name, parts)
     system = ShardedWiscSort(
         FMT, config=config, system=scenario.system, checkpoint=True
     )
@@ -60,7 +66,7 @@ def _build(scenario):
 @lru_cache(maxsize=None)
 def _duration(seed, shards, system, small_buffers):
     cluster, data, sorter = _build(
-        Scenario(seed, shards, (), system, small_buffers, "")
+        Scenario(seed, shards, 0, system, small_buffers, "")
     )
     sorter.run(cluster, data, validate=False)
     return cluster.now
@@ -74,13 +80,8 @@ def _single_device(seed):
 @st.composite
 def scenarios(draw):
     shards = draw(st.integers(2, 4))
-    spares = tuple(
-        draw(st.lists(
-            st.none() | st.integers(5, 90).map(lambda pct: pct / 100),
-            max_size=2,
-        ))
-    )
-    targets = st.integers(0, shards + len(spares) - 1)
+    spares = draw(st.integers(0, 2))
+    targets = st.integers(0, shards + spares - 1)
     crash = st.builds(
         "shard{}:crash@{}".format,
         targets,
@@ -112,12 +113,12 @@ def scenarios(draw):
 # up on two shards).  The third makes a spare do the only work a spare
 # ever gets -- two stragglers, one finished home -- and crashes it
 # mid-sort.
-@example(Scenario(202, 2, (), "wiscsort", False,
+@example(Scenario(202, 2, 0, "wiscsort", False,
                   "shard0:crash@t:8.916213348440961e-05"))
-@example(Scenario(101, 3, (), "wiscsort", False,
+@example(Scenario(101, 3, 0, "wiscsort", False,
                   "shard0:slow@t:3.04677e-05+0.00553958:x0.05,"
                   "shard1:crash@op:14"))
-@example(Scenario(101, 3, (None,), "wiscsort", False,
+@example(Scenario(101, 3, 1, "wiscsort", False,
                   "shard0:slow@t:0.3T+100T:x0.05,shard1:slow@t:0.3T+100T:x0.05,"
                   "shard3:crash@op:3"))
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -127,11 +128,6 @@ def test_sharded_sort_survives_everything(scenario):
         scenario.seed, scenario.shards, scenario.system, scenario.small_buffers
     )
     cluster, data, system = _build(scenario)
-    for at in scenario.spares:
-        if at is None:
-            cluster.add_shard()
-        else:
-            cluster.engine.call_at(at * total, cluster.add_shard)
     spec = re.sub(
         r"([0-9.]+)T", lambda m: repr(float(m[1]) * total), scenario.spec
     )

@@ -10,14 +10,11 @@ here is a ``Tracer`` subclass carrying the earlier bodies of
 of the global interval-observer list, and each issue scans
 ``fluid.active`` filtered by domain.  On every run below -- standalone
 MergePass slices, sharded sorts with a crash and a straggler, a cluster
-without an interconnect, the sort service, a shard admitted mid-run --
-the real tracer must record exactly the oracle's counter rows and
+without an interconnect and the sort service -- the real tracer must record exactly the oracle's counter rows and
 interference values (``==`` on floats).
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import pytest
 
@@ -207,33 +204,3 @@ def test_traced_service():
         )
 
     _assert_same(run)
-
-
-@lru_cache(maxsize=None)
-def _three_shard_duration() -> float:
-    cluster = Cluster(shards=3, profile=_PMEM)
-    data = generate_cluster_dataset(cluster, "input", 3_000, FMT, seed=101)
-    ShardedWiscSort(FMT).run(cluster, data, validate=False)
-    return cluster.now
-
-
-def test_shard_admitted_mid_run():
-    total = _three_shard_duration()
-
-    def run(tracer):
-        cluster = Cluster(shards=3, profile=_PMEM)
-        tracer.install(cluster)
-        data = generate_cluster_dataset(cluster, "input", 3_000, FMT, seed=101)
-        cluster.engine.call_at(0.3 * total, cluster.add_shard)
-        ShardedWiscSort(FMT).run(cluster, data, validate=False)
-        # The next run plans over the grown cluster, so the newcomer's
-        # track carries traffic of its own.
-        data2 = generate_cluster_dataset(cluster, "input2", 3_000, FMT, seed=101)
-        ShardedWiscSort(FMT, output_name="run2.out").run(
-            cluster, data2, validate=False
-        )
-
-    real = _assert_same(run)
-    assert any(
-        trk == "shard3" and v > 0 for _t, trk, _s, v in real.counters
-    )

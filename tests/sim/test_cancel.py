@@ -196,18 +196,18 @@ class TestCancelHookEvents:
 
     def test_cancel_blocked_on_primitive_with_both_observers(self):
         from repro.analysis.race import RaceDetector
-        from repro.sim.primitives import SimQueue
+        from repro.sim.primitives import Semaphore
 
         engine, sanitizer = self._engine_with_sanitizer()
         det = RaceDetector()
         engine.probes.install(det)
-        q = SimQueue(engine, name="empty")
+        sem = Semaphore(engine, 0, name="empty")
 
-        def getter():
-            yield q.get()
+        def acquirer():
+            yield sem.acquire()
 
         def driver():
-            proc = yield Spawn(getter(), name="getter")
+            proc = yield Spawn(acquirer(), name="acquirer")
             yield Sleep(1.0)
             engine.cancel_tree(proc)
             yield Sleep(1.0)

@@ -15,7 +15,7 @@ class TestScheduler:
         sched = FluidScheduler(UniformRateModel(2.0))
         op = FluidOp(10.0, kind="cpu")
         sched.add(op, now=0.0)
-        sched.rerate(0.0)
+        sched.refresh(0.0)
         sched.settle(3.0)
         assert op.remaining == pytest.approx(4.0)
 
@@ -23,16 +23,15 @@ class TestScheduler:
         sched = FluidScheduler(UniformRateModel(5.0))
         op = FluidOp(10.0, kind="cpu")
         sched.add(op, now=0.0)
-        sched.rerate(0.0)
+        sched.refresh(0.0)
         assert sched.next_completion(0.0) == pytest.approx(2.0)
 
-    def test_pop_completed_tolerates_float_residue(self):
+    def test_settle_due_tolerates_float_residue(self):
         sched = FluidScheduler(UniformRateModel(3.0))
         op = FluidOp(1.0, kind="cpu")
         sched.add(op, now=0.0)
-        sched.rerate(0.0)
-        sched.settle(1.0 / 3.0)  # leaves ~1e-17 residue
-        done = sched.pop_completed(1.0 / 3.0)
+        sched.refresh(0.0)
+        done = sched.settle_due(1.0 / 3.0)  # leaves ~1e-17 residue
         assert done == [op]
         assert op.remaining == 0.0
 
@@ -50,7 +49,7 @@ class TestScheduler:
         sched.interval_observers.append(lambda t0, t1, ops: seen.append((t0, t1, len(ops))))
         op = FluidOp(2.0, kind="cpu")
         sched.add(op, now=0.0)
-        sched.rerate(0.0)
+        sched.refresh(0.0)
         sched.settle(2.0)
         assert seen == [(0.0, 2.0, 1)]
 
@@ -67,7 +66,7 @@ class TestScheduler:
         sched.interval_observers.append(
             lambda t0, t1, ops: calls.append(("global", list(ops)))
         )
-        sched.rerate(0.0)
+        sched.refresh(0.0)
         sched.settle(1.0)
         assert [kind for kind, _ops in calls] == ["group", "group", "global"]
         assert calls[-1][1] == [first, second]  # still issue (op id) order

@@ -47,15 +47,13 @@ class TestAbsoluteEpsilon:
         sched = FluidScheduler(UniformRateModel(1e9))
         op = FluidOp(8 * GB, kind="io")
         sched.add(op, now=0.0)
-        sched.rerate(0.0)
+        sched.refresh(0.0)
         t_early = (8 * GB - 4) / 1e9
-        sched.settle(t_early)
-        assert sched.pop_completed(t_early) == []
+        assert sched.settle_due(t_early) == []
         assert op.remaining == pytest.approx(4.0, rel=1e-6)
         t_done = sched.next_completion(t_early)
         assert t_done == pytest.approx(8.0)
-        sched.settle(t_done)
-        assert sched.pop_completed(t_done) == [op]
+        assert sched.settle_due(t_done) == [op]
         assert op.finished_at == pytest.approx(8.0)
 
     def test_engine_times_multi_gb_op_exactly(self):
@@ -77,7 +75,7 @@ class TestAbsoluteEpsilon:
         sched = FluidScheduler(model)
         op = FluidOp(1.0, kind="cpu")
         sched.add(op, now=0.0)
-        sched.rerate(0.0)
+        sched.refresh(0.0)
         t = 1.0 - 1e-13
         sched.settle(t)
         assert 0 < op.remaining < 1e-12
@@ -85,8 +83,7 @@ class TestAbsoluteEpsilon:
         # Dirty the shared group so the zero rate takes effect.
         other = FluidOp(5.0, kind="cpu")
         sched.add(other, now=t)
-        sched.rerate(t)
-        assert op in sched.pop_completed(t)
+        assert op in sched.refresh(t)
 
 
 class TestCoalescedCompletions:
@@ -141,10 +138,10 @@ class TestRateRedistribution:
         a = FluidOp(5.0, kind="cpu")
         b = FluidOp(5.0, kind="cpu")
         sched.add(a, now=0.0)
-        sched.rerate(0.0)
+        sched.refresh(0.0)
         assert sched.ops_rerated == 1
         sched.add(b, now=0.0)
-        sched.rerate(0.0)
+        sched.refresh(0.0)
         assert sched.ops_rerated == 2  # b only; a was left alone
 
 

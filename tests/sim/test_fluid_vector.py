@@ -5,8 +5,8 @@ op-id ordering of same-epoch completion batches (with the protocol on
 or off, and when tabled and untabled groups contribute to one batch),
 bit-identical results between table solves and per-solve
 ``model.assign`` calls, which solves count as table solves and which
-as fallbacks, the ``REPRO_SIM_VECTOR`` switch, and the
-``remaining_work`` accessor for mid-flight readers.  The generated
+as fallbacks, the ``REPRO_SIM_VECTOR`` switch, and
+``FluidOp.remaining`` for mid-flight readers.  The generated
 comparison lives in ``tests/property/test_fluid_kernels.py``.
 """
 
@@ -19,7 +19,6 @@ from repro.sim.fluid import (
     FluidScheduler,
     RateModel,
     observer_code,
-    remaining_work,
     vector_enabled,
 )
 
@@ -55,37 +54,40 @@ class ScalarCapacityModel(VectorCapacityModel):
 
 
 def drive(sched: FluidScheduler, ops, release_times):
-    """Add ops at their release times, settling/rerating in between.
+    """Add ops at their release times, stepping the scheduler the way the
+    engine does (``settle_due`` to each event, ``refresh`` after a
+    membership change).
 
     Returns ``[(finish_time, batch)]`` where each batch is the exact
-    list object ``pop_completed`` returned.
+    list object ``settle_due`` or ``refresh`` returned.
     """
     events = sorted(set(release_times))
+    batches = []
     for t in events:
-        sched.settle(t)
+        done = sched.settle_due(t)
+        if done:
+            batches.append((t, done))
         for op, rel in zip(ops, release_times):
             if rel == t:
                 sched.add(op, t)
-        sched.rerate(t)
-    batches = []
+        done = sched.refresh(t)
+        if done:
+            batches.append((t, done))
     guard = 0
     while sched.active:
         t = sched.next_completion(events[-1] if not batches else batches[-1][0])
         assert t is not None, "active ops but no next completion"
-        sched.settle(t)
-        sched.rerate(t)
-        done = sched.pop_completed(t)
-        if done:
-            batches.append((t, done))
-        sched.settle(t)
-        sched.rerate(t)
+        for done in (sched.settle_due(t), sched.refresh(t)):
+            if done:
+                batches.append((t, done))
         guard += 1
         assert guard < 100, "scheduler failed to drain"
     return batches
 
 
 class TestCompletionOrdering:
-    """Satellite: pop_completed's documented op-id ordering invariant."""
+    """The documented op-id ordering of a completion batch, from
+    ``settle_due`` and from ``refresh`` alike."""
 
     @pytest.mark.parametrize("vector", [False, True])
     def test_same_epoch_completions_sorted_by_op_id(self, vector):
@@ -96,12 +98,27 @@ class TestCompletionOrdering:
         ops = [FluidOp(8.0, kind="cpu") for _ in range(6)]
         for op in ops:
             sched.add(op, 0.0)
-        sched.rerate(0.0)
+        sched.refresh(0.0)
         t = sched.next_completion(0.0)
-        sched.settle(t)
-        done = sched.pop_completed(t)
+        done = sched.settle_due(t)
         assert done == sorted(done, key=lambda o: o.seq)
         assert {o.seq for o in done} == {o.seq for o in ops}
+
+    @pytest.mark.parametrize("vector", [False, True])
+    def test_refresh_batch_sorted_by_op_id(self, vector):
+        # An op joins at the instant six others finish, before anything
+        # settled to it: refresh's own settle pass collects the batch.
+        sched = FluidScheduler(VectorCapacityModel(8.0), vector=vector)
+        ops = [FluidOp(8.0, kind="cpu") for _ in range(6)]
+        late = FluidOp(8.0, kind="cpu")
+        for op in reversed(ops):
+            sched.add(op, 0.0)
+        sched.refresh(0.0)
+        t = sched.next_completion(0.0)
+        sched.add(late, t)
+        done = sched.refresh(t)
+        assert done == sorted(ops, key=lambda o: o.seq)
+        assert sched.active == {late}
 
     def test_mixed_path_batch_is_globally_sorted(self):
         # Two resource groups: one served from rate tables, one whose
@@ -124,17 +141,20 @@ class TestCompletionOrdering:
             ops.append(FluidOp(4.0, kind="cpu", grp=grp))
         for op in ops:
             sched.add(op, 0.0)
-        sched.rerate(0.0)
+        sched.refresh(0.0)
         assert sched.vector_solves > 0 and sched.scalar_fallbacks > 0
         t = sched.next_completion(0.0)
-        sched.settle(t)
-        done = sched.pop_completed(t)
+        done = sched.settle_due(t)
         assert [o.seq for o in done] == sorted(o.seq for o in ops)
 
     def test_op_id_is_stable_and_monotone(self):
         a, b = FluidOp(1.0, kind="cpu"), FluidOp(1.0, kind="cpu")
         assert b.seq > a.seq
-        assert a.op_id == a.seq
+        sched = FluidScheduler(VectorCapacityModel(2.0))
+        sched.add(b, 0.0)
+        sched.add(a, 0.0)
+        sched.refresh(0.0)
+        assert sched.settle_due(sched.next_completion(0.0)) == [a, b]
 
 
 class TestScalarVectorEquivalence:
@@ -162,7 +182,7 @@ class TestScalarVectorEquivalence:
         ops = [FluidOp(4.0, kind="cpu") for _ in range(5)]
         for op in ops:
             sched.add(op, 0.0)
-        sched.rerate(0.0)
+        sched.refresh(0.0)
         assert sched.vector_solves == 1
         assert sched.vector_ops_solved == 5
         assert sched.scalar_fallbacks == 0
@@ -177,7 +197,7 @@ class TestPromotionThreshold:
         ops = [FluidOp(4.0, kind="cpu") for _ in range(3)]
         for op in ops:
             sched.add(op, 0.0)
-        sched.rerate(0.0)
+        sched.refresh(0.0)
         assert sched.vector_solves == 1
         assert sched.scalar_fallbacks == 0
 
@@ -185,7 +205,7 @@ class TestPromotionThreshold:
         sched = FluidScheduler(ScalarCapacityModel(4.0), vector=True)
         for _ in range(8):
             sched.add(FluidOp(4.0, kind="cpu"), 0.0)
-        sched.rerate(0.0)
+        sched.refresh(0.0)
         assert sched.vector_solves == 0
         assert sched.scalar_fallbacks == 1
 
@@ -196,26 +216,27 @@ class TestRemainingWork:
         ops = [FluidOp(8.0, kind="cpu") for _ in range(4)]
         for op in ops:
             sched.add(op, 0.0)
-        sched.rerate(0.0)
+        sched.refresh(0.0)
         sched.settle(1.0)  # each op runs at 2.0 for 1s
         for op in ops:
             assert op._vg is not None
-            assert remaining_work(op) == 6.0
-        sched.rerate(1.0)
-        t = sched.next_completion(1.0)
-        sched.settle(t)
-        done = sched.pop_completed(t)
+            assert op.remaining == 6.0
+        done = sched.settle_due(sched.next_completion(1.0))
+        assert done == ops
         for op in done:
             assert op._vg is None
-            assert remaining_work(op) == 0.0
+            assert op.remaining == 0.0
 
     def test_matches_attribute_on_scalar_path(self):
         sched = FluidScheduler(ScalarCapacityModel(8.0), vector=True)
         op = FluidOp(8.0, kind="cpu")
         sched.add(op, 0.0)
-        sched.rerate(0.0)
+        sched.refresh(0.0)
         sched.settle(0.5)
-        assert remaining_work(op) == op.remaining == 4.0
+        assert op.remaining == 4.0
+        # Leaving the group writes the settled value back to the op.
+        assert sched.cancel_op(op)
+        assert op._vg is None and op.remaining == 4.0
 
 
 class TestEnvSwitch:
@@ -226,7 +247,7 @@ class TestEnvSwitch:
         assert not sched.vector
         for _ in range(8):
             sched.add(FluidOp(4.0, kind="cpu"), 0.0)
-        sched.rerate(0.0)
+        sched.refresh(0.0)
         assert sched.vector_solves == 0
         # A disabled kernel also never counts fallbacks: the counter
         # reports vector-eligible work lost to opt-outs, not the switch.

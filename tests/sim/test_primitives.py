@@ -1,13 +1,12 @@
-"""Unit tests for simulated-thread synchronisation primitives."""
+"""Unit tests for the simulated-thread semaphore."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import SimulationError
 from repro.sim.engine import Engine, Sleep
 from repro.sim.fluid import UniformRateModel
-from repro.sim.primitives import Barrier, Semaphore, SimQueue
+from repro.sim.primitives import Semaphore
 
 
 @pytest.fixture
@@ -71,134 +70,3 @@ class TestSemaphore:
     def test_negative_count_rejected(self, engine):
         with pytest.raises(ValueError):
             Semaphore(engine, count=-1)
-
-
-class TestBarrier:
-    def test_all_parties_released_together(self, engine):
-        barrier = Barrier(engine, parties=3)
-        released = []
-
-        def worker(delay, label):
-            yield Sleep(delay)
-            yield barrier.wait()
-            released.append((label, engine.now))
-
-        engine.spawn(worker(1.0, "a"))
-        engine.spawn(worker(2.0, "b"))
-        engine.spawn(worker(3.0, "c"))
-        engine.run()
-        assert {t for _, t in released} == {3.0}
-        assert {lbl for lbl, _ in released} == {"a", "b", "c"}
-
-    def test_barrier_is_cyclic(self, engine):
-        barrier = Barrier(engine, parties=2)
-        laps = []
-
-        def worker(label):
-            for lap in range(3):
-                yield Sleep(1.0)
-                yield barrier.wait()
-                laps.append((label, lap, engine.now))
-
-        engine.spawn(worker("x"))
-        engine.spawn(worker("y"))
-        engine.run()
-        assert barrier.generation == 3
-        # Each lap completes at the same instant for both workers.
-        for lap in range(3):
-            times = {t for _lbl, g, t in laps if g == lap}
-            assert len(times) == 1
-
-    def test_single_party_barrier_never_blocks(self, engine):
-        barrier = Barrier(engine, parties=1)
-
-        def proc():
-            yield barrier.wait()
-            return "through"
-
-        assert engine.run_process(proc()) == "through"
-
-    def test_invalid_parties_rejected(self, engine):
-        with pytest.raises(ValueError):
-            Barrier(engine, parties=0)
-
-
-class TestSimQueue:
-    def test_put_get_roundtrip(self, engine):
-        q = SimQueue(engine)
-
-        def producer():
-            yield q.put("item")
-
-        def consumer():
-            item = yield q.get()
-            return item
-
-        engine.spawn(producer())
-        proc = engine.spawn(consumer())
-        engine.run()
-        assert proc.result == "item"
-
-    def test_get_blocks_until_put(self, engine):
-        q = SimQueue(engine)
-        arrival = []
-
-        def consumer():
-            item = yield q.get()
-            arrival.append((item, engine.now))
-
-        def producer():
-            yield Sleep(4.0)
-            yield q.put("late")
-
-        engine.spawn(consumer())
-        engine.spawn(producer())
-        engine.run()
-        assert arrival == [("late", 4.0)]
-
-    def test_bounded_put_blocks_when_full(self, engine):
-        q = SimQueue(engine, maxsize=1)
-        times = []
-
-        def producer():
-            yield q.put(1)
-            times.append(("put1", engine.now))
-            yield q.put(2)
-            times.append(("put2", engine.now))
-
-        def consumer():
-            yield Sleep(5.0)
-            yield q.get()
-            yield q.get()
-
-        engine.spawn(producer())
-        engine.spawn(consumer())
-        engine.run()
-        assert times[0] == ("put1", 0.0)
-        assert times[1] == ("put2", 5.0)
-
-    def test_fifo_order(self, engine):
-        q = SimQueue(engine)
-        seen = []
-
-        def producer():
-            for i in range(5):
-                yield q.put(i)
-
-        def consumer():
-            for _ in range(5):
-                seen.append((yield q.get()))
-
-        engine.spawn(producer())
-        engine.spawn(consumer())
-        engine.run()
-        assert seen == [0, 1, 2, 3, 4]
-
-    def test_try_get_empty_raises(self, engine):
-        q = SimQueue(engine)
-        with pytest.raises(SimulationError):
-            q.try_get()
-
-    def test_invalid_maxsize_rejected(self, engine):
-        with pytest.raises(ValueError):
-            SimQueue(engine, maxsize=0)

@@ -65,12 +65,9 @@ class TestOpBuilders:
 class TestPrimitiveFactories:
     def test_factories_bound_to_engine(self, pmem):
         machine = Machine(profile=pmem)
-        barrier = machine.barrier(2)
-        sem = machine.semaphore(1)
-        q = machine.queue(maxsize=4)
-        assert barrier.parties == 2
-        assert sem.value == 1
-        assert q.maxsize == 4
+        sem = machine.semaphore(1, name="slot", reason="write-slot")
+        assert sem._engine is machine.engine
+        assert (sem.value, sem.name, sem.reason) == (1, "slot", "write-slot")
 
     def test_dram_budget_wired(self, pmem):
         machine = Machine(profile=pmem, dram_budget=1000)

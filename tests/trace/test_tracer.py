@@ -154,16 +154,6 @@ class TestObserveOnly:
             )
         assert results[0] == results[1]
 
-    def test_detail_mode_records_sched_events_without_drift(self, pmem):
-        base = Machine(profile=pmem)
-        base.run(_read_write_job(base))
-        machine = Machine(profile=pmem)
-        tracer = machine.install_tracer(detail=True)
-        machine.run(_read_write_job(machine))
-        assert machine.now == base.now
-        names = {ev["name"] for ev in tracer.instants}
-        assert "spawn" in names
-
 
 class TestCounterTerminalFlush:
     """Regression: counter tracks must not stop short of the run's end.
