@@ -60,6 +60,7 @@ from repro.errors import (
     RecordFormatError,
     RecoveryError,
     SanitizerError,
+    ValidationError,
 )
 from repro.metrics.cluster_report import render_job_table, render_shard_table
 from repro.metrics.timeline import render_timeline
@@ -702,14 +703,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     0: ran clean.  1: the run found a problem -- the handler says so
     (race report, SLO FAIL, determinism or fingerprint divergence,
     ``trace-diff`` regression), or recovery gave up, a scripted fault was
-    not survivable, or a sanitizer check failed.  2: bad input -- exactly
-    one ``<command>: <why>`` line on stderr.  Anything else is a bug and
-    keeps its traceback.
+    not survivable, a sanitizer check failed or an output failed
+    validation.  2: bad input -- exactly one ``<command>: <why>`` line
+    on stderr.  Anything else is a bug and keeps its traceback.
     """
     args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command][1](args)
-    except (RecoveryError, FaultError, SanitizerError) as exc:
+    except (RecoveryError, FaultError, SanitizerError, ValidationError) as exc:
         status, why = 1, exc
     except (ConfigError, RecordFormatError, OSError) as exc:
         status, why = 2, exc

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.core.base import SortConfig
-from repro.errors import ConfigError, DramBudgetError
+from repro.errors import ConfigError, DramBudgetError, ValidationError
 from repro.records.format import RecordFormat
 from repro.records.gensort import generate_dataset
 from repro.records.validate import validate_sorted_file
@@ -281,7 +281,7 @@ class SLOMonitor:
         }
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Job:
     """One sort job: a dataset on one shard plus its lifecycle metrics."""
 
@@ -467,7 +467,9 @@ class SortService:
     the policy never sheds them, only orders them.  Each admitted job
     reserves its IndexMap footprint plus its I/O buffers for its whole
     residency -- what WiscSort needs resident for an OnePass sort; a
-    job no budget could ever admit is shed (``jobs_never_fit``).
+    job no budget could ever admit is shed (``jobs_never_fit``).  A job
+    that completes is validated (``validate``), then releases its
+    input's bytes (:meth:`~repro.storage.file.SimFile.release`).
     """
 
     def __init__(
@@ -548,9 +550,6 @@ class SortService:
                     cat="service", track="service", proc=job.name,
                     tenant=job.tenant, shard=job.shard.domain,
                 )
-        if self.validate:
-            for job in completed:
-                validate_sorted_file(job.input_file, job.output_file, self.fmt)
         return self._report(run, completed)
 
     # ------------------------------------------------------------------
@@ -684,6 +683,14 @@ class SortService:
         system.output_name = f"{job.name}.out"
         output = yield from system.sort_process(job.shard, job.input_file)
         job.output_file = output
+        if self.validate:
+            with job.shard.fs.unaudited("job validation: a check, untimed"):
+                try:
+                    validate_sorted_file(job.input_file, output, self.fmt)
+                except ValidationError as exc:
+                    raise ValidationError(f"job {job.name!r}: {exc}") from exc
+        # The input is a pure function of the job: a later read makes it again.
+        job.input_file.release()
         job.finish_time = self.cluster.now
         self.cluster.dram.free(job.dram_bytes)
         run.service[job.tenant] += job.service_time

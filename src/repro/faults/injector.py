@@ -332,13 +332,7 @@ class FaultInjector:
         with f._audit("write", n):
             if fault is None:
                 if self._crash_pending:
-                    pre_end = min(f.size, offset + n)
-                    pre = (
-                        f._data[offset:pre_end].copy()
-                        if pre_end > offset
-                        else np.zeros(0, dtype=np.uint8)
-                    )
-                    rec = _InflightWrite(None, f, offset, n, pre, f.size)
+                    rec = _InflightWrite(None, f, offset, n, f.pre_image(offset, n), f.size)
                 f.poke(offset, arr)
             elif isinstance(fault, TornWriteError):
                 self.stats.torn_writes += 1
@@ -419,15 +413,11 @@ class FaultInjector:
         else:
             progress = 0.0
         durable = self._tear_point(n, progress)
-        end = rec.offset + n
-        if end > rec.old_size:
+        if rec.offset + n > rec.old_size:
             keep = max(rec.old_size, rec.offset + durable)
             if keep < f.size:
                 f.truncate(keep)
-        if durable < rec.pre.size:
-            f._data[rec.offset + durable : rec.offset + rec.pre.size] = rec.pre[
-                durable:
-            ]
+        f.roll_back(rec.offset + durable, rec.pre[durable:])
         self.stats.torn_writes += 1
         self.stats.torn_bytes_discarded += n - durable
 

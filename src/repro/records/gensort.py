@@ -10,7 +10,7 @@ so permutation checking and debugging stay cheap.
 from __future__ import annotations
 
 import functools
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -119,10 +119,26 @@ def generate_dataset(
     """Create a simulated file containing a gensort-style dataset.
 
     Generation itself is untimed (the paper's datasets pre-exist on the
-    device before sorting starts).
+    device before sorting starts).  The file keeps its recipe, so
+    :meth:`~repro.storage.file.SimFile.release` can drop the bytes of an
+    input nothing will write.
     """
     fmt = fmt if fmt is not None else RecordFormat()
-    records = make_records(n_records, fmt, seed=seed, ascii_keys=ascii_keys)
+    recipe = DatasetRecipe(n_records, fmt, seed, ascii_keys)
+    records = recipe()
     f = machine.fs.create(name)
-    f.adopt(records.reshape(-1))
+    f.adopt(records, recipe=recipe)
     return f
+
+
+class DatasetRecipe(NamedTuple):
+    """What :func:`generate_dataset` made a file from; calling it makes
+    the file's bytes again (one tuple: a service keeps one per job)."""
+
+    n_records: int
+    fmt: RecordFormat
+    seed: int
+    ascii_keys: bool
+
+    def __call__(self) -> np.ndarray:
+        return make_records(*self).reshape(-1)

@@ -23,7 +23,7 @@ bit-identical to a fault-free build.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -39,10 +39,16 @@ if TYPE_CHECKING:  # pragma: no cover
 class SimFile:
     """A growable byte file stored on a simulated device."""
 
+    __slots__ = ("_fs", "name", "_data", "_recipe", "size")
+
     def __init__(self, fs: "SimFS", name: str):
         self._fs = fs
         self.name = name
-        self._data = np.zeros(0, dtype=np.uint8)
+        #: The bytes, or None once :meth:`release` dropped them.
+        self._data: np.ndarray | None = np.zeros(0, dtype=np.uint8)
+        #: While the contents are still what a generator made: the
+        #: zero-argument callable that makes them again (see :meth:`adopt`).
+        self._recipe: Callable[[], np.ndarray] | None = None
         self.size = 0
 
     # ------------------------------------------------------------------
@@ -60,7 +66,7 @@ class SimFile:
         self._check_extent(offset, nbytes)
         for fn in self._fs.probes.raw_move:
             fn(self.name, "peek", nbytes)
-        view = self._data[offset : offset + nbytes]
+        view = self._contents()[offset : offset + nbytes]
         view.flags.writeable = False
         return view
 
@@ -69,18 +75,23 @@ class SimFile:
         arr = _as_u8(data)
         for fn in self._fs.probes.raw_move:
             fn(self.name, "poke", arr.size)
+        self._own()
         new_size = max(self.size, offset + arr.size)
         if new_size > self.size:
             self._fs.charge_growth(new_size - self.size, name=self.name)
         self._store(offset, arr)
         self.size = new_size
 
-    def adopt(self, data: np.ndarray) -> None:
+    def adopt(
+        self, data: np.ndarray, recipe: Callable[[], np.ndarray] | None = None
+    ) -> None:
         """Untimed: make ``data`` this (empty) file's contents, no copy.
 
         For dataset generators, which build the whole file in one array
         only to store it: the caller hands the array over and must not
-        touch it again.
+        touch it again.  ``recipe``, when given, is a zero-argument
+        callable returning a fresh array equal to ``data``: it lets
+        :meth:`release` drop the bytes until the file is next mutated.
         """
         if self.size or data.dtype != np.uint8 or data.ndim != 1 or not (
             data.flags.c_contiguous and data.flags.writeable
@@ -93,7 +104,18 @@ class SimFile:
             fn(self.name, "poke", data.size)
         self._fs.charge_growth(data.size, name=self.name)
         self._data = data
+        self._recipe = recipe
         self.size = data.size
+
+    def release(self) -> None:
+        """Untimed: drop the host bytes of a file whose contents are
+        still its recipe's (a no-op for any other file).
+
+        ``size`` and ``fs.used`` stay.  A read regenerates a transient
+        copy and keeps nothing; a mutation takes the bytes back first.
+        """
+        if self._recipe is not None:
+            self._data = None
 
     def reserve(self, nbytes: int) -> None:
         """Untimed: size the backing array for a file of ``nbytes``.
@@ -106,6 +128,7 @@ class SimFile:
         Writes within the reservation never regrow the array, and
         :meth:`staging` can hand out its extents.
         """
+        self._own()
         if nbytes > self._data.size:
             grown = np.empty(nbytes, dtype=np.uint8)
             grown[: self.size] = self._data[: self.size]
@@ -122,6 +145,7 @@ class SimFile:
         fault injector is installed: a torn, retried or rolled-back
         write must copy from a payload the file does not own.
         """
+        self._own()
         if (
             self._fs.injector is not None
             or offset < self.size
@@ -143,9 +167,22 @@ class SimFile:
             )
         if new_size == self.size:
             return
+        self._own()
         self._data[new_size : self.size] = 0
         self._fs.release(self.size - new_size)
         self.size = new_size
+
+    def pre_image(self, offset: int, nbytes: int) -> np.ndarray:
+        """Untimed and unprobed: a copy of the bytes a write of
+        ``nbytes`` at ``offset`` would overwrite (those below ``size``),
+        for a fault injector to put back with :meth:`roll_back`."""
+        end = max(offset, min(self.size, offset + nbytes))
+        return self._contents()[offset:end].copy()
+
+    def roll_back(self, offset: int, pre: np.ndarray) -> None:
+        """Untimed, unprobed: a :meth:`pre_image`'s tail back at ``offset``."""
+        self._own()
+        self._data[offset : offset + pre.size] = pre
 
     # ------------------------------------------------------------------
     # Timed operations (yield the returned op from a simulated thread)
@@ -177,11 +214,12 @@ class SimFile:
         self, offset: int, nbytes: int, tag: str, threads: int, out: np.ndarray | None
     ) -> FluidOp:
         with self._audit("read", nbytes):
+            data = self._contents()
             if out is None:
-                payload = self._data[offset : offset + nbytes].copy()
+                payload = data[offset : offset + nbytes].copy()
             else:
                 payload = out
-                payload[:] = self._data[offset : offset + nbytes]
+                payload[:] = data[offset : offset + nbytes]
             op = self._machine_io("read", Pattern.SEQ, nbytes, tag, threads=threads)
         op.on_complete = lambda _op: payload
         return op
@@ -244,7 +282,9 @@ class SimFile:
             with self._audit("read", count * access_size):
                 # One wide element per field: a 2-D copy only
                 # ``access_size`` bytes wide costs more per row.
-                fields = np.ndarray((count,), f"V{access_size}", self._data, offset, (stride,))
+                fields = np.ndarray(
+                    (count,), f"V{access_size}", self._contents(), offset, (stride,)
+                )
                 payload = fields.copy().view(np.uint8).reshape(count, access_size)
                 op = self._machine_io(
                     "read",
@@ -344,8 +384,9 @@ class SimFile:
             with self._audit("read", int(sizes.sum())):
                 # One contiguous slice per span (no per-byte index);
                 # plain ints keep the per-span cost to the slice itself.
+                data = self._contents()
                 payload = np.concatenate(
-                    [self._data[s:e] for s, e in zip(starts.tolist(), ends.tolist())]
+                    [data[s:e] for s, e in zip(starts.tolist(), ends.tolist())]
                 )
                 work = machine.profile.random_batch_work(sizes)
                 op = machine.io_raw(
@@ -364,7 +405,9 @@ class SimFile:
         """``(count, access_size)`` view of the file, row ``i`` being the
         bytes at ``offset + i * stride``: gathers copy from it without
         building an index (numpy checks the extent against the buffer)."""
-        return np.ndarray((count, access_size), np.uint8, self._data, offset, (stride, 1))
+        return np.ndarray(
+            (count, access_size), np.uint8, self._contents(), offset, (stride, 1)
+        )
 
     def _take_rows(
         self, starts: np.ndarray, access_size: int, out: np.ndarray | None = None
@@ -414,6 +457,20 @@ class SimFile:
             stride=stride,
             threads=threads,
         )
+
+    def _contents(self) -> np.ndarray:
+        """The backing array; for a released file, its bytes made again
+        for one read and not kept."""
+        data = self._data
+        return self._recipe() if data is None else data
+
+    def _own(self) -> None:
+        """Before a mutation: the contents stop being the recipe's, and
+        a released file takes its bytes back."""
+        if self._recipe is not None:
+            if self._data is None:
+                self._data = self._recipe()
+            self._recipe = None
 
     def _check_extent(self, offset: int, nbytes: int) -> None:
         if offset < 0 or nbytes < 0 or offset + nbytes > self.size:
