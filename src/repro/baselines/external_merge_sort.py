@@ -104,6 +104,15 @@ class ExternalMergeSort(CheckpointedRunMergeSort):
         )
 
     # ------------------------------------------------------------------
+    def _merge_tail(self, machine, input_file, output, controller, run_names):
+        """Entered once every run is durable (normal run or recovery):
+        the merge reads only the runs, recovery resumes from them, and
+        validation makes the input again, so its bytes go now."""
+        input_file.release()
+        yield from super()._merge_tail(
+            machine, input_file, output, controller, run_names
+        )
+
     def _merge_group(self, machine, input_file, controller, group, out_file):
         yield from self._merge_to(machine, out_file, controller, group)
 

@@ -25,7 +25,7 @@ from repro.device.stats import InterconnectStats, TagStats
 from repro.errors import ConfigError
 from repro.machine import Machine, ProbeHost
 from repro.records.format import RecordFormat
-from repro.records.gensort import make_records
+from repro.records.gensort import DatasetRecipe
 from repro.registry import get_profile
 from repro.sim.domains import DomainRouter
 from repro.sim.engine import Engine, SimGenerator
@@ -384,12 +384,20 @@ class ShardedFile:
     def size(self) -> int:
         return sum(p.size for p in self.parts)
 
+    def release(self) -> None:
+        """Untimed: :meth:`SimFile.release` every part."""
+        for part in self.parts:
+            part.release()
+
     def merged(self) -> np.ndarray:
-        # concatenate copies, so the per-part reads need not
-        chunks = [p.peek_view() for p in self.parts if p.size]
-        if not chunks:
-            return np.zeros(0, dtype=np.uint8)
-        return np.concatenate(chunks)
+        # One part at a time: a released part's bytes live for its copy only.
+        whole = np.empty(self.size, dtype=np.uint8)
+        at = 0
+        for part in self.parts:
+            if part.size:
+                whole[at : at + part.size] = part.peek_view()
+                at += part.size
+        return whole
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ShardedFile({self.name!r}, parts={len(self.parts)}, size={self.size})"
@@ -407,15 +415,18 @@ def generate_cluster_dataset(
     The concatenation of the shard parts in shard order is byte-for-byte
     the dataset a single machine would generate with the same seed, so a
     sharded sort can be checked for byte identity against a single-device
-    run of the same ``(n_records, fmt, seed)``.
+    run of the same ``(n_records, fmt, seed)``.  Each part is built from,
+    and keeps, the recipe of its own record range, so a released part
+    makes only its own records again.
     """
     fmt = fmt if fmt is not None else RecordFormat()
-    records = make_records(n_records, fmt, seed=seed)
     n_shards = len(cluster.shards)
     bounds = [n_records * i // n_shards for i in range(n_shards + 1)]
     parts = []
     for i, shard in enumerate(cluster.shards):
+        recipe = DatasetRecipe(n_records, fmt, seed, False, bounds[i], bounds[i + 1])
+        records = recipe()
         part = shard.fs.create(f"{name}.shard{i}")
-        part.adopt(records[bounds[i] : bounds[i + 1]].reshape(-1))
+        part.adopt(records, recipe=recipe)
         parts.append(part)
     return ShardedFile(name, parts)

@@ -362,6 +362,10 @@ class ShardedWiscSort(SortSystem):
             shuffle_procs.append(proc)
         if shuffle_procs:
             yield Join(shuffle_procs)
+        # Every source's scatter is done (durable too when checkpointed:
+        # its manifest committed), so no later phase or recovery reads
+        # an input part again.
+        sharded_input.release()
 
         # -- Sort: unmodified per-shard sorts, concurrently, each on its
         #    partition's home shard ---------------------------------------

@@ -119,6 +119,24 @@ class SortSystem(ABC):
         """Check output correctness; returns the record count."""
         raise NotImplementedError
 
+    def finish(
+        self,
+        machine: "Machine",
+        input_file: "SimFile",
+        output_file: "SimFile",
+        validate: bool,
+    ) -> int:
+        """A completed sort's last step: validate the output when asked
+        (returns the record count, else -1), then release the input.
+
+        Nothing reads the input after this, so a generated one drops its
+        bytes (:meth:`~repro.storage.file.SimFile.release`); a later
+        read makes them again.
+        """
+        n_records = self._validate(machine, input_file, output_file) if validate else -1
+        input_file.release()
+        return n_records
+
     def _execute_recover(
         self, machine: "Machine", input_file: "SimFile"
     ) -> "SimFile":
@@ -172,9 +190,7 @@ class SortSystem(ABC):
                 output_file = self._execute_recover(machine, input_file)
             else:
                 output_file = self._execute(machine, input_file)
-            n_records = (
-                self._validate(machine, input_file, output_file) if validate else -1
-            )
+            n_records = self.finish(machine, input_file, output_file, validate)
         phases = {
             tag: stats.busy_time for tag, stats in machine.stats.tag_table()
         }

@@ -28,39 +28,57 @@ def make_records(
     fmt: RecordFormat,
     seed: int = 0,
     ascii_keys: bool = False,
+    start: int = 0,
+    stop: int | None = None,
 ) -> np.ndarray:
     """Build an ``(n, record_size)`` uint8 matrix of gensort-style records.
 
     ``ascii_keys`` restricts key bytes to the printable range
-    (gensort's ASCII mode); the default is full binary keys.
+    (gensort's ASCII mode); the default is full binary keys.  ``start``
+    and ``stop`` build only rows ``[start, stop)`` of the dataset, byte
+    for byte its slice (binary keys only).
     """
     if n_records < 0:
         raise RecordFormatError("n_records must be >= 0")
+    stop = n_records if stop is None else stop
+    if not 0 <= start <= stop <= n_records:
+        raise RecordFormatError(f"rows [{start}, {stop}) outside {n_records} records")
+    n = stop - start
     rng = np.random.default_rng(seed)
     # No zero-fill: template, ids and keys between them write every byte.
-    records = np.empty((n_records, fmt.record_size), dtype=np.uint8)
+    records = np.empty((n, fmt.record_size), dtype=np.uint8)
     if ascii_keys:
+        if n != n_records:
+            raise RecordFormatError("a range of records needs binary keys")
         keys = rng.integers(32, 127, size=(n_records, fmt.key_size), dtype=np.uint8)
     else:
         # Full-range bytes are the generator's raw 64-bit words read low
         # byte first: the stream ``integers(0, 256, dtype=uint8)`` hands
-        # out, without its per-byte buffering.
-        nbytes = n_records * fmt.key_size
-        words = rng.bit_generator.random_raw(ceil_div(nbytes, 8)).astype("<u8", copy=False)
-        keys = words.view(np.uint8)[:nbytes].reshape(n_records, fmt.key_size)
+        # out, without its per-byte buffering.  A range jumps ahead to
+        # the word holding its first key byte.
+        lo, hi = start * fmt.key_size, stop * fmt.key_size
+        rng.bit_generator.advance(lo // 8)
+        words = rng.bit_generator.random_raw(ceil_div(hi, 8) - lo // 8).astype("<u8", copy=False)
+        keys = words.view(np.uint8)[lo % 8 : lo % 8 + hi - lo].reshape(n, fmt.key_size)
     first = _first_block(fmt.key_size, fmt.value_size)
-    ids = np.arange(_BLOCK_ROWS, dtype="<u8") if n_records > _BLOCK_ROWS else None
+    ids = np.arange(_BLOCK_ROWS, dtype="<u8") if stop > _BLOCK_ROWS else None
     # One key-sized element per row: a 2-D copy 8-90 bytes wide costs
     # several times as much per row as whole rows or one wide element.
     key = np.dtype(f"V{fmt.key_size}")
     keys = keys.view(key)[:, 0]
-    # Each pass over a block runs while the block is still in cache.
-    for at in range(0, n_records, _BLOCK_ROWS):
-        block = records[at : at + _BLOCK_ROWS]
-        block[:] = first[: block.shape[0]]
-        if at:
-            _write_ids(block, ids[: block.shape[0]], at, fmt.key_size)
-        block[:, : fmt.key_size].view(key)[:, 0] = keys[at : at + _BLOCK_ROWS]
+    # Blocks are aligned on record ids, so each pass over one runs while
+    # it is still in cache; a range's first block may start mid-block.
+    at = 0
+    while at < n:
+        first_id = start + at
+        skip = first_id % _BLOCK_ROWS
+        rows = min(_BLOCK_ROWS - skip, n - at)
+        block = records[at : at + rows]
+        block[:] = first[skip : skip + rows]
+        if first_id >= _BLOCK_ROWS:
+            _write_ids(block, ids[:rows], first_id, fmt.key_size)
+        block[:, : fmt.key_size].view(key)[:, 0] = keys[at : at + rows]
+        at += rows
     return records
 
 
@@ -139,6 +157,9 @@ class DatasetRecipe(NamedTuple):
     fmt: RecordFormat
     seed: int
     ascii_keys: bool
+    #: Rows ``[start, stop)`` of the dataset only (see :func:`make_records`).
+    start: int = 0
+    stop: int | None = None
 
     def __call__(self) -> np.ndarray:
         return make_records(*self).reshape(-1)

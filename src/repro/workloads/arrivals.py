@@ -139,6 +139,8 @@ class _GenerativeArrivals(ArrivalProcess):
         self.records = records
         self.size_mix = tuple(size_mix) if size_mix is not None else None
         self.tenants = tenants
+        #: One string per tenant, shared by all of its jobs' specs.
+        self._tenant_names = tuple(f"tenant{i}" for i in range(tenants))
         self.systems = tuple(systems)
         self.deadline = deadline
         self.name_prefix = name_prefix
@@ -154,7 +156,7 @@ class _GenerativeArrivals(ArrivalProcess):
             index=index,
             arrival_time=t,
             name=f"{self.name_prefix}{index:05d}",
-            tenant=f"tenant{index % self.tenants}",
+            tenant=self._tenant_names[index % self.tenants],
             system=self.systems[index % len(self.systems)],
             records=records,
             seed=self.seed + index,

@@ -10,23 +10,32 @@
 * A served job keeps its output, not its input: a finished job's input
   is released to its recipe, so what a service holds grows by one
   output per job.
+* Every sort drops a generated input after its last read of it: at
+  completion in every driver, after the run phase in EMS (its merge
+  reads only the runs) and after the scatter in a sharded sort.
 """
 
 from __future__ import annotations
 
 import gc
+import hashlib
 import tracemalloc
 import weakref
 
 import pytest
 
 from repro import api
-from repro.cluster.cluster import Cluster
+from repro.cluster import Cluster, ShardedWiscSort, generate_cluster_dataset
+from repro.core.base import ConcurrencyModel, SortConfig
 from repro.machine import Machine
+from repro.records.gensort import make_records
+from repro.storage.file import SimFile
 
-#: EMS at 1M records peaks at ~3.5x its dataset (4.85x when the output
-#: and intermediate runs grew by doubling).
-EMS_PEAK_PER_DATASET_BYTE = 3.75
+#: EMS at 1M records peaks at 3.18x its dataset with its input released
+#: after the run phase, plus a 0.12 margin (3.53x while the input stayed
+#: through the merge; 4.85x when the output and intermediate runs grew
+#: by doubling).
+EMS_PEAK_PER_DATASET_BYTE = 3.3
 
 
 def test_ems_traced_peak_is_a_bounded_multiple_of_the_dataset():
@@ -41,6 +50,56 @@ def test_ems_traced_peak_is_a_bounded_multiple_of_the_dataset():
     dataset = records * api.RunOptions().record_format.record_size
     assert result.extras["machine"].fs.open("ems.out").size == dataset
     assert peak <= EMS_PEAK_PER_DATASET_BYTE * dataset, peak / dataset
+
+
+def _sha256(array) -> str:
+    return hashlib.sha256(array.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("system", ["ems", "wiscsort", "wiscsort-merge", "pmsort+"])
+def test_a_finished_sort_holds_no_input_bytes(system):
+    # PMSort+ refuses the default no-io-overlap model by design.
+    overlap = SortConfig(concurrency=ConcurrencyModel.IO_OVERLAP)
+    options = api.RunOptions(
+        records=20_000, system=system, seed=5,
+        config=overlap if system == "pmsort+" else None,
+    )
+    result = api.sort(options)
+    data = result.extras["machine"].fs.open("input")
+    assert data._data is None
+    expected = make_records(20_000, options.record_format, seed=5)
+    assert _sha256(data.peek()) == _sha256(expected)
+    assert data._data is None  # the read kept nothing
+
+
+def test_ems_drops_its_input_before_its_first_merge_read(monkeypatch):
+    released_at_merge = []
+    read = SimFile.read
+
+    def spy(self, offset, nbytes, tag, *args, **kwargs):
+        if tag == "MERGE read" and not released_at_merge:
+            released_at_merge.append(self._fs.open("input")._data is None)
+        return read(self, offset, nbytes, tag, *args, **kwargs)
+
+    monkeypatch.setattr(SimFile, "read", spy)
+    config = SortConfig(read_buffer=64 * 1024)  # several runs to merge
+    api.sort(api.RunOptions(records=5_000, system="ems", config=config))
+    assert released_at_merge == [True]
+
+
+def test_a_sharded_sort_drops_its_parts_before_the_per_shard_sorts(monkeypatch):
+    cluster = Cluster(shards=4)
+    data = generate_cluster_dataset(cluster, "input", 8_000, seed=5)
+    released_at_sort = []
+    attempt = ShardedWiscSort._attempt
+
+    def spy(self, *args, **kwargs):
+        released_at_sort.append([part._data is None for part in data.parts])
+        return (yield from attempt(self, *args, **kwargs))
+
+    monkeypatch.setattr(ShardedWiscSort, "_attempt", spy)
+    ShardedWiscSort().run(cluster, data)
+    assert released_at_sort == [[True] * 4] * 4
 
 
 @pytest.fixture
