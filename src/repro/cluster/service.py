@@ -628,11 +628,6 @@ class SortService:
                 run.placed % len(self.cluster.shards)
             ]
             run.placed += 1
-            with job.shard.fs.unaudited("job input: the workload, untimed"):
-                job.input_file = generate_dataset(
-                    job.shard, f"{job.name}.in", job.n_records, self.fmt,
-                    seed=job.seed,
-                )
             run.pending.append(job)
             for emit in probes.counter:
                 emit("service", "queue_depth", float(len(run.pending)))
@@ -684,6 +679,11 @@ class SortService:
                 f"(no sort_process); use a wiscsort variant"
             )
         system.output_name = f"{job.name}.out"
+        # Made at admission, not arrival: a queued job holds no bytes.
+        with job.shard.fs.unaudited("job input: the workload, untimed"):
+            job.input_file = generate_dataset(
+                job.shard, f"{job.name}.in", job.n_records, self.fmt, seed=job.seed
+            )
         output = yield from system.sort_process(job.shard, job.input_file)
         job.output_file = output
         with job.shard.fs.unaudited("job validation: a check, untimed"):

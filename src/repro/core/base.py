@@ -127,14 +127,16 @@ class SortSystem(ABC):
         validate: bool,
     ) -> int:
         """A completed sort's last step: validate the output when asked
-        (returns the record count, else -1), then release the input.
+        (returns the record count, else -1), then release both files.
 
         Nothing reads the input after this, so a generated one drops its
-        bytes (:meth:`~repro.storage.file.SimFile.release`); a later
-        read makes them again.
+        bytes (:meth:`~repro.storage.file.SimFile.release`), and so does
+        an output whose validation proved it a reordering of such an
+        input; a later read makes them again.
         """
         n_records = self._validate(machine, input_file, output_file) if validate else -1
         input_file.release()
+        output_file.release()
         return n_records
 
     def _execute_recover(

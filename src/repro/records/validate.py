@@ -43,8 +43,10 @@ def _as_record_matrix(data: np.ndarray, record_size: int) -> np.ndarray:
 
 def validate_sorted_records(
     input_records: np.ndarray, output_records: np.ndarray, key_size: int
-) -> None:
-    """Raise :class:`ValidationError` unless output is a sorted permutation."""
+) -> np.ndarray:
+    """Raise :class:`ValidationError` unless output is a sorted permutation;
+    returns the proven order, ``output == input[order]``, as a compact
+    array of its own (``uint16`` up to 65,536 rows, else ``uint32``)."""
     if input_records.shape != output_records.shape:
         raise ValidationError(
             f"record counts differ: input {input_records.shape} vs "
@@ -55,21 +57,24 @@ def validate_sorted_records(
         raise ValidationError("output keys are not in ascending order")
     for propose in (_perm_from_ordinals, _perm_from_sort):
         perm = propose(input_records, output_records, key_size, tied)
-        if perm is not None and _permutes(perm, input_records, output_records):
-            return
+        order = None if perm is None else _permutes(perm, input_records, output_records)
+        if order is not None:
+            return order
     raise ValidationError("output is not a permutation of the input records")
 
 
-def _permutes(perm, input_records, output_records) -> bool:
-    """True iff ``perm`` (untrusted row numbers, any integer dtype) is a
-    bijection onto the rows and ``input_records[perm]`` is byte-equal to
-    ``output_records``."""
+def _permutes(perm, input_records, output_records) -> np.ndarray | None:
+    """``perm`` copied to a compact dtype iff it (untrusted row numbers,
+    any integer dtype, possibly a view of the output) is a bijection onto
+    the rows and ``input_records[perm]`` is byte-equal to
+    ``output_records``; else ``None``."""
     n, width = output_records.shape
     if width % 4 == 0 and input_records.strides[1] == output_records.strides[1] == 1:
         # Same bytes, a quarter of the elements to move and compare.
         input_records = input_records.view(np.uint32)
         output_records = output_records.view(np.uint32)
     seen = np.zeros(n, dtype=bool)
+    order = np.empty(n, np.uint16 if n <= 1 << 16 else np.uint32)
     block = np.empty((min(n, _PROOF_ROWS), input_records.shape[1]), input_records.dtype)
     # Range-check, scatter, gather and compare one block at a time: no
     # temporary the size of the dataset, and each block is still in
@@ -77,12 +82,13 @@ def _permutes(perm, input_records, output_records) -> bool:
     for at in range(0, n, _PROOF_ROWS):
         rows = perm[at : at + _PROOF_ROWS].astype(np.intp)
         if rows.min() < 0 or rows.max() >= n:
-            return False
+            return None
         seen[rows] = True
         got = input_records.take(rows, axis=0, out=block[: rows.size], mode="clip")
         if not np.array_equal(got, output_records[at : at + _PROOF_ROWS]):
-            return False
-    return bool(seen.all())
+            return None
+        order[at : at + rows.size] = rows
+    return order if seen.all() else None
 
 
 #: Rows per block of the permutation proof (~200 KB of 100-byte records).
@@ -122,11 +128,17 @@ def _perm_from_sort(input_records, output_records, key_size, tied):
 def validate_sorted_file(
     input_file: "SimFile", output_file: "SimFile", fmt: RecordFormat
 ) -> int:
-    """Validate fixed-size-record output; returns the record count."""
+    """Validate fixed-size-record output; returns the record count.
+
+    The proof becomes the output's recipe when the input has one
+    (:meth:`~repro.storage.file.SimFile.adopt_order`): the output can
+    then be released like a generated input.
+    """
     input_records = _as_record_matrix(input_file.peek_view(), fmt.record_size)
     output_records = _as_record_matrix(output_file.peek_view(), fmt.record_size)
-    validate_sorted_records(input_records, output_records, fmt.key_size)
-    return input_records.shape[0]
+    order = validate_sorted_records(input_records, output_records, fmt.key_size)
+    output_file.adopt_order(input_file, order, fmt.record_size)
+    return order.size
 
 
 def validate_sorted_klv(

@@ -23,7 +23,7 @@ bit-identical to a fault-free build.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -106,6 +106,18 @@ class SimFile:
         self._data = data
         self._recipe = recipe
         self.size = data.size
+
+    def adopt_order(self, source: "SimFile", order: np.ndarray, record_size: int) -> None:
+        """Untimed: note that this file holds ``source``'s records in
+        ``order`` (a validation's proof, see
+        :func:`~repro.records.validate.validate_sorted_file`), so
+        :meth:`release` can drop its bytes until it is next mutated.
+
+        A no-op unless ``source`` still holds its recipe's contents; the
+        new recipe keeps that recipe and ``order``, not ``source``.
+        """
+        if source._recipe is not None:
+            self._recipe = _Reordered(source._recipe, order, record_size)
 
     def release(self) -> None:
         """Untimed: drop the host bytes of a file whose contents are
@@ -505,6 +517,19 @@ class SimFile:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SimFile({self.name!r}, size={self.size})"
+
+
+class _Reordered(NamedTuple):
+    """The recipe of a proven output: the records ``source`` makes, in
+    ``order`` (a compact copy, never a view of the output's bytes)."""
+
+    source: Callable[[], np.ndarray]
+    order: np.ndarray
+    record_size: int
+
+    def __call__(self) -> np.ndarray:
+        records = self.source().reshape(-1, self.record_size)
+        return records.take(self.order, axis=0, mode="clip").reshape(-1)
 
 
 def _as_u8(data: np.ndarray | bytes) -> np.ndarray:

@@ -20,11 +20,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import api
+from repro.core.base import SortSystem
 from repro.errors import SimulatedCrash, StorageError
 from repro.faults import parse_fault_spec
 from repro.machine import Machine
 from tests.conftest import batch_trace
 from tests.storage.test_file import run_op
+
+
+@pytest.fixture
+def output_arrays(monkeypatch):
+    """``(backing array size, file size)`` of each sort's output, taken
+    as ``SortSystem.finish`` starts: a validated output is released there."""
+    seen = {}
+    finish = SortSystem.finish
+
+    def spy(self, machine, input_file, output_file, validate):
+        seen[output_file.name] = (output_file._data.size, output_file.size)
+        return finish(self, machine, input_file, output_file, validate)
+
+    monkeypatch.setattr(SortSystem, "finish", spy)
+    return seen
 
 
 def _file(pmem, data: np.ndarray):
@@ -264,7 +280,7 @@ class TestFirstWriteAndOwnership:
         assert f._data.size == source.size and not f._data[f.size :].any()
         assert machine.faults.stats.torn_bytes_discarded == source.size - f.size
 
-    def test_sanitized_service_charges_every_byte_it_moves(self):
+    def test_sanitized_service_charges_every_byte_it_moves(self, output_arrays):
         report = api.serve(
             api.RunOptions(records=2_000, sanitize=True),
             arrivals=batch_trace(*(dict(name=f"j{i}", records=2_000) for i in range(4))),
@@ -272,9 +288,8 @@ class TestFirstWriteAndOwnership:
         )
         audit = report.extras["sanitizer"].audit_report()
         assert audit["drift"] == []
-        for job in report.jobs:
-            # each output was one whole-file first write
-            assert job.output_file._data.size == job.output_file.size == 200_000
+        # each output was one whole-file first write
+        assert output_arrays == {job.output_file.name: (200_000, 200_000) for job in report.jobs}
 
 
 class TestEdges:
@@ -444,11 +459,10 @@ class TestReserveAndStaging:
             payload = _payload(op)
             _assert_fresh_payload(f, payload, payload.copy())
 
-    def test_sanitized_onepass_balances_its_charge_audit(self):
+    def test_sanitized_onepass_balances_its_charge_audit(self, output_arrays):
         result = api.sort(api.RunOptions(records=20_000, sanitize=True))
         audit = result.extras["sanitizer"].audit_report()
         assert audit["drift"] == [] and audit["raw_uncharged_moves"] == 0
         assert audit["moved_write"] == audit["charged_write"] == 2_000_000
         assert audit["moved_read"] == audit["charged_read"]
-        out = result.extras["machine"].fs.open(result.output_name)
-        assert out._data.size == out.size == 2_000_000
+        assert output_arrays == {result.output_name: (2_000_000, 2_000_000)}

@@ -7,9 +7,11 @@
   is unreachable the moment ``reboot`` returns, with the cyclic garbage
   collector off, so the attempt's processes, frames and buffers never
   wait for a collection.
-* A served job keeps its output, not its input: a finished job's input
-  is released to its recipe, so what a service holds grows by one
-  output per job.
+* A served job keeps recipes, not bytes: its input is made at
+  admission and released to its recipe when the job finishes, and its
+  validated output to the proven order, so what a service holds grows
+  by two bytes a record plus a constant per job, and an overloaded
+  service's peak does not grow with its queue.
 * Every sort drops a generated input after its last read of it: at
   completion in every driver, after the run phase in EMS (its merge
   reads only the runs) and after the scatter in a sharded sort.
@@ -138,30 +140,61 @@ def test_a_crashed_sharded_attempt_is_freed_at_reboot(replaced_engines):
     assert replaced_engines == [True]
 
 
-#: Live bytes a served job may add, per byte of its output (~1.04 with
-#: the input released; ~2.0 while every input stayed live).
-SERVICE_LIVE_PER_OUTPUT_BYTE = 1.1
+#: Live bytes a served job may add: its output's proven order (2 B a
+#: record, ``uint16``) plus this many for the job, its two files and
+#: their recipes (measured 1,866 B at 200 records, 2,410 B at 2,000;
+#: ~202 KB a job while every output kept its bytes).
+SERVED_JOB_BYTES = 2_600
 
 
-def _served_live_bytes(jobs: int, records: int) -> int:
+def _served(jobs: int, records: int, rate: float, dram_budget=None):
+    """(report, traced live bytes after the run, traced peak)."""
     gc.collect()
     tracemalloc.start()
     try:
         report = api.serve(
-            api.RunOptions(records=records), rate=20_000.0, max_jobs=jobs, shards=2
+            api.RunOptions(records=records, dram_budget=dram_budget),
+            rate=rate, max_jobs=jobs, shards=2,
         )
         gc.collect()
-        live, _ = tracemalloc.get_traced_memory()
+        live, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert report.jobs_completed == jobs
-    return live
+    return report, live, peak
 
 
-def test_a_served_job_keeps_only_its_output():
-    records = 200
-    output = records * api.RunOptions().record_format.record_size
+@pytest.mark.parametrize("records, small, big", [(200, 400, 1_600), (2_000, 100, 400)])
+def test_a_served_job_keeps_its_proof_not_its_bytes(records, small, big):
     api.serve(api.RunOptions(records=records), rate=20_000.0, max_jobs=10, shards=2)
-    small = _served_live_bytes(400, records)  # after the warm-up: no one-time caches
-    growth = _served_live_bytes(1_600, records) - small
-    assert growth <= SERVICE_LIVE_PER_OUTPUT_BYTE * 1_200 * output, growth / (1_200 * output)
+    # after the warm-up: no one-time caches
+    growth = _served(big, records, 20_000.0)[1] - _served(small, records, 20_000.0)[1]
+    assert growth <= (big - small) * (2 * records + SERVED_JOB_BYTES), growth / (big - small)
+
+
+#: What an overloaded service may hold beyond its finished jobs' share:
+#: the cluster and the (at most three, by DRAM) jobs in flight.  Measured
+#: 1.8 / 2.3 MB at 200 / 800 jobs; while queued inputs and finished
+#: outputs held their bytes the peak was 41.7 / 163.7 MB.
+OVERLOAD_BYTES = 4 * 1024 * 1024
+
+
+def _deepest_queue(jobs) -> int:
+    events = sorted(
+        [(job.submit_time, 1) for job in jobs] + [(job.start_time, -1) for job in jobs]
+    )
+    depth = deepest = 0
+    for _, step in events:
+        depth += step
+        deepest = max(deepest, depth)
+    return deepest
+
+
+@pytest.mark.parametrize("jobs", [200, 800])
+def test_an_overloaded_service_peak_ignores_its_queue(jobs):
+    records = 2_000
+    api.serve(api.RunOptions(records=records), rate=20_000.0, max_jobs=10, shards=2)
+    # ~2x the saturation rate; three jobs' DRAM at a time.
+    report, _, peak = _served(jobs, records, 80_000.0, dram_budget=48_000_000)
+    assert _deepest_queue(report.jobs) >= jobs // 4
+    assert peak <= jobs * (2 * records + SERVED_JOB_BYTES) + OVERLOAD_BYTES, peak
