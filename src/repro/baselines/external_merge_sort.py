@@ -19,10 +19,13 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+import numpy as np
+
 from repro.core.base import ConcurrencyModel, SortConfig
 from repro.core.kway import (
     PendingRows,
     RunCursor,
+    StagedRows,
     drive_merge,
     window_bytes_per_run,
 )
@@ -60,6 +63,8 @@ class ExternalMergeSort(CheckpointedRunMergeSort):
         self.config = config if config is not None else SortConfig()
         self.output_name = output_name
         self.name = f"ems[{self.config.concurrency}]"
+        #: The run phase's one read buffer (while it lasts).
+        self._read_buffer: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     def _validate(self, machine, input_file, output_file) -> int:
@@ -84,9 +89,13 @@ class ExternalMergeSort(CheckpointedRunMergeSort):
         """Read a record chunk and sort it; returns its run-file write."""
         fmt = self.fmt
         offset, nbytes = spec
+        # Every chunk lands in the one read buffer of the run phase.
+        if self._read_buffer is None or self._read_buffer.size < nbytes:
+            self._read_buffer = np.empty(nbytes, dtype=np.uint8)
         data = yield input_file.read(
             offset, nbytes, tag="RUN read",
             threads=controller.read_threads(Pattern.SEQ),
+            out=self._read_buffer[:nbytes],
         )
         records = data.reshape(-1, fmt.record_size)
         n = records.shape[0]
@@ -96,10 +105,20 @@ class ExternalMergeSort(CheckpointedRunMergeSort):
         )
         yield machine.sort_compute(n, tag="RUN sort", cores=controller.sort_cores())
         order = record_sort_indices(records, fmt.key_size)
-        # Copy full records from read buffer to the output buffer.
+        # Copy full records from read buffer to the output buffer: the
+        # run file's reserved extent, so the write moves no bytes.  A
+        # checkpointed sort copies (its writes can be torn and rolled
+        # back), and the read buffer itself is never a write payload.
         yield machine.copy(nbytes, tag="RUN other", cores=controller.sort_cores())
-        return machine.fs.create(name).write(
-            0, records[order].reshape(-1), tag="RUN write",
+        run = machine.fs.create(name)
+        run.reserve(nbytes)
+        staged = None if self._ckpt is not None else run.staging(0, nbytes)
+        ordered = records.take(
+            order, axis=0, mode="clip",
+            out=None if staged is None else staged.reshape(records.shape),
+        )
+        return run.write(
+            0, ordered.reshape(-1), tag="RUN write",
             threads=controller.write_threads(),
         )
 
@@ -107,8 +126,10 @@ class ExternalMergeSort(CheckpointedRunMergeSort):
     def _merge_tail(self, machine, input_file, output, controller, run_names):
         """Entered once every run is durable (normal run or recovery):
         the merge reads only the runs, recovery resumes from them, and
-        validation makes the input again, so its bytes go now."""
+        validation makes the input again, so its bytes go now, with the
+        run phase's read buffer."""
         input_file.release()
+        self._read_buffer = None
         yield from super()._merge_tail(
             machine, input_file, output, controller, run_names
         )
@@ -141,7 +162,13 @@ class ExternalMergeSort(CheckpointedRunMergeSort):
         ]
         write_pool = controller.write_threads()
         flush_records = max(1, self.config.write_buffer // rec)
-        pending = PendingRows(rec)
+        # Merged records go straight into the output's reserved extent,
+        # copied from their windows once; a checkpointed sort copies them
+        # through a write buffer, as its run build does.
+        staged = self._ckpt is None and output.staging(
+            output.size, sum(c.file.size for c in cursors)
+        ) is not None
+        pending = StagedRows(output, rec) if staged else PendingRows(rec)
         out_records = 0
         if resume is not None:
             for cursor, consumed in zip(cursors, resume["consumed"]):
@@ -179,7 +206,8 @@ class ExternalMergeSort(CheckpointedRunMergeSort):
             yield from flush()
 
         yield from drive_merge(
-            machine, cursors, controller.read_threads(Pattern.SEQ), sink
+            machine, cursors, controller.read_threads(Pattern.SEQ), sink,
+            emit_to=pending.destination if staged else None,
         )
         yield from flush(last=True)
         if overlap_writes:

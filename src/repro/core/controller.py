@@ -34,7 +34,9 @@ class ThreadPoolController:
     """
 
     def __init__(self, machine: "Machine", config: SortConfig):
-        self.machine = machine
+        # The host, not the machine: the machine memoises its
+        # controllers, and a back-reference would be a cycle.
+        self.host = machine.host
         self.config = config
         self.calibration: CalibrationResult = calibrate_device(
             machine.profile, machine.host
@@ -58,7 +60,7 @@ class ThreadPoolController:
     def read_threads(self, pattern: Pattern = Pattern.SEQ) -> int:
         """Pool size for reads of the given access pattern."""
         if self.config.concurrency is ConcurrencyModel.NO_SYNC:
-            return self.machine.host.ncores
+            return self.host.ncores
         if self.config.read_threads is not None:
             return self.config.read_threads
         if pattern is Pattern.SEQ:
@@ -68,7 +70,7 @@ class ThreadPoolController:
     def write_threads(self) -> int:
         """Pool size for writes (PMEM: small -- writes do not scale)."""
         if self.config.concurrency is ConcurrencyModel.NO_SYNC:
-            return self.machine.host.ncores
+            return self.host.ncores
         if self.config.write_threads is not None:
             return self.config.write_threads
         return self.calibration.write.best_threads
@@ -77,7 +79,7 @@ class ThreadPoolController:
         """Cores used by in-memory sorting."""
         if self.config.sort_cores is not None:
             return self.config.sort_cores
-        return self.machine.host.ncores
+        return self.host.ncores
 
     def describe(self) -> str:
         return (

@@ -45,6 +45,9 @@ from repro.units import ceil_div
 if TYPE_CHECKING:  # pragma: no cover
     from repro.machine import Machine
 
+#: Where a merge step's ``n`` emitted rows go (see :func:`drive_merge`).
+EmitTo = Callable[[int], np.ndarray]
+
 
 class RunCursor:
     """Window over one sorted run file of fixed-size entries.
@@ -244,7 +247,9 @@ class RunCursor:
 
 
 def _frontier_step(
-    live: List[RunCursor], exhausted_flags: Optional[dict] = None
+    live: List[RunCursor],
+    exhausted_flags: Optional[dict] = None,
+    emit_to: Optional[EmitTo] = None,
 ) -> Tuple[np.ndarray, int, List[RunCursor]]:
     """Emit one batch of globally-safe entries from non-empty cursors.
 
@@ -254,7 +259,7 @@ def _frontier_step(
     step drained (they need a refill, or are done if their file is
     exhausted).  ``exhausted_flags`` optionally maps cursors to a cached
     ``file_exhausted`` value so the property need not be re-evaluated
-    every step.
+    every step.  ``emit_to`` is as for :func:`drive_merge`.
     """
     if exhausted_flags is None:
         bounds = [c._last_bytes for c in live if not c.file_exhausted]
@@ -290,7 +295,8 @@ def _frontier_step(
     merged = np.concatenate(pieces, axis=0)
     key_size = live[0].key_size
     order = key_sort_indices(merged[:, :key_size])
-    return merged[order], len(live), emptied
+    out = None if emit_to is None else emit_to(order.size)
+    return merged.take(order, axis=0, out=out, mode="clip"), len(live), emptied
 
 
 class _FrontierIndex:
@@ -527,8 +533,11 @@ class _FrontierIndex:
         np.add(self.taken0, starts, out=taken)
         self.stale = False
 
-    def step_batch(self) -> Tuple[np.ndarray, List[RunCursor]]:
-        """One frontier step over the pool; see class docstring."""
+    def step_batch(
+        self, emit_to: Optional[EmitTo] = None
+    ) -> Tuple[np.ndarray, List[RunCursor]]:
+        """One frontier step over the pool; see class docstring and, for
+        ``emit_to``, :func:`drive_merge`."""
         heap, final, pool = self.heap, self.final, self.pool
         drained = []
         if heap:
@@ -553,7 +562,8 @@ class _FrontierIndex:
         emptied = [self.row_cursors[i] for i in sorted(drained)]
         for c in emptied:
             self.detach(c)
-        return self.E.take(slots, axis=0), emptied
+        out = None if emit_to is None else emit_to(slots.size)
+        return self.E.take(slots, axis=0, out=out, mode="clip"), emptied
 
 
 class MergeFrontier:
@@ -612,13 +622,16 @@ class MergeFrontier:
         if self._index is not None and cursors:
             self._index.load(cursors)
 
-    def step(self) -> Tuple[np.ndarray, int]:
-        """One merge step; updates refill/drain bookkeeping."""
+    def step(self, emit_to: Optional[EmitTo] = None) -> Tuple[np.ndarray, int]:
+        """One merge step; updates refill/drain bookkeeping.  ``emit_to``
+        is as for :func:`drive_merge`."""
         if self._index is not None:
-            emitted, emptied = self._index.step_batch()
+            emitted, emptied = self._index.step_batch(emit_to)
             ways = len(self.live)
         else:
-            emitted, ways, emptied = _frontier_step(self.live, self._exhausted)
+            emitted, ways, emptied = _frontier_step(
+                self.live, self._exhausted, emit_to
+            )
         newly_drained: List[RunCursor] = []
         for c in emptied:
             if self._exhausted[c]:
@@ -672,16 +685,62 @@ class PendingRows:
         return self._chunks[0] if self._chunks else self._empty
 
     def pop(self, n: int) -> np.ndarray:
-        """Remove and return exactly the first ``n`` rows."""
-        flat = self.residual()
-        self._chunks = [flat[n:]] if n < self.count else []
+        """Remove and return exactly the first ``n`` rows: a view when
+        they lie in one pushed chunk, else only the chunks they straddle
+        concatenated."""
+        chunks = self._chunks
         self.count -= n
-        return flat[:n]
+        taken = []
+        while n:
+            head = chunks[0]
+            if head.shape[0] > n:
+                chunks[0] = head[n:]
+                head = head[:n]
+            else:
+                del chunks[0]
+            taken.append(head)
+            n -= head.shape[0]
+        return taken[0] if len(taken) == 1 else np.concatenate(taken or [self._empty])
 
     def batches(self, capacity: int, final: bool = False) -> Iterator[np.ndarray]:
         """Pop full ``capacity``-row batches; ``final`` adds the short tail."""
         while self.count >= capacity or (final and self.count):
             yield self.pop(min(capacity, self.count))
+
+
+class StagedRows(PendingRows):
+    """:class:`PendingRows` whose rows are already where they are going:
+    the merge emits them (:meth:`destination` as ``emit_to``) straight
+    into ``file``'s reserved extent past its end, so a popped batch is
+    that extent and its write moves no bytes.  The caller writes each
+    batch at the file's end before popping the next, and uses this only
+    where :meth:`SimFile.staging` hands the whole extent out.
+    """
+
+    def __init__(self, file: SimFile, entry_size: int):
+        super().__init__(entry_size)
+        self.file = file
+        self.entry_size = entry_size
+
+    def destination(self, n: int) -> np.ndarray:
+        """The ``n`` rows after the buffered ones."""
+        return self._extent(self.count, n)
+
+    def push(self, rows: np.ndarray) -> None:
+        self.count += rows.shape[0]  # emitted in place
+
+    def residual(self) -> np.ndarray:
+        return self._extent(0, self.count)
+
+    def pop(self, n: int) -> np.ndarray:
+        rows = self._extent(0, n)
+        self.count -= n
+        return rows
+
+    def _extent(self, first: int, n: int) -> np.ndarray:
+        size = self.entry_size
+        start = self.file.size + first * size
+        return self.file.staging(start, n * size).reshape(n, size)
 
 
 def drive_merge(
@@ -690,6 +749,7 @@ def drive_merge(
     read_threads: int,
     on_batch: Callable[[np.ndarray], Iterator],
     serial_refills: bool = False,
+    emit_to: Optional[EmitTo] = None,
 ):
     """The cursor protocol of Sec 3.7 steps 6-9 (generator; yield from).
 
@@ -701,7 +761,9 @@ def drive_merge(
     single-core min-finding as ``MERGE other`` and hands the key-sorted
     rows to ``on_batch`` (a generator function: the system's sink).
     Drained runs hand their buffer share to the survivors inside
-    :meth:`MergeFrontier.step`.
+    :meth:`MergeFrontier.step`.  ``emit_to(n)``, when given, is the
+    ``(n, entry_size)`` array a step's ``n`` rows are emitted into (see
+    :class:`StagedRows`); otherwise each step emits a fresh array.
     """
     frontier = MergeFrontier(cursors)
     while not frontier.done:
@@ -730,7 +792,7 @@ def drive_merge(
                 # Frame decompression (compressed IndexMap runs only).
                 yield ParallelOps(cpu_ops)
             frontier.note_refilled(refills)
-        emitted, ways = frontier.step()
+        emitted, ways = frontier.step(emit_to)
         yield machine.compute(
             machine.host.merge_compare_seconds(emitted.shape[0], ways),
             tag="MERGE other",

@@ -340,7 +340,6 @@ class CheckpointedRunMergeSort(SortSystem):
         self._check_checkpoint_config()
         controller = self._controller(machine)
         output = machine.fs.create(self.output_name)
-        output.reserve(input_file.size)
         self._arm_checkpoint(machine.fs)
         machine.run(
             self._run_then_merge(machine, input_file, output, controller),
@@ -438,6 +437,9 @@ class CheckpointedRunMergeSort(SortSystem):
 
     def _finish_merge(self, machine, input_file, output, controller, run_names,
                       resume=None):
+        # Reserved only now: a system that drops its input after its run
+        # phase (EMS) never holds input and output at once.
+        output.reserve(input_file.size)
         yield from self._final_merge(
             machine, input_file, output, controller, run_names, resume
         )
@@ -496,7 +498,6 @@ class CheckpointedRunMergeSort(SortSystem):
             if fs.exists(self.output_name)
             else fs.create(self.output_name)
         )
-        output.reserve(input_file.size)
         self._ckpt = CheckpointLog(fs, self._manifest_name())
         state = self._ckpt.load() or {}
         self.last_recovery = metrics = {

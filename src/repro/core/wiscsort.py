@@ -277,7 +277,6 @@ class WiscSort(IndexMapMergeSort):
         self._check_checkpoint_config()
         controller = self._controller(machine)
         output = machine.fs.create(self.output_name)
-        output.reserve(input_file.size)
         self._arm_checkpoint(machine.fs)
         if not self._plan_pass(machine, n):
             gen = self._one_pass(machine, input_file, output, controller, n)
@@ -343,6 +342,7 @@ class WiscSort(IndexMapMergeSort):
                   start_records: int = 0):
         if n == 0:
             return
+        output.reserve(input_file.size)
         with machine.trace_span("phase:onepass", records=n):
             imap = yield from self._load_chunk(
                 machine, input_file, controller, first_record=0, count=n

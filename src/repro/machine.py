@@ -21,9 +21,9 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from repro.device.device import BraidRateModel, make_io_op
+from repro.device.device import BraidRateModel
 from repro.device.host import HostModel
-from repro.device.profile import DeviceProfile, Pattern
+from repro.device.profile import DeviceProfile
 from repro.device.profiles import pmem_profile
 from repro.device.stats import DeviceStats
 from repro.errors import ConfigError
@@ -241,63 +241,14 @@ class Machine(ProbeHost):
     # ------------------------------------------------------------------
     # Op builders
     # ------------------------------------------------------------------
-    def io(
-        self,
-        direction: str,
-        pattern: Pattern,
-        nbytes: int,
-        tag: str,
-        accesses: int = 1,
-        stride: int = 0,
-        threads: int = 1,
-        host_bytes: int | None = None,
-    ) -> FluidOp:
-        """A device I/O op; work derived from the profile's cost model."""
-        op = make_io_op(
-            self.profile,
-            direction,
-            pattern,
-            nbytes,
-            tag,
-            accesses=accesses,
-            stride=stride,
-            threads=threads,
-            host_bytes=host_bytes,
-        )
-        if self.domain is not None:
-            op.attrs["domain"] = self.domain
-        for fn in self.probes.charge:
-            fn(direction, nbytes, tag)
-        self.stats.credit_submission(tag, nbytes, direction, pattern._value_)
-        return op
+    def io(self, *args, **kwargs) -> FluidOp:
+        """A device I/O op; see :meth:`repro.storage.filesystem.SimFS.io`."""
+        return self.fs.io(*args, **kwargs)
 
-    def io_raw(
-        self,
-        work: float,
-        direction: str,
-        pattern: Pattern,
-        user_bytes: int,
-        tag: str,
-        threads: int = 1,
-    ) -> FluidOp:
-        """A device I/O op with explicitly precomputed internal work."""
-        host_ratio = (user_bytes / work) if work > 0 else 0.0
-        op = FluidOp(
-            work,
-            kind="io",
-            tag=tag,
-            direction=direction,
-            pattern=pattern,
-            threads=threads,
-            host_ratio=host_ratio,
-            user_bytes=user_bytes,
-        )
-        if self.domain is not None:
-            op.attrs["domain"] = self.domain
-        for fn in self.probes.charge:
-            fn(direction, user_bytes, tag)
-        self.stats.credit_submission(tag, user_bytes, direction, pattern._value_)
-        return op
+    def io_raw(self, *args, **kwargs) -> FluidOp:
+        """A device I/O op with explicitly precomputed internal work; see
+        :meth:`repro.storage.filesystem.SimFS.io_raw`."""
+        return self.fs.io_raw(*args, **kwargs)
 
     def compute(self, cpu_seconds: float, tag: str, cores: int = 1) -> FluidOp:
         """Pure CPU work, spread over up to ``cores`` cores."""

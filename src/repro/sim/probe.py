@@ -20,6 +20,7 @@ reboot (``Machine`` / ``Cluster``); see :meth:`ProbeSet.rebind`.
 
 from __future__ import annotations
 
+import weakref
 from contextlib import ExitStack, nullcontext
 from typing import Any, Callable, Iterable, Tuple
 
@@ -111,13 +112,19 @@ class ProbeSet:
     """Installed probes plus one compiled callback tuple per event."""
 
     def __init__(self, owner=None):
-        #: The ``Machine`` / ``Cluster`` this set belongs to (``None`` on
-        #: a bare engine).
-        self.owner = owner
+        # Weak: the owner holds this set, and a strong back-reference
+        # would keep a dropped owner for the cyclic garbage collector.
+        self._owner = None if owner is None else weakref.ref(owner)
         #: The live engine; every ``Engine`` registers itself here.
         self.engine = None
         self.probes: list = []
         self._compile()
+
+    @property
+    def owner(self):
+        """The ``Machine`` / ``Cluster`` this set belongs to (``None`` on
+        a bare engine)."""
+        return None if self._owner is None else self._owner()
 
     def install(self, probe: Probe) -> Probe:
         if probe.reorders_ties and self.pick_ready is not None:

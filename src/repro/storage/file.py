@@ -55,8 +55,14 @@ class SimFile:
     # Raw (untimed) access, for test fixtures and validation only
     # ------------------------------------------------------------------
     def peek(self, offset: int = 0, nbytes: int | None = None) -> np.ndarray:
-        """Untimed read of file contents (no device cost charged)."""
-        return self.peek_view(offset, nbytes).copy()
+        """Untimed read of file contents (no device cost charged): a
+        private, writeable array.  A released file's whole contents are
+        its one regeneration, not a copy of it."""
+        view = self.peek_view(offset, nbytes)
+        if self._data is None and view.size == self.size:
+            view.flags.writeable = True  # its base is that regeneration
+            return view
+        return view.copy()
 
     def peek_view(self, offset: int = 0, nbytes: int | None = None) -> np.ndarray:
         """:meth:`peek` without the copy: a read-only view of the bytes,
@@ -380,10 +386,10 @@ class SimFile:
         sizes = np.asarray(lengths, dtype=np.int64)
         if starts.shape != sizes.shape:
             raise StorageError("offsets and lengths must have equal shape")
-        machine = self._fs.machine
+        fs = self._fs
         if starts.size == 0:
             with self._audit("read", 0):
-                op = machine.io_raw(0.0, "read", Pattern.RAND, 0, tag, threads=threads)
+                op = fs.io_raw(0.0, "read", Pattern.RAND, 0, tag, threads=threads)
             op.on_complete = lambda _op: np.zeros(0, dtype=np.uint8)
             return op
         ends = starts + sizes
@@ -400,8 +406,8 @@ class SimFile:
                 payload = np.concatenate(
                     [data[s:e] for s, e in zip(starts.tolist(), ends.tolist())]
                 )
-                work = machine.profile.random_batch_work(sizes)
-                op = machine.io_raw(
+                work = fs.profile.random_batch_work(sizes)
+                op = fs.io_raw(
                     work, "read", Pattern.RAND, int(sizes.sum()), tag, threads=threads
                 )
             op.on_complete = lambda _op: payload
@@ -460,7 +466,7 @@ class SimFile:
         stride: int = 0,
         threads: int = 1,
     ) -> FluidOp:
-        return self._fs.machine.io(
+        return self._fs.io(
             direction,
             pattern,
             nbytes,

@@ -9,11 +9,14 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List
 
+from repro.device.device import make_io_op
+from repro.device.profile import Pattern
 from repro.errors import (
     FileExistsInSimError,
     FileNotFoundInSimError,
     OutOfSpaceError,
 )
+from repro.sim.fluid import FluidOp
 from repro.sim.probe import scope
 from repro.storage.file import SimFile
 
@@ -22,10 +25,19 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class SimFS:
-    """Name -> :class:`SimFile` mapping with capacity accounting."""
+    """Name -> :class:`SimFile` mapping with capacity accounting.
+
+    It also builds the device ops its files issue (:meth:`io`), so it
+    keeps what those read -- the machine's profile, statistics, domain
+    and probe bus -- and not the machine that owns it: a back-reference
+    would be a cycle holding a dropped machine, and every file on it,
+    until the cyclic garbage collector runs.
+    """
 
     def __init__(self, machine: "Machine"):
-        self.machine = machine
+        self.profile = machine.profile
+        self.stats = machine.stats
+        self.domain = machine.domain
         self._files: Dict[str, SimFile] = {}
         self.used = 0
         #: Optional :class:`repro.faults.injector.FaultInjector`.  When
@@ -51,7 +63,65 @@ class SimFS:
 
     @property
     def capacity(self) -> int:
-        return self.machine.profile.capacity
+        return self.profile.capacity
+
+    def io(
+        self,
+        direction: str,
+        pattern: Pattern,
+        nbytes: int,
+        tag: str,
+        accesses: int = 1,
+        stride: int = 0,
+        threads: int = 1,
+        host_bytes: int | None = None,
+    ) -> FluidOp:
+        """A device I/O op; work derived from the profile's cost model."""
+        op = make_io_op(
+            self.profile,
+            direction,
+            pattern,
+            nbytes,
+            tag,
+            accesses=accesses,
+            stride=stride,
+            threads=threads,
+            host_bytes=host_bytes,
+        )
+        if self.domain is not None:
+            op.attrs["domain"] = self.domain
+        for fn in self.probes.charge:
+            fn(direction, nbytes, tag)
+        self.stats.credit_submission(tag, nbytes, direction, pattern._value_)
+        return op
+
+    def io_raw(
+        self,
+        work: float,
+        direction: str,
+        pattern: Pattern,
+        user_bytes: int,
+        tag: str,
+        threads: int = 1,
+    ) -> FluidOp:
+        """A device I/O op with explicitly precomputed internal work."""
+        host_ratio = (user_bytes / work) if work > 0 else 0.0
+        op = FluidOp(
+            work,
+            kind="io",
+            tag=tag,
+            direction=direction,
+            pattern=pattern,
+            threads=threads,
+            host_ratio=host_ratio,
+            user_bytes=user_bytes,
+        )
+        if self.domain is not None:
+            op.attrs["domain"] = self.domain
+        for fn in self.probes.charge:
+            fn(direction, user_bytes, tag)
+        self.stats.credit_submission(tag, user_bytes, direction, pattern._value_)
+        return op
 
     def create(self, name: str) -> SimFile:
         """Create an empty file; fails if the name exists."""

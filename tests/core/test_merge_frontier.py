@@ -35,6 +35,7 @@ from repro.core.kway import (
     MergeFrontier,
     PendingRows,
     RunCursor,
+    StagedRows,
     drive_merge,
     merge_step,
     redistribute_on_drain,
@@ -359,6 +360,42 @@ class TestWindowSlab:
 
     @BOTH_REFILLS
     @BOTH_KERNELS
+    def test_staged_rows_emit_the_merge_in_place(self, pmem, monkeypatch, vector, serial):
+        """``emit_to`` = a :class:`StagedRows`' destination: every step
+        emits into the output's reserved extent past its end, every
+        batch is that extent, and the output holds the naive merge."""
+        monkeypatch.setenv("REPRO_SIM_VECTOR", vector)
+        runs = random_runs(41, (150, 1, 90, 150), 100)
+        m1 = Machine(profile=pmem)
+        naive = drive_naive(m1, plain_cursors(m1, runs, 100, 10, 7 * 100))
+        m2 = Machine(profile=pmem)
+        out = m2.fs.create("out")
+        out.reserve(sum(r.nbytes for r in runs))
+        pending = StagedRows(out, 100)
+        in_place = []
+
+        def sink(emitted):
+            assert emitted.base is out._data
+            pending.push(emitted)
+            for batch in pending.batches(64):
+                in_place.append(batch.base is out._data)
+                out.write(out.size, batch.reshape(-1), tag="w")
+            return iter(())
+
+        cursors = plain_cursors(m2, runs, 100, 10, 7 * 100)
+        m2.run(drive_merge(
+            m2, cursors, 4, sink, serial_refills=serial, emit_to=pending.destination
+        ))
+        assert np.array_equal(pending.residual(), out._data[out.size :].reshape(-1, 100))
+        for batch in pending.batches(64, final=True):
+            out.write(out.size, batch.reshape(-1), tag="w")
+        assert in_place == [True] * 6
+        assert np.array_equal(
+            out.peek().reshape(-1, 100), np.concatenate([b for b, _ways in naive])
+        )
+
+    @BOTH_REFILLS
+    @BOTH_KERNELS
     def test_cursor_state_is_truthful_between_steps(self, pmem, monkeypatch, vector, serial):
         """``taken`` / ``remaining`` / ``needs_refill`` after every
         batch equal the naive driver's (``compare_plain`` compares the
@@ -467,6 +504,57 @@ class TestPendingRows:
         assert np.array_equal(pending.pop(5), rows[5:])
         assert pending.count == 0
         assert pending.residual().shape == (0, 2)
+
+    def test_a_pop_inside_one_chunk_is_a_view(self):
+        pending = PendingRows(2)
+        first, second = np.zeros((6, 2), np.uint8), np.ones((4, 2), np.uint8)
+        pending.push(first)
+        pending.push(second)
+        assert pending.pop(4).base is first
+        straddling = pending.pop(3)  # two rows of ``first``, one of ``second``
+        assert straddling.base is None and straddling.shape == (3, 2)
+        assert pending.pop(3).base is second
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ops=st.lists(
+            st.one_of(
+                st.tuples(st.just("push"), st.integers(0, 9)),
+                st.tuples(st.just("pop"), st.integers(0, 12)),
+                st.tuples(st.just("batches"), st.integers(1, 8), st.booleans()),
+                st.tuples(st.just("residual")),
+            ),
+            max_size=30,
+        )
+    )
+    def test_matches_a_reference_concatenation(self, ops):
+        """Every push / pop / batches / residual program gives the rows a
+        plain concatenation of everything pushed gives, in order."""
+        pending = PendingRows(3)
+        reference = np.zeros((0, 3), dtype=np.uint8)
+        made = 0
+        for op in ops:
+            if op[0] == "push":
+                rows = (np.arange(op[1] * 3, dtype=np.int64) + 3 * made) % 251
+                made += op[1]
+                rows = rows.astype(np.uint8).reshape(-1, 3)
+                pending.push(rows)
+                reference = np.concatenate([reference, rows])
+            elif op[0] == "pop":
+                n = min(op[1], pending.count)
+                assert np.array_equal(pending.pop(n), reference[:n])
+                reference = reference[n:]
+            elif op[0] == "batches":
+                _, capacity, final = op
+                for batch in pending.batches(capacity, final):
+                    n = batch.shape[0]
+                    assert n == capacity or (final and n < capacity)
+                    assert np.array_equal(batch, reference[:n])
+                    reference = reference[n:]
+            else:
+                assert np.array_equal(pending.residual(), reference)
+            assert pending.count == reference.shape[0]
+        assert np.array_equal(pending.residual(), reference)
 
     def test_batches_leave_the_short_tail_until_final(self):
         pending = PendingRows(1)

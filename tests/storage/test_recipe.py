@@ -91,6 +91,41 @@ def test_reading_a_released_file_leaves_no_bytes_held(machine):
     assert after - before < f.size // 10
 
 
+def _traced_growth(call) -> tuple:
+    """``(result, traced peak above the start)`` of ``call()``."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - before
+
+
+def test_peek_of_a_released_file_is_its_one_regeneration(machine):
+    f = _generated(machine)
+    f.release()
+    f.peek()  # warm every cache
+    regenerated, making = _traced_growth(f._recipe)
+    recipe = hashlib.sha256(regenerated.tobytes()).hexdigest()
+    del regenerated
+    whole, peeking = _traced_growth(f.peek)
+    # The generator's own temporaries (its keys: 0.1x) come on top of
+    # the bytes, so one regeneration peaks at ~1.11x; a copy made 2x.
+    assert peeking <= making + 0.01 * f.size, (peeking / f.size, making / f.size)
+    assert peeking <= 1.2 * f.size
+    assert hashlib.sha256(whole.tobytes()).hexdigest() == recipe
+    assert whole.flags.writeable
+    whole[:] = 0  # private: the file does not change
+    assert hashlib.sha256(f.peek().tobytes()).hexdigest() == recipe
+    part = f.peek(FMT.record_size, 2 * FMT.record_size)
+    part[:] = 0  # a partial peek is a copy of the regeneration
+    assert hashlib.sha256(f.peek().tobytes()).hexdigest() == recipe
+    assert f._data is None
+
+
 def test_a_write_into_a_released_file_lands_on_the_recipe_bytes(machine):
     f = _generated(machine)
     expected = f.peek()

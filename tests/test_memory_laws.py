@@ -15,6 +15,13 @@
 * Every sort drops a generated input after its last read of it: at
   completion in every driver, after the run phase in EMS (its merge
   reads only the runs) and after the scatter in a sharded sort.
+* EMS holds two copies of its dataset, not four: the output is reserved
+  only once the input is gone, each run is sorted from one reused read
+  buffer straight into its reserved file, and merged records go
+  straight into the output's reserved extent, so those writes move no
+  bytes (a checkpointed sort copies: its writes can be torn).
+* A dropped machine is freed by reference counting: nothing it owns
+  points back at it.
 """
 
 from __future__ import annotations
@@ -27,17 +34,23 @@ import weakref
 import pytest
 
 from repro import api
+from repro.baselines.external_merge_sort import ExternalMergeSort
 from repro.cluster import Cluster, ShardedWiscSort, generate_cluster_dataset
 from repro.core.base import ConcurrencyModel, SortConfig
 from repro.machine import Machine
-from repro.records.gensort import make_records
+from repro.records.format import RecordFormat
+from repro.records.gensort import generate_dataset, make_records
 from repro.storage.file import SimFile
 
-#: EMS at 1M records peaks at 3.18x its dataset with its input released
-#: after the run phase, plus a 0.12 margin (3.53x while the input stayed
-#: through the merge; 4.85x when the output and intermediate runs grew
-#: by doubling).
-EMS_PEAK_PER_DATASET_BYTE = 3.3
+#: EMS at 1M records peaks at 2.18x its dataset, plus a 0.12 margin:
+#: input + runs + one read buffer while it builds runs, runs + output +
+#: windows while it merges.  Earlier: 3.18x with each run read, sorted
+#: and written through three fresh arrays, the output reserved from the
+#: start and merged records emitted into a fresh array; 3.53x while the
+#: input stayed through the merge; 4.85x while files grew by doubling.
+EMS_PEAK_PER_DATASET_BYTE = 2.3
+
+FMT = RecordFormat()
 
 
 def test_ems_traced_peak_is_a_bounded_multiple_of_the_dataset():
@@ -87,6 +100,71 @@ def test_ems_drops_its_input_before_its_first_merge_read(monkeypatch):
     config = SortConfig(read_buffer=64 * 1024)  # several runs to merge
     api.sort(api.RunOptions(records=5_000, system="ems", config=config))
     assert released_at_merge == [True]
+
+
+def test_ems_reserves_its_output_once_its_input_is_released(monkeypatch):
+    input_released_at = {}
+    reserve = SimFile.reserve
+
+    def spy(self, nbytes):
+        input_released_at.setdefault(self.name, self._fs.open("input")._data is None)
+        return reserve(self, nbytes)
+
+    monkeypatch.setattr(SimFile, "reserve", spy)
+    config = SortConfig(read_buffer=64 * 1024)  # several runs to merge
+    api.sort(api.RunOptions(records=5_000, system="ems", config=config))
+    assert input_released_at.pop("ems.out") is True
+    assert set(input_released_at.values()) == {False}  # the runs
+    assert len(input_released_at) == 8
+
+
+def _in_place_writes(monkeypatch, checkpoint: bool) -> dict:
+    """Per write tag: whether each write's payload already was the
+    file's own bytes at the written extent (a write that moves none)."""
+    seen: dict = {}
+    write = SimFile.write
+
+    def spy(self, offset, data, tag, *args, **kwargs):
+        own = self._data
+        seen.setdefault(tag, []).append(
+            own is not None and own.size > offset
+            and data.ctypes.data == own.ctypes.data + offset
+        )
+        return write(self, offset, data, tag, *args, **kwargs)
+
+    monkeypatch.setattr(SimFile, "write", spy)
+    machine = Machine()
+    data = generate_dataset(machine, "input", 5_000, FMT, seed=5)
+    config = SortConfig(read_buffer=64 * 1024, write_buffer=48 * 1024)
+    ExternalMergeSort(FMT, config=config, checkpoint=checkpoint).run(machine, data)
+    return seen
+
+
+def test_ems_sorts_runs_and_merges_records_in_place(monkeypatch):
+    seen = _in_place_writes(monkeypatch, checkpoint=False)
+    assert len(seen["RUN write"]) == 8 and all(seen["RUN write"])
+    assert len(seen["MERGE write"]) == 11 and all(seen["MERGE write"])
+
+
+def test_checkpointed_ems_copies_what_it_writes(monkeypatch):
+    seen = _in_place_writes(monkeypatch, checkpoint=True)
+    assert len(seen["RUN write"]) == 8 and len(seen["MERGE write"]) == 11
+    assert not any(seen["RUN write"] + seen["MERGE write"])
+
+
+@pytest.mark.parametrize(
+    "make", [Machine, lambda: api.sort(api.RunOptions(records=5_000)).extras["machine"]],
+    ids=["bare", "sorted"],
+)
+def test_a_dropped_machine_is_freed_by_reference_counting(make):
+    gc.disable()
+    try:
+        machine = make()
+        ref = weakref.ref(machine)
+        del machine
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_a_sharded_sort_drops_its_parts_before_the_per_shard_sorts(monkeypatch):
