@@ -509,8 +509,9 @@ def schedule_fuzz(
 
 
 def file_fingerprint(simfile: "SimFile") -> str:
-    """SHA-256 over a simulated file's bytes (untimed, post-run)."""
-    return hashlib.sha256(simfile.peek().tobytes()).hexdigest()
+    """SHA-256 over a simulated file's bytes (untimed, post-run), hashed
+    in place: no copy of the contents."""
+    return hashlib.sha256(simfile.peek_view()).hexdigest()
 
 
 def sort_output_fingerprint(result) -> str:
@@ -539,5 +540,5 @@ def sort_output_fingerprint(result) -> str:
                 f"expected exactly one shard holding {part_name!r}, "
                 f"found {len(holders)}"
             )
-        h.update(holders[0].fs.open(part_name).peek().tobytes())
+        h.update(holders[0].fs.open(part_name).peek_view())
     return h.hexdigest()

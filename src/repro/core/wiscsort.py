@@ -199,14 +199,21 @@ class IndexMapMergeSort(CheckpointedRunMergeSort):
                         write_at, overlap_writes):
         """Steps 8-9 for one offset-queue batch: a concurrent random
         gather of the records ``pointers`` address, written at byte
-        ``write_at``; an overlapped write joins ``overlap_writes``."""
+        ``write_at``; an overlapped write joins ``overlap_writes``.
+
+        Values gather straight into the output's reserved extent, so the
+        write moves no bytes; a checkpointed sort copies (its writes can
+        be torn and rolled back)."""
         rec = self.fmt.record_size
+        staged = None if self._ckpt is not None else output.staging(
+            write_at, len(pointers) * rec
+        )
         yield from transfer_batch(
             machine,
             controller.config.concurrency,
             input_file.read_gather(
                 pointers, rec, tag="RECORD read",
-                threads=controller.read_threads(Pattern.RAND),
+                threads=controller.read_threads(Pattern.RAND), out=staged,
             ),
             lambda data: output.write(
                 write_at, data.reshape(-1), tag="MERGE write",

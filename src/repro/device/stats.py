@@ -4,7 +4,9 @@ A :class:`DeviceStats` instance registers as an interval observer on the
 fluid scheduler: for every constant-rate interval it accumulates
 
 * a bandwidth timeline ``(t0, t1, read_B/s, write_B/s, cores_used)``
-  (the data behind the paper's Figs 5-6 resource-usage plots),
+  (the data behind the paper's Figs 5-6 resource-usage plots), one
+  row per epoch in a flat float array (:class:`~repro.sim.rows.FloatRows`:
+  40 bytes a row),
 * internal device traffic per direction,
 * per-tag totals: busy wall-clock (union of intervals where any op of
   the tag was active), internal traffic and first/last activity time.
@@ -28,6 +30,7 @@ from repro.sim.fluid import (
     OBS_NET,
     observer_code,
 )
+from repro.sim.rows import FloatRows
 
 
 @dataclass
@@ -46,20 +49,14 @@ class TagStats:
     direction: str = ""
     pattern: str = ""
 
-    @property
-    def window(self) -> float:
-        """Wall-clock span between first and last activity."""
-        if self.first_active > self.last_active:
-            return 0.0
-        return self.last_active - self.first_active
-
 
 class DeviceStats:
     """Collects timelines and per-tag aggregates for one machine run."""
 
     def __init__(self, host: HostModel):
         self.host = host
-        self.timeline: List[Tuple[float, float, float, float, float]] = []
+        #: ``(t0, t1, read_B/s, write_B/s, cores)`` rows.
+        self.timeline = FloatRows(5)
         self.bytes_read_internal = 0.0
         self.bytes_written_internal = 0.0
         self.tags: Dict[str, TagStats] = defaultdict(TagStats)
@@ -154,11 +151,11 @@ class DeviceStats:
 
     def peak_read_bw(self) -> float:
         """Highest observed instantaneous read bandwidth."""
-        return max((row[2] for row in self.timeline), default=0.0)
+        return max(self.timeline.column(2), default=0.0)
 
     def peak_write_bw(self) -> float:
         """Highest observed instantaneous write bandwidth."""
-        return max((row[3] for row in self.timeline), default=0.0)
+        return max(self.timeline.column(3), default=0.0)
 
     def mean_cores(self) -> float:
         """Time-weighted average CPU cores in use."""
@@ -217,7 +214,8 @@ class InterconnectStats:
     DeviceStats) into
 
     * total bytes moved over the fabric,
-    * a bandwidth timeline ``(t0, t1, aggregate_B/s)``,
+    * a bandwidth timeline ``(t0, t1, aggregate_B/s)`` (flat, as
+      :class:`DeviceStats` keeps its own),
     * per-tag totals (``"SHUFFLE net"`` vs recovery/speculation
       transfers) via the same :class:`TagStats` shape,
     * per-directed-link byte totals keyed ``(src, dst)`` -- the data
@@ -226,7 +224,7 @@ class InterconnectStats:
 
     def __init__(self):
         self.bytes_total = 0.0
-        self.timeline: List[Tuple[float, float, float]] = []
+        self.timeline = FloatRows(3)
         self.tags: Dict[str, TagStats] = defaultdict(TagStats)
         self.link_bytes: Dict[Tuple[str, str], float] = {}
 
@@ -280,4 +278,4 @@ class InterconnectStats:
         return sorted(self.tags.items(), key=lambda kv: (kv[1].first_active, kv[0]))
 
     def peak_bw(self) -> float:
-        return max((row[2] for row in self.timeline), default=0.0)
+        return max(self.timeline.column(2), default=0.0)

@@ -170,7 +170,7 @@ class FaultInjector:
     def attach(self, machine: "Machine") -> None:
         """Install into ``machine`` (also re-arms timers after a reboot)."""
         self.machine = machine
-        machine.fs.injector = self
+        machine.fs.volume.injector = self
         engine = machine.engine
         now = engine.now
         for ev in self._crash_time:

@@ -242,12 +242,12 @@ class Machine(ProbeHost):
     # Op builders
     # ------------------------------------------------------------------
     def io(self, *args, **kwargs) -> FluidOp:
-        """A device I/O op; see :meth:`repro.storage.filesystem.SimFS.io`."""
+        """A device I/O op; see :meth:`repro.storage.filesystem.Volume.io`."""
         return self.fs.io(*args, **kwargs)
 
     def io_raw(self, *args, **kwargs) -> FluidOp:
         """A device I/O op with explicitly precomputed internal work; see
-        :meth:`repro.storage.filesystem.SimFS.io_raw`."""
+        :meth:`repro.storage.filesystem.Volume.io_raw`."""
         return self.fs.io_raw(*args, **kwargs)
 
     def compute(self, cpu_seconds: float, tag: str, cores: int = 1) -> FluidOp:

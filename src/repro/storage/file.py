@@ -12,7 +12,7 @@ N device threads working in parallel, which is how the sort
 implementations express thread-pool-sized I/O without spawning N
 simulated processes per buffer.
 
-Fault injection: when the owning filesystem carries an *armed*
+Fault injection: when the file's volume carries an *armed*
 :class:`~repro.faults.injector.FaultInjector`, every timed operation is
 routed through it -- the injector may return the plain op (no fault), a
 retrying command object (transient faults, backoff in simulated time),
@@ -33,16 +33,18 @@ from repro.sim.fluid import FluidOp
 from repro.sim.probe import scope
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.storage.filesystem import SimFS
+    from repro.storage.filesystem import Volume
 
 
 class SimFile:
     """A growable byte file stored on a simulated device."""
 
-    __slots__ = ("_fs", "name", "_data", "_recipe", "size")
+    __slots__ = ("_vol", "name", "_data", "_recipe", "size")
 
-    def __init__(self, fs: "SimFS", name: str):
-        self._fs = fs
+    def __init__(self, volume: "Volume", name: str):
+        #: What the file uses of its device (not the name table, which
+        #: holds the file: see :class:`~repro.storage.filesystem.Volume`).
+        self._vol = volume
         self.name = name
         #: The bytes, or None once :meth:`release` dropped them.
         self._data: np.ndarray | None = np.zeros(0, dtype=np.uint8)
@@ -70,7 +72,7 @@ class SimFile:
         if nbytes is None:
             nbytes = self.size - offset
         self._check_extent(offset, nbytes)
-        for fn in self._fs.probes.raw_move:
+        for fn in self._vol.probes.raw_move:
             fn(self.name, "peek", nbytes)
         view = self._contents()[offset : offset + nbytes]
         view.flags.writeable = False
@@ -79,12 +81,12 @@ class SimFile:
     def poke(self, offset: int, data: np.ndarray | bytes) -> None:
         """Untimed write (workload generation / fixtures)."""
         arr = _as_u8(data)
-        for fn in self._fs.probes.raw_move:
+        for fn in self._vol.probes.raw_move:
             fn(self.name, "poke", arr.size)
         self._own()
         new_size = max(self.size, offset + arr.size)
         if new_size > self.size:
-            self._fs.charge_growth(new_size - self.size, name=self.name)
+            self._vol.charge_growth(new_size - self.size, name=self.name)
         self._store(offset, arr)
         self.size = new_size
 
@@ -106,9 +108,9 @@ class SimFile:
                 f"{self.name!r} can only adopt a writeable contiguous 1-D uint8 "
                 f"array while empty"
             )
-        for fn in self._fs.probes.raw_move:
+        for fn in self._vol.probes.raw_move:
             fn(self.name, "poke", data.size)
-        self._fs.charge_growth(data.size, name=self.name)
+        self._vol.charge_growth(data.size, name=self.name)
         self._data = data
         self._recipe = recipe
         self.size = data.size
@@ -165,7 +167,7 @@ class SimFile:
         """
         self._own()
         if (
-            self._fs.injector is not None
+            self._vol.injector is not None
             or offset < self.size
             or offset + nbytes > self._data.size
         ):
@@ -187,7 +189,7 @@ class SimFile:
             return
         self._own()
         self._data[new_size : self.size] = 0
-        self._fs.release(self.size - new_size)
+        self._vol.release(self.size - new_size)
         self.size = new_size
 
     def pre_image(self, offset: int, nbytes: int) -> np.ndarray:
@@ -216,9 +218,9 @@ class SimFile:
         """Sequential read; resumes with a copy of the bytes: a fresh
         array, or ``out`` (exactly ``nbytes`` uint8) filled in place."""
         self._check_extent(offset, nbytes)
-        for fn in self._fs.probes.file_span:
+        for fn in self._vol.probes.file_span:
             fn(self, "r", offset, nbytes)
-        inj = self._fs.injector
+        inj = self._vol.injector
         if inj is not None and inj.armed:
             return inj.issue_read(
                 self,
@@ -247,11 +249,11 @@ class SimFile:
     ) -> FluidOp:
         """Sequential write at ``offset`` (extends the file if needed)."""
         arr = _as_u8(data)
-        for fn in self._fs.probes.file_span:
+        for fn in self._vol.probes.file_span:
             # Logged at issue time (eager data movement): retries by an
             # armed injector re-move the same bytes, not a new access.
             fn(self, "w", offset, arr.size)
-        inj = self._fs.injector
+        inj = self._vol.injector
         if inj is not None and inj.armed:
             return inj.issue_write(self, offset, arr, tag, threads)
         with self._audit("write", arr.size):
@@ -290,7 +292,7 @@ class SimFile:
             raise StorageError("stride smaller than access size")
         last = offset + (count - 1) * stride + access_size
         self._check_extent(offset, last - offset)
-        listeners = self._fs.probes.file_batch
+        listeners = self._vol.probes.file_batch
         if listeners:
             starts = offset + np.arange(count, dtype=np.int64) * stride
             for fn in listeners:
@@ -316,7 +318,7 @@ class SimFile:
             op.on_complete = lambda _op: payload
             return op
 
-        inj = self._fs.injector
+        inj = self._vol.injector
         if inj is not None and inj.armed:
             return inj.issue_read(self, count * access_size, tag, build)
         return build()
@@ -346,7 +348,7 @@ class SimFile:
             raise StorageError(
                 f"gather outside file {self.name!r} (size {self.size})"
             )
-        for fn in self._fs.probes.file_batch:
+        for fn in self._vol.probes.file_batch:
             fn(self, "r", starts, access_size)
 
         def build() -> FluidOp:
@@ -366,7 +368,7 @@ class SimFile:
             op.on_complete = lambda _op: payload
             return op
 
-        inj = self._fs.injector
+        inj = self._vol.injector
         if inj is not None and inj.armed:
             return inj.issue_read(self, int(starts.size) * access_size, tag, build)
         return build()
@@ -386,16 +388,16 @@ class SimFile:
         sizes = np.asarray(lengths, dtype=np.int64)
         if starts.shape != sizes.shape:
             raise StorageError("offsets and lengths must have equal shape")
-        fs = self._fs
+        vol = self._vol
         if starts.size == 0:
             with self._audit("read", 0):
-                op = fs.io_raw(0.0, "read", Pattern.RAND, 0, tag, threads=threads)
+                op = vol.io_raw(0.0, "read", Pattern.RAND, 0, tag, threads=threads)
             op.on_complete = lambda _op: np.zeros(0, dtype=np.uint8)
             return op
         ends = starts + sizes
         if starts.min() < 0 or int(ends.max()) > self.size:
             raise StorageError(f"variable gather outside file {self.name!r}")
-        for fn in self._fs.probes.file_batch:
+        for fn in self._vol.probes.file_batch:
             fn(self, "r", starts, sizes)
 
         def build() -> FluidOp:
@@ -406,14 +408,14 @@ class SimFile:
                 payload = np.concatenate(
                     [data[s:e] for s, e in zip(starts.tolist(), ends.tolist())]
                 )
-                work = fs.profile.random_batch_work(sizes)
-                op = fs.io_raw(
+                work = vol.profile.random_batch_work(sizes)
+                op = vol.io_raw(
                     work, "read", Pattern.RAND, int(sizes.sum()), tag, threads=threads
                 )
             op.on_complete = lambda _op: payload
             return op
 
-        inj = self._fs.injector
+        inj = self._vol.injector
         if inj is not None and inj.armed:
             return inj.issue_read(self, int(sizes.sum()), tag, build)
         return build()
@@ -454,7 +456,7 @@ class SimFile:
     def _audit(self, direction: str, nbytes: int):
         """Probe scope around one timed op's byte move and its charge
         (a shared no-op context when nobody listens)."""
-        return scope(self._fs.probes.move_scope, direction, nbytes)
+        return scope(self._vol.probes.move_scope, direction, nbytes)
 
     def _machine_io(
         self,
@@ -466,7 +468,7 @@ class SimFile:
         stride: int = 0,
         threads: int = 1,
     ) -> FluidOp:
-        return self._fs.io(
+        return self._vol.io(
             direction,
             pattern,
             nbytes,

@@ -24,21 +24,23 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.machine import Machine
 
 
-class SimFS:
-    """Name -> :class:`SimFile` mapping with capacity accounting.
+class Volume:
+    """What a file uses of the device it lives on: the capacity account,
+    the probe bus, the fault injector and the builder of its device ops
+    (:meth:`io`).
 
-    It also builds the device ops its files issue (:meth:`io`), so it
-    keeps what those read -- the machine's profile, statistics, domain
-    and probe bus -- and not the machine that owns it: a back-reference
-    would be a cycle holding a dropped machine, and every file on it,
-    until the cyclic garbage collector runs.
+    It keeps what those read -- the machine's profile, statistics,
+    domain and probe bus -- and neither the machine nor the name table
+    (:class:`SimFS`): a file points here, so either back-reference would
+    be a cycle holding a dropped machine's files until the cyclic
+    garbage collector runs.  A file that outlives its machine keeps
+    working against its volume.
     """
 
     def __init__(self, machine: "Machine"):
         self.profile = machine.profile
         self.stats = machine.stats
         self.domain = machine.domain
-        self._files: Dict[str, SimFile] = {}
         self.used = 0
         #: Optional :class:`repro.faults.injector.FaultInjector`.  When
         #: installed *and armed*, every timed SimFile operation consults
@@ -123,51 +125,6 @@ class SimFS:
         self.stats.credit_submission(tag, user_bytes, direction, pattern._value_)
         return op
 
-    def create(self, name: str) -> SimFile:
-        """Create an empty file; fails if the name exists."""
-        if name in self._files:
-            raise FileExistsInSimError(name)
-        f = SimFile(self, name)
-        self._files[name] = f
-        return f
-
-    def open(self, name: str) -> SimFile:
-        """Look up an existing file."""
-        try:
-            return self._files[name]
-        except KeyError:
-            raise FileNotFoundInSimError(name) from None
-
-    def exists(self, name: str) -> bool:
-        return name in self._files
-
-    def delete(self, name: str) -> None:
-        """Remove a file and release its space."""
-        f = self._files.pop(name, None)
-        if f is None:
-            raise FileNotFoundInSimError(name)
-        self.used -= f.size
-
-    def rename(self, old: str, new: str) -> None:
-        """Atomically rename ``old`` to ``new``, replacing any existing file.
-
-        This is the checkpoint layer's commit primitive: a manifest is
-        written to a temporary name and renamed over the live one, so a
-        crash leaves either the old or the new manifest intact, never a
-        torn mixture.  Modelled as a free metadata operation.
-        """
-        f = self._files.pop(old, None)
-        if f is None:
-            raise FileNotFoundInSimError(old)
-        existing = self._files.pop(new, None)
-        if existing is not None:
-            self.used -= existing.size
-        f.name = new
-        self._files[new] = f
-
-    def list(self) -> List[str]:
-        return sorted(self._files)
-
     def charge_growth(self, nbytes: int, name: str = "") -> None:
         """Account for a file growing by ``nbytes`` (called by SimFile)."""
         if nbytes <= 0:
@@ -189,3 +146,70 @@ class SimFS:
         if nbytes < 0:
             raise OutOfSpaceError("cannot release negative bytes")
         self.used -= nbytes
+
+
+class SimFS:
+    """Name -> :class:`SimFile` mapping over one :class:`Volume`.
+
+    The table holds its files and each file holds only the volume, so
+    dropping the machine frees the table and every file no one else
+    holds by reference counting.  The volume's op builders, audit scope,
+    probe bus and ``used`` count read through from here.
+    """
+
+    def __init__(self, machine: "Machine"):
+        self.volume = Volume(machine)
+        self._files: Dict[str, SimFile] = {}
+        self.io = self.volume.io
+        self.io_raw = self.volume.io_raw
+        self.unaudited = self.volume.unaudited
+        self.probes = self.volume.probes
+
+    @property
+    def used(self) -> int:
+        return self.volume.used
+
+    def create(self, name: str) -> SimFile:
+        """Create an empty file; fails if the name exists."""
+        if name in self._files:
+            raise FileExistsInSimError(name)
+        f = SimFile(self.volume, name)
+        self._files[name] = f
+        return f
+
+    def open(self, name: str) -> SimFile:
+        """Look up an existing file."""
+        try:
+            return self._files[name]
+        except KeyError:
+            raise FileNotFoundInSimError(name) from None
+
+    def exists(self, name: str) -> bool:
+        return name in self._files
+
+    def delete(self, name: str) -> None:
+        """Remove a file and release its space."""
+        f = self._files.pop(name, None)
+        if f is None:
+            raise FileNotFoundInSimError(name)
+        self.volume.release(f.size)
+
+    def rename(self, old: str, new: str) -> None:
+        """Atomically rename ``old`` to ``new``, replacing any existing file.
+
+        This is the checkpoint layer's commit primitive: a manifest is
+        written to a temporary name and renamed over the live one, so a
+        crash leaves either the old or the new manifest intact, never a
+        torn mixture.  Modelled as a free metadata operation.
+        """
+        f = self._files.pop(old, None)
+        if f is None:
+            raise FileNotFoundInSimError(old)
+        existing = self._files.pop(new, None)
+        if existing is not None:
+            self.volume.release(existing.size)
+        f.name = new
+        self._files[new] = f
+
+    def list(self) -> List[str]:
+        return sorted(self._files)

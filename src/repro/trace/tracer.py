@@ -25,13 +25,21 @@ What gets recorded (all timestamps are *simulated* seconds):
   ``InterconnectStats``), DRAM usage (the bus's ``dram_change`` event)
   and scheduler queue depth.
 
+Op, wait and counter records are columns (:class:`OpLog`,
+:class:`WaitLog`, :class:`CounterLog`): numbers in arrays, strings and
+keys as references to one interned object each, a wait on an op as the
+op's row.  ``Tracer.ops`` / ``.waits`` / ``.counters`` rebuild each row
+as the dict or tuple readers index (:class:`~repro.sim.rows.RowView`).
+
 Export formats live in :mod:`repro.trace.export`.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 from contextlib import contextmanager
+from math import isnan
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.sim.fluid import (
@@ -42,6 +50,7 @@ from repro.sim.fluid import (
     observer_code,
 )
 from repro.sim.probe import Probe, ProbeSet
+from repro.sim.rows import RowView
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.machine import Machine
@@ -106,6 +115,198 @@ class Span:
         return f"Span({self.name!r}, {state})"
 
 
+#: An op column entry with no value: ``t1`` while the op runs, an
+#: ``interference`` never recorded.
+_NONE = float("nan")
+
+
+class OpLog(RowView):
+    """Op records, one row per issued op (:meth:`Tracer.on_op_issue`).
+
+    Row ``i`` is the dict ``{oid, tag, kind, track, proc, span, phase,
+    t0, t1, work}`` (``oid`` is ``i + 1``), then ``direction, pattern,
+    bytes, threads, amplification[, interference]`` for an I/O op or
+    ``mode, cores`` for a CPU op.  Stored: the interned ``key`` tuple of
+    a row's strings and small ints (``(tag, kind, track, proc)`` plus
+    ``(direction, pattern, threads)`` or ``(mode, cores)``), its open
+    :class:`Span`, and float columns; ``t1`` and ``interference`` hold
+    NaN for None / absent, and ``amplification`` is ``work / bytes``
+    computed again.
+    """
+
+    __slots__ = ("key", "span", "t0", "t1", "work", "bytes", "interference", "_keys")
+
+    def __init__(self):
+        self.key: list = []
+        self.span: List[Optional[Span]] = []
+        self.t0 = array("d")
+        self.t1 = array("d")
+        self.work = array("d")
+        self.bytes = array("d")
+        self.interference = array("d")
+        self._keys: dict = {}
+
+    def __len__(self) -> int:
+        return len(self.t0)
+
+    def append(
+        self, key: tuple, span: Optional[Span], t0: float, work: float,
+        user: float, interference: float,
+    ) -> int:
+        """Record one issued op; returns its row."""
+        row = len(self.t0)
+        self.key.append(self._keys.setdefault(key, key))
+        self.span.append(span)
+        self.t0.append(t0)
+        self.t1.append(_NONE)
+        self.work.append(work)
+        self.bytes.append(user)
+        self.interference.append(interference)
+        return row
+
+    def _row(self, i: int) -> dict:
+        tag, kind, track, proc, *klass = self.key[i]
+        span = self.span[i]
+        t1 = self.t1[i]
+        work = self.work[i]
+        rec = {
+            "oid": i + 1,
+            "tag": tag,
+            "kind": kind,
+            "track": track,
+            "proc": proc,
+            "span": None if span is None else span.sid,
+            "phase": None if span is None else span.name,
+            "t0": self.t0[i],
+            "t1": None if isnan(t1) else t1,
+            "work": work,
+        }
+        if len(klass) == 3:
+            user = self.bytes[i]
+            rec["direction"] = klass[0]
+            rec["pattern"] = klass[1]
+            rec["bytes"] = user
+            rec["threads"] = klass[2]
+            rec["amplification"] = (work / user) if user > 0 else 0.0
+            interference = self.interference[i]
+            if not isnan(interference):
+                rec["interference"] = interference
+        elif klass:
+            rec["mode"], rec["cores"] = klass
+        return rec
+
+    def snapshot(self, i: int) -> dict:
+        """What a wait on row ``i``'s op records of it."""
+        t1 = self.t1[i]
+        return _snapshot(self.key[i], None if isnan(t1) else t1)
+
+
+def _snapshot(key: tuple, t1: Optional[float]) -> dict:
+    """A wait's record of the op it waited on: the kind, track and
+    direction of the op's record ``key`` (:meth:`Tracer._op_key`) and
+    its finish time ``t1``."""
+    snap = {"kind": key[1], "track": key[2], "t1": t1}
+    if len(key) == 7:
+        snap["direction"] = key[4]
+    return snap
+
+
+class WaitLog(RowView):
+    """Closed wait records (:meth:`Tracer.wait_end`), in engine-event order.
+
+    Row ``i`` is ``{pid, t0, t1, kind, reason, resource}`` plus what the
+    process was parked on: ``op`` (``io``), ``members`` (``parallel``) or
+    ``targets`` (``join``).  Stored: ``pid`` / ``t0`` / ``t1`` columns, the
+    interned ``(kind, reason, resource)`` key, and the parked-on part as
+    ``ref`` plus ``extra``:
+
+    * ``io``: ``ref`` is the op's row of the :class:`OpLog` (its kind,
+      track, direction and ``t1`` are there), or ``ref`` is -1 and
+      ``extra`` the explicit snapshot of an op with no such row;
+    * ``parallel``: ``ref`` is where the members' op rows start in
+      ``members`` and ``extra`` how many there are, or ``ref`` is -1 and
+      ``extra`` the list of explicit snapshots;
+    * ``join``: ``extra`` is the list of joined pids.
+    """
+
+    __slots__ = ("_ops", "pid", "t0", "t1", "key", "ref", "extra", "members", "_keys")
+
+    def __init__(self, ops: OpLog):
+        self._ops = ops
+        self.pid = array("q")
+        self.t0 = array("d")
+        self.t1 = array("d")
+        self.key: list = []
+        self.ref = array("q")
+        self.extra: list = []
+        self.members = array("q")
+        self._keys: dict = {}
+
+    def __len__(self) -> int:
+        return len(self.t0)
+
+    def record(self, pid: int, t0: float, t1: float, key: tuple, ref: int, extra) -> None:
+        self.pid.append(pid)
+        self.t0.append(t0)
+        self.t1.append(t1)
+        self.key.append(self._keys.setdefault(key, key))
+        self.ref.append(ref)
+        self.extra.append(extra)
+
+    def _row(self, i: int) -> dict:
+        kind, reason, resource = self.key[i]
+        rec = {
+            "pid": self.pid[i],
+            "t0": self.t0[i],
+            "t1": self.t1[i],
+            "kind": kind,
+            "reason": reason,
+            "resource": resource,
+        }
+        ref = self.ref[i]
+        extra = self.extra[i]
+        if kind == "io":
+            if ref >= 0:
+                rec["op"] = self._ops.snapshot(ref)
+            elif extra is not None:
+                rec["op"] = extra
+        elif kind == "parallel":
+            if ref >= 0:
+                snapshot = self._ops.snapshot
+                rec["members"] = [snapshot(r) for r in self.members[ref:ref + extra]]
+            elif extra is not None:
+                rec["members"] = extra
+        elif kind == "join" and extra is not None:
+            rec["targets"] = extra
+        return rec
+
+
+class CounterLog(RowView):
+    """Counter samples: ``(t, track, series, value)`` rows, stored as
+    ``t`` and ``value`` columns plus the interned ``(track, series)``
+    key."""
+
+    __slots__ = ("t", "value", "key", "_keys")
+
+    def __init__(self):
+        self.t = array("d")
+        self.value = array("d")
+        self.key: list = []
+        self._keys: dict = {}
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def append(self, t: float, skey: Tuple[str, str], value: float) -> None:
+        self.t.append(t)
+        self.value.append(value)
+        self.key.append(self._keys.setdefault(skey, skey))
+
+    def _row(self, i: int) -> Tuple[float, str, str, float]:
+        track, series = self.key[i]
+        return (self.t[i], track, series, self.value[i])
+
+
 #: Block verbs of the engine's own commands; any other verb is a
 #: primitive's (a semaphore's ``acquire``, a retry's ``retrying-io``).
 _ENGINE_WAITS = frozenset(("io", "sleep", "join", "parallel"))
@@ -135,20 +336,19 @@ class Tracer(Probe):
     def __init__(self, analyze: bool = False):
         self.analyze = analyze
         self.spans: List[Span] = []
-        self.ops: List[dict] = []
+        self.ops = OpLog()
         self.instants: List[dict] = []
         #: ``(t, track, series, value)`` rows, change-suppressed per
         #: ``(track, series)`` so constant stretches cost one sample.
-        self.counters: List[Tuple[float, str, str, float]] = []
+        self.counters = CounterLog()
         #: Closed wait records (``analyze`` mode), in engine-event
-        #: order: one dict per blocking command with a positive
-        #: duration; see :meth:`wait_end` for the schema.
-        self.waits: List[dict] = []
+        #: order: one per blocking command with a positive duration;
+        #: see :meth:`wait_end` for the schema.
+        self.waits = WaitLog(self.ops)
         #: Process lifecycle records (``analyze`` mode):
         #: ``{pid, name, parent, t0, t1}`` per spawned coroutine.
         self.procs: List[dict] = []
         self._sid = itertools.count(1)
-        self._oid = itertools.count(1)
         #: Per-process span stacks; key 0 is "outside the engine".
         self._stacks: Dict[int, List[Span]] = {}
         self._engine: Optional["Engine"] = None
@@ -161,7 +361,8 @@ class Tracer(Probe):
         #: lets the root-span flush skip tracks already current.
         self._counter_t: Dict[Tuple[str, str], float] = {}
         self._proc_index: Dict[int, dict] = {}
-        self._open_waits: Dict[int, dict] = {}
+        #: pid -> ``(t0, kind, reason, resource)`` of its open wait.
+        self._open_waits: Dict[int, tuple] = {}
 
     # ------------------------------------------------------------------
     # Installation
@@ -251,19 +452,22 @@ class Tracer(Probe):
     def _make_interval_observer(self, machine: "Machine", key: str):
         """One machine track's sampler: global interval observers run
         after the epoch's group observers, so it reads the ``(read_bw,
-        write_bw, cores)`` row ``DeviceStats`` just appended, or zeros
-        if the machine was idle.  A new row is told by the row count,
-        not by its ``t0`` (a float compare of simulated times)."""
-        timeline = machine.stats.timeline
-        rows = len(timeline)
+        write_bw, cores)`` fields of the row ``DeviceStats`` just
+        appended, or zeros if the machine was idle.  A new row is told by
+        the length of the flat timeline, not by its ``t0`` (a float
+        compare of simulated times)."""
+        data = machine.stats.timeline.data
+        seen = len(data)
 
         def observe(t0: float, _t1: float, _ops: list) -> None:
-            nonlocal rows
-            if len(timeline) == rows:
+            nonlocal seen
+            if len(data) == seen:
                 read_bw = write_bw = cores = 0.0
             else:
-                rows = len(timeline)
-                _r0, _r1, read_bw, write_bw, cores = timeline[-1]
+                seen = len(data)
+                read_bw = data[-3]
+                write_bw = data[-2]
+                cores = data[-1]
             self.counter_sample(key, "read_bw", read_bw, t=t0)
             self.counter_sample(key, "write_bw", write_bw, t=t0)
             self.counter_sample(key, "cores", cores, t=t0)
@@ -273,14 +477,14 @@ class Tracer(Probe):
     def _make_net_observer(self):
         """The ``"net"`` track's sampler: ``InterconnectStats`` rows, read
         likewise, from the first flow to one zero after the last."""
-        timeline = self._engine.probes.owner.net_stats.timeline
-        rows = len(timeline)
+        data = self._engine.probes.owner.net_stats.timeline.data
+        seen = len(data)
 
         def observe(t0: float, _t1: float, _ops: list) -> None:
-            nonlocal rows
-            if len(timeline) != rows:
-                rows = len(timeline)
-                self.counter_sample("net", "net_bw", timeline[-1][2], t=t0)
+            nonlocal seen
+            if len(data) != seen:
+                seen = len(data)
+                self.counter_sample("net", "net_bw", data[-1], t=t0)
             elif self._last_counter.get(("net", "net_bw")):
                 self.counter_sample("net", "net_bw", 0.0, t=t0)
 
@@ -344,7 +548,7 @@ class Tracer(Probe):
             last_t = self._counter_t.get(skey)
             if last_t is None or last_t < t:
                 self._counter_t[skey] = t
-                self.counters.append((t, skey[0], skey[1], self._last_counter[skey]))
+                self.counters.append(t, skey, self._last_counter[skey])
 
     @contextmanager
     def span(
@@ -420,51 +624,56 @@ class Tracer(Probe):
         self._last_counter[skey] = value
         t_sample = self.now if t is None else t
         self._counter_t[skey] = t_sample
-        self.counters.append((t_sample, track, series, value))
+        self.counters.append(t_sample, skey, value)
 
     # ------------------------------------------------------------------
     # Engine / fluid hooks (bus callbacks; see subscriptions)
     # ------------------------------------------------------------------
     def on_op_issue(self, op: "FluidOp", t_issue: float) -> None:
-        """Fluid-scheduler hook: every op passes through exactly once."""
-        attrs = op.attrs
-        domain = None if attrs is None else attrs.get("domain")
-        key = domain if domain is not None else self.MAIN_TRACK
+        """Fluid-scheduler hook: every op passes through exactly once.
+        The op keeps ``(tracer, row)`` in ``_trace`` for its completion
+        and for the wait records of processes parked on it."""
         proc = self._engine.current
         if proc is None:
             stack, name = self._stacks.get(0), "main"
         else:
             stack, name = self._stacks.get(proc.pid), proc.name
-        span = stack[-1] if stack else None
-        kind = op.kind
-        rec: dict = {
-            "oid": next(self._oid),
-            "tag": op.tag,
-            "kind": kind,
-            "track": key,
-            "proc": name,
-            "span": None if span is None else span.sid,
-            "phase": None if span is None else span.name,
-            "t0": t_issue,
-            "t1": None,
-            "work": op.work,
-        }
-        if kind == "io" and attrs is not None:
+        key = self._op_key(op, name)
+        user = 0.0
+        interference = _NONE
+        if len(key) == 7:  # an I/O op
+            attrs = op.attrs
             user = float(attrs.get("user_bytes", 0.0))
-            pattern = attrs.get("pattern")
-            rec["direction"] = attrs["direction"]
-            rec["pattern"] = getattr(pattern, "value", pattern)
-            rec["bytes"] = user
-            rec["threads"] = attrs.get("threads", 1)
-            rec["amplification"] = (op.work / user) if user > 0 else 0.0
-            machine = self._machines.get(key)
+            machine = self._machines.get(key[2])
             if machine is not None:
-                rec["interference"] = self._interference(machine, attrs, domain)
-        elif kind == "cpu" and attrs is not None:
-            rec["mode"] = attrs.get("mode", "compute")
-            rec["cores"] = attrs.get("cores", 1)
-        op._trace = rec
-        self.ops.append(rec)
+                interference = self._interference(machine, attrs, attrs.get("domain"))
+        row = self.ops.append(
+            key, stack[-1] if stack else None, t_issue, op.work, user, interference
+        )
+        op._trace = (self, row)
+
+    def _op_key(self, op: "FluidOp", proc: Optional[str]) -> tuple:
+        """An op record's strings and small ints: ``(tag, kind, track,
+        proc)``, then ``(direction, pattern, threads)`` for an I/O op or
+        ``(mode, cores)`` for a CPU op."""
+        attrs = op.attrs
+        kind = op.kind
+        if attrs is None:
+            return (op.tag, kind, self.MAIN_TRACK, proc)
+        domain = attrs.get("domain")
+        track = domain if domain is not None else self.MAIN_TRACK
+        if kind == "io":
+            pattern = attrs.get("pattern")
+            return (
+                op.tag, kind, track, proc, attrs["direction"],
+                getattr(pattern, "value", pattern), attrs.get("threads", 1),
+            )
+        if kind == "cpu":
+            return (
+                op.tag, kind, track, proc, attrs.get("mode", "compute"),
+                attrs.get("cores", 1),
+            )
+        return (op.tag, kind, track, proc)
 
     def _interference(self, machine: "Machine", attrs: dict, domain) -> float:
         """Read-write interference multiplier in force at issue time: the
@@ -489,9 +698,12 @@ class Tracer(Probe):
         return interference.write_multiplier(threads)
 
     def on_op_complete(self, op: "FluidOp", t_done: float) -> None:
-        rec = getattr(op, "_trace", None)
-        if rec is not None and rec["t1"] is None:
-            rec["t1"] = t_done
+        trace = getattr(op, "_trace", None)
+        if trace is not None and trace[0] is self:
+            t1 = self.ops.t1
+            row = trace[1]
+            if isnan(t1[row]):  # not completed before
+                t1[row] = t_done
 
     # No bus event calls the next two: benchmarks/ledger/trace.py times
     # them by name among the tracer's hooks, so they go with that list.
@@ -558,58 +770,58 @@ class Tracer(Probe):
             kind = "primitive"
             reason = getattr(resource, "reason", None) or verb
             name = getattr(resource, "name", None) or None
-        pid = proc.pid
-        self._open_waits[pid] = {
-            "pid": pid,
-            "t0": self._engine.now,
-            "t1": None,
-            "kind": kind,
-            "reason": reason,
-            "resource": name,
-        }
+        self._open_waits[proc.pid] = (self._engine.now, kind, reason, name)
 
     def wait_end(self, proc: "Process", _detail: Any = None) -> None:
         """Close ``proc``'s open wait record (no-op without one).
 
         Must run while ``proc.blocked_on`` is still set: the record
-        snapshots what the process was parked on -- the waited-for op's
-        kind/track/direction (``io``), each member op's snapshot plus its
-        finish time (``parallel``), or the joined pids (``join``).
-        Zero-duration waits are dropped; they contribute nothing to any
-        decomposition.
+        keeps what the process was parked on -- the waited-for op's
+        kind/track/direction/finish time (``io``), each member op's
+        (``parallel``), or the joined pids (``join``).  An op is kept as
+        its row when that row already says what a snapshot would, else
+        as an explicit snapshot.  Zero-duration waits are dropped; they
+        contribute nothing to any decomposition.
         """
-        rec = self._open_waits.pop(proc.pid, None)
-        if rec is None:
+        opened = self._open_waits.pop(proc.pid, None)
+        if opened is None:
             return
+        t0, kind, reason, name = opened
         t1 = self._engine.now
-        if t1 <= rec["t0"]:
+        if t1 <= t0:
             return
-        rec["t1"] = t1
         blocked = proc.blocked_on
-        kind = rec["kind"]
+        ref, extra = -1, None
         if kind == "io" and isinstance(blocked, FluidOp):
-            rec["op"] = self._op_snapshot(blocked)
+            ref = self._op_row(blocked)
+            if ref < 0:
+                extra = _snapshot(self._op_key(blocked, None), blocked.finished_at)
         elif kind == "parallel" and isinstance(blocked, list):
-            rec["members"] = [
-                self._op_snapshot(op) for op in blocked if isinstance(op, FluidOp)
-            ]
+            members = [op for op in blocked if isinstance(op, FluidOp)]
+            rows = [self._op_row(op) for op in members]
+            if -1 in rows:
+                extra = [
+                    _snapshot(self._op_key(op, None), op.finished_at) for op in members
+                ]
+            else:
+                ref, extra = len(self.waits.members), len(rows)
+                self.waits.members.extend(rows)
         elif kind == "join" and blocked is not None:
             targets = getattr(blocked, "targets", None)
             if targets is not None:
-                rec["targets"] = [t.pid for t in targets]
-        self.waits.append(rec)
+                extra = [t.pid for t in targets]
+        self.waits.record(proc.pid, t0, t1, (kind, reason, name), ref, extra)
 
-    def _op_snapshot(self, op: FluidOp) -> dict:
-        attrs = op.attrs
-        domain = None if attrs is None else attrs.get("domain")
-        snap: dict = {
-            "kind": op.kind,
-            "track": domain if domain is not None else self.MAIN_TRACK,
-            "t1": op.finished_at,
-        }
-        if op.kind == "io" and attrs is not None:
-            snap["direction"] = attrs.get("direction")
-        return snap
+    def _op_row(self, op: FluidOp) -> int:
+        """``op``'s row of :attr:`ops` if that row's ``t1`` is the op's
+        finish time now (a finished op: the row no longer changes), else
+        -1."""
+        trace = getattr(op, "_trace", None)
+        if trace is None or trace[0] is not self:
+            return -1
+        row = trace[1]
+        same = self.ops.t1[row] == op.finished_at  # reprolint: disable=SIM004 -- the very value a snapshot would hold, not a time order
+        return row if same else -1
 
     # ------------------------------------------------------------------
     # Summaries
@@ -623,15 +835,14 @@ class Tracer(Probe):
                 t = span.t1
             elif span.t0 > t:
                 t = span.t0
-        for rec in self.ops:
-            done = rec["t1"]
-            if done is not None and done > t:
+        for done in self.ops.t1:
+            if done > t:  # False for NaN (still running)
                 t = done
         for ev in self.instants:
             if ev["t"] > t:
                 t = ev["t"]
         if self.counters:
-            last = self.counters[-1][0]
+            last = self.counters.t[-1]
             if last > t:
                 t = last
         return t

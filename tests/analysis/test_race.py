@@ -8,10 +8,13 @@ must never perturb simulated results.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro.analysis.race import sort_output_fingerprint
+from repro import api
+from repro.analysis.race import file_fingerprint, sort_output_fingerprint
 from repro.errors import RaceError
 from repro.machine import Machine
 from repro.sim.engine import Join, Sleep, Spawn
@@ -397,3 +400,36 @@ class TestClusterRace:
 
         cluster.run(main())
         assert len(det.races) == 1
+
+
+#: Captured while fingerprints hashed a copy of each file's bytes
+#: (20,000 records, seed 5): the sorted output, on any number of shards,
+#: and the input.
+SORTED_20K = "9ba2920f6a6a41b5b0d3d3292947f99f7a8780016811a39d8ee0c2c23fcd9351"
+INPUT_20K = "88d9c68bce7fb27aa2064e02c6dae58012da95b1b58cd4cb575e57d8bfa08525"
+
+
+class TestFingerprints:
+    def test_digests_are_unchanged(self):
+        options = api.RunOptions(records=20_000, seed=5)
+        held = api.sort(options.replace(validate=False))
+        released = api.sort(options)
+        sharded = api.sort(options, shards=2)
+        machine = released.extras["machine"]
+        assert machine.fs.open(released.output_name)._data is None  # proven order
+        assert [sort_output_fingerprint(r) for r in (held, released, sharded)] == [
+            SORTED_20K
+        ] * 3
+        assert file_fingerprint(machine.fs.open("input")) == INPUT_20K
+
+    def test_a_file_holding_its_bytes_hashes_them_in_place(self):
+        result = api.sort(api.RunOptions(records=20_000, seed=5, validate=False))
+        output = result.extras["machine"].fs.open(result.output_name)
+        assert output._data is not None
+        tracemalloc.start()
+        try:
+            assert file_fingerprint(output) == SORTED_20K
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < output.size // 10, peak  # two copies (4 MB) before

@@ -20,8 +20,15 @@
   buffer straight into its reserved file, and merged records go
   straight into the output's reserved extent, so those writes move no
   bytes (a checkpointed sort copies: its writes can be torn).
+* A MergePass holds its output once: values gather straight into the
+  output's reserved extent, so its traced peak is its output, IndexMap
+  runs, merge frontier and one offset-queue batch.
 * A dropped machine is freed by reference counting: nothing it owns
-  points back at it.
+  points back at it, and no file points back at the name table that
+  holds it.  A file that outlives its machine still reads.
+* Observers keep columns, not an object per event: what an observed
+  MergePass's handle retains beyond its output is bounded per issued
+  op, and an unobserved one keeps its timeline as a flat array.
 """
 
 from __future__ import annotations
@@ -37,10 +44,14 @@ from repro import api
 from repro.baselines.external_merge_sort import ExternalMergeSort
 from repro.cluster import Cluster, ShardedWiscSort, generate_cluster_dataset
 from repro.core.base import ConcurrencyModel, SortConfig
+from repro.core.wiscsort import WiscSort
 from repro.machine import Machine
 from repro.records.format import RecordFormat
 from repro.records.gensort import generate_dataset, make_records
 from repro.storage.file import SimFile
+from repro.trace import Tracer
+from repro.units import KiB
+from repro.workloads.background import BackgroundClients
 
 #: EMS at 1M records peaks at 2.18x its dataset, plus a 0.12 margin:
 #: input + runs + one read buffer while it builds runs, runs + output +
@@ -87,32 +98,41 @@ def test_a_finished_sort_holds_no_input_bytes(system):
     assert data._data is None  # the read kept nothing
 
 
+def _ems_5k(monkeypatch, spy_on: str, spy) -> None:
+    """A 5,000-record EMS sort of several runs with ``SimFile.<spy_on>``
+    wrapped as ``spy(original, input_file, self, *args)``."""
+    machine = Machine()
+    data = generate_dataset(machine, "input", 5_000, FMT, seed=5)
+    original = getattr(SimFile, spy_on)
+
+    def wrapped(self, *args, **kwargs):
+        return spy(original, data, self, *args, **kwargs)
+
+    monkeypatch.setattr(SimFile, spy_on, wrapped)
+    config = SortConfig(read_buffer=64 * 1024)  # several runs to merge
+    ExternalMergeSort(FMT, config=config).run(machine, data)
+
+
 def test_ems_drops_its_input_before_its_first_merge_read(monkeypatch):
     released_at_merge = []
-    read = SimFile.read
 
-    def spy(self, offset, nbytes, tag, *args, **kwargs):
+    def spy(read, data, self, offset, nbytes, tag, *args, **kwargs):
         if tag == "MERGE read" and not released_at_merge:
-            released_at_merge.append(self._fs.open("input")._data is None)
+            released_at_merge.append(data._data is None)
         return read(self, offset, nbytes, tag, *args, **kwargs)
 
-    monkeypatch.setattr(SimFile, "read", spy)
-    config = SortConfig(read_buffer=64 * 1024)  # several runs to merge
-    api.sort(api.RunOptions(records=5_000, system="ems", config=config))
+    _ems_5k(monkeypatch, "read", spy)
     assert released_at_merge == [True]
 
 
 def test_ems_reserves_its_output_once_its_input_is_released(monkeypatch):
     input_released_at = {}
-    reserve = SimFile.reserve
 
-    def spy(self, nbytes):
-        input_released_at.setdefault(self.name, self._fs.open("input")._data is None)
+    def spy(reserve, data, self, nbytes):
+        input_released_at.setdefault(self.name, data._data is None)
         return reserve(self, nbytes)
 
-    monkeypatch.setattr(SimFile, "reserve", spy)
-    config = SortConfig(read_buffer=64 * 1024)  # several runs to merge
-    api.sort(api.RunOptions(records=5_000, system="ems", config=config))
+    _ems_5k(monkeypatch, "reserve", spy)
     assert input_released_at.pop("ems.out") is True
     assert set(input_released_at.values()) == {False}  # the runs
     assert len(input_released_at) == 8
@@ -165,6 +185,117 @@ def test_a_dropped_machine_is_freed_by_reference_counting(make):
         assert ref() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize(
+    "make", [Machine, lambda: api.sort(api.RunOptions(records=5_000)).extras["machine"]],
+    ids=["bare", "sorted"],
+)
+def test_a_dropped_machine_frees_its_files_by_reference_counting(make):
+    gc.disable()
+    try:
+        machine = make()
+        machine.fs.create("extra")
+        fs, volume = weakref.ref(machine.fs), weakref.ref(machine.fs.volume)
+        del machine
+        assert fs() is None and volume() is None
+    finally:
+        gc.enable()
+
+
+def test_a_file_that_outlives_its_machine_still_reads():
+    result = api.sort(api.RunOptions(records=5_000, seed=5))
+    output = result.extras["machine"].fs.open(result.output_name)
+    want = _sha256(output.peek())
+    del result
+    gc.collect()
+    assert _sha256(output.peek()) == want
+    op = output.read(0, output.size, tag="late read")
+    assert op.work > 0 and _sha256(op.on_complete(op)) == want
+
+
+#: A MergePass's traced peak beyond its generated input: its output
+#: (reserved once), IndexMap runs, merge frontier (the read buffer) and
+#: one offset-queue batch -- values, entries and 8-byte pointers -- plus
+#: this much.  Measured 0.2 MB under the parts at 200k records; 2.5 MB
+#: over them while each batch gathered into a fresh array and the write
+#: copied it.
+MERGEPASS_SLACK = 512 * KiB
+
+
+def test_mergepass_traced_peak_is_its_output_runs_frontier_and_one_batch():
+    records = 200_000
+    config = SortConfig()
+    machine = Machine(dram_budget=2_500_000)  # the IndexMap does not fit
+    data = generate_dataset(machine, "input", records, FMT, seed=5)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = WiscSort(FMT, config=config).run(machine, data, validate=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "MERGE write" in result.phases
+    rec, entry = FMT.record_size, FMT.index_entry_size
+    batch = config.write_buffer // rec
+    parts = (
+        records * (rec + entry) + config.read_buffer + batch * (rec + entry + 8)
+    )
+    assert peak <= parts + MERGEPASS_SLACK, (peak - parts) / 1e6
+
+
+def _mergepass(observed: bool):
+    """The ledger's frozen 200k-record MergePass body (8 background
+    writers), with every observer on or none: ``(handle, ops)``."""
+    machine = Machine()
+    observers = ()
+    if observed:
+        observers = (
+            Tracer(analyze=True).install(machine),
+            machine.install_sanitizer(),
+            machine.install_race_detector(),
+        )
+    data = generate_dataset(machine, "input", 200_000, FMT, seed=2023)
+    BackgroundClients(machine, 8, "write").start()
+    system = WiscSort(
+        FMT, config=SortConfig(read_buffer=96 * KiB, write_buffer=8 * KiB),
+        force_merge_pass=True, merge_chunk_entries=1_500,
+    )
+    result = system.run(machine, data, validate=False)
+    for observer in observers[1:]:
+        observer.check()
+    return (machine, result, observers), len(observers[0].ops) if observed else 0
+
+
+def _retained(observed: bool):
+    """(bytes the handle retains beyond its output, issued ops)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        handle, ops = _mergepass(observed)
+        gc.collect()
+        live, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    machine, result, _ = handle
+    return live - machine.fs.open(result.output_name).size, ops
+
+
+#: Bytes an observed MergePass's handle may retain per issued op beyond
+#: its output: tracer op, wait and counter rows plus the timeline
+#: (measured ~240 B; ~1,440 B while every record was a dict or tuple).
+OBSERVED_BYTES_PER_OP = 400
+
+
+def test_an_unobserved_sort_keeps_its_timeline_as_a_flat_array():
+    extra, _ = _retained(observed=False)
+    assert extra <= 1024 * 1024, extra  # ~0.6 MB; 2.4 MB with row tuples
+
+
+def test_observers_retain_columns_not_an_object_per_event():
+    extra, ops = _retained(observed=True)
+    assert ops > 14_000
+    assert extra <= OBSERVED_BYTES_PER_OP * ops, extra / ops
 
 
 def test_a_sharded_sort_drops_its_parts_before_the_per_shard_sorts(monkeypatch):

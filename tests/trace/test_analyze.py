@@ -370,7 +370,7 @@ class TestCriticalPathUnits:
     def _tracer(self, procs, waits):
         tracer = Tracer(analyze=True)
         tracer.procs.extend(procs)
-        tracer.waits.extend(waits)
+        tracer.waits = waits  # recorded waits are a read-only view
         return tracer
 
     def test_interval_clipping(self):
